@@ -22,10 +22,6 @@ def compose_perm(p: Perm, q: Perm) -> Perm:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def perm_fixed_points(p: Perm) -> tuple[int, ...]:
-    return tuple(i for i, x in enumerate(p) if x == i)
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -4,12 +4,18 @@ A structure lists atom names, the converse involution, the identity atoms,
 and the allowed composition cycles: a stored triple (x, y, z) means the
 atom z lies below the composition x;y.  Elements are atom sets packed into
 integer bitmasks, so Boolean and Peircean operations reduce to bit work.
+
+Validation checks associativity by a join of the cycles on their shared
+atom, in place of an atoms^3 scan; the point, pair and function flags of
+all atoms cost O(atoms^2) mask operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidStructureError
@@ -23,6 +29,14 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _union(table: Sequence[int], mask: int) -> int:
+    """The union of table[a] over the atoms a of mask."""
+    acc = 0
+    for a in iter_bits(mask):
+        acc |= table[a]
+    return acc
 
 
 def peirce_orbit(triple: Triple, converse: Sequence[int]) -> frozenset[Triple]:
@@ -211,23 +225,30 @@ class AtomStructure:
     # -- per-atom flags used by predicates and the isomorphism search ------
 
     @cached_property
+    def _unions(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        # a;1, 1;a and a;0' for every atom a
+        comp = self._comp
+        div = [not self.identity_mask >> b & 1 for b in range(self.n_atoms)]
+        return (tuple(reduce(or_, row, 0) for row in comp),
+                tuple(reduce(or_, col, 0) for col in zip(*comp)),
+                tuple(reduce(or_, compress(row, div), 0) for row in comp))
+
+    def _element_flags(self, mask: int) -> tuple[bool, bool, bool]:
+        """(is_point, is_pair, is_function) of an element: x;1;x <= 1',
+        x;0';x;0';x <= 1' and x~;x <= 1'.  O(atoms) mask operations for
+        an atom, through the cached a;1 and a;0'."""
+        times_one, _, times_div = self._unions
+        other = ~self.identity_mask
+        point = self.compose_mask(_union(times_one, mask), mask) & other == 0
+        m = self.compose_mask(_union(times_div, mask), mask)
+        pair = self.compose_mask(_union(times_div, m), mask) & other == 0
+        fn = self.compose_mask(self.converse_mask(mask), mask) & other == 0
+        return point, pair, fn
+
+    @cached_property
     def atom_flags(self) -> tuple[tuple[bool, bool, bool], ...]:
         # (is_point, is_pair, is_function) for each atom as an element
-        full = self.full_mask
-        idm = self.identity_mask
-        div = full & ~idm
-        out = []
-        for a in range(self.n_atoms):
-            m = 1 << a
-            point = (self.compose_mask(self.compose_mask(m, full), m) & ~idm) == 0
-            pm = self.compose_mask(m, div)
-            pm = self.compose_mask(pm, m)
-            pm = self.compose_mask(pm, div)
-            pm = self.compose_mask(pm, m)
-            pair = (pm & ~idm) == 0
-            fn = (self.compose_mask(1 << self.converse_map[a], m) & ~idm) == 0
-            out.append((point, pair, fn))
-        return tuple(out)
+        return tuple(self._element_flags(1 << a) for a in range(self.n_atoms))
 
     @cached_property
     def cycles_by_atom(self) -> tuple[tuple[Triple, ...], ...]:
@@ -306,27 +327,21 @@ def _validate(s: AtomStructure) -> ValidationReport:
                 f"cycle {s._fmt_triple((x, y, z))} puts an identity atom below "
                 f"{names[x]};{names[y]} but {names[y]} != {names[conv[x]]}"))
 
+    idents = sorted(ident)
     for a in range(n):
-        dom = [e for e in sorted(ident) if (e, a, a) in s.cycles]
-        if not dom:
-            v.append(Violation(
-                "missing-domain-atom",
-                f"no identity atom e has (e, {names[a]}, {names[a]}) as a cycle"))
-        elif len(dom) > 1:
-            v.append(Violation(
-                "multiple-domain-atoms",
-                f"atom {names[a]} has domain atoms "
-                + ", ".join(names[e] for e in dom)))
-        ran = [e for e in sorted(ident) if (a, e, a) in s.cycles]
-        if not ran:
-            v.append(Violation(
-                "missing-range-atom",
-                f"no identity atom f has ({names[a]}, f, {names[a]}) as a cycle"))
-        elif len(ran) > 1:
-            v.append(Violation(
-                "multiple-range-atoms",
-                f"atom {names[a]} has range atoms "
-                + ", ".join(names[e] for e in ran)))
+        nm = names[a]
+        for side, found, cycle in (
+                ("domain", [e for e in idents if (e, a, a) in s.cycles],
+                 f"e has (e, {nm}, {nm})"),
+                ("range", [e for e in idents if (a, e, a) in s.cycles],
+                 f"f has ({nm}, f, {nm})")):
+            if not found:
+                v.append(Violation(f"missing-{side}-atom",
+                                   f"no identity atom {cycle} as a cycle"))
+            elif len(found) > 1:
+                v.append(Violation(
+                    f"multiple-{side}-atoms", f"atom {nm} has {side} atoms "
+                    + ", ".join(names[e] for e in found)))
 
     wit = _associativity_witness(s)
     if wit is not None:
@@ -340,22 +355,37 @@ def _validate(s: AtomStructure) -> ValidationReport:
 
 
 def _associativity_witness(s: AtomStructure) -> Triple | None:
+    """The least (a, b, c) with (a;b);c != a;(b;c), or None.
+
+    A join on the shared atom, one row (a, b) at a time: c maps on the left
+    to the union of e;c over the cycles (a, b, e), on the right to the
+    union of a;f over the cycles (b, c, f).  Only rows where either side
+    can be nonzero are visited, so the work grows with the cycles joined.
+    """
     comp = s._comp
     n = s.n_atoms
-    for a in range(n):
-        row_a = comp[a]
-        for b in range(n):
-            ab = row_a[b]
-            row_b = comp[b]
-            for c in range(n):
-                lhs = 0
-                for z in iter_bits(ab):
-                    lhs |= comp[z][c]
-                rhs = 0
-                for w in iter_bits(row_b[c]):
-                    rhs |= row_a[w]
-                if lhs != rhs:
-                    return (a, b, c)
+    cols = [list(compress(range(n), row)) for row in comp]  # nonzero entries
+    supp = [sum(1 << c for c in cs) for cs in cols]
+    # per atom b: the (c, f) of the cycles (b, c, f) as two flat lists, which
+    # hold no tuple per cycle; per atom f: the atoms b with such a cycle
+    outgoing: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n)]
+    reached_by = [0] * n
+    for b, c, f in s.cycles:
+        outgoing[b][0].append(c)
+        outgoing[b][1].append(f)
+        reached_by[f] |= 1 << b
+    for a, row_a in enumerate(comp):
+        # both sides are 0 for every c unless a;b != 0 or a;(b;1) != 0
+        for b in iter_bits(supp[a] | _union(reached_by, supp[a])):
+            left, right = [0] * n, [0] * n
+            for e in iter_bits(row_a[b]):
+                row_e = comp[e]
+                for c in cols[e]:
+                    left[c] |= row_e[c]
+            for c, f in zip(*outgoing[b]):
+                right[c] |= row_a[f]
+            if left != right:
+                return (a, b, next(c for c in range(n) if left[c] != right[c]))
     return None
 
 
@@ -441,30 +471,21 @@ class ElementClass:
     is_function: bool
 
 
-def _require_nonzero(x: Element) -> None:
+def _flags(x: Element) -> tuple[bool, bool, bool]:
     if x.is_zero:
         raise ValueError("classification undefined on zero")
+    x.structure.require_valid()
+    return x.structure._element_flags(x.mask)
 
 
 def is_point(x: Element) -> bool:
     """x;1;x <= 1'."""
-    _require_nonzero(x)
-    s = x.structure
-    s.require_valid()
-    m = s.compose_mask(s.compose_mask(x.mask, s.full_mask), x.mask)
-    return m & ~s.identity_mask == 0
+    return _flags(x)[0]
 
 
 def is_pair(x: Element) -> bool:
     """x;0';x;0';x <= 1'."""
-    _require_nonzero(x)
-    s = x.structure
-    s.require_valid()
-    div = s.full_mask & ~s.identity_mask
-    m = x.mask
-    for step in (div, x.mask, div, x.mask):
-        m = s.compose_mask(m, step)
-    return m & ~s.identity_mask == 0
+    return _flags(x)[1]
 
 
 def is_twin(x: Element) -> bool:
@@ -481,22 +502,14 @@ def is_twin(x: Element) -> bool:
 
 def is_function(x: Element) -> bool:
     """x~;x <= 1'."""
-    _require_nonzero(x)
-    s = x.structure
-    s.require_valid()
-    m = s.compose_mask(s.converse_mask(x.mask), x.mask)
-    return m & ~s.identity_mask == 0
+    return _flags(x)[2]
 
 
 def classify_element(x: Element) -> ElementClass:
     """Point/pair/twin/function flags of a nonzero element."""
-    _require_nonzero(x)
-    return ElementClass(
-        is_point=is_point(x),
-        is_pair=is_pair(x),
-        is_twin=is_twin(x),
-        is_function=is_function(x),
-    )
+    point, pair, fn = _flags(x)
+    return ElementClass(is_point=point, is_pair=pair, is_twin=is_twin(x),
+                        is_function=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +523,9 @@ def is_simple(s: AtomStructure) -> bool:
 
 def _simplicity_witness(s: AtomStructure) -> str | None:
     s.require_valid()
-    full = s.full_mask
+    times_one, one_times, _ = s._unions
     for a in range(s.n_atoms):
-        if s.compose_mask(s.compose_mask(full, 1 << a), full) != full:
+        if _union(times_one, one_times[a]) != s.full_mask:
             return s.atom_names[a]
     return None
 
@@ -590,16 +603,9 @@ def check_z2_axioms(s: AtomStructure) -> AxiomReport:
 def check_functional_density(s: AtomStructure) -> bool:
     """The union of x~;y over functional atoms x, y equals one.
 
-    Functional elements are unions of functional atoms, so atoms suffice.
+    Functional elements are unions of functional atoms, so atoms suffice,
+    and by distributivity the union is f~;f for f the join of those atoms.
     """
     s.require_valid()
-    flags = s.atom_flags
-    functional = [a for a in range(s.n_atoms) if flags[a][2]]
-    acc = 0
-    comp = s._comp
-    conv = s.converse_map
-    for x in functional:
-        row = comp[conv[x]]
-        for y in functional:
-            acc |= row[y]
-    return acc == s.full_mask
+    f = sum(1 << a for a, flags in enumerate(s.atom_flags) if flags[2])
+    return s.compose_mask(s.converse_mask(f), f) == s.full_mask

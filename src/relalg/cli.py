@@ -3,7 +3,8 @@
 Exit codes: 0 for success or a positive answer, 2 for a definite negative
 answer (invalid structure, rejected decision, no isomorphism, failing
 axiom), 1 for errors such as unreadable files, parse failures, violated
-preconditions, or an exhausted search budget.
+preconditions, an exhausted search budget, or a Python recursion or memory
+limit.
 """
 
 from __future__ import annotations
@@ -175,8 +176,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         status, lines = args.handler(args)
-    except (RelalgError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RelalgError, OSError, RecursionError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     text = "\n".join(lines) + "\n"
     if args.output:

@@ -4,15 +4,19 @@ A relation is stored as one successor bitmask per row, so composition,
 converse and the Boolean operations are integer bit work.  A concrete
 algebra is a named list of relations that partition the square of the
 base set and are closed under converse and composition.
+
+Closure under composition and the cycle table come from one cached scan
+of the base triples, O(n^3) in the base size n whatever the atom count.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .atoms import AtomStructure, iter_bits
+from .atoms import AtomStructure, Triple, iter_bits
 from .errors import ConcreteAlgebraError, InternalError
 
 
@@ -179,19 +183,11 @@ class ConcreteAlgebra:
         return len(self.atom_relations)
 
     @cached_property
-    def _rows_index(self) -> dict[tuple[int, ...], int]:
-        return {rel.rows: k for k, rel in enumerate(self.atom_relations)}
-
-    @cached_property
-    def _pair_owner(self) -> tuple[int, ...]:
-        # owner[i*n + j] = id of the atom containing (i, j); partition only
-        n = self.base_size
-        owner = [-1] * (n * n)
-        for k, rel in enumerate(self.atom_relations):
-            for i in range(n):
-                for j in iter_bits(rel.rows[i]):
-                    owner[i * n + j] = k
-        return tuple(owner)
+    def _converse_ids(self) -> tuple[int, ...]:
+        # id of the atom equal to the converse of each atom, -1 if none
+        index = {rel.rows: k for k, rel in enumerate(self.atom_relations)}
+        return tuple(index.get(rel.converse().rows, -1)
+                     for rel in self.atom_relations)
 
     def invariant_violations(self) -> tuple[str, ...]:
         """Partition / converse / composition / identity-closure check.
@@ -201,63 +197,67 @@ class ConcreteAlgebra:
         """
         n = self.base_size
         full = (1 << n) - 1
-        out: list[str] = []
-
+        names, rels = self.atom_names, self.atom_relations
         acc = [0] * n
-        partition_ok = True
-        for k, rel in enumerate(self.atom_relations):
-            for i in range(n):
-                overlap = acc[i] & rel.rows[i]
-                if overlap and partition_ok:
+        for k, rel in enumerate(rels):
+            for i, row in enumerate(rel.rows):
+                overlap = acc[i] & row
+                if overlap:
                     j = next(iter_bits(overlap))
-                    other = next(
-                        m for m, prev in enumerate(self.atom_relations[:k])
-                        if prev.contains(i, j))
-                    out.append(
-                        f"not a partition: atoms {self.atom_names[other]} and "
-                        f"{self.atom_names[k]} overlap at pair ({i},{j})")
-                    partition_ok = False
-                acc[i] |= rel.rows[i]
-        if partition_ok:
-            for i in range(n):
-                if acc[i] != full:
-                    j = next(iter_bits(full & ~acc[i]))
-                    out.append(f"not a partition: pair ({i},{j}) is in no atom")
-                    partition_ok = False
-                    break
-        if not partition_ok:
-            return tuple(out)
+                    other = next(m for m, prev in enumerate(rels)
+                                 if prev.contains(i, j))
+                    return (f"not a partition: atoms {names[other]} and "
+                            f"{names[k]} overlap at pair ({i},{j})",)
+                acc[i] |= row
+        for i in range(n):
+            if acc[i] != full:
+                j = next(iter_bits(full & ~acc[i]))
+                return (f"not a partition: pair ({i},{j}) is in no atom",)
 
-        index = self._rows_index
-        for k, rel in enumerate(self.atom_relations):
-            if rel.converse().rows not in index:
-                out.append(
-                    f"not closed under converse: the converse of atom "
-                    f"{self.atom_names[k]} is not an atom")
-
-        for k, rel in enumerate(self.atom_relations):
+        out = [f"not closed under converse: the converse of atom "
+               f"{names[k]} is not an atom"
+               for k, ck in enumerate(self._converse_ids) if ck < 0]
+        for k, rel in enumerate(rels):
             on_diag = any(rel.rows[i] >> i & 1 for i in range(n))
             off_diag = any(rel.rows[i] & ~(1 << i) for i in range(n))
             if on_diag and off_diag:
                 out.append(
-                    f"identity is not a union of atoms: atom {self.atom_names[k]} "
+                    f"identity is not a union of atoms: atom {names[k]} "
                     f"meets the identity without lying inside it")
-
-        owner = self._pair_owner
-        for x, rx in enumerate(self.atom_relations):
-            for y, ry in enumerate(self.atom_relations):
-                comp = rx.compose(ry)
-                hit = set()
-                for i in range(n):
-                    for j in iter_bits(comp.rows[i]):
-                        hit.add(owner[i * n + j])
-                for z in sorted(hit):
-                    if not self.atom_relations[z] <= comp:
-                        out.append(
-                            f"not closed under composition: "
-                            f"{self.atom_names[x]};{self.atom_names[y]} meets atom "
-                            f"{self.atom_names[z]} without covering it")
+        for x, y, z in self._triple_scan[1]:
+            out.append(
+                f"not closed under composition: {names[x]};{names[y]} "
+                f"meets atom {names[z]} without covering it")
         return tuple(out)
+
+    @cached_property
+    def _triple_scan(self) -> tuple[tuple[Triple, ...], tuple[Triple, ...]]:
+        """(cycles, uncovered) from one pass over the base triples (i, j, k).
+
+        Cycles are {(owner(i,j), owner(j,k), owner(i,k))}.  Each (x, y, z)
+        counts the pairs of z that x;y covers; `uncovered`, sorted, holds
+        those short of |z|.  Valid only for a partition.
+        """
+        n = self.base_size
+        owner = [-1] * (n * n)  # owner[i*n + j]: the atom containing (i, j)
+        for k, rel in enumerate(self.atom_relations):
+            for i, succ in enumerate(rel.rows):
+                for j in iter_bits(succ):
+                    owner[i * n + j] = k
+        rows = [owner[i * n:(i + 1) * n] for i in range(n)]
+        cols = [owner[k::n] for k in range(n)]
+        cycles: list[Triple] = []
+        uncovered: list[Triple] = []
+        for z, rel in enumerate(self.atom_relations):
+            covered: Counter = Counter()
+            for i, succ in enumerate(rel.rows):
+                for k in iter_bits(succ):
+                    covered.update(set(zip(rows[i], cols[k])))
+            size = rel.n_pairs
+            cycles.extend((x, y, z) for x, y in covered)
+            uncovered.extend((x, y, z) for (x, y), count in covered.items()
+                             if count != size)
+        return tuple(cycles), tuple(sorted(uncovered))
 
     def require_invariants(self) -> None:
         bad = self.invariant_violations()
@@ -269,24 +269,17 @@ def extract_atom_structure(c: ConcreteAlgebra) -> AtomStructure:
     """Read the abstract atom structure off a concrete algebra.
 
     Cycles are the triples (x, y, z) whose atom z meets the composition
-    x;y.  The result always passes validation; anything else is a bug.
+    x;y, read from the algebra's cached scan of base triples, so the
+    closure check and the extraction share one O(n^3) pass.  The result
+    always passes validation; anything else is a bug.
     """
     c.require_invariants()
     n = c.base_size
-    index = c._rows_index
-    conv = tuple(index[rel.converse().rows] for rel in c.atom_relations)
     ident = frozenset(
         k for k, rel in enumerate(c.atom_relations)
         if all(rel.rows[i] & ~(1 << i) == 0 for i in range(n)))
-    owner = c._pair_owner
-    cycles: set[tuple[int, int, int]] = set()
-    for x, rx in enumerate(c.atom_relations):
-        for y, ry in enumerate(c.atom_relations):
-            comp = rx.compose(ry)
-            for i in range(n):
-                for j in iter_bits(comp.rows[i]):
-                    cycles.add((x, y, owner[i * n + j]))
-    s = AtomStructure(c.atom_names, conv, ident, frozenset(cycles))
+    s = AtomStructure(c.atom_names, c._converse_ids, ident,
+                      c._triple_scan[0])
     if not s.validation.ok:
         raise InternalError(
             "extracted atom structure fails validation: "

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .actions import GroupAction, build_group, rel_algebra
-from .atoms import AtomStructure, AxiomFailure, check_z2_axioms, is_pair, is_point
+from .atoms import AtomStructure, AxiomFailure, check_z2_axioms
 from .concrete import ConcreteAlgebra, extract_atom_structure
 from .errors import InternalError, SearchBudgetExceeded
 from .formats import format_atom_structure
@@ -217,16 +217,15 @@ def decide_z2(structure: AtomStructure, budget: int = DEFAULT_BUDGET) -> Z2Decis
     # allocated in identity-atom id order
     g: list[int] = []
     for e in sorted(structure.identity_atoms):
-        el = structure.atom_element(e)
-        if is_point(el):
+        point, pair, _ = structure.atom_flags[e]
+        if point:
             g.append(len(g))
+        elif pair:
+            g.extend((len(g) + 1, len(g)))
         else:
-            if not is_pair(el):
-                raise InternalError(
-                    f"identity atom {structure.atom_names[e]} is neither a "
-                    f"point nor a pair despite pair-density")
-            k = len(g)
-            g.extend((k + 1, k))
+            raise InternalError(
+                f"identity atom {structure.atom_names[e]} is neither a "
+                f"point nor a pair despite pair-density")
     action = build_group(len(g), [tuple(g)])
     algebra = rel_algebra(action)
     extracted = extract_atom_structure(algebra)

@@ -35,15 +35,15 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
     atoms: list[str] | None = None
     identity: list[int] | None = None
     converse: list[int] | None = None
-    conv_line = 0
-    cycle_reps: list[tuple[tuple[int, int, int], int]] = []
+    index: dict[str, int] = {}  # first occurrence wins on duplicate names
+    cycle_reps: list[tuple[int, int, int]] = []
 
     def atom_id(name: str, lineno: int) -> int:
         if atoms is None:
             raise ParseError(source, lineno, "atoms must be declared first")
         try:
-            return atoms.index(name)
-        except ValueError:
+            return index[name]
+        except KeyError:
             raise ParseError(source, lineno, "unknown atom", token=name) from None
 
     for lineno, line in _content_lines(text):
@@ -55,6 +55,8 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
             if len(parts) == 1:
                 raise ParseError(source, lineno, "atoms line lists no atoms")
             atoms = parts[1:]
+            for a, name in enumerate(atoms):
+                index.setdefault(name, a)
         elif kw == "identity":
             if identity is not None:
                 raise ParseError(source, lineno, "duplicate identity line")
@@ -67,7 +69,6 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
             if atoms is None:
                 raise ParseError(source, lineno, "atoms must be declared first")
             converse = list(range(len(atoms)))
-            conv_line = lineno
             seen: set[int] = set()
             for p in parts[1:]:
                 if ":" not in p:
@@ -86,7 +87,7 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
                 raise ParseError(source, lineno,
                                  "cycle lines take exactly three atoms")
             x, y, z = (atom_id(p, lineno) for p in parts[1:])
-            cycle_reps.append(((x, y, z), lineno))
+            cycle_reps.append((x, y, z))
         else:
             raise ParseError(source, lineno, "unknown directive", token=kw)
 
@@ -96,8 +97,7 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
         raise ParseError(source, 0, "missing identity line")
     if converse is None:
         converse = list(range(len(atoms)))
-        conv_line = 0
-    cycles = close_cycles([t for t, _ in cycle_reps], converse)
+    cycles = close_cycles(cycle_reps, converse)
     return AtomStructure(tuple(atoms), tuple(converse),
                          frozenset(identity), cycles)
 

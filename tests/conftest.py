@@ -152,3 +152,44 @@ def random_prime_cyclic_action(rng):
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             img[a] = b
     return p, build_group(n, [tuple(img)])
+
+
+def associativity_witness_oracle(s: AtomStructure):
+    """The dense O(atoms^3) scan: the least (a, b, c), in id order, with
+    (a;b);c != a;(b;c) computed straight off the composition table."""
+    comp = s._comp
+    n = s.n_atoms
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                lhs = rhs = 0
+                for e in range(n):
+                    if comp[a][b] >> e & 1:
+                        lhs |= comp[e][c]
+                    if comp[b][c] >> e & 1:
+                        rhs |= comp[a][e]
+                if lhs != rhs:
+                    return (a, b, c)
+    return None
+
+
+def composition_scan_oracle(c):
+    """Cycles and composition-closure messages of a partitioning concrete
+    algebra, from `ConcreteRelation.compose` on every pair of atoms."""
+    owner = {}
+    for k, rel in enumerate(c.atom_relations):
+        for pair in rel.pairs():
+            owner[pair] = k
+    cycles, messages = set(), []
+    names = c.atom_names
+    for x, rx in enumerate(c.atom_relations):
+        for y, ry in enumerate(c.atom_relations):
+            comp = rx.compose(ry)
+            hit = sorted({owner[pair] for pair in comp.pairs()})
+            for z in hit:
+                cycles.add((x, y, z))
+                if not c.atom_relations[z] <= comp:
+                    messages.append(
+                        f"not closed under composition: {names[x]};{names[y]}"
+                        f" meets atom {names[z]} without covering it")
+    return frozenset(cycles), messages

@@ -1,0 +1,182 @@
+"""The triple scan, the associativity join and the flag kernel against the
+dense computations they replace, kept here as oracles."""
+
+import functools
+import random
+
+from relalg import (AtomStructure, ConcreteAlgebra, ConcreteRelation,
+                    build_group, check_z2_axioms, extract_atom_structure,
+                    parse_atom_structure, parse_concrete_algebra,
+                    peirce_orbit, rel_algebra, validate_structure)
+from relalg.atoms import _associativity_witness
+from relalg.cli import main
+from relalg.errors import ActionError
+
+from conftest import (DATA, associativity_witness_oracle,
+                      compose_masks_oracle, composition_scan_oracle,
+                      converse_mask_oracle)
+
+
+def random_algebras(rng, count, max_n):
+    """Orbit algebras of random actions by one or two permutations."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, max_n)
+        gens = [tuple(rng.sample(range(n), n))
+                for _ in range(rng.randint(1, 2))]
+        try:
+            out.append(rel_algebra(build_group(n, gens)))
+        except ActionError:  # group past the order cap
+            continue
+    return out
+
+
+def catalog_structures():
+    return [parse_atom_structure(p.read_text(), source=str(p))
+            for p in sorted(DATA.glob("*.ra"))]
+
+
+def extracted_structures():
+    rng = random.Random(7)
+    return [extract_atom_structure(c) for c in random_algebras(rng, 25, 7)]
+
+
+def without_one_orbit(s, rng):
+    """The structure with one Peircean orbit of cycles dropped."""
+    t = rng.choice(sorted(s.cycles))
+    cycles = s.cycles - peirce_orbit(t, s.converse_map)
+    return AtomStructure(s.atom_names, s.converse_map, s.identity_atoms,
+                         cycles)
+
+
+# --- associativity join -----------------------------------------------------
+
+
+def test_join_matches_dense_scan_on_catalog_and_extracted():
+    for s in catalog_structures() + extracted_structures():
+        assert _associativity_witness(s) == associativity_witness_oracle(s)
+        assert _associativity_witness(s) is None
+
+
+def test_join_matches_dense_scan_on_corrupted_tables():
+    rng = random.Random(11)
+    failing = 0
+    for s in catalog_structures() + extracted_structures():
+        for _ in range(4):
+            bad = without_one_orbit(s, rng)
+            wit = _associativity_witness(bad)
+            assert wit == associativity_witness_oracle(bad)
+            if wit is not None:
+                failing += 1
+                assert "associativity" in validate_structure(bad).codes()
+    assert failing > 10  # the corruptions do break associativity
+
+
+# --- triple scan --------------------------------------------------------------
+
+
+def test_scan_cycles_match_pairwise_composition():
+    rng = random.Random(3)
+    algebras = random_algebras(rng, 40, 8)
+    for path in sorted(DATA.glob("*.ca")):
+        algebras.append(parse_concrete_algebra(path.read_text()))
+    for c in algebras:
+        cycles, messages = composition_scan_oracle(c)
+        assert messages == []
+        assert c.invariant_violations() == ()
+        assert extract_atom_structure(c).cycles == cycles
+
+
+def random_partition(rng, n):
+    """A random partition of the square into a few blocks, usually not
+    closed under converse or composition."""
+    k = rng.randint(1, 6)
+    pairs = [[] for _ in range(k)]
+    for i in range(n):
+        for j in range(n):
+            pairs[rng.randrange(k)].append((i, j))
+    pairs = [p for p in pairs if p]
+    return ConcreteAlgebra(
+        n, tuple(f"r{b}" for b in range(len(pairs))),
+        tuple(ConcreteRelation.from_pairs(n, p) for p in pairs))
+
+
+def test_broken_algebras_report_the_same_closure_messages_in_order():
+    rng = random.Random(5)
+    broken = 0
+    for _ in range(150):
+        c = random_partition(rng, rng.randint(1, 5))
+        got = [m for m in c.invariant_violations()
+               if m.startswith("not closed under composition")]
+        want = composition_scan_oracle(c)[1]
+        assert got == want
+        broken += bool(want)
+    assert broken > 50
+
+
+def test_closure_scan_runs_once_per_algebra_object(monkeypatch, capsys):
+    scanned = []
+    scan = ConcreteAlgebra.__dict__["_triple_scan"]
+
+    def counting(self):
+        scanned.append(self)
+        return scan.func(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(ConcreteAlgebra, "_triple_scan")
+    monkeypatch.setattr(ConcreteAlgebra, "_triple_scan", prop)
+    for argv, objects in ((["rel", DATA / "d5.act"], 1),
+                          (["classify", DATA / "type6.ca"], 1),
+                          (["decide-z2", DATA / "swap.ra", "--verify"], 2)):
+        scanned.clear()
+        assert main([str(a) for a in argv]) == 0
+        capsys.readouterr()
+        assert len(scanned) == objects, argv
+        assert len({id(c) for c in scanned}) == objects, argv
+
+
+# --- point, pair and function flags ---------------------------------------------
+
+
+def test_atom_flags_and_simplicity_match_element_level_oracle():
+    for s in catalog_structures() + extracted_structures():
+        full = s.full_mask
+        div = full & ~s.identity_mask
+
+        def below_identity(m):
+            return m & div == 0
+
+        def comp(*masks):
+            acc = masks[0]
+            for m in masks[1:]:
+                acc = compose_masks_oracle(s, acc, m)
+            return acc
+
+        for a in range(s.n_atoms):
+            m = 1 << a
+            assert s.atom_flags[a] == (
+                below_identity(comp(m, full, m)),
+                below_identity(comp(m, div, m, div, m)),
+                below_identity(comp(converse_mask_oracle(s, m), m)))
+        simple = all(comp(full, 1 << a, full) == full
+                     for a in range(s.n_atoms))
+        assert check_z2_axioms(s).simple == simple
+
+
+# --- error paths ----------------------------------------------------------------
+
+
+def test_recursion_and_memory_errors_exit_1_without_traceback(monkeypatch,
+                                                              capsys):
+    import relalg.cli as cli
+    for exc, message in ((RecursionError("maximum recursion depth exceeded"),
+                          "maximum recursion depth exceeded"),
+                         (MemoryError(), "MemoryError")):
+        def handler(args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_validate", handler)
+        assert main(["validate", str(DATA / "23.ra")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert "Traceback" not in captured.err
