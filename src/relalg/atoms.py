@@ -39,22 +39,21 @@ def _union(table: Sequence[int], mask: int) -> int:
     return acc
 
 
+def _transforms(triple: Triple, converse: Sequence[int]) -> tuple[Triple, ...]:
+    # the six Peircean transforms of a cycle, repeats included
+    x, y, z = triple
+    cx, cy, cz = converse[x], converse[y], converse[z]
+    return ((x, y, z), (cx, z, y), (z, cy, x),
+            (y, cz, cx), (cz, x, cy), (cy, cx, cz))
+
+
 def peirce_orbit(triple: Triple, converse: Sequence[int]) -> frozenset[Triple]:
     """All six transforms of a cycle that must hold together.
 
     If z <= x;y then also y <= x~;z, x <= z;y~, and the converses of all
-    three, which gives the six triples below.
+    three, which gives six triples.
     """
-    x, y, z = triple
-    cx, cy, cz = converse[x], converse[y], converse[z]
-    return frozenset({
-        (x, y, z),
-        (cx, z, y),
-        (z, cy, x),
-        (y, cz, cx),
-        (cz, x, cy),
-        (cy, cx, cz),
-    })
+    return frozenset(_transforms(triple, converse))
 
 
 def close_cycles(cycles: Iterable[Triple], converse: Sequence[int]) -> frozenset[Triple]:
@@ -301,9 +300,12 @@ def _validate(s: AtomStructure) -> ValidationReport:
                 "identity-not-self-converse",
                 f"identity atom {names[e]} has converse {names[conv[e]]}"))
 
-    for t in sorted(s.cycles):
+    # messages, sorted, only for the cycles with a transform missing
+    cycles = s.cycles
+    broken = [t for t in cycles if not cycles.issuperset(_transforms(t, conv))]
+    for t in sorted(broken):
         for u in sorted(peirce_orbit(t, conv)):
-            if u not in s.cycles:
+            if u not in cycles:
                 v.append(Violation(
                     "cycle-law",
                     f"cycle {s._fmt_triple(t)} present but its transform "

@@ -3,8 +3,8 @@
 Exit codes: 0 for success or a positive answer, 2 for a definite negative
 answer (invalid structure, rejected decision, no isomorphism, failing
 axiom), 1 for errors such as unreadable files, parse failures, violated
-preconditions, an exhausted search budget, or a Python recursion or memory
-limit.
+preconditions, an exhausted search budget in `iso` or `check-action`, or a
+Python recursion or memory limit.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _cmd_rel(args) -> tuple[int, list[str]]:
 
 def _cmd_decide_z2(args) -> tuple[int, list[str]]:
     s = parse_atom_structure(_read(args.file), source=args.file)
-    decision = decide_z2(s, budget=args.budget)
+    decision = decide_z2(s)
     if not decision.accepted:
         lines = ["rejected"]
         lines.extend(_axiom_line(f.axiom, f.condition, f.witness)
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
             "decide representability over an order-two group action")
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="isomorphism search node budget")
+                   help="has no effect; the witness is built, not searched")
     p.add_argument("--verify", action="store_true",
                    help="independently re-check an accepted decision")
 

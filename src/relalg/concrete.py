@@ -189,12 +189,35 @@ class ConcreteAlgebra:
         return tuple(index.get(rel.converse().rows, -1)
                      for rel in self.atom_relations)
 
+    @cached_property
+    def _identity_ids(self) -> frozenset[int]:
+        n = self.base_size
+        return frozenset(
+            k for k, rel in enumerate(self.atom_relations)
+            if all(rel.rows[i] & ~(1 << i) == 0 for i in range(n)))
+
+    @cached_property
+    def _owner(self) -> tuple[int, ...]:
+        # _owner[i*n + j]: the atom containing the pair (i, j), -1 if none
+        n = self.base_size
+        owner = [-1] * (n * n)
+        for k, rel in enumerate(self.atom_relations):
+            for i, succ in enumerate(rel.rows):
+                for j in iter_bits(succ):
+                    owner[i * n + j] = k
+        return tuple(owner)
+
     def invariant_violations(self) -> tuple[str, ...]:
         """Partition / converse / composition / identity-closure check.
 
         Returns one message with a witness per broken invariant; the
         closure checks are skipped when the partition itself is broken.
+        Computed once per algebra object.
         """
+        return self._violations
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
         n = self.base_size
         full = (1 << n) - 1
         names, rels = self.atom_names, self.atom_relations
@@ -239,11 +262,7 @@ class ConcreteAlgebra:
         those short of |z|.  Valid only for a partition.
         """
         n = self.base_size
-        owner = [-1] * (n * n)  # owner[i*n + j]: the atom containing (i, j)
-        for k, rel in enumerate(self.atom_relations):
-            for i, succ in enumerate(rel.rows):
-                for j in iter_bits(succ):
-                    owner[i * n + j] = k
+        owner = self._owner
         rows = [owner[i * n:(i + 1) * n] for i in range(n)]
         cols = [owner[k::n] for k in range(n)]
         cycles: list[Triple] = []
@@ -274,11 +293,7 @@ def extract_atom_structure(c: ConcreteAlgebra) -> AtomStructure:
     always passes validation; anything else is a bug.
     """
     c.require_invariants()
-    n = c.base_size
-    ident = frozenset(
-        k for k, rel in enumerate(c.atom_relations)
-        if all(rel.rows[i] & ~(1 << i) == 0 for i in range(n)))
-    s = AtomStructure(c.atom_names, c._converse_ids, ident,
+    s = AtomStructure(c.atom_names, c._converse_ids, c._identity_ids,
                       c._triple_scan[0])
     if not s.validation.ok:
         raise InternalError(

@@ -3,14 +3,15 @@
 The decision evaluates three first-order axioms (simplicity, pair-density,
 functionality of every atom up to converse), builds the canonical
 involution with one base element per point atom and two per twin atom,
-and certifies acceptance with an explicit atom bijection found by a
-pruned exhaustive backtracking search.
+and certifies acceptance with the atom bijection of the proof, fixed by
+each atom's domain and range identity atoms and checked cycle by cycle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .actions import GroupAction, build_group, rel_algebra
 from .atoms import AtomStructure, AxiomFailure, check_z2_axioms
@@ -205,7 +206,7 @@ class Z2Decision:
     witness: IsoWitness | None = None
 
 
-def decide_z2(structure: AtomStructure, budget: int = DEFAULT_BUDGET) -> Z2Decision:
+def decide_z2(structure: AtomStructure) -> Z2Decision:
     """Decide whether the structure is the compatible-relation algebra of
     some action of the two-element group, and construct one if so."""
     structure.require_valid()
@@ -214,29 +215,71 @@ def decide_z2(structure: AtomStructure, budget: int = DEFAULT_BUDGET) -> Z2Decis
         return Z2Decision(structure, False, failures=report.failures())
 
     # one base element per point atom, two swapped elements per twin atom,
-    # allocated in identity-atom id order
+    # allocated in identity-atom id order; blocks[e] holds e's elements
     g: list[int] = []
+    blocks: dict[int, tuple[int, ...]] = {}
     for e in sorted(structure.identity_atoms):
         point, pair, _ = structure.atom_flags[e]
-        if point:
-            g.append(len(g))
-        elif pair:
-            g.extend((len(g) + 1, len(g)))
-        else:
+        if not (point or pair):
             raise InternalError(
                 f"identity atom {structure.atom_names[e]} is neither a "
                 f"point nor a pair despite pair-density")
+        blocks[e] = (len(g),) if point else (len(g), len(g) + 1)
+        g.extend(reversed(blocks[e]))
     action = build_group(len(g), [tuple(g)])
     algebra = rel_algebra(action)
-    extracted = extract_atom_structure(algebra)
-    witness = find_isomorphism(structure, extracted, budget=budget)
-    if witness is None:
-        raise InternalError(
-            "accepted axioms but found no isomorphism onto the constructed "
-            "action algebra\n--- input ---\n" + format_atom_structure(structure)
-            + "--- constructed ---\n" + format_atom_structure(extracted))
+    witness = _construct_witness(structure, blocks, algebra)
     return Z2Decision(structure, True, action=action, algebra=algebra,
                       witness=witness)
+
+
+def _construct_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
+                       algebra: ConcreteAlgebra) -> IsoWitness:
+    """The proof's isomorphism from s onto the involution algebra on blocks.
+
+    An atom from identity atom d to r maps to the orbit of a pair from block
+    d to block r.  The axioms leave two atoms between twins, parallel and
+    crossed: the lower-id atom p[E] from the first twin R to each twin E is
+    declared parallel (p[R] = R), and x from E1 to E2 is parallel iff
+    x <= p[E1]~;p[E2].  Anything that does not check out is an InternalError.
+    """
+    target = extract_atom_structure(algebra)
+
+    def fail(reason: str) -> NoReturn:
+        raise InternalError(
+            f"accepted axioms but the constructed isomorphism fails: {reason}"
+            "\n--- input ---\n" + format_atom_structure(s)
+            + "--- constructed ---\n" + format_atom_structure(target))
+
+    conv, names, comp = s.converse_map, s.atom_names, s._comp
+    groups = {(d, r): [] for d in blocks for r in blocks}
+    for a in range(s.n_atoms):  # domain a;a~ . 1', range a~;a . 1'
+        groups[(comp[a][conv[a]] & s.identity_mask).bit_length() - 1,
+               (comp[conv[a]][a] & s.identity_mask).bit_length() - 1].append(a)
+    for (d, r), group in groups.items():
+        if len(group) != 1 + (len(blocks[d]) == len(blocks[r]) == 2):
+            fail(f"{len(group)} atoms from {names[d]} to {names[r]}")
+
+    twins = sorted(e for e, b in blocks.items() if len(b) == 2)
+    p = {e: e if e == twins[0] else min(groups[twins[0], e]) for e in twins}
+    owner, n = algebra._owner, algebra.base_size
+    m = [-1] * s.n_atoms
+    for (d, r), group in groups.items():
+        # par holds the atoms sent to the first element of block r: a
+        # twin's identity atom, a single atom, or the parallel atom
+        par = 1 << d if d == r else 1 << group[0]
+        if d != r and len(group) == 2:
+            par = s.compose_mask(1 << conv[p[d]], 1 << p[r])
+            if par & (par - 1) or not par & sum(1 << a for a in group):
+                fail(f"{names[p[d]]}~;{names[p[r]]} is not one atom from "
+                     f"{names[d]} to {names[r]}")
+        for a in group:
+            m[a] = owner[blocks[d][0] * n + blocks[r][not par >> a & 1]]
+    witness = IsoWitness(s, target, tuple(m))
+    bad = witness.problems()
+    if bad:
+        fail(bad[0])
+    return witness
 
 
 def check_action_represents(structure: AtomStructure, action: GroupAction,
@@ -273,10 +316,13 @@ def verify_decision(d: Z2Decision) -> VerificationReport:
     if rebuilt != d.algebra:
         problems.append("stored algebra is not the compatible-relation algebra "
                         "of the action")
-    extracted = extract_atom_structure(d.algebra)
     if d.witness.source != d.structure:
         problems.append("witness source is not the decided structure")
-    if d.witness.target != extracted:
-        problems.append("witness target is not the extraction of the algebra")
+    t = d.witness.target
+    if t != AtomStructure(rebuilt.atom_names, rebuilt._converse_ids,
+                          rebuilt._identity_ids, rebuilt._triple_scan[0]) \
+            or not t.validation.ok:
+        problems.append("witness target is not the extraction of the "
+                        "action's algebra")
     problems.extend(d.witness.problems())
     return VerificationReport(tuple(problems))

@@ -39,19 +39,16 @@ def derive_points_twins(c: ConcreteAlgebra, verify: bool = False) -> BasePartiti
     n = c.base_size
     points: list[int] = []
     twins: list[Twin] = []
-    for name, rel in zip(c.atom_names, c.atom_relations):
+    for k in sorted(c._identity_ids):
+        rel = c.atom_relations[k]
         diag = [i for i in range(n) if rel.rows[i] >> i & 1]
-        if not diag:
-            continue
-        if any(rel.rows[i] & ~(1 << i) for i in range(n)):
-            continue  # not below the identity
         if len(diag) == 1:
             points.append(diag[0])
         elif len(diag) == 2:
             twins.append((diag[0], diag[1]))
         else:
             raise ClassificationError(
-                f"identity atom {name} covers {len(diag)} base elements; "
+                f"identity atom {c.atom_names[k]} covers {len(diag)} base elements; "
                 f"the algebra is not pair-dense in the structural sense")
     if verify:
         _verify_partition(n, points, twins)

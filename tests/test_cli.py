@@ -141,6 +141,14 @@ def test_budget_flag_errors_when_exhausted(capsys):
     assert "budget" in err
 
 
+def test_decide_z2_ignores_budget(capsys):
+    # the accepting witness is constructed, so no budget can run out
+    code, out, err = run(capsys, "decide-z2", DATA / "swap.ra", "--verify",
+                         "--budget", "1")
+    assert (code, err) == (0, "")
+    assert out.startswith("accepted\nverified\n")
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "relalg.cli", "validate",
                            str(DATA / "23.ra")], capture_output=True,

@@ -1,15 +1,19 @@
 """Isomorphism search, the representability decision, and verification."""
 
 import dataclasses
+import itertools
 import random
+import time
 
 import pytest
 
-from relalg import (AtomStructure, IsoWitness, SearchBudgetExceeded,
-                    build_group, check_action_represents, classify_atoms,
+from relalg import (AtomStructure, InternalError, IsoWitness,
+                    SearchBudgetExceeded, build_group,
+                    check_action_represents, check_z2_axioms, classify_atoms,
                     decide_z2, derive_points_twins, extract_atom_structure,
                     find_isomorphism, is_function, is_pair, rel_algebra,
                     verify_decision)
+from relalg.decision import _construct_witness
 
 from conftest import involutions, load_structure
 
@@ -164,6 +168,78 @@ def test_round_trip_small_involutions():
             assert set(cls.type_tags()) <= {1, 2, 3, 4, 5}, (n, g)
 
 
+def involution_structure(points, twins):
+    """The structure of the involution fixing `points` elements and
+    swapping `twins` pairs: points^2 + 2*points*twins + 2*twins^2 atoms."""
+    g = list(range(points))
+    for k in range(points, points + 2 * twins, 2):
+        g += [k + 1, k]
+    return extract_atom_structure(
+        rel_algebra(build_group(len(g), [tuple(g)])))
+
+
+@pytest.mark.parametrize("points,twins,atoms", [(8, 0, 64), (0, 6, 72),
+                                                (3, 5, 89), (4, 11, 346)])
+def test_shuffled_ids_are_accepted(points, twins, atoms):
+    # each relabeling sends the generic search past two million nodes
+    s = involution_structure(points, twins)
+    ids = list(range(s.n_atoms))
+    random.Random(100 * points + twins).shuffle(ids)
+    shuffled = conjugate(s, ids)
+    assert shuffled.n_atoms == atoms
+    start = time.perf_counter()
+    d = decide_z2(shuffled)
+    assert d.accepted and verify_decision(d).ok
+    assert time.perf_counter() - start < 5.0
+
+
+def test_constructed_witness_mismatch_is_internal_error():
+    # one point, then one twin; an algebra whose twin comes first, and
+    # blocks that swap the kinds, both fail as internal errors
+    s = involution_structure(1, 1)
+    point, twin = sorted(s.identity_atoms, key=lambda e: not s.atom_flags[e][0])
+    blocks = {point: (0,), twin: (1, 2)}
+    good = rel_algebra(build_group(3, [(0, 2, 1)]))
+    assert _construct_witness(s, blocks, good).is_valid()
+    mismatched = rel_algebra(build_group(3, [(1, 0, 2)]))
+    with pytest.raises(InternalError, match="--- constructed ---"):
+        _construct_witness(s, blocks, mismatched)
+    with pytest.raises(InternalError, match="1 atoms from"):
+        _construct_witness(s, {point: (0, 1), twin: (2,)}, mismatched)
+
+
+def test_axioms_decide_representability_on_small_actions():
+    # every action generated by one or two permutations on up to 4 points:
+    # accepted and verified when the axioms hold, otherwise isomorphic to
+    # no involution algebra with as many atoms
+    actions = {}
+    for n in range(1, 5):
+        perms = list(itertools.permutations(range(n)))
+        for gens in itertools.chain(((p,) for p in perms),
+                                    itertools.combinations(perms, 2)):
+            a = build_group(n, gens)
+            actions.setdefault((n, a.elements), a)
+    by_atoms = {}
+    for points in range(5):
+        for twins in range(3):
+            if points + twins and points ** 2 + 2 * points * twins \
+                    + 2 * twins ** 2 <= 16:
+                t = involution_structure(points, twins)
+                by_atoms.setdefault(t.n_atoms, []).append(t)
+    accepted = compared = 0
+    for a in actions.values():
+        s = extract_atom_structure(rel_algebra(a))
+        if check_z2_axioms(s).all_hold:
+            d = decide_z2(s)
+            assert d.accepted and verify_decision(d).ok, a.generators
+            accepted += 1
+        else:
+            for t in by_atoms.get(s.n_atoms, ()):
+                assert find_isomorphism(s, t) is None, a.generators
+                compared += 1
+    assert len(actions) == 39 and accepted > 0 and compared > 0
+
+
 def test_decision_is_deterministic(swap_structure):
     d1 = decide_z2(swap_structure)
     d2 = decide_z2(swap_structure)
@@ -239,3 +315,17 @@ def test_tampered_witness_reports_cycle_mismatch():
     report = verify_decision(forged)
     assert not report.ok
     assert any("cycle" in p for p in report.problems)
+
+
+def test_verify_catches_forged_target(swap_structure):
+    # the target must be the structure of the rebuilt algebra, field by
+    # field, and valid
+    d = decide_z2(swap_structure)
+    t = d.witness.target
+    renamed = dataclasses.replace(t, atom_names=("x", "y"))
+    broken = dataclasses.replace(t, cycles=t.cycles - {(1, 1, 0)})
+    for forged in (renamed, broken):
+        w = dataclasses.replace(d.witness, target=forged)
+        report = verify_decision(dataclasses.replace(d, witness=w))
+        assert not report.ok
+        assert any("witness target" in p for p in report.problems)

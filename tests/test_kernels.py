@@ -115,24 +115,30 @@ def test_broken_algebras_report_the_same_closure_messages_in_order():
 
 
 def test_closure_scan_runs_once_per_algebra_object(monkeypatch, capsys):
-    scanned = []
-    scan = ConcreteAlgebra.__dict__["_triple_scan"]
+    # both the triple scan and the whole closure check behind
+    # invariant_violations, which rel_algebra and extract_atom_structure
+    # each ask for, run once per algebra object
+    counted = {"_triple_scan": [], "_violations": []}
+    for name, calls in counted.items():
+        def counting(self, calls=calls, func=ConcreteAlgebra.__dict__[name].func):
+            calls.append(self)
+            return func(self)
 
-    def counting(self):
-        scanned.append(self)
-        return scan.func(self)
-
-    prop = functools.cached_property(counting)
-    prop.__set_name__(ConcreteAlgebra, "_triple_scan")
-    monkeypatch.setattr(ConcreteAlgebra, "_triple_scan", prop)
+        prop = functools.cached_property(counting)
+        prop.__set_name__(ConcreteAlgebra, name)
+        monkeypatch.setattr(ConcreteAlgebra, name, prop)
     for argv, objects in ((["rel", DATA / "d5.act"], 1),
                           (["classify", DATA / "type6.ca"], 1),
-                          (["decide-z2", DATA / "swap.ra", "--verify"], 2)):
-        scanned.clear()
+                          (["decide-z2", DATA / "swap.ra", "--verify"], 2),
+                          (["check-action", DATA / "swap.ra",
+                            DATA / "swap.act"], 1)):
+        for calls in counted.values():
+            calls.clear()
         assert main([str(a) for a in argv]) == 0
         capsys.readouterr()
-        assert len(scanned) == objects, argv
-        assert len({id(c) for c in scanned}) == objects, argv
+        for name, calls in counted.items():
+            assert len(calls) == objects, (argv, name)
+            assert len({id(c) for c in calls}) == objects, (argv, name)
 
 
 # --- point, pair and function flags ---------------------------------------------
