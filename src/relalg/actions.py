@@ -97,13 +97,7 @@ def build_group(base_size: int, generators: Iterable[Sequence[int]],
     return GroupAction(n, tuple(gens), tuple(sorted(elements)))
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    base_size: int
-    orbits: tuple[ConcreteRelation, ...]
-
-
-def pair_orbits(action: GroupAction) -> OrbitPartition:
+def pair_orbits(action: GroupAction) -> tuple[ConcreteRelation, ...]:
     """Orbits of the diagonal action on ordered pairs.
 
     Deterministic: the orbit of the lexicographically least unclaimed pair
@@ -127,23 +121,23 @@ def pair_orbits(action: GroupAction) -> OrbitPartition:
                         stack.append(t)
             claimed |= orbit
             orbits.append(ConcreteRelation.from_pairs(n, orbit))
-    return OrbitPartition(n, tuple(orbits))
+    return tuple(orbits)
 
 
 def rel_algebra(action: GroupAction) -> ConcreteAlgebra:
     """The algebra of relations compatible with the action: its atoms are
     the pair orbits.  Closure is re-verified; a failure there is a bug."""
-    parts = pair_orbits(action)
+    orbits = pair_orbits(action)
     names = []
     n_id = n_div = 0
-    for rel in parts.orbits:
+    for rel in orbits:
         if all(rel.rows[i] & ~(1 << i) == 0 for i in range(action.base_size)):
             names.append(f"e{n_id}")
             n_id += 1
         else:
             names.append(f"a{n_div}")
             n_div += 1
-    alg = ConcreteAlgebra(action.base_size, tuple(names), parts.orbits)
+    alg = ConcreteAlgebra(action.base_size, tuple(names), orbits)
     bad = alg.invariant_violations()
     if bad:
         raise InternalError(

@@ -249,14 +249,6 @@ class AtomStructure:
         # (is_point, is_pair, is_function) for each atom as an element
         return tuple(self._element_flags(1 << a) for a in range(self.n_atoms))
 
-    @cached_property
-    def cycles_by_atom(self) -> tuple[tuple[Triple, ...], ...]:
-        buckets: list[list[Triple]] = [[] for _ in range(self.n_atoms)]
-        for t in sorted(self.cycles):
-            for a in set(t):
-                buckets[a].append(t)
-        return tuple(tuple(b) for b in buckets)
-
     # -- validation ---------------------------------------------------------
 
     @cached_property

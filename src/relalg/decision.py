@@ -5,6 +5,8 @@ functionality of every atom up to converse), builds the canonical
 involution with one base element per point atom and two per twin atom,
 and certifies acceptance with the atom bijection of the proof, fixed by
 each atom's domain and range identity atoms and checked cycle by cycle.
+`iso` and `check-action` find isomorphisms by a refine-and-propagate
+search instead (find_isomorphism).
 """
 
 from __future__ import annotations
@@ -44,15 +46,18 @@ class IsoWitness:
             if m[s.converse_map[a]] != t.converse_map[m[a]]:
                 out.append(f"map does not commute with converse at atom "
                            f"{s.atom_names[a]}")
-        inv = [0] * n
-        for a, b in enumerate(m):
-            inv[b] = a
-        for x, y, z in sorted(s.cycles):
-            if (m[x], m[y], m[z]) not in t.cycles:
-                out.append(f"cycle {s._fmt_triple((x, y, z))} is not preserved")
-        for x, y, z in sorted(t.cycles):
-            if (inv[x], inv[y], inv[z]) not in s.cycles:
-                out.append(f"target cycle {t._fmt_triple((x, y, z))} has no "
+        # m is a bijection, so it preserves the cycles both ways iff it maps
+        # the source cycles onto the target cycles; sort only on failure
+        if {(m[x], m[y], m[z]) for x, y, z in s.cycles} != t.cycles:
+            inv = [0] * n
+            for a, b in enumerate(m):
+                inv[b] = a
+            for c in sorted(c for c in s.cycles
+                            if (m[c[0]], m[c[1]], m[c[2]]) not in t.cycles):
+                out.append(f"cycle {s._fmt_triple(c)} is not preserved")
+            for c in sorted(c for c in t.cycles
+                            if (inv[c[0]], inv[c[1]], inv[c[2]]) not in s.cycles):
+                out.append(f"target cycle {t._fmt_triple(c)} has no "
                            f"source cycle")
         return tuple(out)
 
@@ -72,7 +77,7 @@ class IsoWitness:
 
 
 def _signatures(s: AtomStructure) -> list[tuple]:
-    # isomorphism-invariant atom fingerprints used to prune the search
+    # isomorphism-invariant atom fingerprints: the refinement's first colours
     flags = s.atom_flags
     pos = [[0, 0, 0] for _ in range(s.n_atoms)]
     for x, y, z in s.cycles:
@@ -88,98 +93,168 @@ def _signatures(s: AtomStructure) -> list[tuple]:
     return out
 
 
+def _refined_colours(source: AtomStructure, target: AtomStructure
+                     ) -> tuple[list[int], list[int]] | None:
+    """Colour refinement over the cycle incidence, from the signatures.
+
+    An atom's next colour is its colour, its converse's colour and the
+    multiset of (position, colours of the other two atoms) over its cycles.
+    One table numbers the colours of both structures, so equal numbers mean
+    equal colours; rounds stop when no class splits.  None when the two
+    structures differ in the size of some class.
+    """
+    table: dict = {}
+    cols = [[table.setdefault(sig, len(table)) for sig in _signatures(s)]
+            for s in (source, target)]
+    while Counter(cols[0]) == Counter(cols[1]):
+        classes, table = len(table), {}
+        for k, s in enumerate((source, target)):
+            c, conv = cols[k], s.converse_map
+            ctx: list[list[tuple[int, int, int]]] = [[] for _ in c]
+            for x, y, z in s.cycles:
+                cx, cy, cz = c[x], c[y], c[z]
+                ctx[x].append((0, cy, cz))
+                ctx[y].append((1, cx, cz))
+                ctx[z].append((2, cx, cy))
+            cols[k] = [table.setdefault((c[a], c[conv[a]], tuple(sorted(t))),
+                                        len(table))
+                       for a, t in enumerate(ctx)]
+        if len(table) == classes:
+            return cols[0], cols[1]
+    return None
+
+
+class _Partial:
+    """A partial atom map: m and its inverse (-1 where unset), the live
+    target candidates of each source atom as a bitmask, the assigned source
+    atoms in order, and the mask of assigned target atoms."""
+
+    __slots__ = ("m", "inv", "masks", "done", "taken")
+
+    def __init__(self, m, inv, masks, done, taken):
+        self.m, self.inv, self.masks = m, inv, masks
+        self.done, self.taken = done, taken
+
+    def copy(self) -> "_Partial":
+        return _Partial(self.m[:], self.inv[:], self.masks[:], self.done[:],
+                        self.taken)
+
+
 def find_isomorphism(source: AtomStructure, target: AtomStructure,
                      budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
-    """Exhaustive backtracking search for a structure isomorphism.
+    """Refine-and-propagate search for a structure isomorphism.
 
-    Atoms are matched in id order against candidates of equal signature,
-    converse pairs are assigned atomically, and cycles are checked both
-    ways as soon as all three coordinates are mapped.  None means no
-    isomorphism exists; running past `budget` tried candidates raises
-    SearchBudgetExceeded instead.
+    Colour refinement over the cycle incidence, iterated to a fixed point
+    with one colour table for both structures, gives each source atom its
+    candidates: the target atoms of its colour.  The search branches on the
+    unassigned atom with the fewest live candidates (lowest id on ties),
+    trying candidates in target id order.  Assigning a -> b also assigns
+    a~ -> b~ and, for every assigned y, requires a;y and b;m(y) (and y;a,
+    m(y);b) to have as many atoms, maps each assigned atom of a;y into
+    b;m(y), and narrows the candidates of the unassigned ones to b;m(y).
+    An empty candidate set backtracks, a single one is assigned at once.
+    Each atom assignment, tried or forced, is one node of `budget`; past
+    it, SearchBudgetExceeded is raised.  None means no isomorphism exists.
     """
     source.require_valid()
     target.require_valid()
     n = source.n_atoms
     if n != target.n_atoms:
         return None
-    ssig = _signatures(source)
-    tsig = _signatures(target)
-    if Counter(ssig) != Counter(tsig):
+    colours = _refined_colours(source, target)
+    if colours is None:
         return None
-    classes: dict[tuple, list[int]] = {}
-    for b, sig in enumerate(tsig):
-        classes.setdefault(sig, []).append(b)
-    cand = [classes[sig] for sig in ssig]
-
-    m = [-1] * n
-    inv = [-1] * n
+    by_colour: dict[int, int] = {}
+    for b, c in enumerate(colours[1]):
+        by_colour[c] = by_colour.get(c, 0) | 1 << b
+    scomp, tcomp = source._comp, target._comp
     sconv, tconv = source.converse_map, target.converse_map
-    s_cycles, t_cycles = source.cycles, target.cycles
-    s_touch, t_touch = source.cycles_by_atom, target.cycles_by_atom
     nodes = 0
 
-    def consistent(a: int) -> bool:
-        for x, y, z in s_touch[a]:
-            mx, my, mz = m[x], m[y], m[z]
-            if mx >= 0 and my >= 0 and mz >= 0 and (mx, my, mz) not in t_cycles:
-                return False
-        for x, y, z in t_touch[m[a]]:
-            ix, iy, iz = inv[x], inv[y], inv[z]
-            if ix >= 0 and iy >= 0 and iz >= 0 and (ix, iy, iz) not in s_cycles:
-                return False
-        return True
-
-    def assign(a: int, b: int) -> list[int] | None:
-        m[a] = b
-        inv[b] = a
-        placed = [a]
-        ac, bc = sconv[a], tconv[b]
-        if ac != a:
-            if bc == b or inv[bc] != -1:
-                undo(placed)
-                return None
-            m[ac] = bc
-            inv[bc] = ac
-            placed.append(ac)
-        elif bc != b:
-            undo(placed)
-            return None
-        for x in placed:
-            if not consistent(x):
-                undo(placed)
-                return None
-        return placed
-
-    def undo(placed: list[int]) -> None:
-        for x in placed:
-            inv[m[x]] = -1
-            m[x] = -1
-
-    def solve(a: int) -> bool:
+    def assign(p: _Partial, a: int, b: int) -> bool:
+        # a -> b with its consequences; False on a contradiction
         nonlocal nodes
-        while a < n and m[a] != -1:
-            a += 1
-        if a == n:
-            return True
-        for b in cand[a]:
+        m, inv, masks, done = p.m, p.inv, p.masks, p.done
+        queue = [(a, b)]
+        while queue:
+            a, b = queue.pop()
+            if m[a] == b:
+                continue
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(
                     f"isomorphism search exceeded its budget of {budget} nodes")
-            if inv[b] != -1:
-                continue
-            placed = assign(a, b)
-            if placed is None:
-                continue
-            if solve(a + 1):
-                return True
-            undo(placed)
-        return False
+            if m[a] != -1 or inv[b] != -1 or not masks[a] >> b & 1:
+                return False
+            m[a], inv[b], masks[a] = b, a, 1 << b
+            p.taken |= 1 << b
+            done.append(a)
+            if sconv[a] != a:
+                queue.append((sconv[a], tconv[b]))
+            srow, trow = scomp[a], tcomp[b]
+            for y in done:
+                my = m[y]
+                for sz, tz in ((srow[y], trow[my]), (scomp[y][a], tcomp[my][b])):
+                    if sz.bit_count() != tz.bit_count():
+                        return False
+                    while sz:
+                        low = sz & -sz
+                        sz ^= low
+                        z = low.bit_length() - 1
+                        if m[z] != -1:
+                            if not tz >> m[z] & 1:
+                                return False
+                        else:
+                            live = masks[z] & tz
+                            if not live:
+                                return False
+                            masks[z] = live
+                            if not live & (live - 1):
+                                queue.append((z, live.bit_length() - 1))
+        return True
 
-    if not solve(0):
-        return None
-    witness = IsoWitness(source, target, tuple(m))
+    def branch_atom(p: _Partial) -> tuple[int, int]:
+        # (a, live candidates) of the atom to branch on after assigning
+        # every atom left with one candidate; (-1, 0) when all are
+        # assigned, (a, 0) when a has no candidate left
+        while True:
+            best, best_live, best_k = -1, 0, n + 1
+            for a in range(n):
+                if p.m[a] == -1:
+                    live = p.masks[a] & ~p.taken
+                    k = live.bit_count()
+                    if k < best_k:
+                        best, best_live, best_k = a, live, k
+                        if k < 2:
+                            break
+            if best_k != 1:
+                return best, best_live
+            if not assign(p, best, best_live.bit_length() - 1):
+                return best, 0
+
+    p = _Partial([-1] * n, [-1] * n, [by_colour[c] for c in colours[0]], [], 0)
+    # one entry per open branching decision: the state before it, the atom
+    # branched on, and its candidates not yet tried; the last one tried
+    # takes the saved state itself instead of a copy
+    stack: list[tuple[_Partial, int, int]] = []
+    while True:
+        a, live = branch_atom(p)
+        if a < 0:
+            break
+        if live:
+            stack.append((p, a, live))
+        while True:
+            if not stack:
+                return None
+            saved, a, cands = stack.pop()
+            low = cands & -cands
+            if cands != low:
+                stack.append((saved, a, cands ^ low))
+                saved = saved.copy()
+            p = saved
+            if assign(p, a, low.bit_length() - 1):
+                break
+    witness = IsoWitness(source, target, tuple(p.m))
     bad = witness.problems()
     if bad:
         raise InternalError("search produced an invalid witness: " + bad[0])

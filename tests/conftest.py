@@ -126,7 +126,7 @@ def union_of_orbits_masks(action) -> set[tuple[int, ...]]:
     """Row-bitmask encodings of every union of pair orbits."""
     from relalg import pair_orbits
     n = action.base_size
-    orbit_rows = [r.rows for r in pair_orbits(action).orbits]
+    orbit_rows = [r.rows for r in pair_orbits(action)]
     out = set()
     for bits in range(1 << len(orbit_rows)):
         rows = [0] * n

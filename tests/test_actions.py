@@ -62,8 +62,8 @@ def test_build_group_input_errors():
 
 def test_pair_orbits_z3():
     orbits = pair_orbits(load_action("z3.act"))
-    assert orbits.base_size == 3
-    assert [sorted(o.pairs()) for o in orbits.orbits] == [
+    assert all(o.base_size == 3 for o in orbits)
+    assert [sorted(o.pairs()) for o in orbits] == [
         [(0, 0), (1, 1), (2, 2)],
         [(0, 1), (1, 2), (2, 0)],
         [(0, 2), (1, 0), (2, 1)],
@@ -75,7 +75,7 @@ def test_pair_orbits_partition_the_square():
         for g in involutions(n):
             orbits = pair_orbits(build_group(n, [g]))
             seen = set()
-            for o in orbits.orbits:
+            for o in orbits:
                 for pr in o.pairs():
                     assert pr not in seen
                     seen.add(pr)
@@ -84,7 +84,7 @@ def test_pair_orbits_partition_the_square():
 
 def test_is_compatible():
     act = load_action("z3.act")
-    orbits = pair_orbits(act).orbits
+    orbits = pair_orbits(act)
     for o in orbits:
         assert is_compatible(o, act)
     assert is_compatible(orbits[0] | orbits[2], act)
@@ -127,7 +127,7 @@ def test_rel_algebra_atoms_are_exactly_the_orbits():
         for g in involutions(n):
             act = build_group(n, [g])
             assert tuple(rel_algebra(act).atom_relations) == \
-                pair_orbits(act).orbits
+                pair_orbits(act)
 
 
 def test_rel_algebra_of_symmetric_group_is_two_atoms():
@@ -155,7 +155,7 @@ def test_orbit_sizes_divide_group_order():
                build_group(3, [(1, 0, 2), (0, 2, 1)]),
                load_action("d5.act")]
     for act in actions:
-        for orb in pair_orbits(act).orbits:
+        for orb in pair_orbits(act):
             assert act.order % orb.n_pairs == 0
 
 

@@ -240,6 +240,40 @@ def test_axioms_decide_representability_on_small_actions():
     assert len(actions) == 39 and accepted > 0 and compared > 0
 
 
+def test_axioms_decide_representability_on_five_points():
+    # as above, on up to 5 points: the 156 groups on 5 points are all
+    # generated by two permutations
+    start = time.perf_counter()
+    actions = {}
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n)))
+        for gens in itertools.chain(((p,) for p in perms),
+                                    itertools.combinations(perms, 2)):
+            a = build_group(n, gens)
+            actions.setdefault((n, a.elements), a)
+    by_atoms = {}
+    for points in range(6):
+        for twins in range(4):
+            if points + twins and points ** 2 + 2 * points * twins \
+                    + 2 * twins ** 2 <= 25:
+                t = involution_structure(points, twins)
+                by_atoms.setdefault(t.n_atoms, []).append(t)
+    accepted = compared = 0
+    for a in actions.values():
+        s = extract_atom_structure(rel_algebra(a))
+        if check_z2_axioms(s).all_hold:
+            d = decide_z2(s)
+            assert d.accepted and verify_decision(d).ok, a.generators
+            accepted += 1
+        else:
+            for t in by_atoms.get(s.n_atoms, ()):
+                assert find_isomorphism(s, t, budget=50_000) is None, \
+                    a.generators
+                compared += 1
+    assert len(actions) == 195 and accepted > 0 and compared > 0
+    assert time.perf_counter() - start < 10.0
+
+
 def test_decision_is_deterministic(swap_structure):
     d1 = decide_z2(swap_structure)
     d2 = decide_z2(swap_structure)
@@ -269,6 +303,71 @@ def test_check_action_negative(s23):
     # D5's algebra realizes 5-7, not 2-3
     d5 = build_group(5, [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)])
     assert check_action_represents(s23, d5) is None
+
+
+# --- search on relabeled inputs -------------------------------------------
+
+
+def regular_action(orders):
+    """Z_a x Z_b x ... acting on itself by translation, one generator per
+    factor, elements written in mixed radix."""
+    n = 1
+    for q in orders:
+        n *= q
+    gens, stride = [], 1
+    for q in orders:
+        gens.append(tuple(x + stride * (1 - q if x // stride % q == q - 1
+                                        else 1) for x in range(n)))
+        stride *= q
+    return build_group(n, gens)
+
+
+def triangles_action(k):
+    """Z3 rotating k disjoint triangles at once, on 3k points."""
+    return build_group(3 * k, [tuple(3 * (i // 3) + (i + 1) % 3
+                                     for i in range(3 * k))])
+
+
+def shuffled(s, rng):
+    ids = list(range(s.n_atoms))
+    rng.shuffle(ids)
+    return conjugate(s, ids)
+
+
+@pytest.mark.parametrize("action,atoms", [
+    (build_group(8, [tuple(range(8))]), 64),
+    (regular_action([48]), 48),
+    (triangles_action(5), 75)], ids=["trivial-8", "z48", "z3-triangles-5"])
+def test_shuffled_copies_are_found_within_budget(action, atoms):
+    # with both sides relabeled, the id-order search of earlier versions
+    # ran out of 50,000 nodes on most of these
+    s = extract_atom_structure(rel_algebra(action))
+    assert s.n_atoms == atoms
+    rng = random.Random(atoms)
+    start = time.perf_counter()
+    for _ in range(10):
+        source = shuffled(s, rng)
+        w = find_isomorphism(source, shuffled(s, rng), budget=50_000)
+        assert w is not None and w.is_valid()
+        w = check_action_represents(source, action, budget=50_000)
+        assert w is not None and w.is_valid()
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("left,right", [([25], [5, 5]), ([4, 8], [2, 16])])
+def test_regular_actions_of_distinct_groups_are_not_isomorphic(left, right):
+    # every atom of both structures gets the same colour, so only the
+    # search tells them apart
+    a = extract_atom_structure(rel_algebra(regular_action(left)))
+    b = extract_atom_structure(rel_algebra(regular_action(right)))
+    assert a.n_atoms == b.n_atoms
+    rng = random.Random(a.n_atoms)
+    start = time.perf_counter()
+    for _ in range(10):
+        x, y = shuffled(a, rng), shuffled(b, rng)
+        assert find_isomorphism(x, y, budget=50_000) is None
+        assert find_isomorphism(y, x, budget=50_000) is None
+    assert time.perf_counter() - start < 5.0
 
 
 # --- verify_decision ------------------------------------------------------
@@ -315,6 +414,29 @@ def test_tampered_witness_reports_cycle_mismatch():
     report = verify_decision(forged)
     assert not report.ok
     assert any("cycle" in p for p in report.problems)
+
+
+def test_witness_problems_list_cycles_in_sorted_order():
+    # every unpreserved cycle, then every target cycle without a source,
+    # each list in sorted order, as a scan of all cycles reports them
+    ext = involution_structure(1, 2)
+    w = decide_z2(ext).witness
+    m = list(w.atom_map)
+    x, y = sorted(a for a in range(ext.n_atoms)
+                  if a not in ext.identity_atoms
+                  and ext.converse_map[a] == a)[:2]
+    m[x], m[y] = m[y], m[x]
+    forged = IsoWitness(w.source, w.target, tuple(m))
+    inv = {b: a for a, b in enumerate(m)}
+    s, t = w.source, w.target
+    expected = [f"cycle {s._fmt_triple(c)} is not preserved"
+                for c in sorted(s.cycles)
+                if tuple(m[a] for a in c) not in t.cycles]
+    expected += [f"target cycle {t._fmt_triple(c)} has no source cycle"
+                 for c in sorted(t.cycles)
+                 if tuple(inv[a] for a in c) not in s.cycles]
+    assert len(expected) > 2
+    assert forged.problems() == tuple(expected)
 
 
 def test_verify_catches_forged_target(swap_structure):
