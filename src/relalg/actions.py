@@ -59,9 +59,9 @@ class GroupAction:
         return _is_prime(self.order)
 
 
-def build_group(base_size: int, generators: Iterable[Sequence[int]],
-                max_order: int = DEFAULT_MAX_ORDER) -> GroupAction:
-    """Close the generators into a permutation group by breadth-first search."""
+def build_group(base_size: int, generators: Iterable[Sequence[int]]) -> GroupAction:
+    """Close the generators into a permutation group by breadth-first search,
+    up to DEFAULT_MAX_ORDER elements."""
     n = base_size
     if n < 1:
         raise ActionError("base set must be nonempty")
@@ -91,8 +91,8 @@ def build_group(base_size: int, generators: Iterable[Sequence[int]],
                 if q not in elements:
                     elements.add(q)
                     new.append(q)
-                    if len(elements) > max_order:
-                        raise ActionError(f"group order exceeds the cap of {max_order}")
+                    if len(elements) > DEFAULT_MAX_ORDER:
+                        raise ActionError(f"group order exceeds the cap of {DEFAULT_MAX_ORDER}")
         frontier = new
     return GroupAction(n, tuple(gens), tuple(sorted(elements)))
 
@@ -126,17 +126,15 @@ def pair_orbits(action: GroupAction) -> tuple[ConcreteRelation, ...]:
 
 def rel_algebra(action: GroupAction) -> ConcreteAlgebra:
     """The algebra of relations compatible with the action: its atoms are
-    the pair orbits.  Closure is re-verified; a failure there is a bug."""
+    the pair orbits.  Its closure check is the one runtime self-check of
+    the action path, which extraction reuses; a failure there is a bug."""
     orbits = pair_orbits(action)
-    names = []
-    n_id = n_div = 0
+    ident = ConcreteRelation.identity(action.base_size)
+    names, count = [], {"e": 0, "a": 0}
     for rel in orbits:
-        if all(rel.rows[i] & ~(1 << i) == 0 for i in range(action.base_size)):
-            names.append(f"e{n_id}")
-            n_id += 1
-        else:
-            names.append(f"a{n_div}")
-            n_div += 1
+        kind = "e" if rel <= ident else "a"
+        names.append(f"{kind}{count[kind]}")
+        count[kind] += 1
     alg = ConcreteAlgebra(action.base_size, tuple(names), orbits)
     bad = alg.invariant_violations()
     if bad:

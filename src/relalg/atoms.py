@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -29,6 +29,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def usable_atom_name(name: str) -> bool:
+    """Non-empty, without whitespace, `:` or `#`, as the text formats need."""
+    return bool(name) and not any(ch.isspace() or ch in ":#" for ch in name)
 
 
 def _union(table: Sequence[int], mask: int) -> int:
@@ -104,7 +109,7 @@ class AtomStructure:
         object.__setattr__(self, "atom_names", tuple(self.atom_names))
         object.__setattr__(self, "converse_map", tuple(self.converse_map))
         object.__setattr__(self, "identity_atoms", frozenset(self.identity_atoms))
-        object.__setattr__(self, "cycles", frozenset(tuple(t) for t in self.cycles))
+        object.__setattr__(self, "cycles", frozenset(map(tuple, self.cycles)))
         n = len(self.atom_names)
         if len(self.converse_map) != n:
             raise ValueError("converse_map must assign an image to every atom id")
@@ -114,9 +119,14 @@ class AtomStructure:
         for e in self.identity_atoms:
             if not isinstance(e, int) or not 0 <= e < n:
                 raise ValueError(f"identity atom {e!r} is not an atom id")
-        for t in self.cycles:
-            if len(t) != 3 or any(not isinstance(a, int) or not 0 <= a < n for a in t):
-                raise ValueError(f"cycle {t!r} does not name three atom ids")
+        # distinct ids and id types tested once; the culprit sought on failure
+        ids = tuple(chain.from_iterable(self.cycles))
+        if not (set(map(len, self.cycles)) <= {3}
+                and all(issubclass(k, int) for k in set(map(type, ids)))
+                and all(0 <= a < n for a in set(ids))):
+            for t in self.cycles:
+                if len(t) != 3 or any(not isinstance(a, int) or not 0 <= a < n for a in t):
+                    raise ValueError(f"cycle {t!r} does not name three atom ids")
 
     # -- basic views ------------------------------------------------------
 
@@ -190,9 +200,7 @@ class AtomStructure:
         return Element(self, mask)
 
     def atom_element(self, a: int) -> "Element":
-        if not 0 <= a < self.n_atoms:
-            raise ValueError(f"no atom with id {a}")
-        return Element(self, 1 << a)
+        return self.element_from_ids((a,))
 
     def element_from_ids(self, ids: Iterable[int]) -> "Element":
         mask = 0
@@ -270,7 +278,7 @@ def _validate(s: AtomStructure) -> ValidationReport:
 
     seen: dict[str, int] = {}
     for a, nm in enumerate(names):
-        if not nm or any(ch.isspace() for ch in nm) or ":" in nm or "#" in nm:
+        if not usable_atom_name(nm):
             v.append(Violation("bad-atom-name", f"atom {a} has unusable name {nm!r}"))
         if nm in seen:
             v.append(Violation(
@@ -585,7 +593,6 @@ class AxiomReport:
 
 def check_z2_axioms(s: AtomStructure) -> AxiomReport:
     """Evaluate simplicity, pair-density and atom functionality."""
-    s.require_valid()
     sw = _simplicity_witness(s)
     pd, pw = is_pair_dense(s)
     fn, fw = atoms_functional(s)

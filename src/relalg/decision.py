@@ -49,9 +49,7 @@ class IsoWitness:
         # m is a bijection, so it preserves the cycles both ways iff it maps
         # the source cycles onto the target cycles; sort only on failure
         if {(m[x], m[y], m[z]) for x, y, z in s.cycles} != t.cycles:
-            inv = [0] * n
-            for a, b in enumerate(m):
-                inv[b] = a
+            inv = self.inverted().atom_map
             for c in sorted(c for c in s.cycles
                             if (m[c[0]], m[c[1]], m[c[2]]) not in t.cycles):
                 out.append(f"cycle {s._fmt_triple(c)} is not preserved")
@@ -284,22 +282,19 @@ class Z2Decision:
 def decide_z2(structure: AtomStructure) -> Z2Decision:
     """Decide whether the structure is the compatible-relation algebra of
     some action of the two-element group, and construct one if so."""
-    structure.require_valid()
     report = check_z2_axioms(structure)
     if not report.all_hold:
         return Z2Decision(structure, False, failures=report.failures())
 
     # one base element per point atom, two swapped elements per twin atom,
-    # allocated in identity-atom id order; blocks[e] holds e's elements
+    # allocated in identity-atom id order; blocks[e] holds e's elements;
+    # pair-density has made every identity atom a pair, so a non-point is
+    # a twin
     g: list[int] = []
     blocks: dict[int, tuple[int, ...]] = {}
     for e in sorted(structure.identity_atoms):
-        point, pair, _ = structure.atom_flags[e]
-        if not (point or pair):
-            raise InternalError(
-                f"identity atom {structure.atom_names[e]} is neither a "
-                f"point nor a pair despite pair-density")
-        blocks[e] = (len(g),) if point else (len(g), len(g) + 1)
+        blocks[e] = ((len(g),) if structure.atom_flags[e][0]
+                     else (len(g), len(g) + 1))
         g.extend(reversed(blocks[e]))
     action = build_group(len(g), [tuple(g)])
     algebra = rel_algebra(action)
@@ -394,9 +389,7 @@ def verify_decision(d: Z2Decision) -> VerificationReport:
     if d.witness.source != d.structure:
         problems.append("witness source is not the decided structure")
     t = d.witness.target
-    if t != AtomStructure(rebuilt.atom_names, rebuilt._converse_ids,
-                          rebuilt._identity_ids, rebuilt._triple_scan[0]) \
-            or not t.validation.ok:
+    if t != extract_atom_structure(rebuilt) or not t.validation.ok:
         problems.append("witness target is not the extraction of the "
                         "action's algebra")
     problems.extend(d.witness.problems())

@@ -173,6 +173,27 @@ def associativity_witness_oracle(s: AtomStructure):
     return None
 
 
+def points_twins_oracle(bp) -> None:
+    """Assert the point inequality x;1;x <= 1' for every point of a base
+    partition, and the pair inequality x;0';x;0';x <= 1' without the point
+    one for every twin, recomputed with relation composition on the base."""
+    n = bp.base_size
+    ident = ConcreteRelation.identity(n)
+    universal = ConcreteRelation.universal(n)
+    diversity = ident.complement()
+    for p in bp.points:
+        r = ConcreteRelation.from_pairs(n, [(p, p)])
+        assert r.compose(universal).compose(r) <= ident, f"point {p}"
+    for a, b in bp.twins:
+        r = ConcreteRelation.from_pairs(n, [(a, a), (b, b)])
+        m = r
+        for step in (diversity, r, diversity, r):
+            m = m.compose(step)
+        assert m <= ident, f"twin {{{a},{b}}} fails the pair inequality"
+        assert not r.compose(universal).compose(r) <= ident, \
+            f"twin {{{a},{b}}} is a point"
+
+
 def composition_scan_oracle(c):
     """Cycles and composition-closure messages of a partitioning concrete
     algebra, from `ConcreteRelation.compose` on every pair of atoms."""

@@ -20,7 +20,7 @@ from relalg import (AtomStructure, ConcreteRelation, atoms_functional,
 from relalg.cli import main
 
 from conftest import (DATA, compatible_masks_bruteforce, involutions,
-                      load_concrete, load_structure,
+                      load_concrete, load_structure, points_twins_oracle,
                       random_prime_cyclic_action, union_of_orbits_masks)
 
 
@@ -168,7 +168,8 @@ def test_criterion_6_compatibility_oracle(capsys):
 
 def test_criterion_7_structure_theory(capsys):
     for n, g, algebra, structure in involution_cases():
-        base = derive_points_twins(algebra, verify=True)
+        base = derive_points_twins(algebra)
+        points_twins_oracle(base)
         tags = classify_atoms(algebra, base).type_tags()
         assert set(tags) <= {1, 2, 3, 4, 5}, (n, g, tags)
 

@@ -5,6 +5,7 @@ import pytest
 from relalg import (ActionError, ConcreteRelation, build_group, compose_perm,
                     identity_perm, is_compatible, pair_orbits, rel_algebra,
                     relation_compose)
+from relalg.actions import DEFAULT_MAX_ORDER
 
 from conftest import (compatible_masks_bruteforce, involutions, load_action,
                       union_of_orbits_masks)
@@ -56,8 +57,10 @@ def test_build_group_input_errors():
         build_group(2, [(0, 0)])
     with pytest.raises(ActionError, match="outside the base set"):
         build_group(2, [(0, 2)])
-    with pytest.raises(ActionError, match="exceeds the cap"):
-        build_group(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)], max_order=100)
+    # S8, of order 40320, is past DEFAULT_MAX_ORDER
+    assert DEFAULT_MAX_ORDER < 40320
+    with pytest.raises(ActionError, match=f"exceeds the cap of {DEFAULT_MAX_ORDER}"):
+        build_group(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)])
 
 
 def test_pair_orbits_z3():

@@ -103,6 +103,16 @@ def test_axioms_report(capsys):
                for ln in out.splitlines())
 
 
+def test_classify_rejects_atom_name_with_colon(tmp_path, capsys):
+    # a name the atom-structure format cannot carry fails to parse as a
+    # concrete algebra too, instead of reaching extraction
+    f = tmp_path / "colon.ca"
+    f.write_text((DATA / "type6.ca").read_text().replace("atom e0 ", "atom e:0 "))
+    code, out, err = run(capsys, "classify", f)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "unusable atom name 'e:0'" in err
+
+
 def test_missing_file_is_an_error(capsys):
     code, out, err = run(capsys, "validate", DATA / "does-not-exist.ra")
     assert code == 1

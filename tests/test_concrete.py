@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from relalg import (ConcreteAlgebra, ConcreteRelation, build_group,
-                    extract_atom_structure, rel_algebra, relation_complement,
-                    relation_compose, relation_converse, validate_structure)
+from relalg import (AtomStructure, ConcreteAlgebra, ConcreteRelation,
+                    build_group, extract_atom_structure, rel_algebra,
+                    relation_complement, relation_compose, relation_converse,
+                    validate_structure)
+from relalg.atoms import usable_atom_name
 
 from conftest import (load_concrete, relation_compose_oracle,
                       relation_converse_oracle)
@@ -145,6 +147,22 @@ def test_algebra_constructor_rejects_malformed_input():
         ConcreteAlgebra(2, ("x",), (ConcreteRelation.identity(3),))
     with pytest.raises(ValueError):
         ConcreteAlgebra(2, ("x",), (ConcreteRelation.empty(2),))
+
+
+def test_algebra_and_structure_share_the_atom_name_rule():
+    # ConcreteAlgebra rejects exactly the names validation flags, so every
+    # algebra that builds extracts to a structure with usable names
+    swap = rel_algebra(build_group(2, [(1, 0)]))
+    cycles = extract_atom_structure(swap).cycles
+    for name in ("e0", "1'", "x~", "e:0", ":", "e#0", "e 0", "e\t0", ""):
+        s = AtomStructure((name, "a0"), (0, 1), {0}, cycles)
+        assert ("bad-atom-name" in s.validation.codes()) != usable_atom_name(name)
+        if usable_atom_name(name):
+            c = ConcreteAlgebra(2, (name, "a0"), swap.atom_relations)
+            assert extract_atom_structure(c).validation.ok, name
+        else:
+            with pytest.raises(ValueError, match="unusable atom name"):
+                ConcreteAlgebra(2, (name, "a0"), swap.atom_relations)
 
 
 # --- extraction -----------------------------------------------------------

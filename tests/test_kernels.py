@@ -1,5 +1,6 @@
 """The triple scan, the associativity join and the flag kernel against the
-dense computations they replace, kept here as oracles."""
+dense computations they replace, kept here as oracles; and the validity of
+extracted structures, which the library no longer checks at run time."""
 
 import functools
 import random
@@ -8,13 +9,14 @@ from relalg import (AtomStructure, ConcreteAlgebra, ConcreteRelation,
                     build_group, check_z2_axioms, extract_atom_structure,
                     parse_atom_structure, parse_concrete_algebra,
                     peirce_orbit, rel_algebra, validate_structure)
+from relalg.atoms import _validate
 from relalg.atoms import _associativity_witness
 from relalg.cli import main
 from relalg.errors import ActionError
 
 from conftest import (DATA, associativity_witness_oracle,
                       compose_masks_oracle, composition_scan_oracle,
-                      converse_mask_oracle)
+                      converse_mask_oracle, involutions)
 
 
 def random_algebras(rng, count, max_n):
@@ -47,6 +49,54 @@ def without_one_orbit(s, rng):
     cycles = s.cycles - peirce_orbit(t, s.converse_map)
     return AtomStructure(s.atom_names, s.converse_map, s.identity_atoms,
                          cycles)
+
+
+# --- extracted structures are valid ---------------------------------------------
+
+
+def test_every_extracted_structure_in_the_corpus_is_valid():
+    # extract_atom_structure does not validate its result; the laws hold
+    # for the structure of every proper algebra, checked here instead
+    algebras = random_algebras(random.Random(7), 25, 7)
+    algebras += [parse_concrete_algebra(p.read_text(), source=str(p))
+                 for p in sorted(DATA.glob("*.ca"))]
+    algebras += [rel_algebra(build_group(n, [g]))
+                 for n in range(1, 6) for g in involutions(n)]
+    assert len(algebras) >= 25 + 1 + 43  # 43 involutions on 1 to 5 points
+    for c in algebras:
+        s = extract_atom_structure(c)
+        assert s.validation.ok, (c.base_size, s.validation.lines())
+
+
+def test_validation_runs_at_most_once_per_structure(monkeypatch, capsys):
+    # structures built by the pipeline are not validated: rel validates
+    # nothing, and no subcommand validates a structure object twice
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return _validate(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(AtomStructure, "validation")
+    monkeypatch.setattr(AtomStructure, "validation", prop)
+    swap_ra, swap_act = DATA / "swap.ra", DATA / "swap.act"
+    for argv, status, objects in (
+            (["rel", DATA / "d5.act"], 0, 0),
+            (["classify", DATA / "type6.ca"], 0, 0),
+            (["validate", swap_ra], 0, 1),
+            (["axioms", DATA / "57.ra"], 2, 1),
+            (["decide-z2", swap_ra], 0, 1),
+            (["decide-z2", swap_ra, "--verify"], 0, 2),
+            (["decide-z2", DATA / "23.ra", "--verify"], 2, 1),
+            (["iso", swap_ra, swap_ra], 0, 2),
+            (["check-action", swap_ra, swap_act], 0, 2),
+            (["check-action", DATA / "23.ra", swap_act], 2, 2)):
+        calls.clear()
+        assert main([str(a) for a in argv]) == status, argv
+        capsys.readouterr()
+        assert len(calls) == objects, argv
+        assert len({id(s) for s in calls}) == objects, argv
 
 
 # --- associativity join -----------------------------------------------------
