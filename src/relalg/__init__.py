@@ -16,8 +16,8 @@ from .atoms import (AtomStructure, AxiomFailure, AxiomReport, Element,
 from .concrete import (ConcreteAlgebra, ConcreteRelation,
                        extract_atom_structure, relation_complement,
                        relation_compose, relation_converse)
-from .actions import (GroupAction, build_group, compose_perm, identity_perm,
-                      is_compatible, pair_orbits, rel_algebra)
+from .actions import (GroupAction, build_group, is_compatible, pair_orbits,
+                      rel_algebra)
 from .pairdense import (AtomClassification, AtomTypeInfo, BasePartition,
                         classify_atoms, derive_points_twins)
 from .decision import (DEFAULT_BUDGET, IsoWitness, VerificationReport,
@@ -41,8 +41,7 @@ __all__ = [
     "check_functional_density",
     "ConcreteRelation", "ConcreteAlgebra", "relation_compose",
     "relation_converse", "relation_complement", "extract_atom_structure",
-    "GroupAction", "identity_perm", "compose_perm",
-    "build_group", "pair_orbits", "rel_algebra", "is_compatible",
+    "GroupAction", "build_group", "pair_orbits", "rel_algebra", "is_compatible",
     "BasePartition", "AtomTypeInfo", "AtomClassification",
     "derive_points_twins", "classify_atoms",
     "IsoWitness", "Z2Decision", "VerificationReport", "DEFAULT_BUDGET",

@@ -1,4 +1,13 @@
-"""Finite permutation group actions and their compatible-relation algebras."""
+"""Finite permutation group actions and their compatible-relation algebras.
+
+A GroupAction is its generators.  A relation is compatible with the group
+exactly when every generator preserves it, so the pair orbits, and with
+them the algebra of compatible relations, come from the generators alone,
+and the group's elements are never enumerated.  Whether the group has
+order at most two is read off the generators too: it does exactly when its
+non-identity generators are all one permutation and that permutation is
+an involution (see verify_decision).
+"""
 
 from __future__ import annotations
 
@@ -10,58 +19,17 @@ from .errors import ActionError, InternalError
 
 Perm = tuple[int, ...]
 
-DEFAULT_MAX_ORDER = 10_000
-
-
-def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
-
-
-def compose_perm(p: Perm, q: Perm) -> Perm:
-    """Apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A permutation group on {0..base_size-1}, closed under composition."""
+    """The permutation group on {0..base_size-1} generated by `generators`."""
 
     base_size: int
     generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    @property
-    def is_z2(self) -> bool:
-        return self.order == 2
-
-    @property
-    def is_cyclic_of_prime_order(self) -> bool:
-        # a group of prime order is cyclic
-        return _is_prime(self.order)
 
 
 def build_group(base_size: int, generators: Iterable[Sequence[int]]) -> GroupAction:
-    """Close the generators into a permutation group by breadth-first search,
-    up to DEFAULT_MAX_ORDER elements."""
+    """Check that every generator is a bijection of a nonempty base set."""
     n = base_size
     if n < 1:
         raise ActionError("base set must be nonempty")
@@ -79,22 +47,7 @@ def build_group(base_size: int, generators: Iterable[Sequence[int]]) -> GroupAct
                 raise ActionError(f"generator {k} is not a bijection: image {img} repeated")
             seen.add(img)
         gens.append(g)
-
-    ident = identity_perm(n)
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gens:
-                q = compose_perm(p, g)
-                if q not in elements:
-                    elements.add(q)
-                    new.append(q)
-                    if len(elements) > DEFAULT_MAX_ORDER:
-                        raise ActionError(f"group order exceeds the cap of {DEFAULT_MAX_ORDER}")
-        frontier = new
-    return GroupAction(n, tuple(gens), tuple(sorted(elements)))
+    return GroupAction(n, tuple(gens))
 
 
 def pair_orbits(action: GroupAction) -> tuple[ConcreteRelation, ...]:

@@ -156,6 +156,12 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
     """
     source.require_valid()
     target.require_valid()
+    return _search_isomorphism(source, target, budget)
+
+
+def _search_isomorphism(source: AtomStructure, target: AtomStructure,
+                        budget: int) -> IsoWitness | None:
+    # find_isomorphism on structures already known to be valid
     n = source.n_atoms
     if n != target.n_atoms:
         return None
@@ -354,11 +360,13 @@ def _construct_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
 
 def check_action_represents(structure: AtomStructure, action: GroupAction,
                             budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
-    """Does this particular action's algebra realize the structure?"""
+    """Does this particular action's algebra realize the structure?
+
+    Only the structure is validated: the one extracted from the action's
+    algebra is valid by construction (see extract_atom_structure)."""
     structure.require_valid()
-    algebra = rel_algebra(action)
-    extracted = extract_atom_structure(algebra)
-    return find_isomorphism(structure, extracted, budget=budget)
+    extracted = extract_atom_structure(rel_algebra(action))
+    return _search_isomorphism(structure, extracted, budget)
 
 
 @dataclass(frozen=True)
@@ -376,12 +384,18 @@ class VerificationReport:
 def verify_decision(d: Z2Decision) -> VerificationReport:
     """Independently re-check an accepted decision from first principles:
     the action has order at most two, its orbit algebra equals the stored
-    one, and the witness really is an isomorphism, cycle by cycle."""
+    one, and the witness really is an isomorphism, cycle by cycle.
+
+    The order is read off the generators: it is at most two exactly when
+    the non-identity generators are all one permutation and that
+    permutation is an involution."""
     if not d.accepted:
         raise ValueError("verify_decision requires an accepted decision")
     problems: list[str] = []
-    if d.action.order > 2:
-        problems.append(f"action group has order {d.action.order}, expected <= 2")
+    moved = {g for g in d.action.generators if g != tuple(range(len(g)))}
+    if len(moved) > 1 or any(g[g[i]] != i for g in moved
+                             for i in range(len(g))):
+        problems.append("action group has order above 2, expected <= 2")
     rebuilt = rel_algebra(d.action)
     if rebuilt != d.algebra:
         problems.append("stored algebra is not the compatible-relation algebra "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .actions import GroupAction, build_group
-from .atoms import AtomStructure, close_cycles, peirce_orbit
+from .atoms import AtomStructure, _transforms, close_cycles
 from .concrete import ConcreteAlgebra, ConcreteRelation
 from .errors import ParseError
 
@@ -109,7 +109,10 @@ def format_atom_structure(s: AtomStructure) -> str:
     pairs = [f"{s.atom_names[a]}:{s.atom_names[s.converse_map[a]]}"
              for a in range(s.n_atoms) if a <= s.converse_map[a]]
     lines.append("converse " + " ".join(pairs))
-    reps = sorted({min(peirce_orbit(t, s.converse_map)) for t in s.cycles})
+    # one cycle per Peircean orbit, its least member: the transforms of a
+    # transform are the same six, and a valid cycle set holds all of them
+    conv = s.converse_map
+    reps = sorted(t for t in s.cycles if t == min(_transforms(t, conv)))
     for x, y, z in reps:
         lines.append(f"cycle {s.atom_names[x]} {s.atom_names[y]} "
                      f"{s.atom_names[z]}")

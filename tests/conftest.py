@@ -65,6 +65,25 @@ def swap_action():
 # --- oracles -------------------------------------------------------------
 
 
+def group_closure_oracle(action) -> tuple[tuple[int, ...], ...]:
+    """Every element of the group an action generates, in sorted order:
+    the generators closed under composition by breadth-first search."""
+    n = action.base_size
+    identity = tuple(range(n))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in action.generators:
+                q = tuple(p[g[i]] for i in range(n))
+                if q not in elements:
+                    elements.add(q)
+                    new.append(q)
+        frontier = new
+    return tuple(sorted(elements))
+
+
 def compose_masks_oracle(s: AtomStructure, xm: int, ym: int) -> int:
     """Atom composition straight off the cycle list, no tables."""
     out = 0

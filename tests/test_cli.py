@@ -2,12 +2,13 @@
 
 import subprocess
 import sys
+import time
 
 from relalg import parse_atom_structure, parse_concrete_algebra, \
     parse_group_action
 from relalg.cli import main
 
-from conftest import DATA
+from conftest import DATA, group_closure_oracle
 
 
 def run(capsys, *argv):
@@ -42,12 +43,30 @@ def test_rel_emits_algebra_and_structure(capsys):
     assert s.validation.ok
 
 
+def test_rel_on_symmetric_groups(tmp_path, capsys):
+    # S8 has 40320 elements and S40 about 8e47; the algebra of each has two
+    # atoms, read off the generators without enumerating the group
+    code, out, err = run(capsys, "rel", DATA / "s8.act")
+    assert (code, err) == (0, "")
+    assert "atoms e0 a0" in out.splitlines()
+    n = 40
+    cycle = " ".join(str((i + 1) % n) for i in range(n))
+    swap = " ".join(str(i) for i in (1, 0, *range(2, n)))
+    f = tmp_path / "s40.act"
+    f.write_text(f"set {n}\ngen {cycle}\ngen {swap}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rel", f)
+    assert time.perf_counter() - start < 5.0
+    assert (code, err) == (0, "")
+    assert "atoms e0 a0" in out.splitlines()
+
+
 def test_decide_z2_accept_with_verify(capsys):
     code, out, err = run(capsys, "decide-z2", DATA / "swap.ra", "--verify")
     assert code == 0
     head, action_text, algebra_text, map_text = out.split("\n\n")
     assert head == "accepted\nverified"
-    assert parse_group_action(action_text).order == 2
+    assert len(group_closure_oracle(parse_group_action(action_text))) == 2
     assert parse_concrete_algebra(algebra_text).base_size == 2
     assert map_text.splitlines() == ["map 1' -> e0", "map d -> a0"]
 

@@ -15,7 +15,7 @@ from relalg import (AtomStructure, InternalError, IsoWitness,
                     verify_decision)
 from relalg.decision import _construct_witness
 
-from conftest import involutions, load_structure
+from conftest import group_closure_oracle, involutions, load_structure
 
 
 def conjugate(s: AtomStructure, perm, rng=None) -> AtomStructure:
@@ -121,7 +121,8 @@ def test_accepts_single_point_structure():
     s = AtomStructure(("1'",), (0,), frozenset({0}), frozenset({(0, 0, 0)}))
     d = decide_z2(s)
     assert d.accepted
-    assert d.action.base_size == 1 and d.action.order == 1
+    assert d.action.base_size == 1
+    assert group_closure_oracle(d.action) == ((0,),)
     assert verify_decision(d).ok
 
 
@@ -220,7 +221,7 @@ def test_axioms_decide_representability_on_five_points():
         for gens in itertools.chain(((p,) for p in perms),
                                     itertools.combinations(perms, 2)):
             a = build_group(n, gens)
-            actions.setdefault((n, a.elements), a)
+            actions.setdefault((n, group_closure_oracle(a)), a)
     by_atoms = {}
     for points in range(6):
         for twins in range(4):
@@ -350,11 +351,22 @@ def test_verify_rejects_unaccepted(s23):
 
 
 def test_verify_catches_wrong_action(swap_structure):
+    # a 3-cycle, the Klein four-group (two distinct involutions, each of
+    # which alone would pass) and a 4-cycle all generate groups of order
+    # above two
     d = decide_z2(swap_structure)
-    forged = dataclasses.replace(d, action=build_group(3, [(1, 2, 0)]))
-    report = verify_decision(forged)
-    assert not report.ok
-    assert any("order" in p for p in report.problems)
+    for action in (build_group(3, [(1, 2, 0)]),
+                   build_group(4, [(1, 0, 3, 2), (2, 3, 0, 1)]),
+                   build_group(4, [(1, 2, 3, 0)])):
+        report = verify_decision(dataclasses.replace(d, action=action))
+        assert not report.ok
+        assert any("order" in p for p in report.problems), action
+
+
+def test_verify_accepts_identity_among_generators(swap_structure):
+    d = decide_z2(swap_structure)
+    forged = dataclasses.replace(d, action=build_group(2, [(0, 1), (1, 0)]))
+    assert verify_decision(forged).ok
 
 
 def test_verify_catches_swapped_algebra(swap_structure):

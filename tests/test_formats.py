@@ -5,8 +5,8 @@ import pytest
 from relalg import (ParseError, build_group, extract_atom_structure,
                     format_atom_structure, format_concrete_algebra,
                     format_group_action, parse_atom_structure,
-                    parse_concrete_algebra, parse_group_action, rel_algebra,
-                    validate_structure)
+                    parse_concrete_algebra, parse_group_action, peirce_orbit,
+                    rel_algebra, validate_structure)
 
 from conftest import DATA, involutions, load_action, load_concrete, \
     load_structure
@@ -15,10 +15,24 @@ from conftest import DATA, involutions, load_action, load_concrete, \
 # --- round trips ----------------------------------------------------------
 
 
+def orbit_minimum_cycle_lines(s):
+    # one cycle line per Peircean orbit, the least member of the orbit,
+    # in sorted order
+    reps = sorted({min(peirce_orbit(t, s.converse_map)) for t in s.cycles})
+    return [f"cycle {' '.join(s.atom_names[a] for a in t)}" for t in reps]
+
+
+def emitted_cycle_lines(text):
+    return [ln for ln in text.splitlines() if ln.startswith("cycle ")]
+
+
 def test_structure_round_trip_catalog():
-    for name in ("23.ra", "57.ra", "swap.ra", "23_relabeled.ra"):
+    names = sorted(p.name for p in DATA.glob("*.ra"))
+    assert names == ["23.ra", "23_relabeled.ra", "57.ra", "swap.ra"]
+    for name in names:
         s = load_structure(name)
         text = format_atom_structure(s)
+        assert emitted_cycle_lines(text) == orbit_minimum_cycle_lines(s)
         again = parse_atom_structure(text)
         assert again == s, name
         assert format_atom_structure(again) == text
@@ -28,7 +42,9 @@ def test_structure_round_trip_extractions():
     for n in range(1, 6):
         for g in involutions(n):
             s = extract_atom_structure(rel_algebra(build_group(n, [g])))
-            again = parse_atom_structure(format_atom_structure(s))
+            text = format_atom_structure(s)
+            assert emitted_cycle_lines(text) == orbit_minimum_cycle_lines(s)
+            again = parse_atom_structure(text)
             assert again == s
             assert validate_structure(again).ok
 

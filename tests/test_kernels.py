@@ -90,8 +90,8 @@ def test_validation_runs_at_most_once_per_structure(monkeypatch, capsys):
             (["decide-z2", swap_ra, "--verify"], 0, 2),
             (["decide-z2", DATA / "23.ra", "--verify"], 2, 1),
             (["iso", swap_ra, swap_ra], 0, 2),
-            (["check-action", swap_ra, swap_act], 0, 2),
-            (["check-action", DATA / "23.ra", swap_act], 2, 2)):
+            (["check-action", swap_ra, swap_act], 0, 1),
+            (["check-action", DATA / "23.ra", swap_act], 2, 1)):
         calls.clear()
         assert main([str(a) for a in argv]) == status, argv
         capsys.readouterr()
