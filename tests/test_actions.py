@@ -23,6 +23,23 @@ def test_build_group_orders():
     assert len(group_closure_oracle(s3)) == 6
 
 
+def test_group_flags():
+    # trivial, Z2 and prime-cyclic (every group of prime order is cyclic),
+    # read off the oracle's closure since GroupAction keeps no flags
+    def order(action):
+        return len(group_closure_oracle(action))
+
+    def prime(k):
+        return k > 1 and all(k % d for d in range(2, k))
+
+    assert order(build_group(3, [])) == 1
+    swap = build_group(2, [(1, 0)])
+    assert order(swap) == 2 and prime(order(swap))
+    z3 = load_action("z3.act")
+    assert prime(order(z3)) and order(z3) != 2
+    assert not prime(order(load_action("d5.act")))
+
+
 def test_build_group_is_closed_and_deterministic():
     elements = group_closure_oracle(build_group(3, [(1, 2, 0)]))
     assert elements == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
