@@ -5,13 +5,13 @@ converse and the Boolean operations are integer bit work.  A concrete
 algebra is a named list of relations that partition the square of the
 base set and are closed under converse and composition.
 
-Closure under composition and the cycle table come from one cached scan
-of the base triples, O(n^3) in the base size n whatever the atom count.
+Closure under composition holds exactly when all pairs (i, k) of each atom z
+share one profile, the cycles (owner(i,j), owner(j,k), z) over all j: O(n^3),
+checked only on algebras from outside.  Cycles are read off one pair per atom.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -64,7 +64,7 @@ class ConcreteRelation:
     # -- views ---------------------------------------------------------------
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i in range(self.base_size) for j in iter_bits(self.rows[i]))
+        return tuple((i, j) for i, row in enumerate(self.rows) if row for j in iter_bits(row))
 
     @property
     def n_pairs(self) -> int:
@@ -240,42 +240,33 @@ class ConcreteAlgebra:
         out = [f"not closed under converse: the converse of atom "
                f"{names[k]} is not an atom"
                for k, ck in enumerate(self._converse_ids) if ck < 0]
-        for k, rel in enumerate(rels):
-            if k not in self._identity_ids and any(rel.rows[i] >> i & 1
-                                                   for i in range(n)):
-                out.append(
-                    f"identity is not a union of atoms: atom {names[k]} "
-                    f"meets the identity without lying inside it")
-        for x, y, z in self._triple_scan[1]:
+        diagonal = {self._owner[i * (n + 1)] for i in range(n)}
+        out += [f"identity is not a union of atoms: atom {names[k]} "
+                f"meets the identity without lying inside it"
+                for k in sorted(diagonal - self._identity_ids)]
+        for x, y, z in self._uncovered:
             out.append(
                 f"not closed under composition: {names[x]};{names[y]} "
                 f"meets atom {names[z]} without covering it")
         return tuple(out)
 
-    @cached_property
-    def _triple_scan(self) -> tuple[tuple[Triple, ...], tuple[Triple, ...]]:
-        """(cycles, uncovered) from one pass over the base triples (i, j, k).
+    def _profile(self, i: int, k: int, z: int) -> set[Triple]:
+        """The profile of the pair (i, k) of atom z: the cycles
+        (owner(i,j), owner(j,k), z) over all j.  Needs a partition."""
+        n, owner = self.base_size, self._owner
+        return set(zip(owner[i * n:(i + 1) * n], owner[k::n], (z,) * n))
 
-        Cycles are {(owner(i,j), owner(j,k), owner(i,k))}.  Each (x, y, z)
-        counts the pairs of z that x;y covers; `uncovered`, sorted, holds
-        those short of |z|.  Valid only for a partition.
-        """
-        n = self.base_size
-        owner = self._owner
-        rows = [owner[i * n:(i + 1) * n] for i in range(n)]
-        cols = [owner[k::n] for k in range(n)]
-        cycles: list[Triple] = []
-        uncovered: list[Triple] = []
+    @cached_property
+    def _uncovered(self) -> tuple[Triple, ...]:
+        """(x, y, z), sorted, where x;y meets atom z without covering it:
+        the cycle is in the profiles of some pairs of z, not of all."""
+        out: set[Triple] = set()
         for z, rel in enumerate(self.atom_relations):
-            covered: Counter = Counter()
-            for i, succ in enumerate(rel.rows):
-                for k in iter_bits(succ):
-                    covered.update(set(zip(rows[i], cols[k])))
-            size = rel.n_pairs
-            cycles.extend((x, y, z) for x, y in covered)
-            uncovered.extend((x, y, z) for (x, y), count in covered.items()
-                             if count != size)
-        return tuple(cycles), tuple(sorted(uncovered))
+            first, *rest = rel.pairs()
+            profile = self._profile(*first, z)
+            for i, k in rest:
+                out |= self._profile(i, k, z) ^ profile
+        return tuple(sorted(out))
 
     def require_invariants(self) -> None:
         bad = self.invariant_violations()
@@ -287,8 +278,8 @@ def extract_atom_structure(c: ConcreteAlgebra) -> AtomStructure:
     """Read the abstract atom structure off a concrete algebra.
 
     Cycles are the triples (x, y, z) whose atom z meets the composition
-    x;y, read from the algebra's cached scan of base triples, so the
-    closure check and the extraction share one O(n^3) pass.
+    x;y, read off the profile of one pair of each atom: closure, checked
+    first, gives every pair of an atom the same profile.
 
     The result is not validated: once that check passes, the atoms are the
     atoms of a subalgebra of the full algebra of relations on the base set,
@@ -297,5 +288,7 @@ def extract_atom_structure(c: ConcreteAlgebra) -> AtomStructure:
     atom names obey the structure's naming rule, checked by ConcreteAlgebra.
     """
     c.require_invariants()
+    cycles = [t for z, rel in enumerate(c.atom_relations)
+              for t in c._profile(*rel.pairs()[0], z)]
     return AtomStructure(c.atom_names, c._converse_ids, c._identity_ids,
-                         c._triple_scan[0])
+                         cycles)

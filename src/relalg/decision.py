@@ -403,7 +403,7 @@ def verify_decision(d: Z2Decision) -> VerificationReport:
     if d.witness.source != d.structure:
         problems.append("witness source is not the decided structure")
     t = d.witness.target
-    if t != extract_atom_structure(rebuilt) or not t.validation.ok:
+    if t != extract_atom_structure(rebuilt):
         problems.append("witness target is not the extraction of the "
                         "action's algebra")
     problems.extend(d.witness.problems())

@@ -84,6 +84,34 @@ def group_closure_oracle(action) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(elements))
 
 
+def pair_orbits_oracle(action) -> tuple[ConcreteRelation, ...]:
+    """Orbits of the diagonal action on ordered pairs, each built by
+    applying every group element to its lexicographically least pair."""
+    n = action.base_size
+    elements = group_closure_oracle(action)
+    claimed, orbits = set(), []
+    for i in range(n):
+        for j in range(n):
+            if (i, j) not in claimed:
+                orbit = {(g[i], g[j]) for g in elements}
+                claimed |= orbit
+                orbits.append(ConcreteRelation.from_pairs(n, orbit))
+    return tuple(orbits)
+
+
+def generated_groups(max_points: int) -> dict:
+    """One action per group generated by one or two permutations on 1 to
+    max_points points, keyed by (points, sorted group elements)."""
+    actions = {}
+    for n in range(1, max_points + 1):
+        perms = list(itertools.permutations(range(n)))
+        for gens in itertools.chain(((p,) for p in perms),
+                                    itertools.combinations(perms, 2)):
+            a = build_group(n, gens)
+            actions.setdefault((n, group_closure_oracle(a)), a)
+    return actions
+
+
 def compose_masks_oracle(s: AtomStructure, xm: int, ym: int) -> int:
     """Atom composition straight off the cycle list, no tables."""
     out = 0

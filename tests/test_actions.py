@@ -2,11 +2,20 @@
 
 import pytest
 
-from relalg import (ActionError, ConcreteRelation, build_group,
-                    is_compatible, pair_orbits, rel_algebra, relation_compose)
+import relalg.actions
+from relalg import (ActionError, ConcreteAlgebra, ConcreteRelation,
+                    GroupAction, InternalError, build_group, is_compatible,
+                    pair_orbits, rel_algebra, relation_compose)
 
-from conftest import (compatible_masks_bruteforce, group_closure_oracle,
-                      involutions, load_action, union_of_orbits_masks)
+from conftest import (compatible_masks_bruteforce, generated_groups,
+                      group_closure_oracle, involutions, load_action,
+                      pair_orbits_oracle, union_of_orbits_masks)
+
+
+def fresh(c):
+    """A copy of the algebra with nothing cached, so its invariant check
+    runs in full, composition closure included."""
+    return ConcreteAlgebra(c.base_size, c.atom_names, c.atom_relations)
 
 
 def test_build_group_orders():
@@ -101,7 +110,7 @@ def test_rel_algebra_z3_frozen():
         [(0, 1), (1, 2), (2, 0)],
         [(0, 2), (1, 0), (2, 1)],
     ]
-    assert c.invariant_violations() == ()
+    assert fresh(c).invariant_violations() == ()
 
 
 def test_rel_algebra_d5_frozen():
@@ -162,7 +171,33 @@ def test_rel_algebra_satisfies_all_algebra_invariants():
     for act in (build_group(3, [(1, 2, 0)]),
                 build_group(3, [(1, 0, 2), (0, 2, 1)]),
                 load_action("d5.act")):
-        assert rel_algebra(act).invariant_violations() == ()
+        assert fresh(rel_algebra(act)).invariant_violations() == ()
+
+
+def test_pair_orbits_match_the_orbits_under_every_group_element():
+    groups = generated_groups(5)
+    assert len(groups) == 195
+    for act in groups.values():
+        assert pair_orbits(act) == pair_orbits_oracle(act), act.generators
+
+
+def test_rel_algebra_trips_on_broken_pair_orbits(monkeypatch):
+    real = pair_orbits
+    # dropping D5's reflection leaves Z5's orbits: a closed algebra, but
+    # not invariant under the reflection
+    monkeypatch.setattr(relalg.actions, "pair_orbits", lambda a: real(
+        GroupAction(a.base_size, a.generators[:1])))
+    with pytest.raises(InternalError, match="generator 1 moves pair"):
+        rel_algebra(load_action("d5.act"))
+
+    # merging Z5's orbits of i -> i+1 and i -> i+2: the converse of the
+    # merged atom is not an atom
+    def merged(a):
+        orbits = real(a)
+        return (orbits[0], orbits[1] | orbits[2]) + orbits[3:]
+    monkeypatch.setattr(relalg.actions, "pair_orbits", merged)
+    with pytest.raises(InternalError, match="not closed under converse"):
+        rel_algebra(build_group(5, [(1, 2, 3, 4, 0)]))
 
 
 def test_d5_adjacent_orbit_composes_to_identity_and_far():

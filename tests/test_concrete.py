@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from relalg import (AtomStructure, ConcreteAlgebra, ConcreteRelation,
-                    build_group, extract_atom_structure, rel_algebra,
+from relalg import (AtomStructure, ConcreteAlgebra, ConcreteAlgebraError,
+                    ConcreteRelation, build_group, extract_atom_structure, rel_algebra,
                     relation_complement, relation_compose, relation_converse,
                     validate_structure)
 from relalg.atoms import usable_atom_name
@@ -133,6 +133,18 @@ def test_composition_closure_violation_reported():
         ConcreteRelation.from_pairs(3, [(1, 0), (2, 1), (0, 2), (2, 0)])))
     msgs = c.invariant_violations()
     assert any("not closed under composition" in m for m in msgs)
+
+
+def test_extract_rejects_an_algebra_not_closed_under_composition():
+    # partition, converse and identity checks pass; s;s covers (0,0) and
+    # (1,1) but not (2,2), so the cycle table cannot be read off one pair
+    c = ConcreteAlgebra(3, ("e", "s", "rest"), (
+        ConcreteRelation.identity(3),
+        ConcreteRelation.from_pairs(3, [(0, 1), (1, 0)]),
+        ConcreteRelation.from_pairs(3, [(0, 2), (2, 0), (1, 2), (2, 1)])))
+    with pytest.raises(ConcreteAlgebraError,
+                       match="s;s meets atom e without covering it"):
+        extract_atom_structure(c)
 
 
 def test_algebra_constructor_rejects_malformed_input():

@@ -1,7 +1,6 @@
 """Isomorphism search, the representability decision, and verification."""
 
 import dataclasses
-import itertools
 import random
 import time
 
@@ -15,7 +14,8 @@ from relalg import (AtomStructure, InternalError, IsoWitness,
                     verify_decision)
 from relalg.decision import _construct_witness
 
-from conftest import group_closure_oracle, involutions, load_structure
+from conftest import (generated_groups, group_closure_oracle, involutions,
+                      load_structure)
 
 
 def conjugate(s: AtomStructure, perm, rng=None) -> AtomStructure:
@@ -215,13 +215,7 @@ def test_axioms_decide_representability_on_five_points():
     # verified when the axioms hold, otherwise isomorphic to no involution
     # algebra with as many atoms
     start = time.perf_counter()
-    actions = {}
-    for n in range(1, 6):
-        perms = list(itertools.permutations(range(n)))
-        for gens in itertools.chain(((p,) for p in perms),
-                                    itertools.combinations(perms, 2)):
-            a = build_group(n, gens)
-            actions.setdefault((n, group_closure_oracle(a)), a)
+    actions = generated_groups(5)
     by_atoms = {}
     for points in range(6):
         for twins in range(4):
