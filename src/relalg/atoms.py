@@ -144,9 +144,6 @@ class AtomStructure:
         except KeyError:
             raise ValueError(f"unknown atom name {name!r}") from None
 
-    def atom_name(self, a: int) -> str:
-        return self.atom_names[a]
-
     @property
     def full_mask(self) -> int:
         return (1 << self.n_atoms) - 1
@@ -198,9 +195,6 @@ class AtomStructure:
 
     def element(self, mask: int) -> "Element":
         return Element(self, mask)
-
-    def atom_element(self, a: int) -> "Element":
-        return self.element_from_ids((a,))
 
     def element_from_ids(self, ids: Iterable[int]) -> "Element":
         mask = 0

@@ -26,7 +26,11 @@ from .actions import rel_algebra
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RelalgError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from None
 
 
 def _axiom_line(axiom: int, condition: str, witness: str | None) -> str:
@@ -174,14 +178,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         status, lines = args.handler(args)
+        text = "\n".join(lines) + "\n"
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except (RelalgError, OSError, RecursionError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return status
 
 

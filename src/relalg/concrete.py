@@ -3,7 +3,9 @@
 A relation is stored as one successor bitmask per row, so composition,
 converse and the Boolean operations are integer bit work.  A concrete
 algebra is a named list of relations that partition the square of the
-base set and are closed under converse and composition.
+base set and are closed under converse and composition.  One owner table,
+the atom holding each pair, answers the partition, converse and identity
+checks.
 
 Closure under composition holds exactly when all pairs (i, k) of each atom z
 share one profile, the cycles (owner(i,j), owner(j,k), z) over all j: O(n^3),
@@ -183,29 +185,49 @@ class ConcreteAlgebra:
         return len(self.atom_relations)
 
     @cached_property
+    def _partition(self) -> tuple[tuple[int, ...], str]:
+        """The owner table, _owner[i*n + j] the atom holding the pair
+        (i, j), filled in atom and row order up to the first overlap or
+        gap, and the message for that overlap or gap ('' if none)."""
+        n, names = self.base_size, self.atom_names
+        owner = [-1] * (n * n)
+        for k, rel in enumerate(self.atom_relations):
+            for i, row in enumerate(rel.rows):
+                for j in iter_bits(row):
+                    if owner[i * n + j] >= 0:
+                        return tuple(owner), (
+                            f"not a partition: atoms {names[owner[i * n + j]]}"
+                            f" and {names[k]} overlap at pair ({i},{j})")
+                    owner[i * n + j] = k
+        if -1 in owner:
+            i, j = divmod(owner.index(-1), n)
+            return tuple(owner), f"not a partition: pair ({i},{j}) is in no atom"
+        return tuple(owner), ""
+
+    @property
+    def _owner(self) -> tuple[int, ...]:
+        return self._partition[0]
+
+    @cached_property
     def _converse_ids(self) -> tuple[int, ...]:
-        # id of the atom equal to the converse of each atom, -1 if none
-        index = {rel.rows: k for k, rel in enumerate(self.atom_relations)}
-        return tuple(index.get(rel.converse().rows, -1)
-                     for rel in self.atom_relations)
+        """The atom equal to the converse of each atom, -1 if none.  k~ = c
+        when c holds the transposes of all pairs of k and one atom holds the
+        transposes of all pairs of c: that atom holds k's pairs, so it is k.
+        Needs a partition."""
+        n, owner = self.base_size, self._owner
+        transposed = [k for i in range(n) for k in owner[i::n]]
+        conv = dict(zip(owner, transposed))
+        bad = {k for k, c in zip(owner, transposed) if conv[k] != c}
+        return tuple(-1 if {k, c} & bad else c
+                     for k, c in sorted(conv.items()))
 
     @cached_property
     def _identity_ids(self) -> frozenset[int]:
-        n = self.base_size
-        return frozenset(
-            k for k, rel in enumerate(self.atom_relations)
-            if all(rel.rows[i] & ~(1 << i) == 0 for i in range(n)))
-
-    @cached_property
-    def _owner(self) -> tuple[int, ...]:
-        # _owner[i*n + j]: the atom containing the pair (i, j), -1 if none
-        n = self.base_size
-        owner = [-1] * (n * n)
-        for k, rel in enumerate(self.atom_relations):
-            for i, succ in enumerate(rel.rows):
-                for j in iter_bits(succ):
-                    owner[i * n + j] = k
-        return tuple(owner)
+        # atoms on the diagonal owning no pair off it; the pair i*n + j is on
+        # the diagonal when n + 1 divides it.  Needs a partition.
+        n, owner = self.base_size, self._owner
+        off = {k for p, k in enumerate(owner) if p % (n + 1)}
+        return frozenset(set(owner[::n + 1]) - off)
 
     def invariant_violations(self) -> tuple[str, ...]:
         """Partition / converse / composition / identity-closure check.
@@ -218,29 +240,13 @@ class ConcreteAlgebra:
 
     @cached_property
     def _violations(self) -> tuple[str, ...]:
-        n = self.base_size
-        full = (1 << n) - 1
-        names, rels = self.atom_names, self.atom_relations
-        acc = [0] * n
-        for k, rel in enumerate(rels):
-            for i, row in enumerate(rel.rows):
-                overlap = acc[i] & row
-                if overlap:
-                    j = next(iter_bits(overlap))
-                    other = next(m for m, prev in enumerate(rels)
-                                 if prev.contains(i, j))
-                    return (f"not a partition: atoms {names[other]} and "
-                            f"{names[k]} overlap at pair ({i},{j})",)
-                acc[i] |= row
-        for i in range(n):
-            if acc[i] != full:
-                j = next(iter_bits(full & ~acc[i]))
-                return (f"not a partition: pair ({i},{j}) is in no atom",)
-
+        n, names = self.base_size, self.atom_names
+        if self._partition[1]:
+            return (self._partition[1],)
         out = [f"not closed under converse: the converse of atom "
                f"{names[k]} is not an atom"
                for k, ck in enumerate(self._converse_ids) if ck < 0]
-        diagonal = {self._owner[i * (n + 1)] for i in range(n)}
+        diagonal = set(self._owner[::n + 1])
         out += [f"identity is not a union of atoms: atom {names[k]} "
                 f"meets the identity without lying inside it"
                 for k in sorted(diagonal - self._identity_ids)]

@@ -1,15 +1,20 @@
 """Structure of simple pair-dense proper relation algebras.
 
 The base set splits into points and twins, read off the identity atoms.
-Every atom then matches one of six shapes; twin-to-twin atoms induce an
-equivalence on twins that decides whether the atoms between two twins
-split into functional halves or form a single four-pair block.
+Every atom then lies in the product of one domain block and one range
+block and fills both: its first coordinates are all of the block d, its
+second all of the block r, and its shape (1-6) is read off |d|, |r|, its
+pair count and whether d = r.  Twin-to-twin atoms induce an equivalence
+on twins that decides whether the atoms between two twins split into
+functional halves or form a single four-pair block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
+from .atoms import iter_bits
 from .concrete import ConcreteAlgebra
 from .errors import ClassificationError
 
@@ -37,20 +42,16 @@ def derive_points_twins(c: ConcreteAlgebra) -> BasePartition:
     """
     c.require_invariants()
     n = c.base_size
-    points: list[int] = []
-    twins: list[Twin] = []
-    for k in sorted(c._identity_ids):
-        rel = c.atom_relations[k]
-        diag = [i for i in range(n) if rel.rows[i] >> i & 1]
-        if len(diag) == 1:
-            points.append(diag[0])
-        elif len(diag) == 2:
-            twins.append((diag[0], diag[1]))
-        else:
+    blocks: dict[int, list[int]] = {}
+    for i, k in enumerate(c._owner[::n + 1]):
+        blocks.setdefault(k, []).append(i)
+    for k, block in sorted(blocks.items()):
+        if len(block) > 2:
             raise ClassificationError(
-                f"identity atom {c.atom_names[k]} covers {len(diag)} base elements; "
+                f"identity atom {c.atom_names[k]} covers {len(block)} base elements; "
                 f"the algebra is not pair-dense in the structural sense")
-    return BasePartition(n, tuple(sorted(points)), tuple(sorted(twins)))
+    return BasePartition(n, tuple(b[0] for b in blocks.values() if len(b) == 1),
+                         tuple(tuple(b) for b in blocks.values() if len(b) == 2))
 
 
 @dataclass(frozen=True)
@@ -81,71 +82,51 @@ class AtomClassification:
         return lines
 
 
-def _match_shape(prs, pset, partner):
-    """Return (type_tag, witness, related_or_None, unrelated_or_None)."""
-    twin_of = lambda x: (x, partner[x]) if x < partner[x] else (partner[x], x)
-    if len(prs) == 1:
-        a, b = prs[0]
-        if a == b and a in pset:
-            return 1, (a,), None, None
-        if a != b and a in pset and b in pset:
-            return 3, (a, b), None, None
-        return None
-    if len(prs) == 2:
-        (p1, q1), (p2, q2) = prs
-        if p1 == q1 and p2 == q2 and partner.get(p1) == p2:
-            return 2, (p1, p2), None, None
-        if p1 == q2 and q1 == p2 and p1 != q1 and partner.get(p1) == q1:
-            return 2, (min(p1, q1), max(p1, q1)), None, None
-        if q1 == q2 and q1 in pset and partner.get(p1) == p2:
-            return 4, (p1, p2, q1), None, None
-        if p1 == p2 and p1 in pset and partner.get(q1) == q2:
-            return 4, (q1, q2, p1), None, None
-        if (partner.get(p1) == p2 and partner.get(q1) == q2
-                and twin_of(p1) != twin_of(q1)):
-            wit = tuple(sorted({p1, p2, q1, q2}))
-            return 5, wit, (twin_of(p1), twin_of(q1)), None
-        return None
-    if len(prs) == 4:
-        dom = sorted({x for x, _ in prs})
-        rng = sorted({y for _, y in prs})
-        if (len(dom) == 2 and len(rng) == 2
-                and partner.get(dom[0]) == dom[1]
-                and partner.get(rng[0]) == rng[1]
-                and tuple(dom) != tuple(rng)
-                and set(prs) == {(x, y) for x in dom for y in rng}):
-            wit = tuple(sorted(set(dom) | set(rng)))
-            return 6, wit, None, (tuple(dom), tuple(rng))
-        return None
-    return None
+# (|d|, |r|, pairs, d == r) -> shape of an atom whose first and second
+# coordinates are all of the blocks d and r
+_SHAPES = {(1, 1, 1, True): 1, (2, 2, 2, True): 2, (1, 1, 1, False): 3,
+           (2, 1, 2, False): 4, (1, 2, 2, False): 4, (2, 2, 2, False): 5,
+           (2, 2, 4, False): 6}
 
 
 def classify_atoms(c: ConcreteAlgebra, bp: BasePartition) -> AtomClassification:
     """Tag every atom with its shape type (1-6) against the partition.
 
-    Assumes bp was derived from c.  An atom matching no shape, or an
-    intransitive twin equivalence, raises ClassificationError.
+    Assumes bp was derived from c.  Blocks sharing an element, an atom
+    matching no shape, or an intransitive twin equivalence raise
+    ClassificationError.
     """
-    pset = set(bp.points)
-    partner: dict[int, int] = {}
-    for a, b in bp.twins:
-        partner[a] = b
-        partner[b] = a
+    block: dict[int, tuple[int, ...]] = {}
+    for b in [(p,) for p in bp.points] + list(bp.twins):
+        for x in b:
+            if x in block:
+                raise ClassificationError(
+                    f"base element {x} lies in two blocks of the partition")
+            block[x] = b
 
     infos: list[AtomTypeInfo] = []
     related: set[tuple[Twin, Twin]] = set()
     unrelated: set[tuple[Twin, Twin]] = set()
     for name, rel in zip(c.atom_names, c.atom_relations):
-        got = _match_shape(rel.pairs(), pset, partner)
-        if got is None:
+        dom = tuple(compress(range(c.base_size), rel.rows))
+        rows = [rel.rows[i] for i in dom]
+        d, r = block.get(dom[0]), block.get(next(iter_bits(rows[0])))
+        tag = (d and r and dom == d
+               and {y for row in rows for y in iter_bits(row)} == set(r)
+               and _SHAPES.get((len(d), len(r),
+                                sum(row.bit_count() for row in rows), d == r)))
+        if not tag:
             raise ClassificationError(
                 f"atom {name} matches none of the six pair-dense atom shapes")
-        tag, wit, rel_pair, unrel_pair = got
+        if tag in (3, 4):
+            wit = (*d, *r) if len(d) >= len(r) else (*r, *d)
+        else:
+            wit = tuple(sorted({*d, *r}))
         infos.append(AtomTypeInfo(name, tag, wit))
-        if rel_pair is not None:
-            related.add(tuple(sorted(rel_pair)))
-        if unrel_pair is not None:
-            unrelated.add(tuple(sorted(unrel_pair)))
+        if tag == 5:
+            related.add(tuple(sorted((d, r))))
+        elif tag == 6:
+            unrelated.add(tuple(sorted((d, r))))
 
     conflict = related & unrelated
     if conflict:

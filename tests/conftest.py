@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from relalg import (AtomStructure, ConcreteRelation, build_group,
+from relalg import (AtomClassification, AtomStructure, AtomTypeInfo,
+                    ClassificationError, ConcreteRelation, build_group,
                     parse_atom_structure, parse_concrete_algebra,
-                    parse_group_action)
+                    parse_group_action, relation_converse)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -261,3 +262,109 @@ def composition_scan_oracle(c):
                         f"not closed under composition: {names[x]};{names[y]}"
                         f" meets atom {names[z]} without covering it")
     return frozenset(cycles), messages
+
+
+def invariant_violations_oracle(c) -> tuple[str, ...]:
+    """The messages of `ConcreteAlgebra.invariant_violations`, recomputed
+    pair by pair: partition by `contains`, converse by building each atom's
+    converse relation, identity by `<=`, closure by composition."""
+    n, names, rels = c.base_size, c.atom_names, c.atom_relations
+    for k, rel in enumerate(rels):
+        for i, j in rel.pairs():
+            first = next(m for m, prev in enumerate(rels) if prev.contains(i, j))
+            if first < k:
+                return (f"not a partition: atoms {names[first]} and "
+                        f"{names[k]} overlap at pair ({i},{j})",)
+    for i in range(n):
+        for j in range(n):
+            if not any(rel.contains(i, j) for rel in rels):
+                return (f"not a partition: pair ({i},{j}) is in no atom",)
+    rows = {rel.rows for rel in rels}
+    out = [f"not closed under converse: the converse of atom {names[k]} "
+           f"is not an atom" for k, rel in enumerate(rels)
+           if relation_converse(rel).rows not in rows]
+    ident = ConcreteRelation.identity(n)
+    out += [f"identity is not a union of atoms: atom {names[k]} meets the "
+            f"identity without lying inside it" for k, rel in enumerate(rels)
+            if rel.intersects(ident) and not rel <= ident]
+    return tuple(out + composition_scan_oracle(c)[1])
+
+
+def _match_shape(prs, pset, partner):
+    """Return (type_tag, witness, related_or_None, unrelated_or_None)."""
+    twin_of = lambda x: (x, partner[x]) if x < partner[x] else (partner[x], x)
+    if len(prs) == 1:
+        a, b = prs[0]
+        if a == b and a in pset:
+            return 1, (a,), None, None
+        if a != b and a in pset and b in pset:
+            return 3, (a, b), None, None
+        return None
+    if len(prs) == 2:
+        (p1, q1), (p2, q2) = prs
+        if p1 == q1 and p2 == q2 and partner.get(p1) == p2:
+            return 2, (p1, p2), None, None
+        if p1 == q2 and q1 == p2 and p1 != q1 and partner.get(p1) == q1:
+            return 2, (min(p1, q1), max(p1, q1)), None, None
+        if q1 == q2 and q1 in pset and partner.get(p1) == p2:
+            return 4, (p1, p2, q1), None, None
+        if p1 == p2 and p1 in pset and partner.get(q1) == q2:
+            return 4, (q1, q2, p1), None, None
+        if (partner.get(p1) == p2 and partner.get(q1) == q2
+                and twin_of(p1) != twin_of(q1)):
+            wit = tuple(sorted({p1, p2, q1, q2}))
+            return 5, wit, (twin_of(p1), twin_of(q1)), None
+        return None
+    if len(prs) == 4:
+        dom = sorted({x for x, _ in prs})
+        rng = sorted({y for _, y in prs})
+        if (len(dom) == 2 and len(rng) == 2
+                and partner.get(dom[0]) == dom[1]
+                and partner.get(rng[0]) == rng[1]
+                and tuple(dom) != tuple(rng)
+                and set(prs) == {(x, y) for x in dom for y in rng}):
+            wit = tuple(sorted(set(dom) | set(rng)))
+            return 6, wit, None, (tuple(dom), tuple(rng))
+        return None
+    return None
+
+
+def shape_oracle(c, bp):
+    """`classify_atoms` by seven hand-written pair patterns, one or more per
+    shape, over disjoint blocks; the same errors in the same order."""
+    pset = set(bp.points)
+    partner = {}
+    for a, b in bp.twins:
+        partner[a] = b
+        partner[b] = a
+    infos, related, unrelated = [], set(), set()
+    for name, rel in zip(c.atom_names, c.atom_relations):
+        got = _match_shape(rel.pairs(), pset, partner)
+        if got is None:
+            raise ClassificationError(
+                f"atom {name} matches none of the six pair-dense atom shapes")
+        tag, wit, rel_pair, unrel_pair = got
+        infos.append(AtomTypeInfo(name, tag, wit))
+        if rel_pair is not None:
+            related.add(tuple(sorted(rel_pair)))
+        if unrel_pair is not None:
+            unrelated.add(tuple(sorted(unrel_pair)))
+    conflict = related & unrelated
+    if conflict:
+        t1, t2 = sorted(conflict)[0]
+        raise ClassificationError(
+            "twins {%d,%d} and {%d,%d} have both split and block atoms "
+            "between them" % (*t1, *t2))
+    adj = {t: set() for t in bp.twins}
+    for t1, t2 in related:
+        adj[t1].add(t2)
+        adj[t2].add(t1)
+    for t1 in bp.twins:
+        for t2 in sorted(adj[t1]):
+            for t3 in sorted(adj[t2]):
+                if t3 != t1 and t3 not in adj[t1]:
+                    raise ClassificationError(
+                        "twin equivalence fails transitivity: "
+                        "{%d,%d} ~ {%d,%d} ~ {%d,%d} but the ends are unrelated"
+                        % (*t1, *t2, *t3))
+    return AtomClassification(bp, tuple(infos), tuple(sorted(related)))

@@ -138,6 +138,24 @@ def test_missing_file_is_an_error(capsys):
     assert err.startswith("error: ") and out == ""
 
 
+def test_undecodable_file_is_an_error(tmp_path, capsys):
+    f = tmp_path / "binary.ra"
+    f.write_bytes(b"atoms 1'\n" + bytes(range(128, 256)))
+    code, out, err = run(capsys, "validate", f)
+    assert (code, out) == (1, "")
+    assert err == f"error: {f}: not UTF-8 text (invalid start byte at byte 9)\n"
+
+
+def test_unwritable_output_is_an_error(tmp_path, capsys):
+    # a missing directory, and a directory where the file should go
+    for target in (tmp_path / "missing" / "report.txt", tmp_path):
+        code, out, err = run(capsys, "validate", DATA / "23.ra",
+                             "--output", target)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
+
 def test_parse_error_is_an_error(tmp_path, capsys):
     f = tmp_path / "broken.ra"
     f.write_text("atoms a\nidentity a\ncycle a a zz\n")

@@ -15,7 +15,8 @@ from relalg.cli import main
 
 from conftest import (DATA, associativity_witness_oracle,
                       compose_masks_oracle, composition_scan_oracle,
-                      converse_mask_oracle, involutions)
+                      converse_mask_oracle, invariant_violations_oracle,
+                      involutions)
 
 
 def random_algebras(rng, count, max_n):
@@ -133,14 +134,19 @@ def test_scan_cycles_match_pairwise_composition():
         assert extract_atom_structure(c).cycles == cycles
 
 
-def random_partition(rng, n):
+def random_partition(rng, n, gap=0.0, overlap=0.0):
     """A random partition of the square into a few blocks, usually not
-    closed under converse or composition."""
+    closed under converse or composition; with gap and overlap, that share
+    of the pairs is left out of every block or put in a second block."""
     k = rng.randint(1, 6)
     pairs = [[] for _ in range(k)]
     for i in range(n):
         for j in range(n):
+            if gap and rng.random() < gap:
+                continue
             pairs[rng.randrange(k)].append((i, j))
+            if overlap and rng.random() < overlap:
+                pairs[rng.randrange(k)].append((i, j))
     pairs = [p for p in pairs if p]
     return ConcreteAlgebra(
         n, tuple(f"r{b}" for b in range(len(pairs))),
@@ -148,16 +154,26 @@ def random_partition(rng, n):
 
 
 def test_broken_algebras_report_the_same_closure_messages_in_order():
+    # the whole message tuple against the oracle: on partitions (150), and
+    # on covers of the square with overlaps, gaps or both
     rng = random.Random(5)
     broken = 0
     for _ in range(150):
         c = random_partition(rng, rng.randint(1, 5))
-        got = [m for m in c.invariant_violations()
-               if m.startswith("not closed under composition")]
-        want = composition_scan_oracle(c)[1]
-        assert got == want
-        broken += bool(want)
+        want = invariant_violations_oracle(c)
+        assert c.invariant_violations() == want
+        broken += any(m.startswith("not closed under composition")
+                      for m in want)
     assert broken > 50
+    rng = random.Random(6)
+    firsts = []
+    for gap, overlap in ((0.1, 0.0), (0.0, 0.1), (0.05, 0.05)) * 100:
+        c = random_partition(rng, rng.randint(2, 5), gap, overlap)
+        want = invariant_violations_oracle(c)
+        assert c.invariant_violations() == want
+        firsts.append(want[0] if want else "")
+    assert sum("overlap at pair" in m for m in firsts) > 50
+    assert sum("is in no atom" in m for m in firsts) > 50
 
 
 def test_closure_scan_runs_once_per_algebra_object(monkeypatch, capsys):
@@ -187,6 +203,24 @@ def test_closure_scan_runs_once_per_algebra_object(monkeypatch, capsys):
             calls = counted[name]
             assert len(calls) == want, (argv, name)
             assert len({id(c) for c in calls}) == want, (argv, name)
+
+
+def test_no_atom_converse_relation_is_built(monkeypatch, capsys):
+    # converses are read off the transposed owner table, not built per atom
+    calls = []
+    real = ConcreteRelation.converse
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ConcreteRelation, "converse", counting)
+    for argv in (["rel", DATA / "d5.act"],
+                 ["classify", DATA / "type6.ca"],
+                 ["decide-z2", DATA / "swap.ra", "--verify"]):
+        assert main([str(a) for a in argv]) == 0
+        capsys.readouterr()
+        assert calls == [], argv
 
 
 # --- point, pair and function flags ---------------------------------------------

@@ -1,12 +1,15 @@
 """Points, twins, and the six atom shapes of pair-dense algebras."""
 
+import random
+
 import pytest
 
 from relalg import (BasePartition, ClassificationError, ConcreteAlgebra,
                     ConcreteRelation, build_group, classify_atoms,
                     derive_points_twins, rel_algebra)
 
-from conftest import involutions, load_concrete, points_twins_oracle
+from conftest import (involutions, load_concrete, points_twins_oracle,
+                      shape_oracle)
 
 
 def algebra_of(gen):
@@ -148,3 +151,69 @@ def test_points_and_twins_are_fixed_points_and_two_cycles():
             points_twins_oracle(bp)
             assert bp.points == tuple(i for i in range(n) if g[i] == i)
             assert bp.twins == tuple((i, g[i]) for i in range(n) if g[i] > i)
+
+
+def classify_outcome(classify, c, bp):
+    try:
+        return classify(c, bp).report_lines()
+    except ClassificationError as exc:
+        return str(exc)
+
+
+def random_blocks(rng, n):
+    """Disjoint points and twins over a shuffled base; some elements are in
+    no block."""
+    rest = rng.sample(range(n), n)
+    points, twins = [], []
+    while rest:
+        x, roll = rest.pop(), rng.random()
+        if roll < 0.3 or not rest:
+            points.append(x)
+        elif roll < 0.9:
+            twins.append((x, rest.pop()))
+    return BasePartition(n, points, twins)
+
+
+def random_relations(rng, bp):
+    """A few relations, each a block product, a matching or a random part
+    of one, some with a stray pair."""
+    n, blocks = bp.base_size, [(p,) for p in bp.points] + list(bp.twins)
+    rels = []
+    for _ in range(rng.randint(1, 4)):
+        pairs = []
+        if blocks:
+            d, r = rng.choice(blocks), rng.choice(blocks)
+            prod = [(x, y) for x in d for y in r]
+            pairs = rng.choice((prod, list(zip(d, r)), list(zip(d, r[::-1])),
+                                rng.sample(prod, rng.randint(1, len(prod)))))
+        if not pairs or rng.random() < 0.1:
+            pairs.append((rng.randrange(n), rng.randrange(n)))
+        rels.append(ConcreteRelation.from_pairs(n, pairs))
+    return rels
+
+
+def test_classification_matches_the_pair_pattern_oracle():
+    cases = [(c, derive_points_twins(c)) for c in
+             [rel_algebra(build_group(n, [g]))
+              for n in range(1, 7) for g in involutions(n)]
+             + [load_concrete("type6.ca")]]
+    rng = random.Random(11)
+    for _ in range(3000):
+        bp = random_blocks(rng, rng.randint(1, 8))
+        rels = random_relations(rng, bp)
+        names = tuple(f"t{i}" for i in range(len(rels)))
+        cases.append((ConcreteAlgebra(bp.base_size, names, tuple(rels)), bp))
+    seen = set()  # shape tags, and the last word of each error
+    for c, bp in cases:
+        got = classify_outcome(classify_atoms, c, bp)
+        assert got == classify_outcome(shape_oracle, c, bp), (bp, got)
+        seen |= ({got.split()[-1]} if isinstance(got, str) else
+                 {ln.split()[3] for ln in got if ln.startswith("atom ")})
+    assert seen >= {"1", "2", "3", "4", "5", "6",
+                    "shapes", "them", "unrelated"}
+
+
+def test_overlapping_blocks_raise():
+    c = algebra_of((0, 2, 1))
+    with pytest.raises(ClassificationError, match="base element 1 lies in two"):
+        classify_atoms(c, BasePartition(3, (0, 1), ((1, 2),)))
