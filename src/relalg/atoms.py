@@ -223,7 +223,7 @@ class AtomStructure:
     def diversity(self) -> "Element":
         return Element(self, self.full_mask & ~self.identity_mask)
 
-    # -- per-atom flags used by predicates and the isomorphism search ------
+    # -- per-atom flags used by predicates and the axioms ------------------
 
     @cached_property
     def _unions(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:

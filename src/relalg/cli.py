@@ -2,14 +2,15 @@
 
 Exit codes: 0 for success or a positive answer, 2 for a definite negative
 answer (invalid structure, rejected decision, no isomorphism, failing
-axiom), 1 for errors such as unreadable files, parse failures, violated
-preconditions, an exhausted search budget in `iso` or `check-action`, or a
-Python recursion or memory limit.
+axiom), 1 for errors such as usage errors, unreadable files, parse
+failures, violated preconditions, an exhausted search budget in `iso` or
+`check-action`, or a Python recursion or memory limit.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -121,6 +122,7 @@ def _cmd_axioms(args) -> tuple[int, list[str]]:
     return (0 if report.all_hold else 2), _axiom_lines(report)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relalg",
@@ -175,14 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         status, lines = args.handler(args)
         text = "\n".join(lines) + "\n"
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     except (RelalgError, OSError, RecursionError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

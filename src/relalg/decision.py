@@ -74,26 +74,9 @@ class IsoWitness:
                 for a in range(self.source.n_atoms)]
 
 
-def _signatures(s: AtomStructure) -> list[tuple]:
-    # isomorphism-invariant atom fingerprints: the refinement's first colours
-    flags = s.atom_flags
-    pos = [[0, 0, 0] for _ in range(s.n_atoms)]
-    for x, y, z in s.cycles:
-        pos[x][0] += 1
-        pos[y][1] += 1
-        pos[z][2] += 1
-    out = []
-    for a in range(s.n_atoms):
-        point, pair, fn = flags[a]
-        conv = s.converse_map[a]
-        out.append((a in s.identity_atoms, conv == a, fn, flags[conv][2],
-                    point, pair, tuple(pos[a])))
-    return out
-
-
 def _refined_colours(source: AtomStructure, target: AtomStructure
                      ) -> tuple[list[int], list[int]] | None:
-    """Colour refinement over the cycle incidence, from the signatures.
+    """Colour refinement over cycles, from identity and self-converse atoms.
 
     An atom's next colour is its colour, its converse's colour and the
     multiset of (position, colours of the other two atoms) over its cycles.
@@ -102,8 +85,8 @@ def _refined_colours(source: AtomStructure, target: AtomStructure
     structures differ in the size of some class.
     """
     table: dict = {}
-    cols = [[table.setdefault(sig, len(table)) for sig in _signatures(s)]
-            for s in (source, target)]
+    cols = [[table.setdefault((a in s.identity_atoms, c == a), len(table))
+             for a, c in enumerate(s.converse_map)] for s in (source, target)]
     while Counter(cols[0]) == Counter(cols[1]):
         classes, table = len(table), {}
         for k, s in enumerate((source, target)):
@@ -142,17 +125,19 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
                      budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
     """Refine-and-propagate search for a structure isomorphism.
 
-    Colour refinement over the cycle incidence, iterated to a fixed point
-    with one colour table for both structures, gives each source atom its
-    candidates: the target atoms of its colour.  The search branches on the
-    unassigned atom with the fewest live candidates (lowest id on ties),
-    trying candidates in target id order.  Assigning a -> b also assigns
-    a~ -> b~ and, for every assigned y, requires a;y and b;m(y) (and y;a,
-    m(y);b) to have as many atoms, maps each assigned atom of a;y into
-    b;m(y), and narrows the candidates of the unassigned ones to b;m(y).
-    An empty candidate set backtracks, a single one is assigned at once.
-    Each atom assignment, tried or forced, is one node of `budget`; past
-    it, SearchBudgetExceeded is raised.  None means no isomorphism exists.
+    Colour refinement over the cycle incidence, started from two colours
+    per atom (is it an identity atom, is it its own converse) and iterated
+    to a fixed point with one colour table for both structures, gives each
+    source atom its candidates: the target atoms of its colour.  The search
+    branches on the unassigned atom with the fewest live candidates (lowest
+    id on ties), trying candidates in target id order.  Assigning a -> b
+    also assigns a~ -> b~ and, for every assigned y, requires a;y and b;m(y)
+    (and y;a, m(y);b) to have as many atoms, maps each assigned atom of a;y
+    into b;m(y), and narrows the candidates of the unassigned ones to
+    b;m(y).  An empty candidate set backtracks, a single one is assigned at
+    once.  Each atom assignment, tried or forced, is one node of `budget`;
+    past it, SearchBudgetExceeded is raised.  None means no isomorphism
+    exists.
     """
     source.require_valid()
     target.require_valid()
@@ -162,12 +147,10 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
 def _search_isomorphism(source: AtomStructure, target: AtomStructure,
                         budget: int) -> IsoWitness | None:
     # find_isomorphism on structures already known to be valid
-    n = source.n_atoms
-    if n != target.n_atoms:
-        return None
     colours = _refined_colours(source, target)
     if colours is None:
         return None
+    n = source.n_atoms
     by_colour: dict[int, int] = {}
     for b, c in enumerate(colours[1]):
         by_colour[c] = by_colour.get(c, 0) | 1 << b

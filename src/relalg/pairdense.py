@@ -23,6 +23,8 @@ Twin = tuple[int, int]
 
 @dataclass(frozen=True)
 class BasePartition:
+    """Disjoint points and twins in range(base_size), checked when built."""
+
     base_size: int
     points: tuple[int, ...]
     twins: tuple[Twin, ...]
@@ -31,6 +33,22 @@ class BasePartition:
         object.__setattr__(self, "points", tuple(sorted(self.points)))
         object.__setattr__(self, "twins", tuple(
             sorted(tuple(sorted(t)) for t in self.twins)))
+        for t in self.twins:
+            if len(t) != 2 or t[0] == t[1]:
+                raise ClassificationError(
+                    "twin {%s} does not have exactly two distinct elements"
+                    % ",".join(map(str, t)))
+        seen: set[int] = set()
+        for b in [(p,) for p in self.points] + list(self.twins):
+            for x in b:
+                if not 0 <= x < self.base_size:
+                    raise ClassificationError(
+                        "block {%s} has element %d outside the base 0..%d"
+                        % (",".join(map(str, b)), x, self.base_size - 1))
+                if x in seen:
+                    raise ClassificationError(
+                        f"base element {x} lies in two blocks of the partition")
+                seen.add(x)
 
 
 def derive_points_twins(c: ConcreteAlgebra) -> BasePartition:
@@ -92,17 +110,11 @@ _SHAPES = {(1, 1, 1, True): 1, (2, 2, 2, True): 2, (1, 1, 1, False): 3,
 def classify_atoms(c: ConcreteAlgebra, bp: BasePartition) -> AtomClassification:
     """Tag every atom with its shape type (1-6) against the partition.
 
-    Assumes bp was derived from c.  Blocks sharing an element, an atom
-    matching no shape, or an intransitive twin equivalence raise
-    ClassificationError.
+    Assumes bp was derived from c.  An atom matching no shape, or an
+    intransitive twin equivalence, raises ClassificationError.
     """
-    block: dict[int, tuple[int, ...]] = {}
-    for b in [(p,) for p in bp.points] + list(bp.twins):
-        for x in b:
-            if x in block:
-                raise ClassificationError(
-                    f"base element {x} lies in two blocks of the partition")
-            block[x] = b
+    block = {x: b for b in [(p,) for p in bp.points] + list(bp.twins)
+             for x in b}
 
     infos: list[AtomTypeInfo] = []
     related: set[tuple[Twin, Twin]] = set()

@@ -113,6 +113,26 @@ def generated_groups(max_points: int) -> dict:
     return actions
 
 
+def signature_oracle(s: AtomStructure) -> list[tuple]:
+    """A fingerprint of each atom that every isomorphism preserves: identity
+    and self-converse, the function flag of the atom and of its converse,
+    the point and pair flags, and how many cycles hold the atom in each of
+    the three positions."""
+    flags = s.atom_flags
+    pos = [[0, 0, 0] for _ in range(s.n_atoms)]
+    for x, y, z in s.cycles:
+        pos[x][0] += 1
+        pos[y][1] += 1
+        pos[z][2] += 1
+    out = []
+    for a in range(s.n_atoms):
+        point, pair, fn = flags[a]
+        conv = s.converse_map[a]
+        out.append((a in s.identity_atoms, conv == a, fn, flags[conv][2],
+                    point, pair, tuple(pos[a])))
+    return out
+
+
 def compose_masks_oracle(s: AtomStructure, xm: int, ym: int) -> int:
     """Atom composition straight off the cycle list, no tables."""
     out = 0

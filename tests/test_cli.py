@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, report text, determinism."""
 
+import argparse
 import subprocess
 import sys
 import time
 
-from relalg import parse_atom_structure, parse_concrete_algebra, \
-    parse_group_action
+from relalg import AtomStructure, parse_atom_structure, \
+    parse_concrete_algebra, parse_group_action
 from relalg.cli import main
 
 from conftest import DATA, group_closure_oracle
@@ -197,8 +198,55 @@ def test_decide_z2_ignores_budget(capsys):
 
 
 def test_console_script_installed():
+    # run from src/, so a checkout works without installing the package
     proc = subprocess.run([sys.executable, "-m", "relalg.cli", "validate",
                            str(DATA / "23.ra")], capture_output=True,
-                          text=True)
+                          text=True, cwd=DATA.parent / "src")
     assert proc.returncode == 0
     assert proc.stdout == "valid\n"
+
+
+def test_usage_errors_exit_1(capsys):
+    # 2 is the definite negative answer, so argparse's usage errors map to 1
+    for argv in (["iso", DATA / "23.ra"],
+                 ["iso", DATA / "23.ra", DATA / "57.ra", "--budget", "abc"],
+                 ["frobnicate"],
+                 ["validate", DATA / "23.ra", "--bogus"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("usage: relalg") and "error: " in err, argv
+    code, out, err = run(capsys, "iso", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: relalg iso")
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    run(capsys, "validate", DATA / "23.ra")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "validate", DATA / "23.ra") == (0, "valid\n", "")
+    assert built == []
+
+
+def test_iso_and_check_action_compute_no_atom_flags(monkeypatch, capsys):
+    calls = []
+    flags = AtomStructure._element_flags
+
+    def counting_flags(self, mask):
+        calls.append(mask)
+        return flags(self, mask)
+
+    monkeypatch.setattr(AtomStructure, "_element_flags", counting_flags)
+    assert run(capsys, "iso", DATA / "23.ra", DATA / "23_relabeled.ra")[0] == 0
+    assert run(capsys, "check-action", DATA / "swap.ra",
+               DATA / "swap.act")[0] == 0
+    assert calls == []
+    # the wrapper does see the flags where the axioms need them
+    assert run(capsys, "axioms", DATA / "57.ra")[0] == 2
+    assert calls

@@ -12,10 +12,11 @@ from relalg import (AtomStructure, InternalError, IsoWitness,
                     decide_z2, derive_points_twins, extract_atom_structure,
                     find_isomorphism, is_function, is_pair, rel_algebra,
                     verify_decision)
-from relalg.decision import _construct_witness
+from relalg.decision import _construct_witness, _refined_colours
 
-from conftest import (generated_groups, group_closure_oracle, involutions,
-                      load_structure)
+from conftest import (DATA, generated_groups, group_closure_oracle,
+                      involutions, load_concrete, load_structure,
+                      signature_oracle)
 
 
 def conjugate(s: AtomStructure, perm, rng=None) -> AtomStructure:
@@ -83,6 +84,24 @@ def test_cycle_difference_rejected(s23):
     assert validate_structure(other).ok
     assert find_isomorphism(s23, other) is None
     assert find_isomorphism(other, s23) is None
+
+
+def test_refined_colours_agree_with_the_signature_oracle():
+    # refinement starts from identity and self-converse alone; atoms it
+    # leaves in one class still agree on the point, pair and function flags
+    # and the per-position cycle counts of the oracle
+    structures = [extract_atom_structure(rel_algebra(a))
+                  for a in generated_groups(5).values()]
+    structures += [load_structure(p.name) for p in sorted(DATA.glob("*.ra"))]
+    structures.append(extract_atom_structure(load_concrete("type6.ca")))
+    assert len(structures) == 195 + 4 + 1
+    for s in structures:
+        colours, same = _refined_colours(s, s)
+        assert colours == same
+        sig = signature_oracle(s)
+        first: dict[int, int] = {}
+        for a, c in enumerate(colours):
+            assert sig[first.setdefault(c, a)] == sig[a], (s.atom_names, a)
 
 
 def test_budget_exhaustion(s23):

@@ -260,9 +260,11 @@ def test_recursion_and_memory_errors_exit_1_without_traceback(monkeypatch,
     for exc, message in ((RecursionError("maximum recursion depth exceeded"),
                           "maximum recursion depth exceeded"),
                          (MemoryError(), "MemoryError")):
-        def handler(args, exc=exc):
+        # the parser is built once and keeps the handlers it was built
+        # with, so the error comes from the file read every handler makes
+        def read(path, exc=exc):
             raise exc
-        monkeypatch.setattr(cli, "_cmd_validate", handler)
+        monkeypatch.setattr(cli, "_read", read)
         assert main(["validate", str(DATA / "23.ra")]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

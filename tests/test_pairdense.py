@@ -217,3 +217,19 @@ def test_overlapping_blocks_raise():
     c = algebra_of((0, 2, 1))
     with pytest.raises(ClassificationError, match="base element 1 lies in two"):
         classify_atoms(c, BasePartition(3, (0, 1), ((1, 2),)))
+
+
+def test_twin_of_other_than_two_elements_raises():
+    # three elements, a repeated one, and a single one are no twin
+    for twin in ((0, 1, 2), (1, 1), (2,)):
+        with pytest.raises(ClassificationError,
+                           match=r"twin \{.*\} does not have exactly two"):
+            BasePartition(3, (), (twin,))
+
+
+def test_element_outside_the_base_raises():
+    with pytest.raises(ClassificationError,
+                       match=r"block \{7\} has element 7 outside the base 0..2"):
+        BasePartition(3, (7,), ((0, 1),))
+    with pytest.raises(ClassificationError, match=r"block \{-1,2\}"):
+        BasePartition(3, (), ((2, -1),))
