@@ -22,7 +22,7 @@ from .errors import InternalError, RelalgError
 from .formats import (format_atom_structure, format_concrete_algebra,
                       format_group_action, parse_atom_structure,
                       parse_concrete_algebra, parse_group_action)
-from .pairdense import classify_atoms, derive_points_twins
+from .pairdense import classify_atoms
 from .actions import rel_algebra
 
 
@@ -32,6 +32,16 @@ def _read(path: str) -> str:
     except UnicodeDecodeError as exc:
         raise RelalgError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                           f"{exc.start})") from None
+
+
+def _budget(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:  # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _axiom_line(axiom: int, condition: str, witness: str | None) -> str:
@@ -101,9 +111,7 @@ def _cmd_iso(args) -> tuple[int, list[str]]:
 
 def _cmd_classify(args) -> tuple[int, list[str]]:
     c = parse_concrete_algebra(_read(args.file), source=args.file)
-    base = derive_points_twins(c)
-    classification = classify_atoms(c, base)
-    return 0, classification.report_lines()
+    return 0, classify_atoms(c).report_lines()
 
 
 def _cmd_check_action(args) -> tuple[int, list[str]]:
@@ -148,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("decide-z2", _cmd_decide_z2,
             "decide representability over an order-two group action")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                    help="has no effect; the witness is built, not searched")
     p.add_argument("--verify", action="store_true",
                    help="independently re-check an accepted decision")
@@ -157,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "atom structures")
     p.add_argument("file")
     p.add_argument("other")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
 
     p = add("classify", _cmd_classify,
             "classify the atoms of a concrete algebra over points and twins")
@@ -167,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
             "test whether a given action's algebra realizes a structure")
     p.add_argument("file")
     p.add_argument("action_file")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
 
     p = add("axioms", _cmd_axioms,
             "report the three representability axioms with witnesses")

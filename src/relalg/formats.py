@@ -133,41 +133,50 @@ def _parse_size(parts, source, lineno) -> int:
     return n
 
 
-def parse_concrete_algebra(text: str, source: str = "<string>") -> ConcreteAlgebra:
-    """Parse `set n` plus one `atom <name> = (i,j) (k,l) ...` line per atom."""
+def _set_body(text: str, source: str, keyword: str):
+    """Yield n at the set line, which must come first, then (lineno, parts)
+    of each `keyword` line, lazily so the first bad line is the one reported."""
     n: int | None = None
-    names: list[str] = []
-    rels: list[ConcreteRelation] = []
     for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "set":
             if n is not None:
                 raise ParseError(source, lineno, "duplicate set line")
             n = _parse_size(parts, source, lineno)
-        elif parts[0] == "atom":
-            if n is None:
-                raise ParseError(source, lineno, "set size must come first")
-            if len(parts) < 4 or parts[2] != "=":
-                raise ParseError(source, lineno,
-                                 "atom lines look like: atom name = (i,j) ...")
-            pairs = []
-            for tok in parts[3:]:
-                mm = _PAIR_RE.match(tok)
-                if not mm:
-                    raise ParseError(source, lineno, "malformed pair",
-                                     token=tok)
-                i, j = int(mm.group(1)), int(mm.group(2))
-                if i >= n or j >= n:
-                    raise ParseError(source, lineno,
-                                     "pair outside the base set", token=tok)
-                pairs.append((i, j))
-            names.append(parts[1])
-            rels.append(ConcreteRelation.from_pairs(n, pairs))
-        else:
+            yield n
+        elif parts[0] != keyword:
             raise ParseError(source, lineno, "unknown directive",
                              token=parts[0])
+        elif n is None:
+            raise ParseError(source, lineno, "set size must come first")
+        else:
+            yield lineno, parts
     if n is None:
         raise ParseError(source, 0, "missing set line")
+
+
+def parse_concrete_algebra(text: str, source: str = "<string>") -> ConcreteAlgebra:
+    """Parse `set n` plus one `atom <name> = (i,j) (k,l) ...` line per atom."""
+    body = _set_body(text, source, "atom")
+    n = next(body)
+    names: list[str] = []
+    rels: list[ConcreteRelation] = []
+    for lineno, parts in body:
+        if len(parts) < 4 or parts[2] != "=":
+            raise ParseError(source, lineno,
+                             "atom lines look like: atom name = (i,j) ...")
+        pairs = []
+        for tok in parts[3:]:
+            mm = _PAIR_RE.match(tok)
+            if not mm:
+                raise ParseError(source, lineno, "malformed pair", token=tok)
+            i, j = int(mm.group(1)), int(mm.group(2))
+            if i >= n or j >= n:
+                raise ParseError(source, lineno,
+                                 "pair outside the base set", token=tok)
+            pairs.append((i, j))
+        names.append(parts[1])
+        rels.append(ConcreteRelation.from_pairs(n, pairs))
     if not names:
         raise ParseError(source, 0, "no atom lines")
     try:
@@ -186,34 +195,21 @@ def format_concrete_algebra(c: ConcreteAlgebra) -> str:
 
 def parse_group_action(text: str, source: str = "<string>") -> GroupAction:
     """Parse `set n` plus `gen i0 i1 ... i(n-1)` permutation lines."""
-    n: int | None = None
+    body = _set_body(text, source, "gen")
+    n = next(body)
     gens: list[tuple[int, ...]] = []
-    for lineno, line in _content_lines(text):
-        parts = line.split()
-        if parts[0] == "set":
-            if n is not None:
-                raise ParseError(source, lineno, "duplicate set line")
-            n = _parse_size(parts, source, lineno)
-        elif parts[0] == "gen":
-            if n is None:
-                raise ParseError(source, lineno, "set size must come first")
-            if len(parts) != n + 1:
-                raise ParseError(source, lineno,
-                                 f"gen lines take exactly {n} images")
-            imgs = []
-            for tok in parts[1:]:
-                try:
-                    imgs.append(int(tok))
-                except ValueError:
-                    raise ParseError(source, lineno,
-                                     "images must be integers",
-                                     token=tok) from None
-            gens.append(tuple(imgs))
-        else:
-            raise ParseError(source, lineno, "unknown directive",
-                             token=parts[0])
-    if n is None:
-        raise ParseError(source, 0, "missing set line")
+    for lineno, parts in body:
+        if len(parts) != n + 1:
+            raise ParseError(source, lineno,
+                             f"gen lines take exactly {n} images")
+        imgs = []
+        for tok in parts[1:]:
+            try:
+                imgs.append(int(tok))
+            except ValueError:
+                raise ParseError(source, lineno, "images must be integers",
+                                 token=tok) from None
+        gens.append(tuple(imgs))
     return build_group(n, gens)
 
 

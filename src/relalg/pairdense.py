@@ -1,20 +1,19 @@
 """Structure of simple pair-dense proper relation algebras.
 
 The base set splits into points and twins, read off the identity atoms.
-Every atom then lies in the product of one domain block and one range
-block and fills both: its first coordinates are all of the block d, its
-second all of the block r, and its shape (1-6) is read off |d|, |r|, its
-pair count and whether d = r.  Twin-to-twin atoms induce an equivalence
-on twins that decides whether the atoms between two twins split into
-functional halves or form a single four-pair block.
+On an algebra that passes its closure check every atom lies in the
+product of one domain block and one range block and fills both, so its
+shape (1-6) is read off |d|, |r|, its pair count and whether d = r;
+classify_atoms derives the partition itself and proves this in its
+docstring.  Twin-to-twin atoms induce an equivalence on twins that
+decides whether the atoms between two twins split into functional halves
+or form a single four-pair block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
-from .atoms import iter_bits
 from .concrete import ConcreteAlgebra
 from .errors import ClassificationError
 
@@ -23,7 +22,7 @@ Twin = tuple[int, int]
 
 @dataclass(frozen=True)
 class BasePartition:
-    """Disjoint points and twins in range(base_size), checked when built."""
+    """Disjoint points and twins in range(base_size), each kept sorted."""
 
     base_size: int
     points: tuple[int, ...]
@@ -33,22 +32,6 @@ class BasePartition:
         object.__setattr__(self, "points", tuple(sorted(self.points)))
         object.__setattr__(self, "twins", tuple(
             sorted(tuple(sorted(t)) for t in self.twins)))
-        for t in self.twins:
-            if len(t) != 2 or t[0] == t[1]:
-                raise ClassificationError(
-                    "twin {%s} does not have exactly two distinct elements"
-                    % ",".join(map(str, t)))
-        seen: set[int] = set()
-        for b in [(p,) for p in self.points] + list(self.twins):
-            for x in b:
-                if not 0 <= x < self.base_size:
-                    raise ClassificationError(
-                        "block {%s} has element %d outside the base 0..%d"
-                        % (",".join(map(str, b)), x, self.base_size - 1))
-                if x in seen:
-                    raise ClassificationError(
-                        f"base element {x} lies in two blocks of the partition")
-                seen.add(x)
 
 
 def derive_points_twins(c: ConcreteAlgebra) -> BasePartition:
@@ -107,29 +90,31 @@ _SHAPES = {(1, 1, 1, True): 1, (2, 2, 2, True): 2, (1, 1, 1, False): 3,
            (2, 2, 4, False): 6}
 
 
-def classify_atoms(c: ConcreteAlgebra, bp: BasePartition) -> AtomClassification:
-    """Tag every atom with its shape type (1-6) against the partition.
+def classify_atoms(c: ConcreteAlgebra) -> AtomClassification:
+    """Tag every atom with its shape (1-6) against the points and twins of c.
 
-    Assumes bp was derived from c.  An atom matching no shape, or an
-    intransitive twin equivalence, raises ClassificationError.
+    derive_points_twins checks closure and leaves blocks of one or two
+    elements; on such an algebra every atom has a shape.  For an identity
+    atom e, e;a is 0 or a, so the first coordinates of an atom a lie in one
+    block d, and a;a~ meets, so covers, the identity atom of d: they fill d.
+    Likewise the second coordinates fill a block r.  A diagonal pair puts a
+    below the identity (shape 1 or 2).  d x r is the element e;1;e' for the
+    identity atoms e of d and e' of r, so a three-pair atom would leave a
+    one-pair atom that fills no twin: the pair count picks the shape.
+
+    A shape-5 atom (a matching) between two twins leaves the other matching,
+    so no shape-6 atom joins them, and two matchings compose to a matching,
+    so the relation shape-5 atoms induce on twins is an equivalence.
     """
+    bp = derive_points_twins(c)
     block = {x: b for b in [(p,) for p in bp.points] + list(bp.twins)
              for x in b}
-
     infos: list[AtomTypeInfo] = []
     related: set[tuple[Twin, Twin]] = set()
-    unrelated: set[tuple[Twin, Twin]] = set()
     for name, rel in zip(c.atom_names, c.atom_relations):
-        dom = tuple(compress(range(c.base_size), rel.rows))
-        rows = [rel.rows[i] for i in dom]
-        d, r = block.get(dom[0]), block.get(next(iter_bits(rows[0])))
-        tag = (d and r and dom == d
-               and {y for row in rows for y in iter_bits(row)} == set(r)
-               and _SHAPES.get((len(d), len(r),
-                                sum(row.bit_count() for row in rows), d == r)))
-        if not tag:
-            raise ClassificationError(
-                f"atom {name} matches none of the six pair-dense atom shapes")
+        i, j = rel.pairs()[0]
+        d, r = block[i], block[j]
+        tag = _SHAPES[len(d), len(r), rel.n_pairs, d == r]
         if tag in (3, 4):
             wit = (*d, *r) if len(d) >= len(r) else (*r, *d)
         else:
@@ -137,28 +122,4 @@ def classify_atoms(c: ConcreteAlgebra, bp: BasePartition) -> AtomClassification:
         infos.append(AtomTypeInfo(name, tag, wit))
         if tag == 5:
             related.add(tuple(sorted((d, r))))
-        elif tag == 6:
-            unrelated.add(tuple(sorted((d, r))))
-
-    conflict = related & unrelated
-    if conflict:
-        t1, t2 = sorted(conflict)[0]
-        raise ClassificationError(
-            "twins {%d,%d} and {%d,%d} have both split and block atoms "
-            "between them" % (*t1, *t2))
-
-    # the twin equivalence must be transitive: related components are cliques
-    adj: dict[Twin, set[Twin]] = {t: set() for t in bp.twins}
-    for t1, t2 in related:
-        adj[t1].add(t2)
-        adj[t2].add(t1)
-    for t1 in bp.twins:
-        for t2 in sorted(adj[t1]):
-            for t3 in sorted(adj[t2]):
-                if t3 != t1 and t3 not in adj[t1]:
-                    raise ClassificationError(
-                        "twin equivalence fails transitivity: "
-                        "{%d,%d} ~ {%d,%d} ~ {%d,%d} but the ends are unrelated"
-                        % (*t1, *t2, *t3))
-
     return AtomClassification(bp, tuple(infos), tuple(sorted(related)))

@@ -311,29 +311,29 @@ def invariant_violations_oracle(c) -> tuple[str, ...]:
 
 
 def _match_shape(prs, pset, partner):
-    """Return (type_tag, witness, related_or_None, unrelated_or_None)."""
+    """Return (type_tag, witness, related_twins_or_None), or None."""
     twin_of = lambda x: (x, partner[x]) if x < partner[x] else (partner[x], x)
     if len(prs) == 1:
         a, b = prs[0]
         if a == b and a in pset:
-            return 1, (a,), None, None
+            return 1, (a,), None
         if a != b and a in pset and b in pset:
-            return 3, (a, b), None, None
+            return 3, (a, b), None
         return None
     if len(prs) == 2:
         (p1, q1), (p2, q2) = prs
         if p1 == q1 and p2 == q2 and partner.get(p1) == p2:
-            return 2, (p1, p2), None, None
+            return 2, (p1, p2), None
         if p1 == q2 and q1 == p2 and p1 != q1 and partner.get(p1) == q1:
-            return 2, (min(p1, q1), max(p1, q1)), None, None
+            return 2, (min(p1, q1), max(p1, q1)), None
         if q1 == q2 and q1 in pset and partner.get(p1) == p2:
-            return 4, (p1, p2, q1), None, None
+            return 4, (p1, p2, q1), None
         if p1 == p2 and p1 in pset and partner.get(q1) == q2:
-            return 4, (q1, q2, p1), None, None
+            return 4, (q1, q2, p1), None
         if (partner.get(p1) == p2 and partner.get(q1) == q2
                 and twin_of(p1) != twin_of(q1)):
             wit = tuple(sorted({p1, p2, q1, q2}))
-            return 5, wit, (twin_of(p1), twin_of(q1)), None
+            return 5, wit, (twin_of(p1), twin_of(q1))
         return None
     if len(prs) == 4:
         dom = sorted({x for x, _ in prs})
@@ -343,48 +343,27 @@ def _match_shape(prs, pset, partner):
                 and partner.get(rng[0]) == rng[1]
                 and tuple(dom) != tuple(rng)
                 and set(prs) == {(x, y) for x in dom for y in rng}):
-            wit = tuple(sorted(set(dom) | set(rng)))
-            return 6, wit, None, (tuple(dom), tuple(rng))
+            return 6, tuple(sorted(set(dom) | set(rng))), None
         return None
     return None
 
 
 def shape_oracle(c, bp):
     """`classify_atoms` by seven hand-written pair patterns, one or more per
-    shape, over disjoint blocks; the same errors in the same order."""
+    shape, over disjoint blocks; an atom that matches none raises."""
     pset = set(bp.points)
     partner = {}
     for a, b in bp.twins:
         partner[a] = b
         partner[b] = a
-    infos, related, unrelated = [], set(), set()
+    infos, related = [], set()
     for name, rel in zip(c.atom_names, c.atom_relations):
         got = _match_shape(rel.pairs(), pset, partner)
         if got is None:
             raise ClassificationError(
                 f"atom {name} matches none of the six pair-dense atom shapes")
-        tag, wit, rel_pair, unrel_pair = got
+        tag, wit, rel_pair = got
         infos.append(AtomTypeInfo(name, tag, wit))
         if rel_pair is not None:
             related.add(tuple(sorted(rel_pair)))
-        if unrel_pair is not None:
-            unrelated.add(tuple(sorted(unrel_pair)))
-    conflict = related & unrelated
-    if conflict:
-        t1, t2 = sorted(conflict)[0]
-        raise ClassificationError(
-            "twins {%d,%d} and {%d,%d} have both split and block atoms "
-            "between them" % (*t1, *t2))
-    adj = {t: set() for t in bp.twins}
-    for t1, t2 in related:
-        adj[t1].add(t2)
-        adj[t2].add(t1)
-    for t1 in bp.twins:
-        for t2 in sorted(adj[t1]):
-            for t3 in sorted(adj[t2]):
-                if t3 != t1 and t3 not in adj[t1]:
-                    raise ClassificationError(
-                        "twin equivalence fails transitivity: "
-                        "{%d,%d} ~ {%d,%d} ~ {%d,%d} but the ends are unrelated"
-                        % (*t1, *t2, *t3))
     return AtomClassification(bp, tuple(infos), tuple(sorted(related)))

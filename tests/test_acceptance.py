@@ -13,7 +13,7 @@ import pytest
 
 from relalg import (AtomStructure, ConcreteRelation, atoms_functional,
                     build_group, check_functional_density, classify_atoms,
-                    decide_z2, derive_points_twins, extract_atom_structure,
+                    decide_z2, extract_atom_structure,
                     is_compatible, is_function, is_pair, pair_orbits,
                     peirce_orbit, rel_algebra, validate_structure,
                     verify_decision)
@@ -169,13 +169,13 @@ def test_criterion_6_compatibility_oracle(capsys):
 
 def test_criterion_7_structure_theory(capsys):
     for n, g, algebra, structure in involution_cases():
-        base = derive_points_twins(algebra)
-        points_twins_oracle(base)
-        tags = classify_atoms(algebra, base).type_tags()
+        cls = classify_atoms(algebra)
+        points_twins_oracle(cls.base)
+        tags = cls.type_tags()
         assert set(tags) <= {1, 2, 3, 4, 5}, (n, g, tags)
 
     c6 = load_concrete("type6.ca")
-    cls = classify_atoms(c6, derive_points_twins(c6))
+    cls = classify_atoms(c6)
     assert cls.type_tags() == (2, 2, 2, 2, 6, 6)
     assert cls.tilde == ()
     d = decide_z2(extract_atom_structure(c6))

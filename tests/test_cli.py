@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, report text, determinism."""
 
 import argparse
+import re
+import shlex
 import subprocess
 import sys
 import time
 
-from relalg import AtomStructure, parse_atom_structure, \
-    parse_concrete_algebra, parse_group_action
+from relalg import AtomStructure, VerificationReport, cli, \
+    parse_atom_structure, parse_concrete_algebra, parse_group_action
 from relalg.cli import main
 
 from conftest import DATA, group_closure_oracle
@@ -70,6 +72,15 @@ def test_decide_z2_accept_with_verify(capsys):
     assert len(group_closure_oracle(parse_group_action(action_text))) == 2
     assert parse_concrete_algebra(algebra_text).base_size == 2
     assert map_text.splitlines() == ["map 1' -> e0", "map d -> a0"]
+
+
+def test_decide_z2_failed_verification_is_an_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_decision", lambda d: VerificationReport(
+        ("stored algebra is wrong", "witness is wrong")))
+    code, out, err = run(capsys, "decide-z2", DATA / "swap.ra", "--verify")
+    assert (code, out) == (1, "")
+    assert err == ("error: verification failed: stored algebra is wrong; "
+                   "witness is wrong\n")
 
 
 def test_decide_z2_reject(capsys):
@@ -210,11 +221,21 @@ def test_usage_errors_exit_1(capsys):
     # 2 is the definite negative answer, so argparse's usage errors map to 1
     for argv in (["iso", DATA / "23.ra"],
                  ["iso", DATA / "23.ra", DATA / "57.ra", "--budget", "abc"],
+                 ["iso", DATA / "23.ra", DATA / "57.ra", "--budget", "0"],
+                 ["iso", DATA / "23.ra", DATA / "23_relabeled.ra",
+                  "--budget", "-5"],
+                 ["check-action", DATA / "swap.ra", DATA / "swap.act",
+                  "--budget", "0"],
+                 ["decide-z2", DATA / "swap.ra", "--budget", "-5"],
                  ["frobnicate"],
                  ["validate", DATA / "23.ra", "--bogus"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("usage: relalg") and "error: " in err, argv
+    code, out, err = run(capsys, "check-action", DATA / "swap.ra",
+                         DATA / "swap.act", "--budget", "0")
+    assert err.endswith("error: argument --budget: must be at least 1, "
+                        "got 0\n")
     code, out, err = run(capsys, "iso", "--help")
     assert (code, err) == (0, "")
     assert out.startswith("usage: relalg iso")
@@ -250,3 +271,20 @@ def test_iso_and_check_action_compute_no_atom_flags(monkeypatch, capsys):
     # the wrapper does see the flags where the axioms need them
     assert run(capsys, "axioms", DATA / "57.ra")[0] == 2
     assert calls
+
+
+def test_readme_command_lines(monkeypatch, capsys):
+    # every command of the README's "Command line" block runs from the
+    # repository root and exits 0 unless its comment says otherwise
+    readme = (DATA.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [ln for ln in block.split("```", 1)[0].splitlines()
+             if ln.startswith("relalg ")]
+    assert len(lines) == 8
+    monkeypatch.chdir(DATA.parent)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        expected = re.match(r"\s*exits (\d)", comment)
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        assert code == (int(expected.group(1)) if expected else 0), line
+        assert out and not err, line

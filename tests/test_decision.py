@@ -9,7 +9,7 @@ import pytest
 from relalg import (AtomStructure, InternalError, IsoWitness,
                     SearchBudgetExceeded, build_group,
                     check_action_represents, check_z2_axioms, classify_atoms,
-                    decide_z2, derive_points_twins, extract_atom_structure,
+                    decide_z2, extract_atom_structure,
                     find_isomorphism, is_function, is_pair, rel_algebra,
                     verify_decision)
 from relalg.decision import _construct_witness, _refined_colours
@@ -118,10 +118,12 @@ def test_witness_tampering_is_detected(s23):
     assert w.inverted().is_valid()
 
 
-def test_witness_on_mismatched_structures(s23, s57):
+def test_witness_on_mismatched_structures(s23, s57, swap_structure):
     w = IsoWitness(s23, s57, (0, 1, 2))
     assert not w.is_valid()
     assert any("cycle" in p or "identity" in p for p in w.problems())
+    w = IsoWitness(s23, swap_structure, (0, 1, 1))
+    assert w.problems() == ("structures have different atom counts",)
 
 
 # --- decide_z2 ------------------------------------------------------------
@@ -184,7 +186,7 @@ def test_round_trip_small_involutions():
             assert sum(1 for i, x in enumerate(rebuilt) if x == i) == \
                 sum(1 for i in range(n) if g[i] == i), (n, g)
             # the constructed algebra never needs the cross-twin shape
-            cls = classify_atoms(d.algebra, derive_points_twins(d.algebra))
+            cls = classify_atoms(d.algebra)
             assert set(cls.type_tags()) <= {1, 2, 3, 4, 5}, (n, g)
 
 
@@ -395,6 +397,17 @@ def test_verify_catches_tampered_witness(swap_structure):
     bad = IsoWitness(d.witness.source, d.witness.target, (1, 0))
     forged = dataclasses.replace(d, witness=bad)
     assert not verify_decision(forged).ok
+
+
+def test_verify_catches_witness_of_another_structure(swap_structure):
+    # a renamed copy is isomorphic to the decided structure, so the witness
+    # itself checks out and only its source gives it away
+    d = decide_z2(swap_structure)
+    other = dataclasses.replace(swap_structure, atom_names=("x", "y"))
+    w = dataclasses.replace(d.witness, source=other)
+    assert w.problems() == ()
+    report = verify_decision(dataclasses.replace(d, witness=w))
+    assert report.problems == ("witness source is not the decided structure",)
 
 
 def test_tampered_witness_reports_cycle_mismatch():

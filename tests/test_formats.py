@@ -107,6 +107,8 @@ def test_unknown_atom_reported_with_token():
 def test_atoms_must_come_first():
     e = err(parse_atom_structure, "identity a\natoms a\n")
     assert e.line == 1
+    e = err(parse_atom_structure, "converse a:a\natoms a\n")
+    assert (e.message, e.line) == ("atoms must be declared first", 1)
 
 
 def test_duplicate_sections_rejected():
@@ -115,11 +117,24 @@ def test_duplicate_sections_rejected():
     e = err(parse_atom_structure,
             "atoms a\nidentity a\nidentity a\n")
     assert "duplicate identity" in e.message
+    e = err(parse_atom_structure,
+            "atoms a b\nidentity a\nconverse b:b\nconverse a:a\n")
+    assert (e.message, e.line) == ("duplicate converse line", 4)
+    for fn, body in ((parse_concrete_algebra, "atom x = (0,0)"),
+                     (parse_group_action, "gen 0")):
+        e = err(fn, f"set 1\n{body}\n# again\nset 1\n")
+        assert (e.message, e.line, e.token) == ("duplicate set line", 4, None)
 
 
 def test_missing_sections_rejected():
     assert "missing atoms" in err(parse_atom_structure, "# nothing\n").message
     assert "missing identity" in err(parse_atom_structure, "atoms a\n").message
+    e = err(parse_concrete_algebra, "# no set\n\n")
+    assert (e.message, e.line) == ("missing set line", 0)
+    e = err(parse_atom_structure, "atoms\n")
+    assert (e.message, e.line) == ("atoms line lists no atoms", 1)
+    e = err(parse_atom_structure, "atoms a\nidentity  # none\n")
+    assert (e.message, e.line) == ("identity line lists no atoms", 2)
 
 
 def test_converse_pair_conflicts_rejected():
@@ -138,6 +153,15 @@ def test_cycle_arity_enforced():
 def test_unknown_directive_rejected():
     e = err(parse_atom_structure, "atoms a\nidentity a\nfrobnicate\n")
     assert e.token == "frobnicate"
+    # each set-size format rejects the other's body lines, also before set
+    for fn, text, line, token in (
+            (parse_concrete_algebra, "set 1\ngen 0\n", 2, "gen"),
+            (parse_concrete_algebra, "frobnicate 1\nset 1\n", 1, "frobnicate"),
+            (parse_group_action, "set 1\natom x = (0,0)\n", 2, "atom"),
+            (parse_group_action, "\natoms a\n", 2, "atoms")):
+        e = err(fn, text)
+        assert (e.message, e.line, e.token) == ("unknown directive", line,
+                                                token), text
 
 
 def test_concrete_parse_errors():
@@ -151,6 +175,12 @@ def test_concrete_parse_errors():
     assert "malformed pair" in e.message
     e = err(parse_concrete_algebra, "set 0\n")
     assert "positive" in e.message
+    e = err(parse_concrete_algebra, "set 2 3\natom x = (0,0)\n")
+    assert (e.message, e.line, e.token) == ("set line takes one number", 1,
+                                            None)
+    # the first bad line is reported, also when a later one is bad too
+    e = err(parse_concrete_algebra, "set 2\natom x = 0,1\nfrobnicate\n")
+    assert (e.message, e.line, e.token) == ("malformed pair", 2, "0,1")
     e = err(parse_concrete_algebra, "set 2\n")
     assert "no atom lines" in e.message
 
@@ -167,6 +197,8 @@ def test_action_parse_errors():
     assert "set size must come first" in e.message
     e = err(parse_group_action, "set 2\ngen a b\n")
     assert e.token == "a"
+    e = err(parse_group_action, "set 2\ngen 0 1 2\nset 2\n")
+    assert (e.message, e.line) == ("gen lines take exactly 2 images", 2)
     e = err(parse_group_action, "set two\n")
     assert e.token == "two"
     assert "missing set" in err(parse_group_action, "\n").message

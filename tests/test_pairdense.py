@@ -5,8 +5,8 @@ import random
 import pytest
 
 from relalg import (BasePartition, ClassificationError, ConcreteAlgebra,
-                    ConcreteRelation, build_group, classify_atoms,
-                    derive_points_twins, rel_algebra)
+                    ConcreteAlgebraError, ConcreteRelation, build_group,
+                    classify_atoms, derive_points_twins, rel_algebra)
 
 from conftest import (involutions, load_concrete, points_twins_oracle,
                       shape_oracle)
@@ -41,11 +41,13 @@ def test_derive_rejects_wide_identity_atoms():
     c = rel_algebra(build_group(3, [(1, 0, 2), (0, 2, 1)]))
     with pytest.raises(ClassificationError, match="covers 3 base elements"):
         derive_points_twins(c)
+    with pytest.raises(ClassificationError, match="covers 3 base elements"):
+        classify_atoms(c)
 
 
 def test_classify_mixed_action():
     c = algebra_of((0, 2, 1))
-    cls = classify_atoms(c, derive_points_twins(c))
+    cls = classify_atoms(c)
     assert cls.type_tags() == (1, 4, 4, 2, 2)
     assert cls.tilde == ()
     lines = cls.report_lines()
@@ -57,20 +59,20 @@ def test_classify_mixed_action():
 
 def test_classify_trivial_action_all_points():
     c = algebra_of((0, 1))
-    cls = classify_atoms(c, derive_points_twins(c))
+    cls = classify_atoms(c)
     assert cls.type_tags() == (1, 3, 3, 1)
 
 
 def test_classify_double_swap_gives_type5_and_tilde():
     c = algebra_of((1, 0, 3, 2))
-    cls = classify_atoms(c, derive_points_twins(c))
+    cls = classify_atoms(c)
     assert cls.type_tags() == (2, 2, 5, 5, 5, 5, 2, 2)
     assert cls.tilde == (((0, 1), (2, 3)),)
     assert "tilde: {0,1} ~ {2,3}" in cls.report_lines()
 
 
 def test_classify_type6(type6_algebra):
-    cls = classify_atoms(type6_algebra, derive_points_twins(type6_algebra))
+    cls = classify_atoms(type6_algebra)
     assert cls.type_tags() == (2, 2, 2, 2, 6, 6)
     assert cls.tilde == ()
     assert 6 in cls.type_tags()
@@ -80,50 +82,65 @@ def test_classify_every_small_involution_action_avoids_type6():
     for n in range(1, 6):
         for g in involutions(n):
             c = rel_algebra(build_group(n, [g]))
-            bp = derive_points_twins(c)
-            points_twins_oracle(bp)
-            cls = classify_atoms(c, bp)
+            cls = classify_atoms(c)
+            points_twins_oracle(cls.base)
             assert set(cls.type_tags()) <= {1, 2, 3, 4, 5}, (n, g)
 
 
-def classify_atoms_raw(rels, base):
-    """Classify bare relations; the classifier reads only names and rows,
-    so a partition-incomplete algebra is fine here."""
-    names = tuple(f"t{i}" for i in range(len(rels)))
-    return classify_atoms(ConcreteAlgebra(base.base_size, names, tuple(rels)),
-                          base)
+def twin_algebra(n_twins, cross):
+    """Twins {0,1}, {2,3}, ..., each with its diagonal and its swap, plus
+    the given cross relations: a partition closed under converse when the
+    cross relations are."""
+    rels = []
+    for a in range(0, 2 * n_twins, 2):
+        rels += [[(a, a), (a + 1, a + 1)], [(a, a + 1), (a + 1, a)]]
+    rels = [ConcreteRelation.from_pairs(2 * n_twins, r) for r in rels + cross]
+    return ConcreteAlgebra(2 * n_twins, tuple(f"t{i}" for i in range(len(rels))),
+                           tuple(rels))
+
+
+def matchings(a, b):
+    return [[(a, b), (a + 1, b + 1)], [(a, b + 1), (a + 1, b)]]
+
+
+def block(a, b):
+    return [[(x, y) for x in (a, a + 1) for y in (b, b + 1)]]
+
+
+# Hand-built algebras with an atom of no shape, split and block atoms
+# between the same twins, or an intransitive twin relation fail the
+# closure check in derive_points_twins before any shape is read.
 
 
 def test_unmatched_shape_raises():
-    # three of the four cross pairs between two twins is no shape at all
-    base = BasePartition(4, (), ((0, 1), (2, 3)))
-    rels = (ConcreteRelation.from_pairs(4, [(0, 2), (0, 3), (1, 2)]),)
-    with pytest.raises(ClassificationError, match="matches none"):
-        classify_atoms_raw(rels, base)
+    # three of the four cross pairs each way, and the fourth alone
+    c = twin_algebra(2, [[(0, 2), (0, 3), (1, 2)], [(1, 3)],
+                         [(2, 0), (3, 0), (2, 1)], [(3, 1)]])
+    with pytest.raises(ConcreteAlgebraError,
+                       match="not closed under composition"):
+        classify_atoms(c)
 
 
 def test_tilde_conflict_raises():
-    # the same two twins joined by a type-5 atom and a type-6 atom
-    base = BasePartition(4, (), ((0, 1), (2, 3)))
-    rels = (
-        ConcreteRelation.from_pairs(4, [(0, 2), (1, 3)]),
-        ConcreteRelation.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)]),
-    )
-    with pytest.raises(ClassificationError):
-        classify_atoms_raw(rels, base)
+    # matchings one way, a block the other: their converses are no atoms
+    c = twin_algebra(2, matchings(0, 2) + block(2, 0))
+    with pytest.raises(ConcreteAlgebraError,
+                       match="not closed under converse"):
+        classify_atoms(c)
 
 
 def test_tilde_transitivity_enforced():
-    # A ~ B and B ~ C via type-5 atoms but A and C unrelated via type-6:
-    # no concrete algebra does this (the relations are not composition
-    # closed), so the classifier gets the bare relations directly
-    base = BasePartition(6, (), ((0, 1), (2, 3), (4, 5)))
-    t5 = lambda a, c: ConcreteRelation.from_pairs(6, [(a, c), (a + 1, c + 1)])
-    t6 = lambda a, c: ConcreteRelation.from_pairs(
-        6, [(a, c), (a, c + 1), (a + 1, c), (a + 1, c + 1)])
-    rels = (t5(0, 2), t5(2, 0), t5(2, 4), t5(4, 2), t6(0, 4), t6(4, 0))
-    with pytest.raises(ClassificationError, match="transitivity"):
-        classify_atoms_raw(rels, base)
+    # A ~ B ~ C by matchings, A and C joined by blocks: (A;B);(B;C) meets
+    # the block A;C without covering it
+    cross = []
+    for a, b in ((0, 2), (2, 0), (2, 4), (4, 2)):
+        cross += matchings(a, b)
+    c = twin_algebra(3, cross + block(0, 4) + block(4, 0))
+    assert c.invariant_violations()[0].startswith(
+        "not closed under composition")
+    with pytest.raises(ConcreteAlgebraError,
+                       match="not closed under composition"):
+        classify_atoms(c)
 
 
 def test_base_partition_is_sorted():
@@ -135,13 +152,12 @@ def test_base_partition_is_sorted():
 def test_classification_is_invariant_under_relabeling():
     perms = [(2, 0, 3, 1), (3, 1, 0, 2), (1, 3, 2, 0)]
     for c in (algebra_of((1, 0, 3, 2)), load_concrete("type6.ca")):
-        tags = sorted(classify_atoms(c, derive_points_twins(c)).type_tags())
+        tags = sorted(classify_atoms(c).type_tags())
         for p in perms:
             moved = ConcreteAlgebra(
                 c.base_size, c.atom_names,
                 tuple(r.permuted(p) for r in c.atom_relations))
-            bp = derive_points_twins(moved)
-            assert sorted(classify_atoms(moved, bp).type_tags()) == tags
+            assert sorted(classify_atoms(moved).type_tags()) == tags
 
 
 def test_points_and_twins_are_fixed_points_and_two_cycles():
@@ -153,83 +169,57 @@ def test_points_and_twins_are_fixed_points_and_two_cycles():
             assert bp.twins == tuple((i, g[i]) for i in range(n) if g[i] > i)
 
 
-def classify_outcome(classify, c, bp):
-    try:
-        return classify(c, bp).report_lines()
-    except ClassificationError as exc:
-        return str(exc)
+def random_pair_dense_algebra(rng):
+    """The orbit algebra of a random group whose orbits have at most two
+    points: a shuffled base of points and twins, and one to three
+    generators that each swap a random set of the twins."""
+    n = rng.randint(1, 8)
+    base = rng.sample(range(n), n)
+    twins = [base[k:k + 2] for k in range(0, rng.randint(0, n // 2) * 2, 2)]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        g = list(range(n))
+        for a, b in twins:
+            if rng.random() < 0.5:
+                g[a], g[b] = b, a
+        gens.append(tuple(g))
+    return rel_algebra(build_group(n, gens))
 
 
-def random_blocks(rng, n):
-    """Disjoint points and twins over a shuffled base; some elements are in
-    no block."""
-    rest = rng.sample(range(n), n)
-    points, twins = [], []
-    while rest:
-        x, roll = rest.pop(), rng.random()
-        if roll < 0.3 or not rest:
-            points.append(x)
-        elif roll < 0.9:
-            twins.append((x, rest.pop()))
-    return BasePartition(n, points, twins)
-
-
-def random_relations(rng, bp):
-    """A few relations, each a block product, a matching or a random part
-    of one, some with a stray pair."""
-    n, blocks = bp.base_size, [(p,) for p in bp.points] + list(bp.twins)
-    rels = []
-    for _ in range(rng.randint(1, 4)):
-        pairs = []
-        if blocks:
-            d, r = rng.choice(blocks), rng.choice(blocks)
-            prod = [(x, y) for x in d for y in r]
-            pairs = rng.choice((prod, list(zip(d, r)), list(zip(d, r[::-1])),
-                                rng.sample(prod, rng.randint(1, len(prod)))))
-        if not pairs or rng.random() < 0.1:
-            pairs.append((rng.randrange(n), rng.randrange(n)))
-        rels.append(ConcreteRelation.from_pairs(n, pairs))
-    return rels
+def joined_twins(c, cls, shape):
+    """The unordered pairs of twins joined by an atom of the given shape."""
+    out = set()
+    for rel, tag in zip(c.atom_relations, cls.type_tags()):
+        if tag == shape:
+            pairs = rel.pairs()
+            out.add(frozenset((tuple(sorted({i for i, _ in pairs})),
+                               tuple(sorted({j for _, j in pairs})))))
+    return out
 
 
 def test_classification_matches_the_pair_pattern_oracle():
-    cases = [(c, derive_points_twins(c)) for c in
-             [rel_algebra(build_group(n, [g]))
-              for n in range(1, 7) for g in involutions(n)]
-             + [load_concrete("type6.ca")]]
+    # closed algebras only: on them every atom has a shape and the twin
+    # relation is an equivalence, lemmas the classifier no longer checks
     rng = random.Random(11)
-    for _ in range(3000):
-        bp = random_blocks(rng, rng.randint(1, 8))
-        rels = random_relations(rng, bp)
-        names = tuple(f"t{i}" for i in range(len(rels)))
-        cases.append((ConcreteAlgebra(bp.base_size, names, tuple(rels)), bp))
-    seen = set()  # shape tags, and the last word of each error
-    for c, bp in cases:
-        got = classify_outcome(classify_atoms, c, bp)
-        assert got == classify_outcome(shape_oracle, c, bp), (bp, got)
-        seen |= ({got.split()[-1]} if isinstance(got, str) else
-                 {ln.split()[3] for ln in got if ln.startswith("atom ")})
-    assert seen >= {"1", "2", "3", "4", "5", "6",
-                    "shapes", "them", "unrelated"}
-
-
-def test_overlapping_blocks_raise():
-    c = algebra_of((0, 2, 1))
-    with pytest.raises(ClassificationError, match="base element 1 lies in two"):
-        classify_atoms(c, BasePartition(3, (0, 1), ((1, 2),)))
-
-
-def test_twin_of_other_than_two_elements_raises():
-    # three elements, a repeated one, and a single one are no twin
-    for twin in ((0, 1, 2), (1, 1), (2,)):
-        with pytest.raises(ClassificationError,
-                           match=r"twin \{.*\} does not have exactly two"):
-            BasePartition(3, (), (twin,))
-
-
-def test_element_outside_the_base_raises():
-    with pytest.raises(ClassificationError,
-                       match=r"block \{7\} has element 7 outside the base 0..2"):
-        BasePartition(3, (7,), ((0, 1),))
-    with pytest.raises(ClassificationError, match=r"block \{-1,2\}"):
-        BasePartition(3, (), ((2, -1),))
+    cases = ([rel_algebra(build_group(n, [g]))
+              for n in range(1, 7) for g in involutions(n)]
+             + [load_concrete("type6.ca")]
+             + [random_pair_dense_algebra(rng) for _ in range(1000)])
+    shapes, nonempty_tilde = set(), 0
+    for c in cases:
+        cls = classify_atoms(c)
+        assert cls.report_lines() == \
+            shape_oracle(c, derive_points_twins(c)).report_lines()
+        assert set(cls.type_tags()) <= {1, 2, 3, 4, 5, 6}
+        tilde = {frozenset(pair) for pair in cls.tilde}
+        assert tilde == joined_twins(c, cls, 5)
+        assert not tilde & joined_twins(c, cls, 6)
+        related = set(cls.tilde) | {(t2, t1) for t1, t2 in cls.tilde}
+        for t1, t2 in related:
+            for u, t3 in related:
+                if u == t2 and t3 != t1:
+                    assert (t1, t3) in related, (t1, t2, t3)
+        shapes |= set(cls.type_tags())
+        nonempty_tilde += bool(cls.tilde)
+    assert shapes == {1, 2, 3, 4, 5, 6}
+    assert nonempty_tilde > 0
