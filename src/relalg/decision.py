@@ -6,7 +6,8 @@ involution with one base element per point atom and two per twin atom,
 and certifies acceptance with the atom bijection of the proof, fixed by
 each atom's domain and range identity atoms and checked cycle by cycle.
 `iso` and `check-action` find isomorphisms by a refine-and-propagate
-search instead (find_isomorphism).
+search instead (find_isomorphism); its colour refinement reads each
+cycle at its first atom only, which the cycle law makes enough.
 """
 
 from __future__ import annotations
@@ -78,11 +79,18 @@ def _refined_colours(source: AtomStructure, target: AtomStructure
                      ) -> tuple[list[int], list[int]] | None:
     """Colour refinement over cycles, from identity and self-converse atoms.
 
-    An atom's next colour is its colour, its converse's colour and the
-    multiset of (position, colours of the other two atoms) over its cycles.
-    One table numbers the colours of both structures, so equal numbers mean
-    equal colours; rounds stop when no class splits.  None when the two
-    structures differ in the size of some class.
+    An atom x's next colour is its colour and the multiset of (c[y], c[z])
+    over its first-place cycles (x, y, z).  One table numbers the colours
+    of both structures, so equal numbers mean equal colours; rounds stop
+    when no class splits.  None when some class differs in size.
+
+    Requires the cycle law, with converse an involution, as valid and
+    extracted structures have.  Then x's second- and third-place cycles
+    are the (z~, x, y~) and (z, y~, x), and x~'s first-place cycles the
+    (x~, z, y).  Equal start colours have converses of equal colours, as
+    identity atoms are self-converse and so is an atom iff its converse
+    is; each round keeps that, so keying also on the other two places and
+    on c[x~] would give the same classes, numbered alike.
     """
     table: dict = {}
     cols = [[table.setdefault((a in s.identity_atoms, c == a), len(table))
@@ -90,15 +98,11 @@ def _refined_colours(source: AtomStructure, target: AtomStructure
     while Counter(cols[0]) == Counter(cols[1]):
         classes, table = len(table), {}
         for k, s in enumerate((source, target)):
-            c, conv = cols[k], s.converse_map
-            ctx: list[list[tuple[int, int, int]]] = [[] for _ in c]
+            c = cols[k]
+            ctx: list[list[tuple[int, int]]] = [[] for _ in c]
             for x, y, z in s.cycles:
-                cx, cy, cz = c[x], c[y], c[z]
-                ctx[x].append((0, cy, cz))
-                ctx[y].append((1, cx, cz))
-                ctx[z].append((2, cx, cy))
-            cols[k] = [table.setdefault((c[a], c[conv[a]], tuple(sorted(t))),
-                                        len(table))
+                ctx[x].append((c[y], c[z]))
+            cols[k] = [table.setdefault((c[a], tuple(sorted(t))), len(table))
                        for a, t in enumerate(ctx)]
         if len(table) == classes:
             return cols[0], cols[1]
@@ -106,38 +110,37 @@ def _refined_colours(source: AtomStructure, target: AtomStructure
 
 
 class _Partial:
-    """A partial atom map: m and its inverse (-1 where unset), the live
-    target candidates of each source atom as a bitmask, the assigned source
-    atoms in order, and the mask of assigned target atoms."""
+    """A partial atom map: m (-1 where unset), the live target candidates
+    of each unassigned source atom as a bitmask, the assigned source atoms
+    in order, and the mask of assigned target atoms."""
 
-    __slots__ = ("m", "inv", "masks", "done", "taken")
+    __slots__ = ("m", "masks", "done", "taken")
 
-    def __init__(self, m, inv, masks, done, taken):
-        self.m, self.inv, self.masks = m, inv, masks
-        self.done, self.taken = done, taken
+    def __init__(self, m, masks, done, taken):
+        self.m, self.masks, self.done, self.taken = m, masks, done, taken
 
     def copy(self) -> "_Partial":
-        return _Partial(self.m[:], self.inv[:], self.masks[:], self.done[:],
-                        self.taken)
+        return _Partial(self.m[:], self.masks[:], self.done[:], self.taken)
 
 
 def find_isomorphism(source: AtomStructure, target: AtomStructure,
                      budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
     """Refine-and-propagate search for a structure isomorphism.
 
-    Colour refinement over the cycle incidence, started from two colours
-    per atom (is it an identity atom, is it its own converse) and iterated
-    to a fixed point with one colour table for both structures, gives each
-    source atom its candidates: the target atoms of its colour.  The search
-    branches on the unassigned atom with the fewest live candidates (lowest
-    id on ties), trying candidates in target id order.  Assigning a -> b
-    also assigns a~ -> b~ and, for every assigned y, requires a;y and b;m(y)
-    (and y;a, m(y);b) to have as many atoms, maps each assigned atom of a;y
-    into b;m(y), and narrows the candidates of the unassigned ones to
-    b;m(y).  An empty candidate set backtracks, a single one is assigned at
-    once.  Each atom assignment, tried or forced, is one node of `budget`;
-    past it, SearchBudgetExceeded is raised.  None means no isomorphism
-    exists.
+    Colour refinement over each atom's first-place cycles, which fix its
+    others by the cycle law (see _refined_colours), started from two
+    colours per atom (is it an identity atom, is it its own converse) and
+    iterated to a fixed point with one colour table for both structures,
+    gives each source atom its candidates: the target atoms of its colour.
+    The search branches on the unassigned atom with the fewest live
+    candidates (lowest id on ties), trying candidates in target id order.
+    Assigning a -> b also assigns a~ -> b~ and, for every assigned y,
+    requires a;y and b;m(y) (and y;a, m(y);b) to have as many atoms, maps
+    each assigned atom of a;y into b;m(y), and narrows the candidates of
+    the unassigned ones to b;m(y).  An empty candidate set backtracks, a
+    single one is assigned at once.  Each atom assignment, tried or forced,
+    is one node of `budget`; past it, SearchBudgetExceeded is raised.  None
+    means no isomorphism exists.
     """
     source.require_valid()
     target.require_valid()
@@ -161,7 +164,7 @@ def _search_isomorphism(source: AtomStructure, target: AtomStructure,
     def assign(p: _Partial, a: int, b: int) -> bool:
         # a -> b with its consequences; False on a contradiction
         nonlocal nodes
-        m, inv, masks, done = p.m, p.inv, p.masks, p.done
+        m, masks, done = p.m, p.masks, p.done
         queue = [(a, b)]
         while queue:
             a, b = queue.pop()
@@ -171,9 +174,9 @@ def _search_isomorphism(source: AtomStructure, target: AtomStructure,
             if nodes > budget:
                 raise SearchBudgetExceeded(
                     f"isomorphism search exceeded its budget of {budget} nodes")
-            if m[a] != -1 or inv[b] != -1 or not masks[a] >> b & 1:
+            if m[a] != -1 or p.taken >> b & 1 or not masks[a] >> b & 1:
                 return False
-            m[a], inv[b], masks[a] = b, a, 1 << b
+            m[a] = b
             p.taken |= 1 << b
             done.append(a)
             if sconv[a] != a:
@@ -201,28 +204,23 @@ def _search_isomorphism(source: AtomStructure, target: AtomStructure,
         return True
 
     def branch_atom(p: _Partial) -> tuple[int, int]:
-        # (a, live candidates) of the atom to branch on after assigning
-        # every atom left with one candidate; (-1, 0) when all are
-        # assigned, (a, 0) when a has no candidate left
-        while True:
-            best, best_live, best_k = -1, 0, n + 1
-            for a in range(n):
-                if p.m[a] == -1:
-                    live = p.masks[a] & ~p.taken
-                    k = live.bit_count()
-                    if k < best_k:
-                        best, best_live, best_k = a, live, k
-                        if k < 2:
-                            break
-            if best_k != 1:
-                return best, best_live
-            if not assign(p, best, best_live.bit_length() - 1):
-                return best, 0
+        # (a, live candidates) of the unassigned atom with the fewest live
+        # candidates, lowest id first; (-1, 0) when all are assigned
+        best, best_live, best_k = -1, 0, n + 1
+        for a in range(n):
+            if p.m[a] == -1:
+                live = p.masks[a] & ~p.taken
+                k = live.bit_count()
+                if k < best_k:
+                    best, best_live, best_k = a, live, k
+                    if k < 2:
+                        break
+        return best, best_live
 
-    p = _Partial([-1] * n, [-1] * n, [by_colour[c] for c in colours[0]], [], 0)
+    p = _Partial([-1] * n, [by_colour[c] for c in colours[0]], [], 0)
     # one entry per open branching decision: the state before it, the atom
-    # branched on, and its candidates not yet tried; the last one tried
-    # takes the saved state itself instead of a copy
+    # branched on, and its candidates not yet tried; the last one tried,
+    # like the only one of a forced atom, takes the saved state, not a copy
     stack: list[tuple[_Partial, int, int]] = []
     while True:
         a, live = branch_atom(p)

@@ -6,6 +6,7 @@ implementation that shares no code with the one under test.
 """
 
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,33 @@ def signature_oracle(s: AtomStructure) -> list[tuple]:
         out.append((a in s.identity_atoms, conv == a, fn, flags[conv][2],
                     point, pair, tuple(pos[a])))
     return out
+
+
+def refined_colours_oracle(source: AtomStructure, target: AtomStructure):
+    """Colour refinement keyed on every place an atom takes in a cycle and
+    on its converse's colour: an atom's next colour is its colour, its
+    converse's colour and the multiset of (place, colours of the other two
+    atoms) over all its cycles.  Same start, table and stopping rule as
+    `_refined_colours`, without relying on the cycle law."""
+    table: dict = {}
+    cols = [[table.setdefault((a in s.identity_atoms, c == a), len(table))
+             for a, c in enumerate(s.converse_map)] for s in (source, target)]
+    while Counter(cols[0]) == Counter(cols[1]):
+        classes, table = len(table), {}
+        for k, s in enumerate((source, target)):
+            c, conv = cols[k], s.converse_map
+            ctx: list[list[tuple[int, int, int]]] = [[] for _ in c]
+            for x, y, z in s.cycles:
+                cx, cy, cz = c[x], c[y], c[z]
+                ctx[x].append((0, cy, cz))
+                ctx[y].append((1, cx, cz))
+                ctx[z].append((2, cx, cy))
+            cols[k] = [table.setdefault((c[a], c[conv[a]], tuple(sorted(t))),
+                                        len(table))
+                       for a, t in enumerate(ctx)]
+        if len(table) == classes:
+            return cols[0], cols[1]
+    return None
 
 
 def compose_masks_oracle(s: AtomStructure, xm: int, ym: int) -> int:

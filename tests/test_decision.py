@@ -16,7 +16,7 @@ from relalg.decision import _construct_witness, _refined_colours
 
 from conftest import (DATA, generated_groups, group_closure_oracle,
                       involutions, load_concrete, load_structure,
-                      signature_oracle)
+                      refined_colours_oracle, signature_oracle)
 
 
 def conjugate(s: AtomStructure, perm, rng=None) -> AtomStructure:
@@ -86,22 +86,58 @@ def test_cycle_difference_rejected(s23):
     assert find_isomorphism(other, s23) is None
 
 
-def test_refined_colours_agree_with_the_signature_oracle():
-    # refinement starts from identity and self-converse alone; atoms it
-    # leaves in one class still agree on the point, pair and function flags
-    # and the per-position cycle counts of the oracle
+def catalog_structures() -> list[AtomStructure]:
+    """The structures of the 195 actions on up to 5 points, of every
+    data/*.ra file, and of the type6.ca algebra."""
     structures = [extract_atom_structure(rel_algebra(a))
                   for a in generated_groups(5).values()]
     structures += [load_structure(p.name) for p in sorted(DATA.glob("*.ra"))]
     structures.append(extract_atom_structure(load_concrete("type6.ca")))
     assert len(structures) == 195 + 4 + 1
-    for s in structures:
+    return structures
+
+
+def test_refined_colours_agree_with_the_signature_oracle():
+    # refinement starts from identity and self-converse alone; atoms it
+    # leaves in one class still agree on the point, pair and function flags
+    # and the per-position cycle counts of the oracle
+    for s in catalog_structures():
         colours, same = _refined_colours(s, s)
         assert colours == same
         sig = signature_oracle(s)
         first: dict[int, int] = {}
         for a, c in enumerate(colours):
             assert sig[first.setdefault(c, a)] == sig[a], (s.atom_names, a)
+
+
+def test_refined_colours_match_the_all_places_oracle():
+    # first places alone give the colours of keying on all three places and
+    # the converse's colour: on each catalog structure against every one of
+    # its atom count, on shuffled copies, and on regular actions that only
+    # the search tells apart
+    by_atoms: dict[int, list[AtomStructure]] = {}
+    for s in catalog_structures():
+        by_atoms.setdefault(s.n_atoms, []).append(s)
+    pairs = [(x, y) for group in by_atoms.values()
+             for x in group for y in group]
+    rng = random.Random(11)
+    for s in ([involution_structure(p, t) for p, t in ((3, 1), (0, 4),
+                                                        (2, 4), (4, 2))]
+              + [extract_atom_structure(rel_algebra(regular_action(orders)))
+                 for orders in ([12], [48], [2, 8], [3, 9], [4, 4])]):
+        x = shuffled(s, rng)
+        pairs += [(s, x), (x, shuffled(s, rng))]
+    for left, right in (([25], [5, 5]), ([4, 8], [2, 16])):
+        a = extract_atom_structure(rel_algebra(regular_action(left)))
+        b = extract_atom_structure(rel_algebra(regular_action(right)))
+        rng = random.Random(a.n_atoms)
+        for _ in range(10):
+            x, y = shuffled(a, rng), shuffled(b, rng)
+            pairs += [(x, y), (y, x)]
+    answers = [refined_colours_oracle(x, y) for x, y in pairs]
+    assert None in answers and answers.count(None) < len(answers)
+    for (x, y), expected in zip(pairs, answers):
+        assert _refined_colours(x, y) == expected, (x.atom_names, y.atom_names)
 
 
 def test_budget_exhaustion(s23):
@@ -355,6 +391,33 @@ def test_regular_actions_of_distinct_groups_are_not_isomorphic(left, right):
         assert find_isomorphism(x, y, budget=50_000) is None
         assert find_isomorphism(y, x, budget=50_000) is None
     assert time.perf_counter() - start < 5.0
+
+
+def pinned_searches() -> dict:
+    s23, r23 = load_structure("23.ra"), load_structure("23_relabeled.ra")
+    z48 = extract_atom_structure(rel_algebra(regular_action([48])))
+    rng = random.Random(48)
+    x, y = shuffled(z48, rng), shuffled(z48, rng)
+    inv = shuffled(involution_structure(2, 4), random.Random(24))
+    action = build_group(10, [(0, 1, 3, 2, 5, 4, 7, 6, 9, 8)])
+    return {
+        "23-relabeled": lambda b: find_isomorphism(s23, r23, budget=b),
+        "z48-shuffles": lambda b: find_isomorphism(x, y, budget=b),
+        "involution-check-action":
+            lambda b: check_action_represents(inv, action, budget=b)}
+
+
+@pytest.mark.parametrize("case,nodes", [("23-relabeled", 3),
+                                        ("z48-shuffles", 65),
+                                        ("involution-check-action", 61)])
+def test_budget_counts_every_tried_or_forced_assignment(case, nodes):
+    # the node counts of fixed searches: `nodes` is the least budget that
+    # succeeds, so a search that tries or forces other assignments, or
+    # counts them otherwise, changes what --budget N allows and fails here
+    search = pinned_searches()[case]
+    assert search(nodes).is_valid()
+    with pytest.raises(SearchBudgetExceeded):
+        search(nodes - 1)
 
 
 # --- verify_decision ------------------------------------------------------
