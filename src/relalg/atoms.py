@@ -5,17 +5,19 @@ and the allowed composition cycles: a stored triple (x, y, z) means the
 atom z lies below the composition x;y.  Elements are atom sets packed into
 integer bitmasks, so Boolean and Peircean operations reduce to bit work.
 
-Validation checks associativity by a join of the cycles on their shared
-atom, in place of an atoms^3 scan; the point, pair and function flags of
-all atoms cost O(atoms^2) mask operations.
+Validation checks associativity by Light's reduction: one row kernel
+compares (a;b);c with a;(b;c) over a generating set of columns, and over
+all columns only when that pass fails, in place of an atoms^3 scan; the
+point, pair and function flags of all atoms cost O(atoms^2) mask
+operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress
-from operator import or_
+from itertools import chain, compress, starmap
+from operator import and_, itemgetter, neg, or_, xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidStructureError
@@ -294,19 +296,27 @@ def _validate(s: AtomStructure) -> ValidationReport:
                 "identity-not-self-converse",
                 f"identity atom {names[e]} has converse {names[conv[e]]}"))
 
-    # messages, sorted, only for the cycles with a transform missing
+    # closure under (x~, z, y) and (z, y~, x) is closure under all six
+    # transforms, converse an involution or not: they compose to the other
+    # three.  The six are listed only to word the messages.
     cycles = s.cycles
-    broken = [t for t in cycles if not cycles.issuperset(_transforms(t, conv))]
-    for t in sorted(broken):
-        for u in sorted(peirce_orbit(t, conv)):
-            if u not in cycles:
-                v.append(Violation(
-                    "cycle-law",
-                    f"cycle {s._fmt_triple(t)} present but its transform "
-                    f"{s._fmt_triple(u)} is missing"))
+    if not all((conv[x], z, y) in cycles and (z, conv[y], x) in cycles
+               for x, y, z in cycles):
+        broken = [t for t in cycles
+                  if not cycles.issuperset(_transforms(t, conv))]
+        for t in sorted(broken):
+            for u in sorted(peirce_orbit(t, conv)):
+                if u not in cycles:
+                    v.append(Violation(
+                        "cycle-law",
+                        f"cycle {s._fmt_triple(t)} present but its transform "
+                        f"{s._fmt_triple(u)} is missing"))
 
     ident = s.identity_atoms
-    for x, y, z in sorted(s.cycles):
+    broken = [(x, y, z) for x, y, z in cycles
+              if (x in ident and y != z) or (y in ident and x != z)
+              or (z in ident and y != conv[x])]
+    for x, y, z in sorted(broken):
         if x in ident and y != z:
             v.append(Violation(
                 "identity-law",
@@ -325,18 +335,18 @@ def _validate(s: AtomStructure) -> ValidationReport:
 
     idents = sorted(ident)
     for a in range(n):
-        nm = names[a]
         for side, found, cycle in (
-                ("domain", [e for e in idents if (e, a, a) in s.cycles],
-                 f"e has (e, {nm}, {nm})"),
-                ("range", [e for e in idents if (a, e, a) in s.cycles],
-                 f"f has ({nm}, f, {nm})")):
+                ("domain", [e for e in idents if (e, a, a) in cycles],
+                 "e has (e, {0}, {0})"),
+                ("range", [e for e in idents if (a, e, a) in cycles],
+                 "f has ({0}, f, {0})")):
             if not found:
-                v.append(Violation(f"missing-{side}-atom",
-                                   f"no identity atom {cycle} as a cycle"))
+                v.append(Violation(
+                    f"missing-{side}-atom",
+                    f"no identity atom {cycle.format(names[a])} as a cycle"))
             elif len(found) > 1:
                 v.append(Violation(
-                    f"multiple-{side}-atoms", f"atom {nm} has {side} atoms "
+                    f"multiple-{side}-atoms", f"atom {names[a]} has {side} atoms "
                     + ", ".join(names[e] for e in found)))
 
     wit = _associativity_witness(s)
@@ -353,36 +363,188 @@ def _validate(s: AtomStructure) -> ValidationReport:
 def _associativity_witness(s: AtomStructure) -> Triple | None:
     """The least (a, b, c) with (a;b);c != a;(b;c), or None.
 
-    A join on the shared atom, one row (a, b) at a time: c maps on the left
-    to the union of e;c over the cycles (a, b, e), on the right to the
-    union of a;f over the cycles (b, c, f).  Only rows where either side
-    can be nonzero are visited, so the work grows with the cycles joined.
+    Light's reduction (Clifford & Preston, The Algebraic Theory of
+    Semigroups I, 1961, section 1.2): call a column c good when
+    (a;b);c = a;(b;c) for all atoms a and b.  Composition of masks is the
+    union over their atoms, so a good c also gives (X;Y);c = X;(Y;c) for
+    all masks X and Y.  If c1 and c2 are good and c1;c2 = {c}, then
+
+        (a;b);c = ((a;b);c1);c2 = (a;(b;c1));c2 = a;((b;c1);c2) = a;(b;c)
+
+    so c is good too.  The proof uses only distributivity, so it holds for
+    every cycle table, valid or not.  A product of two or more atoms does
+    not separate them, so only singleton products reach new columns.
+
+    The row kernel therefore runs first over a generating set G of
+    columns.  When that pass finds no mismatch every column is good;
+    otherwise the kernel runs again over all columns, so that the answer is
+    still the least (a, b, c).  The first pass costs about the rows
+    visited times |G|, the rerun, on failing tables only, the rows times
+    the columns.
     """
     comp = s._comp
-    n = s.n_atoms
-    cols = [list(compress(range(n), row)) for row in comp]  # nonzero entries
-    supp = [sum(1 << c for c in cs) for cs in cols]
-    # per atom b: the (c, f) of the cycles (b, c, f) as two flat lists, which
-    # hold no tuple per cycle; per atom f: the atoms b with such a cycle
-    outgoing: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n)]
-    reached_by = [0] * n
-    for b, c, f in s.cycles:
-        outgoing[b][0].append(c)
-        outgoing[b][1].append(f)
-        reached_by[f] |= 1 << b
+    gens = _generating_set(comp)
+    wit = _first_mismatch(comp, gens)
+    if wit is None or len(gens) == len(comp):
+        return wit
+    return _first_mismatch(comp, range(len(comp)))
+
+
+def _generating_set(comp: Sequence[Sequence[int]]) -> list[int]:
+    """Light's generating set G, grown greedily in id order: an atom joins
+    G when it is not yet reached, and z is reached when x;y = {z} for x and
+    y reached, one of them in G.  A new member of G is read against every
+    reached atom, on both sides; each newly reached atom then against G
+    alone, so that the reading costs O(atoms * |G|), in C."""
+    n = len(comp)
+    full = (1 << n) - 1
+    one_atom = {1 << z for z in range(n)}.__contains__
+    reached = bytearray(n)  # the reached mask, as a selector for compress
+    mask = 0
+    gens: list[int] = []
+    gen_rows = []
+    for g in range(n):
+        if mask >> g & 1:
+            continue
+        gens.append(g)
+        gen_rows.append(comp[g])
+        pick = itemgetter(*gens, g)  # a tuple, even for one generator
+        reached[g] = 1
+        mask |= 1 << g
+        prods = chain(compress(comp[g], reached),
+                      map(itemgetter(g), compress(comp, reached)))
+        while mask != full:
+            new = reduce(or_, filter(one_atom, prods), 0) & ~mask
+            if not new:
+                break
+            mask |= new
+            fresh = list(iter_bits(new))
+            for z in fresh:
+                reached[z] = 1
+            prods = chain.from_iterable(
+                chain(pick(comp[z]), map(itemgetter(z), gen_rows))
+                for z in fresh)
+    return gens
+
+
+def _first_mismatch(comp: Sequence[Sequence[int]],
+                    columns: Sequence[int]) -> Triple | None:
+    """The least (a, b, c) with c in columns and (a;b);c != a;(b;c), or None.
+
+    Rows (a, b) with a;b != 0 are visited in order.  In each only the
+    columns c in C (the columns given) with b;c != 0 are gathered, each side
+    in C by itemgetter: the left side, the union of e;c over the atoms e of
+    a;b, from the rows of those e; the right side, the union of a;f over the
+    atoms f of b;c, from row a through per-b index lists, list k holding the
+    k-th atom of each b;c (or its first: the union is idempotent).
+
+    Two failures only invalid tables have are found apart.  Where b;c = 0
+    the right side is 0, so the left one must be too: the columns of C
+    reached by the e must lie in those reached by b.  A row with a;b = 0
+    has 0 on the left, so it fails exactly when a;(b;C) != 0; the least
+    such row is found first from the column supports, and the visit stops
+    there.
+    """
+    n = len(comp)
+    # the atom of a one-atom mask, or the default given for 0
+    atom = {1 << z: z for z in range(n)}.get
+    pick = itemgetter(*columns) if len(columns) > 1 else None
+    shl = (1).__lshift__
+    getters = []  # per atom b: None, or its left getter and right getters
+    reach = []  # per atom b: the columns c in C with b;c != 0, as a mask
+    times_c = []  # per atom b: b;C
+    for row in comp:
+        # a getter of one index would return the entry, not a tuple
+        vals = row if len(columns) == n else (
+            pick(row) if pick else (row[columns[0]],))
+        cs = list(compress(columns, vals))
+        if not cs:
+            getters.append(None)
+            reach.append(0)
+            times_c.append(0)
+            continue
+        prods = list(compress(vals, vals))
+        reach.append(sum(map(shl, cs)))
+        times_c.append(reduce(or_, prods))
+        lists = _index_lists(prods, atom)
+        if len(cs) == 1:
+            # so one column is gathered twice
+            cs *= 2
+            lists = [ks * 2 for ks in lists]
+        getters.append((itemgetter(*cs), itemgetter(*lists[0]),
+                        [*starmap(itemgetter, lists[1:])]))
+    col_supp = [0] * n  # per atom y: the atoms x with x;y != 0
+    for x, row in enumerate(comp):
+        bit = 1 << x
+        for y in compress(range(n), row):
+            col_supp[y] |= bit
+    # the least row (a, b) with a;b = 0 but a;f != 0 for some f in b;C
+    stop_a = stop_b = n
+    full = (1 << n) - 1
+    for b, t in enumerate(times_c):
+        if t and col_supp[b] != full:
+            bad = _union(col_supp, t) & ~col_supp[b]
+            first = (bad & -bad).bit_length() - 1
+            if bad and first < stop_a:
+                stop_a, stop_b = first, b
     for a, row_a in enumerate(comp):
-        # both sides are 0 for every c unless a;b != 0 or a;(b;1) != 0
-        for b in iter_bits(supp[a] | _union(reached_by, supp[a])):
-            left, right = [0] * n, [0] * n
-            for e in iter_bits(row_a[b]):
-                row_e = comp[e]
-                for c in cols[e]:
-                    left[c] |= row_e[c]
-            for c, f in zip(*outgoing[b]):
-                right[c] |= row_a[f]
-            if left != right:
-                return (a, b, next(c for c in range(n) if left[c] != right[c]))
+        for b in compress(range(stop_b if a == stop_a else n), row_a):
+            ab = row_a[b]
+            g = getters[b]
+            if ab & (ab - 1) == 0:
+                e = atom(ab)
+                if reach[e] & ~reach[b]:
+                    return (a, b, _least_column(comp, a, b, columns))
+                if g is None:
+                    continue
+                get, right_get, more = g
+                left = get(comp[e])
+            else:
+                if _union(reach, ab) & ~reach[b]:
+                    return (a, b, _least_column(comp, a, b, columns))
+                if g is None:
+                    continue
+                get, right_get, more = g
+                # unions are lists: a tuple built from a map is
+                # over-allocated, then shrunk, and the shrunk tuples fill
+                # the interpreter's free lists, which raises peak memory
+                left = None
+                for e in iter_bits(ab):
+                    part = get(comp[e])
+                    left = part if left is None else [*map(or_, left, part)]
+            right = right_get(row_a)
+            for extra in more:
+                right = [*map(or_, right, extra(row_a))]
+            # a getter gives a tuple and a union a list: compare entries
+            if left != right and [*left] != [*right]:
+                return (a, b, _least_column(comp, a, b, columns))
+        if a == stop_a:
+            return (a, stop_b, _least_column(comp, a, stop_b, columns))
     return None
+
+
+def _index_lists(prods: list[int], atom) -> list[list[int]]:
+    # list k holds the k-th atom of each nonzero mask, or its first atom
+    low = list(map(and_, prods, map(neg, prods)))
+    lists = [list(map(atom, low))]
+    if low == prods:
+        return lists
+    rest = list(map(xor, prods, low))
+    while any(rest):
+        low = list(map(and_, rest, map(neg, rest)))
+        lists.append(list(map(atom, low, lists[0])))
+        rest = list(map(xor, rest, low))
+    return lists
+
+
+def _least_column(comp: Sequence[Sequence[int]], a: int, b: int,
+                  columns: Sequence[int]) -> int:
+    # the least c in columns with (a;b);c != a;(b;c), in a row that has one
+    ab, row_a = comp[a][b], comp[a]
+    for c in columns:
+        if _union([row[c] for row in comp], ab) != _union(row_a, comp[b][c]):
+            return c
+    raise AssertionError("no mismatch in a mismatching row")
 
 
 def validate_structure(s: AtomStructure) -> ValidationReport:

@@ -11,6 +11,15 @@ from pathlib import Path
 
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # hypothesis is optional: its property tests skip
+    pass
+else:
+    # the same examples on every run, and no deadline on a slow machine
+    settings.register_profile("relalg", derandomize=True, deadline=None)
+    settings.load_profile("relalg")
+
 from relalg import (AtomClassification, AtomStructure, AtomTypeInfo,
                     ClassificationError, ConcreteRelation, build_group,
                     parse_atom_structure, parse_concrete_algebra,
@@ -62,6 +71,39 @@ def involutions(n: int) -> list[tuple[int, ...]]:
 
 def swap_action():
     return build_group(2, [(1, 0)])
+
+
+def conjugate(s: AtomStructure, perm, rng=None) -> AtomStructure:
+    """Relabel atom ids by perm (new_id = perm[old_id]) with fresh names."""
+    n = s.n_atoms
+    inv = [0] * n
+    for a, b in enumerate(perm):
+        inv[b] = a
+    names = tuple(f"q{i}" for i in range(n))
+    conv = tuple(perm[s.converse_map[inv[b]]] for b in range(n))
+    ident = frozenset(perm[e] for e in s.identity_atoms)
+    cycles = frozenset((perm[x], perm[y], perm[z]) for x, y, z in s.cycles)
+    return AtomStructure(names, conv, ident, cycles)
+
+
+def shuffled(s, rng):
+    ids = list(range(s.n_atoms))
+    rng.shuffle(ids)
+    return conjugate(s, ids)
+
+
+def regular_action(orders):
+    """Z_a x Z_b x ... acting on itself by translation, one generator per
+    factor, elements written in mixed radix."""
+    n = 1
+    for q in orders:
+        n *= q
+    gens, stride = [], 1
+    for q in orders:
+        gens.append(tuple(x + stride * (1 - q if x // stride % q == q - 1
+                                        else 1) for x in range(n)))
+        stride *= q
+    return build_group(n, gens)
 
 
 # --- oracles -------------------------------------------------------------

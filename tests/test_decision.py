@@ -14,22 +14,10 @@ from relalg import (AtomStructure, InternalError, IsoWitness,
                     verify_decision)
 from relalg.decision import _construct_witness, _refined_colours
 
-from conftest import (DATA, generated_groups, group_closure_oracle,
-                      involutions, load_concrete, load_structure,
-                      refined_colours_oracle, signature_oracle)
-
-
-def conjugate(s: AtomStructure, perm, rng=None) -> AtomStructure:
-    """Relabel atom ids by perm (new_id = perm[old_id]) with fresh names."""
-    n = s.n_atoms
-    inv = [0] * n
-    for a, b in enumerate(perm):
-        inv[b] = a
-    names = tuple(f"q{i}" for i in range(n))
-    conv = tuple(perm[s.converse_map[inv[b]]] for b in range(n))
-    ident = frozenset(perm[e] for e in s.identity_atoms)
-    cycles = frozenset((perm[x], perm[y], perm[z]) for x, y, z in s.cycles)
-    return AtomStructure(names, conv, ident, cycles)
+from conftest import (DATA, conjugate, generated_groups,
+                      group_closure_oracle, involutions, load_concrete,
+                      load_structure, refined_colours_oracle, regular_action,
+                      shuffled, signature_oracle)
 
 
 # --- find_isomorphism -----------------------------------------------------
@@ -331,30 +319,10 @@ def test_check_action_negative(s23):
 # --- search on relabeled inputs -------------------------------------------
 
 
-def regular_action(orders):
-    """Z_a x Z_b x ... acting on itself by translation, one generator per
-    factor, elements written in mixed radix."""
-    n = 1
-    for q in orders:
-        n *= q
-    gens, stride = [], 1
-    for q in orders:
-        gens.append(tuple(x + stride * (1 - q if x // stride % q == q - 1
-                                        else 1) for x in range(n)))
-        stride *= q
-    return build_group(n, gens)
-
-
 def triangles_action(k):
     """Z3 rotating k disjoint triangles at once, on 3k points."""
     return build_group(3 * k, [tuple(3 * (i // 3) + (i + 1) % 3
                                      for i in range(3 * k))])
-
-
-def shuffled(s, rng):
-    ids = list(range(s.n_atoms))
-    rng.shuffle(ids)
-    return conjugate(s, ids)
 
 
 @pytest.mark.parametrize("action,atoms", [

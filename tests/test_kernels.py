@@ -4,11 +4,13 @@ extracted structures, which the library no longer checks at run time."""
 
 import functools
 import random
+import time
 
 from relalg import (AtomStructure, ConcreteAlgebra, ConcreteRelation,
                     build_group, check_z2_axioms, extract_atom_structure,
                     parse_atom_structure, parse_concrete_algebra,
                     peirce_orbit, rel_algebra, validate_structure)
+from relalg import atoms
 from relalg.atoms import _validate
 from relalg.atoms import _associativity_witness
 from relalg.cli import main
@@ -16,7 +18,7 @@ from relalg.cli import main
 from conftest import (DATA, associativity_witness_oracle,
                       compose_masks_oracle, composition_scan_oracle,
                       converse_mask_oracle, invariant_violations_oracle,
-                      involutions)
+                      involutions, regular_action, shuffled)
 
 
 def random_algebras(rng, count, max_n):
@@ -38,6 +40,22 @@ def catalog_structures():
 def extracted_structures():
     rng = random.Random(7)
     return [extract_atom_structure(c) for c in random_algebras(rng, 25, 7)]
+
+
+def regular_structures():
+    """Shuffled structures of regular actions, where every product of two
+    atoms is one atom, so that Light's generating set is small: Z_n
+    (n <= 12), Z2^k (k <= 4) and Z4 x Z2; and of the dihedral actions on 3
+    to 12 points, where most products have two atoms."""
+    actions = ([regular_action([n]) for n in range(1, 13)]
+               + [regular_action([2] * k) for k in range(1, 5)]
+               + [regular_action([4, 2])]
+               + [build_group(n, [tuple((i + 1) % n for i in range(n)),
+                                  tuple(-i % n for i in range(n))])
+                  for n in range(3, 13)])
+    rng = random.Random(13)
+    return [shuffled(extract_atom_structure(rel_algebra(a)), rng)
+            for a in actions]
 
 
 def without_one_orbit(s, rng):
@@ -100,23 +118,83 @@ def test_validation_runs_at_most_once_per_structure(monkeypatch, capsys):
 
 
 def test_join_matches_dense_scan_on_catalog_and_extracted():
-    for s in catalog_structures() + extracted_structures():
+    structures = (catalog_structures() + extracted_structures()
+                  + regular_structures())
+    for s in structures:
         assert _associativity_witness(s) == associativity_witness_oracle(s)
         assert _associativity_witness(s) is None
 
 
-def test_join_matches_dense_scan_on_corrupted_tables():
+def test_join_matches_dense_scan_on_corrupted_tables(monkeypatch):
+    # the columns of each kernel pass, to see which witnesses the pass over
+    # the generating set found first and the pass over all columns settled
+    columns_seen = []
+
+    def recording(comp, columns):
+        columns_seen.append(len(columns))
+        return first_mismatch(comp, columns)
+
+    first_mismatch = atoms._first_mismatch
+    monkeypatch.setattr(atoms, "_first_mismatch", recording)
     rng = random.Random(11)
-    failing = 0
-    for s in catalog_structures() + extracted_structures():
+    failing = rerun = 0
+    structures = (catalog_structures() + extracted_structures()
+                  + regular_structures())
+    for s in structures:
         for _ in range(4):
             bad = without_one_orbit(s, rng)
+            columns_seen.clear()
             wit = _associativity_witness(bad)
             assert wit == associativity_witness_oracle(bad)
             if wit is not None:
                 failing += 1
+                if columns_seen[0] < bad.n_atoms:
+                    assert columns_seen == [columns_seen[0], bad.n_atoms]
+                    rerun += 1
                 assert "associativity" in validate_structure(bad).codes()
+            else:
+                assert len(columns_seen) == 1
     assert failing > 10  # the corruptions do break associativity
+    assert rerun > 10  # and often fail on the generating set first
+
+
+def test_only_one_atom_products_reach_new_columns():
+    # x;x = {x, y}, x;y = {y}, y;x = {x, y}, y;y = {x}.  Column x passes,
+    # and y is the only failing column: (x;x);y = {x, y} but x;(x;y) = {y}.
+    # y lies in x;x but no one-atom product of x reaches it, so y joins the
+    # generating set; reaching it through x;x would check column x alone
+    # and pass the table.
+    s = AtomStructure(("x", "y"), (0, 1), frozenset(),
+                      {(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1),
+                       (1, 1, 0)})
+    assert associativity_witness_oracle(s) == (0, 0, 1)
+    assert _associativity_witness(s) == (0, 0, 1)
+
+
+def test_rows_off_the_support_fail_on_invalid_tables():
+    # x;y = {z} and z;x = {x} but y;x = 0: in row (x, y) the left side
+    # reaches column x, off the support of y, where the right side is 0
+    escape = AtomStructure(("x", "y", "z"), (0, 1, 2), frozenset(),
+                           {(0, 1, 2), (2, 0, 0)})
+    # x;y = 0 but y;x = {z} and x;z = {x}: row (x, y) is 0 on the left and
+    # x;(y;x) = {x} on the right
+    zero_row = AtomStructure(("x", "y", "z"), (0, 1, 2), frozenset(),
+                             {(1, 0, 2), (0, 2, 0)})
+    for s in (escape, zero_row):
+        assert associativity_witness_oracle(s) == (0, 1, 0)
+        assert _associativity_witness(s) == (0, 1, 0)
+
+
+def test_validating_the_structure_of_z2_to_the_8_takes_under_a_second():
+    # 256 atoms, each product one atom: the generating set has 9 atoms,
+    # where a pass over every column costs 2.5 s
+    s = extract_atom_structure(rel_algebra(regular_action([2] * 8)))
+    assert (s.n_atoms, len(s.cycles)) == (256, 65536)
+    start = time.perf_counter()
+    report = validate_structure(s)
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    assert elapsed < 1.0
 
 
 # --- triple scan --------------------------------------------------------------
