@@ -5,11 +5,15 @@ and the allowed composition cycles: a stored triple (x, y, z) means the
 atom z lies below the composition x;y.  Elements are atom sets packed into
 integer bitmasks, so Boolean and Peircean operations reduce to bit work.
 
-Validation checks associativity by Light's reduction: one row kernel
-compares (a;b);c with a;(b;c) over a generating set of columns, and over
-all columns only when that pass fails, in place of an atoms^3 scan; the
-point, pair and function flags of all atoms cost O(atoms^2) mask
-operations.
+Validation has two parts.  The local laws (names, converse, the cycle
+and identity laws, one domain and one range atom per atom) cost
+O(cycles + atoms * identity atoms).  The associativity join uses Light's
+reduction: one row kernel compares (a;b);c with a;(b;c) over a
+generating set of columns, and over all columns only when that pass
+fails, in place of an atoms^3 scan.  The three axioms are read off each
+atom's domain and range identity atoms, which the local laws make well
+defined, in O(atoms + sum over identity atoms e of |atoms from e to e| *
+atoms).
 """
 
 from __future__ import annotations
@@ -225,33 +229,39 @@ class AtomStructure:
     def diversity(self) -> "Element":
         return Element(self, self.full_mask & ~self.identity_mask)
 
-    # -- per-atom flags used by predicates and the axioms ------------------
-
-    @cached_property
-    def _unions(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        # a;1, 1;a and a;0' for every atom a
-        comp = self._comp
-        div = [not self.identity_mask >> b & 1 for b in range(self.n_atoms)]
-        return (tuple(reduce(or_, row, 0) for row in comp),
-                tuple(reduce(or_, col, 0) for col in zip(*comp)),
-                tuple(reduce(or_, compress(row, div), 0) for row in comp))
+    # -- element flags and the atom facts of the axioms ---------------------
 
     def _element_flags(self, mask: int) -> tuple[bool, bool, bool]:
         """(is_point, is_pair, is_function) of an element: x;1;x <= 1',
-        x;0';x;0';x <= 1' and x~;x <= 1'.  O(atoms) mask operations for
-        an atom, through the cached a;1 and a;0'."""
-        times_one, _, times_div = self._unions
-        other = ~self.identity_mask
-        point = self.compose_mask(_union(times_one, mask), mask) & other == 0
-        m = self.compose_mask(_union(times_div, mask), mask)
-        pair = self.compose_mask(_union(times_div, m), mask) & other == 0
-        fn = self.compose_mask(self.converse_mask(mask), mask) & other == 0
+        x;0';x;0';x <= 1' and x~;x <= 1'.  O(|x| * atoms) mask operations."""
+        div = self.full_mask & ~self.identity_mask
+        point = self.compose_mask(
+            self.compose_mask(mask, self.full_mask), mask) & div == 0
+        m = self.compose_mask(self.compose_mask(mask, div), mask)
+        pair = self.compose_mask(self.compose_mask(m, div), mask) & div == 0
+        fn = self.compose_mask(self.converse_mask(mask), mask) & div == 0
         return point, pair, fn
 
     @cached_property
-    def atom_flags(self) -> tuple[tuple[bool, bool, bool], ...]:
-        # (is_point, is_pair, is_function) for each atom as an element
-        return tuple(self._element_flags(1 << a) for a in range(self.n_atoms))
+    def _ends(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # the domain (a;a~).1' and the range (a~;a).1' of each atom a, as
+        # atom ids; each is one identity atom when the local laws hold
+        comp, conv, ident = self._comp, self.converse_map, self.identity_mask
+        return (tuple((comp[a][c] & ident).bit_length() - 1
+                      for a, c in enumerate(conv)),
+                tuple((comp[c][a] & ident).bit_length() - 1
+                      for a, c in enumerate(conv)))
+
+    @cached_property
+    def _loops(self) -> dict[int, int]:
+        # the mask of the diversity atoms from e to e, for each identity
+        # atom e: e;0';e under the local laws, so e is a point iff it has none
+        loops = dict.fromkeys(self.identity_atoms, 0)
+        ident = self.identity_mask
+        for a, (d, r) in enumerate(zip(*self._ends)):
+            if d == r and not ident >> a & 1:
+                loops[d] |= 1 << a
+        return loops
 
     # -- validation ---------------------------------------------------------
 
@@ -259,18 +269,44 @@ class AtomStructure:
     def validation(self) -> ValidationReport:
         return _validate(self)
 
+    @cached_property
+    def _local_violations(self) -> tuple[Violation, ...]:
+        return _local_laws(self)
+
     def require_valid(self) -> None:
         if not self.validation.ok:
             raise InvalidStructureError(self.validation)
 
+    def _require_local_laws(self) -> None:
+        # raise as require_valid does, full report included, when a local
+        # law fails; when they all hold, the join is not run
+        if self._local_violations:
+            self.require_valid()
+
 
 def _validate(s: AtomStructure) -> ValidationReport:
+    """The local laws, then associativity."""
+    wit = _associativity_witness(s)
+    if wit is None:
+        return ValidationReport(s._local_violations)
+    names = s.atom_names
+    a, b, c = wit
+    return ValidationReport(s._local_violations + (Violation(
+        "associativity",
+        f"({names[a]};{names[b]});{names[c]} != "
+        f"{names[a]};({names[b]};{names[c]})"),))
+
+
+def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
+    """Names, converse, self-converse identity atoms, the cycle law, the
+    identity law, and one domain and one range atom per atom, in
+    O(cycles + atoms * identity atoms) set lookups when they hold."""
     v: list[Violation] = []
     names = s.atom_names
     n = s.n_atoms
     if n == 0:
-        return ValidationReport((
-            Violation("empty-structure", "structure has no atoms (one = zero)"),))
+        return (Violation("empty-structure",
+                          "structure has no atoms (one = zero)"),)
 
     seen: dict[str, int] = {}
     for a, nm in enumerate(names):
@@ -348,16 +384,7 @@ def _validate(s: AtomStructure) -> ValidationReport:
                 v.append(Violation(
                     f"multiple-{side}-atoms", f"atom {names[a]} has {side} atoms "
                     + ", ".join(names[e] for e in found)))
-
-    wit = _associativity_witness(s)
-    if wit is not None:
-        a, b, c = wit
-        v.append(Violation(
-            "associativity",
-            f"({names[a]};{names[b]});{names[c]} != "
-            f"{names[a]};({names[b]};{names[c]})"))
-
-    return ValidationReport(tuple(v))
+    return tuple(v)
 
 
 def _associativity_witness(s: AtomStructure) -> Triple | None:
@@ -654,8 +681,8 @@ def is_twin(x: Element) -> bool:
     """
     if not is_pair(x):
         return False
-    flags = x.structure.atom_flags
-    return not any(flags[a][0] for a in iter_bits(x.mask))
+    s = x.structure
+    return not any(s._element_flags(1 << a)[0] for a in iter_bits(x.mask))
 
 
 def is_function(x: Element) -> bool:
@@ -676,16 +703,8 @@ def classify_element(x: Element) -> ElementClass:
 
 def is_simple(s: AtomStructure) -> bool:
     """1;a;1 = 1 for every atom a (equivalently for every nonzero element)."""
-    return _simplicity_witness(s) is None
-
-
-def _simplicity_witness(s: AtomStructure) -> str | None:
     s.require_valid()
-    times_one, one_times, _ = s._unions
-    for a in range(s.n_atoms):
-        if _union(times_one, one_times[a]) != s.full_mask:
-            return s.atom_names[a]
-    return None
+    return _simplicity_witness(s) is None
 
 
 def is_pair_dense(s: AtomStructure) -> tuple[bool, str | None]:
@@ -695,20 +714,71 @@ def is_pair_dense(s: AtomStructure) -> tuple[bool, str | None]:
     sub-identity element either is a pair itself or witnesses failure.
     """
     s.require_valid()
-    for e in sorted(s.identity_atoms):
-        if not s.atom_flags[e][1]:
-            return False, s.atom_names[e]
-    return True, None
+    w = _pair_density_witness(s)
+    return w is None, w
 
 
 def atoms_functional(s: AtomStructure) -> tuple[bool, str | None]:
     """Every atom, or its converse, is a function."""
     s.require_valid()
-    flags = s.atom_flags
-    for a in range(s.n_atoms):
-        if not (flags[a][2] or flags[s.converse_map[a]][2]):
-            return False, s.atom_names[a]
-    return True, None
+    w = _functionality_witness(s)
+    return w is None, w
+
+
+# The three witnesses below read only the local laws: each atom's domain
+# and range are then single identity atoms, e;x is x for x starting at the
+# identity atom e and 0 otherwise, and x;e likewise.
+
+
+def _simplicity_witness(s: AtomStructure) -> str | None:
+    """The least atom a with 1;a;1 != 1, or None.
+
+    On a valid structure 1;a;1 = 1;d;1 for d the domain of a, since
+    a = d;a and d <= a;a~.  And 1;d;1 = 1 exactly when every identity atom
+    f lies below it, which holds when some atom runs from f to d, and only
+    then.
+    """
+    dom, rng = s._ends
+    into = dict.fromkeys(s.identity_atoms, 0)  # domains of atoms into e
+    for d, r in zip(dom, rng):
+        into[r] |= 1 << d
+    for a, d in enumerate(dom):
+        if into[d] != s.identity_mask:
+            return s.atom_names[a]
+    return None
+
+
+def _pair_density_witness(s: AtomStructure) -> str | None:
+    """The least identity atom e that is not a pair, or None.
+
+    e;0';e is the set L of diversity atoms from e to e, so
+    e;0';e;0';e <= 1' says that no diversity atom of L;0' ends at e.
+    """
+    comp, rng = s._comp, s._ends[1]
+    div = s.full_mask & ~s.identity_mask
+    is_div = [not s.identity_mask >> b & 1 for b in range(s.n_atoms)]
+    for e in sorted(s.identity_atoms):
+        reach = 0
+        for x in iter_bits(s._loops[e]):
+            reach |= reduce(or_, compress(comp[x], is_div), 0)
+        if any(rng[z] == e for z in iter_bits(reach & div)):
+            return s.atom_names[e]
+    return None
+
+
+def _functional_mask(s: AtomStructure) -> int:
+    # the atoms a with a~;a <= 1', one lookup each
+    comp, conv, ident = s._comp, s.converse_map, s.identity_mask
+    return sum(1 << a for a, c in enumerate(conv) if not comp[c][a] & ~ident)
+
+
+def _functionality_witness(s: AtomStructure) -> str | None:
+    """The least atom a such that neither a nor a~ is a function, or None."""
+    fn = _functional_mask(s)
+    for a, c in enumerate(s.converse_map):
+        if not (fn >> a & 1 or fn >> c & 1):
+            return s.atom_names[a]
+    return None
 
 
 @dataclass(frozen=True)
@@ -749,11 +819,17 @@ class AxiomReport:
 
 def check_z2_axioms(s: AtomStructure) -> AxiomReport:
     """Evaluate simplicity, pair-density and atom functionality."""
+    s.require_valid()
+    return _z2_axioms(s)
+
+
+def _z2_axioms(s: AtomStructure) -> AxiomReport:
+    # check_z2_axioms on a structure whose local laws hold
     sw = _simplicity_witness(s)
-    pd, pw = is_pair_dense(s)
-    fn, fw = atoms_functional(s)
+    pw = _pair_density_witness(s)
+    fw = _functionality_witness(s)
     return AxiomReport(
-        simple=sw is None, pair_dense=pd, functional=fn,
+        simple=sw is None, pair_dense=pw is None, functional=fw is None,
         simple_witness=sw, pair_dense_witness=pw, functional_witness=fw)
 
 
@@ -764,5 +840,5 @@ def check_functional_density(s: AtomStructure) -> bool:
     and by distributivity the union is f~;f for f the join of those atoms.
     """
     s.require_valid()
-    f = sum(1 << a for a, flags in enumerate(s.atom_flags) if flags[2])
+    f = _functional_mask(s)
     return s.compose_mask(s.converse_mask(f), f) == s.full_mask

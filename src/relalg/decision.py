@@ -8,6 +8,11 @@ each atom's domain and range identity atoms and checked cycle by cycle.
 `iso` and `check-action` find isomorphisms by a refine-and-propagate
 search instead (find_isomorphism); its colour refinement reads each
 cycle at its first atom only, which the cycle law makes enough.
+
+Inputs are checked against the local laws first.  The associativity join
+runs only before a verdict that no witness certifies (a rejection, `none`,
+an error): an isomorphism onto an associative structure proves the other
+side associative.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .actions import GroupAction, build_group, rel_algebra
-from .atoms import AtomStructure, AxiomFailure, check_z2_axioms
+from .atoms import AtomStructure, AxiomFailure, _z2_axioms
 from .concrete import ConcreteAlgebra, extract_atom_structure
 from .errors import InternalError, SearchBudgetExceeded
 from .formats import format_atom_structure
@@ -141,15 +146,41 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
     single one is assigned at once.  Each atom assignment, tried or forced,
     is one node of `budget`; past it, SearchBudgetExceeded is raised.  None
     means no isomorphism exists.
+
+    An invalid structure raises InvalidStructureError, the source's when
+    both are invalid.  The search needs only the local laws; a found map
+    carries the source's associativity over to the target, so then only
+    the source is validated in full, and otherwise both are.
     """
-    source.require_valid()
-    target.require_valid()
-    return _search_isomorphism(source, target, budget)
+    if source._local_violations or target._local_violations:
+        source.require_valid()
+        target.require_valid()
+    witness = _validating_unless_found(
+        lambda: _search_isomorphism(source, target, budget), (source, target))
+    if witness is not None:
+        source.require_valid()
+    return witness
+
+
+def _validating_unless_found(search, unproven: tuple[AtomStructure, ...]
+                             ) -> IsoWitness | None:
+    # search(); before any outcome but a witness (None or an exception)
+    # the structures of `unproven` are validated in full, in order
+    try:
+        witness = search()
+    except Exception:
+        for s in unproven:
+            s.require_valid()
+        raise
+    if witness is None:
+        for s in unproven:
+            s.require_valid()
+    return witness
 
 
 def _search_isomorphism(source: AtomStructure, target: AtomStructure,
                         budget: int) -> IsoWitness | None:
-    # find_isomorphism on structures already known to be valid
+    # find_isomorphism on structures whose local laws hold
     colours = _refined_colours(source, target)
     if colours is None:
         return None
@@ -268,24 +299,41 @@ class Z2Decision:
 
 def decide_z2(structure: AtomStructure) -> Z2Decision:
     """Decide whether the structure is the compatible-relation algebra of
-    some action of the two-element group, and construct one if so."""
-    report = check_z2_axioms(structure)
-    if not report.all_hold:
-        return Z2Decision(structure, False, failures=report.failures())
+    some action of the two-element group, and construct one if so.
 
-    # one base element per point atom, two swapped elements per twin atom,
-    # allocated in identity-atom id order; blocks[e] holds e's elements;
-    # pair-density has made every identity atom a pair, so a non-point is
-    # a twin
-    g: list[int] = []
-    blocks: dict[int, tuple[int, ...]] = {}
-    for e in sorted(structure.identity_atoms):
-        blocks[e] = ((len(g),) if structure.atom_flags[e][0]
-                     else (len(g), len(g) + 1))
-        g.extend(reversed(blocks[e]))
-    action = build_group(len(g), [tuple(g)])
-    algebra = rel_algebra(action)
-    witness = _construct_witness(structure, blocks, algebra)
+    An invalid structure raises InvalidStructureError.  The axioms need
+    only the local laws, and a rejection, or any failure to build the
+    witness, validates in full first.  An accepted decision skips the
+    associativity join, soundly: `_construct_witness` returns only a
+    witness without problems, a bijection onto the structure extracted
+    from the constructed algebra that keeps identity atoms, converse and
+    every cycle both ways.  That structure is the atom structure of a
+    proper relation algebra, hence associative (Maddux, Relation Algebras,
+    2006), and the bijection carries (a;b);c = a;(b;c) back atom by atom,
+    so the input is associative too.
+    """
+    structure._require_local_laws()
+    report = _z2_axioms(structure)
+    if not report.all_hold:
+        structure.require_valid()
+        return Z2Decision(structure, False, failures=report.failures())
+    try:
+        # one base element per point atom, two swapped elements per twin
+        # atom, allocated in identity-atom id order; blocks[e] holds e's
+        # elements; pair-density has made every identity atom a pair, so a
+        # non-point (one with a diversity atom from e to e) is a twin
+        g: list[int] = []
+        blocks: dict[int, tuple[int, ...]] = {}
+        for e in sorted(structure.identity_atoms):
+            blocks[e] = ((len(g),) if not structure._loops[e]
+                         else (len(g), len(g) + 1))
+            g.extend(reversed(blocks[e]))
+        action = build_group(len(g), [tuple(g)])
+        algebra = rel_algebra(action)
+        witness = _construct_witness(structure, blocks, algebra)
+    except Exception:
+        structure.require_valid()
+        raise
     return Z2Decision(structure, True, action=action, algebra=algebra,
                       witness=witness)
 
@@ -308,11 +356,10 @@ def _construct_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
             "\n--- input ---\n" + format_atom_structure(s)
             + "--- constructed ---\n" + format_atom_structure(target))
 
-    conv, names, comp = s.converse_map, s.atom_names, s._comp
+    conv, names = s.converse_map, s.atom_names
     groups = {(d, r): [] for d in blocks for r in blocks}
-    for a in range(s.n_atoms):  # domain a;a~ . 1', range a~;a . 1'
-        groups[(comp[a][conv[a]] & s.identity_mask).bit_length() - 1,
-               (comp[conv[a]][a] & s.identity_mask).bit_length() - 1].append(a)
+    for a, ends in enumerate(zip(*s._ends)):
+        groups[ends].append(a)
     for (d, r), group in groups.items():
         if len(group) != 1 + (len(blocks[d]) == len(blocks[r]) == 2):
             fail(f"{len(group)} atoms from {names[d]} to {names[r]}")
@@ -344,10 +391,14 @@ def check_action_represents(structure: AtomStructure, action: GroupAction,
     """Does this particular action's algebra realize the structure?
 
     Only the structure is validated: the one extracted from the action's
-    algebra is valid by construction (see extract_atom_structure)."""
-    structure.require_valid()
-    extracted = extract_atom_structure(rel_algebra(action))
-    return _search_isomorphism(structure, extracted, budget)
+    algebra is valid by construction (see extract_atom_structure), so a
+    found map proves the structure associative, and the join runs only
+    before `None` or an error."""
+    structure._require_local_laws()
+    return _validating_unless_found(
+        lambda: _search_isomorphism(
+            structure, extract_atom_structure(rel_algebra(action)), budget),
+        (structure,))
 
 
 @dataclass(frozen=True)

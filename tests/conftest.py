@@ -5,7 +5,9 @@ exhaustive enumeration) so library results can be checked against an
 implementation that shares no code with the one under test.
 """
 
+import functools
 import itertools
+import operator
 from collections import Counter
 from pathlib import Path
 
@@ -22,8 +24,9 @@ else:
 
 from relalg import (AtomClassification, AtomStructure, AtomTypeInfo,
                     ClassificationError, ConcreteRelation, build_group,
-                    parse_atom_structure, parse_concrete_algebra,
-                    parse_group_action, relation_converse)
+                    extract_atom_structure, parse_atom_structure,
+                    parse_concrete_algebra, parse_group_action, peirce_orbit,
+                    rel_algebra, relation_converse)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -106,6 +109,42 @@ def regular_action(orders):
     return build_group(n, gens)
 
 
+def involution_action(points, twins):
+    """The involution fixing `points` elements and swapping `twins` pairs."""
+    g = list(range(points))
+    for k in range(points, points + 2 * twins, 2):
+        g += [k + 1, k]
+    return build_group(len(g), [tuple(g)])
+
+
+def involution_structure(points, twins):
+    """The structure of involution_action(points, twins):
+    points^2 + 2*points*twins + 2*twins^2 atoms."""
+    action = involution_action(points, twins)
+    return extract_atom_structure(rel_algebra(action))
+
+
+def one_orbit_corruptions() -> list[tuple[AtomStructure, object]]:
+    """(table, action) pairs: the structure of each involution action with
+    (points, twins) in a fixed list, with one Peircean orbit of diversity
+    cycles dropped, one table per orbit (39 in all).  Dropping a whole
+    orbit of cycles free of identity atoms keeps the cycle law, the
+    identity law and every domain and range atom, so each table breaks
+    associativity alone."""
+    out = []
+    for points, twins in ((1, 1), (0, 2), (2, 1), (1, 2), (3, 0), (0, 3),
+                          (2, 2), (4, 0)):
+        action = involution_action(points, twins)
+        s = extract_atom_structure(rel_algebra(action))
+        conv, ident = s.converse_map, s.identity_atoms
+        orbits = sorted({tuple(sorted(peirce_orbit(c, conv)))
+                         for c in s.cycles if not ident.intersection(c)})
+        out += [(AtomStructure(s.atom_names, conv, ident,
+                               s.cycles.difference(orbit)), action)
+                for orbit in orbits]
+    return out
+
+
 # --- oracles -------------------------------------------------------------
 
 
@@ -156,12 +195,44 @@ def generated_groups(max_points: int) -> dict:
     return actions
 
 
+def atom_flags_oracle(s: AtomStructure) -> list[tuple[bool, bool, bool]]:
+    """(is_point, is_pair, is_function) of every atom as an element, by the
+    library's element-level definitions."""
+    return [s._element_flags(1 << a) for a in range(s.n_atoms)]
+
+
+def axioms_oracle(s: AtomStructure) -> tuple:
+    """The three axioms as the definitions state them, atom by atom:
+    (simple, pair_dense, functional, and the least failing atom of each or
+    None).  Simplicity asks (1;a);1 = 1 of every atom a, through the
+    unions a;1 and 1;a of each row and column of the composition table;
+    pair-density the pair flag of every identity atom, and functionality
+    the function flag of every atom or its converse."""
+    def union(masks):
+        return functools.reduce(operator.or_, masks, 0)
+
+    def first(bad):
+        return next((s.atom_names[a] for a in bad), None)
+
+    atoms = range(s.n_atoms)
+    times_one = [union(row) for row in s._comp]
+    one_times = [union(col) for col in zip(*s._comp)]
+    flags = atom_flags_oracle(s)
+    sw = first(a for a in atoms
+               if union(times_one[b] for b in atoms
+                        if one_times[a] >> b & 1) != s.full_mask)
+    pw = first(e for e in sorted(s.identity_atoms) if not flags[e][1])
+    fw = first(a for a in atoms
+               if not (flags[a][2] or flags[s.converse_map[a]][2]))
+    return sw is None, pw is None, fw is None, sw, pw, fw
+
+
 def signature_oracle(s: AtomStructure) -> list[tuple]:
     """A fingerprint of each atom that every isomorphism preserves: identity
     and self-converse, the function flag of the atom and of its converse,
     the point and pair flags, and how many cycles hold the atom in each of
     the three positions."""
-    flags = s.atom_flags
+    flags = atom_flags_oracle(s)
     pos = [[0, 0, 0] for _ in range(s.n_atoms)]
     for x, y, z in s.cycles:
         pos[x][0] += 1

@@ -1,17 +1,22 @@
 """Command-line interface: exit codes, report text, determinism."""
 
 import argparse
+import random
 import re
 import shlex
 import subprocess
 import sys
 import time
 
-from relalg import AtomStructure, VerificationReport, cli, \
-    parse_atom_structure, parse_concrete_algebra, parse_group_action
+from relalg import (AtomStructure, InvalidStructureError, VerificationReport,
+                    cli, extract_atom_structure, format_atom_structure,
+                    format_group_action, is_twin, parse_atom_structure,
+                    parse_concrete_algebra, parse_group_action, rel_algebra)
+from relalg.atoms import _z2_axioms
 from relalg.cli import main
 
-from conftest import DATA, group_closure_oracle
+from conftest import (DATA, group_closure_oracle, one_orbit_corruptions,
+                      shuffled)
 
 
 def run(capsys, *argv):
@@ -255,7 +260,10 @@ def test_parser_is_built_once(monkeypatch, capsys):
     assert built == []
 
 
-def test_iso_and_check_action_compute_no_atom_flags(monkeypatch, capsys):
+def test_no_subcommand_computes_element_flags(monkeypatch, capsys):
+    # the axioms and decide-z2 read each atom's domain and range, and iso
+    # and check-action read neither; only the element predicates compose
+    # elements to classify them
     calls = []
     flags = AtomStructure._element_flags
 
@@ -264,13 +272,63 @@ def test_iso_and_check_action_compute_no_atom_flags(monkeypatch, capsys):
         return flags(self, mask)
 
     monkeypatch.setattr(AtomStructure, "_element_flags", counting_flags)
-    assert run(capsys, "iso", DATA / "23.ra", DATA / "23_relabeled.ra")[0] == 0
-    assert run(capsys, "check-action", DATA / "swap.ra",
-               DATA / "swap.act")[0] == 0
+    for argv, status in ((["validate", DATA / "57.ra"], 0),
+                         (["rel", DATA / "z3.act"], 0),
+                         (["classify", DATA / "type6.ca"], 0),
+                         (["axioms", DATA / "57.ra"], 2),
+                         (["axioms", DATA / "swap.ra"], 0),
+                         (["decide-z2", DATA / "23.ra"], 2),
+                         (["decide-z2", DATA / "swap.ra", "--verify"], 0),
+                         (["iso", DATA / "23.ra",
+                           DATA / "23_relabeled.ra"], 0),
+                         (["check-action", DATA / "swap.ra",
+                           DATA / "swap.act"], 0)):
+        assert run(capsys, *argv)[0] == status, argv
     assert calls == []
-    # the wrapper does see the flags where the axioms need them
-    assert run(capsys, "axioms", DATA / "57.ra")[0] == 2
+    # the wrapper does see the flags where a predicate needs them
+    s = parse_atom_structure((DATA / "swap.ra").read_text())
+    assert is_twin(s.identity)
     assert calls
+
+
+def test_locally_valid_non_associative_tables_exit_1(tmp_path, capsys):
+    # these tables pass the local laws and all three axioms, so decide-z2
+    # builds a witness for them, and a shuffle of one is isomorphic to it;
+    # every run still reports the full validation of the first invalid
+    # input, the source when both are
+    tables = one_orbit_corruptions()
+    assert len(tables) == 39
+    rng = random.Random(39)
+
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return path
+
+    paths, errors = [], []
+    for k, (s, action) in enumerate(tables):
+        assert s.validation.codes() == ("associativity",)
+        assert _z2_axioms(s).all_hold
+        paths.append(write(f"bad{k}.ra", format_atom_structure(s)))
+        errors.append("error: " + str(InvalidStructureError(s.validation))
+                      + "\n")
+    for k, (s, action) in enumerate(tables):
+        bad, error = paths[k], errors[k]
+        partner = extract_atom_structure(rel_algebra(action))
+        good = write(f"good{k}.ra", format_atom_structure(partner))
+        act = write(f"inv{k}.act", format_group_action(action))
+        twin = write(f"shuffled{k}.ra",
+                     format_atom_structure(shuffled(s, rng)))
+        other = (k + 1) % len(tables)
+        for argv, want in ((["decide-z2", bad], error),
+                           (["decide-z2", bad, "--verify"], error),
+                           (["iso", bad, good], error),
+                           (["iso", good, bad], error),
+                           (["iso", bad, twin], error),
+                           (["iso", bad, paths[other]], error),
+                           (["iso", paths[other], bad], errors[other]),
+                           (["check-action", bad, act], error)):
+            assert run(capsys, *argv) == (1, "", want), argv
 
 
 def test_readme_command_lines(monkeypatch, capsys):

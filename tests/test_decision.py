@@ -14,10 +14,11 @@ from relalg import (AtomStructure, InternalError, IsoWitness,
                     verify_decision)
 from relalg.decision import _construct_witness, _refined_colours
 
-from conftest import (DATA, conjugate, generated_groups,
-                      group_closure_oracle, involutions, load_concrete,
-                      load_structure, refined_colours_oracle, regular_action,
-                      shuffled, signature_oracle)
+from conftest import (DATA, atom_flags_oracle, conjugate, generated_groups,
+                      group_closure_oracle, involution_structure,
+                      involutions, load_concrete, load_structure,
+                      refined_colours_oracle, regular_action, shuffled,
+                      signature_oracle)
 
 
 # --- find_isomorphism -----------------------------------------------------
@@ -214,16 +215,6 @@ def test_round_trip_small_involutions():
             assert set(cls.type_tags()) <= {1, 2, 3, 4, 5}, (n, g)
 
 
-def involution_structure(points, twins):
-    """The structure of the involution fixing `points` elements and
-    swapping `twins` pairs: points^2 + 2*points*twins + 2*twins^2 atoms."""
-    g = list(range(points))
-    for k in range(points, points + 2 * twins, 2):
-        g += [k + 1, k]
-    return extract_atom_structure(
-        rel_algebra(build_group(len(g), [tuple(g)])))
-
-
 @pytest.mark.parametrize("points,twins,atoms", [(8, 0, 64), (0, 6, 72),
                                                 (3, 5, 89), (4, 11, 346)])
 def test_shuffled_ids_are_accepted(points, twins, atoms):
@@ -243,7 +234,8 @@ def test_constructed_witness_mismatch_is_internal_error():
     # one point, then one twin; an algebra whose twin comes first, and
     # blocks that swap the kinds, both fail as internal errors
     s = involution_structure(1, 1)
-    point, twin = sorted(s.identity_atoms, key=lambda e: not s.atom_flags[e][0])
+    flags = atom_flags_oracle(s)
+    point, twin = sorted(s.identity_atoms, key=lambda e: not flags[e][0])
     blocks = {point: (0,), twin: (1, 2)}
     good = rel_algebra(build_group(3, [(0, 2, 1)]))
     assert _construct_witness(s, blocks, good).is_valid()

@@ -1,4 +1,4 @@
-"""The triple scan, the associativity join and the flag kernel against the
+"""The triple scan, the associativity join and the axiom kernel against the
 dense computations they replace, kept here as oracles; and the validity of
 extracted structures, which the library no longer checks at run time."""
 
@@ -7,18 +7,21 @@ import random
 import time
 
 from relalg import (AtomStructure, ConcreteAlgebra, ConcreteRelation,
-                    build_group, check_z2_axioms, extract_atom_structure,
-                    parse_atom_structure, parse_concrete_algebra,
+                    atoms_functional, build_group, check_functional_density,
+                    check_z2_axioms, extract_atom_structure, is_pair_dense,
+                    is_simple, parse_atom_structure, parse_concrete_algebra,
                     peirce_orbit, rel_algebra, validate_structure)
 from relalg import atoms
 from relalg.atoms import _validate
 from relalg.atoms import _associativity_witness
 from relalg.cli import main
 
-from conftest import (DATA, associativity_witness_oracle,
-                      compose_masks_oracle, composition_scan_oracle,
-                      converse_mask_oracle, invariant_violations_oracle,
-                      involutions, regular_action, shuffled)
+from conftest import (DATA, associativity_witness_oracle, atom_flags_oracle,
+                      axioms_oracle, compose_masks_oracle,
+                      composition_scan_oracle, converse_mask_oracle,
+                      generated_groups, invariant_violations_oracle,
+                      involution_structure, involutions, regular_action,
+                      shuffled)
 
 
 def random_algebras(rng, count, max_n):
@@ -85,7 +88,9 @@ def test_every_extracted_structure_in_the_corpus_is_valid():
 
 def test_validation_runs_at_most_once_per_structure(monkeypatch, capsys):
     # structures built by the pipeline are not validated: rel validates
-    # nothing, and no subcommand validates a structure object twice
+    # nothing, and no subcommand validates a structure object twice; an
+    # accepted decide-z2 and a matching check-action validate nothing, and
+    # a found iso the source alone: the witness certifies the rest
     calls = []
 
     def counting(self):
@@ -101,17 +106,50 @@ def test_validation_runs_at_most_once_per_structure(monkeypatch, capsys):
             (["classify", DATA / "type6.ca"], 0, 0),
             (["validate", swap_ra], 0, 1),
             (["axioms", DATA / "57.ra"], 2, 1),
-            (["decide-z2", swap_ra], 0, 1),
-            (["decide-z2", swap_ra, "--verify"], 0, 1),
+            (["decide-z2", swap_ra], 0, 0),
+            (["decide-z2", swap_ra, "--verify"], 0, 0),
             (["decide-z2", DATA / "23.ra", "--verify"], 2, 1),
-            (["iso", swap_ra, swap_ra], 0, 2),
-            (["check-action", swap_ra, swap_act], 0, 1),
+            (["iso", swap_ra, swap_ra], 0, 1),
+            (["iso", swap_ra, DATA / "23.ra"], 2, 2),
+            (["check-action", swap_ra, swap_act], 0, 0),
             (["check-action", DATA / "23.ra", swap_act], 2, 1)):
         calls.clear()
         assert main([str(a) for a in argv]) == status, argv
         capsys.readouterr()
         assert len(calls) == objects, argv
         assert len({id(s) for s in calls}) == objects, argv
+
+
+def test_the_join_runs_only_before_uncertified_verdicts(monkeypatch, capsys):
+    # a witness onto an associative structure proves the other side
+    # associative: an accepted decision and a matching check-action run no
+    # join, a found iso joins the source alone, and the rest validate every
+    # input they were given
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return witness(s)
+
+    witness = atoms._associativity_witness
+    monkeypatch.setattr(atoms, "_associativity_witness", counting)
+    swap_ra, swap_act = DATA / "swap.ra", DATA / "swap.act"
+    for argv, status, joins in (
+            (["decide-z2", swap_ra, "--verify"], 0, 0),
+            (["decide-z2", DATA / "23.ra", "--verify"], 2, 1),
+            (["decide-z2", DATA / "57.ra"], 2, 1),
+            (["check-action", swap_ra, swap_act], 0, 0),
+            (["check-action", DATA / "23.ra", swap_act], 2, 1),
+            (["iso", DATA / "23.ra", DATA / "23_relabeled.ra"], 0, 1),
+            (["iso", DATA / "23.ra", DATA / "57.ra"], 2, 2),
+            (["iso", DATA / "23.ra", swap_ra], 2, 2),
+            (["axioms", swap_ra], 0, 1),
+            (["validate", swap_ra], 0, 1)):
+        calls.clear()
+        assert main([str(a) for a in argv]) == status, argv
+        capsys.readouterr()
+        assert len(calls) == joins, argv
+        assert len({id(s) for s in calls}) == joins, argv
 
 
 # --- associativity join -----------------------------------------------------
@@ -301,11 +339,45 @@ def test_no_atom_converse_relation_is_built(monkeypatch, capsys):
         assert calls == [], argv
 
 
-# --- point, pair and function flags ---------------------------------------------
+# --- point, pair and function flags, and the axioms --------------------------
+
+
+def direct_product(s, t):
+    """The atom structure of the direct product of s and t: the atoms of t
+    follow those of s and no cycle joins the two.  Valid when s and t are,
+    and not simple."""
+    n = s.n_atoms
+    return AtomStructure(
+        tuple(f"l{x}" for x in s.atom_names)
+        + tuple(f"r{x}" for x in t.atom_names),
+        s.converse_map + tuple(n + c for c in t.converse_map),
+        s.identity_atoms | {n + e for e in t.identity_atoms},
+        s.cycles | {(n + x, n + y, n + z) for x, y, z in t.cycles})
 
 
 def test_atom_flags_and_simplicity_match_element_level_oracle():
-    for s in catalog_structures() + extracted_structures():
+    # the element-level definitions check the oracle's atom flags and
+    # simplicity; the axiom kernel, read off domains, ranges and the
+    # diversity atoms from e to e, must give the oracle's three answers
+    # and three witnesses
+    rng = random.Random(17)
+    involution_structures = [
+        shuffled(involution_structure(points, twins), rng)
+        for points in range(7) for twins in range((6 - points) // 2 + 1)
+        if points + twins]
+    products = [shuffled(direct_product(s, t), rng)
+                for s in catalog_structures() for t in catalog_structures()]
+    # every group generated by one or two permutations of 4 points: some
+    # have functional atoms whose converses are not functions
+    small_groups = [extract_atom_structure(rel_algebra(a))
+                    for a in generated_groups(4).values()]
+    structures = (catalog_structures() + extracted_structures()
+                  + regular_structures() + involution_structures + products
+                  + small_groups)
+    assert len(involution_structures) == 15
+    assert all(s.validation.ok for s in products)
+    failed = [0, 0, 0]
+    for s in structures:
         full = s.full_mask
         div = full & ~s.identity_mask
 
@@ -318,15 +390,27 @@ def test_atom_flags_and_simplicity_match_element_level_oracle():
                 acc = compose_masks_oracle(s, acc, m)
             return acc
 
+        flags = atom_flags_oracle(s)
         for a in range(s.n_atoms):
             m = 1 << a
-            assert s.atom_flags[a] == (
+            assert flags[a] == (
                 below_identity(comp(m, full, m)),
                 below_identity(comp(m, div, m, div, m)),
                 below_identity(comp(converse_mask_oracle(s, m), m)))
+        want = axioms_oracle(s)
         simple = all(comp(full, 1 << a, full) == full
                      for a in range(s.n_atoms))
-        assert check_z2_axioms(s).simple == simple
+        assert want[0] == simple
+        r = check_z2_axioms(s)
+        assert (*r.as_triple(), r.simple_witness, r.pair_dense_witness,
+                r.functional_witness) == want, s.atom_names
+        assert (is_simple(s), is_pair_dense(s), atoms_functional(s)) == (
+            want[0], (want[1], want[4]), (want[2], want[5]))
+        fn = sum(1 << a for a in range(s.n_atoms) if flags[a][2])
+        assert check_functional_density(s) == (
+            comp(converse_mask_oracle(s, fn), fn) == full)
+        failed = [f + (not w) for f, w in zip(failed, want)]
+    assert min(failed) >= 16  # each axiom fails on some inputs
 
 
 # --- error paths ----------------------------------------------------------------
