@@ -11,9 +11,10 @@ O(cycles + atoms * identity atoms).  The associativity join uses Light's
 reduction: one row kernel compares (a;b);c with a;(b;c) over a
 generating set of columns, and over all columns only when that pass
 fails, in place of an atoms^3 scan.  The three axioms are read off each
-atom's domain and range identity atoms, which the local laws make well
-defined, in O(atoms + sum over identity atoms e of |atoms from e to e| *
-atoms).
+atom's domain and range identity atoms, collected once for the local
+laws, which make them well defined, in O(atoms + sum over identity atoms
+e of |atoms from e to e| * atoms).  Which inputs of `decide-z2`, `iso`
+and `check-action` get the join is ruled in one place, decision._gated.
 """
 
 from __future__ import annotations
@@ -178,16 +179,8 @@ class AtomStructure:
     def compose_mask(self, xm: int, ym: int) -> int:
         comp = self._comp
         acc = 0
-        rest = xm
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            row = comp[low.bit_length() - 1]
-            ys = ym
-            while ys:
-                yl = ys & -ys
-                ys ^= yl
-                acc |= row[yl.bit_length() - 1]
+        for a in iter_bits(xm):
+            acc |= _union(comp[a], ym)
         return acc
 
     def converse_mask(self, mask: int) -> int:
@@ -243,14 +236,21 @@ class AtomStructure:
         return point, pair, fn
 
     @cached_property
+    def _end_atoms(self) -> tuple[list[list[int]], list[list[int]]]:
+        # the identity atoms e with (e, a, a) and the f with (a, f, a) as
+        # cycles, for each atom a, in id order: its domain and range atoms,
+        # which the local laws require to be one each
+        idents, cycles = sorted(self.identity_atoms), self.cycles
+        atoms = range(self.n_atoms)
+        return ([[e for e in idents if (e, a, a) in cycles] for a in atoms],
+                [[f for f in idents if (a, f, a) in cycles] for a in atoms])
+
+    @cached_property
     def _ends(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # the domain (a;a~).1' and the range (a~;a).1' of each atom a, as
-        # atom ids; each is one identity atom when the local laws hold
-        comp, conv, ident = self._comp, self.converse_map, self.identity_mask
-        return (tuple((comp[a][c] & ident).bit_length() - 1
-                      for a, c in enumerate(conv)),
-                tuple((comp[c][a] & ident).bit_length() - 1
-                      for a, c in enumerate(conv)))
+        # the domain and the range identity atom of each atom, read only
+        # once the local laws hold
+        return tuple(tuple(found[0] for found in side)
+                     for side in self._end_atoms)
 
     @cached_property
     def _loops(self) -> dict[int, int]:
@@ -276,12 +276,6 @@ class AtomStructure:
     def require_valid(self) -> None:
         if not self.validation.ok:
             raise InvalidStructureError(self.validation)
-
-    def _require_local_laws(self) -> None:
-        # raise as require_valid does, full report included, when a local
-        # law fails; when they all hold, the join is not run
-        if self._local_violations:
-            self.require_valid()
 
 
 def _validate(s: AtomStructure) -> ValidationReport:
@@ -369,13 +363,10 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
                 f"cycle {s._fmt_triple((x, y, z))} puts an identity atom below "
                 f"{names[x]};{names[y]} but {names[y]} != {names[conv[x]]}"))
 
-    idents = sorted(ident)
-    for a in range(n):
-        for side, found, cycle in (
-                ("domain", [e for e in idents if (e, a, a) in cycles],
-                 "e has (e, {0}, {0})"),
-                ("range", [e for e in idents if (a, e, a) in cycles],
-                 "f has ({0}, f, {0})")):
+    for a, ends in enumerate(zip(*s._end_atoms)):
+        for side, found, cycle in zip(
+                ("domain", "range"), ends,
+                ("e has (e, {0}, {0})", "f has ({0}, f, {0})")):
             if not found:
                 v.append(Violation(
                     f"missing-{side}-atom",
@@ -781,6 +772,12 @@ def _functionality_witness(s: AtomStructure) -> str | None:
     return None
 
 
+# the three axioms in order: number, condition, and the AxiomReport field
+# of the answer (its witness is the field name + "_witness")
+_AXIOMS = ((1, "simplicity", "simple"), (2, "pair-density", "pair_dense"),
+           (3, "functionality", "functional"))
+
+
 @dataclass(frozen=True)
 class AxiomFailure:
     axiom: int
@@ -807,14 +804,9 @@ class AxiomReport:
         return self.simple and self.pair_dense and self.functional
 
     def failures(self) -> tuple[AxiomFailure, ...]:
-        out = []
-        if not self.simple:
-            out.append(AxiomFailure(1, "simplicity", self.simple_witness))
-        if not self.pair_dense:
-            out.append(AxiomFailure(2, "pair-density", self.pair_dense_witness))
-        if not self.functional:
-            out.append(AxiomFailure(3, "functionality", self.functional_witness))
-        return tuple(out)
+        return tuple(AxiomFailure(k, condition, getattr(self, f"{field}_witness"))
+                     for k, condition, field in _AXIOMS
+                     if not getattr(self, field))
 
 
 def check_z2_axioms(s: AtomStructure) -> AxiomReport:

@@ -10,11 +10,12 @@ failures, violated preconditions, an exhausted search budget in `iso` or
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import sys
 from pathlib import Path
 
-from .atoms import AxiomReport, check_z2_axioms
+from .atoms import _AXIOMS, check_z2_axioms
 from .concrete import extract_atom_structure
 from .decision import (DEFAULT_BUDGET, check_action_represents, decide_z2,
                        find_isomorphism, verify_decision)
@@ -27,11 +28,13 @@ from .actions import rel_algebra
 
 
 def _read(path: str) -> str:
+    # a leading byte-order mark is skipped, and still counted in offsets
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
+        mark = Path(path).read_bytes().startswith(codecs.BOM_UTF8)
         raise RelalgError(f"{path}: not UTF-8 text ({exc.reason} at byte "
-                          f"{exc.start})") from None
+                          f"{exc.start + 3 * mark})") from None
 
 
 def _budget(text: str) -> int:
@@ -48,14 +51,6 @@ def _axiom_line(axiom: int, condition: str, witness: str | None) -> str:
     if witness is None:
         return f"axiom {axiom} holds ({condition})"
     return f"axiom {axiom} fails at atom {witness} ({condition})"
-
-
-def _axiom_lines(report: AxiomReport) -> list[str]:
-    return [
-        _axiom_line(1, "simplicity", report.simple_witness),
-        _axiom_line(2, "pair-density", report.pair_dense_witness),
-        _axiom_line(3, "functionality", report.functional_witness),
-    ]
 
 
 def _cmd_validate(args) -> tuple[int, list[str]]:
@@ -127,7 +122,9 @@ def _cmd_check_action(args) -> tuple[int, list[str]]:
 def _cmd_axioms(args) -> tuple[int, list[str]]:
     s = parse_atom_structure(_read(args.file), source=args.file)
     report = check_z2_axioms(s)
-    return (0 if report.all_hold else 2), _axiom_lines(report)
+    return (0 if report.all_hold else 2), [
+        _axiom_line(k, condition, getattr(report, f"{field}_witness"))
+        for k, condition, field in _AXIOMS]
 
 
 @functools.cache

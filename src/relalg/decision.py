@@ -12,7 +12,7 @@ cycle at its first atom only, which the cycle law makes enough.
 Inputs are checked against the local laws first.  The associativity join
 runs only before a verdict that no witness certifies (a rejection, `none`,
 an error): an isomorphism onto an associative structure proves the other
-side associative.
+side associative.  The rule lives in one gate, _gated.
 """
 
 from __future__ import annotations
@@ -148,34 +148,42 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
     means no isomorphism exists.
 
     An invalid structure raises InvalidStructureError, the source's when
-    both are invalid.  The search needs only the local laws; a found map
-    carries the source's associativity over to the target, so then only
-    the source is validated in full, and otherwise both are.
+    both are invalid (see _gated).
     """
-    if source._local_violations or target._local_violations:
-        source.require_valid()
-        target.require_valid()
-    witness = _validating_unless_found(
-        lambda: _search_isomorphism(source, target, budget), (source, target))
-    if witness is not None:
-        source.require_valid()
-    return witness
+    return _gated((source, target),
+                  lambda: _search_isomorphism(source, target, budget),
+                  lambda w: (source, target) if w is None else (source,))
 
 
-def _validating_unless_found(search, unproven: tuple[AtomStructure, ...]
-                             ) -> IsoWitness | None:
-    # search(); before any outcome but a witness (None or an exception)
-    # the structures of `unproven` are validated in full, in order
+def _gated(inputs: tuple[AtomStructure, ...], compute, unproven):
+    """compute() behind the one validation rule of the decision path.
+
+    1. If any input breaks a local law, every input is validated in full,
+       in order, and the first invalid one's report is raised.
+    2. Otherwise compute() runs.  If it raises, every input is validated
+       before the exception propagates.
+    3. After an answer, only the inputs it does not certify, unproven(answer),
+       are validated: the source alone after a found `iso` map, none after
+       an accepted `decide-z2` or a found `check-action` map, and all of
+       them after any other answer.
+
+    The computations need only the local laws, and a witness onto the
+    structure of a proper relation algebra, which is associative (Maddux,
+    Relation Algebras, 2006), carries (a;b);c = a;(b;c) back atom by atom,
+    so the associativity join runs only where no witness does that.
+    """
+    if any(s._local_violations for s in inputs):
+        for s in inputs:  # raises: a local violation fails validation
+            s.require_valid()
     try:
-        witness = search()
+        answer = compute()
     except Exception:
-        for s in unproven:
+        for s in inputs:
             s.require_valid()
         raise
-    if witness is None:
-        for s in unproven:
-            s.require_valid()
-    return witness
+    for s in unproven(answer):
+        s.require_valid()
+    return answer
 
 
 def _search_isomorphism(source: AtomStructure, target: AtomStructure,
@@ -301,41 +309,35 @@ def decide_z2(structure: AtomStructure) -> Z2Decision:
     """Decide whether the structure is the compatible-relation algebra of
     some action of the two-element group, and construct one if so.
 
-    An invalid structure raises InvalidStructureError.  The axioms need
-    only the local laws, and a rejection, or any failure to build the
-    witness, validates in full first.  An accepted decision skips the
-    associativity join, soundly: `_construct_witness` returns only a
-    witness without problems, a bijection onto the structure extracted
-    from the constructed algebra that keeps identity atoms, converse and
-    every cycle both ways.  That structure is the atom structure of a
-    proper relation algebra, hence associative (Maddux, Relation Algebras,
-    2006), and the bijection carries (a;b);c = a;(b;c) back atom by atom,
-    so the input is associative too.
+    An invalid structure raises InvalidStructureError (see _gated).  An
+    accepted decision skips the associativity join, soundly:
+    `_construct_witness` returns only a witness without problems, a
+    bijection onto the structure extracted from the constructed algebra
+    that keeps identity atoms, converse and every cycle both ways.
     """
-    structure._require_local_laws()
+    return _gated((structure,), lambda: _decide_z2(structure),
+                  lambda d: () if d.accepted else (structure,))
+
+
+def _decide_z2(structure: AtomStructure) -> Z2Decision:
+    # decide_z2 on a structure whose local laws hold
     report = _z2_axioms(structure)
     if not report.all_hold:
-        structure.require_valid()
         return Z2Decision(structure, False, failures=report.failures())
-    try:
-        # one base element per point atom, two swapped elements per twin
-        # atom, allocated in identity-atom id order; blocks[e] holds e's
-        # elements; pair-density has made every identity atom a pair, so a
-        # non-point (one with a diversity atom from e to e) is a twin
-        g: list[int] = []
-        blocks: dict[int, tuple[int, ...]] = {}
-        for e in sorted(structure.identity_atoms):
-            blocks[e] = ((len(g),) if not structure._loops[e]
-                         else (len(g), len(g) + 1))
-            g.extend(reversed(blocks[e]))
-        action = build_group(len(g), [tuple(g)])
-        algebra = rel_algebra(action)
-        witness = _construct_witness(structure, blocks, algebra)
-    except Exception:
-        structure.require_valid()
-        raise
+    # one base element per point atom, two swapped elements per twin atom,
+    # allocated in identity-atom id order; blocks[e] holds e's elements;
+    # pair-density has made every identity atom a pair, so a non-point
+    # (one with a diversity atom from e to e) is a twin
+    g: list[int] = []
+    blocks: dict[int, tuple[int, ...]] = {}
+    for e in sorted(structure.identity_atoms):
+        blocks[e] = ((len(g),) if not structure._loops[e]
+                     else (len(g), len(g) + 1))
+        g.extend(reversed(blocks[e]))
+    action = build_group(len(g), [tuple(g)])
+    algebra = rel_algebra(action)
     return Z2Decision(structure, True, action=action, algebra=algebra,
-                      witness=witness)
+                      witness=_construct_witness(structure, blocks, algebra))
 
 
 def _construct_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
@@ -392,13 +394,12 @@ def check_action_represents(structure: AtomStructure, action: GroupAction,
 
     Only the structure is validated: the one extracted from the action's
     algebra is valid by construction (see extract_atom_structure), so a
-    found map proves the structure associative, and the join runs only
-    before `None` or an error."""
-    structure._require_local_laws()
-    return _validating_unless_found(
-        lambda: _search_isomorphism(
-            structure, extract_atom_structure(rel_algebra(action)), budget),
-        (structure,))
+    found map proves the structure associative (see _gated)."""
+    return _gated((structure,),
+                  lambda: _search_isomorphism(
+                      structure, extract_atom_structure(rel_algebra(action)),
+                      budget),
+                  lambda w: (structure,) if w is None else ())
 
 
 @dataclass(frozen=True)

@@ -156,11 +156,29 @@ def test_missing_file_is_an_error(capsys):
 
 
 def test_undecodable_file_is_an_error(tmp_path, capsys):
+    # the offset counts from the start of the file, byte-order mark included
     f = tmp_path / "binary.ra"
-    f.write_bytes(b"atoms 1'\n" + bytes(range(128, 256)))
-    code, out, err = run(capsys, "validate", f)
-    assert (code, out) == (1, "")
-    assert err == f"error: {f}: not UTF-8 text (invalid start byte at byte 9)\n"
+    for mark, offset in ((b"", 9), (b"\xef\xbb\xbf", 12)):
+        f.write_bytes(mark + b"atoms 1'\n" + bytes(range(128, 256)))
+        code, out, err = run(capsys, "validate", f)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {f}: not UTF-8 text "
+                       f"(invalid start byte at byte {offset})\n")
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    # every input of data/, saved with a UTF-8 byte-order mark, gives the
+    # same exit code and report as the original
+    commands = {".ra": ["decide-z2", "--verify"], ".act": ["rel"],
+                ".ca": ["classify"]}
+    paths = sorted(DATA.iterdir())
+    assert {p.suffix for p in paths} == set(commands)
+    for path in paths:
+        marked = tmp_path / path.name
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code, out, err = run(capsys, *commands[path.suffix], marked)
+        assert (code, out) == run(capsys, *commands[path.suffix], path)[:2]
+        assert out and not err, path
 
 
 def test_unwritable_output_is_an_error(tmp_path, capsys):
@@ -295,7 +313,7 @@ def test_locally_valid_non_associative_tables_exit_1(tmp_path, capsys):
     # these tables pass the local laws and all three axioms, so decide-z2
     # builds a witness for them, and a shuffle of one is isomorphic to it;
     # every run still reports the full validation of the first invalid
-    # input, the source when both are
+    # input, the source when both are, a search out of budget included
     tables = one_orbit_corruptions()
     assert len(tables) == 39
     rng = random.Random(39)
@@ -327,7 +345,10 @@ def test_locally_valid_non_associative_tables_exit_1(tmp_path, capsys):
                            (["iso", bad, twin], error),
                            (["iso", bad, paths[other]], error),
                            (["iso", paths[other], bad], errors[other]),
-                           (["check-action", bad, act], error)):
+                           (["check-action", bad, act], error),
+                           (["iso", bad, twin, "--budget", "1"], error),
+                           (["check-action", bad, act, "--budget", "1"],
+                            error)):
             assert run(capsys, *argv) == (1, "", want), argv
 
 

@@ -291,6 +291,22 @@ def test_decide_requires_valid_structure(s23):
         decide_z2(bad)
 
 
+def test_a_broken_local_law_stops_every_answer(swap_structure):
+    # duplicate names break a local law that neither the axioms nor the
+    # search read: each would answer if the gate did not stop it first
+    from relalg import InvalidStructureError
+    s = swap_structure
+    dup = dataclasses.replace(
+        s, atom_names=(s.atom_names[1],) + s.atom_names[1:])
+    action = build_group(2, [(1, 0)])
+    for call in (lambda: decide_z2(dup), lambda: find_isomorphism(s, dup),
+                 lambda: find_isomorphism(dup, s),
+                 lambda: check_action_represents(dup, action)):
+        with pytest.raises(InvalidStructureError) as caught:
+            call()
+        assert caught.value.report.codes() == ("duplicate-atom-name",)
+
+
 # --- check_action_represents ----------------------------------------------
 
 

@@ -25,3 +25,12 @@ def test_library_imports_only_the_standard_library():
             outside += [f"{path.name}: {m}" for m in modules
                         if m.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_library_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >=3.10
+    files = sorted(Path(relalg.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
