@@ -7,7 +7,12 @@ and certifies acceptance with the atom bijection of the proof, fixed by
 each atom's domain and range identity atoms and checked cycle by cycle.
 `iso` and `check-action` find isomorphisms by a refine-and-propagate
 search instead (find_isomorphism); its colour refinement reads each
-cycle at its first atom only, which the cycle law makes enough.
+cycle at its first atom only, which the cycle law makes enough.  Before
+it branches, the search compares the atoms' power runs (_power_runs), an
+invariant of O(atoms + cycles) that answers `none` for the regular
+actions of distinct abelian groups of one order, which refinement cannot
+tell apart; it never rejects an isomorphic pair, so no found map or node
+count depends on it.
 
 Inputs are checked against the local laws first.  The associativity join
 runs only before a verdict that no witness certifies (a rejection, `none`,
@@ -114,6 +119,32 @@ def _refined_colours(source: AtomStructure, target: AtomStructure
     return None
 
 
+def _power_runs(s: AtomStructure) -> Counter:
+    """The multiset of the atoms' power runs, an isomorphism invariant.
+
+    Atom x's run follows x, x;x, (x;x);x, ... while each power is one atom
+    and stops at the first power that is empty, has several atoms or
+    repeats; each power adds its atom count and whether it meets the
+    identity.  In the structure of a group, the identity first shows at
+    the element's order.  Only _comp and the identity atoms are read, so a
+    relabelling keeps the multiset.  Step k of x's run reads the cycle
+    (x^k, x, x^(k+1)), never the same one twice over all runs, so all runs
+    cost at most atoms + cycles lookups.
+    """
+    comp, ident = s._comp, s.identity_mask
+    runs: Counter = Counter()
+    for x in range(s.n_atoms):
+        p, seen, run = 1 << x, 0, []
+        while True:
+            run.append((p.bit_count(), p & ident != 0))
+            if not p or p & (p - 1) or p & seen:
+                break
+            seen |= p
+            p = comp[p.bit_length() - 1][x]
+        runs[tuple(run)] += 1
+    return runs
+
+
 class _Partial:
     """A partial atom map: m (-1 where unset), the live target candidates
     of each unassigned source atom as a bitmask, the assigned source atoms
@@ -137,8 +168,11 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
     colours per atom (is it an identity atom, is it its own converse) and
     iterated to a fixed point with one colour table for both structures,
     gives each source atom its candidates: the target atoms of its colour.
-    The search branches on the unassigned atom with the fewest live
-    candidates (lowest id on ties), trying candidates in target id order.
+    Unequal multisets of power runs (see _power_runs) then answer None
+    without a search; isomorphic structures always have equal ones, so
+    this changes no found map and no node count.  The search branches on
+    the unassigned atom with the fewest live candidates (lowest id on
+    ties), trying candidates in target id order.
     Assigning a -> b also assigns a~ -> b~ and, for every assigned y,
     requires a;y and b;m(y) (and y;a, m(y);b) to have as many atoms, maps
     each assigned atom of a;y into b;m(y), and narrows the candidates of
@@ -190,7 +224,7 @@ def _search_isomorphism(source: AtomStructure, target: AtomStructure,
                         budget: int) -> IsoWitness | None:
     # find_isomorphism on structures whose local laws hold
     colours = _refined_colours(source, target)
-    if colours is None:
+    if colours is None or _power_runs(source) != _power_runs(target):
         return None
     n = source.n_atoms
     by_colour: dict[int, int] = {}

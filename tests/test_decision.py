@@ -1,8 +1,11 @@
 """Isomorphism search, the representability decision, and verification."""
 
 import dataclasses
+import itertools
+import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -12,7 +15,8 @@ from relalg import (AtomStructure, InternalError, IsoWitness,
                     decide_z2, extract_atom_structure,
                     find_isomorphism, is_function, is_pair, rel_algebra,
                     verify_decision)
-from relalg.decision import _construct_witness, _refined_colours
+from relalg.decision import (_construct_witness, _power_runs,
+                             _refined_colours)
 
 from conftest import (DATA, atom_flags_oracle, conjugate, generated_groups,
                       group_closure_oracle, involution_structure,
@@ -99,21 +103,27 @@ def test_refined_colours_agree_with_the_signature_oracle():
             assert sig[first.setdefault(c, a)] == sig[a], (s.atom_names, a)
 
 
+def larger_structures() -> list[AtomStructure]:
+    """Involution structures of 17 to 52 atoms and regular actions of 12
+    to 48 atoms, beyond the catalog's 5 points."""
+    return ([involution_structure(p, t) for p, t in ((3, 1), (0, 4),
+                                                      (2, 4), (4, 2))]
+            + [extract_atom_structure(rel_algebra(regular_action(orders)))
+               for orders in ([12], [48], [2, 8], [3, 9], [4, 4])])
+
+
 def test_refined_colours_match_the_all_places_oracle():
     # first places alone give the colours of keying on all three places and
     # the converse's colour: on each catalog structure against every one of
-    # its atom count, on shuffled copies, and on regular actions that only
-    # the search tells apart
+    # its atom count, on shuffled copies, and on regular actions that
+    # refinement does not tell apart
     by_atoms: dict[int, list[AtomStructure]] = {}
     for s in catalog_structures():
         by_atoms.setdefault(s.n_atoms, []).append(s)
     pairs = [(x, y) for group in by_atoms.values()
              for x in group for y in group]
     rng = random.Random(11)
-    for s in ([involution_structure(p, t) for p, t in ((3, 1), (0, 4),
-                                                        (2, 4), (4, 2))]
-              + [extract_atom_structure(rel_algebra(regular_action(orders)))
-                 for orders in ([12], [48], [2, 8], [3, 9], [4, 4])]):
+    for s in larger_structures():
         x = shuffled(s, rng)
         pairs += [(s, x), (x, shuffled(s, rng))]
     for left, right in (([25], [5, 5]), ([4, 8], [2, 16])):
@@ -355,8 +365,8 @@ def test_shuffled_copies_are_found_within_budget(action, atoms):
 
 @pytest.mark.parametrize("left,right", [([25], [5, 5]), ([4, 8], [2, 16])])
 def test_regular_actions_of_distinct_groups_are_not_isomorphic(left, right):
-    # every atom of both structures gets the same colour, so only the
-    # search tells them apart
+    # every atom of both structures gets the same colour, so refinement
+    # does not tell them apart; the power runs do
     a = extract_atom_structure(rel_algebra(regular_action(left)))
     b = extract_atom_structure(rel_algebra(regular_action(right)))
     assert a.n_atoms == b.n_atoms
@@ -367,6 +377,45 @@ def test_regular_actions_of_distinct_groups_are_not_isomorphic(left, right):
         assert find_isomorphism(x, y, budget=50_000) is None
         assert find_isomorphism(y, x, budget=50_000) is None
     assert time.perf_counter() - start < 5.0
+
+
+ABELIAN_PAIRS = [([16], [4, 4]), ([2, 8], [4, 4]), ([9], [3, 3]),
+                 ([2, 2, 4], [2, 8]), ([27], [3, 9]), ([25], [5, 5]),
+                 ([4, 8], [2, 16])]
+
+
+@pytest.mark.parametrize("left,right", ABELIAN_PAIRS)
+def test_distinct_abelian_groups_are_told_apart_without_a_search(left, right):
+    # refinement tells apart only the two pairs whose involution counts
+    # differ, Z16/Z4^2 and Z2^2xZ4/Z2xZ8; the element orders in the power
+    # runs answer the other five before the first node
+    a = extract_atom_structure(rel_algebra(regular_action(left)))
+    b = extract_atom_structure(rel_algebra(regular_action(right)))
+    rng = random.Random(a.n_atoms)
+    for _ in range(10):
+        x, y = shuffled(a, rng), shuffled(b, rng)
+        assert find_isomorphism(x, y, budget=1) is None
+        assert find_isomorphism(y, x, budget=1) is None
+
+
+@pytest.mark.parametrize("orders", sorted({tuple(o) for pair in ABELIAN_PAIRS
+                                           for o in pair}))
+def test_a_power_run_reads_the_element_order(orders):
+    # in a group every power is one atom; an element of order k meets the
+    # identity first at its k-th power and repeats itself at the next
+    s = shuffled(extract_atom_structure(rel_algebra(regular_action(orders))),
+                 random.Random(len(orders)))
+    expected: Counter = Counter()
+    for g in itertools.product(*(range(q) for q in orders)):
+        k = math.lcm(*(q // math.gcd(x, q) for x, q in zip(g, orders)))
+        expected[tuple((1, i % k == 0) for i in range(1, k + 2))] += 1
+    assert _power_runs(s) == expected
+
+
+def test_power_runs_are_invariant_under_relabelling():
+    rng = random.Random(15)
+    for s in catalog_structures() + larger_structures():
+        assert _power_runs(shuffled(s, rng)) == _power_runs(s), s.atom_names
 
 
 def pinned_searches() -> dict:

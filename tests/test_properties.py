@@ -5,8 +5,9 @@ import pytest
 
 from relalg import AtomStructure
 from relalg.atoms import _associativity_witness
+from relalg.decision import _power_runs
 
-from conftest import associativity_witness_oracle
+from conftest import associativity_witness_oracle, conjugate
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -33,3 +34,13 @@ def test_associativity_kernel_matches_the_dense_scan(s):
     # on invalid tables too, where a row's left side can reach columns off
     # the support of b and rows with a;b = 0 can fail
     assert _associativity_witness(s) == associativity_witness_oracle(s)
+
+
+@hypothesis.settings(max_examples=400)
+@hypothesis.given(st.data())
+def test_power_runs_are_invariant_under_relabelling(data):
+    # the runs read only composition and the identity atoms, so they need
+    # no valid structure
+    s = data.draw(cycle_tables())
+    ids = data.draw(st.permutations(range(s.n_atoms)))
+    assert _power_runs(conjugate(s, ids)) == _power_runs(s)
