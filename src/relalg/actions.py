@@ -7,6 +7,13 @@ and the group's elements are never enumerated.  Whether the group has
 order at most two is read off the generators too: it does exactly when its
 non-identity generators are all one permutation and that permutation is
 an involution (see verify_decision).
+
+The orbits come from one pass over the n^2 ordered pairs, indexed flat as
+p = i*n + j: each generator becomes one image list of length n^2, and one
+search along those lists writes the owner table, the orbit of every pair.
+The atom rows, the partition of the algebra, its atom names and the check
+that every generator keeps each pair in its atom are all read off that
+table.
 """
 
 from __future__ import annotations
@@ -50,6 +57,47 @@ def build_group(base_size: int, generators: Iterable[Sequence[int]]) -> GroupAct
     return GroupAction(n, tuple(gens))
 
 
+def _flat_images(action: GroupAction) -> list[list[int]]:
+    """Each generator as a map on flat pair indices p = i*n + j:
+    img[i*n + j] = g(i)*n + g(j)."""
+    n = action.base_size
+    return [[q for gi in g for q in map((gi * n).__add__, g)]
+            for g in action.generators]
+
+
+def _pair_owners(n: int, images: Sequence[Sequence[int]]) -> list[int]:
+    """The owner table of the pair orbits: owner[i*n + j] is the orbit of
+    the pair (i, j).  One search over flat pair indices, following every
+    generator's image list; the orbit of the least unclaimed pair is
+    numbered next, so orbit k's least pair precedes orbit k+1's."""
+    owner = [-1] * (n * n)
+    k = 0
+    for p in range(n * n):
+        if owner[p] >= 0:
+            continue
+        owner[p] = k
+        orbit = [p]
+        for q in orbit:
+            for img in images:
+                r = img[q]
+                if owner[r] < 0:
+                    owner[r] = k
+                    orbit.append(r)
+        k += 1
+    return owner
+
+
+def _orbit_relations(n: int, owner: Sequence[int]) -> tuple[ConcreteRelation, ...]:
+    """The relation of each orbit, its rows filled in one pass over the
+    owner table."""
+    rows = [[0] * n for _ in range(max(owner) + 1)]
+    bits = [1 << j for j in range(n)]
+    for i in range(n):
+        for k, bit in zip(owner[i * n:(i + 1) * n], bits):
+            rows[k][i] |= bit
+    return tuple(ConcreteRelation(n, tuple(r)) for r in rows)
+
+
 def pair_orbits(action: GroupAction) -> tuple[ConcreteRelation, ...]:
     """Orbits of the diagonal action on ordered pairs.
 
@@ -57,46 +105,40 @@ def pair_orbits(action: GroupAction) -> tuple[ConcreteRelation, ...]:
     is emitted first.
     """
     n = action.base_size
-    claimed: set[tuple[int, int]] = set()
-    orbits = []
-    for i in range(n):
-        for j in range(n):
-            if (i, j) in claimed:
-                continue
-            orbit = {(i, j)}
-            stack = [(i, j)]
-            while stack:
-                x, y = stack.pop()
-                for g in action.generators:
-                    t = (g[x], g[y])
-                    if t not in orbit:
-                        orbit.add(t)
-                        stack.append(t)
-            claimed |= orbit
-            orbits.append(ConcreteRelation.from_pairs(n, orbit))
-    return tuple(orbits)
+    return _orbit_relations(n, _pair_owners(n, _flat_images(action)))
 
 
 def rel_algebra(action: GroupAction) -> ConcreteAlgebra:
     """The algebra of relations compatible with the action: its atoms are
     the pair orbits, closed under composition (Maddux, Relation Algebras,
-    2006).  Its self-check, O(n^2 * generators), is the partition, converse
-    and identity checks and each generator keeping every pair in its atom."""
-    orbits = pair_orbits(action)
-    ident = ConcreteRelation.identity(action.base_size)
+    2006), named e0, e1, ... when they meet the diagonal and a0, a1, ...
+    otherwise.
+
+    One owner table, from one search over the n^2 pairs, gives the atom
+    rows and is the algebra's partition, so the partition holds by
+    construction: every pair is claimed by exactly one orbit, and the rows
+    are read off the table.  The self-check, O(n^2 * generators), is the
+    converse and identity checks and each generator keeping every pair in
+    its atom, one comparison of the table with its image per generator."""
+    n = action.base_size
+    images = _flat_images(action)
+    owner = _pair_owners(n, images)
+    orbits = _orbit_relations(n, owner)
+    diagonal = set(owner[::n + 1])
     names, count = [], {"e": 0, "a": 0}
-    for rel in orbits:
-        kind = "e" if rel <= ident else "a"
+    for k in range(len(orbits)):
+        kind = "e" if k in diagonal else "a"
         names.append(f"{kind}{count[kind]}")
         count[kind] += 1
-    alg = ConcreteAlgebra(action.base_size, tuple(names), orbits)
-    alg.__dict__["_uncovered"] = ()  # closed: the O(n^3) scan is not run
-    n, owner = alg.base_size, alg._owner
-    bad = alg.invariant_violations() or [
-        f"generator {k} moves pair ({i},{j}) out of its atom"
-        for k, g in enumerate(action.generators)
-        for i in range(n) for j in range(n)
-        if owner[g[i] * n + g[j]] != owner[i * n + j]]
+    alg = ConcreteAlgebra.of_orbits(n, tuple(names), orbits, owner)
+    bad = alg.invariant_violations()
+    if not bad:
+        for k, img in enumerate(images):
+            if list(map(owner.__getitem__, img)) != owner:
+                p = next(p for p, q in enumerate(img) if owner[q] != owner[p])
+                i, j = divmod(p, n)
+                bad = (f"generator {k} moves pair ({i},{j}) out of its atom",)
+                break
     if bad:
         raise InternalError(
             "orbit algebra failed its self-check: " + bad[0])

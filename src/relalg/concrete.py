@@ -5,7 +5,9 @@ converse and the Boolean operations are integer bit work.  A concrete
 algebra is a named list of relations that partition the square of the
 base set and are closed under converse and composition.  One owner table,
 the atom holding each pair, answers the partition, converse and identity
-checks.
+checks.  It is built from the atom rows, bit by bit, for an algebra read
+from outside; an orbit algebra (ConcreteAlgebra.of_orbits) comes with the
+table its rows were read from, so it is a partition by construction.
 
 Closure under composition holds exactly when all pairs (i, k) of each atom z
 share one profile, the cycles (owner(i,j), owner(j,k), z) over all j: O(n^3),
@@ -67,6 +69,12 @@ class ConcreteRelation:
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i, row in enumerate(self.rows) if row for j in iter_bits(row))
+
+    def first_pair(self) -> tuple[int, int]:
+        """The least pair, without listing the others; needs a nonempty
+        relation."""
+        i, row = next((i, row) for i, row in enumerate(self.rows) if row)
+        return i, (row & -row).bit_length() - 1
 
     @property
     def n_pairs(self) -> int:
@@ -180,6 +188,20 @@ class ConcreteAlgebra:
             if rel.is_empty:
                 raise ValueError("atom relations must be nonempty")
 
+    @classmethod
+    def of_orbits(cls, base_size: int, atom_names: Sequence[str],
+                  atom_relations: Sequence[ConcreteRelation],
+                  owner: Sequence[int]) -> "ConcreteAlgebra":
+        """The algebra whose atoms are the pair orbits of a permutation
+        group, given with their owner table, owner[i*n + j] the orbit of
+        (i, j), from which the relations were read.  The table is the
+        partition, so it is not rebuilt, and the closure scan is not run:
+        the orbits of a group are closed under composition."""
+        alg = cls(base_size, atom_names, atom_relations)
+        alg.__dict__["_partition"] = (tuple(owner), "")
+        alg.__dict__["_uncovered"] = ()
+        return alg
+
     @property
     def n_atoms(self) -> int:
         return len(self.atom_relations)
@@ -223,10 +245,13 @@ class ConcreteAlgebra:
 
     @cached_property
     def _identity_ids(self) -> frozenset[int]:
-        # atoms on the diagonal owning no pair off it; the pair i*n + j is on
-        # the diagonal when n + 1 divides it.  Needs a partition.
+        # atoms on the diagonal owning no pair off it; the diagonal pairs
+        # are every (n+1)-th of the table, the off-diagonal ones the runs
+        # between them.  Needs a partition.
         n, owner = self.base_size, self._owner
-        off = {k for p, k in enumerate(owner) if p % (n + 1)}
+        off: set[int] = set()
+        for i in range(n):
+            off.update(owner[i * (n + 1) + 1:(i + 1) * (n + 1)])
         return frozenset(set(owner[::n + 1]) - off)
 
     def invariant_violations(self) -> tuple[str, ...]:
@@ -295,6 +320,6 @@ def extract_atom_structure(c: ConcreteAlgebra) -> AtomStructure:
     """
     c.require_invariants()
     cycles = [t for z, rel in enumerate(c.atom_relations)
-              for t in c._profile(*rel.pairs()[0], z)]
+              for t in c._profile(*rel.first_pair(), z)]
     return AtomStructure(c.atom_names, c._converse_ids, c._identity_ids,
                          cycles)

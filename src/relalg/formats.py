@@ -109,13 +109,16 @@ def format_atom_structure(s: AtomStructure) -> str:
     pairs = [f"{s.atom_names[a]}:{s.atom_names[s.converse_map[a]]}"
              for a in range(s.n_atoms) if a <= s.converse_map[a]]
     lines.append("converse " + " ".join(pairs))
-    # one cycle per Peircean orbit, its least member: the transforms of a
-    # transform are the same six, and a valid cycle set holds all of them
-    conv = s.converse_map
-    reps = sorted(t for t in s.cycles if t == min(_transforms(t, conv)))
-    for x, y, z in reps:
-        lines.append(f"cycle {s.atom_names[x]} {s.atom_names[y]} "
-                     f"{s.atom_names[z]}")
+    # one cycle per Peircean orbit, its least member: in sorted order the
+    # first member met of an orbit is its least when the cycle set holds
+    # the whole orbit, and emitting it marks the rest of the orbit
+    conv, names = s.converse_map, s.atom_names
+    marked = set()
+    for t in sorted(s.cycles):
+        if t not in marked:
+            marked.update(_transforms(t, conv))
+            x, y, z = t
+            lines.append(f"cycle {names[x]} {names[y]} {names[z]}")
     return "\n".join(lines) + "\n"
 
 
@@ -186,10 +189,23 @@ def parse_concrete_algebra(text: str, source: str = "<string>") -> ConcreteAlgeb
 
 
 def format_concrete_algebra(c: ConcreteAlgebra) -> str:
-    lines = [f"set {c.base_size}"]
-    for name, rel in zip(c.atom_names, c.atom_relations):
-        body = " ".join(f"({i},{j})" for i, j in rel.pairs())
-        lines.append(f"atom {name} = {body}")
+    n = c.base_size
+    # the text of every pair, cells[i*n + j] = "(i,j)", dealt to the atoms
+    # in one pass over the owner table, or, when the atoms overlap or miss
+    # a pair, read off each atom's rows
+    cells = [row + col for row in [f"({i}," for i in range(n)]
+             for col in [f"{j})" for j in range(n)]]
+    owner, broken = c._partition
+    if broken:
+        bodies = [[cells[i * n + j] for i, j in rel.pairs()]
+                  for rel in c.atom_relations]
+    else:
+        bodies = [[] for _ in c.atom_names]
+        for cell, k in zip(cells, owner):
+            bodies[k].append(cell)
+    lines = [f"set {n}"]
+    lines += [f"atom {name} = " + " ".join(body)
+              for name, body in zip(c.atom_names, bodies)]
     return "\n".join(lines) + "\n"
 
 

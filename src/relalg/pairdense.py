@@ -112,7 +112,7 @@ def classify_atoms(c: ConcreteAlgebra) -> AtomClassification:
     infos: list[AtomTypeInfo] = []
     related: set[tuple[Twin, Twin]] = set()
     for name, rel in zip(c.atom_names, c.atom_relations):
-        i, j = rel.pairs()[0]
+        i, j = rel.first_pair()
         d, r = block[i], block[j]
         tag = _SHAPES[len(d), len(r), rel.n_pairs, d == r]
         if tag in (3, 4):

@@ -23,8 +23,8 @@ else:
     settings.load_profile("relalg")
 
 from relalg import (AtomClassification, AtomStructure, AtomTypeInfo,
-                    ClassificationError, ConcreteRelation, build_group,
-                    extract_atom_structure, parse_atom_structure,
+                    ClassificationError, ConcreteAlgebra, ConcreteRelation,
+                    build_group, extract_atom_structure, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, peirce_orbit,
                     rel_algebra, relation_converse)
 
@@ -180,6 +180,28 @@ def pair_orbits_oracle(action) -> tuple[ConcreteRelation, ...]:
                 claimed |= orbit
                 orbits.append(ConcreteRelation.from_pairs(n, orbit))
     return tuple(orbits)
+
+
+def rel_algebra_oracle(action) -> ConcreteAlgebra:
+    """The algebra of the action's pair orbits, by pair_orbits_oracle, each
+    orbit named e<k> when it lies inside the identity and a<k> otherwise,
+    numbered in orbit order."""
+    orbits = pair_orbits_oracle(action)
+    ident = ConcreteRelation.identity(action.base_size)
+    kinds = ["e" if rel <= ident else "a" for rel in orbits]
+    names = [f"{kind}{kinds[:k].count(kind)}" for k, kind in enumerate(kinds)]
+    return ConcreteAlgebra(action.base_size, tuple(names), orbits)
+
+
+def orbit_minimum_cycle_lines(s):
+    """One cycle line per Peircean orbit, the least member of the orbit,
+    in sorted order."""
+    reps = sorted({min(peirce_orbit(t, s.converse_map)) for t in s.cycles})
+    return [f"cycle {' '.join(s.atom_names[a] for a in t)}" for t in reps]
+
+
+def emitted_cycle_lines(text):
+    return [ln for ln in text.splitlines() if ln.startswith("cycle ")]
 
 
 def generated_groups(max_points: int) -> dict:

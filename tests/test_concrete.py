@@ -29,6 +29,15 @@ def test_constructors_and_views():
     assert ConcreteRelation.universal(2).n_pairs == 4
 
 
+def test_first_pair_is_the_least_pair():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        r = ConcreteRelation(n, tuple(rng.randrange(1 << n) for _ in range(n)))
+        if not r.is_empty:
+            assert r.first_pair() == r.pairs()[0]
+
+
 def test_out_of_range_pairs_rejected():
     with pytest.raises(ValueError):
         ConcreteRelation.from_pairs(2, [(0, 2)])

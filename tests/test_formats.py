@@ -2,28 +2,18 @@
 
 import pytest
 
-from relalg import (ParseError, build_group, extract_atom_structure,
+from relalg import (ConcreteAlgebra, ConcreteRelation, ParseError,
+                    build_group, extract_atom_structure,
                     format_atom_structure, format_concrete_algebra,
                     format_group_action, parse_atom_structure,
-                    parse_concrete_algebra, parse_group_action, peirce_orbit,
-                    rel_algebra, validate_structure)
+                    parse_concrete_algebra, parse_group_action, rel_algebra,
+                    validate_structure)
 
-from conftest import DATA, involutions, load_action, load_concrete, \
-    load_structure
+from conftest import DATA, emitted_cycle_lines, involutions, load_action, \
+    load_concrete, load_structure, orbit_minimum_cycle_lines
 
 
 # --- round trips ----------------------------------------------------------
-
-
-def orbit_minimum_cycle_lines(s):
-    # one cycle line per Peircean orbit, the least member of the orbit,
-    # in sorted order
-    reps = sorted({min(peirce_orbit(t, s.converse_map)) for t in s.cycles})
-    return [f"cycle {' '.join(s.atom_names[a] for a in t)}" for t in reps]
-
-
-def emitted_cycle_lines(text):
-    return [ln for ln in text.splitlines() if ln.startswith("cycle ")]
 
 
 def test_structure_round_trip_catalog():
@@ -54,6 +44,17 @@ def test_concrete_round_trip(type6_algebra):
     again = parse_concrete_algebra(text)
     assert again == type6_algebra
     assert format_concrete_algebra(again) == text
+
+
+def test_concrete_round_trip_of_atoms_that_are_no_partition():
+    # overlapping at (0,1) and missing (1,0): each atom's own pairs are
+    # written, not an owner table's
+    c = ConcreteAlgebra(2, ("x", "y"), (
+        ConcreteRelation.from_pairs(2, [(0, 0), (0, 1)]),
+        ConcreteRelation.from_pairs(2, [(0, 1), (1, 1)])))
+    text = format_concrete_algebra(c)
+    assert text == "set 2\natom x = (0,0) (0,1)\natom y = (0,1) (1,1)\n"
+    assert parse_concrete_algebra(text) == c
 
 
 def test_action_round_trip():
