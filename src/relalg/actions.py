@@ -130,7 +130,7 @@ def rel_algebra(action: GroupAction) -> ConcreteAlgebra:
         kind = "e" if k in diagonal else "a"
         names.append(f"{kind}{count[kind]}")
         count[kind] += 1
-    alg = ConcreteAlgebra.of_orbits(n, tuple(names), orbits, owner)
+    alg = ConcreteAlgebra._of_orbits(n, tuple(names), orbits, owner)
     bad = alg.invariant_violations()
     if not bad:
         for k, img in enumerate(images):

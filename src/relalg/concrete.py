@@ -6,8 +6,9 @@ algebra is a named list of relations that partition the square of the
 base set and are closed under converse and composition.  One owner table,
 the atom holding each pair, answers the partition, converse and identity
 checks.  It is built from the atom rows, bit by bit, for an algebra read
-from outside; an orbit algebra (ConcreteAlgebra.of_orbits) comes with the
-table its rows were read from, so it is a partition by construction.
+from outside; an orbit algebra (built by rel_algebra through
+ConcreteAlgebra._of_orbits) comes with the table its rows were read from,
+so it is a partition by construction.
 
 Closure under composition holds exactly when all pairs (i, k) of each atom z
 share one profile, the cycles (owner(i,j), owner(j,k), z) over all j: O(n^3),
@@ -189,14 +190,16 @@ class ConcreteAlgebra:
                 raise ValueError("atom relations must be nonempty")
 
     @classmethod
-    def of_orbits(cls, base_size: int, atom_names: Sequence[str],
-                  atom_relations: Sequence[ConcreteRelation],
-                  owner: Sequence[int]) -> "ConcreteAlgebra":
-        """The algebra whose atoms are the pair orbits of a permutation
-        group, given with their owner table, owner[i*n + j] the orbit of
-        (i, j), from which the relations were read.  The table is the
-        partition, so it is not rebuilt, and the closure scan is not run:
-        the orbits of a group are closed under composition."""
+    def _of_orbits(cls, base_size: int, atom_names: Sequence[str],
+                   atom_relations: Sequence[ConcreteRelation],
+                   owner: Sequence[int]) -> "ConcreteAlgebra":
+        """Internal to actions.rel_algebra: the algebra whose atoms are
+        the pair orbits of a permutation group, given with their owner
+        table, owner[i*n + j] the orbit of (i, j), from which the relations
+        were read.  The table is trusted as the partition, so it is not
+        rebuilt, and the closure scan is not run: the orbits of a group are
+        closed under composition.  Nothing here checks that the table
+        matches the relations or that they are a group's orbits."""
         alg = cls(base_size, atom_names, atom_relations)
         alg.__dict__["_partition"] = (tuple(owner), "")
         alg.__dict__["_uncovered"] = ()
@@ -245,13 +248,10 @@ class ConcreteAlgebra:
 
     @cached_property
     def _identity_ids(self) -> frozenset[int]:
-        # atoms on the diagonal owning no pair off it; the diagonal pairs
-        # are every (n+1)-th of the table, the off-diagonal ones the runs
-        # between them.  Needs a partition.
+        # atoms on the diagonal owning no pair off it; the pair i*n + j is on
+        # the diagonal when n + 1 divides it.  Needs a partition.
         n, owner = self.base_size, self._owner
-        off: set[int] = set()
-        for i in range(n):
-            off.update(owner[i * (n + 1) + 1:(i + 1) * (n + 1)])
+        off = {k for p, k in enumerate(owner) if p % (n + 1)}
         return frozenset(set(owner[::n + 1]) - off)
 
     def invariant_violations(self) -> tuple[str, ...]:

@@ -190,22 +190,13 @@ def parse_concrete_algebra(text: str, source: str = "<string>") -> ConcreteAlgeb
 
 def format_concrete_algebra(c: ConcreteAlgebra) -> str:
     n = c.base_size
-    # the text of every pair, cells[i*n + j] = "(i,j)", dealt to the atoms
-    # in one pass over the owner table, or, when the atoms overlap or miss
-    # a pair, read off each atom's rows
+    # the text of every pair, cells[i*n + j] = "(i,j)", built once per call
     cells = [row + col for row in [f"({i}," for i in range(n)]
              for col in [f"{j})" for j in range(n)]]
-    owner, broken = c._partition
-    if broken:
-        bodies = [[cells[i * n + j] for i, j in rel.pairs()]
-                  for rel in c.atom_relations]
-    else:
-        bodies = [[] for _ in c.atom_names]
-        for cell, k in zip(cells, owner):
-            bodies[k].append(cell)
     lines = [f"set {n}"]
-    lines += [f"atom {name} = " + " ".join(body)
-              for name, body in zip(c.atom_names, bodies)]
+    lines += [f"atom {name} = " + " ".join([cells[i * n + j]
+                                            for i, j in rel.pairs()])
+              for name, rel in zip(c.atom_names, c.atom_relations)]
     return "\n".join(lines) + "\n"
 
 

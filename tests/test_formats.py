@@ -48,7 +48,7 @@ def test_concrete_round_trip(type6_algebra):
 
 def test_concrete_round_trip_of_atoms_that_are_no_partition():
     # overlapping at (0,1) and missing (1,0): each atom's own pairs are
-    # written, not an owner table's
+    # written
     c = ConcreteAlgebra(2, ("x", "y"), (
         ConcreteRelation.from_pairs(2, [(0, 0), (0, 1)]),
         ConcreteRelation.from_pairs(2, [(0, 1), (1, 1)])))
