@@ -19,6 +19,7 @@ and `check-action` get the join is ruled in one place, decision._gated.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress, starmap
@@ -38,9 +39,13 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# \s matches exactly the characters for which str.isspace() holds
+_USABLE_NAME = re.compile(r"[^\s:#]+")
+
+
 def usable_atom_name(name: str) -> bool:
     """Non-empty, without whitespace, `:` or `#`, as the text formats need."""
-    return bool(name) and not any(ch.isspace() or ch in ":#" for ch in name)
+    return _USABLE_NAME.fullmatch(name) is not None
 
 
 def _union(table: Sequence[int], mask: int) -> int:

@@ -127,6 +127,13 @@ def _cmd_axioms(args) -> tuple[int, list[str]]:
         for k, condition, field in _AXIOMS]
 
 
+def _search_budget_help(inputs: str) -> str:
+    return ("cap on the atom assignments of the isomorphism search "
+            "(default %(default)s); it bounds only the search, which "
+            f"{inputs} skip, answered by the paper's construction, so it "
+            "cannot run out on them")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -162,7 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "atom structures")
     p.add_argument("file")
     p.add_argument("other")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                   help=_search_budget_help(
+                       "two valid structures that satisfy the three axioms"))
 
     p = add("classify", _cmd_classify,
             "classify the atoms of a concrete algebra over points and twins")
@@ -172,7 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
             "test whether a given action's algebra realizes a structure")
     p.add_argument("file")
     p.add_argument("action_file")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                   help=_search_budget_help(
+                       "a valid structure that satisfies the three axioms "
+                       "and an action of order at most two"))
 
     p = add("axioms", _cmd_axioms,
             "report the three representability axioms with witnesses")

@@ -4,27 +4,46 @@ The decision evaluates three first-order axioms (simplicity, pair-density,
 functionality of every atom up to converse), builds the canonical
 involution with one base element per point atom and two per twin atom,
 and certifies acceptance with the atom bijection of the proof, fixed by
-each atom's domain and range identity atoms and checked cycle by cycle.
-`iso` and `check-action` find isomorphisms by a refine-and-propagate
-search instead (find_isomorphism); its colour refinement reads each
-cycle at its first atom only, which the cycle law makes enough.  Before
-it branches, the search compares the atoms' power runs (_power_runs), an
-invariant of O(atoms + cycles) that answers `none` for the regular
-actions of distinct abelian groups of one order, which refinement cannot
-tell apart; it never rejects an isomorphic pair, so no found map or node
-count depends on it.
+each atom's domain and range identity atoms and, between twins, whether
+it is parallel or crossed (_proof_witness), and checked cycle by cycle.
+
+`iso` and `check-action` answer the same class by the proof.  Two
+structures that satisfy the axioms are isomorphic exactly when they have
+as many point and as many twin identity atoms, and the algebra of an
+involution with f fixed points and t 2-cycles realizes exactly those with
+f points and t twins.  So on such inputs unequal counts answer `none`;
+`check-action` counts the action's fixed points and 2-cycles before it
+builds any algebra.  Equal counts get the proof's map onto the action's
+algebra, and for `iso` both sides' maps onto the algebra of the source's
+involution, composed.  A precheck of O(identity atoms) on the loops and
+the atom count comes before the axioms, so inputs outside the class pay
+little for the test (_in_class).  No search runs on these inputs and the
+budget bounds only the search, so SearchBudgetExceeded cannot occur on
+them.
+
+All other inputs, actions that are not one involution, and a map of the
+proof that fails its check go to a refine-and-propagate search
+(find_isomorphism); its colour refinement reads each cycle at its first
+atom only, which the cycle law makes enough.  Before it branches, the
+search compares the atoms' power runs (_power_runs), an invariant of
+O(atoms + cycles) that answers `none` for the regular actions of distinct
+abelian groups of one order, which refinement cannot tell apart; it
+never rejects an isomorphic pair, so no found map or node count depends
+on it.
 
 Inputs are checked against the local laws first.  The associativity join
 runs only before a verdict that no witness certifies (a rejection, `none`,
-an error): an isomorphism onto an associative structure proves the other
-side associative.  The rule lives in one gate, _gated.
+an error, the target of an `iso` map found by search): an isomorphism
+onto an associative structure proves the other side associative, and
+the proof maps both sides of an `iso` onto the structure of one proper
+algebra.  The rule lives in one gate, _gated.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Sequence
 
 from .actions import GroupAction, build_group, rel_algebra
 from .atoms import AtomStructure, AxiomFailure, _z2_axioms
@@ -161,18 +180,25 @@ class _Partial:
 
 def find_isomorphism(source: AtomStructure, target: AtomStructure,
                      budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
-    """Refine-and-propagate search for a structure isomorphism.
+    """An isomorphism of structures, by the proof on the class, otherwise
+    by a refine-and-propagate search.
 
-    Colour refinement over each atom's first-place cycles, which fix its
-    others by the cycle law (see _refined_colours), started from two
-    colours per atom (is it an identity atom, is it its own converse) and
-    iterated to a fixed point with one colour table for both structures,
-    gives each source atom its candidates: the target atoms of its colour.
-    Unequal multisets of power runs (see _power_runs) then answer None
-    without a search; isomorphic structures always have equal ones, so
-    this changes no found map and no node count.  The search branches on
-    the unassigned atom with the fewest live candidates (lowest id on
-    ties), trying candidates in target id order.
+    When both structures lie in the class (see _in_class), the proof
+    answers: None when their (points, twins) counts differ, otherwise the
+    map of _iso_by_proof, which certifies both sides, so no join runs and
+    no search node is spent.  A map of the proof that fails its check
+    falls through to the search.
+
+    The search: colour refinement over each atom's first-place cycles,
+    which fix its others by the cycle law (see _refined_colours), started
+    from two colours per atom (is it an identity atom, is it its own
+    converse) and iterated to a fixed point with one colour table for both
+    structures, gives each source atom its candidates: the target atoms of
+    its colour.  Unequal multisets of power runs (see _power_runs) then
+    answer None without a search; isomorphic structures always have equal
+    ones, so this changes no found map and no node count.  The search
+    branches on the unassigned atom with the fewest live candidates
+    (lowest id on ties), trying candidates in target id order.
     Assigning a -> b also assigns a~ -> b~ and, for every assigned y,
     requires a;y and b;m(y) (and y;a, m(y);b) to have as many atoms, maps
     each assigned atom of a;y into b;m(y), and narrows the candidates of
@@ -184,22 +210,34 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
     An invalid structure raises InvalidStructureError, the source's when
     both are invalid (see _gated).
     """
-    return _gated((source, target),
-                  lambda: _search_isomorphism(source, target, budget),
-                  lambda w: (source, target) if w is None else (source,))
+    def compute():
+        counts = _in_class(source, target)
+        if counts is not None:
+            if counts[0] != counts[1]:
+                return None, (source, target)
+            try:
+                return _iso_by_proof(source, target), ()
+            except _OffClass:
+                pass
+        w = _search_isomorphism(source, target, budget)
+        return w, (source, target) if w is None else (source,)
+
+    return _gated((source, target), compute)
 
 
-def _gated(inputs: tuple[AtomStructure, ...], compute, unproven):
+def _gated(inputs: tuple[AtomStructure, ...], compute):
     """compute() behind the one validation rule of the decision path.
 
+    compute() returns an answer and the inputs that answer does not
+    certify.
     1. If any input breaks a local law, every input is validated in full,
        in order, and the first invalid one's report is raised.
     2. Otherwise compute() runs.  If it raises, every input is validated
        before the exception propagates.
-    3. After an answer, only the inputs it does not certify, unproven(answer),
-       are validated: the source alone after a found `iso` map, none after
-       an accepted `decide-z2` or a found `check-action` map, and all of
-       them after any other answer.
+    3. After an answer, only the inputs it does not certify are validated:
+       none after an accepted `decide-z2`, a found `check-action` map or an
+       `iso` map built by the proof, the source alone after an `iso` map
+       found by search, and all of them after any other answer.
 
     The computations need only the local laws, and a witness onto the
     structure of a proper relation algebra, which is associative (Maddux,
@@ -210,12 +248,12 @@ def _gated(inputs: tuple[AtomStructure, ...], compute, unproven):
         for s in inputs:  # raises: a local violation fails validation
             s.require_valid()
     try:
-        answer = compute()
+        answer, unproven = compute()
     except Exception:
         for s in inputs:
             s.require_valid()
         raise
-    for s in unproven(answer):
+    for s in unproven:
         s.require_valid()
     return answer
 
@@ -349,56 +387,109 @@ def decide_z2(structure: AtomStructure) -> Z2Decision:
     bijection onto the structure extracted from the constructed algebra
     that keeps identity atoms, converse and every cycle both ways.
     """
-    return _gated((structure,), lambda: _decide_z2(structure),
-                  lambda d: () if d.accepted else (structure,))
+    return _gated((structure,), lambda: _decide_z2(structure))
 
 
-def _decide_z2(structure: AtomStructure) -> Z2Decision:
-    # decide_z2 on a structure whose local laws hold
+def _decide_z2(structure: AtomStructure
+               ) -> tuple[Z2Decision, tuple[AtomStructure, ...]]:
+    # decide_z2 on a structure whose local laws hold, with the inputs
+    # its answer leaves unproven
     report = _z2_axioms(structure)
     if not report.all_hold:
-        return Z2Decision(structure, False, failures=report.failures())
-    # one base element per point atom, two swapped elements per twin atom,
-    # allocated in identity-atom id order; blocks[e] holds e's elements;
-    # pair-density has made every identity atom a pair, so a non-point
-    # (one with a diversity atom from e to e) is a twin
-    g: list[int] = []
-    blocks: dict[int, tuple[int, ...]] = {}
-    for e in sorted(structure.identity_atoms):
-        blocks[e] = ((len(g),) if not structure._loops[e]
-                     else (len(g), len(g) + 1))
-        g.extend(reversed(blocks[e]))
-    action = build_group(len(g), [tuple(g)])
+        return (Z2Decision(structure, False, failures=report.failures()),
+                (structure,))
+    action = _canonical_involution(structure)
     algebra = rel_algebra(action)
+    blocks = _blocks(structure, action.generators[0])
     return Z2Decision(structure, True, action=action, algebra=algebra,
-                      witness=_construct_witness(structure, blocks, algebra))
+                      witness=_construct_witness(structure, blocks,
+                                                 algebra)), ()
 
 
-def _construct_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
-                       algebra: ConcreteAlgebra) -> IsoWitness:
-    """The proof's isomorphism from s onto the involution algebra on blocks.
+def _canonical_involution(s: AtomStructure) -> GroupAction:
+    """The proof's involution for s: one base element per point atom, two
+    swapped elements per twin atom, allocated in identity-atom id order,
+    so that _blocks gives each identity atom its own elements.
+    Pair-density makes every identity atom a pair, so one with a diversity
+    atom from e to e is a twin."""
+    g: list[int] = []
+    for e in sorted(s.identity_atoms):
+        g.extend((len(g) + 1, len(g)) if s._loops[e] else (len(g),))
+    return build_group(len(g), [tuple(g)])
 
-    An atom from identity atom d to r maps to the orbit of a pair from block
-    d to block r.  The axioms leave two atoms between twins, parallel and
-    crossed: the lower-id atom p[E] from the first twin R to each twin E is
-    declared parallel (p[R] = R), and x from E1 to E2 is parallel iff
-    x <= p[E1]~;p[E2].  Anything that does not check out is an InternalError.
+
+class _OffClass(Exception):
+    """The proof's construction does not apply to a structure; the message
+    says where it breaks."""
+
+
+def _kinds(s: AtomStructure) -> tuple[list[int], list[int]]:
+    """The point and the twin identity atoms of s, each in id order: a twin
+    has a diversity atom from itself to itself, a point none."""
+    idents, loops = sorted(s.identity_atoms), s._loops
+    return ([e for e in idents if not loops[e]],
+            [e for e in idents if loops[e]])
+
+
+def _in_class(*structures: AtomStructure) -> list[tuple[int, int]] | None:
+    """The (points, twins) counts of structures whose local laws hold, when
+    all of them satisfy the axioms, else None.
+
+    A cheap precheck comes first, on every structure before the axioms on
+    any: each identity atom has at most one diversity atom to itself (a
+    point none, a twin one), and a structure with f points and t twins has
+    f^2 + 2ft + 2t^2 atoms, one per pair of blocks, two between twins.
+    Both hold in the class, so inputs outside it mostly skip the axioms.
     """
-    target = extract_atom_structure(algebra)
+    counts = []
+    for s in structures:
+        if any(m.bit_count() > 1 for m in s._loops.values()):
+            return None
+        f, t = map(len, _kinds(s))
+        if s.n_atoms != f * f + 2 * f * t + 2 * t * t:
+            return None
+        counts.append((f, t))
+    if not all(_z2_axioms(s).all_hold for s in structures):
+        return None
+    return counts
 
-    def fail(reason: str) -> NoReturn:
-        raise InternalError(
-            f"accepted axioms but the constructed isomorphism fails: {reason}"
-            "\n--- input ---\n" + format_atom_structure(s)
-            + "--- constructed ---\n" + format_atom_structure(target))
 
+def _blocks(s: AtomStructure, g: Sequence[int]
+            ) -> dict[int, tuple[int, ...]]:
+    """Base elements for s's identity atoms from an involution g with as
+    many fixed points and 2-cycles as s has points and twins: the k-th
+    point (twin) of s, in id order, gets the k-th fixed point (2-cycle, by
+    its lower element)."""
+    points, twins = _kinds(s)
+    return {**dict(zip(points, [(i,) for i, j in enumerate(g) if i == j])),
+            **dict(zip(twins, [(i, j) for i, j in enumerate(g) if i < j]))}
+
+
+def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
+                   algebra: ConcreteAlgebra, target: AtomStructure
+                   ) -> IsoWitness:
+    """The proof's map from s onto target, the structure extracted from
+    the algebra of an involution whose fixed points and 2-cycles are the
+    blocks of s's points and twins.
+
+    An atom from identity atom d to r maps to the orbit of a pair from
+    block d to block r.  The axioms leave two atoms between twins, parallel
+    and crossed: the lower-id atom p[E] from the first twin R to each twin
+    E is declared parallel (p[R] = R), and x from E1 to E2 is parallel iff
+    x <= p[E1]~;p[E2]; a parallel atom maps to the orbit of the pair from
+    the first element of block d to the first of block r, a crossed one to
+    the second.  Raises _OffClass, with the reason, where s has not this
+    shape or the map fails IsoWitness.problems().
+    """
     conv, names = s.converse_map, s.atom_names
-    groups = {(d, r): [] for d in blocks for r in blocks}
+    idents = sorted(blocks)
+    groups = {(d, r): [] for d in idents for r in idents}
     for a, ends in enumerate(zip(*s._ends)):
         groups[ends].append(a)
     for (d, r), group in groups.items():
         if len(group) != 1 + (len(blocks[d]) == len(blocks[r]) == 2):
-            fail(f"{len(group)} atoms from {names[d]} to {names[r]}")
+            raise _OffClass(f"{len(group)} atoms from {names[d]} to "
+                            f"{names[r]}")
 
     twins = sorted(e for e, b in blocks.items() if len(b) == 2)
     p = {e: e if e == twins[0] else min(groups[twins[0], e]) for e in twins}
@@ -411,29 +502,96 @@ def _construct_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
         if d != r and len(group) == 2:
             par = s.compose_mask(1 << conv[p[d]], 1 << p[r])
             if par & (par - 1) or not par & sum(1 << a for a in group):
-                fail(f"{names[p[d]]}~;{names[p[r]]} is not one atom from "
-                     f"{names[d]} to {names[r]}")
+                raise _OffClass(f"{names[p[d]]}~;{names[p[r]]} is not one "
+                                f"atom from {names[d]} to {names[r]}")
         for a in group:
             m[a] = owner[blocks[d][0] * n + blocks[r][not par >> a & 1]]
     witness = IsoWitness(s, target, tuple(m))
     bad = witness.problems()
     if bad:
-        fail(bad[0])
+        raise _OffClass(bad[0])
     return witness
+
+
+def _construct_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
+                       algebra: ConcreteAlgebra) -> IsoWitness:
+    """The proof's isomorphism from s onto the involution algebra on blocks
+    (see _proof_witness).  Anything that does not check out is an
+    InternalError."""
+    target = extract_atom_structure(algebra)
+    try:
+        return _proof_witness(s, blocks, algebra, target)
+    except _OffClass as exc:
+        raise InternalError(
+            f"accepted axioms but the constructed isomorphism fails: {exc}"
+            "\n--- input ---\n" + format_atom_structure(s)
+            + "--- constructed ---\n" + format_atom_structure(target)
+        ) from None
+
+
+def _iso_by_proof(source: AtomStructure, target: AtomStructure
+                  ) -> IsoWitness:
+    """Both structures mapped by the proof onto the algebra of the source's
+    involution, so each is certified, and the source's map composed with
+    the inverse of the target's.  Raises _OffClass (see _proof_witness)."""
+    action = _canonical_involution(source)
+    algebra = rel_algebra(action)
+    canon = extract_atom_structure(algebra)
+    g = action.generators[0]
+    there = _proof_witness(source, _blocks(source, g), algebra, canon)
+    back = _proof_witness(target, _blocks(target, g), algebra,
+                          canon).inverted().atom_map
+    return IsoWitness(source, target, tuple(back[b] for b in there.atom_map))
 
 
 def check_action_represents(structure: AtomStructure, action: GroupAction,
                             budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
     """Does this particular action's algebra realize the structure?
 
+    When the action's group has order at most two (a trivial action
+    counts) and the structure lies in the class (see _in_class), the proof
+    answers: None when the structure's (points, twins) counts differ from
+    the action's fixed points and 2-cycles, before any algebra is built,
+    otherwise the proof's map with the action's fixed points and 2-cycles
+    as the blocks (see _blocks and _proof_witness).  No search runs.  Other
+    inputs, and a map of the proof that fails its check, go to the search
+    of find_isomorphism.
+
     Only the structure is validated: the one extracted from the action's
     algebra is valid by construction (see extract_atom_structure), so a
     found map proves the structure associative (see _gated)."""
-    return _gated((structure,),
-                  lambda: _search_isomorphism(
-                      structure, extract_atom_structure(rel_algebra(action)),
-                      budget),
-                  lambda w: (structure,) if w is None else ())
+    def compute():
+        g = _involution(action)
+        counts = None if g is None else _in_class(structure)
+        if counts is not None:
+            fixed = sum(i == j for i, j in enumerate(g))
+            if counts[0] != (fixed, (len(g) - fixed) // 2):
+                return None, (structure,)
+        algebra = rel_algebra(action)
+        target = extract_atom_structure(algebra)
+        if counts is not None:
+            try:
+                return _proof_witness(structure, _blocks(structure, g),
+                                      algebra, target), ()
+            except _OffClass:
+                pass
+        w = _search_isomorphism(structure, target, budget)
+        return w, (structure,) if w is None else ()
+
+    return _gated((structure,), compute)
+
+
+def _involution(action: GroupAction) -> tuple[int, ...] | None:
+    """The permutation that generates the action's group when that group
+    has order at most two: the non-identity generators are all one
+    permutation and it is an involution, or there are none (the identity
+    is returned).  None otherwise."""
+    ident = tuple(range(action.base_size))
+    moved = {g for g in action.generators if g != ident}
+    if len(moved) > 1:
+        return None
+    g = moved.pop() if moved else ident
+    return g if all(g[j] == i for i, j in enumerate(g)) else None
 
 
 @dataclass(frozen=True)
@@ -453,15 +611,11 @@ def verify_decision(d: Z2Decision) -> VerificationReport:
     the action has order at most two, its orbit algebra equals the stored
     one, and the witness really is an isomorphism, cycle by cycle.
 
-    The order is read off the generators: it is at most two exactly when
-    the non-identity generators are all one permutation and that
-    permutation is an involution."""
+    The order is read off the generators (see _involution)."""
     if not d.accepted:
         raise ValueError("verify_decision requires an accepted decision")
     problems: list[str] = []
-    moved = {g for g in d.action.generators if g != tuple(range(len(g)))}
-    if len(moved) > 1 or any(g[g[i]] != i for g in moved
-                             for i in range(len(g))):
+    if _involution(d.action) is None:
         problems.append("action group has order above 2, expected <= 2")
     rebuilt = rel_algebra(d.action)
     if rebuilt != d.algebra:

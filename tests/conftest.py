@@ -217,6 +217,12 @@ def generated_groups(max_points: int) -> dict:
     return actions
 
 
+def usable_atom_name_oracle(name: str) -> bool:
+    """The atom name rule character by character: non-empty, and no
+    character is whitespace (str.isspace), `:` or `#`."""
+    return bool(name) and not any(ch.isspace() or ch in ":#" for ch in name)
+
+
 def atom_flags_oracle(s: AtomStructure) -> list[tuple[bool, bool, bool]]:
     """(is_point, is_pair, is_function) of every atom as an element, by the
     library's element-level definitions."""

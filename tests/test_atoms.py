@@ -1,5 +1,7 @@
 """Atom structures: orbits, validation, element algebra, axioms."""
 
+import sys
+
 import pytest
 
 from relalg import (AtomStructure, apply_converse, atoms_functional,
@@ -8,8 +10,10 @@ from relalg import (AtomStructure, apply_converse, atoms_functional,
                     extract_atom_structure, is_function, is_pair,
                     is_pair_dense, is_point, is_simple, is_twin, peirce_orbit,
                     rel_algebra, validate_structure)
+from relalg.atoms import usable_atom_name
 
-from conftest import compose_masks_oracle, converse_mask_oracle, load_structure
+from conftest import (compose_masks_oracle, converse_mask_oracle,
+                      load_structure, usable_atom_name_oracle)
 
 
 # --- Peircean transforms --------------------------------------------------
@@ -129,6 +133,17 @@ def test_duplicate_and_unusable_names_detected(s23):
     bad2 = AtomStructure(("1'", "r", "a:b"), s23.converse_map,
                          s23.identity_atoms, s23.cycles)
     assert "bad-atom-name" in validate_structure(bad2).codes()
+
+
+def test_atom_name_rule_matches_the_per_character_oracle():
+    # one character at a time over every code point, then a few longer
+    # names with the character first, inside and last
+    for c in range(sys.maxunicode + 1):
+        ch = chr(c)
+        assert usable_atom_name(ch) == usable_atom_name_oracle(ch), hex(c)
+    for name in ("", "a", "1'", "x~", "e:0", "e#0", "e 0", "e\u00a00",
+                 "e\u20280", "\u3000e", "e\x1c", "e\u200b0", "e\n"):
+        assert usable_atom_name(name) == usable_atom_name_oracle(name), name
 
 
 def test_empty_structure_detected():

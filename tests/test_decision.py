@@ -1,5 +1,6 @@
 """Isomorphism search, the representability decision, and verification."""
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -15,14 +16,15 @@ from relalg import (AtomStructure, InternalError, IsoWitness,
                     decide_z2, extract_atom_structure,
                     find_isomorphism, is_function, is_pair, rel_algebra,
                     verify_decision)
+from relalg import atoms, decision
 from relalg.decision import (_construct_witness, _power_runs,
                              _refined_colours)
 
 from conftest import (DATA, atom_flags_oracle, conjugate, generated_groups,
-                      group_closure_oracle, involution_structure,
-                      involutions, load_concrete, load_structure,
-                      refined_colours_oracle, regular_action, shuffled,
-                      signature_oracle)
+                      group_closure_oracle, involution_action,
+                      involution_structure, involutions, load_concrete,
+                      load_structure, refined_colours_oracle, regular_action,
+                      shuffled, signature_oracle)
 
 
 # --- find_isomorphism -----------------------------------------------------
@@ -240,6 +242,69 @@ def test_shuffled_ids_are_accepted(points, twins, atoms):
     assert time.perf_counter() - start < 5.0
 
 
+@contextlib.contextmanager
+def proof_only():
+    """A context in which reaching the isomorphism search fails; it yields
+    the list of the structures the associativity join runs on."""
+    joins = []
+    join = atoms._associativity_witness
+
+    def unreachable(*args):
+        raise AssertionError("the search ran on a Z2-representable input")
+
+    def counting(s):
+        joins.append(s)
+        return join(s)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decision, "_search_isomorphism", unreachable)
+        patch.setattr(atoms, "_associativity_witness", counting)
+        yield joins
+
+
+def test_class_inputs_of_1152_atoms_need_no_search():
+    # 24 twins, shuffled: check-action and iso are answered by the proof,
+    # never by the search, and a found map runs no join
+    s = involution_structure(0, 24)
+    rng = random.Random(24)
+    source, target = shuffled(s, rng), shuffled(s, rng)
+    action = involution_action(0, 24)
+    assert s.n_atoms == 1152
+    with proof_only() as joins:
+        start = time.perf_counter()
+        w = check_action_represents(source, action)
+        assert w is not None and w.is_valid()
+        w = find_isomorphism(source, target)
+        assert w is not None and w.is_valid()
+        assert time.perf_counter() - start < 3.0
+    assert joins == []
+
+
+def test_class_verdicts_need_no_search(monkeypatch):
+    # unequal (points, twins) counts answer none at once, and that none
+    # joins every input it does not certify; the action's fixed points and
+    # 2-cycles are counted before any algebra is built
+    built = []
+    monkeypatch.setattr(decision, "rel_algebra",
+                        lambda a: built.append(a) or rel_algebra(a))
+    # f points and t twins make (f + t)^2 + t^2 atoms: 25 for both
+    points, mixed = involution_structure(5, 0), involution_structure(1, 3)
+    assert points.n_atoms == mixed.n_atoms == 25
+    trivial = involution_action(5, 0)
+    assert trivial.generators == ((0, 1, 2, 3, 4),)
+    with proof_only() as joins:
+        assert find_isomorphism(points, mixed) is None
+        assert joins == [points, mixed]
+        fresh = involution_structure(1, 3)  # validation is cached
+        assert check_action_represents(fresh, trivial) is None
+        assert joins[2:] == [fresh] and built == []
+        w = check_action_represents(points, trivial)
+        assert w is not None and w.is_valid() and len(built) == 1
+    # a 3-cycle is no involution: the search answers, as before
+    assert check_action_represents(involution_structure(0, 1),
+                                   build_group(3, [(1, 2, 0)])) is None
+
+
 def test_constructed_witness_mismatch_is_internal_error():
     # one point, then one twin; an algebra whose twin comes first, and
     # blocks that swap the kinds, both fail as internal errors
@@ -260,8 +325,12 @@ def test_axioms_decide_representability_on_five_points():
     # every action generated by one or two permutations on up to 5 points
     # (the 156 groups on 5 points are all generated by two): accepted and
     # verified when the axioms hold, otherwise isomorphic to no involution
-    # algebra with as many atoms
+    # algebra with as many atoms.  Each involution (the trivial group
+    # included) realizes a shuffle of its structure, and two shuffles are
+    # isomorphic, both found by the proof: no search and no join
     start = time.perf_counter()
+    rng = random.Random(5)
+    involution_actions = 0
     actions = generated_groups(5)
     by_atoms = {}
     for points in range(6):
@@ -273,6 +342,14 @@ def test_axioms_decide_representability_on_five_points():
     accepted = compared = 0
     for a in actions.values():
         s = extract_atom_structure(rel_algebra(a))
+        if len(group_closure_oracle(a)) <= 2:
+            involution_actions += 1
+            with proof_only() as joins:
+                w = check_action_represents(shuffled(s, rng), a)
+                assert w is not None and w.is_valid(), a.generators
+                w = find_isomorphism(shuffled(s, rng), shuffled(s, rng))
+                assert w is not None and w.is_valid(), a.generators
+            assert joins == [], a.generators
         if check_z2_axioms(s).all_hold:
             d = decide_z2(s)
             assert d.accepted and verify_decision(d).ok, a.generators
@@ -283,6 +360,7 @@ def test_axioms_decide_representability_on_five_points():
                     a.generators
                 compared += 1
     assert len(actions) == 195 and accepted > 0 and compared > 0
+    assert involution_actions == 5 + 38  # trivial, and 38 involutions
     assert sum(1 for n, _ in actions if n <= 4) == 39
     assert time.perf_counter() - start < 10.0
 
@@ -423,18 +501,21 @@ def pinned_searches() -> dict:
     z48 = extract_atom_structure(rel_algebra(regular_action([48])))
     rng = random.Random(48)
     x, y = shuffled(z48, rng), shuffled(z48, rng)
-    inv = shuffled(involution_structure(2, 4), random.Random(24))
-    action = build_group(10, [(0, 1, 3, 2, 5, 4, 7, 6, 9, 8)])
+    # a check-action outside the class: involutions are answered by the
+    # proof, with no search node
+    action = triangles_action(4)
+    tri = shuffled(extract_atom_structure(rel_algebra(action)),
+                   random.Random(12))
     return {
         "23-relabeled": lambda b: find_isomorphism(s23, r23, budget=b),
         "z48-shuffles": lambda b: find_isomorphism(x, y, budget=b),
-        "involution-check-action":
-            lambda b: check_action_represents(inv, action, budget=b)}
+        "z3-triangles-check-action":
+            lambda b: check_action_represents(tri, action, budget=b)}
 
 
 @pytest.mark.parametrize("case,nodes", [("23-relabeled", 3),
                                         ("z48-shuffles", 65),
-                                        ("involution-check-action", 61)])
+                                        ("z3-triangles-check-action", 163)])
 def test_budget_counts_every_tried_or_forced_assignment(case, nodes):
     # the node counts of fixed searches: `nodes` is the least budget that
     # succeeds, so a search that tries or forces other assignments, or

@@ -89,8 +89,9 @@ def test_every_extracted_structure_in_the_corpus_is_valid():
 def test_validation_runs_at_most_once_per_structure(monkeypatch, capsys):
     # structures built by the pipeline are not validated: rel validates
     # nothing, and no subcommand validates a structure object twice; an
-    # accepted decide-z2 and a matching check-action validate nothing, and
-    # a found iso the source alone: the witness certifies the rest
+    # accepted decide-z2, a matching check-action and an iso map built by
+    # the proof validate nothing, and an iso map found by search the
+    # source alone: the witness certifies the rest
     calls = []
 
     def counting(self):
@@ -109,7 +110,8 @@ def test_validation_runs_at_most_once_per_structure(monkeypatch, capsys):
             (["decide-z2", swap_ra], 0, 0),
             (["decide-z2", swap_ra, "--verify"], 0, 0),
             (["decide-z2", DATA / "23.ra", "--verify"], 2, 1),
-            (["iso", swap_ra, swap_ra], 0, 1),
+            (["iso", swap_ra, swap_ra], 0, 0),
+            (["iso", DATA / "23.ra", DATA / "23_relabeled.ra"], 0, 1),
             (["iso", swap_ra, DATA / "23.ra"], 2, 2),
             (["check-action", swap_ra, swap_act], 0, 0),
             (["check-action", DATA / "23.ra", swap_act], 2, 1)):
