@@ -1,21 +1,19 @@
 """Finite relation algebras of group actions.
 
-Atom structures with converse, identity and a composition cycle table;
-concrete algebras of binary relations; compatible-relation algebras of
-finite permutation group actions; and a decision procedure, with
-constructive witnesses, for representability over actions of the
-two-element group.
+Atom structures with converse, identity and a composition cycle table,
+their validation and the three axioms of the paper; concrete algebras of
+binary relations; compatible-relation algebras of finite permutation
+group actions; and a decision procedure, with constructive witnesses, for
+representability over actions of the two-element group.  Elements of an
+atom structure are bitmasks of atoms (AtomStructure.compose_mask and
+converse_mask); a structure's validation report is
+AtomStructure.validation.
 """
 
-from .atoms import (AtomStructure, AxiomFailure, AxiomReport, Element,
-                    ElementClass, ValidationReport, Violation, apply_converse,
-                    atoms_functional, check_functional_density,
-                    check_z2_axioms, classify_element, close_cycles, compose,
-                    is_function, is_pair, is_pair_dense, is_point, is_simple,
-                    is_twin, peirce_orbit, validate_structure)
-from .concrete import (ConcreteAlgebra, ConcreteRelation,
-                       extract_atom_structure, relation_complement,
-                       relation_compose, relation_converse)
+from .atoms import (AtomStructure, AxiomFailure, AxiomReport,
+                    ValidationReport, Violation, check_z2_axioms,
+                    close_cycles, peirce_orbit)
+from .concrete import ConcreteAlgebra, ConcreteRelation, extract_atom_structure
 from .actions import (GroupAction, build_group, is_compatible, pair_orbits,
                       rel_algebra)
 from .pairdense import (AtomClassification, AtomTypeInfo, BasePartition,
@@ -33,14 +31,9 @@ from .formats import (format_atom_structure, format_concrete_algebra,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomStructure", "Element", "ElementClass", "ValidationReport",
-    "Violation", "AxiomFailure", "AxiomReport", "peirce_orbit",
-    "close_cycles", "validate_structure", "compose", "apply_converse",
-    "is_point", "is_pair", "is_twin", "is_function", "classify_element",
-    "is_simple", "is_pair_dense", "atoms_functional", "check_z2_axioms",
-    "check_functional_density",
-    "ConcreteRelation", "ConcreteAlgebra", "relation_compose",
-    "relation_converse", "relation_complement", "extract_atom_structure",
+    "AtomStructure", "ValidationReport", "Violation", "AxiomFailure",
+    "AxiomReport", "peirce_orbit", "close_cycles", "check_z2_axioms",
+    "ConcreteRelation", "ConcreteAlgebra", "extract_atom_structure",
     "GroupAction", "build_group", "pair_orbits", "rel_algebra", "is_compatible",
     "BasePartition", "AtomTypeInfo", "AtomClassification",
     "derive_points_twins", "classify_atoms",

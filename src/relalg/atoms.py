@@ -2,8 +2,13 @@
 
 A structure lists atom names, the converse involution, the identity atoms,
 and the allowed composition cycles: a stored triple (x, y, z) means the
-atom z lies below the composition x;y.  Elements are atom sets packed into
-integer bitmasks, so Boolean and Peircean operations reduce to bit work.
+atom z lies below the composition x;y.  An element is a set of atoms
+packed into an integer bitmask: union and meet are bit work, and
+AtomStructure.compose_mask and converse_mask give the Peircean operations.
+AtomStructure._element_flags states point, pair and function as the
+element inequalities; the decision never reads it, and it is kept as the
+compositional reference that the per-atom facts of the axioms are
+tested against.
 
 Validation has two parts.  The local laws (names, converse, the cycle
 and identity laws, one domain and one range atom per atom) cost
@@ -146,16 +151,6 @@ class AtomStructure:
     def n_atoms(self) -> int:
         return len(self.atom_names)
 
-    @cached_property
-    def _name_index(self) -> dict[str, int]:
-        return {name: a for a, name in enumerate(self.atom_names)}
-
-    def atom_id(self, name: str) -> int:
-        try:
-            return self._name_index[name]
-        except KeyError:
-            raise ValueError(f"unknown atom name {name!r}") from None
-
     @property
     def full_mask(self) -> int:
         return (1 << self.n_atoms) - 1
@@ -195,42 +190,10 @@ class AtomStructure:
             acc |= 1 << conv[a]
         return acc
 
-    # -- element constructors ---------------------------------------------
-
-    def element(self, mask: int) -> "Element":
-        return Element(self, mask)
-
-    def element_from_ids(self, ids: Iterable[int]) -> "Element":
-        mask = 0
-        for a in ids:
-            if not 0 <= a < self.n_atoms:
-                raise ValueError(f"no atom with id {a}")
-            mask |= 1 << a
-        return Element(self, mask)
-
-    def element_from_names(self, names: Iterable[str]) -> "Element":
-        return self.element_from_ids(self.atom_id(nm) for nm in names)
-
-    @cached_property
-    def zero(self) -> "Element":
-        return Element(self, 0)
-
-    @cached_property
-    def one(self) -> "Element":
-        return Element(self, self.full_mask)
-
-    @cached_property
-    def identity(self) -> "Element":
-        return Element(self, self.identity_mask)
-
-    @cached_property
-    def diversity(self) -> "Element":
-        return Element(self, self.full_mask & ~self.identity_mask)
-
     # -- element flags and the atom facts of the axioms ---------------------
 
     def _element_flags(self, mask: int) -> tuple[bool, bool, bool]:
-        """(is_point, is_pair, is_function) of an element: x;1;x <= 1',
+        """(point, pair, function) flags of an element: x;1;x <= 1',
         x;0';x;0';x <= 1' and x~;x <= 1'.  O(|x| * atoms) mask operations."""
         div = self.full_mask & ~self.identity_mask
         point = self.compose_mask(
@@ -570,155 +533,8 @@ def _least_column(comp: Sequence[Sequence[int]], a: int, b: int,
     raise AssertionError("no mismatch in a mismatching row")
 
 
-def validate_structure(s: AtomStructure) -> ValidationReport:
-    """Check every structure invariant, reporting all violations found."""
-    return s.validation
-
-
 # ---------------------------------------------------------------------------
-# elements
-
-
-@dataclass(frozen=True)
-class Element:
-    """A Boolean element of the algebra: a set of atoms as a bitmask."""
-
-    structure: AtomStructure
-    mask: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask <= self.structure.full_mask:
-            raise ValueError("element mask out of range for its structure")
-
-    def _check_mate(self, other: "Element") -> None:
-        if self.structure != other.structure:
-            raise ValueError("elements belong to different structures")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.mask == 0
-
-    def atoms(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.mask))
-
-    def atom_names(self) -> tuple[str, ...]:
-        return tuple(self.structure.atom_names[a] for a in iter_bits(self.mask))
-
-    def __or__(self, other: "Element") -> "Element":
-        self._check_mate(other)
-        return Element(self.structure, self.mask | other.mask)
-
-    def __and__(self, other: "Element") -> "Element":
-        self._check_mate(other)
-        return Element(self.structure, self.mask & other.mask)
-
-    def __le__(self, other: "Element") -> bool:
-        self._check_mate(other)
-        return self.mask & ~other.mask == 0
-
-    def complement(self) -> "Element":
-        return Element(self.structure, self.structure.full_mask & ~self.mask)
-
-    def converse(self) -> "Element":
-        self.structure.require_valid()
-        return Element(self.structure, self.structure.converse_mask(self.mask))
-
-    def compose(self, other: "Element") -> "Element":
-        self._check_mate(other)
-        self.structure.require_valid()
-        return Element(self.structure, self.structure.compose_mask(self.mask, other.mask))
-
-    def __repr__(self) -> str:
-        return "Element({" + ", ".join(self.atom_names()) + "})"
-
-
-def compose(x: Element, y: Element) -> Element:
-    return x.compose(y)
-
-
-def apply_converse(x: Element) -> Element:
-    return x.converse()
-
-
-# ---------------------------------------------------------------------------
-# predicates
-
-
-@dataclass(frozen=True)
-class ElementClass:
-    is_point: bool
-    is_pair: bool
-    is_twin: bool
-    is_function: bool
-
-
-def _flags(x: Element) -> tuple[bool, bool, bool]:
-    if x.is_zero:
-        raise ValueError("classification undefined on zero")
-    x.structure.require_valid()
-    return x.structure._element_flags(x.mask)
-
-
-def is_point(x: Element) -> bool:
-    """x;1;x <= 1'."""
-    return _flags(x)[0]
-
-
-def is_pair(x: Element) -> bool:
-    """x;0';x;0';x <= 1'."""
-    return _flags(x)[1]
-
-
-def is_twin(x: Element) -> bool:
-    """A pair containing no point.
-
-    A point below x would contain a point atom below x (the point
-    inequality is monotone), so scanning the atoms of x is exhaustive.
-    """
-    if not is_pair(x):
-        return False
-    s = x.structure
-    return not any(s._element_flags(1 << a)[0] for a in iter_bits(x.mask))
-
-
-def is_function(x: Element) -> bool:
-    """x~;x <= 1'."""
-    return _flags(x)[2]
-
-
-def classify_element(x: Element) -> ElementClass:
-    """Point/pair/twin/function flags of a nonzero element."""
-    point, pair, fn = _flags(x)
-    return ElementClass(is_point=point, is_pair=pair, is_twin=is_twin(x),
-                        is_function=fn)
-
-
-# ---------------------------------------------------------------------------
-# structure-level checks
-
-
-def is_simple(s: AtomStructure) -> bool:
-    """1;a;1 = 1 for every atom a (equivalently for every nonzero element)."""
-    s.require_valid()
-    return _simplicity_witness(s) is None
-
-
-def is_pair_dense(s: AtomStructure) -> tuple[bool, str | None]:
-    """Every nonzero element below 1' contains a pair.
-
-    Quantifying over identity atoms is enough: an identity atom below a
-    sub-identity element either is a pair itself or witnesses failure.
-    """
-    s.require_valid()
-    w = _pair_density_witness(s)
-    return w is None, w
-
-
-def atoms_functional(s: AtomStructure) -> tuple[bool, str | None]:
-    """Every atom, or its converse, is a function."""
-    s.require_valid()
-    w = _functionality_witness(s)
-    return w is None, w
+# the three axioms
 
 
 # The three witnesses below read only the local laws: each atom's domain
@@ -828,14 +644,3 @@ def _z2_axioms(s: AtomStructure) -> AxiomReport:
     return AxiomReport(
         simple=sw is None, pair_dense=pw is None, functional=fw is None,
         simple_witness=sw, pair_dense_witness=pw, functional_witness=fw)
-
-
-def check_functional_density(s: AtomStructure) -> bool:
-    """The union of x~;y over functional atoms x, y equals one.
-
-    Functional elements are unions of functional atoms, so atoms suffice,
-    and by distributivity the union is f~;f for f the join of those atoms.
-    """
-    s.require_valid()
-    f = _functional_mask(s)
-    return s.compose_mask(s.converse_mask(f), f) == s.full_mask

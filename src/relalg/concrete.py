@@ -146,18 +146,6 @@ class ConcreteRelation:
         return ConcreteRelation(n, tuple(rows))
 
 
-def relation_compose(r: ConcreteRelation, s: ConcreteRelation) -> ConcreteRelation:
-    return r.compose(s)
-
-
-def relation_converse(r: ConcreteRelation) -> ConcreteRelation:
-    return r.converse()
-
-
-def relation_complement(r: ConcreteRelation) -> ConcreteRelation:
-    return r.complement()
-
-
 # ---------------------------------------------------------------------------
 
 

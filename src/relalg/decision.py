@@ -21,8 +21,12 @@ little for the test (_in_class).  No search runs on these inputs and the
 budget bounds only the search, so SearchBudgetExceeded cannot occur on
 them.
 
-All other inputs, actions that are not one involution, and a map of the
-proof that fails its check go to a refine-and-propagate search
+By the theorem a map of the proof fails its check only when an input
+is invalid, so such a map validates the inputs at once, and the first
+invalid one's report ends the request before any search.
+
+All other inputs and actions that are not one involution go to a
+refine-and-propagate search
 (find_isomorphism); its colour refinement reads each cycle at its first
 atom only, which the cycle law makes enough.  Before it branches, the
 search compares the atoms' power runs (_power_runs), an invariant of
@@ -187,7 +191,8 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
     answers: None when their (points, twins) counts differ, otherwise the
     map of _iso_by_proof, which certifies both sides, so no join runs and
     no search node is spent.  A map of the proof that fails its check
-    falls through to the search.
+    validates both inputs, in order, and the first invalid one's report
+    is raised; only valid inputs would fall through to the search.
 
     The search: colour refinement over each atom's first-place cycles,
     which fix its others by the cycle law (see _refined_colours), started
@@ -218,7 +223,9 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
             try:
                 return _iso_by_proof(source, target), ()
             except _OffClass:
-                pass
+                # only an invalid input fails the map on the class
+                source.require_valid()
+                target.require_valid()
         w = _search_isomorphism(source, target, budget)
         return w, (source, target) if w is None else (source,)
 
@@ -553,9 +560,10 @@ def check_action_represents(structure: AtomStructure, action: GroupAction,
     answers: None when the structure's (points, twins) counts differ from
     the action's fixed points and 2-cycles, before any algebra is built,
     otherwise the proof's map with the action's fixed points and 2-cycles
-    as the blocks (see _blocks and _proof_witness).  No search runs.  Other
-    inputs, and a map of the proof that fails its check, go to the search
-    of find_isomorphism.
+    as the blocks (see _blocks and _proof_witness).  No search runs.  A
+    map of the proof that fails its check validates the structure first,
+    as in find_isomorphism.  Other inputs go to the search of
+    find_isomorphism.
 
     Only the structure is validated: the one extracted from the action's
     algebra is valid by construction (see extract_atom_structure), so a
@@ -574,7 +582,7 @@ def check_action_represents(structure: AtomStructure, action: GroupAction,
                 return _proof_witness(structure, _blocks(structure, g),
                                       algebra, target), ()
             except _OffClass:
-                pass
+                structure.require_valid()  # as in find_isomorphism
         w = _search_isomorphism(structure, target, budget)
         return w, (structure,) if w is None else ()
 

@@ -26,7 +26,7 @@ from relalg import (AtomClassification, AtomStructure, AtomTypeInfo,
                     ClassificationError, ConcreteAlgebra, ConcreteRelation,
                     build_group, extract_atom_structure, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, peirce_orbit,
-                    rel_algebra, relation_converse)
+                    rel_algebra)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -224,7 +224,7 @@ def usable_atom_name_oracle(name: str) -> bool:
 
 
 def atom_flags_oracle(s: AtomStructure) -> list[tuple[bool, bool, bool]]:
-    """(is_point, is_pair, is_function) of every atom as an element, by the
+    """(point, pair, function) flags of every atom as an element, by the
     library's element-level definitions."""
     return [s._element_flags(1 << a) for a in range(s.n_atoms)]
 
@@ -471,7 +471,7 @@ def invariant_violations_oracle(c) -> tuple[str, ...]:
     rows = {rel.rows for rel in rels}
     out = [f"not closed under converse: the converse of atom {names[k]} "
            f"is not an atom" for k, rel in enumerate(rels)
-           if relation_converse(rel).rows not in rows]
+           if rel.converse().rows not in rows]
     ident = ConcreteRelation.identity(n)
     out += [f"identity is not a union of atoms: atom {names[k]} meets the "
             f"identity without lying inside it" for k, rel in enumerate(rels)

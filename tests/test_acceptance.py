@@ -11,18 +11,16 @@ import time
 
 import pytest
 
-from relalg import (AtomStructure, ConcreteRelation, atoms_functional,
-                    build_group, check_functional_density, classify_atoms,
-                    decide_z2, extract_atom_structure,
-                    is_compatible, is_function, is_pair, pair_orbits,
-                    peirce_orbit, rel_algebra, validate_structure,
-                    verify_decision)
+from relalg import (AtomStructure, ConcreteRelation, build_group,
+                    check_z2_axioms, classify_atoms, decide_z2,
+                    extract_atom_structure, is_compatible, pair_orbits,
+                    peirce_orbit, rel_algebra, verify_decision)
 from relalg.cli import main
 
-from conftest import (DATA, compatible_masks_bruteforce, group_closure_oracle,
-                      involutions, load_concrete, load_structure,
-                      points_twins_oracle, random_prime_cyclic_action,
-                      union_of_orbits_masks)
+from conftest import (DATA, atom_flags_oracle, compatible_masks_bruteforce,
+                      group_closure_oracle, involutions, load_concrete,
+                      load_structure, points_twins_oracle,
+                      random_prime_cyclic_action, union_of_orbits_masks)
 
 
 def report(capsys, n, text, elapsed=None):
@@ -112,15 +110,16 @@ def test_criterion_4_rejection_soundness(capsys):
     assert not d23.accepted
     assert (2, "pair-density", "1'") in [
         (f.axiom, f.condition, f.witness) for f in d23.failures]
-    assert not is_pair(s23.element_from_names(["1'"]))
+    assert not s23._element_flags(1 << s23.atom_names.index("1'"))[1]
 
     s57 = load_structure("57.ra")
     d57 = decide_z2(s57)
     assert not d57.accepted
     assert (3, "functionality", "a") in [
         (f.axiom, f.condition, f.witness) for f in d57.failures]
-    a = s57.element_from_names(["a"])
-    assert not is_function(a) and not is_function(a.converse())
+    a = 1 << s57.atom_names.index("a")
+    assert not s57._element_flags(a)[2]
+    assert not s57._element_flags(s57.converse_mask(a))[2]
     report(capsys, 4, "both catalog structures are rejected with witnesses "
            "that re-check from the element inequalities alone")
 
@@ -133,9 +132,13 @@ def test_criterion_5_prime_cyclic_functionality(capsys):
         p, action = random_prime_cyclic_action(rng)
         assert len(group_closure_oracle(action)) == p  # p is prime
         s = extract_atom_structure(rel_algebra(action))
-        ok, witness = atoms_functional(s)
-        assert ok, (p, action.generators, witness)
-        assert check_functional_density(s), (p, action.generators)
+        r = check_z2_axioms(s)
+        assert r.functional, (p, action.generators, r.functional_witness)
+        # functional density: f~;f = 1 for f the join of the functional
+        # atoms
+        fn = sum(1 << a for a, f in enumerate(atom_flags_oracle(s)) if f[2])
+        assert s.compose_mask(s.converse_mask(fn), fn) == s.full_mask, \
+            (p, action.generators)
         checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -186,10 +189,10 @@ def test_criterion_7_structure_theory(capsys):
 
 
 def test_criterion_8_axiom_validator(capsys):
-    assert validate_structure(load_structure("23.ra")).ok
-    assert validate_structure(load_structure("57.ra")).ok
+    assert load_structure("23.ra").validation.ok
+    assert load_structure("57.ra").validation.ok
     for n, g, algebra, structure in involution_cases():
-        assert validate_structure(structure).ok, (n, g)
+        assert structure.validation.ok, (n, g)
 
     s23 = load_structure("23.ra")
     corrupted = [
@@ -216,7 +219,7 @@ def test_criterion_8_axiom_validator(capsys):
     ]
     assert len(corrupted) >= 5
     for expected_code, bad in corrupted:
-        result = validate_structure(bad)
+        result = bad.validation
         assert not result.ok
         assert expected_code in result.codes(), expected_code
     report(capsys, 8, "validator accepts the catalog and every extraction, "

@@ -5,7 +5,7 @@ import pytest
 import relalg.actions
 from relalg import (ActionError, ConcreteAlgebra, ConcreteRelation,
                     InternalError, build_group, is_compatible, pair_orbits,
-                    rel_algebra, relation_compose)
+                    rel_algebra)
 
 from conftest import (compatible_masks_bruteforce, generated_groups,
                       group_closure_oracle, involutions, load_action,
@@ -201,4 +201,4 @@ def test_rel_algebra_trips_on_broken_pair_orbits(monkeypatch):
 
 def test_d5_adjacent_orbit_composes_to_identity_and_far():
     diag, near, far = rel_algebra(load_action("d5.act")).atom_relations
-    assert relation_compose(near, near) == diag | far
+    assert near.compose(near) == diag | far

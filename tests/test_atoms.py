@@ -1,19 +1,21 @@
-"""Atom structures: orbits, validation, element algebra, axioms."""
+"""Atom structures: orbits, validation, composition on masks, axioms."""
 
 import sys
 
 import pytest
 
-from relalg import (AtomStructure, apply_converse, atoms_functional,
-                    build_group, check_functional_density, check_z2_axioms,
-                    classify_element, close_cycles, compose,
-                    extract_atom_structure, is_function, is_pair,
-                    is_pair_dense, is_point, is_simple, is_twin, peirce_orbit,
-                    rel_algebra, validate_structure)
+from relalg import (AtomStructure, build_group, check_z2_axioms,
+                    close_cycles, extract_atom_structure, peirce_orbit,
+                    rel_algebra)
 from relalg.atoms import usable_atom_name
 
-from conftest import (compose_masks_oracle, converse_mask_oracle,
-                      load_structure, usable_atom_name_oracle)
+from conftest import (atom_flags_oracle, compose_masks_oracle,
+                      converse_mask_oracle, load_structure,
+                      usable_atom_name_oracle)
+
+
+def mask_of(s, *names):
+    return sum(1 << s.atom_names.index(nm) for nm in names)
 
 
 # --- Peircean transforms --------------------------------------------------
@@ -68,16 +70,15 @@ def test_23_cycle_set_frozen(s23):
 
 def test_57_cycle_count_and_compositions(s57):
     assert len(s57.cycles) == 13
-    a = s57.element_from_names(["a"])
-    b = s57.element_from_names(["b"])
-    assert compose(a, a).atom_names() == ("1'", "b")
-    assert compose(b, b).atom_names() == ("1'", "a")
-    assert compose(a, b).atom_names() == ("a", "b")
+    a, b = mask_of(s57, "a"), mask_of(s57, "b")
+    assert s57.compose_mask(a, a) == mask_of(s57, "1'", "b")
+    assert s57.compose_mask(b, b) == mask_of(s57, "1'", "a")
+    assert s57.compose_mask(a, b) == mask_of(s57, "a", "b")
 
 
 def test_validation_accepts_catalog():
     for name in ("23.ra", "57.ra", "swap.ra", "23_relabeled.ra"):
-        assert validate_structure(load_structure(name)).ok, name
+        assert load_structure(name).validation.ok, name
 
 
 # --- corrupted structures -------------------------------------------------
@@ -86,7 +87,7 @@ def test_validation_accepts_catalog():
 def test_broken_involution_detected(s23):
     bad = AtomStructure(s23.atom_names, (0, 1, 1), s23.identity_atoms,
                         s23.cycles)
-    report = validate_structure(bad)
+    report = bad.validation
     assert not report.ok
     assert "converse-not-involution" in report.codes()
 
@@ -96,7 +97,7 @@ def test_broken_cycle_law_detected(s23):
     cycles.discard((1, 1, 2))
     bad = AtomStructure(s23.atom_names, s23.converse_map, s23.identity_atoms,
                         frozenset(cycles))
-    report = validate_structure(bad)
+    report = bad.validation
     assert "cycle-law" in report.codes()
     # the witness names the surviving triple and the missing transform
     msg = next(x.message for x in report.violations if x.code == "cycle-law")
@@ -107,7 +108,7 @@ def test_missing_domain_atom_detected(s23):
     cycles = set(s23.cycles) - peirce_orbit((0, 1, 1), s23.converse_map)
     bad = AtomStructure(s23.atom_names, s23.converse_map, s23.identity_atoms,
                         frozenset(cycles))
-    report = validate_structure(bad)
+    report = bad.validation
     assert "missing-domain-atom" in report.codes()
     msg = next(x.message for x in report.violations
                if x.code == "missing-domain-atom")
@@ -116,23 +117,23 @@ def test_missing_domain_atom_detected(s23):
 
 def test_identity_atom_with_nontrivial_converse_detected():
     bad = AtomStructure(("e", "f"), (1, 0), frozenset({0}), frozenset())
-    assert "identity-not-self-converse" in validate_structure(bad).codes()
+    assert "identity-not-self-converse" in bad.validation.codes()
 
 
 def test_identity_law_violation_detected(s23):
     cycles = set(s23.cycles) | peirce_orbit((0, 1, 2), s23.converse_map)
     bad = AtomStructure(s23.atom_names, s23.converse_map, s23.identity_atoms,
                         frozenset(cycles))
-    assert "identity-law" in validate_structure(bad).codes()
+    assert "identity-law" in bad.validation.codes()
 
 
 def test_duplicate_and_unusable_names_detected(s23):
     bad = AtomStructure(("1'", "r", "r"), s23.converse_map,
                         s23.identity_atoms, s23.cycles)
-    assert "duplicate-atom-name" in validate_structure(bad).codes()
+    assert "duplicate-atom-name" in bad.validation.codes()
     bad2 = AtomStructure(("1'", "r", "a:b"), s23.converse_map,
                          s23.identity_atoms, s23.cycles)
-    assert "bad-atom-name" in validate_structure(bad2).codes()
+    assert "bad-atom-name" in bad2.validation.codes()
 
 
 def test_atom_name_rule_matches_the_per_character_oracle():
@@ -148,7 +149,7 @@ def test_atom_name_rule_matches_the_per_character_oracle():
 
 def test_empty_structure_detected():
     empty = AtomStructure((), (), frozenset(), frozenset())
-    assert validate_structure(empty).codes() == ("empty-structure",)
+    assert empty.validation.codes() == ("empty-structure",)
 
 
 def test_multiple_domain_atoms_detected():
@@ -158,7 +159,7 @@ def test_multiple_domain_atoms_detected():
         [(0, 0, 0), (1, 1, 1), (0, 2, 2), (1, 2, 2), (0, 3, 3)], conv)
     bad = AtomStructure(("e", "f", "a", "a~"), conv, frozenset({0, 1}),
                         cycles)
-    assert "multiple-domain-atoms" in validate_structure(bad).codes()
+    assert "multiple-domain-atoms" in bad.validation.codes()
 
 
 def test_associativity_violation_detected():
@@ -168,7 +169,7 @@ def test_associativity_violation_detected():
     conv = (0, 1)
     cycles = frozenset({(0, 1, 1), (1, 1, 0), (1, 0, 1)})  # no (0,0,0)
     bad = AtomStructure(("e", "a"), conv, frozenset({0}), cycles)
-    report = validate_structure(bad)
+    report = bad.validation
     assert not report.ok
     assert "associativity" in report.codes()
 
@@ -191,7 +192,7 @@ def test_require_valid_raises_with_report(s23):
     s23.require_valid()  # no error on the valid one
 
 
-# --- element algebra ------------------------------------------------------
+# --- composition and converse on masks -----------------------------------
 
 
 def test_compose_matches_oracle_exhaustively():
@@ -199,92 +200,65 @@ def test_compose_matches_oracle_exhaustively():
         s = load_structure(name)
         for xm in range(1 << s.n_atoms):
             for ym in range(1 << s.n_atoms):
-                got = compose(s.element(xm), s.element(ym)).mask
+                got = s.compose_mask(xm, ym)
                 assert got == compose_masks_oracle(s, xm, ym), (name, xm, ym)
 
 
 def test_converse_matches_oracle_exhaustively(s23):
     for m in range(1 << s23.n_atoms):
-        got = apply_converse(s23.element(m)).mask
-        assert got == converse_mask_oracle(s23, m)
+        assert s23.converse_mask(m) == converse_mask_oracle(s23, m)
 
 
 def test_converse_is_involution_on_elements(s57, s23):
     for s in (s57, s23):
         for m in range(1 << s.n_atoms):
-            x = s.element(m)
-            assert apply_converse(apply_converse(x)) == x
+            assert s.converse_mask(s.converse_mask(m)) == m
 
 
 def test_identity_is_neutral(s23):
-    e = s23.identity
+    e = s23.identity_mask
     for m in range(1, 1 << s23.n_atoms):
-        x = s23.element(m)
-        assert compose(e, x) == x
-        assert compose(x, e) == x
+        assert s23.compose_mask(e, m) == m
+        assert s23.compose_mask(m, e) == m
 
 
 def test_composition_is_monotone(s23):
-    small = s23.element_from_names(["r"])
-    big = s23.element_from_names(["r", "1'"])
-    other = s23.diversity
-    assert compose(small, other) <= compose(big, other)
-
-
-def test_boolean_operations(s23):
-    r = s23.element_from_names(["r"])
-    assert (r | r.complement()) == s23.one
-    assert (r & r.complement()) == s23.zero
-    assert r <= s23.one and s23.zero <= r
-
-
-def test_elements_of_different_structures_do_not_mix(s23, s57):
-    with pytest.raises(ValueError):
-        compose(s23.one, s57.one)
+    small = mask_of(s23, "r")
+    big = mask_of(s23, "r", "1'")
+    other = s23.full_mask & ~s23.identity_mask
+    assert s23.compose_mask(small, other) & ~s23.compose_mask(big, other) == 0
 
 
 # --- element classification ----------------------------------------------
+# _element_flags(mask) is (point, pair, function); an atom is a twin when
+# it is a pair and not a point
 
 
 def test_element_classes_in_23(s23):
-    one_prime = s23.identity
-    r = s23.element_from_names(["r"])
-    assert not is_point(one_prime) and not is_pair(one_prime)
-    assert not is_twin(one_prime) and is_function(one_prime)
-    assert is_function(r) and not is_point(r) and not is_pair(r)
-    c = classify_element(r)
-    assert (c.is_point, c.is_pair, c.is_twin, c.is_function) == (
-        False, False, False, True)
+    point, pair, fn = s23._element_flags(s23.identity_mask)
+    assert not point and not pair and fn
+    assert s23._element_flags(mask_of(s23, "r")) == (False, False, True)
 
 
 def test_element_classes_in_swap(swap_structure):
     s = swap_structure
-    e = s.identity
-    d = s.element_from_names(["d"])
-    assert is_pair(e) and is_twin(e) and not is_point(e)
-    assert is_function(e) and is_function(d)
+    point, pair, fn = s._element_flags(s.identity_mask)
+    assert pair and not point and fn
+    assert s._element_flags(mask_of(s, "d"))[2]
 
 
 def test_element_classes_in_57(s57):
-    a = s57.element_from_names(["a"])
-    assert not is_function(a)
-    assert not is_function(apply_converse(a))
-    assert not is_pair(s57.identity)
+    a = mask_of(s57, "a")
+    assert not s57._element_flags(a)[2]
+    assert not s57._element_flags(s57.converse_mask(a))[2]
+    assert not s57._element_flags(s57.identity_mask)[1]
 
 
 def test_point_in_trivial_two_point_structure():
     # two points, no twins: identity atoms of the trivial action on 2
-    from relalg import build_group, extract_atom_structure, rel_algebra
     s = extract_atom_structure(rel_algebra(build_group(2, [(0, 1)])))
-    e0 = s.element_from_names(["e0"])
-    assert is_point(e0) and is_pair(e0) and not is_twin(e0)
-
-
-def test_classification_undefined_on_zero(s23):
-    with pytest.raises(ValueError):
-        is_point(s23.zero)
-    with pytest.raises(ValueError):
-        classify_element(s23.zero)
+    point, pair, _ = s._element_flags(mask_of(s, "e0"))
+    assert point and pair
 
 
 # --- structure-level axioms ----------------------------------------------
@@ -306,54 +280,57 @@ def test_axiom_witnesses(s23, s57):
 
 
 def test_simplicity(s23, s57, swap_structure):
-    assert is_simple(s23) and is_simple(s57) and is_simple(swap_structure)
+    for s in (s23, s57, swap_structure):
+        assert check_z2_axioms(s).simple
     # two identity atoms with no atoms between the blocks: 1;e;1 = e != 1
     product = AtomStructure(("e", "f"), (0, 1), frozenset({0, 1}),
                             frozenset({(0, 0, 0), (1, 1, 1)}))
-    assert validate_structure(product).ok
-    assert not is_simple(product)
+    assert product.validation.ok
+    assert not check_z2_axioms(product).simple
 
 
 def test_pair_density(s23, swap_structure):
-    assert is_pair_dense(s23) == (False, "1'")
-    assert is_pair_dense(swap_structure) == (True, None)
+    for s, want in ((s23, (False, "1'")), (swap_structure, (True, None))):
+        r = check_z2_axioms(s)
+        assert (r.pair_dense, r.pair_dense_witness) == want
 
 
 def test_atoms_functional(s23, s57, swap_structure):
-    assert atoms_functional(s23) == (True, None)
-    assert atoms_functional(s57) == (False, "a")
-    assert atoms_functional(swap_structure) == (True, None)
+    for s, want in ((s23, (True, None)), (s57, (False, "a")),
+                    (swap_structure, (True, None))):
+        r = check_z2_axioms(s)
+        assert (r.functional, r.functional_witness) == want
 
 
 def test_functional_density(s23, s57, swap_structure):
-    assert check_functional_density(s23)
-    assert check_functional_density(swap_structure)
-    # only the identity of 5-7 is functional, so the union stops at 1'
-    assert not check_functional_density(s57)
+    # the union of x~;y over functional atoms x, y is f~;f for f their
+    # join; only the identity of 5-7 is functional, so there it stops at 1'
+    for s, dense in ((s23, True), (swap_structure, True), (s57, False)):
+        fn = sum(1 << a for a, f in enumerate(atom_flags_oracle(s)) if f[2])
+        assert (s.compose_mask(s.converse_mask(fn), fn)
+                == s.full_mask) == dense
 
 
 def test_element_laws_brute_force(s23):
     """Associativity, converse antidistribution, and monotonicity hold for
     every combination of elements, not just the atoms the validator checks."""
-    elems = [s23.element(m) for m in range(1 << s23.n_atoms)]
+    comp, conv = s23.compose_mask, s23.converse_mask
+    elems = range(1 << s23.n_atoms)
     for x in elems:
         for y in elems:
-            xy = compose(x, y)
-            assert apply_converse(xy) == \
-                compose(apply_converse(y), apply_converse(x))
+            xy = comp(x, y)
+            assert conv(xy) == comp(conv(y), conv(x))
             for z in elems:
-                assert compose(xy, z) == compose(x, compose(y, z))
-                if x <= y:
-                    assert compose(x, z) <= compose(y, z)
+                assert comp(xy, z) == comp(x, comp(y, z))
+                if x & ~y == 0:
+                    assert comp(x, z) & ~comp(y, z) == 0
 
 
 def test_identity_of_one_atom_structure_is_a_point():
     s = AtomStructure(("1'",), (0,), frozenset({0}),
                       frozenset({(0, 0, 0)}))
-    assert validate_structure(s).ok
-    cls = classify_element(s.identity)
-    assert cls.is_point and cls.is_pair and cls.is_function
-    assert not cls.is_twin
+    assert s.validation.ok
+    assert s._element_flags(s.identity_mask) == (True, True, True)
 
 
 def test_pair_density_matches_element_level_definition(s23, s57,
@@ -362,9 +339,9 @@ def test_pair_density_matches_element_level_definition(s23, s57,
                   extract_atom_structure(rel_algebra(
                       build_group(3, [(0, 2, 1)])))]
     for s in structures:
-        ident = s.identity.mask
+        ident = s.identity_mask
         dense = all(
-            any(is_pair(s.element(ym))
+            any(s._element_flags(ym)[1]
                 for ym in range(1, xm + 1) if ym & xm == ym)
             for xm in range(1, 1 << s.n_atoms) if xm & ~ident == 0)
-        assert dense == is_pair_dense(s)[0]
+        assert dense == check_z2_axioms(s).pair_dense

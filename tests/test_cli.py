@@ -10,7 +10,7 @@ import time
 
 from relalg import (AtomStructure, InvalidStructureError, VerificationReport,
                     cli, extract_atom_structure, format_atom_structure,
-                    format_group_action, is_twin, parse_atom_structure,
+                    format_group_action, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, rel_algebra)
 from relalg.atoms import _z2_axioms
 from relalg.cli import main
@@ -280,7 +280,7 @@ def test_parser_is_built_once(monkeypatch, capsys):
 
 def test_no_subcommand_computes_element_flags(monkeypatch, capsys):
     # the axioms and decide-z2 read each atom's domain and range, and iso
-    # and check-action read neither; only the element predicates compose
+    # and check-action read neither; only the reference flags compose
     # elements to classify them
     calls = []
     flags = AtomStructure._element_flags
@@ -303,9 +303,9 @@ def test_no_subcommand_computes_element_flags(monkeypatch, capsys):
                            DATA / "swap.act"], 0)):
         assert run(capsys, *argv)[0] == status, argv
     assert calls == []
-    # the wrapper does see the flags where a predicate needs them
+    # the wrapper does see the flags where they are read
     s = parse_atom_structure((DATA / "swap.ra").read_text())
-    assert is_twin(s.identity)
+    assert s._element_flags(s.identity_mask)[1]
     assert calls
 
 

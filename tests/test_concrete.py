@@ -5,9 +5,8 @@ import random
 import pytest
 
 from relalg import (AtomStructure, ConcreteAlgebra, ConcreteAlgebraError,
-                    ConcreteRelation, build_group, extract_atom_structure, rel_algebra,
-                    relation_complement, relation_compose, relation_converse,
-                    validate_structure)
+                    ConcreteRelation, build_group, extract_atom_structure,
+                    rel_algebra)
 from relalg.atoms import usable_atom_name
 
 from conftest import (load_concrete, relation_compose_oracle,
@@ -50,13 +49,13 @@ def test_compose_and_converse_match_oracle():
     for n in (1, 2, 3, 5):
         for _ in range(40):
             r, t = random_relation(rng, n), random_relation(rng, n)
-            assert relation_compose(r, t) == relation_compose_oracle(r, t)
-            assert relation_converse(r) == relation_converse_oracle(r)
+            assert r.compose(t) == relation_compose_oracle(r, t)
+            assert r.converse() == relation_converse_oracle(r)
 
 
 def test_complement_and_lattice_ops():
     r = ConcreteRelation.from_pairs(2, [(0, 0), (1, 0)])
-    c = relation_complement(r)
+    c = r.complement()
     assert (r | c) == ConcreteRelation.universal(2)
     assert (r & c).is_empty
     assert r <= ConcreteRelation.universal(2)
@@ -68,8 +67,7 @@ def test_composition_associative_on_random_relations():
     for _ in range(30):
         n = rng.randint(1, 5)
         a, b, c = (random_relation(rng, n) for _ in range(3))
-        assert relation_compose(relation_compose(a, b), c) == \
-            relation_compose(a, relation_compose(b, c))
+        assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
 
 def test_converse_antidistributes_over_composition():
@@ -77,8 +75,7 @@ def test_converse_antidistributes_over_composition():
     for _ in range(30):
         n = rng.randint(1, 5)
         a, b = random_relation(rng, n), random_relation(rng, n)
-        assert relation_converse(relation_compose(a, b)) == \
-            relation_compose(relation_converse(b), relation_converse(a))
+        assert a.compose(b).converse() == b.converse().compose(a.converse())
 
 
 def test_permuted():
@@ -90,7 +87,7 @@ def test_size_mismatch_rejected():
     a = ConcreteRelation.universal(2)
     b = ConcreteRelation.universal(3)
     with pytest.raises(ValueError):
-        relation_compose(a, b)
+        a.compose(b)
 
 
 # --- algebra invariants ---------------------------------------------------
@@ -195,7 +192,7 @@ def test_extract_swap_structure():
     assert s.converse_map == (0, 1)
     assert s.identity_atoms == {0}
     assert s.cycles == {(0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1)}
-    assert validate_structure(s).ok
+    assert s.validation.ok
 
 
 def test_extract_z3_structure():
@@ -213,7 +210,7 @@ def test_extract_type6_structure(type6_algebra):
     assert s.converse_map == (0, 1, 2, 3, 5, 4)
     # the cross atoms compose to a full block: x0;x1 covers e0 and d0
     assert (4, 5, 0) in s.cycles and (4, 5, 1) in s.cycles
-    assert validate_structure(s).ok
+    assert s.validation.ok
 
 
 def test_extraction_validates_for_every_small_involution():
@@ -221,7 +218,7 @@ def test_extraction_validates_for_every_small_involution():
     for n in range(1, 6):
         for g in involutions(n):
             s = extract_atom_structure(rel_algebra(build_group(n, [g])))
-            assert validate_structure(s).ok, (n, g)
+            assert s.validation.ok, (n, g)
 
 
 def test_full_algebra_of_singletons_extracts_valid_structure():
@@ -233,7 +230,7 @@ def test_full_algebra_of_singletons_extracts_valid_structure():
         c = ConcreteAlgebra(n, names, rels)
         assert c.invariant_violations() == ()
         s = extract_atom_structure(c)
-        assert validate_structure(s).ok
+        assert s.validation.ok
         assert len(s.identity_atoms) == n
 
 
@@ -252,8 +249,7 @@ def test_abstract_ops_agree_with_concrete_ops_on_all_elements():
             return r
 
         for xm in range(1 << c.n_atoms):
-            assert interp(s.converse_mask(xm)) == \
-                relation_converse(interp(xm))
+            assert interp(s.converse_mask(xm)) == interp(xm).converse()
             for ym in range(1 << c.n_atoms):
                 assert interp(s.compose_mask(xm, ym)) == \
-                    relation_compose(interp(xm), interp(ym))
+                    interp(xm).compose(interp(ym))

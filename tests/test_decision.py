@@ -10,12 +10,11 @@ from collections import Counter
 
 import pytest
 
-from relalg import (AtomStructure, InternalError, IsoWitness,
-                    SearchBudgetExceeded, build_group,
+from relalg import (AtomStructure, InternalError, InvalidStructureError,
+                    IsoWitness, SearchBudgetExceeded, build_group,
                     check_action_represents, check_z2_axioms, classify_atoms,
-                    decide_z2, extract_atom_structure,
-                    find_isomorphism, is_function, is_pair, rel_algebra,
-                    verify_decision)
+                    decide_z2, extract_atom_structure, find_isomorphism,
+                    rel_algebra, verify_decision)
 from relalg import atoms, decision
 from relalg.decision import (_construct_witness, _power_runs,
                              _refined_colours)
@@ -23,8 +22,9 @@ from relalg.decision import (_construct_witness, _power_runs,
 from conftest import (DATA, atom_flags_oracle, conjugate, generated_groups,
                       group_closure_oracle, involution_action,
                       involution_structure, involutions, load_concrete,
-                      load_structure, refined_colours_oracle, regular_action,
-                      shuffled, signature_oracle)
+                      load_structure, one_orbit_corruptions,
+                      refined_colours_oracle, regular_action, shuffled,
+                      signature_oracle)
 
 
 # --- find_isomorphism -----------------------------------------------------
@@ -69,14 +69,14 @@ def test_cycle_difference_rejected(s23):
     # same atoms, converse and identity, but the diversity orbit allows
     # (r,r,r) instead of (r,r,r~); r stops being functional, so the two
     # structures cannot be isomorphic
-    from relalg import peirce_orbit, validate_structure
+    from relalg import peirce_orbit
     identity_part = frozenset(t for t in s23.cycles
                               if t not in {(1, 1, 2), (2, 2, 1)})
     other = AtomStructure(s23.atom_names, s23.converse_map,
                           s23.identity_atoms,
                           identity_part | peirce_orbit((1, 1, 1),
                                                        s23.converse_map))
-    assert validate_structure(other).ok
+    assert other.validation.ok
     assert find_isomorphism(s23, other) is None
     assert find_isomorphism(other, s23) is None
 
@@ -190,16 +190,16 @@ def test_rejects_23_with_pair_density_witness(s23):
     assert [(f.axiom, f.witness) for f in d.failures] == [(2, "1'")]
     assert d.action is None and d.witness is None
     # the reported witness re-checks from the element inequality alone
-    e = s23.element_from_names(["1'"])
-    assert not is_pair(e)
+    assert not s23._element_flags(1 << s23.atom_names.index("1'"))[1]
 
 
 def test_rejects_57_with_both_failed_axioms(s57):
     d = decide_z2(s57)
     assert not d.accepted
     assert [(f.axiom, f.witness) for f in d.failures] == [(2, "1'"), (3, "a")]
-    a = s57.element_from_names(["a"])
-    assert not is_function(a) and not is_function(a.converse())
+    a = 1 << s57.atom_names.index("a")
+    assert not s57._element_flags(a)[2]
+    assert not s57._element_flags(s57.converse_mask(a))[2]
 
 
 def test_rejects_type6_extraction(type6_algebra):
@@ -207,8 +207,9 @@ def test_rejects_type6_extraction(type6_algebra):
     d = decide_z2(s)
     assert not d.accepted
     assert [(f.axiom, f.witness) for f in d.failures] == [(3, "x0")]
-    x0 = s.element_from_names(["x0"])
-    assert not is_function(x0) and not is_function(x0.converse())
+    x0 = 1 << s.atom_names.index("x0")
+    assert not s._element_flags(x0)[2]
+    assert not s._element_flags(s.converse_mask(x0))[2]
 
 
 def test_round_trip_small_involutions():
@@ -303,6 +304,27 @@ def test_class_verdicts_need_no_search(monkeypatch):
     # a 3-cycle is no involution: the search answers, as before
     assert check_action_represents(involution_structure(0, 1),
                                    build_group(3, [(1, 2, 0)])) is None
+
+
+def test_a_failed_proof_map_reports_the_invalid_input_without_a_search(
+        monkeypatch):
+    # each table passes the local laws and the axioms, so the proof builds
+    # its map, which fails on the missing orbit; by the theorem only an
+    # invalid input fails it, so the table's report ends the request there
+    reached = []
+    monkeypatch.setattr(decision, "_search_isomorphism",
+                        lambda *args: reached.append(args))
+    tables = one_orbit_corruptions()
+    assert len(tables) == 39
+    for bad, action in tables:
+        good = extract_atom_structure(rel_algebra(action))
+        for call in (lambda: check_action_represents(bad, action),
+                     lambda: find_isomorphism(bad, good),
+                     lambda: find_isomorphism(good, bad)):
+            with pytest.raises(InvalidStructureError) as err:
+                call()
+            assert err.value.report == bad.validation
+    assert reached == []
 
 
 def test_constructed_witness_mismatch_is_internal_error():
@@ -585,7 +607,7 @@ def test_tampered_witness_reports_cycle_mismatch():
     ext = extract_atom_structure(rel_algebra(build_group(3, [(0, 2, 1)])))
     d = decide_z2(ext)
     m = list(d.witness.atom_map)
-    a0, a1 = ext.atom_id("a0"), ext.atom_id("a1")
+    a0, a1 = map(ext.atom_names.index, ("a0", "a1"))
     m[a0], m[a1] = m[a1], m[a0]
     forged = dataclasses.replace(d, witness=IsoWitness(
         d.witness.source, d.witness.target, tuple(m)))

@@ -6,8 +6,7 @@ from relalg import (ConcreteAlgebra, ConcreteRelation, ParseError,
                     build_group, extract_atom_structure,
                     format_atom_structure, format_concrete_algebra,
                     format_group_action, parse_atom_structure,
-                    parse_concrete_algebra, parse_group_action, rel_algebra,
-                    validate_structure)
+                    parse_concrete_algebra, parse_group_action, rel_algebra)
 
 from conftest import DATA, emitted_cycle_lines, involutions, load_action, \
     load_concrete, load_structure, orbit_minimum_cycle_lines
@@ -36,7 +35,7 @@ def test_structure_round_trip_extractions():
             assert emitted_cycle_lines(text) == orbit_minimum_cycle_lines(s)
             again = parse_atom_structure(text)
             assert again == s
-            assert validate_structure(again).ok
+            assert again.validation.ok
 
 
 def test_concrete_round_trip(type6_algebra):
@@ -214,7 +213,7 @@ def test_action_builder_errors_pass_through():
 def test_data_files_all_parse():
     for p in sorted(DATA.iterdir()):
         if p.suffix == ".ra":
-            assert validate_structure(load_structure(p.name)).ok, p.name
+            assert load_structure(p.name).validation.ok, p.name
         elif p.suffix == ".act":
             load_action(p.name)
         elif p.suffix == ".ca":

@@ -7,10 +7,9 @@ import random
 import time
 
 from relalg import (AtomStructure, ConcreteAlgebra, ConcreteRelation,
-                    atoms_functional, build_group, check_functional_density,
-                    check_z2_axioms, extract_atom_structure, is_pair_dense,
-                    is_simple, parse_atom_structure, parse_concrete_algebra,
-                    peirce_orbit, rel_algebra, validate_structure)
+                    build_group, check_z2_axioms, extract_atom_structure,
+                    parse_atom_structure, parse_concrete_algebra,
+                    peirce_orbit, rel_algebra)
 from relalg import atoms
 from relalg.atoms import _validate
 from relalg.atoms import _associativity_witness
@@ -191,7 +190,7 @@ def test_join_matches_dense_scan_on_corrupted_tables(monkeypatch):
                 if columns_seen[0] < bad.n_atoms:
                     assert columns_seen == [columns_seen[0], bad.n_atoms]
                     rerun += 1
-                assert "associativity" in validate_structure(bad).codes()
+                assert "associativity" in bad.validation.codes()
             else:
                 assert len(columns_seen) == 1
     assert failing > 10  # the corruptions do break associativity
@@ -231,7 +230,7 @@ def test_validating_the_structure_of_z2_to_the_8_takes_under_a_second():
     s = extract_atom_structure(rel_algebra(regular_action([2] * 8)))
     assert (s.n_atoms, len(s.cycles)) == (256, 65536)
     start = time.perf_counter()
-    report = validate_structure(s)
+    report = s.validation
     elapsed = time.perf_counter() - start
     assert report.ok
     assert elapsed < 1.0
@@ -406,10 +405,8 @@ def test_atom_flags_and_simplicity_match_element_level_oracle():
         r = check_z2_axioms(s)
         assert (*r.as_triple(), r.simple_witness, r.pair_dense_witness,
                 r.functional_witness) == want, s.atom_names
-        assert (is_simple(s), is_pair_dense(s), atoms_functional(s)) == (
-            want[0], (want[1], want[4]), (want[2], want[5]))
         fn = sum(1 << a for a in range(s.n_atoms) if flags[a][2])
-        assert check_functional_density(s) == (
+        assert (s.compose_mask(s.converse_mask(fn), fn) == full) == (
             comp(converse_mask_oracle(s, fn), fn) == full)
         failed = [f + (not w) for f, w in zip(failed, want)]
     assert min(failed) >= 16  # each axiom fails on some inputs

@@ -3,7 +3,8 @@ installed; without it they skip."""
 
 import pytest
 
-from relalg import (AtomStructure, build_group, extract_atom_structure,
+from relalg import (AtomStructure, build_group, check_action_represents,
+                    decide_z2, extract_atom_structure, find_isomorphism,
                     format_atom_structure, format_concrete_algebra,
                     format_group_action, pair_orbits, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, rel_algebra)
@@ -11,8 +12,9 @@ from relalg.atoms import _associativity_witness
 from relalg.decision import _power_runs
 
 from conftest import (associativity_witness_oracle, conjugate,
-                      emitted_cycle_lines, orbit_minimum_cycle_lines,
-                      rel_algebra_oracle)
+                      emitted_cycle_lines, involution_action,
+                      orbit_minimum_cycle_lines, random_prime_cyclic_action,
+                      rel_algebra_oracle, shuffled)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -97,3 +99,31 @@ def test_structure_format_round_trips(data):
     # each Peircean orbit is written as its least member
     assert emitted_cycle_lines(format_atom_structure(s)) == \
         orbit_minimum_cycle_lines(s)
+
+
+@st.composite
+def small_cyclic_actions(draw):
+    """An involution with at most 3 points and 3 twins, or a random action
+    of a cyclic group of order 2, 3 or 5 on at most 10 points."""
+    if draw(st.booleans()):
+        points = draw(st.integers(0, 3))
+        twins = draw(st.integers(1 if points == 0 else 0, 3))
+        return involution_action(points, twins)
+    return random_prime_cyclic_action(draw(st.randoms()))[1]
+
+
+@hypothesis.settings(max_examples=60)
+@hypothesis.given(small_cyclic_actions(), small_cyclic_actions(),
+                  st.randoms())
+def test_answers_do_not_depend_on_atom_names_or_order(action, other, rng):
+    # the involutions take the proof's path, the other actions the search
+    s = extract_atom_structure(rel_algebra(action))
+    t = shuffled(s, rng)
+    d, e = decide_z2(s), decide_z2(t)
+    assert d.accepted == e.accepted
+    assert [f.axiom for f in d.failures] == [f.axiom for f in e.failures]
+    w = find_isomorphism(s, t)
+    assert w is not None and w.problems() == ()
+    for act in (action, other):
+        assert (check_action_represents(s, act) is None) == \
+            (check_action_represents(t, act) is None)
