@@ -12,7 +12,12 @@ tested against.
 
 Validation has two parts.  The local laws (names, converse, the cycle
 and identity laws, one domain and one range atom per atom) cost
-O(cycles + atoms * identity atoms).  The associativity join uses Light's
+O(atoms * identity atoms), plus one O(cycles) pass for the cycle law.
+That pass is skipped on structures the parser closed under an
+involutive converse, where the law holds by construction; under the
+cycle law and an involutive converse the identity law is read off its
+clause on the right, and every cycle is scanned only when it fails.
+The associativity join uses Light's
 reduction: one row kernel compares (a;b);c with a;(b;c) over a
 generating set of columns, and over all columns only when that pass
 fails, in place of an atoms^3 scan.  The three axioms are read off each
@@ -79,11 +84,22 @@ def peirce_orbit(triple: Triple, converse: Sequence[int]) -> frozenset[Triple]:
 
 
 def close_cycles(cycles: Iterable[Triple], converse: Sequence[int]) -> frozenset[Triple]:
-    """Close a cycle set under the six Peircean transforms."""
-    closed: set[Triple] = set()
-    for t in cycles:
-        closed |= peirce_orbit(tuple(t), converse)
-    return frozenset(closed)
+    """The union of the six Peircean transforms of each cycle.
+
+    The union is closed under the transforms exactly when the converse is
+    an involution: the six transforms of a cycle are then its orbit under
+    the group they generate.  The set is built column by column, with zip
+    and map over the cycles' columns, in C.
+    """
+    reps = list(cycles)
+    if not reps:
+        return frozenset()
+    if set(map(len, reps)) != {3}:
+        raise ValueError("every cycle must be a triple of atom ids")
+    xs, ys, zs = zip(*reps)
+    cx, cy, cz = ([*map(converse.__getitem__, col)] for col in (xs, ys, zs))
+    return frozenset(chain(zip(xs, ys, zs), zip(cx, zs, ys), zip(zs, cy, xs),
+                           zip(ys, cz, cx), zip(cz, xs, cy), zip(cy, cx, cz)))
 
 
 @dataclass(frozen=True)
@@ -126,7 +142,13 @@ class AtomStructure:
         object.__setattr__(self, "atom_names", tuple(self.atom_names))
         object.__setattr__(self, "converse_map", tuple(self.converse_map))
         object.__setattr__(self, "identity_atoms", frozenset(self.identity_atoms))
-        object.__setattr__(self, "cycles", frozenset(map(tuple, self.cycles)))
+        cycles = self.cycles
+        # a frozenset of tuples is kept as it is: rebuilding it rehashes
+        # every cycle
+        if not (type(cycles) is frozenset
+                and all(map(tuple.__instancecheck__, cycles))):
+            cycles = frozenset(map(tuple, cycles))
+            object.__setattr__(self, "cycles", cycles)
         n = len(self.atom_names)
         if len(self.converse_map) != n:
             raise ValueError("converse_map must assign an image to every atom id")
@@ -136,14 +158,35 @@ class AtomStructure:
         for e in self.identity_atoms:
             if not isinstance(e, int) or not 0 <= e < n:
                 raise ValueError(f"identity atom {e!r} is not an atom id")
-        # distinct ids and id types tested once; the culprit sought on failure
-        ids = tuple(chain.from_iterable(self.cycles))
-        if not (set(map(len, self.cycles)) <= {3}
-                and all(issubclass(k, int) for k in set(map(type, ids)))
-                and all(0 <= a < n for a in set(ids))):
-            for t in self.cycles:
+        # distinct ids and id types tested once; the culprit sought on
+        # failure.  The types are read off every id, not off the distinct
+        # ones, where 1.0 could hide behind an equal 1
+        if not (set(map(len, cycles)) <= {3}
+                and all(issubclass(k, int) for k in
+                        set(map(type, chain.from_iterable(cycles))))
+                and all(0 <= a < n for a in set(chain.from_iterable(cycles)))):
+            for t in cycles:
                 if len(t) != 3 or any(not isinstance(a, int) or not 0 <= a < n for a in t):
                     raise ValueError(f"cycle {t!r} does not name three atom ids")
+
+    @classmethod
+    def _of_cycle_reps(cls, atom_names: Sequence[str],
+                       converse_map: Sequence[int], identity_atoms: Iterable[int],
+                       reps: Iterable[Triple]) -> "AtomStructure":
+        """Internal to formats.parse_atom_structure: the structure whose
+        cycles are the representatives closed by close_cycles.  The
+        constructor checks the representatives and the converse map, so
+        their closure names atom ids only and is not checked again.  Under
+        an involutive converse, checked here in O(atoms), the closure
+        leaves no cycle breaking the cycle law, so the law's scan is preset
+        to find nothing; under any other converse map it runs as for every
+        structure built by the constructor."""
+        s = cls(atom_names, converse_map, identity_atoms, reps)
+        conv = s.converse_map
+        object.__setattr__(s, "cycles", close_cycles(s.cycles, conv))
+        if [*map(conv.__getitem__, conv)] == [*range(len(conv))]:
+            s.__dict__["_cycle_law_broken"] = ()
+        return s
 
     # -- basic views ------------------------------------------------------
 
@@ -241,6 +284,11 @@ class AtomStructure:
     def _local_violations(self) -> tuple[Violation, ...]:
         return _local_laws(self)
 
+    @cached_property
+    def _cycle_law_broken(self) -> Sequence[Triple]:
+        # the cycles missing a transform, sorted; preset by _of_cycle_reps
+        return _broken_cycles(self)
+
     def require_valid(self) -> None:
         if not self.validation.ok:
             raise InvalidStructureError(self.validation)
@@ -261,8 +309,9 @@ def _validate(s: AtomStructure) -> ValidationReport:
 
 def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
     """Names, converse, self-converse identity atoms, the cycle law, the
-    identity law, and one domain and one range atom per atom, in
-    O(cycles + atoms * identity atoms) set lookups when they hold."""
+    identity law, and one domain and one range atom per atom.  When they
+    hold this costs O(atoms * identity atoms) lookups, plus the cycle law's
+    O(cycles) pass on a structure the parser did not close."""
     v: list[Violation] = []
     names = s.atom_names
     n = s.n_atoms
@@ -282,8 +331,10 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
             seen[nm] = a
 
     conv = s.converse_map
+    involutive = True
     for a in range(n):
         if conv[conv[a]] != a:
+            involutive = False
             v.append(Violation(
                 "converse-not-involution",
                 f"converse(converse({names[a]})) = {names[conv[conv[a]]]} != {names[a]}"))
@@ -294,42 +345,38 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
                 "identity-not-self-converse",
                 f"identity atom {names[e]} has converse {names[conv[e]]}"))
 
-    # closure under (x~, z, y) and (z, y~, x) is closure under all six
-    # transforms, converse an involution or not: they compose to the other
-    # three.  The six are listed only to word the messages.
     cycles = s.cycles
-    if not all((conv[x], z, y) in cycles and (z, conv[y], x) in cycles
-               for x, y, z in cycles):
-        broken = [t for t in cycles
-                  if not cycles.issuperset(_transforms(t, conv))]
-        for t in sorted(broken):
-            for u in sorted(peirce_orbit(t, conv)):
-                if u not in cycles:
-                    v.append(Violation(
-                        "cycle-law",
-                        f"cycle {s._fmt_triple(t)} present but its transform "
-                        f"{s._fmt_triple(u)} is missing"))
+    broken = s._cycle_law_broken
+    for t in broken:
+        for u in sorted(peirce_orbit(t, conv)):
+            if u not in cycles:
+                v.append(Violation(
+                    "cycle-law",
+                    f"cycle {s._fmt_triple(t)} present but its transform "
+                    f"{s._fmt_triple(u)} is missing"))
 
     ident = s.identity_atoms
-    broken = [(x, y, z) for x, y, z in cycles
-              if (x in ident and y != z) or (y in ident and x != z)
-              or (z in ident and y != conv[x])]
-    for x, y, z in sorted(broken):
-        if x in ident and y != z:
-            v.append(Violation(
-                "identity-law",
-                f"cycle {s._fmt_triple((x, y, z))} composes an identity atom "
-                f"on the left but {names[y]} != {names[z]}"))
-        if y in ident and x != z:
-            v.append(Violation(
-                "identity-law",
-                f"cycle {s._fmt_triple((x, y, z))} composes an identity atom "
-                f"on the right but {names[x]} != {names[z]}"))
-        if z in ident and y != conv[x]:
-            v.append(Violation(
-                "identity-law",
-                f"cycle {s._fmt_triple((x, y, z))} puts an identity atom below "
-                f"{names[x]};{names[y]} but {names[y]} != {names[conv[x]]}"))
+    # under the cycle law and an involutive converse the identity law is
+    # its clause on the right, which _right_identities_hold reads in
+    # O(atoms * identity atoms); every cycle is scanned only to word the
+    # messages, or where the shortcut does not apply
+    if broken or not involutive or not _right_identities_hold(s):
+        for x, y, z in _identity_law_broken(s):
+            if x in ident and y != z:
+                v.append(Violation(
+                    "identity-law",
+                    f"cycle {s._fmt_triple((x, y, z))} composes an identity atom "
+                    f"on the left but {names[y]} != {names[z]}"))
+            if y in ident and x != z:
+                v.append(Violation(
+                    "identity-law",
+                    f"cycle {s._fmt_triple((x, y, z))} composes an identity atom "
+                    f"on the right but {names[x]} != {names[z]}"))
+            if z in ident and y != conv[x]:
+                v.append(Violation(
+                    "identity-law",
+                    f"cycle {s._fmt_triple((x, y, z))} puts an identity atom below "
+                    f"{names[x]};{names[y]} but {names[y]} != {names[conv[x]]}"))
 
     for a, ends in enumerate(zip(*s._end_atoms)):
         for side, found, cycle in zip(
@@ -344,6 +391,43 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
                     f"multiple-{side}-atoms", f"atom {names[a]} has {side} atoms "
                     + ", ".join(names[e] for e in found)))
     return tuple(v)
+
+
+def _broken_cycles(s: AtomStructure) -> list[Triple]:
+    """The cycles some transform of which is missing, sorted.
+
+    Closure under (x~, z, y) and (z, y~, x) is closure under all six
+    transforms, converse an involution or not: they compose to the other
+    three.  The six are listed only to find the culprits.
+    """
+    cycles, conv = s.cycles, s.converse_map
+    if all((conv[x], z, y) in cycles and (z, conv[y], x) in cycles
+           for x, y, z in cycles):
+        return []
+    return sorted(t for t in cycles
+                  if not cycles.issuperset(_transforms(t, conv)))
+
+
+def _right_identities_hold(s: AtomStructure) -> bool:
+    """x;f is 0 or {x} for every atom x and identity atom f.
+
+    Under the cycle law and an involutive converse this is the whole
+    identity law.  A cycle (x, y, e) with e an identity atom gives
+    (x~, e, y), so y = x~; a cycle (e, y, z) gives (z, y~, e), so y~ = z~
+    and y = z.
+    """
+    comp = s._comp
+    others = [~(1 << x) for x in range(s.n_atoms)]
+    return not any(any(map(and_, map(itemgetter(f), comp), others))
+                   for f in s.identity_atoms)
+
+
+def _identity_law_broken(s: AtomStructure) -> list[Triple]:
+    # the cycles breaking one of the identity law's three clauses, sorted
+    ident, conv = s.identity_atoms, s.converse_map
+    return sorted((x, y, z) for x, y, z in s.cycles
+                  if (x in ident and y != z) or (y in ident and x != z)
+                  or (z in ident and y != conv[x]))
 
 
 def _associativity_witness(s: AtomStructure) -> Triple | None:

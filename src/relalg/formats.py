@@ -4,6 +4,10 @@ All three formats share the same conventions: '#' starts a comment, blank
 lines are ignored, and every directive is a whitespace-separated line.
 Parsers raise ParseError with the offending source name, line number, and
 token.  Emitters produce text the parsers round-trip exactly.
+
+An atom structure is read in one loop over its lines, cycle lines tested
+first, and built by AtomStructure._of_cycle_reps, which closes the cycle
+representatives column by column and so needs no cycle-law scan.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import re
 
 from .actions import GroupAction, build_group
-from .atoms import AtomStructure, _transforms, close_cycles
+from .atoms import AtomStructure, _transforms
 from .concrete import ConcreteAlgebra, ConcreteRelation
 from .errors import ParseError
 
@@ -46,10 +50,22 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
         except KeyError:
             raise ParseError(source, lineno, "unknown atom", token=name) from None
 
-    for lineno, line in _content_lines(text):
-        parts = line.split()
+    get = index.__getitem__
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
         kw = parts[0]
-        if kw == "atoms":
+        if kw == "cycle":
+            if len(parts) != 4:
+                raise ParseError(source, lineno,
+                                 "cycle lines take exactly three atoms")
+            try:
+                cycle_reps.append((get(parts[1]), get(parts[2]), get(parts[3])))
+            except KeyError:
+                for p in parts[1:]:  # raises at the first unknown name
+                    atom_id(p, lineno)
+        elif kw == "atoms":
             if atoms is not None:
                 raise ParseError(source, lineno, "duplicate atoms line")
             if len(parts) == 1:
@@ -82,12 +98,6 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
                                      token=p)
                 seen.update((ia, ib))
                 converse[ia], converse[ib] = ib, ia
-        elif kw == "cycle":
-            if len(parts) != 4:
-                raise ParseError(source, lineno,
-                                 "cycle lines take exactly three atoms")
-            x, y, z = (atom_id(p, lineno) for p in parts[1:])
-            cycle_reps.append((x, y, z))
         else:
             raise ParseError(source, lineno, "unknown directive", token=kw)
 
@@ -97,9 +107,7 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
         raise ParseError(source, 0, "missing identity line")
     if converse is None:
         converse = list(range(len(atoms)))
-    cycles = close_cycles(cycle_reps, converse)
-    return AtomStructure(tuple(atoms), tuple(converse),
-                         frozenset(identity), cycles)
+    return AtomStructure._of_cycle_reps(atoms, converse, identity, cycle_reps)
 
 
 def format_atom_structure(s: AtomStructure) -> str:

@@ -27,6 +27,7 @@ from relalg import (AtomClassification, AtomStructure, AtomTypeInfo,
                     build_group, extract_atom_structure, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, peirce_orbit,
                     rel_algebra)
+from relalg.atoms import Violation
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -408,6 +409,100 @@ def associativity_witness_oracle(s: AtomStructure):
                 if lhs != rhs:
                     return (a, b, c)
     return None
+
+
+def close_cycles_oracle(cycles, converse) -> frozenset:
+    """The union of the Peircean orbits of the cycles, one orbit at a time."""
+    closed = set()
+    for t in cycles:
+        closed |= peirce_orbit(tuple(t), converse)
+    return frozenset(closed)
+
+
+def local_laws_oracle(s: AtomStructure) -> tuple:
+    """The violations of the local laws, in the library's order and words:
+    every cycle scanned for the cycle law and for each clause of the
+    identity law, whatever holds, and the domain and range atoms looked up
+    cycle by cycle."""
+    v = []
+    names = s.atom_names
+    n = s.n_atoms
+    if n == 0:
+        return (Violation("empty-structure",
+                          "structure has no atoms (one = zero)"),)
+
+    def fmt(t):
+        return "(" + ", ".join(names[a] for a in t) + ")"
+
+    seen = {}
+    for a, nm in enumerate(names):
+        if not usable_atom_name_oracle(nm):
+            v.append(Violation("bad-atom-name",
+                               f"atom {a} has unusable name {nm!r}"))
+        if nm in seen:
+            v.append(Violation(
+                "duplicate-atom-name",
+                f"atom name {nm!r} used by atoms {seen[nm]} and {a}"))
+        else:
+            seen[nm] = a
+
+    conv = s.converse_map
+    for a in range(n):
+        if conv[conv[a]] != a:
+            v.append(Violation(
+                "converse-not-involution",
+                f"converse(converse({names[a]})) = {names[conv[conv[a]]]} "
+                f"!= {names[a]}"))
+
+    for e in sorted(s.identity_atoms):
+        if conv[e] != e:
+            v.append(Violation(
+                "identity-not-self-converse",
+                f"identity atom {names[e]} has converse {names[conv[e]]}"))
+
+    cycles = s.cycles
+    for t in sorted(cycles):
+        for u in sorted(peirce_orbit(t, conv)):
+            if u not in cycles:
+                v.append(Violation(
+                    "cycle-law",
+                    f"cycle {fmt(t)} present but its transform {fmt(u)} "
+                    f"is missing"))
+
+    ident = s.identity_atoms
+    for x, y, z in sorted(cycles):
+        if x in ident and y != z:
+            v.append(Violation(
+                "identity-law",
+                f"cycle {fmt((x, y, z))} composes an identity atom "
+                f"on the left but {names[y]} != {names[z]}"))
+        if y in ident and x != z:
+            v.append(Violation(
+                "identity-law",
+                f"cycle {fmt((x, y, z))} composes an identity atom "
+                f"on the right but {names[x]} != {names[z]}"))
+        if z in ident and y != conv[x]:
+            v.append(Violation(
+                "identity-law",
+                f"cycle {fmt((x, y, z))} puts an identity atom below "
+                f"{names[x]};{names[y]} but {names[y]} != {names[conv[x]]}"))
+
+    idents = sorted(ident)
+    for a in range(n):
+        for side, found, cycle in (
+                ("domain", [e for e in idents if (e, a, a) in cycles],
+                 "e has (e, {0}, {0})"),
+                ("range", [f for f in idents if (a, f, a) in cycles],
+                 "f has ({0}, f, {0})")):
+            if not found:
+                v.append(Violation(
+                    f"missing-{side}-atom",
+                    f"no identity atom {cycle.format(names[a])} as a cycle"))
+            elif len(found) > 1:
+                v.append(Violation(
+                    f"multiple-{side}-atoms", f"atom {names[a]} has {side} "
+                    "atoms " + ", ".join(names[e] for e in found)))
+    return tuple(v)
 
 
 def points_twins_oracle(bp) -> None:

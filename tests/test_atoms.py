@@ -127,6 +127,19 @@ def test_identity_law_violation_detected(s23):
     assert "identity-law" in bad.validation.codes()
 
 
+def test_identity_law_on_a_converse_that_is_no_involution():
+    # the cycle law holds and x;f is 0 or {x} for the identity atom f, but
+    # the converse maps both atoms to a, so f;a = {a, f} breaks the clause
+    # on the left: the clause on the right is the whole law only under an
+    # involution
+    cycles = {(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)}
+    bad = AtomStructure(("a", "f"), (0, 0), frozenset({1}), cycles)
+    assert "cycle-law" not in bad.validation.codes()
+    assert [v.message for v in bad.validation.violations
+            if v.code == "identity-law"] == [
+        "cycle (f, a, f) composes an identity atom on the left but a != f"]
+
+
 def test_duplicate_and_unusable_names_detected(s23):
     bad = AtomStructure(("1'", "r", "r"), s23.converse_map,
                         s23.identity_atoms, s23.cycles)

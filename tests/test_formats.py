@@ -104,6 +104,29 @@ def test_unknown_atom_reported_with_token():
     assert "unknown atom" in str(e)
 
 
+def test_cycle_line_errors_pinned():
+    # the first unknown name of a cycle line is reported, in any place; a
+    # cycle line before the atoms line, a comment cut from a name, an
+    # indented comment line and CRLF line ends keep their line numbers
+    head = "atoms a b\nidentity a\n"
+    for text, want in (
+            (head + "cycle a zz yy\n", ("unknown atom", 3, "zz")),
+            (head + "cycle a b zz\n", ("unknown atom", 3, "zz")),
+            (head + "cycle zz b yy\n", ("unknown atom", 3, "zz")),
+            ("cycle a a a\natoms a\n", ("atoms must be declared first", 1,
+                                        None)),
+            (head + "cycle a b c#x\n", ("unknown atom", 3, "c")),
+            ("atoms a\n   # a note\nidentity a\nfrobnicate\n",
+             ("unknown directive", 4, "frobnicate")),
+            ("atoms a b\r\nidentity a\r\ncycle a a zz\r\n",
+             ("unknown atom", 3, "zz"))):
+        e = err(parse_atom_structure, text)
+        assert (e.message, e.line, e.token) == want, text
+    s = parse_atom_structure("atoms a\r\n  # note\r\nidentity a\r\n"
+                             "cycle a a a#x\r\n")
+    assert s.cycles == {(0, 0, 0)}
+
+
 def test_atoms_must_come_first():
     e = err(parse_atom_structure, "identity a\natoms a\n")
     assert e.line == 1

@@ -4,17 +4,18 @@ installed; without it they skip."""
 import pytest
 
 from relalg import (AtomStructure, build_group, check_action_represents,
-                    decide_z2, extract_atom_structure, find_isomorphism,
-                    format_atom_structure, format_concrete_algebra,
-                    format_group_action, pair_orbits, parse_atom_structure,
-                    parse_concrete_algebra, parse_group_action, rel_algebra)
-from relalg.atoms import _associativity_witness
+                    close_cycles, decide_z2, extract_atom_structure,
+                    find_isomorphism, format_atom_structure,
+                    format_concrete_algebra, format_group_action, pair_orbits,
+                    parse_atom_structure, parse_concrete_algebra,
+                    parse_group_action, peirce_orbit, rel_algebra)
+from relalg.atoms import _associativity_witness, _local_laws
 from relalg.decision import _power_runs
 
-from conftest import (associativity_witness_oracle, conjugate,
-                      emitted_cycle_lines, involution_action,
-                      orbit_minimum_cycle_lines, random_prime_cyclic_action,
-                      rel_algebra_oracle, shuffled)
+from conftest import (associativity_witness_oracle, close_cycles_oracle,
+                      conjugate, emitted_cycle_lines, involution_action,
+                      local_laws_oracle, orbit_minimum_cycle_lines,
+                      random_prime_cyclic_action, rel_algebra_oracle, shuffled)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -41,6 +42,94 @@ def test_associativity_kernel_matches_the_dense_scan(s):
     # on invalid tables too, where a row's left side can reach columns off
     # the support of b and rows with a;b = 0 can fail
     assert _associativity_witness(s) == associativity_witness_oracle(s)
+
+
+@st.composite
+def involution_maps(draw, n):
+    """Any involution of n atom ids."""
+    ids = draw(st.permutations(range(n)))
+    swapped = draw(st.integers(0, n // 2))
+    conv = list(range(n))
+    for a, b in zip(ids[:swapped], ids[swapped:2 * swapped]):
+        conv[a], conv[b] = b, a
+    return conv
+
+
+def converse_maps(n):
+    """Any map of n atom ids into themselves, or an involution."""
+    return st.one_of(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                     involution_maps(n))
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(st.data())
+def test_close_cycles_matches_the_orbit_union(data):
+    # under any converse map, where the union need not be closed
+    n = data.draw(st.integers(1, 6))
+    atom = st.integers(0, n - 1)
+    conv = data.draw(converse_maps(n))
+    reps = data.draw(st.lists(st.tuples(atom, atom, atom), max_size=20))
+    assert close_cycles(reps, conv) == close_cycles_oracle(reps, conv)
+    assert close_cycles(map(list, reps), tuple(conv)) == \
+        close_cycles_oracle(reps, conv)
+
+
+def transform_closure(cycles, conv):
+    """The least superset of the cycles closed under (x~, z, y) and
+    (z, y~, x): the cycle law, for any converse map."""
+    closed = set(cycles)
+    while True:
+        more = {(conv[x], z, y) for x, y, z in closed} | \
+            {(z, conv[y], x) for x, y, z in closed}
+        if more <= closed:
+            return closed
+        closed |= more
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(cycle_tables())
+def test_local_laws_match_the_oracle(s):
+    # the same violations in the same order, on the table as drawn and on
+    # its closure under the cycle law, where the identity law is read off
+    # one clause when the converse is an involution, and only then
+    assert _local_laws(s) == local_laws_oracle(s)
+    closed = AtomStructure(s.atom_names, s.converse_map, s.identity_atoms,
+                           transform_closure(s.cycles, s.converse_map))
+    assert _local_laws(closed) == local_laws_oracle(closed)
+
+
+@st.composite
+def structure_texts(draw):
+    """The text of a structure on at most 5 atoms with any identity atoms,
+    any involution as converse and any cycle lines, many of the form
+    (x, e, x) for an identity atom e; and its cycle lines as id triples."""
+    n = draw(st.integers(1, 5))
+    atom = st.integers(0, n - 1)
+    identity = draw(st.lists(atom, min_size=1, max_size=n, unique=True))
+    conv = draw(involution_maps(n))
+    right_identity = st.tuples(atom, st.sampled_from(identity)).map(
+        lambda t: (t[0], t[1], t[0]))
+    reps = draw(st.lists(st.one_of(st.tuples(atom, atom, atom),
+                                   right_identity), max_size=12))
+    name = "a{}".format
+    lines = ["atoms " + " ".join(map(name, range(n))),
+             "identity " + " ".join(map(name, identity)),
+             "converse " + " ".join(f"a{a}:a{c}" for a, c in enumerate(conv)
+                                    if a <= c)]
+    lines += [f"cycle a{x} a{y} a{z}" for x, y, z in reps]
+    return "\n".join(lines) + "\n", reps
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(structure_texts())
+def test_parsed_local_laws_hide_nothing(drawn):
+    # the parser presets the cycle law's scan; the same tables built by the
+    # constructor, which scans, give the oracle's violations
+    text, reps = drawn
+    s = parse_atom_structure(text)
+    assert s.cycles == close_cycles_oracle(reps, s.converse_map)
+    assert s._local_violations == local_laws_oracle(AtomStructure(
+        s.atom_names, s.converse_map, s.identity_atoms, s.cycles))
 
 
 @hypothesis.settings(max_examples=400)
@@ -74,6 +163,32 @@ def test_orbit_kernel_matches_the_group_element_oracle(act):
     assert c == oracle
     assert c._partition == oracle._partition
     assert extract_atom_structure(c).validation.ok
+
+
+@hypothesis.settings(max_examples=60)
+@hypothesis.given(actions(), st.data())
+def test_single_cycle_corruptions_break_the_cycle_law(act, data):
+    # one cycle removed from a Peircean orbit of two or more members, or
+    # one cycle added from such an orbit that is absent; an orbit of one
+    # member is left out, since removing (a, a, a) from K3's structure
+    # leaves K2's, which is valid
+    s = extract_atom_structure(rel_algebra(act))
+    conv, cycles = s.converse_map, s.cycles
+
+    def broken(table):
+        return "cycle-law" in AtomStructure(
+            s.atom_names, conv, s.identity_atoms, table).validation.codes()
+
+    removable = sorted(t for t in cycles if len(peirce_orbit(t, conv)) > 1)
+    if removable:
+        assert broken(cycles - {data.draw(st.sampled_from(removable))})
+    rng = data.draw(st.randoms())
+    n = s.n_atoms
+    drawn = {tuple(rng.randrange(n) for _ in range(3)) for _ in range(200)}
+    addable = sorted(t for t in drawn if len(peirce_orbit(t, conv)) > 1
+                     and cycles.isdisjoint(peirce_orbit(t, conv)))
+    if addable:
+        assert broken(cycles | {data.draw(st.sampled_from(addable))})
 
 
 def round_trips(parse, format_, x):
