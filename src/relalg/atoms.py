@@ -11,13 +11,11 @@ compositional reference that the per-atom facts of the axioms are
 tested against.
 
 Validation has two parts.  The local laws (names, converse, the cycle
-and identity laws, one domain and one range atom per atom) cost
-O(atoms * identity atoms), plus one O(cycles) pass for the cycle law.
-That pass is skipped on structures the parser closed under an
-involutive converse, where the law holds by construction; under the
-cycle law and an involutive converse the identity law is read off its
-clause on the right, and every cycle is scanned only when it fails.
-The associativity join uses Light's
+and identity laws, one domain and one range atom per atom) cost one
+O(cycles) pass for the identity law, a second for the cycle law, and
+O(atoms * identity atoms) lookups for the rest.  The cycle law's pass is
+skipped on structures the parser closed under an involutive converse,
+where the law holds by construction.  The associativity join uses Light's
 reduction: one row kernel compares (a;b);c with a;(b;c) over a
 generating set of columns, and over all columns only when that pass
 fails, in place of an atoms^3 scan.  The three axioms are read off each
@@ -142,13 +140,8 @@ class AtomStructure:
         object.__setattr__(self, "atom_names", tuple(self.atom_names))
         object.__setattr__(self, "converse_map", tuple(self.converse_map))
         object.__setattr__(self, "identity_atoms", frozenset(self.identity_atoms))
-        cycles = self.cycles
-        # a frozenset of tuples is kept as it is: rebuilding it rehashes
-        # every cycle
-        if not (type(cycles) is frozenset
-                and all(map(tuple.__instancecheck__, cycles))):
-            cycles = frozenset(map(tuple, cycles))
-            object.__setattr__(self, "cycles", cycles)
+        cycles = frozenset(map(tuple, self.cycles))
+        object.__setattr__(self, "cycles", cycles)
         n = len(self.atom_names)
         if len(self.converse_map) != n:
             raise ValueError("converse_map must assign an image to every atom id")
@@ -310,8 +303,9 @@ def _validate(s: AtomStructure) -> ValidationReport:
 def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
     """Names, converse, self-converse identity atoms, the cycle law, the
     identity law, and one domain and one range atom per atom.  When they
-    hold this costs O(atoms * identity atoms) lookups, plus the cycle law's
-    O(cycles) pass on a structure the parser did not close."""
+    hold this costs one O(cycles) pass for the identity law, a second for
+    the cycle law on a structure the parser did not close, and
+    O(atoms * identity atoms) lookups for the rest."""
     v: list[Violation] = []
     names = s.atom_names
     n = s.n_atoms
@@ -331,10 +325,8 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
             seen[nm] = a
 
     conv = s.converse_map
-    involutive = True
     for a in range(n):
         if conv[conv[a]] != a:
-            involutive = False
             v.append(Violation(
                 "converse-not-involution",
                 f"converse(converse({names[a]})) = {names[conv[conv[a]]]} != {names[a]}"))
@@ -346,8 +338,7 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
                 f"identity atom {names[e]} has converse {names[conv[e]]}"))
 
     cycles = s.cycles
-    broken = s._cycle_law_broken
-    for t in broken:
+    for t in s._cycle_law_broken:
         for u in sorted(peirce_orbit(t, conv)):
             if u not in cycles:
                 v.append(Violation(
@@ -356,27 +347,25 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
                     f"{s._fmt_triple(u)} is missing"))
 
     ident = s.identity_atoms
-    # under the cycle law and an involutive converse the identity law is
-    # its clause on the right, which _right_identities_hold reads in
-    # O(atoms * identity atoms); every cycle is scanned only to word the
-    # messages, or where the shortcut does not apply
-    if broken or not involutive or not _right_identities_hold(s):
-        for x, y, z in _identity_law_broken(s):
-            if x in ident and y != z:
-                v.append(Violation(
-                    "identity-law",
-                    f"cycle {s._fmt_triple((x, y, z))} composes an identity atom "
-                    f"on the left but {names[y]} != {names[z]}"))
-            if y in ident and x != z:
-                v.append(Violation(
-                    "identity-law",
-                    f"cycle {s._fmt_triple((x, y, z))} composes an identity atom "
-                    f"on the right but {names[x]} != {names[z]}"))
-            if z in ident and y != conv[x]:
-                v.append(Violation(
-                    "identity-law",
-                    f"cycle {s._fmt_triple((x, y, z))} puts an identity atom below "
-                    f"{names[x]};{names[y]} but {names[y]} != {names[conv[x]]}"))
+    broken = [(x, y, z) for x, y, z in cycles
+              if (x in ident and y != z) or (y in ident and x != z)
+              or (z in ident and y != conv[x])]
+    for x, y, z in sorted(broken):
+        if x in ident and y != z:
+            v.append(Violation(
+                "identity-law",
+                f"cycle {s._fmt_triple((x, y, z))} composes an identity atom "
+                f"on the left but {names[y]} != {names[z]}"))
+        if y in ident and x != z:
+            v.append(Violation(
+                "identity-law",
+                f"cycle {s._fmt_triple((x, y, z))} composes an identity atom "
+                f"on the right but {names[x]} != {names[z]}"))
+        if z in ident and y != conv[x]:
+            v.append(Violation(
+                "identity-law",
+                f"cycle {s._fmt_triple((x, y, z))} puts an identity atom below "
+                f"{names[x]};{names[y]} but {names[y]} != {names[conv[x]]}"))
 
     for a, ends in enumerate(zip(*s._end_atoms)):
         for side, found, cycle in zip(
@@ -406,28 +395,6 @@ def _broken_cycles(s: AtomStructure) -> list[Triple]:
         return []
     return sorted(t for t in cycles
                   if not cycles.issuperset(_transforms(t, conv)))
-
-
-def _right_identities_hold(s: AtomStructure) -> bool:
-    """x;f is 0 or {x} for every atom x and identity atom f.
-
-    Under the cycle law and an involutive converse this is the whole
-    identity law.  A cycle (x, y, e) with e an identity atom gives
-    (x~, e, y), so y = x~; a cycle (e, y, z) gives (z, y~, e), so y~ = z~
-    and y = z.
-    """
-    comp = s._comp
-    others = [~(1 << x) for x in range(s.n_atoms)]
-    return not any(any(map(and_, map(itemgetter(f), comp), others))
-                   for f in s.identity_atoms)
-
-
-def _identity_law_broken(s: AtomStructure) -> list[Triple]:
-    # the cycles breaking one of the identity law's three clauses, sorted
-    ident, conv = s.identity_atoms, s.converse_map
-    return sorted((x, y, z) for x, y, z in s.cycles
-                  if (x in ident and y != z) or (y in ident and x != z)
-                  or (z in ident and y != conv[x]))
 
 
 def _associativity_witness(s: AtomStructure) -> Triple | None:

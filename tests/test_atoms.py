@@ -130,8 +130,8 @@ def test_identity_law_violation_detected(s23):
 def test_identity_law_on_a_converse_that_is_no_involution():
     # the cycle law holds and x;f is 0 or {x} for the identity atom f, but
     # the converse maps both atoms to a, so f;a = {a, f} breaks the clause
-    # on the left: the clause on the right is the whole law only under an
-    # involution
+    # on the left: without an involution the clauses do not follow from
+    # one another
     cycles = {(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)}
     bad = AtomStructure(("a", "f"), (0, 0), frozenset({1}), cycles)
     assert "cycle-law" not in bad.validation.codes()

@@ -153,47 +153,34 @@ def test_the_join_runs_only_before_uncertified_verdicts(monkeypatch, capsys):
         assert len({id(s) for s in calls}) == joins, argv
 
 
-def test_local_law_scans_run_only_where_they_can_fail(monkeypatch):
+def test_cycle_law_scan_runs_only_where_it_can_fail(monkeypatch):
     # the parser's closure under an involutive converse makes the cycle law
     # hold, so its scan never runs on parsed input, and runs once on the
-    # same structure rebuilt by the constructor; the identity law's scan
-    # over every cycle runs only where the clause x;f in {0, x} fails or
-    # the shortcut does not apply
-    calls = {"cycle": 0, "identity": 0}
+    # same structure rebuilt by the constructor
+    calls = []
 
-    def counting(name, scan):
-        def run(s):
-            calls[name] += 1
-            return scan(s)
-        return run
+    def counting(s):
+        calls.append(s)
+        return broken_cycles(s)
 
-    monkeypatch.setattr(atoms, "_broken_cycles",
-                        counting("cycle", atoms._broken_cycles))
-    monkeypatch.setattr(atoms, "_identity_law_broken",
-                        counting("identity", atoms._identity_law_broken))
+    broken_cycles = atoms._broken_cycles
+    monkeypatch.setattr(atoms, "_broken_cycles", counting)
 
     def scans(s):
-        calls.update(cycle=0, identity=0)
+        calls.clear()
         violations = s._local_violations
-        return calls["cycle"], calls["identity"], violations
+        return len(calls), violations
 
     for name in ("23.ra", "57.ra", "swap.ra", "23_relabeled.ra"):
         s = parse_atom_structure((DATA / name).read_text())
-        assert scans(s) == (0, 0, ()), name
+        assert scans(s) == (0, ()), name
         rebuilt = AtomStructure(s.atom_names, s.converse_map,
                                 s.identity_atoms, s.cycles)
-        assert scans(rebuilt) == (1, 0, ()), name
-    # e;a = a~ breaks the clause on the right only through a cycle law that
-    # holds: one identity scan words it
-    s = parse_atom_structure("atoms e a b\nidentity e\nconverse a:b\n"
-                             "cycle e e e\ncycle e a a\ncycle a e b\n")
-    cycle_scans, identity_scans, violations = scans(s)
-    assert (cycle_scans, identity_scans) == (0, 1)
-    assert "identity-law" in [v.code for v in violations]
-    # a converse that is no involution keeps the full scans, parsed or not
+        assert scans(rebuilt) == (1, ()), name
+    # a converse that is no involution keeps the scan, parsed or not
     s = AtomStructure._of_cycle_reps(("e", "a"), (0, 0), {0},
                                      [(0, 0, 0), (1, 0, 1)])
-    assert scans(s)[:2] == (1, 1)
+    assert scans(s)[0] == 1
 
 
 # --- associativity join -----------------------------------------------------

@@ -90,8 +90,7 @@ def transform_closure(cycles, conv):
 @hypothesis.given(cycle_tables())
 def test_local_laws_match_the_oracle(s):
     # the same violations in the same order, on the table as drawn and on
-    # its closure under the cycle law, where the identity law is read off
-    # one clause when the converse is an involution, and only then
+    # its closure under the cycle law
     assert _local_laws(s) == local_laws_oracle(s)
     closed = AtomStructure(s.atom_names, s.converse_map, s.identity_atoms,
                            transform_closure(s.cycles, s.converse_map))
