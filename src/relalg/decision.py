@@ -6,24 +6,20 @@ involution with one base element per point atom and two per twin atom,
 and certifies acceptance with the atom bijection of the proof, fixed by
 each atom's domain and range identity atoms and, between twins, whether
 it is parallel or crossed (_proof_witness), and checked cycle by cycle.
+By the theorem that map fails its check on no valid input that satisfies
+the axioms, so a failure is an InternalError.
 
-`iso` and `check-action` answer the same class by the proof.  Two
-structures that satisfy the axioms are isomorphic exactly when they have
-as many point and as many twin identity atoms, and the algebra of an
-involution with f fixed points and t 2-cycles realizes exactly those with
-f points and t twins.  So on such inputs unequal counts answer `none`;
-`check-action` counts the action's fixed points and 2-cycles before it
-builds any algebra.  Equal counts get the proof's map onto the action's
-algebra, and for `iso` both sides' maps onto the algebra of the source's
-involution, composed.  A precheck of O(identity atoms) on the loops and
-the atom count comes before the axioms, so inputs outside the class pay
-little for the test (_in_class).  No search runs on these inputs and the
-budget bounds only the search, so SearchBudgetExceeded cannot occur on
-them.
-
-By the theorem a map of the proof fails its check only when an input
-is invalid, so such a map validates the inputs at once, and the first
-invalid one's report ends the request before any search.
+`iso` and `check-action` answer the same class by the proof, and the
+three axioms alone decide membership (_in_class).  Two structures that
+satisfy the axioms are isomorphic exactly when they have as many point
+and as many twin identity atoms, and the algebra of an involution with f
+fixed points and t 2-cycles realizes exactly those with f points and t
+twins.  So on such inputs unequal counts answer `none`; `check-action`
+counts the action's fixed points and 2-cycles before it builds any
+algebra.  Equal counts get the proof's map onto the action's algebra, and
+for `iso` both sides' maps onto the algebra of the source's involution,
+composed.  No search runs on these inputs and the budget bounds only the
+search, so SearchBudgetExceeded cannot occur on them.
 
 All other inputs and actions that are not one involution go to a
 refine-and-propagate search
@@ -47,7 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .actions import GroupAction, build_group, rel_algebra
 from .atoms import AtomStructure, AxiomFailure, _z2_axioms
@@ -187,12 +183,10 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
     """An isomorphism of structures, by the proof on the class, otherwise
     by a refine-and-propagate search.
 
-    When both structures lie in the class (see _in_class), the proof
+    When both structures satisfy the axioms (see _in_class), the proof
     answers: None when their (points, twins) counts differ, otherwise the
     map of _iso_by_proof, which certifies both sides, so no join runs and
-    no search node is spent.  A map of the proof that fails its check
-    validates both inputs, in order, and the first invalid one's report
-    is raised; only valid inputs would fall through to the search.
+    no search node is spent.
 
     The search: colour refinement over each atom's first-place cycles,
     which fix its others by the cycle law (see _refined_colours), started
@@ -220,12 +214,7 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
         if counts is not None:
             if counts[0] != counts[1]:
                 return None, (source, target)
-            try:
-                return _iso_by_proof(source, target), ()
-            except _OffClass:
-                # only an invalid input fails the map on the class
-                source.require_valid()
-                target.require_valid()
+            return _iso_by_proof(source, target), ()
         w = _search_isomorphism(source, target, budget)
         return w, (source, target) if w is None else (source,)
 
@@ -240,7 +229,8 @@ def _gated(inputs: tuple[AtomStructure, ...], compute):
     1. If any input breaks a local law, every input is validated in full,
        in order, and the first invalid one's report is raised.
     2. Otherwise compute() runs.  If it raises, every input is validated
-       before the exception propagates.
+       before the exception propagates, so an invalid input that fails the
+       proof's map ends in its own report, not in an InternalError.
     3. After an answer, only the inputs it does not certify are validated:
        none after an accepted `decide-z2`, a found `check-action` map or an
        `iso` map built by the proof, the source alone after an `iso` map
@@ -390,9 +380,9 @@ def decide_z2(structure: AtomStructure) -> Z2Decision:
 
     An invalid structure raises InvalidStructureError (see _gated).  An
     accepted decision skips the associativity join, soundly:
-    `_construct_witness` returns only a witness without problems, a
-    bijection onto the structure extracted from the constructed algebra
-    that keeps identity atoms, converse and every cycle both ways.
+    `_proof_witness` returns only a witness without problems, a bijection
+    onto the structure extracted from the constructed algebra that keeps
+    identity atoms, converse and every cycle both ways.
     """
     return _gated((structure,), lambda: _decide_z2(structure))
 
@@ -408,9 +398,10 @@ def _decide_z2(structure: AtomStructure
     action = _canonical_involution(structure)
     algebra = rel_algebra(action)
     blocks = _blocks(structure, action.generators[0])
+    witness = _proof_witness(structure, blocks, algebra,
+                             extract_atom_structure(algebra))
     return Z2Decision(structure, True, action=action, algebra=algebra,
-                      witness=_construct_witness(structure, blocks,
-                                                 algebra)), ()
+                      witness=witness), ()
 
 
 def _canonical_involution(s: AtomStructure) -> GroupAction:
@@ -425,11 +416,6 @@ def _canonical_involution(s: AtomStructure) -> GroupAction:
     return build_group(len(g), [tuple(g)])
 
 
-class _OffClass(Exception):
-    """The proof's construction does not apply to a structure; the message
-    says where it breaks."""
-
-
 def _kinds(s: AtomStructure) -> tuple[list[int], list[int]]:
     """The point and the twin identity atoms of s, each in id order: a twin
     has a diversity atom from itself to itself, a point none."""
@@ -440,25 +426,10 @@ def _kinds(s: AtomStructure) -> tuple[list[int], list[int]]:
 
 def _in_class(*structures: AtomStructure) -> list[tuple[int, int]] | None:
     """The (points, twins) counts of structures whose local laws hold, when
-    all of them satisfy the axioms, else None.
-
-    A cheap precheck comes first, on every structure before the axioms on
-    any: each identity atom has at most one diversity atom to itself (a
-    point none, a twin one), and a structure with f points and t twins has
-    f^2 + 2ft + 2t^2 atoms, one per pair of blocks, two between twins.
-    Both hold in the class, so inputs outside it mostly skip the axioms.
-    """
-    counts = []
-    for s in structures:
-        if any(m.bit_count() > 1 for m in s._loops.values()):
-            return None
-        f, t = map(len, _kinds(s))
-        if s.n_atoms != f * f + 2 * f * t + 2 * t * t:
-            return None
-        counts.append((f, t))
+    all of them satisfy the axioms, else None."""
     if not all(_z2_axioms(s).all_hold for s in structures):
         return None
-    return counts
+    return [tuple(map(len, _kinds(s))) for s in structures]
 
 
 def _blocks(s: AtomStructure, g: Sequence[int]
@@ -485,8 +456,9 @@ def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
     E is declared parallel (p[R] = R), and x from E1 to E2 is parallel iff
     x <= p[E1]~;p[E2]; a parallel atom maps to the orbit of the pair from
     the first element of block d to the first of block r, a crossed one to
-    the second.  Raises _OffClass, with the reason, where s has not this
-    shape or the map fails IsoWitness.problems().
+    the second.  Where s has not this shape or the map fails
+    IsoWitness.problems(), raises InternalError with the reason and both
+    structures.
     """
     conv, names = s.converse_map, s.atom_names
     idents = sorted(blocks)
@@ -495,8 +467,8 @@ def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
         groups[ends].append(a)
     for (d, r), group in groups.items():
         if len(group) != 1 + (len(blocks[d]) == len(blocks[r]) == 2):
-            raise _OffClass(f"{len(group)} atoms from {names[d]} to "
-                            f"{names[r]}")
+            _unproven(s, target, f"{len(group)} atoms from {names[d]} to "
+                                 f"{names[r]}")
 
     twins = sorted(e for e, b in blocks.items() if len(b) == 2)
     p = {e: e if e == twins[0] else min(groups[twins[0], e]) for e in twins}
@@ -509,38 +481,31 @@ def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
         if d != r and len(group) == 2:
             par = s.compose_mask(1 << conv[p[d]], 1 << p[r])
             if par & (par - 1) or not par & sum(1 << a for a in group):
-                raise _OffClass(f"{names[p[d]]}~;{names[p[r]]} is not one "
-                                f"atom from {names[d]} to {names[r]}")
+                _unproven(s, target, f"{names[p[d]]}~;{names[p[r]]} is not "
+                                     f"one atom from {names[d]} to {names[r]}")
         for a in group:
             m[a] = owner[blocks[d][0] * n + blocks[r][not par >> a & 1]]
     witness = IsoWitness(s, target, tuple(m))
     bad = witness.problems()
     if bad:
-        raise _OffClass(bad[0])
+        _unproven(s, target, bad[0])
     return witness
 
 
-def _construct_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
-                       algebra: ConcreteAlgebra) -> IsoWitness:
-    """The proof's isomorphism from s onto the involution algebra on blocks
-    (see _proof_witness).  Anything that does not check out is an
-    InternalError."""
-    target = extract_atom_structure(algebra)
-    try:
-        return _proof_witness(s, blocks, algebra, target)
-    except _OffClass as exc:
-        raise InternalError(
-            f"accepted axioms but the constructed isomorphism fails: {exc}"
-            "\n--- input ---\n" + format_atom_structure(s)
-            + "--- constructed ---\n" + format_atom_structure(target)
-        ) from None
+def _unproven(s: AtomStructure, target: AtomStructure, reason: str
+              ) -> NoReturn:
+    # the proof's map of s onto target breaks, for the given reason
+    raise InternalError(
+        f"accepted axioms but the constructed isomorphism fails: {reason}"
+        "\n--- input ---\n" + format_atom_structure(s)
+        + "--- constructed ---\n" + format_atom_structure(target))
 
 
 def _iso_by_proof(source: AtomStructure, target: AtomStructure
                   ) -> IsoWitness:
     """Both structures mapped by the proof onto the algebra of the source's
     involution, so each is certified, and the source's map composed with
-    the inverse of the target's.  Raises _OffClass (see _proof_witness)."""
+    the inverse of the target's (see _proof_witness)."""
     action = _canonical_involution(source)
     algebra = rel_algebra(action)
     canon = extract_atom_structure(algebra)
@@ -560,10 +525,8 @@ def check_action_represents(structure: AtomStructure, action: GroupAction,
     answers: None when the structure's (points, twins) counts differ from
     the action's fixed points and 2-cycles, before any algebra is built,
     otherwise the proof's map with the action's fixed points and 2-cycles
-    as the blocks (see _blocks and _proof_witness).  No search runs.  A
-    map of the proof that fails its check validates the structure first,
-    as in find_isomorphism.  Other inputs go to the search of
-    find_isomorphism.
+    as the blocks (see _blocks and _proof_witness).  No search runs.
+    Other inputs go to the search of find_isomorphism.
 
     Only the structure is validated: the one extracted from the action's
     algebra is valid by construction (see extract_atom_structure), so a
@@ -578,11 +541,8 @@ def check_action_represents(structure: AtomStructure, action: GroupAction,
         algebra = rel_algebra(action)
         target = extract_atom_structure(algebra)
         if counts is not None:
-            try:
-                return _proof_witness(structure, _blocks(structure, g),
-                                      algebra, target), ()
-            except _OffClass:
-                structure.require_valid()  # as in find_isomorphism
+            return _proof_witness(structure, _blocks(structure, g),
+                                  algebra, target), ()
         w = _search_isomorphism(structure, target, budget)
         return w, (structure,) if w is None else ()
 

@@ -19,7 +19,16 @@ from .atoms import AtomStructure, _transforms
 from .concrete import ConcreteAlgebra, ConcreteRelation
 from .errors import ParseError
 
-_PAIR_RE = re.compile(r"^\((\d+),(\d+)\)$")
+# numbers are ASCII digits: int() and \d would also read underscores and
+# other scripts' digits, which no emitter writes
+_PAIR_RE = re.compile(r"^\(([0-9]+),([0-9]+)\)$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(tok: str) -> int:
+    if not _INT_RE.fullmatch(tok):
+        raise ValueError(tok)
+    return int(tok)
 
 
 def _content_lines(text: str):
@@ -134,7 +143,7 @@ def _parse_size(parts, source, lineno) -> int:
     if len(parts) != 2:
         raise ParseError(source, lineno, "set line takes one number")
     try:
-        n = int(parts[1])
+        n = _int(parts[1])
     except ValueError:
         raise ParseError(source, lineno, "set size must be an integer",
                          token=parts[1]) from None
@@ -220,7 +229,7 @@ def parse_group_action(text: str, source: str = "<string>") -> GroupAction:
         imgs = []
         for tok in parts[1:]:
             try:
-                imgs.append(int(tok))
+                imgs.append(_int(tok))
             except ValueError:
                 raise ParseError(source, lineno, "images must be integers",
                                  token=tok) from None

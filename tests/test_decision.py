@@ -16,8 +16,9 @@ from relalg import (AtomStructure, InternalError, InvalidStructureError,
                     decide_z2, extract_atom_structure, find_isomorphism,
                     rel_algebra, verify_decision)
 from relalg import atoms, decision
-from relalg.decision import (_construct_witness, _power_runs,
-                             _refined_colours)
+from relalg.cli import main
+from relalg.decision import _power_runs, _proof_witness, _refined_colours
+from relalg.formats import format_atom_structure
 
 from conftest import (DATA, atom_flags_oracle, conjugate, generated_groups,
                       group_closure_oracle, involution_action,
@@ -327,6 +328,42 @@ def test_a_failed_proof_map_reports_the_invalid_input_without_a_search(
     assert reached == []
 
 
+def test_a_failed_proof_map_on_valid_inputs_is_an_internal_error(
+        monkeypatch, tmp_path, capsys):
+    # blocks that give the point a 2-cycle and the twin a fixed point break
+    # the proof's map on valid inputs of the class; every command reports
+    # that as an internal error (exit 1), and none falls back to a search
+    reached = []
+    monkeypatch.setattr(decision, "_search_isomorphism",
+                        lambda *args: reached.append(args))
+    blocks = decision._blocks
+
+    def swapped(s, g):
+        (point, one), (twin, two) = sorted(blocks(s, g).items(),
+                                           key=lambda kv: len(kv[1]))
+        return {point: two, twin: one}
+
+    monkeypatch.setattr(decision, "_blocks", swapped)
+    rng = random.Random(11)
+    source = shuffled(involution_structure(1, 1), rng)
+    target = shuffled(involution_structure(1, 1), rng)
+    assert source.validation.ok and target.validation.ok
+    for call in (lambda: find_isomorphism(source, target),
+                 lambda: check_action_represents(source,
+                                                 involution_action(1, 1)),
+                 lambda: decide_z2(source)):
+        with pytest.raises(InternalError, match="constructed isomorphism"):
+            call()
+    a, b = tmp_path / "a.ra", tmp_path / "b.ra"
+    a.write_text(format_atom_structure(source), encoding="utf-8")
+    b.write_text(format_atom_structure(target), encoding="utf-8")
+    assert main(["iso", str(a), str(b)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: accepted axioms")
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert reached == []
+
+
 def test_constructed_witness_mismatch_is_internal_error():
     # one point, then one twin; an algebra whose twin comes first, and
     # blocks that swap the kinds, both fail as internal errors
@@ -335,12 +372,14 @@ def test_constructed_witness_mismatch_is_internal_error():
     point, twin = sorted(s.identity_atoms, key=lambda e: not flags[e][0])
     blocks = {point: (0,), twin: (1, 2)}
     good = rel_algebra(build_group(3, [(0, 2, 1)]))
-    assert _construct_witness(s, blocks, good).is_valid()
+    assert _proof_witness(s, blocks, good,
+                          extract_atom_structure(good)).is_valid()
     mismatched = rel_algebra(build_group(3, [(1, 0, 2)]))
+    target = extract_atom_structure(mismatched)
     with pytest.raises(InternalError, match="--- constructed ---"):
-        _construct_witness(s, blocks, mismatched)
+        _proof_witness(s, blocks, mismatched, target)
     with pytest.raises(InternalError, match="1 atoms from"):
-        _construct_witness(s, {point: (0, 1), twin: (2,)}, mismatched)
+        _proof_witness(s, {point: (0, 1), twin: (2,)}, mismatched, target)
 
 
 def test_axioms_decide_representability_on_five_points():

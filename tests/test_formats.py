@@ -206,6 +206,10 @@ def test_concrete_parse_errors():
     assert (e.message, e.line, e.token) == ("malformed pair", 2, "0,1")
     e = err(parse_concrete_algebra, "set 2\n")
     assert "no atom lines" in e.message
+    # numbers are ASCII digits, as the emitters write them
+    e = err(parse_concrete_algebra, "set 2\natom e = (\u0660,\u0660) (1,1)\n")
+    assert (e.message, e.line, e.token) == ("malformed pair", 2,
+                                            "(\u0660,\u0660)")
 
 
 def test_concrete_constructor_errors_become_parse_errors():
@@ -224,6 +228,17 @@ def test_action_parse_errors():
     assert (e.message, e.line) == ("gen lines take exactly 2 images", 2)
     e = err(parse_group_action, "set two\n")
     assert e.token == "two"
+    # numbers are ASCII digits, as the emitters write them; a sign still
+    # parses, so a negative size is reported as such
+    e = err(parse_group_action, "set 1_0\n")
+    assert (e.message, e.line, e.token) == ("set size must be an integer", 1,
+                                            "1_0")
+    e = err(parse_group_action, "set 2\ngen \u0661 0\n")
+    assert (e.message, e.line, e.token) == ("images must be integers", 2,
+                                            "\u0661")
+    e = err(parse_group_action, "set -1\n")
+    assert (e.message, e.line, e.token) == ("set size must be positive", 1,
+                                            "-1")
     assert "missing set" in err(parse_group_action, "\n").message
 
 
