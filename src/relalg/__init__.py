@@ -13,9 +13,8 @@ AtomStructure.validation.
 from .atoms import (AtomStructure, AxiomFailure, AxiomReport,
                     ValidationReport, Violation, check_z2_axioms,
                     close_cycles, peirce_orbit)
-from .concrete import ConcreteAlgebra, ConcreteRelation, extract_atom_structure
-from .actions import (GroupAction, build_group, is_compatible, pair_orbits,
-                      rel_algebra)
+from .concrete import ConcreteAlgebra, extract_atom_structure
+from .actions import GroupAction, build_group, pair_orbits, rel_algebra
 from .pairdense import (AtomClassification, AtomTypeInfo, BasePartition,
                         classify_atoms, derive_points_twins)
 from .decision import (DEFAULT_BUDGET, IsoWitness, VerificationReport,
@@ -33,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomStructure", "ValidationReport", "Violation", "AxiomFailure",
     "AxiomReport", "peirce_orbit", "close_cycles", "check_z2_axioms",
-    "ConcreteRelation", "ConcreteAlgebra", "extract_atom_structure",
-    "GroupAction", "build_group", "pair_orbits", "rel_algebra", "is_compatible",
+    "ConcreteAlgebra", "extract_atom_structure",
+    "GroupAction", "build_group", "pair_orbits", "rel_algebra",
     "BasePartition", "AtomTypeInfo", "AtomClassification",
     "derive_points_twins", "classify_atoms",
     "IsoWitness", "Z2Decision", "VerificationReport", "DEFAULT_BUDGET",

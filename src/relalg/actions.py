@@ -11,9 +11,9 @@ an involution (see verify_decision).
 The orbits come from one pass over the n^2 ordered pairs, indexed flat as
 p = i*n + j: each generator becomes one image list of length n^2, and one
 search along those lists writes the owner table, the orbit of every pair.
-The atom rows, the partition of the algebra, its atom names and the check
-that every generator keeps each pair in its atom are all read off that
-table.
+That table is the algebra (ConcreteAlgebra holds nothing else), and its
+atom names and the check that every generator keeps each pair in its atom
+are read off it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .concrete import ConcreteAlgebra, ConcreteRelation
+from .concrete import ConcreteAlgebra
 from .errors import ActionError, InternalError
 
 Perm = tuple[int, ...]
@@ -87,25 +87,15 @@ def _pair_owners(n: int, images: Sequence[Sequence[int]]) -> list[int]:
     return owner
 
 
-def _orbit_relations(n: int, owner: Sequence[int]) -> tuple[ConcreteRelation, ...]:
-    """The relation of each orbit, its rows filled in one pass over the
-    owner table."""
-    rows = [[0] * n for _ in range(max(owner) + 1)]
-    bits = [1 << j for j in range(n)]
-    for i in range(n):
-        for k, bit in zip(owner[i * n:(i + 1) * n], bits):
-            rows[k][i] |= bit
-    return tuple(ConcreteRelation(n, tuple(r)) for r in rows)
-
-
-def pair_orbits(action: GroupAction) -> tuple[ConcreteRelation, ...]:
-    """Orbits of the diagonal action on ordered pairs.
+def pair_orbits(action: GroupAction) -> tuple[int, ...]:
+    """Orbits of the diagonal action on ordered pairs, as their owner
+    table: entry i*n + j is the orbit of the pair (i, j).
 
     Deterministic: the orbit of the lexicographically least unclaimed pair
-    is emitted first.
+    is numbered first.
     """
     n = action.base_size
-    return _orbit_relations(n, _pair_owners(n, _flat_images(action)))
+    return tuple(_pair_owners(n, _flat_images(action)))
 
 
 def rel_algebra(action: GroupAction) -> ConcreteAlgebra:
@@ -114,27 +104,24 @@ def rel_algebra(action: GroupAction) -> ConcreteAlgebra:
     2006), named e0, e1, ... when they meet the diagonal and a0, a1, ...
     otherwise.
 
-    One owner table, from one search over the n^2 pairs, gives the atom
-    rows and is the algebra's partition, so the partition holds by
-    construction: every pair is claimed by exactly one orbit, and the rows
-    are read off the table.  The self-check, O(n^2 * generators), is the
+    The owner table of pair_orbits, one search over the n^2 pairs, is the
+    algebra, so it is a partition by construction: every pair is claimed
+    by exactly one orbit.  The self-check, O(n^2 * generators), is the
     converse and identity checks and each generator keeping every pair in
     its atom, one comparison of the table with its image per generator."""
     n = action.base_size
-    images = _flat_images(action)
-    owner = _pair_owners(n, images)
-    orbits = _orbit_relations(n, owner)
+    owner = pair_orbits(action)
     diagonal = set(owner[::n + 1])
     names, count = [], {"e": 0, "a": 0}
-    for k in range(len(orbits)):
+    for k in range(max(owner) + 1):
         kind = "e" if k in diagonal else "a"
         names.append(f"{kind}{count[kind]}")
         count[kind] += 1
-    alg = ConcreteAlgebra._of_orbits(n, tuple(names), orbits, owner)
+    alg = ConcreteAlgebra._of_orbits(n, tuple(names), owner)
     bad = alg.invariant_violations()
     if not bad:
-        for k, img in enumerate(images):
-            if list(map(owner.__getitem__, img)) != owner:
+        for k, img in enumerate(_flat_images(action)):
+            if tuple(map(owner.__getitem__, img)) != owner:
                 p = next(p for p, q in enumerate(img) if owner[q] != owner[p])
                 i, j = divmod(p, n)
                 bad = (f"generator {k} moves pair ({i},{j}) out of its atom",)
@@ -143,10 +130,3 @@ def rel_algebra(action: GroupAction) -> ConcreteAlgebra:
         raise InternalError(
             "orbit algebra failed its self-check: " + bad[0])
     return alg
-
-
-def is_compatible(rel: ConcreteRelation, action: GroupAction) -> bool:
-    """(g(x), g(y)) lies in rel for every (x, y) in rel and generator g."""
-    if rel.base_size != action.base_size:
-        raise ValueError("relation and action have different base sets")
-    return all(rel.permuted(g) <= rel for g in action.generators)

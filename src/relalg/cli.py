@@ -20,7 +20,7 @@ from .concrete import extract_atom_structure
 from .decision import (DEFAULT_BUDGET, check_action_represents, decide_z2,
                        find_isomorphism, verify_decision)
 from .errors import InternalError, RelalgError
-from .formats import (format_atom_structure, format_concrete_algebra,
+from .formats import (_int, format_atom_structure, format_concrete_algebra,
                       format_group_action, parse_atom_structure,
                       parse_concrete_algebra, parse_group_action)
 from .pairdense import classify_atoms
@@ -39,7 +39,7 @@ def _read(path: str) -> str:
 
 def _budget(text: str) -> int:
     try:
-        n = int(text)
+        n = _int(text)  # ASCII digits, as in the file formats
     except ValueError:  # argparse's own wording for type=int
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if n < 1:

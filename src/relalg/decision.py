@@ -472,7 +472,7 @@ def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
 
     twins = sorted(e for e, b in blocks.items() if len(b) == 2)
     p = {e: e if e == twins[0] else min(groups[twins[0], e]) for e in twins}
-    owner, n = algebra._owner, algebra.base_size
+    owner, n = algebra.owner, algebra.base_size
     m = [-1] * s.n_atoms
     for (d, r), group in groups.items():
         # par holds the atoms sent to the first element of block r: a

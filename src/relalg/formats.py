@@ -16,7 +16,7 @@ import re
 
 from .actions import GroupAction, build_group
 from .atoms import AtomStructure, _transforms
-from .concrete import ConcreteAlgebra, ConcreteRelation
+from .concrete import ConcreteAlgebra
 from .errors import ParseError
 
 # numbers are ASCII digits: int() and \d would also read underscores and
@@ -176,11 +176,14 @@ def _set_body(text: str, source: str, keyword: str):
 
 
 def parse_concrete_algebra(text: str, source: str = "<string>") -> ConcreteAlgebra:
-    """Parse `set n` plus one `atom <name> = (i,j) (k,l) ...` line per atom."""
+    """Parse `set n` plus one `atom <name> = (i,j) (k,l) ...` line per atom.
+
+    Bad names raise ParseError; atoms that overlap or leave a pair out
+    raise ConcreteAlgebraError (see ConcreteAlgebra.from_pairs)."""
     body = _set_body(text, source, "atom")
     n = next(body)
     names: list[str] = []
-    rels: list[ConcreteRelation] = []
+    atom_pairs: list[list[tuple[int, int]]] = []
     for lineno, parts in body:
         if len(parts) < 4 or parts[2] != "=":
             raise ParseError(source, lineno,
@@ -196,11 +199,11 @@ def parse_concrete_algebra(text: str, source: str = "<string>") -> ConcreteAlgeb
                                  "pair outside the base set", token=tok)
             pairs.append((i, j))
         names.append(parts[1])
-        rels.append(ConcreteRelation.from_pairs(n, pairs))
+        atom_pairs.append(pairs)
     if not names:
         raise ParseError(source, 0, "no atom lines")
     try:
-        return ConcreteAlgebra(n, tuple(names), tuple(rels))
+        return ConcreteAlgebra.from_pairs(n, names, atom_pairs)
     except ValueError as exc:
         raise ParseError(source, 0, str(exc)) from None
 
@@ -211,9 +214,8 @@ def format_concrete_algebra(c: ConcreteAlgebra) -> str:
     cells = [row + col for row in [f"({i}," for i in range(n)]
              for col in [f"{j})" for j in range(n)]]
     lines = [f"set {n}"]
-    lines += [f"atom {name} = " + " ".join([cells[i * n + j]
-                                            for i, j in rel.pairs()])
-              for name, rel in zip(c.atom_names, c.atom_relations)]
+    lines += [f"atom {name} = " + " ".join(map(cells.__getitem__, pairs))
+              for name, pairs in zip(c.atom_names, c._atom_pairs)]
     return "\n".join(lines) + "\n"
 
 

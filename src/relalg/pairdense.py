@@ -44,7 +44,7 @@ def derive_points_twins(c: ConcreteAlgebra) -> BasePartition:
     c.require_invariants()
     n = c.base_size
     blocks: dict[int, list[int]] = {}
-    for i, k in enumerate(c._owner[::n + 1]):
+    for i, k in enumerate(c.owner[::n + 1]):
         blocks.setdefault(k, []).append(i)
     for k, block in sorted(blocks.items()):
         if len(block) > 2:
@@ -111,10 +111,10 @@ def classify_atoms(c: ConcreteAlgebra) -> AtomClassification:
              for x in b}
     infos: list[AtomTypeInfo] = []
     related: set[tuple[Twin, Twin]] = set()
-    for name, rel in zip(c.atom_names, c.atom_relations):
-        i, j = rel.first_pair()
+    for name, pairs in zip(c.atom_names, c._atom_pairs):
+        i, j = divmod(pairs[0], c.base_size)
         d, r = block[i], block[j]
-        tag = _SHAPES[len(d), len(r), rel.n_pairs, d == r]
+        tag = _SHAPES[len(d), len(r), len(pairs), d == r]
         if tag in (3, 4):
             wit = (*d, *r) if len(d) >= len(r) else (*r, *d)
         else:

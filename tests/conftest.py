@@ -9,7 +9,9 @@ import functools
 import itertools
 import operator
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -23,11 +25,11 @@ else:
     settings.load_profile("relalg")
 
 from relalg import (AtomClassification, AtomStructure, AtomTypeInfo,
-                    ClassificationError, ConcreteAlgebra, ConcreteRelation,
-                    build_group, extract_atom_structure, parse_atom_structure,
+                    ClassificationError, ConcreteAlgebra, build_group,
+                    extract_atom_structure, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, peirce_orbit,
                     rel_algebra)
-from relalg.atoms import Violation
+from relalg.atoms import Violation, iter_bits
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -149,6 +151,150 @@ def one_orbit_corruptions() -> list[tuple[AtomStructure, object]]:
 # --- oracles -------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ConcreteRelation:
+    """A binary relation on {0..base_size-1}, one successor bitmask per
+    row: the oracles' model of a relation, built apart from the owner
+    table that the library keeps."""
+
+    base_size: int
+    rows: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
+        n = self.base_size
+        if n < 1:
+            raise ValueError("base set must be nonempty")
+        if len(self.rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(self.rows)}")
+        full = (1 << n) - 1
+        for i, row in enumerate(self.rows):
+            if not 0 <= row <= full:
+                raise ValueError(f"row {i} has successors outside the base set")
+
+    @classmethod
+    def from_pairs(cls, base_size: int,
+                   pairs: Iterable[tuple[int, int]]) -> "ConcreteRelation":
+        rows = [0] * base_size
+        for i, j in pairs:
+            if not (0 <= i < base_size and 0 <= j < base_size):
+                raise ValueError(f"pair ({i},{j}) outside base set of size {base_size}")
+            rows[i] |= 1 << j
+        return cls(base_size, tuple(rows))
+
+    @classmethod
+    def empty(cls, base_size: int) -> "ConcreteRelation":
+        return cls(base_size, (0,) * base_size)
+
+    @classmethod
+    def identity(cls, base_size: int) -> "ConcreteRelation":
+        return cls(base_size, tuple(1 << i for i in range(base_size)))
+
+    @classmethod
+    def universal(cls, base_size: int) -> "ConcreteRelation":
+        full = (1 << base_size) - 1
+        return cls(base_size, (full,) * base_size)
+
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i, j) for i, row in enumerate(self.rows) if row
+                     for j in iter_bits(row))
+
+    def contains(self, i: int, j: int) -> bool:
+        return bool(self.rows[i] >> j & 1)
+
+    def _check_mate(self, other: "ConcreteRelation") -> None:
+        if self.base_size != other.base_size:
+            raise ValueError("relations over different base sets")
+
+    def compose(self, other: "ConcreteRelation") -> "ConcreteRelation":
+        self._check_mate(other)
+        rows = []
+        for row in self.rows:
+            acc = 0
+            for j in iter_bits(row):
+                acc |= other.rows[j]
+            rows.append(acc)
+        return ConcreteRelation(self.base_size, tuple(rows))
+
+    def converse(self) -> "ConcreteRelation":
+        n = self.base_size
+        rows = [0] * n
+        for i in range(n):
+            for j in iter_bits(self.rows[i]):
+                rows[j] |= 1 << i
+        return ConcreteRelation(n, tuple(rows))
+
+    def complement(self) -> "ConcreteRelation":
+        full = (1 << self.base_size) - 1
+        return ConcreteRelation(self.base_size,
+                                tuple(full & ~row for row in self.rows))
+
+    def __or__(self, other: "ConcreteRelation") -> "ConcreteRelation":
+        self._check_mate(other)
+        return ConcreteRelation(self.base_size, tuple(
+            a | b for a, b in zip(self.rows, other.rows)))
+
+    def __and__(self, other: "ConcreteRelation") -> "ConcreteRelation":
+        self._check_mate(other)
+        return ConcreteRelation(self.base_size, tuple(
+            a & b for a, b in zip(self.rows, other.rows)))
+
+    def __le__(self, other: "ConcreteRelation") -> bool:
+        self._check_mate(other)
+        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
+
+    def intersects(self, other: "ConcreteRelation") -> bool:
+        self._check_mate(other)
+        return any(a & b for a, b in zip(self.rows, other.rows))
+
+    def permuted(self, perm: Sequence[int]) -> "ConcreteRelation":
+        """The image relation {(g(x), g(y)) : (x, y) in self}."""
+        n = self.base_size
+        if len(perm) != n:
+            raise ValueError("permutation length does not match base size")
+        rows = [0] * n
+        for i in range(n):
+            moved = 0
+            for j in iter_bits(self.rows[i]):
+                moved |= 1 << perm[j]
+            rows[perm[i]] = moved
+        return ConcreteRelation(n, tuple(rows))
+
+
+def is_compatible(rel: ConcreteRelation, action) -> bool:
+    """(g(x), g(y)) lies in rel for every (x, y) in rel and generator g."""
+    if rel.base_size != action.base_size:
+        raise ValueError("relation and action have different base sets")
+    return all(rel.permuted(g) <= rel for g in action.generators)
+
+
+def owner_relations(n: int, owner) -> tuple[ConcreteRelation, ...]:
+    """The relation of each atom of an owner table, owner[i*n + j] the
+    atom holding the pair (i, j)."""
+    pairs = [[] for _ in range(max(owner) + 1)]
+    for p, k in enumerate(owner):
+        pairs[k].append(divmod(p, n))
+    return tuple(ConcreteRelation.from_pairs(n, ps) for ps in pairs)
+
+
+def atom_relations(c: ConcreteAlgebra) -> tuple[ConcreteRelation, ...]:
+    """The relation of each atom of a concrete algebra."""
+    return owner_relations(c.base_size, c.owner)
+
+
+def algebra_of_relations(n: int, names, rels) -> ConcreteAlgebra:
+    """The concrete algebra whose atoms are the given relations."""
+    return ConcreteAlgebra.from_pairs(n, names, [r.pairs() for r in rels])
+
+
+def owner_table_oracle(rels) -> tuple[int, ...]:
+    """The owner table of relations that partition the square, pair by
+    pair: entry i*n + j is the relation that contains (i, j)."""
+    n = rels[0].base_size
+    return tuple(next(k for k, r in enumerate(rels) if r.contains(i, j))
+                 for i in range(n) for j in range(n))
+
+
 def group_closure_oracle(action) -> tuple[tuple[int, ...], ...]:
     """Every element of the group an action generates, in sorted order:
     the generators closed under composition by breadth-first search."""
@@ -191,7 +337,7 @@ def rel_algebra_oracle(action) -> ConcreteAlgebra:
     ident = ConcreteRelation.identity(action.base_size)
     kinds = ["e" if rel <= ident else "a" for rel in orbits]
     names = [f"{kind}{kinds[:k].count(kind)}" for k, kind in enumerate(kinds)]
-    return ConcreteAlgebra(action.base_size, tuple(names), orbits)
+    return algebra_of_relations(action.base_size, names, orbits)
 
 
 def orbit_minimum_cycle_lines(s):
@@ -364,7 +510,7 @@ def union_of_orbits_masks(action) -> set[tuple[int, ...]]:
     """Row-bitmask encodings of every union of pair orbits."""
     from relalg import pair_orbits
     n = action.base_size
-    orbit_rows = [r.rows for r in pair_orbits(action)]
+    orbit_rows = [r.rows for r in owner_relations(n, pair_orbits(action))]
     out = set()
     for bits in range(1 << len(orbit_rows)):
         rows = [0] * n
@@ -526,33 +672,33 @@ def points_twins_oracle(bp) -> None:
             f"twin {{{a},{b}}} is a point"
 
 
-def composition_scan_oracle(c):
-    """Cycles and composition-closure messages of a partitioning concrete
-    algebra, from `ConcreteRelation.compose` on every pair of atoms."""
+def composition_scan_oracle(names, rels):
+    """Cycles and composition-closure messages of relations that partition
+    the square, from `ConcreteRelation.compose` on every pair of them."""
     owner = {}
-    for k, rel in enumerate(c.atom_relations):
+    for k, rel in enumerate(rels):
         for pair in rel.pairs():
             owner[pair] = k
     cycles, messages = set(), []
-    names = c.atom_names
-    for x, rx in enumerate(c.atom_relations):
-        for y, ry in enumerate(c.atom_relations):
+    for x, rx in enumerate(rels):
+        for y, ry in enumerate(rels):
             comp = rx.compose(ry)
             hit = sorted({owner[pair] for pair in comp.pairs()})
             for z in hit:
                 cycles.add((x, y, z))
-                if not c.atom_relations[z] <= comp:
+                if not rels[z] <= comp:
                     messages.append(
                         f"not closed under composition: {names[x]};{names[y]}"
                         f" meets atom {names[z]} without covering it")
     return frozenset(cycles), messages
 
 
-def invariant_violations_oracle(c) -> tuple[str, ...]:
-    """The messages of `ConcreteAlgebra.invariant_violations`, recomputed
-    pair by pair: partition by `contains`, converse by building each atom's
-    converse relation, identity by `<=`, closure by composition."""
-    n, names, rels = c.base_size, c.atom_names, c.atom_relations
+def invariant_violations_oracle(n, names, rels) -> tuple[str, ...]:
+    """The messages a set of named relations on {0..n-1} gets as a concrete
+    algebra, recomputed pair by pair: partition by `contains` (the message
+    of `ConcreteAlgebra.from_pairs`), then those of `invariant_violations`,
+    converse by building each atom's converse relation, identity by `<=`,
+    closure by composition."""
     for k, rel in enumerate(rels):
         for i, j in rel.pairs():
             first = next(m for m, prev in enumerate(rels) if prev.contains(i, j))
@@ -571,7 +717,7 @@ def invariant_violations_oracle(c) -> tuple[str, ...]:
     out += [f"identity is not a union of atoms: atom {names[k]} meets the "
             f"identity without lying inside it" for k, rel in enumerate(rels)
             if rel.intersects(ident) and not rel <= ident]
-    return tuple(out + composition_scan_oracle(c)[1])
+    return tuple(out + composition_scan_oracle(names, rels)[1])
 
 
 def _match_shape(prs, pset, partner):
@@ -621,7 +767,7 @@ def shape_oracle(c, bp):
         partner[a] = b
         partner[b] = a
     infos, related = [], set()
-    for name, rel in zip(c.atom_names, c.atom_relations):
+    for name, rel in zip(c.atom_names, atom_relations(c)):
         got = _match_shape(rel.pairs(), pset, partner)
         if got is None:
             raise ClassificationError(

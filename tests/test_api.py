@@ -5,17 +5,16 @@ import relalg
 PUBLIC = [
     "ActionError", "AtomClassification", "AtomStructure", "AtomTypeInfo",
     "AxiomFailure", "AxiomReport", "BasePartition", "ClassificationError",
-    "ConcreteAlgebra", "ConcreteAlgebraError", "ConcreteRelation",
-    "DEFAULT_BUDGET", "GroupAction", "InternalError", "InvalidStructureError",
-    "IsoWitness", "ParseError", "RelalgError", "SearchBudgetExceeded",
-    "ValidationReport", "VerificationReport", "Violation", "Z2Decision",
-    "__version__", "build_group", "check_action_represents",
-    "check_z2_axioms", "classify_atoms", "close_cycles", "decide_z2",
-    "derive_points_twins", "extract_atom_structure", "find_isomorphism",
-    "format_atom_structure", "format_concrete_algebra", "format_group_action",
-    "is_compatible", "pair_orbits", "parse_atom_structure",
-    "parse_concrete_algebra", "parse_group_action", "peirce_orbit",
-    "rel_algebra", "verify_decision",
+    "ConcreteAlgebra", "ConcreteAlgebraError", "DEFAULT_BUDGET",
+    "GroupAction", "InternalError", "InvalidStructureError", "IsoWitness",
+    "ParseError", "RelalgError", "SearchBudgetExceeded", "ValidationReport",
+    "VerificationReport", "Violation", "Z2Decision", "__version__",
+    "build_group", "check_action_represents", "check_z2_axioms",
+    "classify_atoms", "close_cycles", "decide_z2", "derive_points_twins",
+    "extract_atom_structure", "find_isomorphism", "format_atom_structure",
+    "format_concrete_algebra", "format_group_action", "pair_orbits",
+    "parse_atom_structure", "parse_concrete_algebra", "parse_group_action",
+    "peirce_orbit", "rel_algebra", "verify_decision",
 ]
 
 

@@ -244,6 +244,10 @@ def test_usage_errors_exit_1(capsys):
     # 2 is the definite negative answer, so argparse's usage errors map to 1
     for argv in (["iso", DATA / "23.ra"],
                  ["iso", DATA / "23.ra", DATA / "57.ra", "--budget", "abc"],
+                 # ASCII digits only: int() reads both of these as 10
+                 ["iso", DATA / "23.ra", DATA / "23.ra", "--budget", "1_0"],
+                 ["iso", DATA / "23.ra", DATA / "23.ra",
+                  "--budget", "\u0661\u0660"],
                  ["iso", DATA / "23.ra", DATA / "57.ra", "--budget", "0"],
                  ["iso", DATA / "23.ra", DATA / "23_relabeled.ra",
                   "--budget", "-5"],
@@ -259,6 +263,10 @@ def test_usage_errors_exit_1(capsys):
                          DATA / "swap.act", "--budget", "0")
     assert err.endswith("error: argument --budget: must be at least 1, "
                         "got 0\n")
+    code, out, err = run(capsys, "iso", DATA / "23.ra", DATA / "23.ra",
+                         "--budget", "1_0")
+    assert err.endswith("error: argument --budget: invalid int value: "
+                        "'1_0'\n")
     code, out, err = run(capsys, "iso", "--help")
     assert (code, err) == (0, "")
     assert out.startswith("usage: relalg iso")

@@ -1,16 +1,15 @@
-"""Concrete binary relations, algebra invariants, structure extraction."""
+"""The oracles' binary relations, algebra invariants, structure extraction."""
 
 import random
 
 import pytest
 
 from relalg import (AtomStructure, ConcreteAlgebra, ConcreteAlgebraError,
-                    ConcreteRelation, build_group, extract_atom_structure,
-                    rel_algebra)
+                    build_group, extract_atom_structure, rel_algebra)
 from relalg.atoms import usable_atom_name
 
-from conftest import (load_concrete, relation_compose_oracle,
-                      relation_converse_oracle)
+from conftest import (ConcreteRelation, atom_relations,
+                      relation_compose_oracle, relation_converse_oracle)
 
 
 def random_relation(rng, n):
@@ -21,20 +20,10 @@ def random_relation(rng, n):
 def test_constructors_and_views():
     r = ConcreteRelation.from_pairs(3, [(0, 1), (2, 2), (0, 1)])
     assert r.pairs() == ((0, 1), (2, 2))
-    assert r.n_pairs == 2
     assert r.contains(0, 1) and not r.contains(1, 0)
-    assert ConcreteRelation.empty(2).is_empty
+    assert ConcreteRelation.empty(2).pairs() == ()
     assert ConcreteRelation.identity(3).pairs() == ((0, 0), (1, 1), (2, 2))
-    assert ConcreteRelation.universal(2).n_pairs == 4
-
-
-def test_first_pair_is_the_least_pair():
-    rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        r = ConcreteRelation(n, tuple(rng.randrange(1 << n) for _ in range(n)))
-        if not r.is_empty:
-            assert r.first_pair() == r.pairs()[0]
+    assert len(ConcreteRelation.universal(2).pairs()) == 4
 
 
 def test_out_of_range_pairs_rejected():
@@ -57,7 +46,7 @@ def test_complement_and_lattice_ops():
     r = ConcreteRelation.from_pairs(2, [(0, 0), (1, 0)])
     c = r.complement()
     assert (r | c) == ConcreteRelation.universal(2)
-    assert (r & c).is_empty
+    assert (r & c) == ConcreteRelation.empty(2)
     assert r <= ConcreteRelation.universal(2)
     assert r.intersects(ConcreteRelation.from_pairs(2, [(1, 0)]))
 
@@ -99,44 +88,49 @@ def test_type6_algebra_invariants(type6_algebra):
 
 
 def test_overlapping_atoms_reported():
-    c = ConcreteAlgebra(2, ("x", "y"), (
-        ConcreteRelation.from_pairs(2, [(0, 0), (0, 1)]),
-        ConcreteRelation.from_pairs(2, [(0, 1), (1, 0), (1, 1)])))
-    msgs = c.invariant_violations()
-    assert any("overlap at pair (0,1)" in m for m in msgs)
+    with pytest.raises(ConcreteAlgebraError) as exc:
+        ConcreteAlgebra.from_pairs(2, ("x", "y"), (
+            [(0, 0), (0, 1)], [(0, 1), (1, 0), (1, 1)]))
+    assert exc.value.violations == (
+        "not a partition: atoms x and y overlap at pair (0,1)",)
 
 
 def test_uncovered_pair_reported():
-    c = ConcreteAlgebra(2, ("x",), (
-        ConcreteRelation.from_pairs(2, [(0, 0), (1, 1), (0, 1)]),))
-    msgs = c.invariant_violations()
-    assert any("pair (1,0) is in no atom" in m for m in msgs)
+    with pytest.raises(ConcreteAlgebraError) as exc:
+        ConcreteAlgebra.from_pairs(2, ("x",), ([(0, 0), (1, 1), (0, 1)],))
+    assert exc.value.violations == (
+        "not a partition: pair (1,0) is in no atom",)
+
+
+def test_from_pairs_takes_each_atom_as_a_set():
+    # a pair listed twice in one atom is no overlap, and the order of an
+    # atom's pairs does not matter
+    c = ConcreteAlgebra.from_pairs(2, ("e0", "a0"), (
+        [(1, 1), (0, 0), (1, 1)], [(1, 0), (0, 1), (0, 1)]))
+    assert c.owner == (0, 1, 1, 0)
+    assert c == rel_algebra(build_group(2, [(1, 0)]))
 
 
 def test_converse_closure_violation_reported():
     # rows partition the square but the converse of a straddles both atoms
-    c = ConcreteAlgebra(2, ("a", "b"), (
-        ConcreteRelation.from_pairs(2, [(0, 0), (0, 1)]),
-        ConcreteRelation.from_pairs(2, [(1, 0), (1, 1)])))
+    c = ConcreteAlgebra.from_pairs(2, ("a", "b"), (
+        [(0, 0), (0, 1)], [(1, 0), (1, 1)]))
     msgs = c.invariant_violations()
     assert any("not closed under converse" in m for m in msgs)
 
 
 def test_identity_straddling_atom_reported():
-    c = ConcreteAlgebra(2, ("x", "y"), (
-        ConcreteRelation.from_pairs(2, [(0, 0), (0, 1)]),
-        ConcreteRelation.from_pairs(2, [(1, 0), (1, 1)])))
+    c = ConcreteAlgebra.from_pairs(2, ("x", "y"), (
+        [(0, 0), (0, 1)], [(1, 0), (1, 1)]))
     msgs = c.invariant_violations()
     assert any("meets the identity without lying inside it" in m for m in msgs)
 
 
 def test_composition_closure_violation_reported():
     # {(0,1)} ; {(1,2)} = {(0,2)} which straddles the big diversity atom
-    c = ConcreteAlgebra(3, ("e", "a", "b", "rest"), (
-        ConcreteRelation.identity(3),
-        ConcreteRelation.from_pairs(3, [(0, 1)]),
-        ConcreteRelation.from_pairs(3, [(1, 2)]),
-        ConcreteRelation.from_pairs(3, [(1, 0), (2, 1), (0, 2), (2, 0)])))
+    c = ConcreteAlgebra.from_pairs(3, ("e", "a", "b", "rest"), (
+        [(0, 0), (1, 1), (2, 2)], [(0, 1)], [(1, 2)],
+        [(1, 0), (2, 1), (0, 2), (2, 0)]))
     msgs = c.invariant_violations()
     assert any("not closed under composition" in m for m in msgs)
 
@@ -144,27 +138,37 @@ def test_composition_closure_violation_reported():
 def test_extract_rejects_an_algebra_not_closed_under_composition():
     # partition, converse and identity checks pass; s;s covers (0,0) and
     # (1,1) but not (2,2), so the cycle table cannot be read off one pair
-    c = ConcreteAlgebra(3, ("e", "s", "rest"), (
-        ConcreteRelation.identity(3),
-        ConcreteRelation.from_pairs(3, [(0, 1), (1, 0)]),
-        ConcreteRelation.from_pairs(3, [(0, 2), (2, 0), (1, 2), (2, 1)])))
+    c = ConcreteAlgebra.from_pairs(3, ("e", "s", "rest"), (
+        [(0, 0), (1, 1), (2, 2)], [(0, 1), (1, 0)],
+        [(0, 2), (2, 0), (1, 2), (2, 1)]))
     with pytest.raises(ConcreteAlgebraError,
                        match="s;s meets atom e without covering it"):
         extract_atom_structure(c)
 
 
 def test_algebra_constructor_rejects_malformed_input():
-    with pytest.raises(ValueError):
-        ConcreteAlgebra(2, ("x",), ())
-    with pytest.raises(ValueError):
-        ConcreteAlgebra(2, (), ())
-    with pytest.raises(ValueError):
-        ConcreteAlgebra(2, ("x", "x"), (ConcreteRelation.identity(2),
-                                        ConcreteRelation.universal(2)))
-    with pytest.raises(ValueError):
-        ConcreteAlgebra(2, ("x",), (ConcreteRelation.identity(3),))
-    with pytest.raises(ValueError):
-        ConcreteAlgebra(2, ("x",), (ConcreteRelation.empty(2),))
+    with pytest.raises(ValueError, match="at least one atom"):
+        ConcreteAlgebra(2, (), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="duplicate atom name"):
+        ConcreteAlgebra(2, ("x", "x"), (0, 1, 1, 0))
+    with pytest.raises(ValueError, match="base set must be nonempty"):
+        ConcreteAlgebra(0, ("x",), ())
+    with pytest.raises(ValueError, match="owner table of 4 entries"):
+        ConcreteAlgebra(2, ("x",), (0,) * 9)
+    # an atom that owns no pair, and a pair owned by no named atom
+    with pytest.raises(ValueError, match="every atom a pair"):
+        ConcreteAlgebra(2, ("x", "y"), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="every atom a pair"):
+        ConcreteAlgebra(2, ("x",), (0, 1, 1, 0))
+    with pytest.raises(ValueError, match="every atom a pair"):
+        ConcreteAlgebra(2, ("x", "y"), (0, -1, 1, 0))
+    with pytest.raises(ValueError, match="outside base set"):
+        ConcreteAlgebra.from_pairs(2, ("x",), ([(0, 2)],))
+
+
+def test_from_pairs_checks_names_before_the_partition():
+    with pytest.raises(ValueError, match="unusable atom name"):
+        ConcreteAlgebra.from_pairs(2, ("x y",), ([(0, 0)],))
 
 
 def test_algebra_and_structure_share_the_atom_name_rule():
@@ -176,11 +180,11 @@ def test_algebra_and_structure_share_the_atom_name_rule():
         s = AtomStructure((name, "a0"), (0, 1), {0}, cycles)
         assert ("bad-atom-name" in s.validation.codes()) != usable_atom_name(name)
         if usable_atom_name(name):
-            c = ConcreteAlgebra(2, (name, "a0"), swap.atom_relations)
+            c = ConcreteAlgebra(2, (name, "a0"), swap.owner)
             assert extract_atom_structure(c).validation.ok, name
         else:
             with pytest.raises(ValueError, match="unusable atom name"):
-                ConcreteAlgebra(2, (name, "a0"), swap.atom_relations)
+                ConcreteAlgebra(2, (name, "a0"), swap.owner)
 
 
 # --- extraction -----------------------------------------------------------
@@ -225,9 +229,8 @@ def test_full_algebra_of_singletons_extracts_valid_structure():
     # every pair its own atom: the largest proper algebra on the base
     for n in (2, 3):
         names = tuple(f"s{i}{j}" for i in range(n) for j in range(n))
-        rels = tuple(ConcreteRelation.from_pairs(n, [(i, j)])
-                     for i in range(n) for j in range(n))
-        c = ConcreteAlgebra(n, names, rels)
+        c = ConcreteAlgebra.from_pairs(n, names, ([(i, j)] for i in range(n)
+                                                  for j in range(n)))
         assert c.invariant_violations() == ()
         s = extract_atom_structure(c)
         assert s.validation.ok
@@ -240,12 +243,13 @@ def test_abstract_ops_agree_with_concrete_ops_on_all_elements():
     for gens in ((1, 2, 0), (0, 2, 1)):
         c = rel_algebra(build_group(3, [gens]))
         s = extract_atom_structure(c)
+        rels = atom_relations(c)
 
         def interp(mask):
             r = ConcreteRelation.empty(c.base_size)
             for a in range(c.n_atoms):
                 if mask >> a & 1:
-                    r = r | c.atom_relations[a]
+                    r = r | rels[a]
             return r
 
         for xm in range(1 << c.n_atoms):

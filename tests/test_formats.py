@@ -2,11 +2,11 @@
 
 import pytest
 
-from relalg import (ConcreteAlgebra, ConcreteRelation, ParseError,
-                    build_group, extract_atom_structure,
-                    format_atom_structure, format_concrete_algebra,
-                    format_group_action, parse_atom_structure,
-                    parse_concrete_algebra, parse_group_action, rel_algebra)
+from relalg import (ConcreteAlgebraError, ParseError, build_group,
+                    extract_atom_structure, format_atom_structure,
+                    format_concrete_algebra, format_group_action,
+                    parse_atom_structure, parse_concrete_algebra,
+                    parse_group_action, rel_algebra)
 
 from conftest import DATA, emitted_cycle_lines, involutions, load_action, \
     load_concrete, load_structure, orbit_minimum_cycle_lines
@@ -45,15 +45,14 @@ def test_concrete_round_trip(type6_algebra):
     assert format_concrete_algebra(again) == text
 
 
-def test_concrete_round_trip_of_atoms_that_are_no_partition():
-    # overlapping at (0,1) and missing (1,0): each atom's own pairs are
-    # written
-    c = ConcreteAlgebra(2, ("x", "y"), (
-        ConcreteRelation.from_pairs(2, [(0, 0), (0, 1)]),
-        ConcreteRelation.from_pairs(2, [(0, 1), (1, 1)])))
-    text = format_concrete_algebra(c)
-    assert text == "set 2\natom x = (0,0) (0,1)\natom y = (0,1) (1,1)\n"
-    assert parse_concrete_algebra(text) == c
+def test_concrete_parse_rejects_atoms_that_are_no_partition():
+    # overlapping at (0,1) and missing (1,0): the first overlap is reported
+    # when the file is read
+    text = "set 2\natom x = (0,0) (0,1)\natom y = (0,1) (1,1)\n"
+    with pytest.raises(ConcreteAlgebraError) as exc:
+        parse_concrete_algebra(text)
+    assert exc.value.violations == (
+        "not a partition: atoms x and y overlap at pair (0,1)",)
 
 
 def test_action_round_trip():

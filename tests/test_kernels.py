@@ -6,7 +6,9 @@ import functools
 import random
 import time
 
-from relalg import (AtomStructure, ConcreteAlgebra, ConcreteRelation,
+import pytest
+
+from relalg import (AtomStructure, ConcreteAlgebra, ConcreteAlgebraError,
                     build_group, check_z2_axioms, extract_atom_structure,
                     parse_atom_structure, parse_concrete_algebra,
                     peirce_orbit, rel_algebra)
@@ -15,9 +17,10 @@ from relalg.atoms import _validate
 from relalg.atoms import _associativity_witness
 from relalg.cli import main
 
-from conftest import (DATA, associativity_witness_oracle, atom_flags_oracle,
-                      axioms_oracle, compose_masks_oracle,
-                      composition_scan_oracle, converse_mask_oracle,
+from conftest import (DATA, ConcreteRelation, associativity_witness_oracle,
+                      atom_flags_oracle, atom_relations, axioms_oracle,
+                      compose_masks_oracle, composition_scan_oracle,
+                      converse_mask_oracle,
                       generated_groups, invariant_violations_oracle,
                       involution_structure, involutions, regular_action,
                       shuffled)
@@ -275,7 +278,8 @@ def test_scan_cycles_match_pairwise_composition():
     for path in sorted(DATA.glob("*.ca")):
         algebras.append(parse_concrete_algebra(path.read_text()))
     for c in algebras:
-        cycles, messages = composition_scan_oracle(c)
+        cycles, messages = composition_scan_oracle(c.atom_names,
+                                                   atom_relations(c))
         assert messages == []
         assert c.invariant_violations() == ()
         assert extract_atom_structure(c).cycles == cycles
@@ -283,8 +287,9 @@ def test_scan_cycles_match_pairwise_composition():
 
 def random_partition(rng, n, gap=0.0, overlap=0.0):
     """A random partition of the square into a few blocks, usually not
-    closed under converse or composition; with gap and overlap, that share
-    of the pairs is left out of every block or put in a second block."""
+    closed under converse or composition, as (names, pairs of each block);
+    with gap and overlap, that share of the pairs is left out of every
+    block or put in a second block."""
     k = rng.randint(1, 6)
     pairs = [[] for _ in range(k)]
     for i in range(n):
@@ -295,29 +300,54 @@ def random_partition(rng, n, gap=0.0, overlap=0.0):
             if overlap and rng.random() < overlap:
                 pairs[rng.randrange(k)].append((i, j))
     pairs = [p for p in pairs if p]
-    return ConcreteAlgebra(
-        n, tuple(f"r{b}" for b in range(len(pairs))),
-        tuple(ConcreteRelation.from_pairs(n, p) for p in pairs))
+    return tuple(f"r{b}" for b in range(len(pairs))), pairs
+
+
+def concrete_text(rng, n, names, pairs):
+    """The `.ca` text of the blocks, each line's pairs shuffled and some
+    of them listed twice."""
+    lines = [f"set {n}"]
+    for name, block in zip(names, pairs):
+        block = block + rng.sample(block, rng.randint(0, len(block)))
+        rng.shuffle(block)
+        lines.append(f"atom {name} = "
+                     + " ".join(f"({i},{j})" for i, j in block))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_messages(n, names, pairs):
+    return invariant_violations_oracle(
+        n, names, [ConcreteRelation.from_pairs(n, p) for p in pairs])
 
 
 def test_broken_algebras_report_the_same_closure_messages_in_order():
-    # the whole message tuple against the oracle: on partitions (150), and
-    # on covers of the square with overlaps, gaps or both
-    rng = random.Random(5)
+    # the whole message tuple against the oracle, on `.ca` text: on
+    # partitions (150), and on covers of the square with overlaps, gaps or
+    # both, which the parser rejects with the oracle's first message
+    rng, text_rng = random.Random(5), random.Random(105)
     broken = 0
     for _ in range(150):
-        c = random_partition(rng, rng.randint(1, 5))
-        want = invariant_violations_oracle(c)
+        n = rng.randint(1, 5)
+        names, pairs = random_partition(rng, n)
+        want = oracle_messages(n, names, pairs)
+        c = parse_concrete_algebra(concrete_text(text_rng, n, names, pairs))
         assert c.invariant_violations() == want
         broken += any(m.startswith("not closed under composition")
                       for m in want)
     assert broken > 50
-    rng = random.Random(6)
+    rng, text_rng = random.Random(6), random.Random(106)
     firsts = []
     for gap, overlap in ((0.1, 0.0), (0.0, 0.1), (0.05, 0.05)) * 100:
-        c = random_partition(rng, rng.randint(2, 5), gap, overlap)
-        want = invariant_violations_oracle(c)
-        assert c.invariant_violations() == want
+        n = rng.randint(2, 5)
+        names, pairs = random_partition(rng, n, gap, overlap)
+        want = oracle_messages(n, names, pairs)
+        text = concrete_text(text_rng, n, names, pairs)
+        if want and want[0].startswith("not a partition"):
+            with pytest.raises(ConcreteAlgebraError) as exc:
+                parse_concrete_algebra(text)
+            assert exc.value.violations == want[:1]
+        else:
+            assert parse_concrete_algebra(text).invariant_violations() == want
         firsts.append(want[0] if want else "")
     assert sum("overlap at pair" in m for m in firsts) > 50
     assert sum("is in no atom" in m for m in firsts) > 50
@@ -350,24 +380,6 @@ def test_closure_scan_runs_once_per_algebra_object(monkeypatch, capsys):
             calls = counted[name]
             assert len(calls) == want, (argv, name)
             assert len({id(c) for c in calls}) == want, (argv, name)
-
-
-def test_no_atom_converse_relation_is_built(monkeypatch, capsys):
-    # converses are read off the transposed owner table, not built per atom
-    calls = []
-    real = ConcreteRelation.converse
-
-    def counting(self):
-        calls.append(self)
-        return real(self)
-
-    monkeypatch.setattr(ConcreteRelation, "converse", counting)
-    for argv in (["rel", DATA / "d5.act"],
-                 ["classify", DATA / "type6.ca"],
-                 ["decide-z2", DATA / "swap.ra", "--verify"]):
-        assert main([str(a) for a in argv]) == 0
-        capsys.readouterr()
-        assert calls == [], argv
 
 
 # --- point, pair and function flags, and the axioms --------------------------

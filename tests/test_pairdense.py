@@ -5,11 +5,11 @@ import random
 import pytest
 
 from relalg import (BasePartition, ClassificationError, ConcreteAlgebra,
-                    ConcreteAlgebraError, ConcreteRelation, build_group,
-                    classify_atoms, derive_points_twins, rel_algebra)
+                    ConcreteAlgebraError, build_group, classify_atoms,
+                    derive_points_twins, rel_algebra)
 
-from conftest import (involutions, load_concrete, points_twins_oracle,
-                      shape_oracle)
+from conftest import (algebra_of_relations, atom_relations, involutions,
+                      load_concrete, points_twins_oracle, shape_oracle)
 
 
 def algebra_of(gen):
@@ -94,9 +94,9 @@ def twin_algebra(n_twins, cross):
     rels = []
     for a in range(0, 2 * n_twins, 2):
         rels += [[(a, a), (a + 1, a + 1)], [(a, a + 1), (a + 1, a)]]
-    rels = [ConcreteRelation.from_pairs(2 * n_twins, r) for r in rels + cross]
-    return ConcreteAlgebra(2 * n_twins, tuple(f"t{i}" for i in range(len(rels))),
-                           tuple(rels))
+    rels += cross
+    return ConcreteAlgebra.from_pairs(
+        2 * n_twins, tuple(f"t{i}" for i in range(len(rels))), rels)
 
 
 def matchings(a, b):
@@ -154,9 +154,9 @@ def test_classification_is_invariant_under_relabeling():
     for c in (algebra_of((1, 0, 3, 2)), load_concrete("type6.ca")):
         tags = sorted(classify_atoms(c).type_tags())
         for p in perms:
-            moved = ConcreteAlgebra(
+            moved = algebra_of_relations(
                 c.base_size, c.atom_names,
-                tuple(r.permuted(p) for r in c.atom_relations))
+                [r.permuted(p) for r in atom_relations(c)])
             assert sorted(classify_atoms(moved).type_tags()) == tags
 
 
@@ -189,7 +189,7 @@ def random_pair_dense_algebra(rng):
 def joined_twins(c, cls, shape):
     """The unordered pairs of twins joined by an atom of the given shape."""
     out = set()
-    for rel, tag in zip(c.atom_relations, cls.type_tags()):
+    for rel, tag in zip(atom_relations(c), cls.type_tags()):
         if tag == shape:
             pairs = rel.pairs()
             out.add(frozenset((tuple(sorted({i for i, _ in pairs})),
