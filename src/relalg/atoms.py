@@ -18,11 +18,11 @@ skipped on structures the parser closed under an involutive converse,
 where the law holds by construction.  The associativity join uses Light's
 reduction: one row kernel compares (a;b);c with a;(b;c) over a
 generating set of columns, and over all columns only when that pass
-fails, in place of an atoms^3 scan.  The three axioms are read off each
-atom's domain and range identity atoms, collected once for the local
-laws, which make them well defined, in O(atoms + sum over identity atoms
-e of |atoms from e to e| * atoms).  Which inputs of `decide-z2`, `iso`
-and `check-action` get the join is ruled in one place, decision._gated.
+fails, in place of an atoms^3 scan; decision._gated picks the inputs it
+runs on.  The three axioms compose nothing: they read the domain and
+range atoms of the local laws and one pass over the cycles, O(atoms +
+cycles).  The dense table _comp is read by the join, decision._power_runs,
+the search, and compose_mask, the reference of _element_flags.
 """
 
 from __future__ import annotations
@@ -204,13 +204,13 @@ class AtomStructure:
     # -- composition and converse on masks --------------------------------
 
     @cached_property
-    def _comp(self) -> tuple[tuple[int, ...], ...]:
+    def _comp(self) -> list[list[int]]:
         # _comp[a][b] is the bitmask of atoms z with (a, b, z) in cycles
         n = self.n_atoms
         table = [[0] * n for _ in range(n)]
         for x, y, z in self.cycles:
             table[x][y] |= 1 << z
-        return tuple(tuple(row) for row in table)
+        return table
 
     def compose_mask(self, xm: int, ym: int) -> int:
         comp = self._comp
@@ -588,9 +588,12 @@ def _least_column(comp: Sequence[Sequence[int]], a: int, b: int,
 # the three axioms
 
 
-# The three witnesses below read only the local laws: each atom's domain
-# and range are then single identity atoms, e;x is x for x starting at the
-# identity atom e and 0 otherwise, and x;e likewise.
+# The three witnesses below read per-atom facts, never a composition, and
+# the local laws, which make each atom's domain and range single identity
+# atoms.  Simplicity and pair-density lean on associativity too; where it
+# fails they may err, but no output changes: every rejection and `none` is
+# validated, every accepted map certified (IsoWitness.problems()), and a
+# failed proof map validated first (decision._gated).
 
 
 def _simplicity_witness(s: AtomStructure) -> str | None:
@@ -611,33 +614,28 @@ def _simplicity_witness(s: AtomStructure) -> str | None:
     return None
 
 
-def _pair_density_witness(s: AtomStructure) -> str | None:
+def _pair_density_witness(s: AtomStructure, fn: int) -> str | None:
     """The least identity atom e that is not a pair, or None.
 
-    e;0';e is the set L of diversity atoms from e to e, so
-    e;0';e;0';e <= 1' says that no diversity atom of L;0' ends at e.
+    e;0';e;0';e = L;L for L = e;0';e, the diversity atoms from e to e.
+    Each x;y with x, y in L is nonzero and meets 1' only if y = x~, so two
+    atoms of L fail (in x;y or x;x), and one, then x = x~, passes iff it is
+    a function (in fn).
     """
-    comp, rng = s._comp, s._ends[1]
-    div = s.full_mask & ~s.identity_mask
-    is_div = [not s.identity_mask >> b & 1 for b in range(s.n_atoms)]
-    for e in sorted(s.identity_atoms):
-        reach = 0
-        for x in iter_bits(s._loops[e]):
-            reach |= reduce(or_, compress(comp[x], is_div), 0)
-        if any(rng[z] == e for z in iter_bits(reach & div)):
+    for e, loops in sorted(s._loops.items()):
+        if loops & (loops - 1) or loops & ~fn:
             return s.atom_names[e]
     return None
 
 
 def _functional_mask(s: AtomStructure) -> int:
-    # the atoms a with a~;a <= 1', one lookup each
-    comp, conv, ident = s._comp, s.converse_map, s.identity_mask
-    return sum(1 << a for a, c in enumerate(conv) if not comp[c][a] & ~ident)
+    # the atoms a with a~;a <= 1': by the cycle law, no (a, w, a) has w in 0'
+    bad = {x for x, w, z in s.cycles if x == z and w not in s.identity_atoms}
+    return s.full_mask & ~sum(1 << x for x in bad)
 
 
-def _functionality_witness(s: AtomStructure) -> str | None:
-    """The least atom a such that neither a nor a~ is a function, or None."""
-    fn = _functional_mask(s)
+def _functionality_witness(s: AtomStructure, fn: int) -> str | None:
+    """The least atom a with neither a nor a~ a function (in fn), or None."""
     for a, c in enumerate(s.converse_map):
         if not (fn >> a & 1 or fn >> c & 1):
             return s.atom_names[a]
@@ -689,9 +687,10 @@ def check_z2_axioms(s: AtomStructure) -> AxiomReport:
 
 def _z2_axioms(s: AtomStructure) -> AxiomReport:
     # check_z2_axioms on a structure whose local laws hold
+    fn = _functional_mask(s)
     sw = _simplicity_witness(s)
-    pw = _pair_density_witness(s)
-    fw = _functionality_witness(s)
+    pw = _pair_density_witness(s, fn)
+    fw = _functionality_witness(s, fn)
     return AxiomReport(
         simple=sw is None, pair_dense=pw is None, functional=fw is None,
         simple_witness=sw, pair_dense_witness=pw, functional_witness=fw)

@@ -454,7 +454,7 @@ def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
     block d to block r.  The axioms leave two atoms between twins, parallel
     and crossed: the lower-id atom p[E] from the first twin R to each twin
     E is declared parallel (p[R] = R), and x from E1 to E2 is parallel iff
-    x <= p[E1]~;p[E2]; a parallel atom maps to the orbit of the pair from
+    (p[E1]~, p[E2], x) is a cycle; a parallel atom maps to the pair orbit from
     the first element of block d to the first of block r, a crossed one to
     the second.  Where s has not this shape or the map fails
     IsoWitness.problems(), raises InternalError with the reason and both
@@ -479,8 +479,9 @@ def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
         # twin's identity atom, a single atom, or the parallel atom
         par = 1 << d if d == r else 1 << group[0]
         if d != r and len(group) == 2:
-            par = s.compose_mask(1 << conv[p[d]], 1 << p[r])
-            if par & (par - 1) or not par & sum(1 << a for a in group):
+            par = sum(1 << a for a in group
+                      if (conv[p[d]], p[r], a) in s.cycles)
+            if par & (par - 1) or not par:
                 _unproven(s, target, f"{names[p[d]]}~;{names[p[r]]} is not "
                                      f"one atom from {names[d]} to {names[r]}")
         for a in group:

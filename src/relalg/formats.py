@@ -24,6 +24,10 @@ from .errors import ParseError
 _PAIR_RE = re.compile(r"^\(([0-9]+),([0-9]+)\)$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
+# the largest `set n` of a .act or .ca file, checked before any table of
+# the n^2 pairs is built
+MAX_BASE_SIZE = 128
+
 
 def _int(tok: str) -> int:
     if not _INT_RE.fullmatch(tok):
@@ -150,6 +154,9 @@ def _parse_size(parts, source, lineno) -> int:
     if n <= 0:
         raise ParseError(source, lineno, "set size must be positive",
                          token=parts[1])
+    if n > MAX_BASE_SIZE:
+        raise ParseError(source, lineno, f"set size is above the cap of "
+                         f"{MAX_BASE_SIZE} points", token=parts[1])
     return n
 
 

@@ -15,8 +15,8 @@ from relalg import (AtomStructure, InvalidStructureError, VerificationReport,
 from relalg.atoms import _z2_axioms
 from relalg.cli import main
 
-from conftest import (DATA, group_closure_oracle, one_orbit_corruptions,
-                      shuffled)
+from conftest import (DATA, group_closure_oracle, involution_structure,
+                      one_orbit_corruptions, shuffled)
 
 
 def run(capsys, *argv):
@@ -240,6 +240,33 @@ def test_console_script_installed():
     assert proc.stdout == "valid\n"
 
 
+def test_class_path_at_3200_atoms_stays_under_its_bounds(tmp_path):
+    # decide-z2 --verify on a shuffle of the 80-point fixed-point-free
+    # involution's structure, and iso on two, each in a fresh interpreter
+    # that prints its own peak RSS (ru_maxrss, in KB on Linux): neither
+    # builds a composition table of 3200 x 3200 masks
+    s = involution_structure(0, 40)
+    assert (s.n_atoms, len(s.cycles)) == (3200, 256000)
+    rng = random.Random(40)
+    a, b = tmp_path / "a.ra", tmp_path / "b.ra"
+    for path in (a, b):
+        path.write_text(format_atom_structure(shuffled(s, rng)),
+                        encoding="utf-8")
+    script = ("import resource, sys\nfrom relalg import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+              " file=sys.stderr)\nsys.exit(code)\n")
+    for argv in (["decide-z2", a, "--verify"], ["iso", a, b]):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                              capture_output=True, text=True,
+                              cwd=DATA.parent / "src")
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert int(proc.stderr.split()[-1]) < 150 * 1024, argv
+        assert elapsed < 3.0, argv
+
+
 def test_usage_errors_exit_1(capsys):
     # 2 is the definite negative answer, so argparse's usage errors map to 1
     for argv in (["iso", DATA / "23.ra"],
@@ -270,6 +297,19 @@ def test_usage_errors_exit_1(capsys):
     code, out, err = run(capsys, "iso", "--help")
     assert (code, err) == (0, "")
     assert out.startswith("usage: relalg iso")
+
+
+def test_base_size_above_the_cap_exits_1(tmp_path, capsys):
+    # the set line fails before any table of the n^2 pairs is built
+    act, ca = tmp_path / "huge.act", tmp_path / "huge.ca"
+    act.write_text("set 999999999999\n", encoding="utf-8")
+    ca.write_text("set 999999999999\natom x = (0,0)\n", encoding="utf-8")
+    for argv, path in ((["rel", act], act), (["classify", ca], ca),
+                       (["check-action", DATA / "swap.ra", act], act)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == (f"error: {path}:1: set size is above the cap of 128 "
+                       f"points (token '999999999999')\n"), argv
 
 
 def test_parser_is_built_once(monkeypatch, capsys):

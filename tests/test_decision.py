@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -247,9 +248,12 @@ def test_shuffled_ids_are_accepted(points, twins, atoms):
 @contextlib.contextmanager
 def proof_only():
     """A context in which reaching the isomorphism search fails; it yields
-    the list of the structures the associativity join runs on."""
-    joins = []
+    the lists of the structures the associativity join runs on and of
+    those whose composition table (AtomStructure._comp) is computed, the
+    table still cached as before."""
+    joins, tables = [], []
     join = atoms._associativity_witness
+    comp = AtomStructure._comp
 
     def unreachable(*args):
         raise AssertionError("the search ran on a Z2-representable input")
@@ -258,10 +262,17 @@ def proof_only():
         joins.append(s)
         return join(s)
 
+    def counting_comp(s):
+        tables.append(s)
+        return comp.func(s)
+
+    counted = functools.cached_property(counting_comp)
+    counted.__set_name__(AtomStructure, "_comp")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decision, "_search_isomorphism", unreachable)
         patch.setattr(atoms, "_associativity_witness", counting)
-        yield joins
+        patch.setattr(AtomStructure, "_comp", counted)
+        yield joins, tables
 
 
 def test_class_inputs_of_1152_atoms_need_no_search():
@@ -272,14 +283,24 @@ def test_class_inputs_of_1152_atoms_need_no_search():
     source, target = shuffled(s, rng), shuffled(s, rng)
     action = involution_action(0, 24)
     assert s.n_atoms == 1152
-    with proof_only() as joins:
+    with proof_only() as (joins, tables):
         start = time.perf_counter()
         w = check_action_represents(source, action)
         assert w is not None and w.is_valid()
         w = find_isomorphism(source, target)
         assert w is not None and w.is_valid()
         assert time.perf_counter() - start < 3.0
-    assert joins == []
+    assert joins == [] and tables == []
+
+
+def test_an_accepted_decision_computes_no_composition_table():
+    # the axioms, the proof's map and the re-check read per-atom facts and
+    # the cycles only
+    s = shuffled(involution_structure(2, 3), random.Random(23))
+    with proof_only() as (joins, tables):
+        d = decide_z2(s)
+        assert d.accepted and verify_decision(d).ok
+    assert joins == [] and tables == []
 
 
 def test_class_verdicts_need_no_search(monkeypatch):
@@ -294,7 +315,7 @@ def test_class_verdicts_need_no_search(monkeypatch):
     assert points.n_atoms == mixed.n_atoms == 25
     trivial = involution_action(5, 0)
     assert trivial.generators == ((0, 1, 2, 3, 4),)
-    with proof_only() as joins:
+    with proof_only() as (joins, _):
         assert find_isomorphism(points, mixed) is None
         assert joins == [points, mixed]
         fresh = involution_structure(1, 3)  # validation is cached
@@ -405,12 +426,12 @@ def test_axioms_decide_representability_on_five_points():
         s = extract_atom_structure(rel_algebra(a))
         if len(group_closure_oracle(a)) <= 2:
             involution_actions += 1
-            with proof_only() as joins:
+            with proof_only() as (joins, tables):
                 w = check_action_represents(shuffled(s, rng), a)
                 assert w is not None and w.is_valid(), a.generators
                 w = find_isomorphism(shuffled(s, rng), shuffled(s, rng))
                 assert w is not None and w.is_valid(), a.generators
-            assert joins == [], a.generators
+            assert joins == [] and tables == [], a.generators
         if check_z2_axioms(s).all_hold:
             d = decide_z2(s)
             assert d.accepted and verify_decision(d).ok, a.generators

@@ -7,6 +7,7 @@ from relalg import (ConcreteAlgebraError, ParseError, build_group,
                     format_concrete_algebra, format_group_action,
                     parse_atom_structure, parse_concrete_algebra,
                     parse_group_action, rel_algebra)
+from relalg.formats import MAX_BASE_SIZE
 
 from conftest import DATA, emitted_cycle_lines, involutions, load_action, \
     load_concrete, load_structure, orbit_minimum_cycle_lines
@@ -205,6 +206,7 @@ def test_concrete_parse_errors():
     assert (e.message, e.line, e.token) == ("malformed pair", 2, "0,1")
     e = err(parse_concrete_algebra, "set 2\n")
     assert "no atom lines" in e.message
+    assert_base_size_capped(parse_concrete_algebra)
     # numbers are ASCII digits, as the emitters write them
     e = err(parse_concrete_algebra, "set 2\natom e = (\u0660,\u0660) (1,1)\n")
     assert (e.message, e.line, e.token) == ("malformed pair", 2,
@@ -239,6 +241,18 @@ def test_action_parse_errors():
     assert (e.message, e.line, e.token) == ("set size must be positive", 1,
                                             "-1")
     assert "missing set" in err(parse_group_action, "\n").message
+    assert_base_size_capped(parse_group_action)
+    assert parse_group_action("set 128\n").base_size == MAX_BASE_SIZE
+
+
+def assert_base_size_capped(parse):
+    # a size above the cap fails at its set line; with no line after it,
+    # no table of the n^2 pairs is built even if the cap were missing
+    assert MAX_BASE_SIZE == 128
+    for size in (MAX_BASE_SIZE + 1, 999999999999):
+        e = err(parse, f"set {size}\n")
+        assert (e.message, e.line, e.token) == (
+            "set size is above the cap of 128 points", 1, str(size))
 
 
 def test_action_builder_errors_pass_through():

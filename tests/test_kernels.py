@@ -420,6 +420,10 @@ def test_atom_flags_and_simplicity_match_element_level_oracle():
     assert len(involution_structures) == 15
     assert all(s.validation.ok for s in products)
     failed = [0, 0, 0]
+    # identity atoms with no loop (a diversity atom from e to e), two or
+    # more, one that is not a function, and one that is: each branch of
+    # the pair-density witness
+    loop_shapes = [0, 0, 0, 0]
     for s in structures:
         full = s.full_mask
         div = full & ~s.identity_mask
@@ -440,6 +444,11 @@ def test_atom_flags_and_simplicity_match_element_level_oracle():
                 below_identity(comp(m, full, m)),
                 below_identity(comp(m, div, m, div, m)),
                 below_identity(comp(converse_mask_oracle(s, m), m)))
+        for e in s.identity_atoms:
+            loops = [x for x in range(s.n_atoms)
+                     if comp(1 << e, 1 << x, 1 << e) & div == 1 << x]
+            loop_shapes[0 if not loops else 1 if len(loops) > 1
+                        else 2 if not flags[loops[0]][2] else 3] += 1
         want = axioms_oracle(s)
         simple = all(comp(full, 1 << a, full) == full
                      for a in range(s.n_atoms))
@@ -452,6 +461,7 @@ def test_atom_flags_and_simplicity_match_element_level_oracle():
             comp(converse_mask_oracle(s, fn), fn) == full)
         failed = [f + (not w) for f, w in zip(failed, want)]
     assert min(failed) >= 16  # each axiom fails on some inputs
+    assert loop_shapes == [85, 69, 12, 63]
 
 
 # --- error paths ----------------------------------------------------------------
