@@ -11,18 +11,18 @@ compositional reference that the per-atom facts of the axioms are
 tested against.
 
 Validation has two parts.  The local laws (names, converse, the cycle
-and identity laws, one domain and one range atom per atom) cost one
-O(cycles) pass for the identity law, a second for the cycle law, and
-O(atoms * identity atoms) lookups for the rest.  The cycle law's pass is
-skipped on structures the parser closed under an involutive converse,
-where the law holds by construction.  The associativity join uses Light's
-reduction: one row kernel compares (a;b);c with a;(b;c) over a
-generating set of columns, and over all columns only when that pass
-fails, in place of an atoms^3 scan; decision._gated picks the inputs it
-runs on.  The three axioms compose nothing: they read the domain and
-range atoms of the local laws and one pass over the cycles, O(atoms +
-cycles).  The dense table _comp is read by the join, decision._power_runs,
-the search, and compose_mask, the reference of _element_flags.
+and identity laws, one domain and one range atom per atom) cost three
+O(cycles) passes: the identity law, the cycle law, skipped on structures
+the parser closed under an involutive converse, and AtomStructure._places,
+which places every atom by two masks per identity atom e, the atoms below
+e;1 and below 1;e, and finds the atoms that are no functions.  The
+associativity join uses Light's reduction: one row kernel compares
+(a;b);c with a;(b;c) over a generating set of columns, and over all
+columns only when that pass fails, in place of an atoms^3 scan;
+decision._gated picks the inputs it runs on.  The three axioms compose
+nothing: they read _places, O(atoms + identity atoms^2) mask operations.
+The dense table _comp is read by the join, decision._power_runs, the
+search, and compose_mask, the reference of _element_flags.
 """
 
 from __future__ import annotations
@@ -240,32 +240,29 @@ class AtomStructure:
         return point, pair, fn
 
     @cached_property
-    def _end_atoms(self) -> tuple[list[list[int]], list[list[int]]]:
-        # the identity atoms e with (e, a, a) and the f with (a, f, a) as
-        # cycles, for each atom a, in id order: its domain and range atoms,
-        # which the local laws require to be one each
-        idents, cycles = sorted(self.identity_atoms), self.cycles
-        atoms = range(self.n_atoms)
-        return ([[e for e in idents if (e, a, a) in cycles] for a in atoms],
-                [[f for f in idents if (a, f, a) in cycles] for a in atoms])
-
-    @cached_property
-    def _ends(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # the domain and the range identity atom of each atom, read only
-        # once the local laws hold
-        return tuple(tuple(found[0] for found in side)
-                     for side in self._end_atoms)
+    def _places(self) -> tuple[dict[int, int], dict[int, int], int]:
+        # one pass over the cycles: per identity atom e, out[e] holds the
+        # atoms a with (e, a, a), below e;1, and into[e] those with
+        # (a, e, a), below 1;e, so e;1;f is out[e] & into[f]; then the atoms
+        # a with some (a, w, a), w in 0': by the cycle law, the non-functions
+        ident = self.identity_atoms
+        out, into, not_fn = dict.fromkeys(ident, 0), dict.fromkeys(ident, 0), 0
+        for x, y, z in self.cycles:
+            if x == z:
+                if y in ident:
+                    into[y] |= 1 << x
+                else:
+                    not_fn |= 1 << x
+            if y == z and x in ident:
+                out[x] |= 1 << y
+        return out, into, not_fn
 
     @cached_property
     def _loops(self) -> dict[int, int]:
         # the mask of the diversity atoms from e to e, for each identity
         # atom e: e;0';e under the local laws, so e is a point iff it has none
-        loops = dict.fromkeys(self.identity_atoms, 0)
-        ident = self.identity_mask
-        for a, (d, r) in enumerate(zip(*self._ends)):
-            if d == r and not ident >> a & 1:
-                loops[d] |= 1 << a
-        return loops
+        out, into, _ = self._places
+        return {e: out[e] & into[e] & ~self.identity_mask for e in out}
 
     # -- validation ---------------------------------------------------------
 
@@ -304,8 +301,8 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
     """Names, converse, self-converse identity atoms, the cycle law, the
     identity law, and one domain and one range atom per atom.  When they
     hold this costs one O(cycles) pass for the identity law, a second for
-    the cycle law on a structure the parser did not close, and
-    O(atoms * identity atoms) lookups for the rest."""
+    the cycle law on a structure the parser did not close, and a third,
+    AtomStructure._places, for the domain and range atoms."""
     v: list[Violation] = []
     names = s.atom_names
     n = s.n_atoms
@@ -367,18 +364,23 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
                 f"cycle {s._fmt_triple((x, y, z))} puts an identity atom below "
                 f"{names[x]};{names[y]} but {names[y]} != {names[conv[x]]}"))
 
-    for a, ends in enumerate(zip(*s._end_atoms)):
-        for side, found, cycle in zip(
-                ("domain", "range"), ends,
-                ("e has (e, {0}, {0})", "f has ({0}, f, {0})")):
-            if not found:
-                v.append(Violation(
-                    f"missing-{side}-atom",
-                    f"no identity atom {cycle.format(names[a])} as a cycle"))
-            elif len(found) > 1:
-                v.append(Violation(
-                    f"multiple-{side}-atoms", f"atom {names[a]} has {side} atoms "
-                    + ", ".join(names[e] for e in found)))
+    # one out[e] holds each atom iff their sizes sum to n and union is all
+    out, into, _ = s._places
+    if any(sum(map(int.bit_count, m.values())) != n
+           or reduce(or_, m.values(), 0) != s.full_mask for m in (out, into)):
+        idents = sorted(ident)
+        for a in range(n):
+            for side, m, cycle in (("domain", out, "e has (e, {0}, {0})"),
+                                   ("range", into, "f has ({0}, f, {0})")):
+                found = [e for e in idents if m[e] >> a & 1]
+                if not found:
+                    v.append(Violation(
+                        f"missing-{side}-atom",
+                        f"no identity atom {cycle.format(names[a])} as a cycle"))
+                elif len(found) > 1:
+                    v.append(Violation(
+                        f"multiple-{side}-atoms", f"atom {names[a]} has "
+                        f"{side} atoms " + ", ".join(names[e] for e in found)))
     return tuple(v)
 
 
@@ -601,17 +603,15 @@ def _simplicity_witness(s: AtomStructure) -> str | None:
 
     On a valid structure 1;a;1 = 1;d;1 for d the domain of a, since
     a = d;a and d <= a;a~.  And 1;d;1 = 1 exactly when every identity atom
-    f lies below it, which holds when some atom runs from f to d, and only
-    then.
+    f lies below it, which holds when some atom runs from f to d, that is
+    when the rectangle f;1;d, out[f] & into[d], is not empty, and only
+    then.  So the witness is the least atom in the union of out[d], the
+    atoms with domain d, over the identity atoms d that fail.
     """
-    dom, rng = s._ends
-    into = dict.fromkeys(s.identity_atoms, 0)  # domains of atoms into e
-    for d, r in zip(dom, rng):
-        into[r] |= 1 << d
-    for a, d in enumerate(dom):
-        if into[d] != s.identity_mask:
-            return s.atom_names[a]
-    return None
+    out, into, _ = s._places
+    bad = reduce(or_, (out[d] for d in s.identity_atoms
+                       if not all(out[f] & into[d] for f in s.identity_atoms)), 0)
+    return s.atom_names[(bad & -bad).bit_length() - 1] if bad else None
 
 
 def _pair_density_witness(s: AtomStructure, fn: int) -> str | None:
@@ -626,12 +626,6 @@ def _pair_density_witness(s: AtomStructure, fn: int) -> str | None:
         if loops & (loops - 1) or loops & ~fn:
             return s.atom_names[e]
     return None
-
-
-def _functional_mask(s: AtomStructure) -> int:
-    # the atoms a with a~;a <= 1': by the cycle law, no (a, w, a) has w in 0'
-    bad = {x for x, w, z in s.cycles if x == z and w not in s.identity_atoms}
-    return s.full_mask & ~sum(1 << x for x in bad)
 
 
 def _functionality_witness(s: AtomStructure, fn: int) -> str | None:
@@ -687,7 +681,7 @@ def check_z2_axioms(s: AtomStructure) -> AxiomReport:
 
 def _z2_axioms(s: AtomStructure) -> AxiomReport:
     # check_z2_axioms on a structure whose local laws hold
-    fn = _functional_mask(s)
+    fn = s.full_mask & ~s._places[2]  # the functions, by the cycle law
     sw = _simplicity_witness(s)
     pw = _pair_density_witness(s, fn)
     fw = _functionality_witness(s, fn)

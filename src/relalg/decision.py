@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import NoReturn, Sequence
 
 from .actions import GroupAction, build_group, rel_algebra
-from .atoms import AtomStructure, AxiomFailure, _z2_axioms
+from .atoms import AtomStructure, AxiomFailure, _z2_axioms, iter_bits
 from .concrete import ConcreteAlgebra, extract_atom_structure
 from .errors import InternalError, SearchBudgetExceeded
 from .formats import format_atom_structure
@@ -462,9 +462,9 @@ def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
     """
     conv, names = s.converse_map, s.atom_names
     idents = sorted(blocks)
-    groups = {(d, r): [] for d in idents for r in idents}
-    for a, ends in enumerate(zip(*s._ends)):
-        groups[ends].append(a)
+    out, into, _ = s._places
+    groups = {(d, r): [*iter_bits(out[d] & into[r])]
+              for d in idents for r in idents}
     for (d, r), group in groups.items():
         if len(group) != 1 + (len(blocks[d]) == len(blocks[r]) == 2):
             _unproven(s, target, f"{len(group)} atoms from {names[d]} to "

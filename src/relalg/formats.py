@@ -22,7 +22,7 @@ from .errors import ParseError
 # numbers are ASCII digits: int() and \d would also read underscores and
 # other scripts' digits, which no emitter writes
 _PAIR_RE = re.compile(r"^\(([0-9]+),([0-9]+)\)$")
-_INT_RE = re.compile(r"[+-]?[0-9]+")
+_INT_RE = re.compile(r"([+-]?)0*([0-9]+)")
 
 # the largest `set n` of a .act or .ca file, checked before any table of
 # the n^2 pairs is built
@@ -30,9 +30,15 @@ MAX_BASE_SIZE = 128
 
 
 def _int(tok: str) -> int:
-    if not _INT_RE.fullmatch(tok):
+    """The value of a number token, else ValueError.  Past 18 digits,
+    leading zeros aside, it is read as 10**18 with its sign: beyond every
+    size and index the formats take, so that their range checks name the
+    fault, where int() would refuse a number of more than 4300 digits."""
+    m = _INT_RE.fullmatch(tok)
+    if not m:
         raise ValueError(tok)
-    return int(tok)
+    sign, digits = m.groups()
+    return int(sign + (digits if len(digits) <= 18 else "1" + "0" * 18))
 
 
 def _content_lines(text: str):
@@ -200,7 +206,10 @@ def parse_concrete_algebra(text: str, source: str = "<string>") -> ConcreteAlgeb
             mm = _PAIR_RE.match(tok)
             if not mm:
                 raise ParseError(source, lineno, "malformed pair", token=tok)
-            i, j = int(mm.group(1)), int(mm.group(2))
+            try:
+                i, j = int(mm.group(1)), int(mm.group(2))
+            except ValueError:  # more than int()'s 4300 digits
+                i, j = _int(mm.group(1)), _int(mm.group(2))
             if i >= n or j >= n:
                 raise ParseError(source, lineno,
                                  "pair outside the base set", token=tok)
@@ -242,6 +251,9 @@ def parse_group_action(text: str, source: str = "<string>") -> GroupAction:
             except ValueError:
                 raise ParseError(source, lineno, "images must be integers",
                                  token=tok) from None
+            if not 0 <= imgs[-1] < n:
+                raise ParseError(source, lineno,
+                                 "image outside the base set", token=tok)
         gens.append(tuple(imgs))
     return build_group(n, gens)
 

@@ -199,6 +199,24 @@ def test_parse_error_is_an_error(tmp_path, capsys):
     assert "zz" in err and str(f) in err
 
 
+def test_number_past_int_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # int() refuses more than 4300 digits; such a number is out of range,
+    # which each command reports as one error line, without a traceback
+    big = "9" * 5000
+    for name, text, command, message in (
+            ("pair.ca", f"set 2\natom x = ({big},0)\n", "classify",
+             "pair outside the base set"),
+            ("size.ca", f"set {big}\n", "classify", "above the cap"),
+            ("image.act", f"set 2\ngen {big} 0\n", "rel",
+             "image outside the base set")):
+        f = tmp_path / name
+        f.write_text(text)
+        code, out, err = run(capsys, command, f)
+        assert (code, out) == (1, ""), name
+        assert err.startswith("error: ") and err.count("\n") == 1, name
+        assert message in err and "Traceback" not in err, name
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
     code, out, err = run(capsys, "validate", DATA / "23.ra",

@@ -211,6 +211,16 @@ def test_concrete_parse_errors():
     e = err(parse_concrete_algebra, "set 2\natom e = (\u0660,\u0660) (1,1)\n")
     assert (e.message, e.line, e.token) == ("malformed pair", 2,
                                             "(\u0660,\u0660)")
+    # a number past int()'s 4300 digits is out of range, not malformed;
+    # leading zeros do not count
+    big, zeros = "9" * 5000, "0" * 5000
+    e = err(parse_concrete_algebra, f"set 2\natom x = ({big},0)\n")
+    assert (e.message, e.line, e.token) == ("pair outside the base set", 2,
+                                            f"({big},0)")
+    c = parse_concrete_algebra(f"set 2\natom e = ({zeros}1,{zeros}1) (0,0)\n"
+                               f"atom x = (0,{zeros}1) (1,0)\n")
+    assert c == parse_concrete_algebra("set 2\natom e = (0,0) (1,1)\n"
+                                       "atom x = (0,1) (1,0)\n")
 
 
 def test_concrete_constructor_errors_become_parse_errors():
@@ -240,6 +250,22 @@ def test_action_parse_errors():
     e = err(parse_group_action, "set -1\n")
     assert (e.message, e.line, e.token) == ("set size must be positive", 1,
                                             "-1")
+    # an image out of range is refused by name, with its line and token,
+    # also one past int()'s 4300 digits; so is a set size that long
+    big, zeros = "9" * 5000, "0" * 5000
+    for text, message, line, token in (
+            ("set 2\ngen 0 2\n", "image outside the base set", 2, "2"),
+            ("set 2\ngen -1 0\n", "image outside the base set", 2, "-1"),
+            (f"set 2\ngen {big} 0\n", "image outside the base set", 2, big),
+            (f"set 2\ngen 1 -{big}\n", "image outside the base set", 2,
+             f"-{big}"),
+            (f"set {big}\n", "set size is above the cap of 128 points", 1,
+             big),
+            (f"set -{big}\n", "set size must be positive", 1, f"-{big}")):
+        e = err(parse_group_action, text)
+        assert (e.message, e.line, e.token) == (message, line, token), message
+    a = parse_group_action(f"set {zeros}2\ngen 1 {zeros}\n")
+    assert (a.base_size, a.generators) == (2, ((1, 0),))
     assert "missing set" in err(parse_group_action, "\n").message
     assert_base_size_capped(parse_group_action)
     assert parse_group_action("set 128\n").base_size == MAX_BASE_SIZE

@@ -14,7 +14,7 @@ from relalg import (AtomStructure, ConcreteAlgebra, ConcreteAlgebraError,
                     peirce_orbit, rel_algebra)
 from relalg import atoms
 from relalg.atoms import _validate
-from relalg.atoms import _associativity_witness
+from relalg.atoms import _associativity_witness, _local_laws
 from relalg.cli import main
 
 from conftest import (DATA, ConcreteRelation, associativity_witness_oracle,
@@ -22,8 +22,8 @@ from conftest import (DATA, ConcreteRelation, associativity_witness_oracle,
                       compose_masks_oracle, composition_scan_oracle,
                       converse_mask_oracle,
                       generated_groups, invariant_violations_oracle,
-                      involution_structure, involutions, regular_action,
-                      shuffled)
+                      involution_structure, involutions, load_structure,
+                      local_laws_oracle, regular_action, shuffled)
 
 
 def random_algebras(rng, count, max_n):
@@ -398,11 +398,10 @@ def direct_product(s, t):
         s.cycles | {(n + x, n + y, n + z) for x, y, z in t.cycles})
 
 
-def test_atom_flags_and_simplicity_match_element_level_oracle():
-    # the element-level definitions check the oracle's atom flags and
-    # simplicity; the axiom kernel, read off domains, ranges and the
-    # diversity atoms from e to e, must give the oracle's three answers
-    # and three witnesses
+def axiom_sweep():
+    """Valid structures on which every axiom fails somewhere: the catalog,
+    extractions, regular actions, shuffled involution structures, direct
+    products, and the algebras of small groups."""
     rng = random.Random(17)
     involution_structures = [
         shuffled(involution_structure(points, twins), rng)
@@ -414,11 +413,19 @@ def test_atom_flags_and_simplicity_match_element_level_oracle():
     # have functional atoms whose converses are not functions
     small_groups = [extract_atom_structure(rel_algebra(a))
                     for a in generated_groups(4).values()]
-    structures = (catalog_structures() + extracted_structures()
-                  + regular_structures() + involution_structures + products
-                  + small_groups)
     assert len(involution_structures) == 15
     assert all(s.validation.ok for s in products)
+    return (catalog_structures() + extracted_structures()
+            + regular_structures() + involution_structures + products
+            + small_groups)
+
+
+def test_atom_flags_and_simplicity_match_element_level_oracle():
+    # the element-level definitions check the oracle's atom flags and
+    # simplicity; the axiom kernel, read off domains, ranges and the
+    # diversity atoms from e to e, must give the oracle's three answers
+    # and three witnesses
+    structures = axiom_sweep()
     failed = [0, 0, 0]
     # identity atoms with no loop (a diversity atom from e to e), two or
     # more, one that is not a function, and one that is: each branch of
@@ -462,6 +469,63 @@ def test_atom_flags_and_simplicity_match_element_level_oracle():
         failed = [f + (not w) for f, w in zip(failed, want)]
     assert min(failed) >= 16  # each axiom fails on some inputs
     assert loop_shapes == [85, 69, 12, 63]
+
+
+def test_places_are_the_rectangles_e_1_and_1_e():
+    # out[e] is e;1 and into[e] is 1;e, composed from the dense table; the
+    # pass's non-functions are the atoms whose element flag says so
+    for s in axiom_sweep():
+        assert s.validation.ok
+        out, into, not_fn = s._places
+        full = s.full_mask
+        assert sorted(out) == sorted(into) == sorted(s.identity_atoms)
+        for e in s.identity_atoms:
+            assert out[e] == s.compose_mask(1 << e, full), s.atom_names
+            assert into[e] == s.compose_mask(full, 1 << e), s.atom_names
+        assert not_fn == sum(1 << a for a in range(s.n_atoms)
+                             if not s._element_flags(1 << a)[2])
+
+
+def test_every_end_atom_branch_matches_the_oracle():
+    # tables built by the constructor, unclosed, on which each atom has no,
+    # one or two domain and range atoms; the popcounts of out (into) alone
+    # pass the table where one atom has two domain (range) atoms and
+    # another none, so only the union test finds it
+    def table(names, identity, cycles):
+        ids = {name: a for a, name in enumerate(names.split())}
+        return AtomStructure(
+            names.split(), range(len(ids)), {ids[e] for e in identity.split()},
+            {tuple(ids[a] for a in c.split()) for c in cycles.split(",")})
+
+    swap = load_structure("swap.ra")
+    # one atom with two domain atoms and one with none; the same for
+    # ranges; both
+    union_only = [
+        table("e f a b", "e f", "e e e, f f f, e a a, f a a, a e a, b f b"),
+        table("e f a b", "e f", "e e e, f f f, a e a, a f a, e b b, f a a"),
+        table("e f a b", "e f", "e e e, f f f, e a a, f a a, a e a, a f a"),
+    ]
+    tables = [
+        swap,
+        AtomStructure(swap.atom_names, swap.converse_map, swap.identity_atoms,
+                      swap.cycles - {(1, 0, 1)}),
+        table("e f a", "e f", "e e e, f f f, e a a, f a a, a e a"),
+        table("e f a", "e f", "e e e, f f f, e a a, a e a, a f a"),
+        table("e a", "e", "a a a"),
+    ] + union_only
+    codes = set()
+    for s in tables:
+        want = local_laws_oracle(s)
+        assert _local_laws(s) == want, s.cycles
+        codes.update(v.code for v in want)
+    assert {"missing-domain-atom", "multiple-domain-atoms",
+            "missing-range-atom", "multiple-range-atoms"} <= codes
+    for s, sides in zip(union_only, ("domain", "range", "domain range")):
+        for side, masks in zip(("domain", "range"), s._places):
+            if side in sides:
+                assert sum(m.bit_count() for m in masks.values()) == 4
+                assert {f"missing-{side}-atom", f"multiple-{side}-atoms"} \
+                    <= {v.code for v in _local_laws(s)}
 
 
 # --- error paths ----------------------------------------------------------------
