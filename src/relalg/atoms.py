@@ -11,15 +11,17 @@ compositional reference that the per-atom facts of the axioms are
 tested against.
 
 Validation has two parts.  The local laws (names, converse, the cycle
-and identity laws, one domain and one range atom per atom) cost three
-O(cycles) passes: the identity law, the cycle law, skipped on structures
-the parser closed under an involutive converse, and AtomStructure._places,
-which places every atom by two masks per identity atom e, the atoms below
-e;1 and below 1;e, and finds the atoms that are no functions.  The
-associativity join uses Light's reduction: one row kernel compares
-(a;b);c with a;(b;c) over a generating set of columns, and over all
-columns only when that pass fails, in place of an atoms^3 scan;
-decision._gated picks the inputs it runs on.  The three axioms compose
+and identity laws, one domain and one range atom per atom) cost two
+O(cycles) passes: the cycle law, skipped on structures the parser closed
+under an involutive converse, and AtomStructure._places, which places
+every atom by two masks per identity atom e, the atoms below e;1 and
+below 1;e, finds the atoms that are no functions, and collects the
+cycles that break the identity law.  The associativity join uses Light's
+reduction and, under the cycle law, Peircean symmetry: one block kernel
+compares (a;b);c with a;(b;c) for a middle atom b over all its rows and
+columns at once, in C, first over a generating set, and over every
+middle atom and column only when that pass fails, in place of an atoms^3
+scan; decision._gated picks the inputs it runs on.  The three axioms compose
 nothing: they read _places, O(atoms + identity atoms^2) mask operations.
 The dense table _comp is read by the join, decision._power_runs, the
 search, and compose_mask, the reference of _element_flags.
@@ -30,8 +32,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress, starmap
-from operator import and_, itemgetter, neg, or_, xor
+from itertools import chain, compress, count, repeat
+from operator import and_, ge, itemgetter, ne, neg, not_, or_, xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidStructureError
@@ -240,28 +242,39 @@ class AtomStructure:
         return point, pair, fn
 
     @cached_property
-    def _places(self) -> tuple[dict[int, int], dict[int, int], int]:
+    def _places(self) -> tuple[dict[int, int], dict[int, int], int,
+                               list[Triple]]:
         # one pass over the cycles: per identity atom e, out[e] holds the
         # atoms a with (e, a, a), below e;1, and into[e] those with
         # (a, e, a), below 1;e, so e;1;f is out[e] & into[f]; then the atoms
-        # a with some (a, w, a), w in 0': by the cycle law, the non-functions
-        ident = self.identity_atoms
+        # a with some (a, w, a), w in 0': by the cycle law, the non-functions;
+        # then the cycles that break the identity law, sorted
+        ident, conv = self.identity_atoms, self.converse_map
         out, into, not_fn = dict.fromkeys(ident, 0), dict.fromkeys(ident, 0), 0
-        for x, y, z in self.cycles:
+        broken = set()
+        for t in self.cycles:
+            x, y, z = t
             if x == z:
                 if y in ident:
                     into[y] |= 1 << x
                 else:
                     not_fn |= 1 << x
-            if y == z and x in ident:
-                out[x] |= 1 << y
-        return out, into, not_fn
+            elif y in ident:
+                broken.add(t)
+            if y == z:
+                if x in ident:
+                    out[x] |= 1 << y
+            elif x in ident:
+                broken.add(t)
+            if z in ident and y != conv[x]:
+                broken.add(t)
+        return out, into, not_fn, sorted(broken)
 
     @cached_property
     def _loops(self) -> dict[int, int]:
         # the mask of the diversity atoms from e to e, for each identity
         # atom e: e;0';e under the local laws, so e is a point iff it has none
-        out, into, _ = self._places
+        out, into = self._places[:2]
         return {e: out[e] & into[e] & ~self.identity_mask for e in out}
 
     # -- validation ---------------------------------------------------------
@@ -300,9 +313,9 @@ def _validate(s: AtomStructure) -> ValidationReport:
 def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
     """Names, converse, self-converse identity atoms, the cycle law, the
     identity law, and one domain and one range atom per atom.  When they
-    hold this costs one O(cycles) pass for the identity law, a second for
-    the cycle law on a structure the parser did not close, and a third,
-    AtomStructure._places, for the domain and range atoms."""
+    hold this costs one O(cycles) pass for the cycle law on a structure the
+    parser did not close, and a second, AtomStructure._places, for the
+    identity law and the domain and range atoms."""
     v: list[Violation] = []
     names = s.atom_names
     n = s.n_atoms
@@ -334,20 +347,17 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
                 "identity-not-self-converse",
                 f"identity atom {names[e]} has converse {names[conv[e]]}"))
 
-    cycles = s.cycles
     for t in s._cycle_law_broken:
         for u in sorted(peirce_orbit(t, conv)):
-            if u not in cycles:
+            if u not in s.cycles:
                 v.append(Violation(
                     "cycle-law",
                     f"cycle {s._fmt_triple(t)} present but its transform "
                     f"{s._fmt_triple(u)} is missing"))
 
     ident = s.identity_atoms
-    broken = [(x, y, z) for x, y, z in cycles
-              if (x in ident and y != z) or (y in ident and x != z)
-              or (z in ident and y != conv[x])]
-    for x, y, z in sorted(broken):
+    out, into, _, broken = s._places
+    for x, y, z in broken:
         if x in ident and y != z:
             v.append(Violation(
                 "identity-law",
@@ -365,7 +375,6 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
                 f"{names[x]};{names[y]} but {names[y]} != {names[conv[x]]}"))
 
     # one out[e] holds each atom iff their sizes sum to n and union is all
-    out, into, _ = s._places
     if any(sum(map(int.bit_count, m.values())) != n
            or reduce(or_, m.values(), 0) != s.full_mask for m in (out, into)):
         idents = sorted(ident)
@@ -414,31 +423,95 @@ def _associativity_witness(s: AtomStructure) -> Triple | None:
     every cycle table, valid or not.  A product of two or more atoms does
     not separate them, so only singleton products reach new columns.
 
-    The row kernel therefore runs first over a generating set G of
-    columns.  When that pass finds no mismatch every column is good;
-    otherwise the kernel runs again over all columns, so that the answer is
-    still the least (a, b, c).  The first pass costs about the rows
-    visited times |G|, the rerun, on failing tables only, the rows times
-    the columns.
+    Under the cycle law with an involutive converse the cycles are closed
+    under the six Peircean transforms (Maddux, Relation Algebras, 2006),
+    and then, for all atoms a, b, c and d, the statement
+
+        S(a, b, c, d):  d <= (a;b);c  iff  d <= a;(b;c)
+
+    is the same as S(b~, a~, d, c) and as S(a~, d, c~, b).  For the first,
+    d <= e;c iff c <= e~;d, and e <= a;b iff e~ <= b~;a~, so the left sides
+    agree through e~; d <= a;f iff f <= a~;d, and c <= b~;g iff g <= b;c,
+    so both right sides say that b;c meets a~;d.  For the second the same
+    transforms turn the left side of each into the right side of the
+    other.  The two maps carry c from the third place to every other: to
+    the fourth, to the third as c~, to the second (the first map, then the
+    second) and to the first as c~.  So for a good column c:
+
+    - c~ is good, so G is closed under converse as it grows;
+    - (a;c);d = a;(c;d) for all a and d, and that holds only when c is
+      good: c can be checked as the middle atom of every row and column;
+    - the block of any middle atom holds in row c and in column c.
+
+    The first pass then takes the i-th member g of G as the middle atom,
+    against the rows and columns that the members before g had not
+    reached: by induction on i, the atoms they reached are good, which
+    settles the rest of g's block.  Structures that break the cycle law or
+    have a non-involutive converse keep plain Light's reduction, every
+    atom as the middle atom against the columns of G.
+
+    The kernel, _mismatches, answers block by block, so the first pass
+    stops at its first mismatch.  When it finds none every column is good.
+    Otherwise the answer is still the least (a, b, c).  Under the cycle
+    law the mismatches with a in the first place are those with a~ in the
+    third, so the least first atom of a mismatch is the least atom that is
+    not good, which is also the first atom whose block as the middle atom
+    fails: the search takes the blocks in order up to that atom a, then
+    the least (a, b, c) over the blocks of every b in row a alone.  Other
+    tables take every atom as the middle atom against every column.
+
+    The column supports are read off the cycles once, one step per cycle;
+    the blocks read the entries of the table in C, with Python work per
+    block, not per row.
     """
     comp = s._comp
-    gens = _generating_set(comp)
-    wit = _first_mismatch(comp, gens)
-    if wit is None or len(gens) == len(comp):
-        return wit
-    return _first_mismatch(comp, range(len(comp)))
+    n = len(comp)
+    col_supp = [0] * n  # per atom b: the atoms a with a;b != 0
+    for a, b, _ in s.cycles:
+        col_supp[b] |= 1 << a
+    every = range(n)
+    conv = s.converse_map
+    peircean = (not s._cycle_law_broken
+                and [*map(conv.__getitem__, conv)] == [*every])
+    if peircean:
+        gens, rank = _generating_set(comp, conv)
+        # the i-th member g of G against the atoms not reached before it
+        # joined, as rows and as columns
+        fresh = ([*compress(every, map(ge, rank, repeat(i)))]
+                 for i in range(1, len(gens) + 1))
+        first = ((g, cols, cols) for g, cols in zip(gens, fresh))
+    else:
+        gens, _ = _generating_set(comp)
+        first = ((b, every, gens) for b in every)
+    if not any(_mismatches(comp, col_supp, first)):
+        return None
+    full = ((b, every, every) for b in every)
+    if not peircean:
+        return min(filter(None, _mismatches(comp, col_supp, full)))
+    # the least atom that is not good is the least first atom of a
+    # mismatch, and the first middle atom whose block fails
+    a = next(filter(None, _mismatches(comp, col_supp, full)))[1]
+    return min(filter(None, _mismatches(
+        comp, col_supp, ((b, [a], every) for b in every))))
 
 
-def _generating_set(comp: Sequence[Sequence[int]]) -> list[int]:
-    """Light's generating set G, grown greedily in id order: an atom joins
-    G when it is not yet reached, and z is reached when x;y = {z} for x and
-    y reached, one of them in G.  A new member of G is read against every
+def _generating_set(comp: Sequence[Sequence[int]],
+                    conv: Sequence[int] | None = None
+                    ) -> tuple[list[int], list[int]]:
+    """Light's generating set G, grown greedily in id order, and per atom
+    the number of members of G up to the one whose closure reached it.
+
+    An atom joins G when it is not yet reached, and z is reached when
+    x;y = {z} for x and y reached, one of them in G, or, given the
+    converse map conv, when z~ is.  A new member of G is read against every
     reached atom, on both sides; each newly reached atom then against G
-    alone, so that the reading costs O(atoms * |G|), in C."""
+    alone, so that the reading costs O(atoms * |G|), in C.
+    """
     n = len(comp)
     full = (1 << n) - 1
     one_atom = {1 << z for z in range(n)}.__contains__
     reached = bytearray(n)  # the reached mask, as a selector for compress
+    rank = [0] * n
     mask = 0
     gens: list[int] = []
     gen_rows = []
@@ -448,142 +521,119 @@ def _generating_set(comp: Sequence[Sequence[int]]) -> list[int]:
         gens.append(g)
         gen_rows.append(comp[g])
         pick = itemgetter(*gens, g)  # a tuple, even for one generator
-        reached[g] = 1
-        mask |= 1 << g
-        prods = chain(compress(comp[g], reached),
-                      map(itemgetter(g), compress(comp, reached)))
-        while mask != full:
-            new = reduce(or_, filter(one_atom, prods), 0) & ~mask
-            if not new:
-                break
+        new = 1 << g
+        while new:
+            if conv is not None:
+                new = (new | sum(1 << conv[z] for z in iter_bits(new))) & ~mask
             mask |= new
             fresh = list(iter_bits(new))
             for z in fresh:
                 reached[z] = 1
+                rank[z] = len(gens)
+            if mask == full:
+                break
             prods = chain.from_iterable(
                 chain(pick(comp[z]), map(itemgetter(z), gen_rows))
                 for z in fresh)
-    return gens
+            if new >> g & 1:  # g itself, against every reached atom
+                prods = chain(prods, compress(comp[g], reached),
+                              map(itemgetter(g), compress(comp, reached)))
+            new = reduce(or_, filter(one_atom, prods), 0) & ~mask
+    return gens, rank
 
 
-def _first_mismatch(comp: Sequence[Sequence[int]],
-                    columns: Sequence[int]) -> Triple | None:
-    """The least (a, b, c) with c in columns and (a;b);c != a;(b;c), or None.
+def _mismatches(comp: Sequence[Sequence[int]], col_supp: Sequence[int],
+                blocks: Iterable[tuple[int, Sequence[int], Sequence[int]]]
+                ) -> Iterator[Triple | None]:
+    """For each block (b, candidate rows, columns) in turn, the least
+    (a, b, c) with (a;b);c != a;(b;c), c among the columns and a among the
+    candidates or, where a;b = 0, any atom; or None.
 
-    Rows (a, b) with a;b != 0 are visited in order.  In each only the
-    columns c in C (the columns given) with b;c != 0 are gathered, each side
-    in C by itemgetter: the left side, the union of e;c over the atoms e of
-    a;b, from the rows of those e; the right side, the union of a;f over the
-    atoms f of b;c, from row a through per-b index lists, list k holding the
-    k-th atom of each b;c (or its first: the union is idempotent).
+    A block takes its middle atom b against all its rows and columns at
+    once: its rows A, the candidates a with a;b != 0, read off column b,
+    and its live columns, those with b;c != 0.  Both sides over A and the
+    live columns are gathered by itemgetter into flat lists, row after row,
+    in C: the left side, the union of e;c over the atoms e of a;b, from the
+    rows of those e; the right side, the union of a;f over the atoms f of
+    b;c, from the rows of A.  Index lists (_index_lists) hold the k-th atom
+    of each a;b and of each b;c, or its first: the union is idempotent.
 
-    Two failures only invalid tables have are found apart.  Where b;c = 0
-    the right side is 0, so the left one must be too: the columns of C
-    reached by the e must lie in those reached by b.  A row with a;b = 0
-    has 0 on the left, so it fails exactly when a;(b;C) != 0; the least
-    such row is found first from the column supports, and the visit stops
-    there.
+    Two failures only invalid tables have take one mask test per block on
+    the column supports col_supp[b], the atoms a with a;b != 0, and run
+    only where they can fire.  A row with a;b = 0 has 0 on the left, so it
+    fails when a;(b;c) != 0 for a live c: when some atom f of b;c has
+    a;f != 0 for an atom a off the support of b.  A column with b;c = 0
+    has 0 on the right, so it fails when (a;b);c != 0: when some atom below
+    some a;b has a nonzero product with c.
     """
     n = len(comp)
-    # the atom of a one-atom mask, or the default given for 0
-    atom = {1 << z: z for z in range(n)}.get
-    pick = itemgetter(*columns) if len(columns) > 1 else None
-    shl = (1).__lshift__
-    getters = []  # per atom b: None, or its left getter and right getters
-    reach = []  # per atom b: the columns c in C with b;c != 0, as a mask
-    times_c = []  # per atom b: b;C
-    for row in comp:
-        # a getter of one index would return the entry, not a tuple
-        vals = row if len(columns) == n else (
-            pick(row) if pick else (row[columns[0]],))
-        cs = list(compress(columns, vals))
-        if not cs:
-            getters.append(None)
-            reach.append(0)
-            times_c.append(0)
-            continue
-        prods = list(compress(vals, vals))
-        reach.append(sum(map(shl, cs)))
-        times_c.append(reduce(or_, prods))
-        lists = _index_lists(prods, atom)
-        if len(cs) == 1:
-            # so one column is gathered twice
-            cs *= 2
-            lists = [ks * 2 for ks in lists]
-        getters.append((itemgetter(*cs), itemgetter(*lists[0]),
-                        [*starmap(itemgetter, lists[1:])]))
-    col_supp = [0] * n  # per atom y: the atoms x with x;y != 0
-    for x, row in enumerate(comp):
-        bit = 1 << x
-        for y in compress(range(n), row):
-            col_supp[y] |= bit
-    # the least row (a, b) with a;b = 0 but a;f != 0 for some f in b;C
-    stop_a = stop_b = n
     full = (1 << n) - 1
-    for b, t in enumerate(times_c):
-        if t and col_supp[b] != full:
-            bad = _union(col_supp, t) & ~col_supp[b]
-            first = (bad & -bad).bit_length() - 1
-            if bad and first < stop_a:
-                stop_a, stop_b = first, b
-    for a, row_a in enumerate(comp):
-        for b in compress(range(stop_b if a == stop_a else n), row_a):
-            ab = row_a[b]
-            g = getters[b]
-            if ab & (ab - 1) == 0:
-                e = atom(ab)
-                if reach[e] & ~reach[b]:
-                    return (a, b, _least_column(comp, a, b, columns))
-                if g is None:
-                    continue
-                get, right_get, more = g
-                left = get(comp[e])
-            else:
-                if _union(reach, ab) & ~reach[b]:
-                    return (a, b, _least_column(comp, a, b, columns))
-                if g is None:
-                    continue
-                get, right_get, more = g
-                # unions are lists: a tuple built from a map is
-                # over-allocated, then shrunk, and the shrunk tuples fill
-                # the interpreter's free lists, which raises peak memory
-                left = None
-                for e in iter_bits(ab):
-                    part = get(comp[e])
-                    left = part if left is None else [*map(or_, left, part)]
-            right = right_get(row_a)
-            for extra in more:
-                right = [*map(or_, right, extra(row_a))]
-            # a getter gives a tuple and a union a list: compare entries
-            if left != right and [*left] != [*right]:
-                return (a, b, _least_column(comp, a, b, columns))
-        if a == stop_a:
-            return (a, stop_b, _least_column(comp, a, stop_b, columns))
-    return None
+    atom = {1 << z: z for z in range(n)}.get
+    for b, cands, cols in blocks:
+        # column b over the candidate rows, and row b over the columns
+        cand_rows = [*map(comp.__getitem__, cands)]
+        col_b = [*map(itemgetter(b), cand_rows)]
+        rows = [*compress(cands, col_b)]
+        row_b = [*map(comp[b].__getitem__, cols)]
+        live = [*compress(cols, row_b)]
+        prods = [*compress(row_b, row_b)]
+        f_lists = _index_lists(prods, atom)  # the atoms f of each b;c
+        fails = []  # the least (a, c) of each test that fails
+        if live and col_supp[b] != full:
+            out = reduce(or_, map(col_supp.__getitem__,
+                                  set(chain.from_iterable(f_lists))))
+            out &= ~col_supp[b]
+            if out:
+                a = (out & -out).bit_length() - 1
+                fails.append((a, next(c for c, m in zip(live, prods)
+                                      if _union(comp[a], m))))
+        if rows:
+            rows_a = [*compress(cand_rows, col_b)]
+            row_prods = [*compress(col_b, col_b)]
+            zero = [*compress(cols, map(not_, row_b))]
+            if zero and any(map(and_, map(col_supp.__getitem__, zero),
+                                repeat(reduce(or_, row_prods)))):
+                fails.append(next((a, c) for a, ab in zip(rows, row_prods)
+                                  for c in zero if col_supp[c] & ab))
+            if live:
+                left = _or_lists(_gather([*map(comp.__getitem__, es)], live)
+                                 for es in _index_lists(row_prods, atom))
+                right = _or_lists(_gather(rows_a, fs) for fs in f_lists)
+                if left != right:
+                    p = next(compress(count(), map(ne, left, right)))
+                    fails.append((rows[p // len(live)], live[p % len(live)]))
+        if fails:
+            a, c = min(fails)
+            yield a, b, c
+        else:
+            yield None
+
+
+def _gather(rows: Sequence[Sequence[int]], idx: Sequence[int]) -> list[int]:
+    # row[i] for each row, then each i of idx, as one flat list
+    if len(idx) == 1:
+        return [*map(itemgetter(idx[0]), rows)]
+    return [*chain.from_iterable(map(itemgetter(*idx), rows))]
+
+
+def _or_lists(lists: Iterable[list[int]]) -> list[int]:
+    # the entrywise union of lists of one length
+    return reduce(lambda x, y: [*map(or_, x, y)], lists)
 
 
 def _index_lists(prods: list[int], atom) -> list[list[int]]:
     # list k holds the k-th atom of each nonzero mask, or its first atom
+    lists = [[*map(atom, prods)]]
+    if None not in lists[0]:
+        return lists
     low = list(map(and_, prods, map(neg, prods)))
     lists = [list(map(atom, low))]
-    if low == prods:
-        return lists
     rest = list(map(xor, prods, low))
     while any(rest):
         low = list(map(and_, rest, map(neg, rest)))
         lists.append(list(map(atom, low, lists[0])))
         rest = list(map(xor, rest, low))
     return lists
-
-
-def _least_column(comp: Sequence[Sequence[int]], a: int, b: int,
-                  columns: Sequence[int]) -> int:
-    # the least c in columns with (a;b);c != a;(b;c), in a row that has one
-    ab, row_a = comp[a][b], comp[a]
-    for c in columns:
-        if _union([row[c] for row in comp], ab) != _union(row_a, comp[b][c]):
-            return c
-    raise AssertionError("no mismatch in a mismatching row")
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +658,7 @@ def _simplicity_witness(s: AtomStructure) -> str | None:
     then.  So the witness is the least atom in the union of out[d], the
     atoms with domain d, over the identity atoms d that fail.
     """
-    out, into, _ = s._places
+    out, into = s._places[:2]
     bad = reduce(or_, (out[d] for d in s.identity_atoms
                        if not all(out[f] & into[d] for f in s.identity_atoms)), 0)
     return s.atom_names[(bad & -bad).bit_length() - 1] if bad else None

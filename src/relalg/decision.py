@@ -462,7 +462,7 @@ def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
     """
     conv, names = s.converse_map, s.atom_names
     idents = sorted(blocks)
-    out, into, _ = s._places
+    out, into = s._places[:2]
     groups = {(d, r): [*iter_bits(out[d] & into[r])]
               for d in idents for r in idents}
     for (d, r), group in groups.items():

@@ -41,8 +41,14 @@ def cycle_tables(draw):
 @hypothesis.given(cycle_tables())
 def test_associativity_kernel_matches_the_dense_scan(s):
     # on invalid tables too, where a row's left side can reach columns off
-    # the support of b and rows with a;b = 0 can fail
+    # the support of b and rows with a;b = 0 can fail; and on the table's
+    # closure under the cycle law, where a converse that is no involution
+    # must keep plain Light's reduction
     assert _associativity_witness(s) == associativity_witness_oracle(s)
+    closed = AtomStructure(s.atom_names, s.converse_map, s.identity_atoms,
+                           transform_closure(s.cycles, s.converse_map))
+    assert _associativity_witness(closed) == \
+        associativity_witness_oracle(closed)
 
 
 @st.composite
@@ -54,6 +60,28 @@ def involution_maps(draw, n):
     for a, b in zip(ids[:swapped], ids[swapped:2 * swapped]):
         conv[a], conv[b] = b, a
     return conv
+
+
+@st.composite
+def cycle_law_tables(draw):
+    """A table on at most 6 atoms under the cycle law: any involution as
+    converse, any identity atoms, and a union of Peircean orbits."""
+    n = draw(st.integers(1, 6))
+    atom = st.integers(0, n - 1)
+    conv = draw(involution_maps(n))
+    identity = draw(st.frozensets(atom))
+    reps = draw(st.lists(st.tuples(atom, atom, atom), max_size=24))
+    return AtomStructure(tuple(f"a{i}" for i in range(n)), conv, identity,
+                         close_cycles(reps, conv))
+
+
+@hypothesis.settings(max_examples=400)
+@hypothesis.given(cycle_law_tables())
+def test_associativity_kernel_matches_the_dense_scan_under_the_cycle_law(s):
+    # the tables on which the generating set is closed under converse and
+    # each of its members is checked as the middle atom
+    assert not s._cycle_law_broken
+    assert _associativity_witness(s) == associativity_witness_oracle(s)
 
 
 def converse_maps(n):
