@@ -17,11 +17,11 @@ under an involutive converse, and AtomStructure._places, which places
 every atom by two masks per identity atom e, the atoms below e;1 and
 below 1;e, finds the atoms that are no functions, and collects the
 cycles that break the identity law.  The associativity join uses Light's
-reduction and, under the cycle law, Peircean symmetry: one block kernel
-compares (a;b);c with a;(b;c) for a middle atom b over all its rows and
-columns at once, in C, first over a generating set, and over every
-middle atom and column only when that pass fails, in place of an atoms^3
-scan; decision._gated picks the inputs it runs on.  The three axioms compose
+reduction and Peircean symmetry: one block kernel compares (a;b);c with
+a;(b;c) for a middle atom b over all its rows and columns at once, in C,
+over a generating set closed under converse, then over every middle atom
+only if that fails; hand-built tables without the symmetry take every
+middle atom; decision._gated picks its inputs.  The three axioms compose
 nothing: they read _places, O(atoms + identity atoms^2) mask operations.
 The dense table _comp is read by the join, decision._power_runs, the
 search, and compose_mask, the reference of _element_flags.
@@ -446,19 +446,23 @@ def _associativity_witness(s: AtomStructure) -> Triple | None:
     The first pass then takes the i-th member g of G as the middle atom,
     against the rows and columns that the members before g had not
     reached: by induction on i, the atoms they reached are good, which
-    settles the rest of g's block.  Structures that break the cycle law or
-    have a non-involutive converse keep plain Light's reduction, every
-    atom as the middle atom against the columns of G.
+    settles the rest of g's block.  Tables that break the cycle law or
+    have a non-involutive converse, which only a hand-built table can,
+    take the exact scan: every middle atom against every row and column.
 
     The kernel, _mismatches, answers block by block, so the first pass
     stops at its first mismatch.  When it finds none every column is good.
     Otherwise the answer is still the least (a, b, c).  Under the cycle
     law the mismatches with a in the first place are those with a~ in the
-    third, so the least first atom of a mismatch is the least atom that is
-    not good, which is also the first atom whose block as the middle atom
-    fails: the search takes the blocks in order up to that atom a, then
-    the least (a, b, c) over the blocks of every b in row a alone.  Other
-    tables take every atom as the middle atom against every column.
+    third, so the least first atom of a mismatch is the least atom a that
+    is not good, which is also the first atom whose block as the middle
+    atom fails.  Every mismatch then has first atom a or later, so each
+    single-row block (b, [a], every) yields None or a triple whose first
+    atom is a or later, the latter from a row a' with a';b = 0; the block
+    of the least b that fails in row a yields (a, b, least c), and that
+    triple is the least witness.  So the search takes the blocks in order
+    up to a, then the single-row blocks in b order up to the first that
+    yields a triple with first atom a.
 
     The column supports are read off the cycles once, one step per cycle;
     the blocks read the entries of the table in C, with Python work per
@@ -471,41 +475,35 @@ def _associativity_witness(s: AtomStructure) -> Triple | None:
         col_supp[b] |= 1 << a
     every = range(n)
     conv = s.converse_map
-    peircean = (not s._cycle_law_broken
-                and [*map(conv.__getitem__, conv)] == [*every])
-    if peircean:
-        gens, rank = _generating_set(comp, conv)
-        # the i-th member g of G against the atoms not reached before it
-        # joined, as rows and as columns
-        fresh = ([*compress(every, map(ge, rank, repeat(i)))]
-                 for i in range(1, len(gens) + 1))
-        first = ((g, cols, cols) for g, cols in zip(gens, fresh))
-    else:
-        gens, _ = _generating_set(comp)
-        first = ((b, every, gens) for b in every)
+    full = ((b, every, every) for b in every)
+    if s._cycle_law_broken or [*map(conv.__getitem__, conv)] != [*every]:
+        return min(filter(None, _mismatches(comp, col_supp, full)),
+                   default=None)
+    gens, rank = _generating_set(comp, conv)
+    # the i-th member g of G against the atoms not reached before it
+    # joined, as rows and as columns
+    fresh = ([*compress(every, map(ge, rank, repeat(i)))]
+             for i in range(1, len(gens) + 1))
+    first = ((g, cols, cols) for g, cols in zip(gens, fresh))
     if not any(_mismatches(comp, col_supp, first)):
         return None
-    full = ((b, every, every) for b in every)
-    if not peircean:
-        return min(filter(None, _mismatches(comp, col_supp, full)))
-    # the least atom that is not good is the least first atom of a
-    # mismatch, and the first middle atom whose block fails
+    # the first middle atom whose block fails is the least atom not good
     a = next(filter(None, _mismatches(comp, col_supp, full)))[1]
-    return min(filter(None, _mismatches(
-        comp, col_supp, ((b, [a], every) for b in every))))
+    return next(w for w in _mismatches(comp, col_supp,
+                                       ((b, [a], every) for b in every))
+                if w and w[0] == a)
 
 
-def _generating_set(comp: Sequence[Sequence[int]],
-                    conv: Sequence[int] | None = None
+def _generating_set(comp: Sequence[Sequence[int]], conv: Sequence[int]
                     ) -> tuple[list[int], list[int]]:
     """Light's generating set G, grown greedily in id order, and per atom
     the number of members of G up to the one whose closure reached it.
 
     An atom joins G when it is not yet reached, and z is reached when
-    x;y = {z} for x and y reached, one of them in G, or, given the
-    converse map conv, when z~ is.  A new member of G is read against every
-    reached atom, on both sides; each newly reached atom then against G
-    alone, so that the reading costs O(atoms * |G|), in C.
+    x;y = {z} for x and y reached, one of them in G, or when conv[z] is;
+    the identity map as conv gives plain Light's set.  A new member of G
+    is read against every reached atom, on both sides; each newly reached
+    atom then against G alone: O(atoms * |G|) reads, in C.
     """
     n = len(comp)
     full = (1 << n) - 1
@@ -523,8 +521,7 @@ def _generating_set(comp: Sequence[Sequence[int]],
         pick = itemgetter(*gens, g)  # a tuple, even for one generator
         new = 1 << g
         while new:
-            if conv is not None:
-                new = (new | sum(1 << conv[z] for z in iter_bits(new))) & ~mask
+            new = (new | sum(1 << conv[z] for z in iter_bits(new))) & ~mask
             mask |= new
             fresh = list(iter_bits(new))
             for z in fresh:

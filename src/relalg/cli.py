@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 for success or a positive answer, 2 for a definite negative
-answer (invalid structure, rejected decision, no isomorphism, failing
-axiom), 1 for errors such as usage errors, unreadable files, parse
-failures, violated preconditions, an exhausted search budget in `iso` or
-`check-action`, or a Python recursion or memory limit.
+answer (an invalid structure in `validate`, rejected decision, no
+isomorphism, failing axiom), 1 for errors such as usage errors, unreadable
+files, parse failures, violated preconditions (an invalid structure in
+`decide-z2`, `iso`, `check-action` and `axioms`), an exhausted search
+budget in `iso` or `check-action`, or a Python recursion or memory limit.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ import time
 import pytest
 
 from relalg import (AtomStructure, ConcreteAlgebra, ConcreteAlgebraError,
-                    build_group, check_z2_axioms, extract_atom_structure,
-                    parse_atom_structure, parse_concrete_algebra,
-                    peirce_orbit, rel_algebra)
+                    build_group, check_z2_axioms, close_cycles,
+                    extract_atom_structure, parse_atom_structure,
+                    parse_concrete_algebra, peirce_orbit, rel_algebra)
 from relalg import atoms
 from relalg.atoms import _validate
 from relalg.atoms import (_associativity_witness, _generating_set,
@@ -231,6 +231,9 @@ def test_join_matches_dense_scan_on_corrupted_tables(monkeypatch):
                 assert len(passes) > 1 and first[-1] is not None
                 assert not any(first[:-1])
                 assert wit in passes[-1]
+                # the witness pass stops at the first single-row block, in
+                # b order, that fails in row a
+                assert len(passes[-1]) == wit[1] + 1
                 if len(first) < bad.n_atoms:
                     rerun += 1
                 assert "associativity" in bad.validation.codes()
@@ -247,21 +250,35 @@ def test_converse_closure_shrinks_the_generating_set():
     for s in (catalog_structures() + extracted_structures()
               + regular_structures()):
         gens, _ = _generating_set(s._comp, s.converse_map)
-        assert len(gens) <= len(_generating_set(s._comp)[0])
+        plain, _ = _generating_set(s._comp, range(s.n_atoms))
+        assert len(gens) <= len(plain)
     s = shuffled(involution_structure(0, 24), random.Random(24))
     gens, _ = _generating_set(s._comp, s.converse_map)
-    assert len(gens) <= 24 < len(_generating_set(s._comp)[0])
+    plain, _ = _generating_set(s._comp, range(s.n_atoms))
+    assert len(gens) <= 24 < len(plain)
 
 
 def test_only_one_atom_products_reach_new_columns():
-    # x;x = {x, y}, x;y = {y}, y;x = {x, y}, y;y = {x}.  Column x passes,
-    # and y is the only failing column: (x;x);y = {x, y} but x;(x;y) = {y}.
-    # y lies in x;x but no one-atom product of x reaches it, so y joins the
-    # generating set; reaching it through x;x would check column x alone
-    # and pass the table.
+    # Three atoms, each its own converse, under the cycle law: x;x = {y, z},
+    # y;y = {z}, z;z = {y}, y;z = z;y = {y, z}, and x;y, y;x, x;z, z;x are
+    # {x}.  x is good, and y is the least atom that is not:
+    # (y;y);z = {y} but y;(y;z) = {y, z}.  y lies in x;x but no one-atom
+    # product of x reaches it, so y joins the generating set; reaching it
+    # through x;x would check x's block alone and pass the table.
+    conv = (0, 1, 2)
+    s = AtomStructure(("x", "y", "z"), conv, frozenset(), close_cycles(
+        [(0, 0, 1), (0, 0, 2), (1, 1, 2), (1, 2, 2)], conv))
+    assert not s._cycle_law_broken
+    assert associativity_witness_oracle(s) == (1, 1, 2)
+    assert _associativity_witness(s) == (1, 1, 2)
+    assert _generating_set(s._comp, conv)[0] == [0, 1]
+    # x;x = {x, y}, x;y = {y}, y;x = {x, y}, y;y = {x}: (x;x);y = {x, y}
+    # but x;(x;y) = {y}.  The table breaks the cycle law, so it takes the
+    # exact scan.
     s = AtomStructure(("x", "y"), (0, 1), frozenset(),
                       {(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1),
                        (1, 1, 0)})
+    assert s._cycle_law_broken
     assert associativity_witness_oracle(s) == (0, 0, 1)
     assert _associativity_witness(s) == (0, 0, 1)
 

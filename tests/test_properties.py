@@ -3,12 +3,13 @@ installed; without it they skip."""
 
 import pytest
 
-from relalg import (AtomStructure, build_group, check_action_represents,
-                    close_cycles, decide_z2, extract_atom_structure,
-                    find_isomorphism, format_atom_structure,
-                    format_concrete_algebra, format_group_action, pair_orbits,
-                    parse_atom_structure, parse_concrete_algebra,
-                    parse_group_action, peirce_orbit, rel_algebra)
+from relalg import (AtomStructure, ParseError, build_group,
+                    check_action_represents, close_cycles, decide_z2,
+                    extract_atom_structure, find_isomorphism,
+                    format_atom_structure, format_concrete_algebra,
+                    format_group_action, pair_orbits, parse_atom_structure,
+                    parse_concrete_algebra, parse_group_action, peirce_orbit,
+                    rel_algebra)
 from relalg.atoms import _associativity_witness, _local_laws
 from relalg.decision import _power_runs
 
@@ -43,7 +44,7 @@ def test_associativity_kernel_matches_the_dense_scan(s):
     # on invalid tables too, where a row's left side can reach columns off
     # the support of b and rows with a;b = 0 can fail; and on the table's
     # closure under the cycle law, where a converse that is no involution
-    # must keep plain Light's reduction
+    # takes the exact scan
     assert _associativity_witness(s) == associativity_witness_oracle(s)
     closed = AtomStructure(s.atom_names, s.converse_map, s.identity_atoms,
                            transform_closure(s.cycles, s.converse_map))
@@ -158,6 +159,38 @@ def test_parsed_local_laws_hide_nothing(drawn):
     assert s.cycles == close_cycles_oracle(reps, s.converse_map)
     assert s._local_violations == local_laws_oracle(AtomStructure(
         s.atom_names, s.converse_map, s.identity_atoms, s.cycles))
+
+
+@st.composite
+def converse_texts(draw):
+    """The text of a structure on at most 5 atoms whose converse line
+    pairs any atoms, repeats and self pairs included, and any cycle lines;
+    structure_texts draws involutions only."""
+    n = draw(st.integers(1, 5))
+    atom = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(atom, atom), max_size=6))
+    reps = draw(st.lists(st.tuples(atom, atom, atom), max_size=12))
+    name = "a{}".format
+    lines = ["atoms " + " ".join(map(name, range(n))), "identity a0",
+             "converse " + " ".join(f"a{a}:a{b}" for a, b in pairs)]
+    lines += [f"cycle a{x} a{y} a{z}" for x, y, z in reps]
+    return "\n".join(lines) + "\n"
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(converse_texts())
+def test_parsed_structures_have_peircean_symmetry(text):
+    # a parsed converse is an involution and its cycles are closed under
+    # it, so only a table built by hand takes the associativity join's
+    # exact scan
+    try:
+        s = parse_atom_structure(text)
+    except ParseError as e:
+        assert e.message == "atom appears in two converse pairs"
+        return
+    conv = s.converse_map
+    assert [*map(conv.__getitem__, conv)] == [*range(s.n_atoms)]
+    assert s.cycles == close_cycles(s.cycles, conv)
 
 
 @hypothesis.settings(max_examples=400)
