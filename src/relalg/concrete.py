@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .atoms import AtomStructure, Triple, usable_atom_name
@@ -55,7 +56,9 @@ class ConcreteAlgebra:
         if len(self.owner) != n * n:
             raise ValueError(f"expected an owner table of {n * n} entries, "
                              f"got {len(self.owner)}")
-        if set(self.owner) != set(range(len(self.atom_names))):
+        # the types are read off every entry: 0.0 and True equal atom ids
+        if (set(map(type, self.owner)) != {int}
+                or set(self.owner) != set(range(len(self.atom_names)))):
             raise ValueError("the owner table must give every atom a pair "
                              "and name no other atom")
 
@@ -189,11 +192,14 @@ def extract_atom_structure(c: ConcreteAlgebra) -> AtomStructure:
     The result is not validated: once that check passes, the atoms are the
     atoms of a subalgebra of the full algebra of relations on the base set,
     and the atom structure of such an algebra satisfies the cycle law, the
-    identity law and associativity (Maddux, Relation Algebras, 2006).  The
-    atom names obey the structure's naming rule, checked by ConcreteAlgebra.
+    identity law and associativity (Maddux, Relation Algebras, 2006).  Nor
+    does it go through the AtomStructure constructor's checks: every id is
+    read off the owner table, whose entries ConcreteAlgebra has checked to
+    be the ints 0..atoms-1, and the names obey the structure's naming rule,
+    also checked there.
     """
     c.require_invariants()
-    cycles = [t for z, pairs in enumerate(c._atom_pairs)
-              for t in c._profile(pairs[0], z)]
-    return AtomStructure(c.atom_names, c._converse_ids, c._identity_ids,
-                         cycles)
+    cycles = frozenset(chain.from_iterable(
+        c._profile(pairs[0], z) for z, pairs in enumerate(c._atom_pairs)))
+    return AtomStructure._of_checked_ids(c.atom_names, c._converse_ids,
+                                         c._identity_ids, cycles)

@@ -162,6 +162,11 @@ def test_algebra_constructor_rejects_malformed_input():
         ConcreteAlgebra(2, ("x",), (0, 1, 1, 0))
     with pytest.raises(ValueError, match="every atom a pair"):
         ConcreteAlgebra(2, ("x", "y"), (0, -1, 1, 0))
+    # ids equal to 0 and 1 that are no ints: extraction reads its ids off
+    # the table unchecked
+    for bad in ((0.0, 1, 1, 0), (0, True, True, 0), (0, 1, 1.0, 0)):
+        with pytest.raises(ValueError, match="every atom a pair"):
+            ConcreteAlgebra(2, ("x", "y"), bad)
     with pytest.raises(ValueError, match="outside base set"):
         ConcreteAlgebra.from_pairs(2, ("x",), ([(0, 2)],))
 

@@ -249,11 +249,11 @@ def test_shuffled_ids_are_accepted(points, twins, atoms):
 def proof_only():
     """A context in which reaching the isomorphism search fails; it yields
     the lists of the structures the associativity join runs on and of
-    those whose composition table (AtomStructure._comp) is computed, the
-    table still cached as before."""
+    those whose composition table (AtomStructure._table, behind _comp) is
+    computed, the table still cached as before."""
     joins, tables = [], []
     join = atoms._associativity_witness
-    comp = AtomStructure._comp
+    table = AtomStructure._table
 
     def unreachable(*args):
         raise AssertionError("the search ran on a Z2-representable input")
@@ -262,16 +262,16 @@ def proof_only():
         joins.append(s)
         return join(s)
 
-    def counting_comp(s):
+    def counting_table(s):
         tables.append(s)
-        return comp.func(s)
+        return table.func(s)
 
-    counted = functools.cached_property(counting_comp)
-    counted.__set_name__(AtomStructure, "_comp")
+    counted = functools.cached_property(counting_table)
+    counted.__set_name__(AtomStructure, "_table")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decision, "_search_isomorphism", unreachable)
         patch.setattr(atoms, "_associativity_witness", counting)
-        patch.setattr(AtomStructure, "_comp", counted)
+        patch.setattr(AtomStructure, "_table", counted)
         yield joins, tables
 
 

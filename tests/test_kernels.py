@@ -11,7 +11,8 @@ import pytest
 from relalg import (AtomStructure, ConcreteAlgebra, ConcreteAlgebraError,
                     build_group, check_z2_axioms, close_cycles,
                     extract_atom_structure, parse_atom_structure,
-                    parse_concrete_algebra, peirce_orbit, rel_algebra)
+                    parse_concrete_algebra, parse_group_action, peirce_orbit,
+                    rel_algebra)
 from relalg import atoms
 from relalg.atoms import _validate
 from relalg.atoms import (_associativity_witness, _generating_set,
@@ -36,6 +37,12 @@ def random_algebras(rng, count, max_n):
                 for _ in range(rng.randint(1, 2))]
         out.append(rel_algebra(build_group(n, gens)))
     return out
+
+
+def dihedral_action(n):
+    """The dihedral group of order 2n on n points: a rotation and a flip."""
+    return build_group(n, [tuple((i + 1) % n for i in range(n)),
+                           tuple(-i % n for i in range(n))])
 
 
 def catalog_structures():
@@ -87,6 +94,27 @@ def test_every_extracted_structure_in_the_corpus_is_valid():
     for c in algebras:
         s = extract_atom_structure(c)
         assert s.validation.ok, (c.base_size, s.validation.lines())
+
+
+def test_extraction_equals_the_checked_constructor():
+    # extraction sets the fields without the constructor's checks, trusting
+    # the ids of the owner table; the constructor, given the same fields,
+    # checks them and builds an equal structure with ids of type int only
+    algebras = random_algebras(random.Random(7), 40, 7)
+    algebras += [parse_concrete_algebra(p.read_text(), source=str(p))
+                 for p in sorted(DATA.glob("*.ca"))]
+    for c in algebras:
+        s = extract_atom_structure(c)
+        checked = AtomStructure(c.atom_names, c._converse_ids,
+                                c._identity_ids, list(s.cycles))
+        assert s == checked
+        for field in ("atom_names", "converse_map", "identity_atoms",
+                      "cycles"):
+            assert type(getattr(s, field)) is type(getattr(checked, field))
+        ids = {*s.converse_map, *s.identity_atoms,
+               *(a for t in s.cycles for a in t)}
+        assert {type(a) for a in ids} == {int}
+        assert {type(t) for t in s.cycles} <= {tuple}
 
 
 def test_validation_runs_at_most_once_per_structure(monkeypatch, capsys):
@@ -204,10 +232,10 @@ def test_join_matches_dense_scan_on_corrupted_tables(monkeypatch):
     # passes after it settled
     passes = []
 
-    def recording(comp, col_supp, blocks):
+    def recording(comp, col_supp, blocks, symmetric=False):
         answers = []
         passes.append(answers)
-        for wit in mismatches(comp, col_supp, blocks):
+        for wit in mismatches(comp, col_supp, blocks, symmetric):
             answers.append(wit)
             yield wit
 
@@ -243,18 +271,72 @@ def test_join_matches_dense_scan_on_corrupted_tables(monkeypatch):
     assert rerun > 10  # and often fail on the generating set first
 
 
+def test_the_joins_generating_set_does_not_depend_on_atom_names(monkeypatch):
+    # the join grows G from the functions, then the identity atoms, then
+    # the rest: one size of G over 12 shuffles of each dihedral table,
+    # where growing it in id order gives two or more
+    sizes = []
+
+    def recording(comp, conv, order):
+        gens, rank = generating_set(comp, conv, order)
+        sizes.append(len(gens))
+        return gens, rank
+
+    generating_set = atoms._generating_set
+    monkeypatch.setattr(atoms, "_generating_set", recording)
+    for points, size in ((24, 7), (40, 11), (60, 16)):
+        s = extract_atom_structure(rel_algebra(dihedral_action(points)))
+        in_id_order = set()
+        for seed in range(12):
+            t = shuffled(s, random.Random(seed))
+            sizes.clear()
+            assert _associativity_witness(t) is None
+            assert sizes == [size], (points, seed)
+            ids = range(t.n_atoms)
+            in_id_order.add(len(generating_set(t._comp, t.converse_map,
+                                               ids)[0]))
+        assert len(in_id_order) >= 2, points
+
+
+def test_the_first_pass_is_one_sided_where_every_atom_is_self_converse(
+        monkeypatch):
+    # a table whose atoms are all their own converses is commutative, so
+    # each block of the first pass computes its left side only
+    flags = []
+
+    def recording(comp, col_supp, blocks, symmetric=False):
+        flags.append(symmetric)
+        return mismatches(comp, col_supp, blocks, symmetric)
+
+    mismatches = atoms._mismatches
+    monkeypatch.setattr(atoms, "_mismatches", recording)
+    rng = random.Random(5)
+    dihedral = shuffled(extract_atom_structure(rel_algebra(
+        dihedral_action(12))), rng)
+    z3 = shuffled(extract_atom_structure(rel_algebra(
+        parse_group_action((DATA / "z3.act").read_text()))), rng)
+    assert dihedral.converse_map == tuple(range(dihedral.n_atoms))
+    assert z3.converse_map != tuple(range(3))
+    for s, symmetric in ((dihedral, True), (z3, False)):
+        flags.clear()
+        assert _associativity_witness(s) is None
+        assert flags == [symmetric]
+
+
 def test_converse_closure_shrinks_the_generating_set():
     # under the cycle law a good column's converse is good, so the set
     # closed under converse is no larger than plain Light's; the shuffled
     # 24-twin involution has 1152 atoms, and plain Light's set 47 of them
     for s in (catalog_structures() + extracted_structures()
               + regular_structures()):
-        gens, _ = _generating_set(s._comp, s.converse_map)
-        plain, _ = _generating_set(s._comp, range(s.n_atoms))
+        ids = range(s.n_atoms)
+        gens, _ = _generating_set(s._comp, s.converse_map, ids)
+        plain, _ = _generating_set(s._comp, ids, ids)
         assert len(gens) <= len(plain)
     s = shuffled(involution_structure(0, 24), random.Random(24))
-    gens, _ = _generating_set(s._comp, s.converse_map)
-    plain, _ = _generating_set(s._comp, range(s.n_atoms))
+    ids = range(s.n_atoms)
+    gens, _ = _generating_set(s._comp, s.converse_map, ids)
+    plain, _ = _generating_set(s._comp, ids, ids)
     assert len(gens) <= 24 < len(plain)
 
 
@@ -271,7 +353,7 @@ def test_only_one_atom_products_reach_new_columns():
     assert not s._cycle_law_broken
     assert associativity_witness_oracle(s) == (1, 1, 2)
     assert _associativity_witness(s) == (1, 1, 2)
-    assert _generating_set(s._comp, conv)[0] == [0, 1]
+    assert _generating_set(s._comp, conv, range(3))[0] == [0, 1]
     # x;x = {x, y}, x;y = {y}, y;x = {x, y}, y;y = {x}: (x;x);y = {x, y}
     # but x;(x;y) = {y}.  The table breaks the cycle law, so it takes the
     # exact scan.
@@ -298,7 +380,7 @@ def test_rows_off_the_support_fail_on_invalid_tables():
 
 
 def test_validating_the_structure_of_z2_to_the_8_takes_under_a_second():
-    # 256 atoms, each product one atom: the generating set has 9 atoms,
+    # 256 atoms, each product one atom: the generating set has 8 atoms,
     # where a pass over every column costs 2.5 s
     s = extract_atom_structure(rel_algebra(regular_action([2] * 8)))
     assert (s.n_atoms, len(s.cycles)) == (256, 65536)
