@@ -92,15 +92,21 @@ def close_cycles(cycles: Iterable[Triple], converse: Sequence[int]) -> frozenset
 
     The union is closed under the transforms exactly when the converse is
     an involution: the six transforms of a cycle are then its orbit under
-    the group they generate.  The set is built column by column, with zip
-    and map over the cycles' columns, in C.
+    the group they generate.  Every cycle must be a triple; the ids are
+    not checked.  The set is built by _close_columns.
     """
     reps = list(cycles)
     if not reps:
         return frozenset()
     if set(map(len, reps)) != {3}:
         raise ValueError("every cycle must be a triple of atom ids")
-    xs, ys, zs = zip(*reps)
+    return _close_columns(*zip(*reps), converse)
+
+
+def _close_columns(xs: Sequence[int], ys: Sequence[int], zs: Sequence[int],
+                   converse: Sequence[int]) -> frozenset[Triple]:
+    # the six transforms of the cycles (xs[i], ys[i], zs[i]), built column
+    # by column with zip and map over the three columns, in C
     cx, cy, cz = ([*map(converse.__getitem__, col)] for col in (xs, ys, zs))
     return frozenset(chain(zip(xs, ys, zs), zip(cx, zs, ys), zip(zs, cy, xs),
                            zip(ys, cz, cx), zip(cz, xs, cy), zip(cy, cx, cz)))
@@ -171,18 +177,22 @@ class AtomStructure:
     @classmethod
     def _of_cycle_reps(cls, atom_names: Sequence[str],
                        converse_map: Sequence[int], identity_atoms: Iterable[int],
-                       reps: Iterable[Triple]) -> "AtomStructure":
+                       xs: Sequence[int], ys: Sequence[int],
+                       zs: Sequence[int]) -> "AtomStructure":
         """Internal to formats.parse_atom_structure: the structure whose
-        cycles are the representatives closed by close_cycles.  The
-        constructor checks the representatives and the converse map, so
-        their closure names atom ids only and is not checked again.  Under
-        an involutive converse, checked here in O(atoms), the closure
+        cycles are the representatives (xs[i], ys[i], zs[i]) closed by
+        _close_columns, the fields set by _of_checked_ids without the
+        constructor's checks.  Every id, of the converse map, the identity
+        atoms and the three columns, is a value of the parser's name index,
+        so an int below the atom count, and so is every id of the closure.
+        Under an involutive converse, checked here in O(atoms), the closure
         leaves no cycle breaking the cycle law, so the law's scan is preset
         to find nothing; under any other converse map it runs as for every
         structure built by the constructor."""
-        s = cls(atom_names, converse_map, identity_atoms, reps)
-        conv = s.converse_map
-        object.__setattr__(s, "cycles", close_cycles(s.cycles, conv))
+        conv = tuple(converse_map)
+        s = cls._of_checked_ids(tuple(atom_names), conv,
+                                frozenset(identity_atoms),
+                                _close_columns(xs, ys, zs, conv))
         if [*map(conv.__getitem__, conv)] == [*range(len(conv))]:
             s.__dict__["_cycle_law_broken"] = ()
         return s
@@ -192,10 +202,13 @@ class AtomStructure:
                         converse_map: tuple[int, ...],
                         identity_atoms: frozenset[int],
                         cycles: frozenset[Triple]) -> "AtomStructure":
-        """Internal to concrete.extract_atom_structure: the structure with
-        these four fields, set as given, without the constructor's checks.
-        Every id was read off an owner table that ConcreteAlgebra checked.
-        The cycle law's scan still runs when the structure is validated."""
+        """Internal to concrete.extract_atom_structure and _of_cycle_reps:
+        the structure with these four fields, set as given, without the
+        constructor's checks.  The caller vouches that every id is an int
+        below the atom count: extraction reads its ids off an owner table
+        that ConcreteAlgebra checked, the parser off its name index.  The
+        cycle law's scan still runs when the structure is validated, unless
+        the caller presets it."""
         s = cls.__new__(cls)
         for f, value in zip(fields(cls), (atom_names, converse_map,
                                           identity_atoms, cycles)):

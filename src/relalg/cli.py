@@ -29,11 +29,16 @@ from .actions import rel_algebra
 
 
 def _read(path: str) -> str:
-    # a leading byte-order mark is skipped, and still counted in offsets
+    # read whole as bytes, in one unbuffered call, and decoded at once:
+    # the parsers split lines with str.splitlines, which ends a line at
+    # CRLF and at a lone CR as text mode's newline translation did; a
+    # leading byte-order mark is skipped, and still counted in offsets
+    with open(path, "rb", buffering=0) as f:
+        data = f.read()
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        mark = Path(path).read_bytes().startswith(codecs.BOM_UTF8)
+        mark = data.startswith(codecs.BOM_UTF8)
         raise RelalgError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                           f"{exc.start + 3 * mark})") from None
 

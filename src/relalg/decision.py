@@ -109,9 +109,12 @@ def _refined_colours(source: AtomStructure, target: AtomStructure
     """Colour refinement over cycles, from identity and self-converse atoms.
 
     An atom x's next colour is its colour and the multiset of (c[y], c[z])
-    over its first-place cycles (x, y, z).  One table numbers the colours
-    of both structures, so equal numbers mean equal colours; rounds stop
-    when no class splits.  None when some class differs in size.
+    over its first-place cycles (x, y, z), each pair keyed by the integer
+    c[y] * k + c[z], k the previous round's class count: every colour is
+    below k, so the key is injective and sorts like the pair.  One table
+    numbers the colours of both structures, so equal numbers mean equal
+    colours; rounds stop when no class splits.  None when some class
+    differs in size.
 
     Requires the cycle law, with converse an involution, as valid and
     extracted structures have.  Then x's second- and third-place cycles
@@ -128,9 +131,9 @@ def _refined_colours(source: AtomStructure, target: AtomStructure
         classes, table = len(table), {}
         for k, s in enumerate((source, target)):
             c = cols[k]
-            ctx: list[list[tuple[int, int]]] = [[] for _ in c]
+            ctx: list[list[int]] = [[] for _ in c]
             for x, y, z in s.cycles:
-                ctx[x].append((c[y], c[z]))
+                ctx[x].append(c[y] * classes + c[z])
             cols[k] = [table.setdefault((c[a], tuple(sorted(t))), len(table))
                        for a, t in enumerate(ctx)]
         if len(table) == classes:

@@ -2,12 +2,17 @@
 
 All three formats share the same conventions: '#' starts a comment, blank
 lines are ignored, and every directive is a whitespace-separated line.
-Parsers raise ParseError with the offending source name, line number, and
-token.  Emitters produce text the parsers round-trip exactly.
+Lines are split by str.splitlines, so LF, CRLF and a lone CR each end a
+line and the text needs no newline translation (the CLI decodes files
+read as bytes).  Parsers raise ParseError with the offending source name,
+line number, and token.  Emitters produce text the parsers round-trip exactly.
 
 An atom structure is read in one loop over its lines, cycle lines tested
-first, and built by AtomStructure._of_cycle_reps, which closes the cycle
-representatives column by column and so needs no cycle-law scan.
+first, with the three ids of each cycle line appended to three column
+lists.  AtomStructure._of_cycle_reps closes those columns and sets the
+fields without the constructor's checks: every id is a value of the
+parser's name index.  Under the parser's converse, always an involution,
+the closure needs no cycle-law scan.
 """
 
 from __future__ import annotations
@@ -59,7 +64,9 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
     identity: list[int] | None = None
     converse: list[int] | None = None
     index: dict[str, int] = {}  # first occurrence wins on duplicate names
-    cycle_reps: list[tuple[int, int, int]] = []
+    xs: list[int] = []  # the cycle lines' ids, one list per place
+    ys: list[int] = []
+    zs: list[int] = []
 
     def atom_id(name: str, lineno: int) -> int:
         if atoms is None:
@@ -80,10 +87,13 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
                 raise ParseError(source, lineno,
                                  "cycle lines take exactly three atoms")
             try:
-                cycle_reps.append((get(parts[1]), get(parts[2]), get(parts[3])))
+                x, y, z = get(parts[1]), get(parts[2]), get(parts[3])
             except KeyError:
                 for p in parts[1:]:  # raises at the first unknown name
                     atom_id(p, lineno)
+            xs.append(x)
+            ys.append(y)
+            zs.append(z)
         elif kw == "atoms":
             if atoms is not None:
                 raise ParseError(source, lineno, "duplicate atoms line")
@@ -126,7 +136,7 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
         raise ParseError(source, 0, "missing identity line")
     if converse is None:
         converse = list(range(len(atoms)))
-    return AtomStructure._of_cycle_reps(atoms, converse, identity, cycle_reps)
+    return AtomStructure._of_cycle_reps(atoms, converse, identity, xs, ys, zs)
 
 
 def format_atom_structure(s: AtomStructure) -> str:

@@ -167,18 +167,25 @@ def test_undecodable_file_is_an_error(tmp_path, capsys):
 
 
 def test_byte_order_mark_is_skipped(tmp_path, capsys):
-    # every input of data/, saved with a UTF-8 byte-order mark, gives the
-    # same exit code and report as the original
+    # every input of data/, saved with a UTF-8 byte-order mark, with CRLF
+    # or lone-CR line ends, or with both a mark and CRLF, gives the same
+    # exit code and report as the original
     commands = {".ra": ["decide-z2", "--verify"], ".act": ["rel"],
                 ".ca": ["classify"]}
     paths = sorted(DATA.iterdir())
     assert {p.suffix for p in paths} == set(commands)
     for path in paths:
-        marked = tmp_path / path.name
-        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        code, out, err = run(capsys, *commands[path.suffix], marked)
-        assert (code, out) == run(capsys, *commands[path.suffix], path)[:2]
-        assert out and not err, path
+        raw = path.read_bytes()
+        assert b"\r" not in raw and raw.count(b"\n") > 1, path
+        crlf = raw.replace(b"\n", b"\r\n")
+        expected = run(capsys, *commands[path.suffix], path)[:2]
+        for variant in (b"\xef\xbb\xbf" + raw, crlf,
+                        raw.replace(b"\n", b"\r"), b"\xef\xbb\xbf" + crlf):
+            saved = tmp_path / path.name
+            saved.write_bytes(variant)
+            code, out, err = run(capsys, *commands[path.suffix], saved)
+            assert (code, out) == expected, (path, variant[:24])
+            assert out and not err, (path, variant[:24])
 
 
 def test_unwritable_output_is_an_error(tmp_path, capsys):

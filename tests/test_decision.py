@@ -14,8 +14,8 @@ import pytest
 from relalg import (AtomStructure, InternalError, InvalidStructureError,
                     IsoWitness, SearchBudgetExceeded, build_group,
                     check_action_represents, check_z2_axioms, classify_atoms,
-                    decide_z2, extract_atom_structure, find_isomorphism,
-                    rel_algebra, verify_decision)
+                    close_cycles, decide_z2, extract_atom_structure,
+                    find_isomorphism, rel_algebra, verify_decision)
 from relalg import atoms, decision
 from relalg.cli import main
 from relalg.decision import _power_runs, _proof_witness, _refined_colours
@@ -116,11 +116,35 @@ def larger_structures() -> list[AtomStructure]:
                for orders in ([12], [48], [2, 8], [3, 9], [4, 4])])
 
 
+def random_cycle_law_tables(rng, count):
+    """Tables on 1 to 6 atoms under the cycle law, with any involution as
+    converse, self-converse identity atoms, and up to 24 random cycles
+    closed under the Peircean transforms.  About one in fifteen, paired
+    with a shuffled copy, gets other colours when refinement keys a pair
+    of colours (c[y], c[z]) by c[y] * (k - 1) + c[z] in place of
+    c[y] * k + c[z], k the class count."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        ids = rng.sample(range(n), n)
+        conv = list(range(n))
+        for a, b in zip(ids[::2], ids[1::2]):
+            if rng.random() < 0.5:
+                conv[a], conv[b] = b, a
+        identity = {a for a in range(n) if conv[a] == a and rng.random() < 0.3}
+        reps = [tuple(rng.randrange(n) for _ in range(3))
+                for _ in range(rng.randint(0, 24))]
+        out.append(AtomStructure(tuple(f"a{i}" for i in range(n)), conv,
+                                 identity, close_cycles(reps, conv)))
+    return out
+
+
 def test_refined_colours_match_the_all_places_oracle():
     # first places alone give the colours of keying on all three places and
     # the converse's colour: on each catalog structure against every one of
-    # its atom count, on shuffled copies, and on regular actions that
-    # refinement does not tell apart
+    # its atom count, on shuffled copies, on regular actions that
+    # refinement does not tell apart, and on small random tables under the
+    # cycle law, whose colours the integer pair keys must keep apart
     by_atoms: dict[int, list[AtomStructure]] = {}
     for s in catalog_structures():
         by_atoms.setdefault(s.n_atoms, []).append(s)
@@ -137,6 +161,8 @@ def test_refined_colours_match_the_all_places_oracle():
         for _ in range(10):
             x, y = shuffled(a, rng), shuffled(b, rng)
             pairs += [(x, y), (y, x)]
+    rng = random.Random(3)
+    pairs += [(s, shuffled(s, rng)) for s in random_cycle_law_tables(rng, 300)]
     answers = [refined_colours_oracle(x, y) for x, y in pairs]
     assert None in answers and answers.count(None) < len(answers)
     for (x, y), expected in zip(pairs, answers):

@@ -10,9 +10,9 @@ import pytest
 
 from relalg import (AtomStructure, ConcreteAlgebra, ConcreteAlgebraError,
                     build_group, check_z2_axioms, close_cycles,
-                    extract_atom_structure, parse_atom_structure,
-                    parse_concrete_algebra, parse_group_action, peirce_orbit,
-                    rel_algebra)
+                    extract_atom_structure, format_atom_structure,
+                    parse_atom_structure, parse_concrete_algebra,
+                    parse_group_action, peirce_orbit, rel_algebra)
 from relalg import atoms
 from relalg.atoms import _validate
 from relalg.atoms import (_associativity_witness, _generating_set,
@@ -21,11 +21,12 @@ from relalg.cli import main
 
 from conftest import (DATA, ConcreteRelation, associativity_witness_oracle,
                       atom_flags_oracle, atom_relations, axioms_oracle,
-                      compose_masks_oracle, composition_scan_oracle,
-                      converse_mask_oracle,
+                      close_cycles_oracle, compose_masks_oracle,
+                      composition_scan_oracle, converse_mask_oracle,
                       generated_groups, invariant_violations_oracle,
-                      involution_structure, involutions, load_structure,
-                      local_laws_oracle, regular_action, shuffled)
+                      involution_action, involution_structure, involutions,
+                      load_structure, local_laws_oracle, regular_action,
+                      shuffled)
 
 
 def random_algebras(rng, count, max_n):
@@ -115,6 +116,64 @@ def test_extraction_equals_the_checked_constructor():
                *(a for t in s.cycles for a in t)}
         assert {type(a) for a in ids} == {int}
         assert {type(t) for t in s.cycles} <= {tuple}
+
+
+def constructor_fields(text):
+    """The constructor's four arguments for a well-formed .ra text, read
+    without the parser: the first of two equal names wins, and the cycle
+    lines are closed by the oracle."""
+    names, conv, ident, reps, index = [], [], [], [], {}
+    for kw, *args in filter(None, (raw.split("#", 1)[0].split()
+                                   for raw in text.splitlines())):
+        if kw == "atoms":
+            names, conv = args, list(range(len(args)))
+            for a, name in reversed([*enumerate(args)]):
+                index[name] = a
+        elif kw == "identity":
+            ident = [index[a] for a in args]
+        elif kw == "converse":
+            for pair in args:
+                a, b = (index[name] for name in pair.split(":"))
+                conv[a], conv[b] = b, a
+        elif kw == "cycle":
+            reps.append(tuple(index[a] for a in args))
+    return names, conv, ident, close_cycles_oracle(reps, conv)
+
+
+def test_parsing_equals_the_checked_constructor():
+    # the parser sets the fields without the constructor's checks, trusting
+    # the ids of its name index; the constructor, given the same names,
+    # converse, identity atoms and closed cycle lines, checks them and
+    # builds an equal structure with ids of type int only
+    texts = [p.read_text() for p in sorted(DATA.glob("*.ra"))]
+    rng = random.Random(11)
+    z3_triangles = build_group(12, [tuple(3 * (i // 3) + (i + 1) % 3
+                                          for i in range(12))])
+    texts += [format_atom_structure(shuffled(extract_atom_structure(
+        rel_algebra(a)), rng)) for a in (
+            involution_action(2, 3), regular_action([4, 2]),
+            regular_action([7]), z3_triangles, dihedral_action(7))]
+    texts += [
+        # a duplicated name: the second a keeps its own id and converse
+        "atoms e a a\nidentity e\nconverse a:a\ncycle e a a\n",
+        # a repeated cycle line, and a transform of it
+        "atoms e a\nidentity e\ncycle e a a\ncycle e a a\ncycle a a e\n",
+        # no cycle lines
+        "atoms e\nidentity e\n",
+    ]
+    for text in texts:
+        s = parse_atom_structure(text)
+        checked = AtomStructure(*constructor_fields(text))
+        assert s == checked, text
+        for field in ("atom_names", "converse_map", "identity_atoms",
+                      "cycles"):
+            assert type(getattr(s, field)) is type(getattr(checked, field))
+        ids = {*s.converse_map, *s.identity_atoms,
+               *(a for t in s.cycles for a in t)}
+        assert {type(a) for a in ids} == {int}
+        assert {type(t) for t in s.cycles} <= {tuple}
+    assert parse_atom_structure(texts[-3]).converse_map == (0, 1, 2)
+    assert parse_atom_structure(texts[-1]).cycles == frozenset()
 
 
 def test_validation_runs_at_most_once_per_structure(monkeypatch, capsys):
@@ -211,7 +270,7 @@ def test_cycle_law_scan_runs_only_where_it_can_fail(monkeypatch):
         assert scans(rebuilt) == (1, ()), name
     # a converse that is no involution keeps the scan, parsed or not
     s = AtomStructure._of_cycle_reps(("e", "a"), (0, 0), {0},
-                                     [(0, 0, 0), (1, 0, 1)])
+                                     (0, 1), (0, 0), (0, 1))
     assert scans(s)[0] == 1
 
 
