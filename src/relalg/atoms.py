@@ -12,12 +12,13 @@ tested against.
 
 Validation has two parts.  The local laws (names, converse, the cycle
 and identity laws, one domain and one range atom per atom) cost two
-O(cycles) passes: the cycle law, skipped on structures the parser closed
-under an involutive converse, and AtomStructure._places, which places
-every atom by two masks per identity atom e, the atoms below e;1 and
-below 1;e, finds the atoms that are no functions, and collects the
-cycles that break the identity law.  The associativity join uses Light's
-reduction and Peircean symmetry: one block kernel compares (a;b);c with
+O(cycles) passes: the cycle law, skipped on structures that the parser
+and extraction build (AtomStructure._of_checked_ids), and
+AtomStructure._places, which places every atom by two masks per
+identity atom e, the atoms below e;1 and below 1;e, finds the atoms
+that are no functions, and collects the cycles that break the identity
+law.  The associativity join uses Light's reduction and Peircean
+symmetry: one block kernel compares (a;b);c with
 a;(b;c) for a middle atom b over all its rows and columns at once, in C,
 over a generating set closed under converse and grown from the functions,
 then over every middle atom only if that fails; where every atom is its
@@ -175,44 +176,25 @@ class AtomStructure:
                     raise ValueError(f"cycle {t!r} does not name three atom ids")
 
     @classmethod
-    def _of_cycle_reps(cls, atom_names: Sequence[str],
-                       converse_map: Sequence[int], identity_atoms: Iterable[int],
-                       xs: Sequence[int], ys: Sequence[int],
-                       zs: Sequence[int]) -> "AtomStructure":
-        """Internal to formats.parse_atom_structure: the structure whose
-        cycles are the representatives (xs[i], ys[i], zs[i]) closed by
-        _close_columns, the fields set by _of_checked_ids without the
-        constructor's checks.  Every id, of the converse map, the identity
-        atoms and the three columns, is a value of the parser's name index,
-        so an int below the atom count, and so is every id of the closure.
-        Under an involutive converse, checked here in O(atoms), the closure
-        leaves no cycle breaking the cycle law, so the law's scan is preset
-        to find nothing; under any other converse map it runs as for every
-        structure built by the constructor."""
-        conv = tuple(converse_map)
-        s = cls._of_checked_ids(tuple(atom_names), conv,
-                                frozenset(identity_atoms),
-                                _close_columns(xs, ys, zs, conv))
-        if [*map(conv.__getitem__, conv)] == [*range(len(conv))]:
-            s.__dict__["_cycle_law_broken"] = ()
-        return s
-
-    @classmethod
     def _of_checked_ids(cls, atom_names: tuple[str, ...],
                         converse_map: tuple[int, ...],
                         identity_atoms: frozenset[int],
                         cycles: frozenset[Triple]) -> "AtomStructure":
-        """Internal to concrete.extract_atom_structure and _of_cycle_reps:
-        the structure with these four fields, set as given, without the
-        constructor's checks.  The caller vouches that every id is an int
-        below the atom count: extraction reads its ids off an owner table
-        that ConcreteAlgebra checked, the parser off its name index.  The
-        cycle law's scan still runs when the structure is validated, unless
-        the caller presets it."""
+        """Internal to formats.parse_atom_structure and
+        concrete.extract_atom_structure: the structure with these four
+        fields, set as given, without the constructor's checks, and with the
+        cycle law's scan preset to find nothing.  The caller vouches that
+        every id is an int below the atom count and that the cycles are
+        closed under an involutive converse.  The parser reads its ids off
+        its name index, pairs each converse both ways, and closes its cycle
+        lines by _close_columns; extraction reads its ids off an owner table
+        that ConcreteAlgebra checked, and the structure of a proper algebra
+        satisfies the cycle law (Maddux, Relation Algebras, 2006)."""
         s = cls.__new__(cls)
         for f, value in zip(fields(cls), (atom_names, converse_map,
                                           identity_atoms, cycles)):
             object.__setattr__(s, f.name, value)
+        s.__dict__["_cycle_law_broken"] = ()
         return s
 
     # -- basic views ------------------------------------------------------
@@ -329,7 +311,7 @@ class AtomStructure:
 
     @cached_property
     def _cycle_law_broken(self) -> Sequence[Triple]:
-        # the cycles missing a transform, sorted; preset by _of_cycle_reps
+        # the cycles missing a transform, sorted; preset by _of_checked_ids
         return _broken_cycles(self)
 
     def require_valid(self) -> None:
@@ -353,8 +335,8 @@ def _validate(s: AtomStructure) -> ValidationReport:
 def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
     """Names, converse, self-converse identity atoms, the cycle law, the
     identity law, and one domain and one range atom per atom.  When they
-    hold this costs one O(cycles) pass for the cycle law on a structure the
-    parser did not close, and a second, AtomStructure._places, for the
+    hold this costs one O(cycles) pass for the cycle law on a structure
+    built by the constructor, and a second, AtomStructure._places, for the
     identity law and the domain and range atoms."""
     v: list[Violation] = []
     names = s.atom_names

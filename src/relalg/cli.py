@@ -133,11 +133,11 @@ def _cmd_axioms(args) -> tuple[int, list[str]]:
         for k, condition, field in _AXIOMS]
 
 
-def _search_budget_help(inputs: str) -> str:
+def _search_budget_help(runs: str) -> str:
     return ("cap on the atom assignments of the isomorphism search "
-            "(default %(default)s); it bounds only the search, which "
-            f"{inputs} skip, answered by the paper's construction, so it "
-            "cannot run out on them")
+            f"(default %(default)s); the search runs only {runs}: the "
+            "axioms and the paper's construction answer every other input, "
+            "so the cap cannot run out on it")
 
 
 @functools.cache
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("other")
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                    help=_search_budget_help(
-                       "two valid structures that satisfy the three axioms"))
+                       "when neither structure satisfies the three axioms"))
 
     p = add("classify", _cmd_classify,
             "classify the atoms of a concrete algebra over points and twins")
@@ -189,8 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action_file")
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                    help=_search_budget_help(
-                       "a valid structure that satisfies the three axioms "
-                       "and an action of order at most two"))
+                       "when the action's group has order above two"))
 
     p = add("axioms", _cmd_axioms,
             "report the three representability axioms with witnesses")

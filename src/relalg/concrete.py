@@ -193,10 +193,11 @@ def extract_atom_structure(c: ConcreteAlgebra) -> AtomStructure:
     atoms of a subalgebra of the full algebra of relations on the base set,
     and the atom structure of such an algebra satisfies the cycle law, the
     identity law and associativity (Maddux, Relation Algebras, 2006).  Nor
-    does it go through the AtomStructure constructor's checks: every id is
-    read off the owner table, whose entries ConcreteAlgebra has checked to
-    be the ints 0..atoms-1, and the names obey the structure's naming rule,
-    also checked there.
+    does it go through the AtomStructure constructor's checks, and the
+    cycle law's scan is preset to find nothing (see
+    AtomStructure._of_checked_ids): every id is read off the owner table,
+    whose entries ConcreteAlgebra has checked to be the ints 0..atoms-1,
+    and the names obey the structure's naming rule, also checked there.
     """
     c.require_invariants()
     cycles = frozenset(chain.from_iterable(

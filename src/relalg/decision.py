@@ -9,22 +9,26 @@ it is parallel or crossed (_proof_witness), and checked cycle by cycle.
 By the theorem that map fails its check on no valid input that satisfies
 the axioms, so a failure is an InternalError.
 
-`iso` and `check-action` answer the same class by the proof, and the
-three axioms alone decide membership (_in_class).  Two structures that
-satisfy the axioms are isomorphic exactly when they have as many point
-and as many twin identity atoms, and the algebra of an involution with f
-fixed points and t 2-cycles realizes exactly those with f points and t
-twins.  So on such inputs unequal counts answer `none`; `check-action`
-counts the action's fixed points and 2-cycles before it builds any
-algebra.  Equal counts get the proof's map onto the action's algebra, and
-for `iso` both sides' maps onto the algebra of the source's involution,
-composed.  No search runs on these inputs and the budget bounds only the
-search, so SearchBudgetExceeded cannot occur on them.
+`iso` and `check-action` let the class answer whenever it can.  The
+three axioms alone decide membership (_class_counts), and first-order
+sentences are preserved by isomorphism, so a structure in the class is
+isomorphic to none outside it.  Two structures in the class are
+isomorphic exactly when they have as many point and as many twin
+identity atoms, and the algebra of an involution with f fixed points and
+t 2-cycles, itself in the class, realizes exactly those with f points
+and t twins.  So `iso` answers `none` when one side only is in the class
+or the counts differ, and `check-action` with an action of order at most
+two answers `none` when the structure is outside the class or its counts
+differ from the action's fixed points and 2-cycles, before any algebra
+is built.  Equal counts get the proof's map (_realize): onto the
+action's algebra, and for `iso` both sides' maps onto the algebra of the
+source's involution, composed.  The search, and with it the budget and
+SearchBudgetExceeded, is left to `iso` pairs with neither side in the
+class and to actions of order above two.
 
-All other inputs and actions that are not one involution go to a
-refine-and-propagate search
-(find_isomorphism); its colour refinement reads each cycle at its first
-atom only, which the cycle law makes enough.  Before it branches, the
+The search (find_isomorphism) refines and propagates; its colour
+refinement reads each cycle at its first atom only, which the cycle law
+makes enough.  Before it branches, the
 search compares the atoms' power runs (_power_runs), an invariant of
 O(atoms + cycles) that answers `none` for the regular actions of distinct
 abelian groups of one order, which refinement cannot tell apart; it
@@ -183,13 +187,14 @@ class _Partial:
 
 def find_isomorphism(source: AtomStructure, target: AtomStructure,
                      budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
-    """An isomorphism of structures, by the proof on the class, otherwise
-    by a refine-and-propagate search.
+    """An isomorphism of structures, by the class when either side is in
+    it, otherwise by a refine-and-propagate search.
 
-    When both structures satisfy the axioms (see _in_class), the proof
-    answers: None when their (points, twins) counts differ, otherwise the
-    map of _iso_by_proof, which certifies both sides, so no join runs and
-    no search node is spent.
+    When some structure satisfies the axioms (see _class_counts), no
+    search node is spent: None when the other does not or their (points,
+    twins) counts differ, otherwise both sides mapped by the proof onto
+    the algebra of the source's involution (see _realize) and composed,
+    which certifies both, so no join runs.
 
     The search: colour refinement over each atom's first-place cycles,
     which fix its others by the cycle law (see _refined_colours), started
@@ -213,13 +218,19 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
     both are invalid (see _gated).
     """
     def compute():
-        counts = _in_class(source, target)
-        if counts is not None:
-            if counts[0] != counts[1]:
-                return None, (source, target)
-            return _iso_by_proof(source, target), ()
-        w = _search_isomorphism(source, target, budget)
-        return w, (source, target) if w is None else (source,)
+        counts = _class_counts(source), _class_counts(target)
+        if counts == (None, None):
+            w = _search_isomorphism(source, target, budget)
+            return w, (source, target) if w is None else (source,)
+        if counts[0] != counts[1]:
+            return None, (source, target)
+        # both onto the algebra of the source's involution, then composed
+        g = _canonical_involution(source)
+        _, algebra, there = _realize(source, g)
+        back = _proof_witness(target, _blocks(target, g), algebra,
+                              there.target).inverted().atom_map
+        return IsoWitness(source, target,
+                          tuple(back[b] for b in there.atom_map)), ()
 
     return _gated((source, target), compute)
 
@@ -398,16 +409,24 @@ def _decide_z2(structure: AtomStructure
     if not report.all_hold:
         return (Z2Decision(structure, False, failures=report.failures()),
                 (structure,))
-    action = _canonical_involution(structure)
-    algebra = rel_algebra(action)
-    blocks = _blocks(structure, action.generators[0])
-    witness = _proof_witness(structure, blocks, algebra,
-                             extract_atom_structure(algebra))
+    action, algebra, witness = _realize(structure,
+                                        _canonical_involution(structure))
     return Z2Decision(structure, True, action=action, algebra=algebra,
                       witness=witness), ()
 
 
-def _canonical_involution(s: AtomStructure) -> GroupAction:
+def _realize(s: AtomStructure, g: tuple[int, ...]
+             ) -> tuple[GroupAction, ConcreteAlgebra, IsoWitness]:
+    """The action of the involution g, which has as many fixed points and
+    2-cycles as s has points and twins, its algebra, and the proof's map of
+    s onto the algebra's extracted structure (see _proof_witness)."""
+    action = build_group(len(g), [g])
+    algebra = rel_algebra(action)
+    return action, algebra, _proof_witness(
+        s, _blocks(s, g), algebra, extract_atom_structure(algebra))
+
+
+def _canonical_involution(s: AtomStructure) -> tuple[int, ...]:
     """The proof's involution for s: one base element per point atom, two
     swapped elements per twin atom, allocated in identity-atom id order,
     so that _blocks gives each identity atom its own elements.
@@ -416,7 +435,7 @@ def _canonical_involution(s: AtomStructure) -> GroupAction:
     g: list[int] = []
     for e in sorted(s.identity_atoms):
         g.extend((len(g) + 1, len(g)) if s._loops[e] else (len(g),))
-    return build_group(len(g), [tuple(g)])
+    return tuple(g)
 
 
 def _kinds(s: AtomStructure) -> tuple[list[int], list[int]]:
@@ -427,12 +446,13 @@ def _kinds(s: AtomStructure) -> tuple[list[int], list[int]]:
             [e for e in idents if loops[e]])
 
 
-def _in_class(*structures: AtomStructure) -> list[tuple[int, int]] | None:
-    """The (points, twins) counts of structures whose local laws hold, when
-    all of them satisfy the axioms, else None."""
-    if not all(_z2_axioms(s).all_hold for s in structures):
+def _class_counts(s: AtomStructure) -> tuple[int, int] | None:
+    """The (points, twins) counts of a structure whose local laws hold,
+    when it satisfies the axioms, else None."""
+    if not _z2_axioms(s).all_hold:
         return None
-    return [tuple(map(len, _kinds(s))) for s in structures]
+    points, twins = _kinds(s)
+    return len(points), len(twins)
 
 
 def _blocks(s: AtomStructure, g: Sequence[int]
@@ -505,50 +525,31 @@ def _unproven(s: AtomStructure, target: AtomStructure, reason: str
         + "--- constructed ---\n" + format_atom_structure(target))
 
 
-def _iso_by_proof(source: AtomStructure, target: AtomStructure
-                  ) -> IsoWitness:
-    """Both structures mapped by the proof onto the algebra of the source's
-    involution, so each is certified, and the source's map composed with
-    the inverse of the target's (see _proof_witness)."""
-    action = _canonical_involution(source)
-    algebra = rel_algebra(action)
-    canon = extract_atom_structure(algebra)
-    g = action.generators[0]
-    there = _proof_witness(source, _blocks(source, g), algebra, canon)
-    back = _proof_witness(target, _blocks(target, g), algebra,
-                          canon).inverted().atom_map
-    return IsoWitness(source, target, tuple(back[b] for b in there.atom_map))
-
-
 def check_action_represents(structure: AtomStructure, action: GroupAction,
                             budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
     """Does this particular action's algebra realize the structure?
 
     When the action's group has order at most two (a trivial action
-    counts) and the structure lies in the class (see _in_class), the proof
-    answers: None when the structure's (points, twins) counts differ from
-    the action's fixed points and 2-cycles, before any algebra is built,
-    otherwise the proof's map with the action's fixed points and 2-cycles
-    as the blocks (see _blocks and _proof_witness).  No search runs.
-    Other inputs go to the search of find_isomorphism.
+    counts), its algebra is in the class, so the class answers and no
+    search runs: None, before any algebra is built, when the structure is
+    outside the class or its (points, twins) counts (see _class_counts)
+    differ from the action's fixed points and 2-cycles, otherwise the
+    proof's map with those as the blocks (see _realize).  Only actions of
+    order above two go to the search of find_isomorphism.
 
     Only the structure is validated: the one extracted from the action's
     algebra is valid by construction (see extract_atom_structure), so a
     found map proves the structure associative (see _gated)."""
     def compute():
         g = _involution(action)
-        counts = None if g is None else _in_class(structure)
-        if counts is not None:
-            fixed = sum(i == j for i, j in enumerate(g))
-            if counts[0] != (fixed, (len(g) - fixed) // 2):
-                return None, (structure,)
-        algebra = rel_algebra(action)
-        target = extract_atom_structure(algebra)
-        if counts is not None:
-            return _proof_witness(structure, _blocks(structure, g),
-                                  algebra, target), ()
-        w = _search_isomorphism(structure, target, budget)
-        return w, (structure,) if w is None else ()
+        if g is None:
+            target = extract_atom_structure(rel_algebra(action))
+            w = _search_isomorphism(structure, target, budget)
+            return w, (structure,) if w is None else ()
+        fixed = sum(i == j for i, j in enumerate(g))
+        if _class_counts(structure) != (fixed, (len(g) - fixed) // 2):
+            return None, (structure,)
+        return _realize(structure, g)[2], ()
 
     return _gated((structure,), compute)
 

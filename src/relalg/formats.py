@@ -9,10 +9,12 @@ line number, and token.  Emitters produce text the parsers round-trip exactly.
 
 An atom structure is read in one loop over its lines, cycle lines tested
 first, with the three ids of each cycle line appended to three column
-lists.  AtomStructure._of_cycle_reps closes those columns and sets the
-fields without the constructor's checks: every id is a value of the
-parser's name index.  Under the parser's converse, always an involution,
-the closure needs no cycle-law scan.
+lists, closed by atoms._close_columns under the parser's converse.
+AtomStructure._of_checked_ids sets the fields without the constructor's
+checks and with the cycle law's scan preset to find nothing: every id is
+a value of the parser's name index, each converse entry a:b sets both
+a~ = b and b~ = a and no atom is in two entries, so the converse is an
+involution, and the closure under an involution obeys the cycle law.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .actions import GroupAction, build_group
-from .atoms import AtomStructure, _transforms
+from .atoms import AtomStructure, _close_columns, _transforms
 from .concrete import ConcreteAlgebra
 from .errors import ParseError
 
@@ -134,9 +136,9 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
         raise ParseError(source, 0, "missing atoms line")
     if identity is None:
         raise ParseError(source, 0, "missing identity line")
-    if converse is None:
-        converse = list(range(len(atoms)))
-    return AtomStructure._of_cycle_reps(atoms, converse, identity, xs, ys, zs)
+    conv = tuple(range(len(atoms)) if converse is None else converse)
+    return AtomStructure._of_checked_ids(
+        tuple(atoms), conv, frozenset(identity), _close_columns(xs, ys, zs, conv))
 
 
 def format_atom_structure(s: AtomStructure) -> str:

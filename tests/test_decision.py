@@ -23,8 +23,8 @@ from relalg.formats import format_atom_structure
 
 from conftest import (DATA, atom_flags_oracle, conjugate, generated_groups,
                       group_closure_oracle, involution_action,
-                      involution_structure, involutions, load_concrete,
-                      load_structure, one_orbit_corruptions,
+                      involution_structure, involutions, load_action,
+                      load_concrete, load_structure, one_orbit_corruptions,
                       refined_colours_oracle, regular_action, shuffled,
                       signature_oracle)
 
@@ -352,6 +352,46 @@ def test_class_verdicts_need_no_search(monkeypatch):
     # a 3-cycle is no involution: the search answers, as before
     assert check_action_represents(involution_structure(0, 1),
                                    build_group(3, [(1, 2, 0)])) is None
+
+
+def test_the_class_answers_whenever_one_side_is_in_it(monkeypatch):
+    # first-order axioms are kept by isomorphism, so an iso pair with one
+    # side in the class, and a structure outside it against an action of
+    # order at most two, answer none: no search, so no budget to exhaust,
+    # and no algebra.  The join runs on exactly the inputs that none
+    # leaves unproven: both sides of an iso, the structure of a
+    # check-action
+    def unreachable(*args):
+        raise AssertionError("the search ran on an input of the class")
+
+    built, joins = [], []
+    join = atoms._associativity_witness
+    monkeypatch.setattr(decision, "_search_isomorphism", unreachable)
+    monkeypatch.setattr(decision, "rel_algebra",
+                        lambda a: built.append(a) or rel_algebra(a))
+    monkeypatch.setattr(atoms, "_associativity_witness",
+                        lambda s: joins.append(s) or join(s))
+    rng = random.Random(25)
+    regular = [extract_atom_structure(rel_algebra(regular_action(orders)))
+               for orders in ([25], [5, 5])]
+    assert not check_z2_axioms(load_structure("23.ra")).all_hold
+    for budget in (1, decision.DEFAULT_BUDGET):
+        for r, flip in itertools.product(regular, (False, True)):
+            # fresh objects each time: validation is cached per structure
+            pair = [involution_structure(5, 0), shuffled(r, rng)]
+            assert pair[0].n_atoms == pair[1].n_atoms == 25
+            if flip:
+                pair.reverse()
+            joins.clear()
+            assert find_isomorphism(*pair, budget=budget) is None
+            assert joins == pair
+        for action in (load_action("swap.act"), involution_action(3, 0),
+                       build_group(2, [])):
+            s23 = load_structure("23.ra")
+            joins.clear()
+            assert check_action_represents(s23, action, budget=budget) is None
+            assert joins == [s23]
+    assert built == []
 
 
 def test_a_failed_proof_map_reports_the_invalid_input_without_a_search(

@@ -25,8 +25,8 @@ from conftest import (DATA, ConcreteRelation, associativity_witness_oracle,
                       composition_scan_oracle, converse_mask_oracle,
                       generated_groups, invariant_violations_oracle,
                       involution_action, involution_structure, involutions,
-                      load_structure, local_laws_oracle, regular_action,
-                      shuffled)
+                      load_action, load_structure, local_laws_oracle,
+                      regular_action, shuffled)
 
 
 def random_algebras(rng, count, max_n):
@@ -140,19 +140,25 @@ def constructor_fields(text):
     return names, conv, ident, close_cycles_oracle(reps, conv)
 
 
+def shuffled_texts():
+    """The `.ra` texts of shuffled extractions: an involution, Z4 x Z2, Z7,
+    Z3 on four triangles and D7."""
+    rng = random.Random(11)
+    z3_triangles = build_group(12, [tuple(3 * (i // 3) + (i + 1) % 3
+                                          for i in range(12))])
+    return [format_atom_structure(shuffled(extract_atom_structure(
+        rel_algebra(a)), rng)) for a in (
+            involution_action(2, 3), regular_action([4, 2]),
+            regular_action([7]), z3_triangles, dihedral_action(7))]
+
+
 def test_parsing_equals_the_checked_constructor():
     # the parser sets the fields without the constructor's checks, trusting
     # the ids of its name index; the constructor, given the same names,
     # converse, identity atoms and closed cycle lines, checks them and
     # builds an equal structure with ids of type int only
     texts = [p.read_text() for p in sorted(DATA.glob("*.ra"))]
-    rng = random.Random(11)
-    z3_triangles = build_group(12, [tuple(3 * (i // 3) + (i + 1) % 3
-                                          for i in range(12))])
-    texts += [format_atom_structure(shuffled(extract_atom_structure(
-        rel_algebra(a)), rng)) for a in (
-            involution_action(2, 3), regular_action([4, 2]),
-            regular_action([7]), z3_triangles, dihedral_action(7))]
+    texts += shuffled_texts()
     texts += [
         # a duplicated name: the second a keeps its own id and converse
         "atoms e a a\nidentity e\nconverse a:a\ncycle e a a\n",
@@ -174,6 +180,22 @@ def test_parsing_equals_the_checked_constructor():
         assert {type(t) for t in s.cycles} <= {tuple}
     assert parse_atom_structure(texts[-3]).converse_map == (0, 1, 2)
     assert parse_atom_structure(texts[-1]).cycles == frozenset()
+
+
+def test_the_trusted_callers_keep_the_cycle_law():
+    # _of_checked_ids presets the cycle law's scan to find nothing; its two
+    # callers, the parser and extraction, must build structures on which
+    # the scan, run directly, finds nothing indeed
+    structures = [parse_atom_structure(p.read_text(), source=str(p))
+                  for p in sorted(DATA.glob("*.ra"))]
+    structures += [parse_atom_structure(t) for t in shuffled_texts()]
+    algebras = [rel_algebra(load_action(p.name))
+                for p in sorted(DATA.glob("*.act"))]
+    algebras += random_algebras(random.Random(7), 40, 7)
+    structures += [extract_atom_structure(c) for c in algebras]
+    assert len(structures) == 4 + 5 + 4 + 40
+    for s in structures:
+        assert atoms._broken_cycles(s) == [], s.atom_names
 
 
 def test_validation_runs_at_most_once_per_structure(monkeypatch, capsys):
@@ -245,9 +267,10 @@ def test_the_join_runs_only_before_uncertified_verdicts(monkeypatch, capsys):
 
 
 def test_cycle_law_scan_runs_only_where_it_can_fail(monkeypatch):
-    # the parser's closure under an involutive converse makes the cycle law
-    # hold, so its scan never runs on parsed input, and runs once on the
-    # same structure rebuilt by the constructor
+    # the parser's closure under an involutive converse and the structure
+    # of a proper algebra obey the cycle law, so its scan never runs on
+    # parsed or extracted input, and runs once on the same structure
+    # rebuilt by the constructor
     calls = []
 
     def counting(s):
@@ -262,16 +285,15 @@ def test_cycle_law_scan_runs_only_where_it_can_fail(monkeypatch):
         violations = s._local_violations
         return len(calls), violations
 
-    for name in ("23.ra", "57.ra", "swap.ra", "23_relabeled.ra"):
-        s = parse_atom_structure((DATA / name).read_text())
-        assert scans(s) == (0, ()), name
+    parsed = [parse_atom_structure((DATA / name).read_text())
+              for name in ("23.ra", "57.ra", "swap.ra", "23_relabeled.ra")]
+    extracted = [extract_atom_structure(rel_algebra(load_action(name)))
+                 for name in ("d5.act", "swap.act", "z3.act")]
+    for s in parsed + extracted:
+        assert scans(s) == (0, ()), s.atom_names
         rebuilt = AtomStructure(s.atom_names, s.converse_map,
                                 s.identity_atoms, s.cycles)
-        assert scans(rebuilt) == (1, ()), name
-    # a converse that is no involution keeps the scan, parsed or not
-    s = AtomStructure._of_cycle_reps(("e", "a"), (0, 0), {0},
-                                     (0, 1), (0, 0), (0, 1))
-    assert scans(s)[0] == 1
+        assert scans(rebuilt) == (1, ()), s.atom_names
 
 
 # --- associativity join -----------------------------------------------------
