@@ -12,8 +12,8 @@ The orbits come from one pass over the n^2 ordered pairs, indexed flat as
 p = i*n + j: each generator becomes one image list of length n^2, and one
 search along those lists writes the owner table, the orbit of every pair.
 That table is the algebra (ConcreteAlgebra holds nothing else), and its
-atom names and the check that every generator keeps each pair in its atom
-are read off it.
+atom names are read off it; the check that every generator keeps each
+pair in its atom reads the table along the same image lists.
 """
 
 from __future__ import annotations
@@ -104,24 +104,28 @@ def rel_algebra(action: GroupAction) -> ConcreteAlgebra:
     2006), named e0, e1, ... when they meet the diagonal and a0, a1, ...
     otherwise.
 
-    The owner table of pair_orbits, one search over the n^2 pairs, is the
-    algebra, so it is a partition by construction: every pair is claimed
-    by exactly one orbit.  The self-check, O(n^2 * generators), is the
-    converse and identity checks and each generator keeping every pair in
-    its atom, one comparison of the table with its image per generator."""
+    The generators' image lists are built once: _pair_owners reads them
+    for the owner table, one search over the n^2 pairs, and the self-check
+    reads them again.  The table is the algebra, so it is a partition by
+    construction: every pair is claimed by exactly one orbit, numbered
+    0, 1, ... in order, which is what ConcreteAlgebra._of_orbits takes on
+    trust.  The self-check, O(n^2 * generators), is the converse and
+    identity checks and each generator keeping every pair in its atom, one
+    comparison of the table with its image per generator."""
     n = action.base_size
-    owner = pair_orbits(action)
+    images = _flat_images(action)
+    owner = _pair_owners(n, images)
     diagonal = set(owner[::n + 1])
     names, count = [], {"e": 0, "a": 0}
     for k in range(max(owner) + 1):
         kind = "e" if k in diagonal else "a"
         names.append(f"{kind}{count[kind]}")
         count[kind] += 1
-    alg = ConcreteAlgebra._of_orbits(n, tuple(names), owner)
+    alg = ConcreteAlgebra._of_orbits(n, tuple(names), tuple(owner))
     bad = alg.invariant_violations()
     if not bad:
-        for k, img in enumerate(_flat_images(action)):
-            if tuple(map(owner.__getitem__, img)) != owner:
+        for k, img in enumerate(images):
+            if [*map(owner.__getitem__, img)] != owner:
                 p = next(p for p, q in enumerate(img) if owner[q] != owner[p])
                 i, j = divmod(p, n)
                 bad = (f"generator {k} moves pair ({i},{j}) out of its atom",)

@@ -430,6 +430,16 @@ def _broken_cycles(s: AtomStructure) -> list[Triple]:
                   if not cycles.issuperset(_transforms(t, conv)))
 
 
+def _whole_orbits(s: AtomStructure) -> bool:
+    """Whether the cycle law holds and the converse is an involution: the
+    six transforms of a cycle are then its Peircean orbit, and every orbit
+    lies inside the cycle set or outside it.  Parsed and extracted
+    structures pass at the cost of the involution test."""
+    conv = s.converse_map
+    return (not s._cycle_law_broken
+            and [*map(conv.__getitem__, conv)] == [*range(len(conv))])
+
+
 def _associativity_witness(s: AtomStructure) -> Triple | None:
     """The least (a, b, c) with (a;b);c != a;(b;c), or None.
 
@@ -503,7 +513,7 @@ def _associativity_witness(s: AtomStructure) -> Triple | None:
     every = range(n)
     conv = s.converse_map
     full = ((b, every, every) for b in every)
-    if s._cycle_law_broken or [*map(conv.__getitem__, conv)] != [*every]:
+    if not _whole_orbits(s):
         return min(filter(None, _mismatches(comp, col_supp, full)),
                    default=None)
     symmetric = conv == tuple(every)

@@ -71,10 +71,10 @@ def _cmd_rel(args) -> tuple[int, list[str]]:
     action = parse_group_action(_read(args.file), source=args.file)
     algebra = rel_algebra(action)
     structure = extract_atom_structure(algebra)
-    lines = format_concrete_algebra(algebra).splitlines()
-    lines.append("")
-    lines.extend(format_atom_structure(structure).splitlines())
-    return 0, lines
+    # each text ends in a newline, and main joins them with one more and
+    # ends the output with one: the blank line between them is kept
+    return 0, [format_concrete_algebra(algebra),
+               format_atom_structure(structure)[:-1]]
 
 
 def _cmd_decide_z2(args) -> tuple[int, list[str]]:

@@ -6,19 +6,21 @@ as one owner table: owner[i*n + j] is the atom holding the pair (i, j),
 so the partition holds by construction.  from_pairs fills the table from
 each atom's pairs and reports the first overlap or gap; an orbit algebra
 (built by rel_algebra through ConcreteAlgebra._of_orbits) comes with the
-table of its orbit search.  The converse and identity checks read the
-table, and each atom's pairs are read off it once, in row order.
+table of its orbit search, taken without the constructor's scans.  The
+converse and identity checks read the table by slices and whole-table
+comparisons, in C, and each atom's pairs are read off it once, in row
+order.
 
 Closure under composition holds exactly when all pairs (i, k) of each atom z
-share one profile, the cycles (owner(i,j), owner(j,k), z) over all j: O(n^3),
+share one profile, the pairs (owner(i,j), owner(j,k)) over all j: O(n^3),
 checked only on algebras from outside.  Cycles are read off one pair per atom.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .atoms import AtomStructure, Triple, usable_atom_name
@@ -95,10 +97,18 @@ class ConcreteAlgebra:
                    owner: Sequence[int]) -> "ConcreteAlgebra":
         """Internal to actions.rel_algebra: the algebra whose atoms are
         the pair orbits of a permutation group, given by their owner table,
-        owner[i*n + j] the orbit of (i, j).  The closure scan is not run:
-        the orbits of a group are closed under composition.  Nothing here
-        checks that the table holds a group's orbits."""
-        alg = cls(base_size, atom_names, owner)
+        owner[i*n + j] the orbit of (i, j).  The three fields are set as
+        given, without the constructor's scans: the caller vouches that
+        base_size is positive, that the names are usable and distinct, and
+        that owner is a tuple of n^2 ints naming each atom 0..atoms-1 at
+        least once and no other.  rel_algebra numbers the orbits itself
+        and names them e<k> and a<k>.  The closure scan is not run: the
+        orbits of a group are closed under composition.  Nothing here
+        checks that the table holds a group's orbits; invariant_violations
+        checks converse and identity."""
+        alg = cls.__new__(cls)
+        for f, value in zip(fields(cls), (base_size, atom_names, owner)):
+            object.__setattr__(alg, f.name, value)
         alg.__dict__["_uncovered"] = ()
         return alg
 
@@ -118,20 +128,29 @@ class ConcreteAlgebra:
     def _converse_ids(self) -> tuple[int, ...]:
         """The atom equal to the converse of each atom, -1 if none.  k~ = c
         when c holds the transposes of all pairs of k and one atom holds the
-        transposes of all pairs of c: that atom holds k's pairs, so it is k."""
+        transposes of all pairs of c: that atom holds k's pairs, so it is k.
+
+        conv maps each atom to the owner of the transpose of one of its
+        pairs; the whole transposed table is compared with conv read along
+        the table, in C, and the pairs are scanned one by one for the atoms
+        without a converse only when that comparison fails."""
         n, owner = self.base_size, self.owner
-        transposed = [k for i in range(n) for k in owner[i::n]]
+        transposed = [*chain.from_iterable(owner[i::n] for i in range(n))]
         conv = dict(zip(owner, transposed))
+        every = range(len(conv))
+        if [*map(conv.__getitem__, owner)] == transposed:
+            return tuple(map(conv.__getitem__, every))
         bad = {k for k, c in zip(owner, transposed) if conv[k] != c}
-        return tuple(-1 if {k, c} & bad else c
-                     for k, c in sorted(conv.items()))
+        return tuple(-1 if k in bad or conv[k] in bad else conv[k]
+                     for k in every)
 
     @cached_property
     def _identity_ids(self) -> frozenset[int]:
-        # atoms on the diagonal owning no pair off it; the pair i*n + j is on
-        # the diagonal when n + 1 divides it
+        # atoms on the diagonal owning no pair off it; the off-diagonal
+        # pairs are the n entries between consecutive diagonal entries
         n, owner = self.base_size, self.owner
-        off = {k for p, k in enumerate(owner) if p % (n + 1)}
+        off = set(chain.from_iterable(owner[d + 1:d + n + 1]
+                                      for d in range(0, n * n, n + 1)))
         return frozenset(set(owner[::n + 1]) - off)
 
     def invariant_violations(self) -> tuple[str, ...]:
@@ -158,22 +177,27 @@ class ConcreteAlgebra:
                 f"meets atom {names[z]} without covering it")
         return tuple(out)
 
-    def _profile(self, p: int, z: int) -> set[Triple]:
-        """The profile of the pair p = i*n + k of atom z: the cycles
-        (owner(i,j), owner(j,k), z) over all j."""
+    def _profile(self, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The profile of the pair p = i*n + k, as two columns: owner(i,j)
+        and owner(j,k) over all j.  With z the atom of p, its cycles are
+        the triples (owner(i,j), owner(j,k), z)."""
         n, owner = self.base_size, self.owner
         i, k = divmod(p, n)
-        return set(zip(owner[i * n:(i + 1) * n], owner[k::n], (z,) * n))
+        return owner[i * n:(i + 1) * n], owner[k::n]
 
     @cached_property
     def _uncovered(self) -> tuple[Triple, ...]:
         """(x, y, z), sorted, where x;y meets atom z without covering it:
-        the cycle is in the profiles of some pairs of z, not of all."""
+        the cycle is in the profiles of some pairs of z, not of all.  Each
+        later pair's profile is compared with the first pair's, and the
+        cycles are written out only where the two differ."""
         out: set[Triple] = set()
         for z, (first, *rest) in enumerate(self._atom_pairs):
-            profile = self._profile(first, z)
+            profile = set(zip(*self._profile(first)))
             for p in rest:
-                out |= self._profile(p, z) ^ profile
+                other = set(zip(*self._profile(p)))
+                if other != profile:
+                    out.update((x, y, z) for x, y in other ^ profile)
         return tuple(sorted(out))
 
     def require_invariants(self) -> None:
@@ -196,11 +220,13 @@ def extract_atom_structure(c: ConcreteAlgebra) -> AtomStructure:
     does it go through the AtomStructure constructor's checks, and the
     cycle law's scan is preset to find nothing (see
     AtomStructure._of_checked_ids): every id is read off the owner table,
-    whose entries ConcreteAlgebra has checked to be the ints 0..atoms-1,
-    and the names obey the structure's naming rule, also checked there.
+    whose entries are the ints 0..atoms-1, checked by the ConcreteAlgebra
+    constructor or numbered so by rel_algebra (see _of_orbits), and the
+    names obey the structure's naming rule, checked there or written so.
     """
     c.require_invariants()
     cycles = frozenset(chain.from_iterable(
-        c._profile(pairs[0], z) for z, pairs in enumerate(c._atom_pairs)))
+        zip(*c._profile(pairs[0]), repeat(z, c.base_size))
+        for z, pairs in enumerate(c._atom_pairs)))
     return AtomStructure._of_checked_ids(c.atom_names, c._converse_ids,
                                          c._identity_ids, cycles)

@@ -347,6 +347,28 @@ def orbit_minimum_cycle_lines(s):
     return [f"cycle {' '.join(s.atom_names[a] for a in t)}" for t in reps]
 
 
+def atom_structure_text_oracle(s) -> str:
+    """The text format_atom_structure writes, by one sorted pass over the
+    cycles that emits each cycle not yet marked and marks its six Peircean
+    transforms: the least member of each orbit when the orbits are whole,
+    and well defined on any table."""
+    names, conv = s.atom_names, s.converse_map
+    ident = sorted(s.identity_atoms)
+    pairs = [(a, c) for a, c in enumerate(conv) if a <= c]
+    lines = ["atoms " + " ".join(names),
+             "identity " + " ".join(names[e] for e in ident),
+             "converse " + " ".join(f"{names[a]}:{names[c]}"
+                                    for a, c in pairs)]
+    marked = set()
+    for x, y, z in sorted(s.cycles):
+        if (x, y, z) not in marked:
+            cx, cy, cz = conv[x], conv[y], conv[z]
+            marked.update([(x, y, z), (cx, z, y), (z, cy, x),
+                           (y, cz, cx), (cz, x, cy), (cy, cx, cz)])
+            lines.append(f"cycle {names[x]} {names[y]} {names[z]}")
+    return "\n".join(lines) + "\n"
+
+
 def emitted_cycle_lines(text):
     return [ln for ln in text.splitlines() if ln.startswith("cycle ")]
 

@@ -15,8 +15,8 @@ from relalg import (AtomStructure, InvalidStructureError, VerificationReport,
 from relalg.atoms import _z2_axioms
 from relalg.cli import main
 
-from conftest import (DATA, group_closure_oracle, involution_structure,
-                      one_orbit_corruptions, shuffled)
+from conftest import (DATA, group_closure_oracle, involution_action,
+                      involution_structure, one_orbit_corruptions, shuffled)
 
 
 def run(capsys, *argv):
@@ -290,6 +290,31 @@ def test_class_path_at_3200_atoms_stays_under_its_bounds(tmp_path):
         assert proc.returncode == 0, (argv, proc.stderr)
         assert int(proc.stderr.split()[-1]) < 150 * 1024, argv
         assert elapsed < 3.0, argv
+
+
+def test_rel_at_3200_atoms_stays_under_its_bounds(tmp_path):
+    # rel on the 80-point fixed-point-free involution: 3200 atoms and
+    # 256000 cycles, written as 44280 cycle lines chosen by a local test
+    # per cycle, with no marking set of the cycles.  The fresh interpreter
+    # prints its own peak RSS as VmHWM, which exec resets: ru_maxrss keeps
+    # the peak of the process that spawned it, here the test run's
+    act = tmp_path / "inv80.act"
+    act.write_text(format_group_action(involution_action(0, 40)),
+                   encoding="utf-8")
+    script = ("import re, sys\nfrom relalg import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "with open('/proc/self/status') as f:\n"
+              "    print(re.search(r'VmHWM:\\s*(\\d+) kB', f.read())[1],"
+              " file=sys.stderr)\nsys.exit(code)\n")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script, "rel", str(act)],
+                          capture_output=True, text=True,
+                          cwd=DATA.parent / "src")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\ncycle ") == 44280
+    assert int(proc.stderr.split()[-1]) < 60 * 1024
+    assert elapsed < 2.0
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,16 +1,19 @@
 """Text formats: round trips and parse diagnostics."""
 
+import random
+
 import pytest
 
-from relalg import (ConcreteAlgebraError, ParseError, build_group,
-                    extract_atom_structure, format_atom_structure,
+from relalg import (AtomStructure, ConcreteAlgebraError, ParseError,
+                    build_group, extract_atom_structure, format_atom_structure,
                     format_concrete_algebra, format_group_action,
                     parse_atom_structure, parse_concrete_algebra,
-                    parse_group_action, rel_algebra)
+                    parse_group_action, peirce_orbit, rel_algebra)
 from relalg.formats import MAX_BASE_SIZE
 
-from conftest import DATA, emitted_cycle_lines, involutions, load_action, \
-    load_concrete, load_structure, orbit_minimum_cycle_lines
+from conftest import DATA, atom_structure_text_oracle, emitted_cycle_lines, \
+    involutions, load_action, load_concrete, load_structure, \
+    orbit_minimum_cycle_lines, shuffled
 
 
 # --- round trips ----------------------------------------------------------
@@ -67,6 +70,63 @@ def test_emitted_cycles_are_orbit_representatives(s23):
     text = format_atom_structure(s23)
     # nine cycles compress to four orbit representatives
     assert sum(1 for ln in text.splitlines() if ln.startswith("cycle ")) == 4
+
+
+def closed_under_transforms(cycles, conv):
+    """The least cycle set holding `cycles` and closed under the two maps
+    (x, y, z) -> (x~, z, y) and (z, y~, x), which is the cycle law for any
+    converse, involution or not."""
+    out, todo = set(), list(cycles)
+    while todo:
+        t = todo.pop()
+        if t not in out:
+            out.add(t)
+            x, y, z = t
+            todo += [(conv[x], z, y), (z, conv[y], x)]
+    return frozenset(out)
+
+
+def test_format_matches_the_marking_pass_on_every_kind_of_table():
+    # byte for byte against the sorted marking pass: on shuffled
+    # extractions of random actions and their parsed copies, whose orbits
+    # are whole; on the same tables with one transform of a cycle dropped,
+    # which break the cycle law; and on tables closed under a converse
+    # that is no involution
+    rng = random.Random(29)
+    whole = []
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        gens = [tuple(rng.sample(range(n), n))
+                for _ in range(rng.randint(1, 2))]
+        s = shuffled(extract_atom_structure(rel_algebra(build_group(n, gens))),
+                     rng)
+        whole += [s, parse_atom_structure(format_atom_structure(s))]
+    for s in whole:
+        assert format_atom_structure(s) == atom_structure_text_oracle(s)
+    dropped = 0
+    for s in whole[::2]:
+        for t in rng.sample(sorted(s.cycles), min(4, len(s.cycles))):
+            orbit = sorted(peirce_orbit(t, s.converse_map))
+            if len(orbit) == 1:
+                continue
+            # the least member of the orbit, or another, each in turn
+            drop = orbit[0] if dropped % 2 else rng.choice(orbit[1:])
+            broken = AtomStructure(s.atom_names, s.converse_map,
+                                   s.identity_atoms, s.cycles - {drop})
+            assert broken._cycle_law_broken
+            assert (format_atom_structure(broken)
+                    == atom_structure_text_oracle(broken))
+            dropped += 1
+    assert dropped > 100
+    for conv in ((0, 2, 3, 1), (1, 2, 0, 3), (0, 2, 3, 4, 1)):
+        names = tuple(f"a{k}" for k in range(len(conv)))
+        for _ in range(20):
+            seeds = [tuple(rng.randrange(len(conv)) for _ in range(3))
+                     for _ in range(rng.randint(1, 3))]
+            s = AtomStructure(names, conv, {0},
+                              closed_under_transforms(seeds, conv))
+            assert not s._cycle_law_broken
+            assert format_atom_structure(s) == atom_structure_text_oracle(s)
 
 
 # --- parsing conveniences -------------------------------------------------
