@@ -8,42 +8,48 @@ representability over actions of the two-element group.  Elements of an
 atom structure are bitmasks of atoms (AtomStructure.compose_mask and
 converse_mask); a structure's validation report is
 AtomStructure.validation.
+
+Each public name resolves on first use: `import relalg` loads no
+submodule, and `relalg.decide_z2` imports `relalg.decision` when it is
+first read (PEP 562).  A program that never reads a name of the decision
+procedure or of the pair-dense classification never compiles them.
 """
 
-from .atoms import (AtomStructure, AxiomFailure, AxiomReport,
-                    ValidationReport, Violation, check_z2_axioms,
-                    close_cycles, peirce_orbit)
-from .concrete import ConcreteAlgebra, extract_atom_structure
-from .actions import GroupAction, build_group, pair_orbits, rel_algebra
-from .pairdense import (AtomClassification, AtomTypeInfo, BasePartition,
-                        classify_atoms, derive_points_twins)
-from .decision import (DEFAULT_BUDGET, IsoWitness, VerificationReport,
-                       Z2Decision, check_action_represents, decide_z2,
-                       find_isomorphism, verify_decision)
-from .errors import (ActionError, ClassificationError, ConcreteAlgebraError,
-                     InternalError, InvalidStructureError, ParseError,
-                     RelalgError, SearchBudgetExceeded)
-from .formats import (format_atom_structure, format_concrete_algebra,
-                      format_group_action, parse_atom_structure,
-                      parse_concrete_algebra, parse_group_action)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomStructure", "ValidationReport", "Violation", "AxiomFailure",
-    "AxiomReport", "peirce_orbit", "close_cycles", "check_z2_axioms",
-    "ConcreteAlgebra", "extract_atom_structure",
-    "GroupAction", "build_group", "pair_orbits", "rel_algebra",
-    "BasePartition", "AtomTypeInfo", "AtomClassification",
-    "derive_points_twins", "classify_atoms",
-    "IsoWitness", "Z2Decision", "VerificationReport", "DEFAULT_BUDGET",
-    "find_isomorphism", "decide_z2", "check_action_represents",
-    "verify_decision",
-    "ParseError", "InvalidStructureError", "ConcreteAlgebraError",
-    "ActionError", "ClassificationError", "SearchBudgetExceeded",
-    "InternalError", "RelalgError",
-    "parse_atom_structure", "format_atom_structure",
-    "parse_concrete_algebra", "format_concrete_algebra",
-    "parse_group_action", "format_group_action",
-    "__version__",
-]
+# public name -> the submodule that defines it, in the order of __all__
+_SUBMODULE = {name: module for module, names in (
+    ("atoms", ("AtomStructure", "ValidationReport", "Violation",
+               "AxiomFailure", "AxiomReport", "peirce_orbit", "close_cycles",
+               "check_z2_axioms")),
+    ("concrete", ("ConcreteAlgebra", "extract_atom_structure")),
+    ("actions", ("GroupAction", "build_group", "pair_orbits", "rel_algebra")),
+    ("pairdense", ("BasePartition", "AtomTypeInfo", "AtomClassification",
+                   "derive_points_twins", "classify_atoms")),
+    ("decision", ("IsoWitness", "Z2Decision", "VerificationReport",
+                  "DEFAULT_BUDGET", "find_isomorphism", "decide_z2",
+                  "check_action_represents", "verify_decision")),
+    ("errors", ("ParseError", "InvalidStructureError", "ConcreteAlgebraError",
+                "ActionError", "ClassificationError", "SearchBudgetExceeded",
+                "InternalError", "RelalgError")),
+    ("formats", ("parse_atom_structure", "format_atom_structure",
+                 "parse_concrete_algebra", "format_concrete_algebra",
+                 "parse_group_action", "format_group_action")),
+) for name in names}
+
+__all__ = [*_SUBMODULE, "__version__"]
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULE})

@@ -6,6 +6,10 @@ isomorphism, failing axiom), 1 for errors such as usage errors, unreadable
 files, parse failures, violated preconditions (an invalid structure in
 `decide-z2`, `iso`, `check-action` and `axioms`), an exhausted search
 budget in `iso` or `check-action`, or a Python recursion or memory limit.
+
+A handler imports the decision procedure (`decision`) or the pair-dense
+classification (`pairdense`) itself, so that `rel`, `validate` and
+`axioms` neither compile nor run those modules.
 """
 
 from __future__ import annotations
@@ -18,13 +22,10 @@ from pathlib import Path
 
 from .atoms import _AXIOMS, check_z2_axioms
 from .concrete import extract_atom_structure
-from .decision import (DEFAULT_BUDGET, check_action_represents, decide_z2,
-                       find_isomorphism, verify_decision)
-from .errors import InternalError, RelalgError
+from .errors import DEFAULT_BUDGET, InternalError, RelalgError
 from .formats import (_int, format_atom_structure, format_concrete_algebra,
                       format_group_action, parse_atom_structure,
                       parse_concrete_algebra, parse_group_action)
-from .pairdense import classify_atoms
 from .actions import rel_algebra
 
 
@@ -78,6 +79,7 @@ def _cmd_rel(args) -> tuple[int, list[str]]:
 
 
 def _cmd_decide_z2(args) -> tuple[int, list[str]]:
+    from .decision import decide_z2, verify_decision
     s = parse_atom_structure(_read(args.file), source=args.file)
     decision = decide_z2(s)
     if not decision.accepted:
@@ -102,6 +104,7 @@ def _cmd_decide_z2(args) -> tuple[int, list[str]]:
 
 
 def _cmd_iso(args) -> tuple[int, list[str]]:
+    from .decision import find_isomorphism
     s1 = parse_atom_structure(_read(args.file), source=args.file)
     s2 = parse_atom_structure(_read(args.other), source=args.other)
     witness = find_isomorphism(s1, s2, budget=args.budget)
@@ -111,11 +114,13 @@ def _cmd_iso(args) -> tuple[int, list[str]]:
 
 
 def _cmd_classify(args) -> tuple[int, list[str]]:
+    from .pairdense import classify_atoms
     c = parse_concrete_algebra(_read(args.file), source=args.file)
     return 0, classify_atoms(c).report_lines()
 
 
 def _cmd_check_action(args) -> tuple[int, list[str]]:
+    from .decision import check_action_represents
     s = parse_atom_structure(_read(args.file), source=args.file)
     action = parse_group_action(_read(args.action_file),
                                 source=args.action_file)

@@ -52,10 +52,8 @@ from typing import NoReturn, Sequence
 from .actions import GroupAction, build_group, rel_algebra
 from .atoms import AtomStructure, AxiomFailure, _z2_axioms, iter_bits
 from .concrete import ConcreteAlgebra, extract_atom_structure
-from .errors import InternalError, SearchBudgetExceeded
+from .errors import DEFAULT_BUDGET, InternalError, SearchBudgetExceeded
 from .formats import format_atom_structure
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,12 @@ class ClassificationError(RelalgError):
     """The input does not have the structure of a simple pair-dense algebra."""
 
 
+# The isomorphism search's default cap on atom assignments.  It is defined
+# here, beside the exception it raises, so that building the command-line
+# parser reads it without importing the decision procedure.
+DEFAULT_BUDGET = 10_000_000
+
+
 class SearchBudgetExceeded(RelalgError):
     """The isomorphism search ran past its node budget before finishing."""
 

@@ -9,7 +9,7 @@ import sys
 import time
 
 from relalg import (AtomStructure, InvalidStructureError, VerificationReport,
-                    cli, extract_atom_structure, format_atom_structure,
+                    decision, extract_atom_structure, format_atom_structure,
                     format_group_action, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, rel_algebra)
 from relalg.atoms import _z2_axioms
@@ -80,8 +80,10 @@ def test_decide_z2_accept_with_verify(capsys):
 
 
 def test_decide_z2_failed_verification_is_an_error(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "verify_decision", lambda d: VerificationReport(
-        ("stored algebra is wrong", "witness is wrong")))
+    # the handler imports verify_decision from relalg.decision when it runs
+    monkeypatch.setattr(decision, "verify_decision",
+                        lambda d: VerificationReport(
+                            ("stored algebra is wrong", "witness is wrong")))
     code, out, err = run(capsys, "decide-z2", DATA / "swap.ra", "--verify")
     assert (code, out) == (1, "")
     assert err == ("error: verification failed: stored algebra is wrong; "
@@ -265,11 +267,32 @@ def test_console_script_installed():
     assert proc.stdout == "valid\n"
 
 
+# cli.main on the child's arguments in a fresh interpreter, which prints
+# its own peak RSS in KB as VmHWM: exec resets VmHWM, while ru_maxrss
+# keeps the peak of the process that spawned the child, here the test run's
+PEAK_RSS_CHILD = ("import re, sys\nfrom relalg import cli\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "with open('/proc/self/status') as f:\n"
+                  "    print(re.search(r'VmHWM:\\s*(\\d+) kB', f.read())[1],"
+                  " file=sys.stderr)\nsys.exit(code)\n")
+
+
+def run_measured(*argv):
+    """(completed process, seconds, peak RSS in KB) of one CLI run in a
+    fresh interpreter started from src/; the run must exit 0."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD,
+                           *map(str, argv)], capture_output=True, text=True,
+                          cwd=DATA.parent / "src")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, (argv, proc.stderr)
+    return proc, elapsed, int(proc.stderr.split()[-1])
+
+
 def test_class_path_at_3200_atoms_stays_under_its_bounds(tmp_path):
     # decide-z2 --verify on a shuffle of the 80-point fixed-point-free
-    # involution's structure, and iso on two, each in a fresh interpreter
-    # that prints its own peak RSS (ru_maxrss, in KB on Linux): neither
-    # builds a composition table of 3200 x 3200 masks
+    # involution's structure, and iso on two: neither builds a composition
+    # table of 3200 x 3200 masks
     s = involution_structure(0, 40)
     assert (s.n_atoms, len(s.cycles)) == (3200, 256000)
     rng = random.Random(40)
@@ -277,44 +300,83 @@ def test_class_path_at_3200_atoms_stays_under_its_bounds(tmp_path):
     for path in (a, b):
         path.write_text(format_atom_structure(shuffled(s, rng)),
                         encoding="utf-8")
-    script = ("import resource, sys\nfrom relalg import cli\n"
-              "code = cli.main(sys.argv[1:])\n"
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
-              " file=sys.stderr)\nsys.exit(code)\n")
     for argv in (["decide-z2", a, "--verify"], ["iso", a, b]):
-        start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
-                              capture_output=True, text=True,
-                              cwd=DATA.parent / "src")
-        elapsed = time.perf_counter() - start
-        assert proc.returncode == 0, (argv, proc.stderr)
-        assert int(proc.stderr.split()[-1]) < 150 * 1024, argv
+        proc, elapsed, peak_kb = run_measured(*argv)
+        assert peak_kb < 150 * 1024, argv
         assert elapsed < 3.0, argv
 
 
 def test_rel_at_3200_atoms_stays_under_its_bounds(tmp_path):
     # rel on the 80-point fixed-point-free involution: 3200 atoms and
     # 256000 cycles, written as 44280 cycle lines chosen by a local test
-    # per cycle, with no marking set of the cycles.  The fresh interpreter
-    # prints its own peak RSS as VmHWM, which exec resets: ru_maxrss keeps
-    # the peak of the process that spawned it, here the test run's
+    # per cycle, with no marking set of the cycles
     act = tmp_path / "inv80.act"
     act.write_text(format_group_action(involution_action(0, 40)),
                    encoding="utf-8")
-    script = ("import re, sys\nfrom relalg import cli\n"
-              "code = cli.main(sys.argv[1:])\n"
-              "with open('/proc/self/status') as f:\n"
-              "    print(re.search(r'VmHWM:\\s*(\\d+) kB', f.read())[1],"
-              " file=sys.stderr)\nsys.exit(code)\n")
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", script, "rel", str(act)],
-                          capture_output=True, text=True,
-                          cwd=DATA.parent / "src")
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 0, proc.stderr
+    proc, elapsed, peak_kb = run_measured("rel", act)
     assert proc.stdout.count("\ncycle ") == 44280
-    assert int(proc.stderr.split()[-1]) < 60 * 1024
+    assert peak_kb < 60 * 1024
     assert elapsed < 2.0
+
+
+# cli.main on the child's arguments in a fresh interpreter, which then
+# lists the relalg submodules it has loaded, on the last line of stderr
+MODULES_CHILD = ("import sys\nfrom relalg import cli\n"
+                 "code = cli.main(sys.argv[1:])\n"
+                 "print(*sorted(k for k in sys.modules"
+                 " if k.startswith('relalg.')), file=sys.stderr)\n"
+                 "sys.exit(code)\n")
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs():
+    # the decision procedure and the pair-dense classification are
+    # imported by the handlers that call them; test_api.py runs in the
+    # test process, where other tests have imported everything already
+    for argv, status in ((["validate", DATA / "23.ra"], 0),
+                         (["rel", DATA / "z3.act"], 0),
+                         (["axioms", DATA / "57.ra"], 2),
+                         (["classify", DATA / "type6.ca"], 0),
+                         (["decide-z2", DATA / "swap.ra", "--verify"], 0),
+                         (["iso", DATA / "23.ra",
+                           DATA / "23_relabeled.ra"], 0),
+                         (["check-action", DATA / "swap.ra",
+                           DATA / "swap.act"], 0)):
+        proc = subprocess.run([sys.executable, "-c", MODULES_CHILD,
+                               *map(str, argv)], capture_output=True,
+                              text=True, cwd=DATA.parent / "src")
+        assert proc.returncode == status, (argv, proc.stderr)
+        loaded = set(proc.stderr.splitlines()[-1].split())
+        assert {"relalg.cli", "relalg.errors", "relalg.formats"} <= loaded
+        assert ("relalg.decision" in loaded) == (
+            argv[0] in ("decide-z2", "iso", "check-action")), argv
+        assert ("relalg.pairdense" in loaded) == (argv[0] == "classify"), argv
+
+
+def test_import_loads_no_submodule_and_names_resolve_on_use():
+    script = ("import sys, relalg\n"
+              "print(sorted(k for k in sys.modules"
+              " if k.startswith('relalg')))\n"
+              "listed = dir(relalg)\n"
+              "print([n for n in relalg.__all__ if n not in listed])\n"
+              "print([n for n in relalg.__all__ if not hasattr(relalg, n)])\n"
+              "print(hasattr(relalg, 'no_such_name'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, cwd=DATA.parent / "src")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['relalg']", "[]", "[]", "False"]
+
+
+def test_help_names_every_subcommand_and_the_default_budget(capsys):
+    # words and substrings only: argparse lays its help out differently by
+    # version
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert {"validate", "rel", "decide-z2", "iso", "classify", "check-action",
+            "axioms"} <= set(re.findall(r"[\w-]+", out))
+    for command in ("iso", "check-action"):
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, ""), command
+        assert "10000000" in out, command
 
 
 def test_usage_errors_exit_1(capsys):
