@@ -18,21 +18,22 @@ pair in its atom reads the table along the same image lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
+from .atoms import _Record
 from .concrete import ConcreteAlgebra
 from .errors import ActionError, InternalError
 
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(_Record):
     """The permutation group on {0..base_size-1} generated by `generators`."""
 
-    base_size: int
-    generators: tuple[Perm, ...]
+    __slots__ = _fields = ("base_size", "generators")
+
+    def __init__(self, base_size: int, generators: tuple[Perm, ...]):
+        self._init(base_size, generators)
 
 
 def build_group(base_size: int, generators: Iterable[Sequence[int]]) -> GroupAction:

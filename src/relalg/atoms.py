@@ -28,18 +28,17 @@ every middle atom; decision._gated picks its inputs.  The three axioms
 compose nothing: they read _places, O(atoms + identity atoms^2) mask
 operations.  AtomStructure._table builds the dense table _comp and the
 column supports in one O(cycles) pass; the join reads both, and
-decision._power_runs, the search, and compose_mask, the reference of
+search._power_runs, the search, and compose_mask, the reference of
 _element_flags, read _comp.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, reduce
 from itertools import chain, compress, count, repeat
 from operator import and_, ge, itemgetter, ne, neg, not_, or_, xor
-from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidStructureError
 
@@ -113,15 +112,60 @@ def _close_columns(xs: Sequence[int], ys: Sequence[int], zs: Sequence[int],
                            zip(ys, cz, cx), zip(cz, xs, cy), zip(cy, cx, cz)))
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
+_setattr = object.__setattr__
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
+class _Record:
+    """Base of the immutable records: _fields names a subclass's fields in
+    its constructor's parameter order, and __init__ sets them by _init.
+    Records of one class are equal, and hash, by their fields, repr as
+    Name(field=value, ...), copy and pickle through the constructor, and
+    refuse assignment and deletion."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        items = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({items})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Violation(_Record):
+    __slots__ = _fields = ("code", "message")
+
+    def __init__(self, code: str, message: str):
+        self._init(code, message)
+
+
+class ValidationReport(_Record):
+    __slots__ = _fields = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...] = ()):
+        self._init(violations)
 
     @property
     def ok(self) -> bool:
@@ -134,8 +178,7 @@ class ValidationReport:
         return [f"{v.code}: {v.message}" for v in self.violations]
 
 
-@dataclass(frozen=True)
-class AtomStructure:
+class AtomStructure(_Record):
     """Atom-level presentation of a finite relation algebra.
 
     atom_names     index is the atom id
@@ -144,24 +187,22 @@ class AtomStructure:
     cycles         triples (x, y, z) meaning z <= x;y
     """
 
-    atom_names: tuple[str, ...]
-    converse_map: tuple[int, ...]
-    identity_atoms: frozenset[int]
-    cycles: frozenset[Triple]
+    _fields = ("atom_names", "converse_map", "identity_atoms", "cycles")
 
-    def __post_init__(self):
-        object.__setattr__(self, "atom_names", tuple(self.atom_names))
-        object.__setattr__(self, "converse_map", tuple(self.converse_map))
-        object.__setattr__(self, "identity_atoms", frozenset(self.identity_atoms))
-        cycles = frozenset(map(tuple, self.cycles))
-        object.__setattr__(self, "cycles", cycles)
-        n = len(self.atom_names)
-        if len(self.converse_map) != n:
+    def __init__(self, atom_names: tuple[str, ...],
+                 converse_map: tuple[int, ...], identity_atoms: frozenset[int],
+                 cycles: frozenset[Triple]):
+        atom_names, converse_map = tuple(atom_names), tuple(converse_map)
+        identity_atoms = frozenset(identity_atoms)
+        cycles = frozenset(map(tuple, cycles))
+        self._init(atom_names, converse_map, identity_atoms, cycles)
+        n = len(atom_names)
+        if len(converse_map) != n:
             raise ValueError("converse_map must assign an image to every atom id")
-        for a in self.converse_map:
+        for a in converse_map:
             if not isinstance(a, int) or not 0 <= a < n:
                 raise ValueError(f"converse image {a!r} is not an atom id")
-        for e in self.identity_atoms:
+        for e in identity_atoms:
             if not isinstance(e, int) or not 0 <= e < n:
                 raise ValueError(f"identity atom {e!r} is not an atom id")
         # distinct ids and id types tested once; the culprit sought on
@@ -191,10 +232,9 @@ class AtomStructure:
         that ConcreteAlgebra checked, and the structure of a proper algebra
         satisfies the cycle law (Maddux, Relation Algebras, 2006)."""
         s = cls.__new__(cls)
-        for f, value in zip(fields(cls), (atom_names, converse_map,
-                                          identity_atoms, cycles)):
-            object.__setattr__(s, f.name, value)
-        s.__dict__["_cycle_law_broken"] = ()
+        s.__dict__.update(zip(cls._fields, (atom_names, converse_map,
+                                            identity_atoms, cycles)),
+                          _cycle_law_broken=())
         return s
 
     # -- basic views ------------------------------------------------------
@@ -760,23 +800,26 @@ _AXIOMS = ((1, "simplicity", "simple"), (2, "pair-density", "pair_dense"),
            (3, "functionality", "functional"))
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
-    axiom: int
-    condition: str
-    witness: str
+class AxiomFailure(_Record):
+    __slots__ = _fields = ("axiom", "condition", "witness")
+
+    def __init__(self, axiom: int, condition: str, witness: str):
+        self._init(axiom, condition, witness)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Record):
     """Results of the three first-order axioms, with witnesses on failure."""
 
-    simple: bool
-    pair_dense: bool
-    functional: bool
-    simple_witness: str | None = None
-    pair_dense_witness: str | None = None
-    functional_witness: str | None = None
+    __slots__ = _fields = ("simple", "pair_dense", "functional",
+                           "simple_witness", "pair_dense_witness",
+                           "functional_witness")
+
+    def __init__(self, simple: bool, pair_dense: bool, functional: bool,
+                 simple_witness: str | None = None,
+                 pair_dense_witness: str | None = None,
+                 functional_witness: str | None = None):
+        self._init(simple, pair_dense, functional, simple_witness,
+                   pair_dense_witness, functional_witness)
 
     def as_triple(self) -> tuple[bool, bool, bool]:
         return (self.simple, self.pair_dense, self.functional)

@@ -9,7 +9,9 @@ budget in `iso` or `check-action`, or a Python recursion or memory limit.
 
 A handler imports the decision procedure (`decision`) or the pair-dense
 classification (`pairdense`) itself, so that `rel`, `validate` and
-`axioms` neither compile nor run those modules.
+`axioms` neither compile nor run those modules; `decision` imports the
+isomorphism search (`search`) only for an `iso` pair with neither side in
+the class and a `check-action` group of order above two.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import argparse
 import codecs
 import functools
 import sys
-from pathlib import Path
 
 from .atoms import _AXIOMS, check_z2_axioms
 from .concrete import extract_atom_structure
@@ -209,7 +210,8 @@ def main(argv=None) -> int:
         status, lines = args.handler(args)
         text = "\n".join(lines) + "\n"
         if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as f:
+                f.write(text)
         else:
             sys.stdout.write(text)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error

@@ -18,12 +18,11 @@ checked only on algebras from outside.  Cycles are read off one pair per atom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterable, Sequence
 
-from .atoms import AtomStructure, Triple, usable_atom_name
+from .atoms import AtomStructure, Triple, _Record, usable_atom_name
 from .errors import ConcreteAlgebraError
 
 
@@ -39,28 +38,26 @@ def _check_names(names: Sequence[str]) -> None:
         seen.add(nm)
 
 
-@dataclass(frozen=True)
-class ConcreteAlgebra:
+class ConcreteAlgebra(_Record):
     """Atoms of a proper relation algebra on a finite base set:
     owner[i*n + j] is the atom holding the pair (i, j)."""
 
-    base_size: int
-    atom_names: tuple[str, ...]
-    owner: tuple[int, ...]
+    _fields = ("base_size", "atom_names", "owner")
 
-    def __post_init__(self):
-        object.__setattr__(self, "atom_names", tuple(self.atom_names))
-        object.__setattr__(self, "owner", tuple(self.owner))
-        _check_names(self.atom_names)
-        n = self.base_size
+    def __init__(self, base_size: int, atom_names: tuple[str, ...],
+                 owner: tuple[int, ...]):
+        atom_names, owner = tuple(atom_names), tuple(owner)
+        self._init(base_size, atom_names, owner)
+        _check_names(atom_names)
+        n = base_size
         if n < 1:
             raise ValueError("base set must be nonempty")
-        if len(self.owner) != n * n:
+        if len(owner) != n * n:
             raise ValueError(f"expected an owner table of {n * n} entries, "
-                             f"got {len(self.owner)}")
+                             f"got {len(owner)}")
         # the types are read off every entry: 0.0 and True equal atom ids
-        if (set(map(type, self.owner)) != {int}
-                or set(self.owner) != set(range(len(self.atom_names)))):
+        if (set(map(type, owner)) != {int}
+                or set(owner) != set(range(len(atom_names)))):
             raise ValueError("the owner table must give every atom a pair "
                              "and name no other atom")
 
@@ -107,9 +104,8 @@ class ConcreteAlgebra:
         checks that the table holds a group's orbits; invariant_violations
         checks converse and identity."""
         alg = cls.__new__(cls)
-        for f, value in zip(fields(cls), (base_size, atom_names, owner)):
-            object.__setattr__(alg, f.name, value)
-        alg.__dict__["_uncovered"] = ()
+        alg.__dict__.update(zip(cls._fields, (base_size, atom_names, owner)),
+                            _uncovered=())
         return alg
 
     @property

@@ -24,16 +24,9 @@ is built.  Equal counts get the proof's map (_realize): onto the
 action's algebra, and for `iso` both sides' maps onto the algebra of the
 source's involution, composed.  The search, and with it the budget and
 SearchBudgetExceeded, is left to `iso` pairs with neither side in the
-class and to actions of order above two.
-
-The search (find_isomorphism) refines and propagates; its colour
-refinement reads each cycle at its first atom only, which the cycle law
-makes enough.  Before it branches, the
-search compares the atoms' power runs (_power_runs), an invariant of
-O(atoms + cycles) that answers `none` for the regular actions of distinct
-abelian groups of one order, which refinement cannot tell apart; it
-never rejects an isomorphic pair, so no found map or node count depends
-on it.
+class and to actions of order above two.  It lives in the module search,
+imported only on that branch (_searched), and its map is checked here as
+an IsoWitness.
 
 Inputs are checked against the local laws first.  The associativity join
 runs only before a verdict that no witness certifies (a rejection, `none`,
@@ -45,24 +38,24 @@ algebra.  The rule lives in one gate, _gated.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from typing import NoReturn, Sequence
+from collections.abc import Sequence
 
 from .actions import GroupAction, build_group, rel_algebra
-from .atoms import AtomStructure, AxiomFailure, _z2_axioms, iter_bits
+from .atoms import (AtomStructure, AxiomFailure, _Record, _z2_axioms,
+                    iter_bits)
 from .concrete import ConcreteAlgebra, extract_atom_structure
-from .errors import DEFAULT_BUDGET, InternalError, SearchBudgetExceeded
+from .errors import DEFAULT_BUDGET, InternalError
 from .formats import format_atom_structure
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(_Record):
     """An atom bijection claimed to be an isomorphism of structures."""
 
-    source: AtomStructure
-    target: AtomStructure
-    atom_map: tuple[int, ...]
+    __slots__ = _fields = ("source", "target", "atom_map")
+
+    def __init__(self, source: AtomStructure, target: AtomStructure,
+                 atom_map: tuple[int, ...]):
+        self._init(source, target, atom_map)
 
     def problems(self) -> tuple[str, ...]:
         s, t, m = self.source, self.target, self.atom_map
@@ -106,83 +99,6 @@ class IsoWitness:
                 for a in range(self.source.n_atoms)]
 
 
-def _refined_colours(source: AtomStructure, target: AtomStructure
-                     ) -> tuple[list[int], list[int]] | None:
-    """Colour refinement over cycles, from identity and self-converse atoms.
-
-    An atom x's next colour is its colour and the multiset of (c[y], c[z])
-    over its first-place cycles (x, y, z), each pair keyed by the integer
-    c[y] * k + c[z], k the previous round's class count: every colour is
-    below k, so the key is injective and sorts like the pair.  One table
-    numbers the colours of both structures, so equal numbers mean equal
-    colours; rounds stop when no class splits.  None when some class
-    differs in size.
-
-    Requires the cycle law, with converse an involution, as valid and
-    extracted structures have.  Then x's second- and third-place cycles
-    are the (z~, x, y~) and (z, y~, x), and x~'s first-place cycles the
-    (x~, z, y).  Equal start colours have converses of equal colours, as
-    identity atoms are self-converse and so is an atom iff its converse
-    is; each round keeps that, so keying also on the other two places and
-    on c[x~] would give the same classes, numbered alike.
-    """
-    table: dict = {}
-    cols = [[table.setdefault((a in s.identity_atoms, c == a), len(table))
-             for a, c in enumerate(s.converse_map)] for s in (source, target)]
-    while Counter(cols[0]) == Counter(cols[1]):
-        classes, table = len(table), {}
-        for k, s in enumerate((source, target)):
-            c = cols[k]
-            ctx: list[list[int]] = [[] for _ in c]
-            for x, y, z in s.cycles:
-                ctx[x].append(c[y] * classes + c[z])
-            cols[k] = [table.setdefault((c[a], tuple(sorted(t))), len(table))
-                       for a, t in enumerate(ctx)]
-        if len(table) == classes:
-            return cols[0], cols[1]
-    return None
-
-
-def _power_runs(s: AtomStructure) -> Counter:
-    """The multiset of the atoms' power runs, an isomorphism invariant.
-
-    Atom x's run follows x, x;x, (x;x);x, ... while each power is one atom
-    and stops at the first power that is empty, has several atoms or
-    repeats; each power adds its atom count and whether it meets the
-    identity.  In the structure of a group, the identity first shows at
-    the element's order.  Only _comp and the identity atoms are read, so a
-    relabelling keeps the multiset.  Step k of x's run reads the cycle
-    (x^k, x, x^(k+1)), never the same one twice over all runs, so all runs
-    cost at most atoms + cycles lookups.
-    """
-    comp, ident = s._comp, s.identity_mask
-    runs: Counter = Counter()
-    for x in range(s.n_atoms):
-        p, seen, run = 1 << x, 0, []
-        while True:
-            run.append((p.bit_count(), p & ident != 0))
-            if not p or p & (p - 1) or p & seen:
-                break
-            seen |= p
-            p = comp[p.bit_length() - 1][x]
-        runs[tuple(run)] += 1
-    return runs
-
-
-class _Partial:
-    """A partial atom map: m (-1 where unset), the live target candidates
-    of each unassigned source atom as a bitmask, the assigned source atoms
-    in order, and the mask of assigned target atoms."""
-
-    __slots__ = ("m", "masks", "done", "taken")
-
-    def __init__(self, m, masks, done, taken):
-        self.m, self.masks, self.done, self.taken = m, masks, done, taken
-
-    def copy(self) -> "_Partial":
-        return _Partial(self.m[:], self.masks[:], self.done[:], self.taken)
-
-
 def find_isomorphism(source: AtomStructure, target: AtomStructure,
                      budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
     """An isomorphism of structures, by the class when either side is in
@@ -194,23 +110,9 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
     the algebra of the source's involution (see _realize) and composed,
     which certifies both, so no join runs.
 
-    The search: colour refinement over each atom's first-place cycles,
-    which fix its others by the cycle law (see _refined_colours), started
-    from two colours per atom (is it an identity atom, is it its own
-    converse) and iterated to a fixed point with one colour table for both
-    structures, gives each source atom its candidates: the target atoms of
-    its colour.  Unequal multisets of power runs (see _power_runs) then
-    answer None without a search; isomorphic structures always have equal
-    ones, so this changes no found map and no node count.  The search
-    branches on the unassigned atom with the fewest live candidates
-    (lowest id on ties), trying candidates in target id order.
-    Assigning a -> b also assigns a~ -> b~ and, for every assigned y,
-    requires a;y and b;m(y) (and y;a, m(y);b) to have as many atoms, maps
-    each assigned atom of a;y into b;m(y), and narrows the candidates of
-    the unassigned ones to b;m(y).  An empty candidate set backtracks, a
-    single one is assigned at once.  Each atom assignment, tried or forced,
-    is one node of `budget`; past it, SearchBudgetExceeded is raised.  None
-    means no isomorphism exists.
+    Otherwise the search runs (module search, see _searched): each atom
+    assignment, tried or forced, is one node of `budget`; past it,
+    SearchBudgetExceeded is raised.  None means no isomorphism exists.
 
     An invalid structure raises InvalidStructureError, the source's when
     both are invalid (see _gated).
@@ -218,7 +120,7 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
     def compute():
         counts = _class_counts(source), _class_counts(target)
         if counts == (None, None):
-            w = _search_isomorphism(source, target, budget)
+            w = _searched(source, target, budget)
             return w, (source, target) if w is None else (source,)
         if counts[0] != counts[1]:
             return None, (source, target)
@@ -267,99 +169,16 @@ def _gated(inputs: tuple[AtomStructure, ...], compute):
     return answer
 
 
-def _search_isomorphism(source: AtomStructure, target: AtomStructure,
-                        budget: int) -> IsoWitness | None:
-    # find_isomorphism on structures whose local laws hold
-    colours = _refined_colours(source, target)
-    if colours is None or _power_runs(source) != _power_runs(target):
+def _searched(source: AtomStructure, target: AtomStructure,
+              budget: int) -> IsoWitness | None:
+    """The search's isomorphism of structures whose local laws hold, as a
+    checked witness, or None.  The search module is imported here, so
+    that a request the class answers never compiles it."""
+    from .search import _search_isomorphism
+    atom_map = _search_isomorphism(source, target, budget)
+    if atom_map is None:
         return None
-    n = source.n_atoms
-    by_colour: dict[int, int] = {}
-    for b, c in enumerate(colours[1]):
-        by_colour[c] = by_colour.get(c, 0) | 1 << b
-    scomp, tcomp = source._comp, target._comp
-    sconv, tconv = source.converse_map, target.converse_map
-    nodes = 0
-
-    def assign(p: _Partial, a: int, b: int) -> bool:
-        # a -> b with its consequences; False on a contradiction
-        nonlocal nodes
-        m, masks, done = p.m, p.masks, p.done
-        queue = [(a, b)]
-        while queue:
-            a, b = queue.pop()
-            if m[a] == b:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(
-                    f"isomorphism search exceeded its budget of {budget} nodes")
-            if m[a] != -1 or p.taken >> b & 1 or not masks[a] >> b & 1:
-                return False
-            m[a] = b
-            p.taken |= 1 << b
-            done.append(a)
-            if sconv[a] != a:
-                queue.append((sconv[a], tconv[b]))
-            srow, trow = scomp[a], tcomp[b]
-            for y in done:
-                my = m[y]
-                for sz, tz in ((srow[y], trow[my]), (scomp[y][a], tcomp[my][b])):
-                    if sz.bit_count() != tz.bit_count():
-                        return False
-                    while sz:
-                        low = sz & -sz
-                        sz ^= low
-                        z = low.bit_length() - 1
-                        if m[z] != -1:
-                            if not tz >> m[z] & 1:
-                                return False
-                        else:
-                            live = masks[z] & tz
-                            if not live:
-                                return False
-                            masks[z] = live
-                            if not live & (live - 1):
-                                queue.append((z, live.bit_length() - 1))
-        return True
-
-    def branch_atom(p: _Partial) -> tuple[int, int]:
-        # (a, live candidates) of the unassigned atom with the fewest live
-        # candidates, lowest id first; (-1, 0) when all are assigned
-        best, best_live, best_k = -1, 0, n + 1
-        for a in range(n):
-            if p.m[a] == -1:
-                live = p.masks[a] & ~p.taken
-                k = live.bit_count()
-                if k < best_k:
-                    best, best_live, best_k = a, live, k
-                    if k < 2:
-                        break
-        return best, best_live
-
-    p = _Partial([-1] * n, [by_colour[c] for c in colours[0]], [], 0)
-    # one entry per open branching decision: the state before it, the atom
-    # branched on, and its candidates not yet tried; the last one tried,
-    # like the only one of a forced atom, takes the saved state, not a copy
-    stack: list[tuple[_Partial, int, int]] = []
-    while True:
-        a, live = branch_atom(p)
-        if a < 0:
-            break
-        if live:
-            stack.append((p, a, live))
-        while True:
-            if not stack:
-                return None
-            saved, a, cands = stack.pop()
-            low = cands & -cands
-            if cands != low:
-                stack.append((saved, a, cands ^ low))
-                saved = saved.copy()
-            p = saved
-            if assign(p, a, low.bit_length() - 1):
-                break
-    witness = IsoWitness(source, target, tuple(p.m))
+    witness = IsoWitness(source, target, atom_map)
     bad = witness.problems()
     if bad:
         raise InternalError("search produced an invalid witness: " + bad[0])
@@ -369,8 +188,7 @@ def _search_isomorphism(source: AtomStructure, target: AtomStructure,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Z2Decision:
+class Z2Decision(_Record):
     """Outcome of the representability decision.
 
     Accepted decisions carry the constructed action, its algebra of
@@ -378,12 +196,15 @@ class Z2Decision:
     carry every failed axiom with its witness atom.
     """
 
-    structure: AtomStructure
-    accepted: bool
-    failures: tuple[AxiomFailure, ...] = ()
-    action: GroupAction | None = None
-    algebra: ConcreteAlgebra | None = None
-    witness: IsoWitness | None = None
+    __slots__ = _fields = ("structure", "accepted", "failures", "action",
+                           "algebra", "witness")
+
+    def __init__(self, structure: AtomStructure, accepted: bool,
+                 failures: tuple[AxiomFailure, ...] = (),
+                 action: GroupAction | None = None,
+                 algebra: ConcreteAlgebra | None = None,
+                 witness: IsoWitness | None = None):
+        self._init(structure, accepted, failures, action, algebra, witness)
 
 
 def decide_z2(structure: AtomStructure) -> Z2Decision:
@@ -488,8 +309,8 @@ def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
               for d in idents for r in idents}
     for (d, r), group in groups.items():
         if len(group) != 1 + (len(blocks[d]) == len(blocks[r]) == 2):
-            _unproven(s, target, f"{len(group)} atoms from {names[d]} to "
-                                 f"{names[r]}")
+            raise _unproven(s, target, f"{len(group)} atoms from "
+                                       f"{names[d]} to {names[r]}")
 
     twins = sorted(e for e, b in blocks.items() if len(b) == 2)
     p = {e: e if e == twins[0] else min(groups[twins[0], e]) for e in twins}
@@ -503,21 +324,22 @@ def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
             par = sum(1 << a for a in group
                       if (conv[p[d]], p[r], a) in s.cycles)
             if par & (par - 1) or not par:
-                _unproven(s, target, f"{names[p[d]]}~;{names[p[r]]} is not "
-                                     f"one atom from {names[d]} to {names[r]}")
+                raise _unproven(s, target,
+                                f"{names[p[d]]}~;{names[p[r]]} is not one "
+                                f"atom from {names[d]} to {names[r]}")
         for a in group:
             m[a] = owner[blocks[d][0] * n + blocks[r][not par >> a & 1]]
     witness = IsoWitness(s, target, tuple(m))
     bad = witness.problems()
     if bad:
-        _unproven(s, target, bad[0])
+        raise _unproven(s, target, bad[0])
     return witness
 
 
 def _unproven(s: AtomStructure, target: AtomStructure, reason: str
-              ) -> NoReturn:
-    # the proof's map of s onto target breaks, for the given reason
-    raise InternalError(
+              ) -> InternalError:
+    # the error to raise where the proof's map of s onto target breaks
+    return InternalError(
         f"accepted axioms but the constructed isomorphism fails: {reason}"
         "\n--- input ---\n" + format_atom_structure(s)
         + "--- constructed ---\n" + format_atom_structure(target))
@@ -542,7 +364,7 @@ def check_action_represents(structure: AtomStructure, action: GroupAction,
         g = _involution(action)
         if g is None:
             target = extract_atom_structure(rel_algebra(action))
-            w = _search_isomorphism(structure, target, budget)
+            w = _searched(structure, target, budget)
             return w, (structure,) if w is None else ()
         fixed = sum(i == j for i, j in enumerate(g))
         if _class_counts(structure) != (fixed, (len(g) - fixed) // 2):
@@ -565,9 +387,11 @@ def _involution(action: GroupAction) -> tuple[int, ...] | None:
     return g if all(g[j] == i for i, j in enumerate(g)) else None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    problems: tuple[str, ...] = ()
+class VerificationReport(_Record):
+    __slots__ = _fields = ("problems",)
+
+    def __init__(self, problems: tuple[str, ...] = ()):
+        self._init(problems)
 
     @property
     def ok(self) -> bool:

@@ -27,7 +27,7 @@ a sorted pass that marks the transforms of each cycle it writes.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .actions import GroupAction, build_group
 from .atoms import (AtomStructure, Triple, _close_columns, _transforms,

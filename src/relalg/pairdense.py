@@ -12,26 +12,22 @@ or form a single four-pair block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .atoms import _Record
 from .concrete import ConcreteAlgebra
 from .errors import ClassificationError
 
 Twin = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class BasePartition:
+class BasePartition(_Record):
     """Disjoint points and twins in range(base_size), each kept sorted."""
 
-    base_size: int
-    points: tuple[int, ...]
-    twins: tuple[Twin, ...]
+    __slots__ = _fields = ("base_size", "points", "twins")
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
-        object.__setattr__(self, "twins", tuple(
-            sorted(tuple(sorted(t)) for t in self.twins)))
+    def __init__(self, base_size: int, points: tuple[int, ...],
+                 twins: tuple[Twin, ...]):
+        self._init(base_size, tuple(sorted(points)),
+                   tuple(sorted(tuple(sorted(t)) for t in twins)))
 
 
 def derive_points_twins(c: ConcreteAlgebra) -> BasePartition:
@@ -55,18 +51,19 @@ def derive_points_twins(c: ConcreteAlgebra) -> BasePartition:
                          tuple(tuple(b) for b in blocks.values() if len(b) == 2))
 
 
-@dataclass(frozen=True)
-class AtomTypeInfo:
-    name: str
-    type_tag: int
-    witness: tuple[int, ...]
+class AtomTypeInfo(_Record):
+    __slots__ = _fields = ("name", "type_tag", "witness")
+
+    def __init__(self, name: str, type_tag: int, witness: tuple[int, ...]):
+        self._init(name, type_tag, witness)
 
 
-@dataclass(frozen=True)
-class AtomClassification:
-    base: BasePartition
-    atoms: tuple[AtomTypeInfo, ...]
-    tilde: tuple[tuple[Twin, Twin], ...]
+class AtomClassification(_Record):
+    __slots__ = _fields = ("base", "atoms", "tilde")
+
+    def __init__(self, base: BasePartition, atoms: tuple[AtomTypeInfo, ...],
+                 tilde: tuple[tuple[Twin, Twin], ...]):
+        self._init(base, atoms, tilde)
 
     def type_tags(self) -> tuple[int, ...]:
         return tuple(info.type_tag for info in self.atoms)

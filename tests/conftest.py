@@ -6,6 +6,7 @@ implementation that shares no code with the one under test.
 """
 
 import functools
+import inspect
 import itertools
 import operator
 from collections import Counter
@@ -37,6 +38,13 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 def load_structure(name: str) -> AtomStructure:
     path = DATA / name
     return parse_atom_structure(path.read_text(), source=str(path))
+
+
+def replaced(obj, **changes):
+    """A copy of a relalg record with the given fields changed, rebuilt
+    through its class, whose constructor takes one parameter per field."""
+    names = inspect.signature(type(obj)).parameters
+    return type(obj)(**{**{f: getattr(obj, f) for f in names}, **changes})
 
 
 def load_action(name: str):

@@ -323,15 +323,16 @@ def test_rel_at_3200_atoms_stays_under_its_bounds(tmp_path):
 # lists the relalg submodules it has loaded, on the last line of stderr
 MODULES_CHILD = ("import sys\nfrom relalg import cli\n"
                  "code = cli.main(sys.argv[1:])\n"
-                 "print(*sorted(k for k in sys.modules"
-                 " if k.startswith('relalg.')), file=sys.stderr)\n"
+                 "print(*sorted(sys.modules), file=sys.stderr)\n"
                  "sys.exit(code)\n")
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs():
     # the decision procedure and the pair-dense classification are
-    # imported by the handlers that call them; test_api.py runs in the
-    # test process, where other tests have imported everything already
+    # imported by the handlers that call them, and the search only when
+    # the class cannot answer; test_api.py runs in the test process, where
+    # other tests have imported everything already.  -S starts the child
+    # without site, whose .pth files could import a module first
     for argv, status in ((["validate", DATA / "23.ra"], 0),
                          (["rel", DATA / "z3.act"], 0),
                          (["axioms", DATA / "57.ra"], 2),
@@ -339,9 +340,10 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
                          (["decide-z2", DATA / "swap.ra", "--verify"], 0),
                          (["iso", DATA / "23.ra",
                            DATA / "23_relabeled.ra"], 0),
+                         (["iso", DATA / "swap.ra", DATA / "swap.ra"], 0),
                          (["check-action", DATA / "swap.ra",
                            DATA / "swap.act"], 0)):
-        proc = subprocess.run([sys.executable, "-c", MODULES_CHILD,
+        proc = subprocess.run([sys.executable, "-S", "-c", MODULES_CHILD,
                                *map(str, argv)], capture_output=True,
                               text=True, cwd=DATA.parent / "src")
         assert proc.returncode == status, (argv, proc.stderr)
@@ -350,6 +352,10 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
         assert ("relalg.decision" in loaded) == (
             argv[0] in ("decide-z2", "iso", "check-action")), argv
         assert ("relalg.pairdense" in loaded) == (argv[0] == "classify"), argv
+        assert ("relalg.search" in loaded) == (
+            argv[1:] == [DATA / "23.ra", DATA / "23_relabeled.ra"]), argv
+        assert not loaded & {"dataclasses", "inspect", "typing",
+                             "pathlib"}, argv
 
 
 def test_import_loads_no_submodule_and_names_resolve_on_use():

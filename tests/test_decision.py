@@ -1,7 +1,6 @@
 """Isomorphism search, the representability decision, and verification."""
 
 import contextlib
-import dataclasses
 import functools
 import itertools
 import math
@@ -16,17 +15,18 @@ from relalg import (AtomStructure, InternalError, InvalidStructureError,
                     check_action_represents, check_z2_axioms, classify_atoms,
                     close_cycles, decide_z2, extract_atom_structure,
                     find_isomorphism, rel_algebra, verify_decision)
-from relalg import atoms, decision
+from relalg import atoms, decision, search
 from relalg.cli import main
-from relalg.decision import _power_runs, _proof_witness, _refined_colours
+from relalg.decision import _proof_witness
 from relalg.formats import format_atom_structure
+from relalg.search import _power_runs, _refined_colours
 
 from conftest import (DATA, atom_flags_oracle, conjugate, generated_groups,
                       group_closure_oracle, involution_action,
                       involution_structure, involutions, load_action,
                       load_concrete, load_structure, one_orbit_corruptions,
-                      refined_colours_oracle, regular_action, shuffled,
-                      signature_oracle)
+                      refined_colours_oracle, regular_action, replaced,
+                      shuffled, signature_oracle)
 
 
 # --- find_isomorphism -----------------------------------------------------
@@ -295,7 +295,7 @@ def proof_only():
     counted = functools.cached_property(counting_table)
     counted.__set_name__(AtomStructure, "_table")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(decision, "_search_isomorphism", unreachable)
+        patch.setattr(search, "_search_isomorphism", unreachable)
         patch.setattr(atoms, "_associativity_witness", counting)
         patch.setattr(AtomStructure, "_table", counted)
         yield joins, tables
@@ -366,7 +366,7 @@ def test_the_class_answers_whenever_one_side_is_in_it(monkeypatch):
 
     built, joins = [], []
     join = atoms._associativity_witness
-    monkeypatch.setattr(decision, "_search_isomorphism", unreachable)
+    monkeypatch.setattr(search, "_search_isomorphism", unreachable)
     monkeypatch.setattr(decision, "rel_algebra",
                         lambda a: built.append(a) or rel_algebra(a))
     monkeypatch.setattr(atoms, "_associativity_witness",
@@ -400,7 +400,7 @@ def test_a_failed_proof_map_reports_the_invalid_input_without_a_search(
     # its map, which fails on the missing orbit; by the theorem only an
     # invalid input fails it, so the table's report ends the request there
     reached = []
-    monkeypatch.setattr(decision, "_search_isomorphism",
+    monkeypatch.setattr(search, "_search_isomorphism",
                         lambda *args: reached.append(args))
     tables = one_orbit_corruptions()
     assert len(tables) == 39
@@ -421,7 +421,7 @@ def test_a_failed_proof_map_on_valid_inputs_is_an_internal_error(
     # the proof's map on valid inputs of the class; every command reports
     # that as an internal error (exit 1), and none falls back to a search
     reached = []
-    monkeypatch.setattr(decision, "_search_isomorphism",
+    monkeypatch.setattr(search, "_search_isomorphism",
                         lambda *args: reached.append(args))
     blocks = decision._blocks
 
@@ -532,8 +532,7 @@ def test_a_broken_local_law_stops_every_answer(swap_structure):
     # search read: each would answer if the gate did not stop it first
     from relalg import InvalidStructureError
     s = swap_structure
-    dup = dataclasses.replace(
-        s, atom_names=(s.atom_names[1],) + s.atom_names[1:])
+    dup = replaced(s, atom_names=(s.atom_names[1],) + s.atom_names[1:])
     action = build_group(2, [(1, 0)])
     for call in (lambda: decide_z2(dup), lambda: find_isomorphism(s, dup),
                  lambda: find_isomorphism(dup, s),
@@ -690,21 +689,21 @@ def test_verify_catches_wrong_action(swap_structure):
     for action in (build_group(3, [(1, 2, 0)]),
                    build_group(4, [(1, 0, 3, 2), (2, 3, 0, 1)]),
                    build_group(4, [(1, 2, 3, 0)])):
-        report = verify_decision(dataclasses.replace(d, action=action))
+        report = verify_decision(replaced(d, action=action))
         assert not report.ok
         assert any("order" in p for p in report.problems), action
 
 
 def test_verify_accepts_identity_among_generators(swap_structure):
     d = decide_z2(swap_structure)
-    forged = dataclasses.replace(d, action=build_group(2, [(0, 1), (1, 0)]))
+    forged = replaced(d, action=build_group(2, [(0, 1), (1, 0)]))
     assert verify_decision(forged).ok
 
 
 def test_verify_catches_swapped_algebra(swap_structure):
     d = decide_z2(swap_structure)
     other = rel_algebra(build_group(2, [(0, 1)]))
-    forged = dataclasses.replace(d, algebra=other)
+    forged = replaced(d, algebra=other)
     report = verify_decision(forged)
     assert not report.ok
 
@@ -712,7 +711,7 @@ def test_verify_catches_swapped_algebra(swap_structure):
 def test_verify_catches_tampered_witness(swap_structure):
     d = decide_z2(swap_structure)
     bad = IsoWitness(d.witness.source, d.witness.target, (1, 0))
-    forged = dataclasses.replace(d, witness=bad)
+    forged = replaced(d, witness=bad)
     assert not verify_decision(forged).ok
 
 
@@ -720,10 +719,10 @@ def test_verify_catches_witness_of_another_structure(swap_structure):
     # a renamed copy is isomorphic to the decided structure, so the witness
     # itself checks out and only its source gives it away
     d = decide_z2(swap_structure)
-    other = dataclasses.replace(swap_structure, atom_names=("x", "y"))
-    w = dataclasses.replace(d.witness, source=other)
+    other = replaced(swap_structure, atom_names=("x", "y"))
+    w = replaced(d.witness, source=other)
     assert w.problems() == ()
-    report = verify_decision(dataclasses.replace(d, witness=w))
+    report = verify_decision(replaced(d, witness=w))
     assert report.problems == ("witness source is not the decided structure",)
 
 
@@ -735,7 +734,7 @@ def test_tampered_witness_reports_cycle_mismatch():
     m = list(d.witness.atom_map)
     a0, a1 = map(ext.atom_names.index, ("a0", "a1"))
     m[a0], m[a1] = m[a1], m[a0]
-    forged = dataclasses.replace(d, witness=IsoWitness(
+    forged = replaced(d, witness=IsoWitness(
         d.witness.source, d.witness.target, tuple(m)))
     report = verify_decision(forged)
     assert not report.ok
@@ -770,10 +769,10 @@ def test_verify_catches_forged_target(swap_structure):
     # field, and valid
     d = decide_z2(swap_structure)
     t = d.witness.target
-    renamed = dataclasses.replace(t, atom_names=("x", "y"))
-    broken = dataclasses.replace(t, cycles=t.cycles - {(1, 1, 0)})
+    renamed = replaced(t, atom_names=("x", "y"))
+    broken = replaced(t, cycles=t.cycles - {(1, 1, 0)})
     for forged in (renamed, broken):
-        w = dataclasses.replace(d.witness, target=forged)
-        report = verify_decision(dataclasses.replace(d, witness=w))
+        w = replaced(d.witness, target=forged)
+        report = verify_decision(replaced(d, witness=w))
         assert not report.ok
         assert any("witness target" in p for p in report.problems)

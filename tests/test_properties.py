@@ -13,7 +13,7 @@ from relalg import (AtomStructure, ParseError, build_group,
                     parse_concrete_algebra, parse_group_action, peirce_orbit,
                     rel_algebra)
 from relalg.atoms import _associativity_witness, _local_laws
-from relalg.decision import _power_runs
+from relalg.search import _power_runs
 
 from conftest import (associativity_witness_oracle, close_cycles_oracle,
                       conjugate, emitted_cycle_lines, involution_action,
