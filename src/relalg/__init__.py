@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it, in the order of __all__
 _SUBMODULE = {name: module for module, names in (
     ("atoms", ("AtomStructure", "ValidationReport", "Violation",
-               "AxiomFailure", "AxiomReport", "peirce_orbit", "close_cycles",
+               "AxiomFailure", "AxiomReport", "peirce_orbit",
                "check_z2_axioms")),
     ("concrete", ("ConcreteAlgebra", "extract_atom_structure")),
     ("actions", ("GroupAction", "build_group", "pair_orbits", "rel_algebra")),

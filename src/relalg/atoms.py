@@ -8,7 +8,9 @@ AtomStructure.compose_mask and converse_mask give the Peircean operations.
 AtomStructure._element_flags states point, pair and function as the
 element inequalities; the decision never reads it, and it is kept as the
 compositional reference that the per-atom facts of the axioms are
-tested against.
+tested against.  The six Peircean transforms of a cycle are written out
+here only: peirce_orbit for one cycle, _close_columns for the parser's
+cycle lines, and _orbit_reps picks the line that writes each orbit.
 
 Validation has two parts.  The local laws (names, converse, the cycle
 and identity laws, one domain and one range atom per atom) cost two
@@ -70,37 +72,16 @@ def _union(table: Sequence[int], mask: int) -> int:
     return acc
 
 
-def _transforms(triple: Triple, converse: Sequence[int]) -> tuple[Triple, ...]:
-    # the six Peircean transforms of a cycle, repeats included
-    x, y, z = triple
-    cx, cy, cz = converse[x], converse[y], converse[z]
-    return ((x, y, z), (cx, z, y), (z, cy, x),
-            (y, cz, cx), (cz, x, cy), (cy, cx, cz))
-
-
 def peirce_orbit(triple: Triple, converse: Sequence[int]) -> frozenset[Triple]:
     """All six transforms of a cycle that must hold together.
 
     If z <= x;y then also y <= x~;z, x <= z;y~, and the converses of all
     three, which gives six triples.
     """
-    return frozenset(_transforms(triple, converse))
-
-
-def close_cycles(cycles: Iterable[Triple], converse: Sequence[int]) -> frozenset[Triple]:
-    """The union of the six Peircean transforms of each cycle.
-
-    The union is closed under the transforms exactly when the converse is
-    an involution: the six transforms of a cycle are then its orbit under
-    the group they generate.  Every cycle must be a triple; the ids are
-    not checked.  The set is built by _close_columns.
-    """
-    reps = list(cycles)
-    if not reps:
-        return frozenset()
-    if set(map(len, reps)) != {3}:
-        raise ValueError("every cycle must be a triple of atom ids")
-    return _close_columns(*zip(*reps), converse)
+    x, y, z = triple
+    cx, cy, cz = converse[x], converse[y], converse[z]
+    return frozenset(((x, y, z), (cx, z, y), (z, cy, x),
+                      (y, cz, cx), (cz, x, cy), (cy, cx, cz)))
 
 
 def _close_columns(xs: Sequence[int], ys: Sequence[int], zs: Sequence[int],
@@ -467,7 +448,7 @@ def _broken_cycles(s: AtomStructure) -> list[Triple]:
            for x, y, z in cycles):
         return []
     return sorted(t for t in cycles
-                  if not cycles.issuperset(_transforms(t, conv)))
+                  if not cycles.issuperset(peirce_orbit(t, conv)))
 
 
 def _whole_orbits(s: AtomStructure) -> bool:
@@ -478,6 +459,50 @@ def _whole_orbits(s: AtomStructure) -> bool:
     conv = s.converse_map
     return (not s._cycle_law_broken
             and [*map(conv.__getitem__, conv)] == [*range(len(conv))])
+
+
+def _orbit_leasts(cycles: Iterable[Triple],
+                  conv: Sequence[int]) -> list[Triple]:
+    """The cycles t = (x, y, z) at most each of their five other Peircean
+    transforms, under an involutive converse.  t is compared with a
+    transform by x against its first place, x~, y, y~, z or z~, and as a
+    whole only on a tie.  A tie with (y, z~, x~) needs no second look:
+    when x = y, t <= (y, z~, x~) is (x, z) <= (z~, x~), which x <= z~
+    gives, as x = z~ makes z = x~."""
+    reps = []
+    for t in cycles:
+        x, y, z = t
+        # (y, z~, x~) and (z, y~, x), whose first places need no lookup
+        if x > y or x > z or x == z and t > (z, conv[y], x):
+            continue
+        cx, cy, cz = conv[x], conv[y], conv[z]
+        if ((x < cx or x == cx and t <= (cx, z, y))
+                and (x < cy or x == cy and t <= (cy, cx, cz))
+                and (x < cz or x == cz and t <= (cz, x, cy))):
+            reps.append(t)
+    return reps
+
+
+def _orbit_reps(s: AtomStructure) -> list[Triple]:
+    """The cycles that stand for their Peircean orbits in the text format,
+    one per orbit, its least member, in sorted order.
+
+    When the orbits are whole (_whole_orbits), as in every parsed or
+    extracted structure, the transforms of a cycle are its orbit, so a
+    cycle is its orbit's least exactly when it is at most each transform:
+    a local test per cycle, and only the representatives are sorted.
+    Other tables keep the sorted pass that takes each cycle not yet
+    marked and marks its transforms, whose output the local test equals
+    wherever both apply."""
+    conv = s.converse_map
+    if _whole_orbits(s):
+        return sorted(_orbit_leasts(s.cycles, conv))
+    reps, marked = [], set()
+    for t in sorted(s.cycles):
+        if t not in marked:
+            marked.update(peirce_orbit(t, conv))
+            reps.append(t)
+    return reps
 
 
 def _associativity_witness(s: AtomStructure) -> Triple | None:

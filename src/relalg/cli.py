@@ -95,13 +95,10 @@ def _cmd_decide_z2(args) -> tuple[int, list[str]]:
             raise InternalError("verification failed: "
                                 + "; ".join(report.problems))
         lines.append("verified")
-    lines.append("")
-    lines.extend(format_group_action(decision.action).splitlines())
-    lines.append("")
-    lines.extend(format_concrete_algebra(decision.algebra).splitlines())
-    lines.append("")
-    lines.extend(decision.witness.map_lines())
-    return 0, lines
+    # each text without its final newline, between the blank lines
+    return 0, [*lines, "", format_group_action(decision.action)[:-1], "",
+               format_concrete_algebra(decision.algebra)[:-1], "",
+               *decision.witness.map_lines()]
 
 
 def _cmd_iso(args) -> tuple[int, list[str]]:

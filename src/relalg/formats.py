@@ -17,21 +17,16 @@ a~ = b and b~ = a and no atom is in two entries, so the converse is an
 involution, and the closure under an involution obeys the cycle law.
 
 An atom structure is written with one cycle line per Peircean orbit, its
-least member.  Where the orbits are whole (atoms._whole_orbits), each
-cycle is tested locally against its five other transforms, most of them
-rejected by comparing their first atom with the transforms' first atoms,
-and only the representatives are sorted; other tables, hand-built, take
-a sorted pass that marks the transforms of each cycle it writes.
+least member.  The orbit lines are chosen in atoms, by atoms._orbit_reps,
+beside the closure that the parser runs.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
 
 from .actions import GroupAction, build_group
-from .atoms import (AtomStructure, Triple, _close_columns, _transforms,
-                    _whole_orbits)
+from .atoms import AtomStructure, _close_columns, _orbit_reps
 from .concrete import ConcreteAlgebra
 from .errors import ParseError
 
@@ -150,39 +145,9 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
         tuple(atoms), conv, frozenset(identity), _close_columns(xs, ys, zs, conv))
 
 
-def _orbit_leasts(cycles: Iterable[Triple],
-                  conv: Sequence[int]) -> list[Triple]:
-    """The cycles t = (x, y, z) at most each of their five other Peircean
-    transforms, under an involutive converse.  t is compared with a
-    transform by x against its first place, x~, y, y~, z or z~, and as a
-    whole only on a tie.  A tie with (y, z~, x~) needs no second look:
-    when x = y, t <= (y, z~, x~) is (x, z) <= (z~, x~), which x <= z~
-    gives, as x = z~ makes z = x~."""
-    reps = []
-    for t in cycles:
-        x, y, z = t
-        # (y, z~, x~) and (z, y~, x), whose first places need no lookup
-        if x > y or x > z or x == z and t > (z, conv[y], x):
-            continue
-        cx, cy, cz = conv[x], conv[y], conv[z]
-        if ((x < cx or x == cx and t <= (cx, z, y))
-                and (x < cy or x == cy and t <= (cy, cx, cz))
-                and (x < cz or x == cz and t <= (cz, x, cy))):
-            reps.append(t)
-    return reps
-
-
 def format_atom_structure(s: AtomStructure) -> str:
     """The text of s, one cycle line per Peircean orbit: its least member,
-    in sorted order.
-
-    When the orbits are whole (atoms._whole_orbits), as in every parsed or
-    extracted structure, the transforms of a cycle are its orbit, so a
-    cycle is its orbit's least exactly when it is at most each transform:
-    a local test per cycle, and only the representatives are sorted.
-    Other tables keep the sorted pass that emits each cycle not yet
-    marked and marks its transforms, whose output the local test equals
-    wherever both apply."""
+    in sorted order, as atoms._orbit_reps chooses them."""
     conv, names = s.converse_map, s.atom_names
     lines = ["atoms " + " ".join(names)]
     lines.append("identity " + " ".join(names[e]
@@ -190,15 +155,8 @@ def format_atom_structure(s: AtomStructure) -> str:
     pairs = [f"{names[a]}:{names[conv[a]]}"
              for a in range(s.n_atoms) if a <= conv[a]]
     lines.append("converse " + " ".join(pairs))
-    if _whole_orbits(s):
-        reps = sorted(_orbit_leasts(s.cycles, conv))
-    else:
-        reps, marked = [], set()
-        for t in sorted(s.cycles):
-            if t not in marked:
-                marked.update(_transforms(t, conv))
-                reps.append(t)
-    lines += [f"cycle {names[x]} {names[y]} {names[z]}" for x, y, z in reps]
+    lines += [f"cycle {names[x]} {names[y]} {names[z]}"
+              for x, y, z in _orbit_reps(s)]
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,7 @@ PUBLIC = [
     "ParseError", "RelalgError", "SearchBudgetExceeded", "ValidationReport",
     "VerificationReport", "Violation", "Z2Decision", "__version__",
     "build_group", "check_action_represents", "check_z2_axioms",
-    "classify_atoms", "close_cycles", "decide_z2", "derive_points_twins",
+    "classify_atoms", "decide_z2", "derive_points_twins",
     "extract_atom_structure", "find_isomorphism", "format_atom_structure",
     "format_concrete_algebra", "format_group_action", "pair_orbits",
     "parse_atom_structure", "parse_concrete_algebra", "parse_group_action",

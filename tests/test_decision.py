@@ -13,20 +13,20 @@ import pytest
 from relalg import (AtomStructure, InternalError, InvalidStructureError,
                     IsoWitness, SearchBudgetExceeded, build_group,
                     check_action_represents, check_z2_axioms, classify_atoms,
-                    close_cycles, decide_z2, extract_atom_structure,
-                    find_isomorphism, rel_algebra, verify_decision)
+                    decide_z2, extract_atom_structure, find_isomorphism,
+                    rel_algebra, verify_decision)
 from relalg import atoms, decision, search
 from relalg.cli import main
 from relalg.decision import _proof_witness
 from relalg.formats import format_atom_structure
 from relalg.search import _power_runs, _refined_colours
 
-from conftest import (DATA, atom_flags_oracle, conjugate, generated_groups,
-                      group_closure_oracle, involution_action,
-                      involution_structure, involutions, load_action,
-                      load_concrete, load_structure, one_orbit_corruptions,
-                      refined_colours_oracle, regular_action, replaced,
-                      shuffled, signature_oracle)
+from conftest import (DATA, atom_flags_oracle, close_cycles_oracle, conjugate,
+                      generated_groups, group_closure_oracle,
+                      involution_action, involution_structure, involutions,
+                      load_action, load_concrete, load_structure,
+                      one_orbit_corruptions, refined_colours_oracle,
+                      regular_action, replaced, shuffled, signature_oracle)
 
 
 # --- find_isomorphism -----------------------------------------------------
@@ -135,7 +135,7 @@ def random_cycle_law_tables(rng, count):
         reps = [tuple(rng.randrange(n) for _ in range(3))
                 for _ in range(rng.randint(0, 24))]
         out.append(AtomStructure(tuple(f"a{i}" for i in range(n)), conv,
-                                 identity, close_cycles(reps, conv)))
+                                 identity, close_cycles_oracle(reps, conv)))
     return out
 
 
