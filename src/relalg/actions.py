@@ -24,38 +24,35 @@ from .atoms import _Record
 from .concrete import ConcreteAlgebra
 from .errors import ActionError, InternalError
 
-Perm = tuple[int, ...]
-
 
 class GroupAction(_Record):
-    """The permutation group on {0..base_size-1} generated by `generators`."""
+    """The permutation group on {0..base_size-1} generated by `generators`,
+    each checked to be a bijection of a nonempty base set."""
 
     __slots__ = _fields = ("base_size", "generators")
 
-    def __init__(self, base_size: int, generators: tuple[Perm, ...]):
-        self._init(base_size, generators)
+    def __init__(self, base_size: int, generators: Iterable[Sequence[int]]):
+        n = base_size
+        if n < 1:
+            raise ActionError("base set must be nonempty")
+        gens = tuple(map(tuple, generators))
+        for k, g in enumerate(gens):
+            if len(g) != n:
+                raise ActionError(f"generator {k} lists {len(g)} images, expected {n}")
+            seen = set()
+            for img in g:
+                if not isinstance(img, int) or not 0 <= img < n:
+                    raise ActionError(f"generator {k} is not a bijection: image {img!r} "
+                                      f"is outside the base set")
+                if img in seen:
+                    raise ActionError(f"generator {k} is not a bijection: image {img} repeated")
+                seen.add(img)
+        self._init(n, gens)
 
 
 def build_group(base_size: int, generators: Iterable[Sequence[int]]) -> GroupAction:
-    """Check that every generator is a bijection of a nonempty base set."""
-    n = base_size
-    if n < 1:
-        raise ActionError("base set must be nonempty")
-    gens: list[Perm] = []
-    for k, g in enumerate(generators):
-        g = tuple(g)
-        if len(g) != n:
-            raise ActionError(f"generator {k} lists {len(g)} images, expected {n}")
-        seen = set()
-        for img in g:
-            if not isinstance(img, int) or not 0 <= img < n:
-                raise ActionError(f"generator {k} is not a bijection: image {img!r} "
-                                  f"is outside the base set")
-            if img in seen:
-                raise ActionError(f"generator {k} is not a bijection: image {img} repeated")
-            seen.add(img)
-        gens.append(g)
-    return GroupAction(n, tuple(gens))
+    """The group action of these generators, as GroupAction checks it."""
+    return GroupAction(base_size, generators)
 
 
 def _flat_images(action: GroupAction) -> list[list[int]]:

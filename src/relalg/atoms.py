@@ -10,19 +10,20 @@ element inequalities; the decision never reads it, and it is kept as the
 compositional reference that the per-atom facts of the axioms are
 tested against.  The six Peircean transforms of a cycle are written out
 here only: peirce_orbit for one cycle, _close_columns for the parser's
-cycle lines, and _orbit_reps picks the line that writes each orbit.
+cycle lines, and _orbit_reps, the line that writes each whole orbit.
 
 Validation has two parts.  The local laws (names, converse, the cycle
 and identity laws, one domain and one range atom per atom) cost two
-O(cycles) passes: the cycle law, skipped on structures that the parser
-and extraction build (AtomStructure._of_checked_ids), and
+O(cycles) scans, which record what breaks each law for _local_laws to
+word: the cycle law's, skipped on structures that the parser and
+extraction build (AtomStructure._of_checked_ids), and
 AtomStructure._places, which places every atom by two masks per
 identity atom e, the atoms below e;1 and below 1;e, finds the atoms
-that are no functions, and collects the cycles that break the identity
-law.  The associativity join uses Light's reduction and Peircean
-symmetry: one block kernel compares (a;b);c with
-a;(b;c) for a middle atom b over all its rows and columns at once, in C,
-over a generating set closed under converse and grown from the functions,
+that are no functions, and records each (cycle, clause) that breaks the
+identity law.  The associativity join uses Light's reduction and
+Peircean symmetry: one block kernel compares (a;b);c with a;(b;c) for
+a middle atom b over all its rows and columns at once, in C, over a
+generating set closed under converse and grown from the functions,
 then over every middle atom only if that fails; where every atom is its
 own converse the table is commutative and a block computes one side, the
 other being its transpose; hand-built tables without the symmetry take
@@ -286,15 +287,16 @@ class AtomStructure(_Record):
 
     @cached_property
     def _places(self) -> tuple[dict[int, int], dict[int, int], int,
-                               list[Triple]]:
+                               list[tuple[Triple, int]]]:
         # one pass over the cycles: per identity atom e, out[e] holds the
         # atoms a with (e, a, a), below e;1, and into[e] those with
         # (a, e, a), below 1;e, so e;1;f is out[e] & into[f]; then the atoms
         # a with some (a, w, a), w in 0': by the cycle law, the non-functions;
-        # then the cycles that break the identity law, sorted
+        # then each (cycle, clause) that breaks the identity law, sorted,
+        # its clause numbered as in _IDENTITY_LAW
         ident, conv = self.identity_atoms, self.converse_map
         out, into, not_fn = dict.fromkeys(ident, 0), dict.fromkeys(ident, 0), 0
-        broken = set()
+        broken = []
         for t in self.cycles:
             x, y, z = t
             if x == z:
@@ -303,14 +305,14 @@ class AtomStructure(_Record):
                 else:
                     not_fn |= 1 << x
             elif y in ident:
-                broken.add(t)
+                broken.append((t, 1))
             if y == z:
                 if x in ident:
                     out[x] |= 1 << y
             elif x in ident:
-                broken.add(t)
+                broken.append((t, 0))
             if z in ident and y != conv[x]:
-                broken.add(t)
+                broken.append((t, 2))
         return out, into, not_fn, sorted(broken)
 
     @cached_property
@@ -331,8 +333,9 @@ class AtomStructure(_Record):
         return _local_laws(self)
 
     @cached_property
-    def _cycle_law_broken(self) -> Sequence[Triple]:
-        # the cycles missing a transform, sorted; preset by _of_checked_ids
+    def _cycle_law_broken(self) -> Sequence[tuple[Triple, Triple]]:
+        # each (cycle, missing transform), sorted; preset to none by
+        # _of_checked_ids
         return _broken_cycles(self)
 
     def require_valid(self) -> None:
@@ -353,12 +356,18 @@ def _validate(s: AtomStructure) -> ValidationReport:
         f"{names[a]};({names[b]};{names[c]})"),))
 
 
+# the identity law's clauses as _places numbers them, in x, y, z and x~
+_IDENTITY_LAW = ("composes an identity atom on the left but {1} != {2}",
+                 "composes an identity atom on the right but {0} != {2}",
+                 "puts an identity atom below {0};{1} but {1} != {3}")
+
+
 def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
     """Names, converse, self-converse identity atoms, the cycle law, the
-    identity law, and one domain and one range atom per atom.  When they
-    hold this costs one O(cycles) pass for the cycle law on a structure
-    built by the constructor, and a second, AtomStructure._places, for the
-    identity law and the domain and range atoms."""
+    identity law, and one domain and one range atom per atom.  The cycle
+    law's scan, run on a structure built by the constructor, and
+    AtomStructure._places, one O(cycles) pass each, record what breaks
+    the two laws on cycles, and the record is only worded here."""
     v: list[Violation] = []
     names = s.atom_names
     n = s.n_atoms
@@ -390,37 +399,21 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
                 "identity-not-self-converse",
                 f"identity atom {names[e]} has converse {names[conv[e]]}"))
 
-    for t in s._cycle_law_broken:
-        for u in sorted(peirce_orbit(t, conv)):
-            if u not in s.cycles:
-                v.append(Violation(
-                    "cycle-law",
-                    f"cycle {s._fmt_triple(t)} present but its transform "
-                    f"{s._fmt_triple(u)} is missing"))
+    for t, u in s._cycle_law_broken:
+        v.append(Violation(
+            "cycle-law", f"cycle {s._fmt_triple(t)} present but its "
+            f"transform {s._fmt_triple(u)} is missing"))
 
-    ident = s.identity_atoms
     out, into, _, broken = s._places
-    for x, y, z in broken:
-        if x in ident and y != z:
-            v.append(Violation(
-                "identity-law",
-                f"cycle {s._fmt_triple((x, y, z))} composes an identity atom "
-                f"on the left but {names[y]} != {names[z]}"))
-        if y in ident and x != z:
-            v.append(Violation(
-                "identity-law",
-                f"cycle {s._fmt_triple((x, y, z))} composes an identity atom "
-                f"on the right but {names[x]} != {names[z]}"))
-        if z in ident and y != conv[x]:
-            v.append(Violation(
-                "identity-law",
-                f"cycle {s._fmt_triple((x, y, z))} puts an identity atom below "
-                f"{names[x]};{names[y]} but {names[y]} != {names[conv[x]]}"))
+    for (x, y, z), clause in broken:
+        v.append(Violation("identity-law", f"cycle {s._fmt_triple((x, y, z))} "
+                           + _IDENTITY_LAW[clause].format(
+                               names[x], names[y], names[z], names[conv[x]])))
 
     # one out[e] holds each atom iff their sizes sum to n and union is all
     if any(sum(map(int.bit_count, m.values())) != n
            or reduce(or_, m.values(), 0) != s.full_mask for m in (out, into)):
-        idents = sorted(ident)
+        idents = sorted(s.identity_atoms)
         for a in range(n):
             for side, m, cycle in (("domain", out, "e has (e, {0}, {0})"),
                                    ("range", into, "f has ({0}, f, {0})")):
@@ -436,8 +429,8 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
     return tuple(v)
 
 
-def _broken_cycles(s: AtomStructure) -> list[Triple]:
-    """The cycles some transform of which is missing, sorted.
+def _broken_cycles(s: AtomStructure) -> list[tuple[Triple, Triple]]:
+    """Each (cycle, transform of it that is missing), sorted.
 
     Closure under (x~, z, y) and (z, y~, x) is closure under all six
     transforms, converse an involution or not: they compose to the other
@@ -447,8 +440,8 @@ def _broken_cycles(s: AtomStructure) -> list[Triple]:
     if all((conv[x], z, y) in cycles and (z, conv[y], x) in cycles
            for x, y, z in cycles):
         return []
-    return sorted(t for t in cycles
-                  if not cycles.issuperset(peirce_orbit(t, conv)))
+    return sorted((t, u) for t in cycles for u in peirce_orbit(t, conv)
+                  if u not in cycles)
 
 
 def _whole_orbits(s: AtomStructure) -> bool:
@@ -487,22 +480,17 @@ def _orbit_reps(s: AtomStructure) -> list[Triple]:
     """The cycles that stand for their Peircean orbits in the text format,
     one per orbit, its least member, in sorted order.
 
-    When the orbits are whole (_whole_orbits), as in every parsed or
-    extracted structure, the transforms of a cycle are its orbit, so a
-    cycle is its orbit's least exactly when it is at most each transform:
-    a local test per cycle, and only the representatives are sorted.
-    Other tables keep the sorted pass that takes each cycle not yet
-    marked and marks its transforms, whose output the local test equals
-    wherever both apply."""
-    conv = s.converse_map
-    if _whole_orbits(s):
-        return sorted(_orbit_leasts(s.cycles, conv))
-    reps, marked = [], set()
-    for t in sorted(s.cycles):
-        if t not in marked:
-            marked.update(peirce_orbit(t, conv))
-            reps.append(t)
-    return reps
+    The orbits must be whole (_whole_orbits), as in every parsed or
+    extracted structure: the transforms of a cycle are then its orbit, so
+    a cycle is its orbit's least exactly when it is at most each
+    transform, a local test per cycle.  Other tables, which no text
+    parses back to, raise InvalidStructureError with their
+    converse-not-involution and cycle-law violations."""
+    if not _whole_orbits(s):
+        raise InvalidStructureError(ValidationReport(tuple(
+            v for v in s._local_violations
+            if v.code in ("converse-not-involution", "cycle-law"))))
+    return sorted(_orbit_leasts(s.cycles, s.converse_map))
 
 
 def _associativity_witness(s: AtomStructure) -> Triple | None:

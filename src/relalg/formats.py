@@ -17,8 +17,9 @@ a~ = b and b~ = a and no atom is in two entries, so the converse is an
 involution, and the closure under an involution obeys the cycle law.
 
 An atom structure is written with one cycle line per Peircean orbit, its
-least member.  The orbit lines are chosen in atoms, by atoms._orbit_reps,
-beside the closure that the parser runs.
+least member, chosen by atoms._orbit_reps.  No text parses back to a
+table without identity atoms, whose converse is no involution or that
+breaks the cycle law, and the writer raises InvalidStructureError on it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from __future__ import annotations
 import re
 
 from .actions import GroupAction, build_group
-from .atoms import AtomStructure, _close_columns, _orbit_reps
+from .atoms import AtomStructure, ValidationReport, _close_columns, _orbit_reps
 from .concrete import ConcreteAlgebra
-from .errors import ParseError
+from .errors import InvalidStructureError, ParseError
 
 # numbers are ASCII digits: int() and \d would also read underscores and
 # other scripts' digits, which no emitter writes
@@ -148,6 +149,8 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
 def format_atom_structure(s: AtomStructure) -> str:
     """The text of s, one cycle line per Peircean orbit: its least member,
     in sorted order, as atoms._orbit_reps chooses them."""
+    if not s.identity_atoms:  # the parser needs an atom on that line
+        raise InvalidStructureError(ValidationReport(s._local_violations))
     conv, names = s.converse_map, s.atom_names
     lines = ["atoms " + " ".join(names)]
     lines.append("identity " + " ".join(names[e]

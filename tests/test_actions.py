@@ -3,8 +3,8 @@
 import pytest
 
 import relalg.actions
-from relalg import (ActionError, ConcreteAlgebra, InternalError, build_group,
-                    pair_orbits, rel_algebra)
+from relalg import (ActionError, ConcreteAlgebra, GroupAction, InternalError,
+                    build_group, pair_orbits, rel_algebra)
 
 from conftest import (ConcreteRelation, atom_relations,
                       compatible_masks_bruteforce, generated_groups,
@@ -67,6 +67,22 @@ def test_build_group_input_errors():
         build_group(2, [(0, 0)])
     with pytest.raises(ActionError, match="outside the base set"):
         build_group(2, [(0, 2)])
+
+
+def test_group_action_blames_the_caller_for_a_bad_generator():
+    # the constructor checks the generators as build_group does, so a
+    # generator that is no bijection is an ActionError, not a failed
+    # self-check of the orbit algebra
+    with pytest.raises(ActionError, match="repeated"):
+        rel_algebra(GroupAction(3, ((0, 0, 0),)))
+
+
+def test_group_action_keeps_its_generators_as_tuples():
+    # generators given as lists are stored as tuples, so the record hashes
+    a = GroupAction(2, [[1, 0]])
+    assert a.generators == ((1, 0),)
+    assert hash(a) == hash(build_group(2, [(1, 0)]))
+    assert a == build_group(2, [(1, 0)])
 
 
 def test_pair_orbits_z3():

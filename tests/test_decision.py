@@ -10,8 +10,9 @@ from collections import Counter
 
 import pytest
 
-from relalg import (AtomStructure, InternalError, InvalidStructureError,
-                    IsoWitness, SearchBudgetExceeded, build_group,
+from relalg import (ActionError, AtomStructure, GroupAction, InternalError,
+                    InvalidStructureError, IsoWitness, SearchBudgetExceeded,
+                    build_group,
                     check_action_represents, check_z2_axioms, classify_atoms,
                     decide_z2, extract_atom_structure, find_isomorphism,
                     rel_algebra, verify_decision)
@@ -692,6 +693,15 @@ def test_verify_catches_wrong_action(swap_structure):
         report = verify_decision(replaced(d, action=action))
         assert not report.ok
         assert any("order" in p for p in report.problems), action
+
+
+def test_verify_reads_no_image_outside_the_base_set(swap_structure):
+    # GroupAction checks its generators, so a decision cannot carry an
+    # image off the base set, which verify_decision would index past the
+    # end of its image lists
+    d = decide_z2(swap_structure)
+    with pytest.raises(ActionError, match="outside the base set"):
+        verify_decision(replaced(d, action=GroupAction(2, ((1, 5),))))
 
 
 def test_verify_accepts_identity_among_generators(swap_structure):

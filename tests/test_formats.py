@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from relalg import (AtomStructure, ConcreteAlgebraError, ParseError,
-                    build_group, extract_atom_structure, format_atom_structure,
+from relalg import (AtomStructure, ConcreteAlgebraError,
+                    InvalidStructureError, ParseError, build_group,
+                    extract_atom_structure, format_atom_structure,
                     format_concrete_algebra, format_group_action,
                     parse_atom_structure, parse_concrete_algebra,
                     parse_group_action, peirce_orbit, rel_algebra)
@@ -86,12 +87,13 @@ def closed_under_transforms(cycles, conv):
     return frozenset(out)
 
 
-def test_format_matches_the_marking_pass_on_every_kind_of_table():
-    # byte for byte against the sorted marking pass: on shuffled
+def test_format_matches_the_marking_pass_and_refuses_broken_tables():
+    # byte for byte against the sorted marking pass on shuffled
     # extractions of random actions and their parsed copies, whose orbits
-    # are whole; on the same tables with one transform of a cycle dropped,
-    # which break the cycle law; and on tables closed under a converse
-    # that is no involution
+    # are whole.  No text parses back to the same tables with one
+    # transform of a cycle dropped, which break the cycle law, or to
+    # tables closed under a converse that is no involution: the writer
+    # refuses them with their cycle-law and converse violations
     rng = random.Random(29)
     whole = []
     for _ in range(60):
@@ -114,8 +116,9 @@ def test_format_matches_the_marking_pass_on_every_kind_of_table():
             broken = AtomStructure(s.atom_names, s.converse_map,
                                    s.identity_atoms, s.cycles - {drop})
             assert broken._cycle_law_broken
-            assert (format_atom_structure(broken)
-                    == atom_structure_text_oracle(broken))
+            with pytest.raises(InvalidStructureError) as e:
+                format_atom_structure(broken)
+            assert set(e.value.report.codes()) == {"cycle-law"}
             dropped += 1
     assert dropped > 100
     for conv in ((0, 2, 3, 1), (1, 2, 0, 3), (0, 2, 3, 4, 1)):
@@ -126,7 +129,20 @@ def test_format_matches_the_marking_pass_on_every_kind_of_table():
             s = AtomStructure(names, conv, {0},
                               closed_under_transforms(seeds, conv))
             assert not s._cycle_law_broken
-            assert format_atom_structure(s) == atom_structure_text_oracle(s)
+            with pytest.raises(InvalidStructureError) as e:
+                format_atom_structure(s)
+            assert "converse-not-involution" in e.value.report.codes()
+
+
+def test_format_refuses_tables_without_identity_atoms():
+    # the parser reads no atoms or identity line without an atom, so the
+    # writer refuses such tables with their local violations
+    for s in (AtomStructure(("a",), (0,), (), {(0, 0, 0)}),
+              AtomStructure((), (), (), ())):
+        with pytest.raises(InvalidStructureError) as e:
+            format_atom_structure(s)
+        assert e.value.report.violations == s._local_violations != ()
+    assert e.value.report.codes() == ("empty-structure",)
 
 
 # --- parsing conveniences -------------------------------------------------

@@ -5,8 +5,8 @@ from itertools import combinations_with_replacement, compress
 
 import pytest
 
-from relalg import (AtomStructure, ParseError, build_group,
-                    check_action_represents, decide_z2,
+from relalg import (AtomStructure, InvalidStructureError, ParseError,
+                    build_group, check_action_represents, decide_z2,
                     extract_atom_structure, find_isomorphism,
                     format_atom_structure, format_concrete_algebra,
                     format_group_action, pair_orbits, parse_atom_structure,
@@ -142,6 +142,25 @@ def test_local_laws_match_the_oracle(s):
     closed = AtomStructure(s.atom_names, s.converse_map, s.identity_atoms,
                            transform_closure(s.cycles, s.converse_map))
     assert _local_laws(closed) == local_laws_oracle(closed)
+
+
+@hypothesis.settings(max_examples=400)
+@hypothesis.given(st.one_of(cycle_tables(), cycle_law_tables()))
+def test_written_tables_parse_back_to_themselves(s):
+    # the writer's contract: whenever format_atom_structure returns, its
+    # text parses to the table it was given.  It refuses a table without
+    # identity atoms with its local violations, and one whose orbits are
+    # not whole with its converse-not-involution and cycle-law violations
+    try:
+        text = format_atom_structure(s)
+    except InvalidStructureError as e:
+        want = local_laws_oracle(s)
+        if s.identity_atoms:
+            want = tuple(v for v in want if v.code in (
+                "converse-not-involution", "cycle-law"))
+        assert e.report.violations == want != ()
+        return
+    assert parse_atom_structure(text) == s
 
 
 @st.composite
