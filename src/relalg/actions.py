@@ -33,6 +33,8 @@ class GroupAction(_Record):
 
     def __init__(self, base_size: int, generators: Iterable[Sequence[int]]):
         n = base_size
+        if type(n) is not int:  # as the text format: 2.0 and True are no sizes
+            raise ActionError(f"base set size {n!r} is not an int")
         if n < 1:
             raise ActionError("base set must be nonempty")
         gens = tuple(map(tuple, generators))
@@ -41,7 +43,7 @@ class GroupAction(_Record):
                 raise ActionError(f"generator {k} lists {len(g)} images, expected {n}")
             seen = set()
             for img in g:
-                if not isinstance(img, int) or not 0 <= img < n:
+                if type(img) is not int or not 0 <= img < n:
                     raise ActionError(f"generator {k} is not a bijection: image {img!r} "
                                       f"is outside the base set")
                 if img in seen:

@@ -483,13 +483,14 @@ def _orbit_reps(s: AtomStructure) -> list[Triple]:
     The orbits must be whole (_whole_orbits), as in every parsed or
     extracted structure: the transforms of a cycle are then its orbit, so
     a cycle is its orbit's least exactly when it is at most each
-    transform, a local test per cycle.  Other tables, which no text
-    parses back to, raise InvalidStructureError with their
-    converse-not-involution and cycle-law violations."""
-    if not _whole_orbits(s):
-        raise InvalidStructureError(ValidationReport(tuple(
-            v for v in s._local_violations
-            if v.code in ("converse-not-involution", "cycle-law"))))
+    transform, a local test per cycle.  The writer's one refusal, O(atoms)
+    on such structures: no text parses back to a table without identity
+    atoms, with an unusable or repeated name or not whole orbits, which
+    raises InvalidStructureError with its whole local-law report."""
+    names = s.atom_names  # usable and distinct: as many usable as names
+    if not (s.identity_atoms and _whole_orbits(s)
+            and len({*filter(usable_atom_name, names)}) == len(names)):
+        raise InvalidStructureError(ValidationReport(s._local_violations))
     return sorted(_orbit_leasts(s.cycles, s.converse_map))
 
 

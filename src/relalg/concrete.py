@@ -50,6 +50,8 @@ class ConcreteAlgebra(_Record):
         self._init(base_size, atom_names, owner)
         _check_names(atom_names)
         n = base_size
+        if type(n) is not int:  # as the owner entries: 2.0 and True refused
+            raise ValueError(f"base set size {n!r} is not an int")
         if n < 1:
             raise ValueError("base set must be nonempty")
         if len(owner) != n * n:

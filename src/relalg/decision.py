@@ -248,7 +248,7 @@ def _realize(s: AtomStructure, g: tuple[int, ...]
 def _canonical_involution(s: AtomStructure) -> tuple[int, ...]:
     """The proof's involution for s: one base element per point atom, two
     swapped elements per twin atom, allocated in identity-atom id order,
-    so that _blocks gives each identity atom its own elements.
+    the order _blocks walks them in, giving each its own elements.
     Pair-density makes every identity atom a pair, so one with a diversity
     atom from e to e is a twin."""
     g: list[int] = []
@@ -257,32 +257,25 @@ def _canonical_involution(s: AtomStructure) -> tuple[int, ...]:
     return tuple(g)
 
 
-def _kinds(s: AtomStructure) -> tuple[list[int], list[int]]:
-    """The point and the twin identity atoms of s, each in id order: a twin
-    has a diversity atom from itself to itself, a point none."""
-    idents, loops = sorted(s.identity_atoms), s._loops
-    return ([e for e in idents if not loops[e]],
-            [e for e in idents if loops[e]])
-
-
 def _class_counts(s: AtomStructure) -> tuple[int, int] | None:
     """The (points, twins) counts of a structure whose local laws hold,
     when it satisfies the axioms, else None."""
     if not _z2_axioms(s).all_hold:
         return None
-    points, twins = _kinds(s)
-    return len(points), len(twins)
+    twins = sum(map(bool, s._loops.values()))
+    return len(s.identity_atoms) - twins, twins
 
 
 def _blocks(s: AtomStructure, g: Sequence[int]
             ) -> dict[int, tuple[int, ...]]:
     """Base elements for s's identity atoms from an involution g with as
-    many fixed points and 2-cycles as s has points and twins: the k-th
-    point (twin) of s, in id order, gets the k-th fixed point (2-cycle, by
-    its lower element)."""
-    points, twins = _kinds(s)
-    return {**dict(zip(points, [(i,) for i, j in enumerate(g) if i == j])),
-            **dict(zip(twins, [(i, j) for i, j in enumerate(g) if i < j]))}
+    many fixed points and 2-cycles as s has points and twins: walked in id
+    order, a point gets the next fixed point of g, a twin (one with a
+    nonzero AtomStructure._loops) the next 2-cycle, by its lower element."""
+    fixed = iter([(i,) for i, j in enumerate(g) if i == j])
+    swaps = iter([(i, j) for i, j in enumerate(g) if i < j])
+    return {e: next(swaps if s._loops[e] else fixed)
+            for e in sorted(s.identity_atoms)}
 
 
 def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],

@@ -2,10 +2,11 @@
 
 All three formats share the same conventions: '#' starts a comment, blank
 lines are ignored, and every directive is a whitespace-separated line.
-Lines are split by str.splitlines, so LF, CRLF and a lone CR each end a
-line and the text needs no newline translation (the CLI decodes files
-read as bytes).  Parsers raise ParseError with the offending source name,
-line number, and token.  Emitters produce text the parsers round-trip exactly.
+The three parsers read lines through one reader, _content_lines, which
+splits by str.splitlines, so LF, CRLF and a lone CR each end a line and
+the text needs no newline translation (the CLI decodes files read as
+bytes).  Parsers raise ParseError with the offending source name, line
+number, and token.  Emitters produce text the parsers round-trip exactly.
 
 An atom structure is read in one loop over its lines, cycle lines tested
 first, with the three ids of each cycle line appended to three column
@@ -17,9 +18,10 @@ a~ = b and b~ = a and no atom is in two entries, so the converse is an
 involution, and the closure under an involution obeys the cycle law.
 
 An atom structure is written with one cycle line per Peircean orbit, its
-least member, chosen by atoms._orbit_reps.  No text parses back to a
-table without identity atoms, whose converse is no involution or that
-breaks the cycle law, and the writer raises InvalidStructureError on it.
+least member, chosen by atoms._orbit_reps, the writer's one refusal: no
+text parses back to a table without identity atoms, with an unusable or
+repeated atom name, whose converse is no involution or that breaks the
+cycle law, and _orbit_reps raises InvalidStructureError on it.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from __future__ import annotations
 import re
 
 from .actions import GroupAction, build_group
-from .atoms import AtomStructure, ValidationReport, _close_columns, _orbit_reps
+from .atoms import AtomStructure, _close_columns, _orbit_reps
 from .concrete import ConcreteAlgebra
-from .errors import InvalidStructureError, ParseError
+from .errors import ParseError
 
 # numbers are ASCII digits: int() and \d would also read underscores and
 # other scripts' digits, which no emitter writes
@@ -54,10 +56,11 @@ def _int(tok: str) -> int:
 
 
 def _content_lines(text: str):
+    """(line number, tokens) of each line with a token, its comment cut."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, parts
 
 
 def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
@@ -84,10 +87,7 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
             raise ParseError(source, lineno, "unknown atom", token=name) from None
 
     get = index.__getitem__
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
+    for lineno, parts in _content_lines(text):
         kw = parts[0]
         if kw == "cycle":
             if len(parts) != 4:
@@ -148,9 +148,7 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
 
 def format_atom_structure(s: AtomStructure) -> str:
     """The text of s, one cycle line per Peircean orbit: its least member,
-    in sorted order, as atoms._orbit_reps chooses them."""
-    if not s.identity_atoms:  # the parser needs an atom on that line
-        raise InvalidStructureError(ValidationReport(s._local_violations))
+    in sorted order, as atoms._orbit_reps chooses them or refuses s."""
     conv, names = s.converse_map, s.atom_names
     lines = ["atoms " + " ".join(names)]
     lines.append("identity " + " ".join(names[e]
@@ -184,8 +182,7 @@ def _set_body(text: str, source: str, keyword: str):
     """Yield n at the set line, which must come first, then (lineno, parts)
     of each `keyword` line, lazily so the first bad line is the one reported."""
     n: int | None = None
-    for lineno, line in _content_lines(text):
-        parts = line.split()
+    for lineno, parts in _content_lines(text):
         if parts[0] == "set":
             if n is not None:
                 raise ParseError(source, lineno, "duplicate set line")

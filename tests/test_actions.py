@@ -69,6 +69,19 @@ def test_build_group_input_errors():
         build_group(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("base_size, generators, message", [
+    (2.0, [(1, 0)], "size 2.0 is not an int"),
+    (True, [(0,)], "size True is not an int"),
+    (2, [(True, False)], "image True is outside the base set")])
+def test_group_action_refuses_a_size_or_image_that_is_no_int(
+        base_size, generators, message):
+    # as the text format reads them: a size of 2.0 would fail in
+    # rel_algebra with a TypeError, and True would be written as
+    # `set True` or `gen True False`, which the parser rejects
+    with pytest.raises(ActionError, match=message):
+        GroupAction(base_size, generators)
+
+
 def test_group_action_blames_the_caller_for_a_bad_generator():
     # the constructor checks the generators as build_group does, so a
     # generator that is no bijection is an ActionError, not a failed

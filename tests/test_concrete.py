@@ -146,6 +146,15 @@ def test_extract_rejects_an_algebra_not_closed_under_composition():
         extract_atom_structure(c)
 
 
+@pytest.mark.parametrize("base_size, owner", [
+    (2.0, (0, 0, 0, 0)), (True, (0,))])
+def test_algebra_refuses_a_size_that_is_no_int(base_size, owner):
+    # as the owner entries: 2.0 would fail in format_concrete_algebra with
+    # a TypeError, and True would be written as `set True`
+    with pytest.raises(ValueError, match="is not an int"):
+        ConcreteAlgebra(base_size, ("a",), owner)
+
+
 def test_algebra_constructor_rejects_malformed_input():
     with pytest.raises(ValueError, match="at least one atom"):
         ConcreteAlgebra(2, (), (0, 0, 0, 0))
