@@ -38,6 +38,13 @@ def _check_names(names: Sequence[str]) -> None:
         seen.add(nm)
 
 
+def _check_size(n: int) -> None:
+    if type(n) is not int:  # as the owner entries: 2.0 and True refused
+        raise ValueError(f"base set size {n!r} is not an int")
+    if n < 1:
+        raise ValueError("base set must be nonempty")
+
+
 class ConcreteAlgebra(_Record):
     """Atoms of a proper relation algebra on a finite base set:
     owner[i*n + j] is the atom holding the pair (i, j)."""
@@ -50,10 +57,7 @@ class ConcreteAlgebra(_Record):
         self._init(base_size, atom_names, owner)
         _check_names(atom_names)
         n = base_size
-        if type(n) is not int:  # as the owner entries: 2.0 and True refused
-            raise ValueError(f"base set size {n!r} is not an int")
-        if n < 1:
-            raise ValueError("base set must be nonempty")
+        _check_size(n)
         if len(owner) != n * n:
             raise ValueError(f"expected an owner table of {n * n} entries, "
                              f"got {len(owner)}")
@@ -70,10 +74,11 @@ class ConcreteAlgebra(_Record):
         """The algebra whose atom k holds the pairs atom_pairs[k].  The
         table is filled in atom and row order, a pair listed twice in one
         atom counted once; the first pair claimed by two atoms, or else the
-        first pair no atom claims, raises ConcreteAlgebraError.  Names are
-        checked first, with ValueError."""
+        first pair no atom claims, raises ConcreteAlgebraError.  Names and
+        the base size are checked first, with ValueError."""
         n, names = base_size, tuple(atom_names)
         _check_names(names)
+        _check_size(n)
         owner = [-1] * (n * n)
         for k, pairs in enumerate(atom_pairs):
             for i, j in sorted(set(pairs)):

@@ -329,20 +329,24 @@ MODULES_CHILD = ("import sys\nfrom relalg import cli\n"
 
 def test_each_subcommand_loads_only_the_modules_it_runs():
     # the decision procedure and the pair-dense classification are
-    # imported by the handlers that call them, and the search only when
-    # the class cannot answer; test_api.py runs in the test process, where
-    # other tests have imported everything already.  -S starts the child
-    # without site, whose .pth files could import a module first
-    for argv, status in ((["validate", DATA / "23.ra"], 0),
-                         (["rel", DATA / "z3.act"], 0),
-                         (["axioms", DATA / "57.ra"], 2),
-                         (["classify", DATA / "type6.ca"], 0),
-                         (["decide-z2", DATA / "swap.ra", "--verify"], 0),
-                         (["iso", DATA / "23.ra",
-                           DATA / "23_relabeled.ra"], 0),
-                         (["iso", DATA / "swap.ra", DATA / "swap.ra"], 0),
-                         (["check-action", DATA / "swap.ra",
-                           DATA / "swap.act"], 0)):
+    # imported by the handlers that call them, the search only when the
+    # class cannot answer, and the associativity join only where a verdict
+    # rests on it: validate, axioms, a rejection, and the source of a
+    # searched map; test_api.py runs in the test process, where other
+    # tests have imported everything already.  -S starts the child without
+    # site, whose .pth files could import a module first
+    searched = ["iso", DATA / "23.ra", DATA / "23_relabeled.ra"]
+    for argv, status, joined in (
+            (["validate", DATA / "23.ra"], 0, True),
+            (["rel", DATA / "z3.act"], 0, False),
+            (["axioms", DATA / "57.ra"], 2, True),
+            (["classify", DATA / "type6.ca"], 0, False),
+            (["decide-z2", DATA / "swap.ra", "--verify"], 0, False),
+            (["decide-z2", DATA / "57.ra"], 2, True),
+            (searched, 0, True),
+            (["iso", DATA / "swap.ra", DATA / "swap.ra"], 0, False),
+            (["check-action", DATA / "swap.ra", DATA / "swap.act"], 0,
+             False)):
         proc = subprocess.run([sys.executable, "-S", "-c", MODULES_CHILD,
                                *map(str, argv)], capture_output=True,
                               text=True, cwd=DATA.parent / "src")
@@ -352,8 +356,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
         assert ("relalg.decision" in loaded) == (
             argv[0] in ("decide-z2", "iso", "check-action")), argv
         assert ("relalg.pairdense" in loaded) == (argv[0] == "classify"), argv
-        assert ("relalg.search" in loaded) == (
-            argv[1:] == [DATA / "23.ra", DATA / "23_relabeled.ra"]), argv
+        assert ("relalg.search" in loaded) == (argv == searched), argv
+        assert ("relalg.join" in loaded) == joined, argv
         assert not loaded & {"dataclasses", "inspect", "typing",
                              "pathlib"}, argv
 

@@ -111,6 +111,15 @@ def test_from_pairs_takes_each_atom_as_a_set():
     assert c == rel_algebra(build_group(2, [(1, 0)]))
 
 
+@pytest.mark.parametrize("size", [2.0, "2"])
+def test_from_pairs_refuses_a_size_that_is_no_int(size):
+    # the constructor's size check runs before the owner table is built
+    with pytest.raises(ValueError) as exc:
+        ConcreteAlgebra.from_pairs(size, ("a",),
+                                   [[(0, 0), (0, 1), (1, 0), (1, 1)]])
+    assert str(exc.value) == f"base set size {size!r} is not an int"
+
+
 def test_converse_closure_violation_reported():
     # rows partition the square but the converse of a straddles both atoms
     c = ConcreteAlgebra.from_pairs(2, ("a", "b"), (

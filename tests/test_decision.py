@@ -16,7 +16,7 @@ from relalg import (ActionError, AtomStructure, GroupAction, InternalError,
                     check_action_represents, check_z2_axioms, classify_atoms,
                     decide_z2, extract_atom_structure, find_isomorphism,
                     rel_algebra, verify_decision)
-from relalg import atoms, decision, search
+from relalg import decision, join, search
 from relalg.cli import main
 from relalg.decision import _proof_witness
 from relalg.formats import format_atom_structure
@@ -279,7 +279,7 @@ def proof_only():
     those whose composition table (AtomStructure._table, behind _comp) is
     computed, the table still cached as before."""
     joins, tables = [], []
-    join = atoms._associativity_witness
+    witness = join._associativity_witness
     table = AtomStructure._table
 
     def unreachable(*args):
@@ -287,7 +287,7 @@ def proof_only():
 
     def counting(s):
         joins.append(s)
-        return join(s)
+        return witness(s)
 
     def counting_table(s):
         tables.append(s)
@@ -297,7 +297,7 @@ def proof_only():
     counted.__set_name__(AtomStructure, "_table")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_search_isomorphism", unreachable)
-        patch.setattr(atoms, "_associativity_witness", counting)
+        patch.setattr(join, "_associativity_witness", counting)
         patch.setattr(AtomStructure, "_table", counted)
         yield joins, tables
 
@@ -366,12 +366,12 @@ def test_the_class_answers_whenever_one_side_is_in_it(monkeypatch):
         raise AssertionError("the search ran on an input of the class")
 
     built, joins = [], []
-    join = atoms._associativity_witness
+    witness = join._associativity_witness
     monkeypatch.setattr(search, "_search_isomorphism", unreachable)
     monkeypatch.setattr(decision, "rel_algebra",
                         lambda a: built.append(a) or rel_algebra(a))
-    monkeypatch.setattr(atoms, "_associativity_witness",
-                        lambda s: joins.append(s) or join(s))
+    monkeypatch.setattr(join, "_associativity_witness",
+                        lambda s: joins.append(s) or witness(s))
     rng = random.Random(25)
     regular = [extract_atom_structure(rel_algebra(regular_action(orders)))
                for orders in ([25], [5, 5])]

@@ -13,10 +13,9 @@ from relalg import (AtomStructure, ConcreteAlgebra, ConcreteAlgebraError,
                     format_atom_structure, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, peirce_orbit,
                     rel_algebra)
-from relalg import atoms
-from relalg.atoms import _validate
-from relalg.atoms import (_associativity_witness, _generating_set,
-                          _local_laws)
+from relalg import atoms, join
+from relalg.atoms import _local_laws, _validate
+from relalg.join import _associativity_witness, _generating_set
 from relalg.cli import main
 
 from conftest import (DATA, ConcreteRelation, associativity_witness_oracle,
@@ -245,8 +244,8 @@ def test_the_join_runs_only_before_uncertified_verdicts(monkeypatch, capsys):
         calls.append(s)
         return witness(s)
 
-    witness = atoms._associativity_witness
-    monkeypatch.setattr(atoms, "_associativity_witness", counting)
+    witness = join._associativity_witness
+    monkeypatch.setattr(join, "_associativity_witness", counting)
     swap_ra, swap_act = DATA / "swap.ra", DATA / "swap.act"
     for argv, status, joins in (
             (["decide-z2", swap_ra, "--verify"], 0, 0),
@@ -320,8 +319,8 @@ def test_join_matches_dense_scan_on_corrupted_tables(monkeypatch):
             answers.append(wit)
             yield wit
 
-    mismatches = atoms._mismatches
-    monkeypatch.setattr(atoms, "_mismatches", recording)
+    mismatches = join._mismatches
+    monkeypatch.setattr(join, "_mismatches", recording)
     rng = random.Random(11)
     failing = rerun = 0
     structures = (catalog_structures() + extracted_structures()
@@ -363,8 +362,8 @@ def test_the_joins_generating_set_does_not_depend_on_atom_names(monkeypatch):
         sizes.append(len(gens))
         return gens, rank
 
-    generating_set = atoms._generating_set
-    monkeypatch.setattr(atoms, "_generating_set", recording)
+    generating_set = join._generating_set
+    monkeypatch.setattr(join, "_generating_set", recording)
     for points, size in ((24, 7), (40, 11), (60, 16)):
         s = extract_atom_structure(rel_algebra(dihedral_action(points)))
         in_id_order = set()
@@ -389,8 +388,8 @@ def test_the_first_pass_is_one_sided_where_every_atom_is_self_converse(
         flags.append(symmetric)
         return mismatches(comp, col_supp, blocks, symmetric)
 
-    mismatches = atoms._mismatches
-    monkeypatch.setattr(atoms, "_mismatches", recording)
+    mismatches = join._mismatches
+    monkeypatch.setattr(join, "_mismatches", recording)
     rng = random.Random(5)
     dihedral = shuffled(extract_atom_structure(rel_algebra(
         dihedral_action(12))), rng)
