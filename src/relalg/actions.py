@@ -98,11 +98,23 @@ def pair_orbits(action: GroupAction) -> tuple[int, ...]:
     return tuple(_pair_owners(n, _flat_images(action)))
 
 
+def _orbit_names(n: int, owner: Sequence[int]) -> tuple[str, ...]:
+    """The names of the atoms 0, 1, ... of an owner table on n points, in
+    order: e0, e1, ... for those that meet the diagonal, a0, a1, ... for
+    the others."""
+    diagonal = set(owner[::n + 1])
+    names, count = [], {"e": 0, "a": 0}
+    for k in range(max(owner) + 1):
+        kind = "e" if k in diagonal else "a"
+        names.append(f"{kind}{count[kind]}")
+        count[kind] += 1
+    return tuple(names)
+
+
 def rel_algebra(action: GroupAction) -> ConcreteAlgebra:
     """The algebra of relations compatible with the action: its atoms are
     the pair orbits, closed under composition (Maddux, Relation Algebras,
-    2006), named e0, e1, ... when they meet the diagonal and a0, a1, ...
-    otherwise.
+    2006), named by _orbit_names.
 
     The generators' image lists are built once: _pair_owners reads them
     for the owner table, one search over the n^2 pairs, and the self-check
@@ -115,13 +127,7 @@ def rel_algebra(action: GroupAction) -> ConcreteAlgebra:
     n = action.base_size
     images = _flat_images(action)
     owner = _pair_owners(n, images)
-    diagonal = set(owner[::n + 1])
-    names, count = [], {"e": 0, "a": 0}
-    for k in range(max(owner) + 1):
-        kind = "e" if k in diagonal else "a"
-        names.append(f"{kind}{count[kind]}")
-        count[kind] += 1
-    alg = ConcreteAlgebra._of_orbits(n, tuple(names), tuple(owner))
+    alg = ConcreteAlgebra._of_orbits(n, _orbit_names(n, owner), tuple(owner))
     bad = alg.invariant_violations()
     if not bad:
         for k, img in enumerate(images):

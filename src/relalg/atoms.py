@@ -192,17 +192,23 @@ class AtomStructure(_Record):
                 if len(t) != 3 or any(not isinstance(a, int) or not 0 <= a < n for a in t):
                     raise ValueError(f"cycle {t!r} does not name three atom ids")
 
+    # the parser's cycle lines, as three id columns whose Peircean closure
+    # is the cycle set; preset by _of_checked_ids, None on other structures
+    _lines: tuple[Sequence[int], Sequence[int], Sequence[int]] | None = None
+
     @classmethod
     def _of_checked_ids(cls, atom_names: tuple[str, ...],
                         converse_map: tuple[int, ...],
                         identity_atoms: frozenset[int],
-                        cycles: frozenset[Triple]) -> "AtomStructure":
+                        cycles: frozenset[Triple],
+                        lines=None) -> "AtomStructure":
         """Internal to formats.parse_atom_structure and
         concrete.extract_atom_structure: the structure with these four
         fields, set as given, without the constructor's checks, and with the
-        cycle law's scan preset to find nothing.  The caller vouches that
-        every id is an int below the atom count and that the cycles are
-        closed under an involutive converse.  The parser reads its ids off
+        cycle law's scan preset to find nothing and _lines to lines.  The
+        caller vouches that every id is an int below the atom count, that
+        the cycles are closed under an involutive converse, and that they
+        are the closure of lines, if given.  The parser reads its ids off
         its name index, pairs each converse both ways, and closes its cycle
         lines by _close_columns; extraction reads its ids off an owner table
         that ConcreteAlgebra checked, and the structure of a proper algebra
@@ -210,7 +216,7 @@ class AtomStructure(_Record):
         s = cls.__new__(cls)
         s.__dict__.update(zip(cls._fields, (atom_names, converse_map,
                                             identity_atoms, cycles)),
-                          _cycle_law_broken=())
+                          _cycle_law_broken=(), _lines=lines)
         return s
 
     # -- basic views ------------------------------------------------------

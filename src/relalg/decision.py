@@ -1,48 +1,36 @@
 """Deciding representability over actions of the two-element group.
 
-The decision evaluates three first-order axioms (simplicity, pair-density,
+decide_z2 evaluates three first-order axioms (simplicity, pair-density,
 functionality of every atom up to converse), builds the canonical
-involution with one base element per point atom and two per twin atom,
-and certifies acceptance with the atom bijection of the proof, fixed by
-each atom's domain and range identity atoms and, between twins, whether
-it is parallel or crossed (_proof_witness), and checked cycle by cycle.
-By the theorem that map fails its check on no valid input that satisfies
-the axioms, so a failure is an InternalError.
+involution, one base element per point atom and two per twin atom, and
+certifies acceptance with the proof's atom bijection (_proof_witness),
+checked by IsoWitness.problems() one cycle line per Peircean orbit.  By
+the theorem it fails on no valid input that satisfies the axioms, so a
+failure is an InternalError.  verify_decision re-checks an accepted
+decision from its algebra's owner table, with none of that code.
 
 `iso` and `check-action` let the class answer whenever it can.  The
-three axioms alone decide membership (_class_counts), and first-order
-sentences are preserved by isomorphism, so a structure in the class is
-isomorphic to none outside it.  Two structures in the class are
-isomorphic exactly when they have as many point and as many twin
-identity atoms, and the algebra of an involution with f fixed points and
-t 2-cycles, itself in the class, realizes exactly those with f points
-and t twins.  So `iso` answers `none` when one side only is in the class
-or the counts differ, and `check-action` with an action of order at most
-two answers `none` when the structure is outside the class or its counts
-differ from the action's fixed points and 2-cycles, before any algebra
-is built.  Equal counts get the proof's map (_realize): onto the
-action's algebra, and for `iso` both sides' maps onto the algebra of the
-source's involution, composed.  The search, and with it the budget and
-SearchBudgetExceeded, is left to `iso` pairs with neither side in the
-class and to actions of order above two.  It lives in the module search,
-imported only on that branch (_searched), and its map is checked here as
-an IsoWitness.
+axioms decide membership (_class_counts) and are first-order, so kept by
+isomorphism, and two structures in the class, or one and the algebra of
+an involution, are isomorphic exactly when their point and twin counts
+(fixed points and 2-cycles) agree.  So a side outside the class, or
+unequal counts, answer `none` before any algebra is built, and equal
+counts get the proof's map (_realize), for `iso` both sides' maps onto
+the algebra of the source's involution, composed.  Only `iso` pairs with
+neither side in the class and actions of order above two reach the
+search and its budget (_searched).
 
-Inputs are checked against the local laws first.  The associativity join
-runs only before a verdict that no witness certifies (a rejection, `none`,
-an error, the target of an `iso` map found by search): an isomorphism
-onto an associative structure proves the other side associative, and
-the proof maps both sides of an `iso` onto the structure of one proper
-algebra.  The rule lives in one gate, _gated.
+Inputs are checked against the local laws first, and the associativity
+join runs only before a verdict that no witness certifies (_gated).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .actions import GroupAction, build_group, rel_algebra
-from .atoms import (AtomStructure, AxiomFailure, _Record, _z2_axioms,
-                    iter_bits)
+from .actions import GroupAction, _orbit_names, build_group, rel_algebra
+from .atoms import (AtomStructure, AxiomFailure, _Record, _whole_orbits,
+                    _z2_axioms, iter_bits)
 from .concrete import ConcreteAlgebra, extract_atom_structure
 from .errors import DEFAULT_BUDGET, InternalError
 from .formats import format_atom_structure
@@ -58,6 +46,14 @@ class IsoWitness(_Record):
         self._init(source, target, atom_map)
 
     def problems(self) -> tuple[str, ...]:
+        """Why the map is no isomorphism, () if it is one.  A bijection m
+        keeps the cycles both ways iff it maps the source cycles onto the
+        target's.  If m commutes with converse, both sides have whole orbits
+        (atoms._whole_orbits) and as many cycles and the source has the
+        parser's cycle lines, m sends each line's transforms to its image's,
+        so lines landing on target cycles put their closure, the source
+        cycles, inside the target's, a set of the same size.  Otherwise, or
+        when a line misses, the whole sets are compared, misses sorted."""
         s, t, m = self.source, self.target, self.atom_map
         n = s.n_atoms
         if t.n_atoms != n:
@@ -67,25 +63,23 @@ class IsoWitness(_Record):
         out = []
         if {m[e] for e in s.identity_atoms} != set(t.identity_atoms):
             out.append("identity atoms are not mapped onto identity atoms")
-        for a in range(n):
-            if m[s.converse_map[a]] != t.converse_map[m[a]]:
-                out.append(f"map does not commute with converse at atom "
-                           f"{s.atom_names[a]}")
-        # m is a bijection, so it preserves the cycles both ways iff it maps
-        # the source cycles onto the target cycles; sort only on failure
+        out += [f"map does not commute with converse at atom {s.atom_names[a]}"
+                for a, c in enumerate(s.converse_map)
+                if m[c] != t.converse_map[m[a]]]
+        if (not out and s._lines and len(s.cycles) == len(t.cycles)
+                and _whole_orbits(s) and _whole_orbits(t)
+                and t.cycles.issuperset(zip(*(map(m.__getitem__, col)
+                                              for col in s._lines)))):
+            return ()
         if {(m[x], m[y], m[z]) for x, y, z in s.cycles} != t.cycles:
             inv = self.inverted().atom_map
-            for c in sorted(c for c in s.cycles
-                            if (m[c[0]], m[c[1]], m[c[2]]) not in t.cycles):
-                out.append(f"cycle {s._fmt_triple(c)} is not preserved")
-            for c in sorted(c for c in t.cycles
-                            if (inv[c[0]], inv[c[1]], inv[c[2]]) not in s.cycles):
-                out.append(f"target cycle {t._fmt_triple(c)} has no "
-                           f"source cycle")
+            out += [f"cycle {s._fmt_triple(c)} is not preserved" for c in
+                    sorted(c for c in s.cycles
+                           if (m[c[0]], m[c[1]], m[c[2]]) not in t.cycles)]
+            out += [f"target cycle {t._fmt_triple(c)} has no source cycle"
+                    for c in sorted(c for c in t.cycles if (
+                        inv[c[0]], inv[c[1]], inv[c[2]]) not in s.cycles)]
         return tuple(out)
-
-    def is_valid(self) -> bool:
-        return not self.problems()
 
     def inverted(self) -> "IsoWitness":
         inv = [0] * len(self.atom_map)
@@ -94,29 +88,17 @@ class IsoWitness(_Record):
         return IsoWitness(self.target, self.source, tuple(inv))
 
     def map_lines(self) -> list[str]:
-        return [f"map {self.source.atom_names[a]} -> "
-                f"{self.target.atom_names[self.atom_map[a]]}"
-                for a in range(self.source.n_atoms)]
+        s, t = self.source.atom_names, self.target.atom_names
+        return [f"map {s[a]} -> {t[b]}" for a, b in enumerate(self.atom_map)]
 
 
 def find_isomorphism(source: AtomStructure, target: AtomStructure,
                      budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
-    """An isomorphism of structures, by the class when either side is in
-    it, otherwise by a refine-and-propagate search.
-
-    When some structure satisfies the axioms (see _class_counts), no
-    search node is spent: None when the other does not or their (points,
-    twins) counts differ, otherwise both sides mapped by the proof onto
-    the algebra of the source's involution (see _realize) and composed,
-    which certifies both, so no join runs.
-
-    Otherwise the search runs (module search, see _searched): each atom
-    assignment, tried or forced, is one node of `budget`; past it,
-    SearchBudgetExceeded is raised.  None means no isomorphism exists.
-
-    An invalid structure raises InvalidStructureError, the source's when
-    both are invalid (see _gated).
-    """
+    """An isomorphism of structures, or None if none exists: by the class
+    when either side is in it, otherwise by a search (_searched) that
+    counts each atom assignment, tried or forced, as one node of `budget`
+    and raises SearchBudgetExceeded past it.  An invalid structure raises
+    InvalidStructureError, the source's when both are (see _gated)."""
     def compute():
         counts = _class_counts(source), _class_counts(target)
         if counts == (None, None):
@@ -124,8 +106,7 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
             return w, (source, target) if w is None else (source,)
         if counts[0] != counts[1]:
             return None, (source, target)
-        # both onto the algebra of the source's involution, then composed
-        g = _canonical_involution(source)
+        g = _canonical_involution(source)  # both maps onto g's algebra
         _, algebra, there = _realize(source, g)
         back = _proof_witness(target, _blocks(target, g), algebra,
                               there.target).inverted().atom_map
@@ -136,25 +117,16 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
 
 
 def _gated(inputs: tuple[AtomStructure, ...], compute):
-    """compute() behind the one validation rule of the decision path.
-
-    compute() returns an answer and the inputs that answer does not
-    certify.
-    1. If any input breaks a local law, every input is validated in full,
-       in order, and the first invalid one's report is raised.
-    2. Otherwise compute() runs.  If it raises, every input is validated
-       before the exception propagates, so an invalid input that fails the
-       proof's map ends in its own report, not in an InternalError.
-    3. After an answer, only the inputs it does not certify are validated:
-       none after an accepted `decide-z2`, a found `check-action` map or an
-       `iso` map built by the proof, the source alone after an `iso` map
-       found by search, and all of them after any other answer.
-
-    The computations need only the local laws, and a witness onto the
-    structure of a proper relation algebra, which is associative (Maddux,
-    Relation Algebras, 2006), carries (a;b);c = a;(b;c) back atom by atom,
-    so the associativity join runs only where no witness does that.
-    """
+    """compute(), which returns an answer and the inputs it leaves
+    unproven, behind the decision path's one validation rule: (1) if an
+    input breaks a local law, the inputs are validated in full, in order;
+    (2) if compute() raises, every input is validated first, so an invalid
+    input ends in its own report, not in an InternalError; (3) after an
+    answer, only the inputs it leaves unproven: none after an accepted
+    `decide-z2` or a map of the proof, the source after an `iso` map found
+    by search, all after any other answer.  A map onto the structure of a
+    proper relation algebra, which is associative (Maddux, Relation
+    Algebras, 2006), carries (a;b);c = a;(b;c) back atom by atom."""
     if any(s._local_violations for s in inputs):
         for s in inputs:  # raises: a local violation fails validation
             s.require_valid()
@@ -171,9 +143,8 @@ def _gated(inputs: tuple[AtomStructure, ...], compute):
 
 def _searched(source: AtomStructure, target: AtomStructure,
               budget: int) -> IsoWitness | None:
-    """The search's isomorphism of structures whose local laws hold, as a
-    checked witness, or None.  The search module is imported here, so
-    that a request the class answers never compiles it."""
+    """The search's checked isomorphism of structures whose local laws
+    hold, or None; search is imported here, so only a search compiles it."""
     from .search import _search_isomorphism
     atom_map = _search_isomorphism(source, target, budget)
     if atom_map is None:
@@ -185,16 +156,10 @@ def _searched(source: AtomStructure, target: AtomStructure,
     return witness
 
 
-# ---------------------------------------------------------------------------
-
-
 class Z2Decision(_Record):
-    """Outcome of the representability decision.
-
-    Accepted decisions carry the constructed action, its algebra of
-    compatible relations, and the isomorphism witness.  Rejected ones
-    carry every failed axiom with its witness atom.
-    """
+    """Outcome of the representability decision: the constructed action,
+    its algebra of compatible relations and the isomorphism witness when
+    accepted, every failed axiom with its witness atom when rejected."""
 
     __slots__ = _fields = ("structure", "accepted", "failures", "action",
                            "algebra", "witness")
@@ -208,22 +173,15 @@ class Z2Decision(_Record):
 
 
 def decide_z2(structure: AtomStructure) -> Z2Decision:
-    """Decide whether the structure is the compatible-relation algebra of
-    some action of the two-element group, and construct one if so.
-
-    An invalid structure raises InvalidStructureError (see _gated).  An
-    accepted decision skips the associativity join, soundly:
-    `_proof_witness` returns only a witness without problems, a bijection
-    onto the structure extracted from the constructed algebra that keeps
-    identity atoms, converse and every cycle both ways.
-    """
+    """Decide whether the structure is the algebra of some action of the
+    two-element group, and construct one if so.  An invalid structure
+    raises InvalidStructureError (_gated); _proof_witness certifies one."""
     return _gated((structure,), lambda: _decide_z2(structure))
 
 
 def _decide_z2(structure: AtomStructure
                ) -> tuple[Z2Decision, tuple[AtomStructure, ...]]:
-    # decide_z2 on a structure whose local laws hold, with the inputs
-    # its answer leaves unproven
+    # decide_z2 under the local laws, with the inputs left unproven
     report = _z2_axioms(structure)
     if not report.all_hold:
         return (Z2Decision(structure, False, failures=report.failures()),
@@ -236,9 +194,8 @@ def _decide_z2(structure: AtomStructure
 
 def _realize(s: AtomStructure, g: tuple[int, ...]
              ) -> tuple[GroupAction, ConcreteAlgebra, IsoWitness]:
-    """The action of the involution g, which has as many fixed points and
-    2-cycles as s has points and twins, its algebra, and the proof's map of
-    s onto the algebra's extracted structure (see _proof_witness)."""
+    """The action of the involution g, with as many fixed points and
+    2-cycles as s has points and twins, its algebra, and the proof's map."""
     action = build_group(len(g), [g])
     algebra = rel_algebra(action)
     return action, algebra, _proof_witness(
@@ -246,11 +203,9 @@ def _realize(s: AtomStructure, g: tuple[int, ...]
 
 
 def _canonical_involution(s: AtomStructure) -> tuple[int, ...]:
-    """The proof's involution for s: one base element per point atom, two
-    swapped elements per twin atom, allocated in identity-atom id order,
-    the order _blocks walks them in, giving each its own elements.
-    Pair-density makes every identity atom a pair, so one with a diversity
-    atom from e to e is a twin."""
+    """The proof's involution for s, in identity-atom id order as _blocks
+    walks them: a fixed element per point, two swapped ones per twin, an
+    identity atom e with a diversity atom from e to e (_loops)."""
     g: list[int] = []
     for e in sorted(s.identity_atoms):
         g.extend((len(g) + 1, len(g)) if s._loops[e] else (len(g),))
@@ -258,8 +213,8 @@ def _canonical_involution(s: AtomStructure) -> tuple[int, ...]:
 
 
 def _class_counts(s: AtomStructure) -> tuple[int, int] | None:
-    """The (points, twins) counts of a structure whose local laws hold,
-    when it satisfies the axioms, else None."""
+    """The (points, twins) of a structure under the local laws, if in the
+    class, else None."""
     if not _z2_axioms(s).all_hold:
         return None
     twins = sum(map(bool, s._loops.values()))
@@ -269,9 +224,8 @@ def _class_counts(s: AtomStructure) -> tuple[int, int] | None:
 def _blocks(s: AtomStructure, g: Sequence[int]
             ) -> dict[int, tuple[int, ...]]:
     """Base elements for s's identity atoms from an involution g with as
-    many fixed points and 2-cycles as s has points and twins: walked in id
-    order, a point gets the next fixed point of g, a twin (one with a
-    nonzero AtomStructure._loops) the next 2-cycle, by its lower element."""
+    many fixed points and 2-cycles as s has points and twins: in id order,
+    a point gets the next fixed point, a twin the next 2-cycle."""
     fixed = iter([(i,) for i, j in enumerate(g) if i == j])
     swaps = iter([(i, j) for i, j in enumerate(g) if i < j])
     return {e: next(swaps if s._loops[e] else fixed)
@@ -281,20 +235,17 @@ def _blocks(s: AtomStructure, g: Sequence[int]
 def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
                    algebra: ConcreteAlgebra, target: AtomStructure
                    ) -> IsoWitness:
-    """The proof's map from s onto target, the structure extracted from
-    the algebra of an involution whose fixed points and 2-cycles are the
-    blocks of s's points and twins.
-
-    An atom from identity atom d to r maps to the orbit of a pair from
-    block d to block r.  The axioms leave two atoms between twins, parallel
-    and crossed: the lower-id atom p[E] from the first twin R to each twin
-    E is declared parallel (p[R] = R), and x from E1 to E2 is parallel iff
-    (p[E1]~, p[E2], x) is a cycle; a parallel atom maps to the pair orbit from
-    the first element of block d to the first of block r, a crossed one to
-    the second.  Where s has not this shape or the map fails
-    IsoWitness.problems(), raises InternalError with the reason and both
-    structures.
-    """
+    """The proof's map from s onto target, extracted from the algebra of an
+    involution whose fixed points and 2-cycles are the blocks of s's points
+    and twins: an atom from identity atom d to r maps to the orbit of a
+    pair from block d to block r.  Between twins the axioms leave two
+    atoms: the lower-id atom p[E] from the first twin R to each twin E is
+    parallel (p[R] = R), and x from E1 to E2 is parallel iff (p[E1]~,
+    p[E2], x) is a cycle; a parallel atom maps to the orbit from the first
+    element of block d to the first of block r, a crossed one to the
+    second.  Where s has not this shape or the map fails the decision's one
+    tripwire, IsoWitness.problems(), raises InternalError with the reason
+    and both structures."""
     conv, names = s.converse_map, s.atom_names
     idents = sorted(blocks)
     out, into = s._places[:2]
@@ -304,7 +255,6 @@ def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
         if len(group) != 1 + (len(blocks[d]) == len(blocks[r]) == 2):
             raise _unproven(s, target, f"{len(group)} atoms from "
                                        f"{names[d]} to {names[r]}")
-
     twins = sorted(e for e, b in blocks.items() if len(b) == 2)
     p = {e: e if e == twins[0] else min(groups[twins[0], e]) for e in twins}
     owner, n = algebra.owner, algebra.base_size
@@ -340,19 +290,11 @@ def _unproven(s: AtomStructure, target: AtomStructure, reason: str
 
 def check_action_represents(structure: AtomStructure, action: GroupAction,
                             budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
-    """Does this particular action's algebra realize the structure?
-
-    When the action's group has order at most two (a trivial action
-    counts), its algebra is in the class, so the class answers and no
-    search runs: None, before any algebra is built, when the structure is
-    outside the class or its (points, twins) counts (see _class_counts)
-    differ from the action's fixed points and 2-cycles, otherwise the
-    proof's map with those as the blocks (see _realize).  Only actions of
-    order above two go to the search of find_isomorphism.
-
-    Only the structure is validated: the one extracted from the action's
-    algebra is valid by construction (see extract_atom_structure), so a
-    found map proves the structure associative (see _gated)."""
+    """Does this particular action's algebra realize the structure?  For
+    a group of order at most two the class answers: None before any
+    algebra is built, or the proof's map (_realize).  Larger groups go to
+    the search.  Only the structure is validated: the action's is valid by
+    construction (see extract_atom_structure)."""
     def compute():
         g = _involution(action)
         if g is None:
@@ -368,10 +310,9 @@ def check_action_represents(structure: AtomStructure, action: GroupAction,
 
 
 def _involution(action: GroupAction) -> tuple[int, ...] | None:
-    """The permutation that generates the action's group when that group
-    has order at most two: the non-identity generators are all one
-    permutation and it is an involution, or there are none (the identity
-    is returned).  None otherwise."""
+    """The generator of the action's group if it has order at most two:
+    the non-identity generators are one involution, or there are none (the
+    identity is returned).  None otherwise."""
     ident = tuple(range(action.base_size))
     moved = {g for g in action.generators if g != ident}
     if len(moved) > 1:
@@ -395,25 +336,84 @@ class VerificationReport(_Record):
 
 
 def verify_decision(d: Z2Decision) -> VerificationReport:
-    """Independently re-check an accepted decision from first principles:
-    the action has order at most two, its orbit algebra equals the stored
-    one, and the witness really is an isomorphism, cycle by cycle.
+    """Re-check an accepted decision from its certificate alone (action,
+    owner table, the witness's map m and target t, the decided structure
+    s), with none of rel_algebra, extract_atom_structure and problems().
 
-    The order is read off the generators (see _involution)."""
+    The group is {1, g} (_involution) and the table holds its orbits on
+    pairs (_orbit_firsts), so it is the action's algebra: atom z's converse
+    holds the transpose of its first pair (i, k), the identity atoms meet
+    the diagonal, and the cycles are the (x, y, z) with (x, y) in the
+    profile of (i, k), the image of j -> (owner(i,j), owner(j,k)), one to
+    one but that j and g(j) meet when g fixes i and k: n K - t f^2 cycles
+    for K atoms, f fixed points and t 2-cycles.  m is a bijection that
+    keeps identity atoms and converse and puts each cycle line (x, y, z)
+    of s (each cycle, if s was not parsed) in a profile: (i, j) in m(x),
+    j = b if m(x)'s first pair (a, b) has a = i, g(b) if g(a) = i, has
+    (j, k) in m(y).  m commutes with the Peircean transforms, which keep
+    the table's cycles, and a parsed structure's cycles are its lines'
+    closure, so m maps them into the table's, as many: onto.  t has the
+    table's names, converse and identity atoms, as many cycles, whole
+    orbits (atoms._whole_orbits) and each line's image: it is the table's."""
     if not d.accepted:
         raise ValueError("verify_decision requires an accepted decision")
-    problems: list[str] = []
-    if _involution(d.action) is None:
-        problems.append("action group has order above 2, expected <= 2")
-    rebuilt = rel_algebra(d.action)
-    if rebuilt != d.algebra:
-        problems.append("stored algebra is not the compatible-relation algebra "
-                        "of the action")
-    if d.witness.source != d.structure:
-        problems.append("witness source is not the decided structure")
-    t = d.witness.target
-    if t != extract_atom_structure(rebuilt):
-        problems.append("witness target is not the extraction of the "
-                        "action's algebra")
-    problems.extend(d.witness.problems())
-    return VerificationReport(tuple(problems))
+    s, t, m, alg = d.structure, d.witness.target, d.witness.atom_map, d.algebra
+    g = _involution(d.action)
+    firsts = _orbit_firsts(g, alg)
+    out = [] if firsts else ["action group has order above 2, expected <= 2"
+                             if g is None else "stored algebra is not the "
+                             "compatible-relation algebra of the action"]
+    if d.witness.source != s:
+        out.append("witness source is not the decided structure")
+    if not firsts:
+        return VerificationReport(tuple(out))
+    n, owner, atoms = alg.base_size, alg.owner, len(firsts)
+    row, col = [p // n for p in firsts], [p % n for p in firsts]
+    conv = tuple(owner[b * n + a] for a, b in zip(row, col))
+    if s.n_atoms != atoms or sorted(m) != list(range(atoms)):
+        return VerificationReport((*out, "atom map is not a bijection"))
+    ident = set(owner[::n + 1])
+    if {m[e] for e in s.identity_atoms} != ident:
+        out.append("identity atoms are not mapped onto identity atoms")
+    out += [f"map does not commute with converse at atom {s.atom_names[a]}"
+            for a, c in enumerate(s.converse_map) if m[c] != conv[m[a]]]
+    if out:
+        return VerificationReport(tuple(out))
+    lines = s._lines or tuple(zip(*s.cycles)) or ((), (), ())
+    xs, ys, zs = ([*map(m.__getitem__, ids)] for ids in lines)
+    out = [f"cycle {s._fmt_triple(c)} is not preserved" for c in sorted({
+        c for c, x, y, z in zip(zip(*lines), xs, ys, zs)
+        if not (row[x] == row[z] and owner[col[x] * n + col[z]] == y
+                or g[row[x]] == row[z] and owner[g[col[x]] * n + col[z]] == y)})]
+    f = sum(a == b for a, b in enumerate(g))
+    size = atoms * n - (n - f) // 2 * f * f
+    if not out and size != len(s.cycles):
+        out.append(f"structure has {len(s.cycles)} cycles and the action's "
+                   f"algebra {size}")
+    if not out and ((t.atom_names, t.converse_map, t.identity_atoms)
+                    != (alg.atom_names, conv, ident) or len(t.cycles) != size
+                    or not _whole_orbits(t)
+                    or not t.cycles.issuperset(zip(xs, ys, zs))):
+        out.append("witness target is not the extraction of the action's "
+                   "algebra")
+    return VerificationReport(tuple(out))
+
+
+def _orbit_firsts(g: tuple[int, ...] | None, alg: ConcreteAlgebra
+                  ) -> list[int] | None:
+    """The first pair of each atom if alg's owner table holds the orbits
+    of the involution g on pairs as rel_algebra numbers (by least pair) and
+    names them (_orbit_names), else None.  g keeps every atom (one list
+    comparison), so each is a union of orbits, which number f^2 + (n^2 -
+    f^2)/2 for f fixed points: as many atoms are one orbit each."""
+    n, owner = alg.base_size, alg.owner
+    if g is None or len(g) != n or alg.atom_names != _orbit_names(n, owner):
+        return None
+    first = dict(zip(owner[::-1], range(n * n - 1, -1, -1)))
+    firsts = [*map(first.__getitem__, range(len(first)))]
+    f = sum(a == b for a, b in enumerate(g))
+    image = [q for a in g for q in map((a * n).__add__, g)]
+    if (firsts == sorted(firsts) and len(firsts) == (n * n + f * f) // 2
+            and [*map(owner.__getitem__, image)] == [*owner]):
+        return firsts
+    return None

@@ -10,7 +10,9 @@ number, and token.  Emitters produce text the parsers round-trip exactly.
 
 An atom structure is read in one loop over its lines, cycle lines tested
 first, with the three ids of each cycle line appended to three column
-lists, closed by atoms._close_columns under the parser's converse.
+lists, closed by atoms._close_columns under the parser's converse and
+kept on the structure as its _lines, which IsoWitness.problems() and
+decision.verify_decision read in place of the whole cycle set.
 AtomStructure._of_checked_ids sets the fields without the constructor's
 checks and with the cycle law's scan preset to find nothing: every id is
 a value of the parser's name index, each converse entry a:b sets both
@@ -143,7 +145,8 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
         raise ParseError(source, 0, "missing identity line")
     conv = tuple(range(len(atoms)) if converse is None else converse)
     return AtomStructure._of_checked_ids(
-        tuple(atoms), conv, frozenset(identity), _close_columns(xs, ys, zs, conv))
+        tuple(atoms), conv, frozenset(identity),
+        _close_columns(xs, ys, zs, conv), (xs, ys, zs))
 
 
 def format_atom_structure(s: AtomStructure) -> str:

@@ -587,6 +587,37 @@ def associativity_witness_oracle(s: AtomStructure):
     return None
 
 
+def iso_problems_oracle(w) -> tuple[str, ...]:
+    """IsoWitness.problems() by the whole cycle sets: atom counts, then
+    bijection, each alone; then identity atoms, converse at each atom, and,
+    when the mapped source cycles are not the target's, each unpreserved
+    source cycle and each target cycle without a source cycle, both in
+    sorted order."""
+    s, t, m = w.source, w.target, w.atom_map
+    n = s.n_atoms
+    if t.n_atoms != n:
+        return ("structures have different atom counts",)
+    if len(m) != n or sorted(m) != list(range(n)):
+        return ("atom map is not a bijection",)
+    out = []
+    if {m[e] for e in s.identity_atoms} != set(t.identity_atoms):
+        out.append("identity atoms are not mapped onto identity atoms")
+    for a in range(n):
+        if m[s.converse_map[a]] != t.converse_map[m[a]]:
+            out.append(f"map does not commute with converse at atom "
+                       f"{s.atom_names[a]}")
+    inv = {b: a for a, b in enumerate(m)}
+    mapped = {tuple(m[a] for a in c) for c in s.cycles}
+    if mapped != t.cycles:
+        out += [f"cycle {s._fmt_triple(c)} is not preserved"
+                for c in sorted(s.cycles) if tuple(m[a] for a in c)
+                not in t.cycles]
+        out += [f"target cycle {t._fmt_triple(c)} has no source cycle"
+                for c in sorted(t.cycles) if tuple(inv[a] for a in c)
+                not in s.cycles]
+    return tuple(out)
+
+
 def close_cycles_oracle(cycles, converse) -> frozenset:
     """The union of the Peircean orbits of the cycles, one orbit at a time."""
     closed = set()

@@ -10,24 +10,26 @@ from collections import Counter
 
 import pytest
 
-from relalg import (ActionError, AtomStructure, GroupAction, InternalError,
-                    InvalidStructureError, IsoWitness, SearchBudgetExceeded,
-                    build_group,
+from relalg import (ActionError, AtomStructure, ConcreteAlgebra, GroupAction,
+                    InternalError, InvalidStructureError, IsoWitness,
+                    SearchBudgetExceeded, build_group,
                     check_action_represents, check_z2_axioms, classify_atoms,
                     decide_z2, extract_atom_structure, find_isomorphism,
-                    rel_algebra, verify_decision)
-from relalg import decision, join, search
+                    peirce_orbit, rel_algebra, verify_decision)
+from relalg import actions, concrete, decision, join, search
+from relalg.actions import _orbit_names
 from relalg.cli import main
 from relalg.decision import _proof_witness
-from relalg.formats import format_atom_structure
+from relalg.formats import format_atom_structure, parse_atom_structure
 from relalg.search import _power_runs, _refined_colours
 
 from conftest import (DATA, atom_flags_oracle, close_cycles_oracle, conjugate,
                       generated_groups, group_closure_oracle,
                       involution_action, involution_structure, involutions,
-                      load_action, load_concrete, load_structure,
-                      one_orbit_corruptions, refined_colours_oracle,
-                      regular_action, replaced, shuffled, signature_oracle)
+                      iso_problems_oracle, load_action, load_concrete,
+                      load_structure, one_orbit_corruptions,
+                      refined_colours_oracle, regular_action, replaced,
+                      shuffled, signature_oracle)
 
 
 # --- find_isomorphism -----------------------------------------------------
@@ -35,14 +37,14 @@ from conftest import (DATA, atom_flags_oracle, close_cycles_oracle, conjugate,
 
 def test_identity_isomorphism(s23):
     w = find_isomorphism(s23, s23)
-    assert w is not None and w.is_valid()
+    assert w is not None and not w.problems()
     assert w.atom_map == (0, 1, 2)
 
 
 def test_relabeled_isomorphism(s23):
     other = load_structure("23_relabeled.ra")
     w = find_isomorphism(s23, other)
-    assert w is not None and w.is_valid()
+    assert w is not None and not w.problems()
     # candidates are tried in target id order, so r lands on s~ (id 0)
     assert w.map_lines() == ["map 1' -> 1'", "map r -> s~", "map r~ -> s"]
 
@@ -64,7 +66,7 @@ def test_random_conjugates_are_found(s57, s23):
             rng.shuffle(ids)
             other = conjugate(s, tuple(ids))
             w = find_isomorphism(s, other)
-            assert w is not None and w.is_valid()
+            assert w is not None and not w.problems()
             assert find_isomorphism(other, s) is not None
 
 
@@ -177,16 +179,17 @@ def test_budget_exhaustion(s23):
 
 def test_witness_tampering_is_detected(s23):
     w = find_isomorphism(s23, s23)
-    assert IsoWitness(s23, s23, (0, 2, 1)).is_valid()  # converse automorphism
-    assert not IsoWitness(s23, s23, (0, 1, 1)).is_valid()
+    # the converse is an automorphism
+    assert not IsoWitness(s23, s23, (0, 2, 1)).problems()
+    assert IsoWitness(s23, s23, (0, 1, 1)).problems()
     problems = IsoWitness(s23, s23, (1, 0, 2)).problems()
     assert any("identity" in p for p in problems)
-    assert w.inverted().is_valid()
+    assert not w.inverted().problems()
 
 
 def test_witness_on_mismatched_structures(s23, s57, swap_structure):
     w = IsoWitness(s23, s57, (0, 1, 2))
-    assert not w.is_valid()
+    assert w.problems()
     assert any("cycle" in p or "identity" in p for p in w.problems())
     w = IsoWitness(s23, swap_structure, (0, 1, 1))
     assert w.problems() == ("structures have different atom counts",)
@@ -200,7 +203,7 @@ def test_accepts_swap_structure(swap_structure):
     assert d.accepted and d.failures == ()
     assert d.action.base_size == 2
     assert d.action.generators == ((1, 0),)
-    assert d.witness.is_valid()
+    assert not d.witness.problems()
     assert verify_decision(d).ok
 
 
@@ -313,9 +316,9 @@ def test_class_inputs_of_1152_atoms_need_no_search():
     with proof_only() as (joins, tables):
         start = time.perf_counter()
         w = check_action_represents(source, action)
-        assert w is not None and w.is_valid()
+        assert w is not None and not w.problems()
         w = find_isomorphism(source, target)
-        assert w is not None and w.is_valid()
+        assert w is not None and not w.problems()
         assert time.perf_counter() - start < 3.0
     assert joins == [] and tables == []
 
@@ -349,7 +352,7 @@ def test_class_verdicts_need_no_search(monkeypatch):
         assert check_action_represents(fresh, trivial) is None
         assert joins[2:] == [fresh] and built == []
         w = check_action_represents(points, trivial)
-        assert w is not None and w.is_valid() and len(built) == 1
+        assert w is not None and not w.problems() and len(built) == 1
     # a 3-cycle is no involution: the search answers, as before
     assert check_action_represents(involution_structure(0, 1),
                                    build_group(3, [(1, 2, 0)])) is None
@@ -460,8 +463,8 @@ def test_constructed_witness_mismatch_is_internal_error():
     point, twin = sorted(s.identity_atoms, key=lambda e: not flags[e][0])
     blocks = {point: (0,), twin: (1, 2)}
     good = rel_algebra(build_group(3, [(0, 2, 1)]))
-    assert _proof_witness(s, blocks, good,
-                          extract_atom_structure(good)).is_valid()
+    assert not _proof_witness(s, blocks, good,
+                              extract_atom_structure(good)).problems()
     mismatched = rel_algebra(build_group(3, [(1, 0, 2)]))
     target = extract_atom_structure(mismatched)
     with pytest.raises(InternalError, match="--- constructed ---"):
@@ -495,9 +498,9 @@ def test_axioms_decide_representability_on_five_points():
             involution_actions += 1
             with proof_only() as (joins, tables):
                 w = check_action_represents(shuffled(s, rng), a)
-                assert w is not None and w.is_valid(), a.generators
+                assert w is not None and not w.problems(), a.generators
                 w = find_isomorphism(shuffled(s, rng), shuffled(s, rng))
-                assert w is not None and w.is_valid(), a.generators
+                assert w is not None and not w.problems(), a.generators
             assert joins == [] and tables == [], a.generators
         if check_z2_axioms(s).all_hold:
             d = decide_z2(s)
@@ -548,7 +551,7 @@ def test_a_broken_local_law_stops_every_answer(swap_structure):
 
 def test_check_action_positive(swap_structure, s23):
     w = check_action_represents(swap_structure, build_group(2, [(1, 0)]))
-    assert w is not None and w.is_valid()
+    assert w is not None and not w.problems()
     w2 = check_action_represents(s23, build_group(3, [(1, 2, 0)]))
     assert w2 is not None
 
@@ -583,9 +586,9 @@ def test_shuffled_copies_are_found_within_budget(action, atoms):
     for _ in range(10):
         source = shuffled(s, rng)
         w = find_isomorphism(source, shuffled(s, rng), budget=50_000)
-        assert w is not None and w.is_valid()
+        assert w is not None and not w.problems()
         w = check_action_represents(source, action, budget=50_000)
-        assert w is not None and w.is_valid()
+        assert w is not None and not w.problems()
     assert time.perf_counter() - start < 5.0
 
 
@@ -669,7 +672,7 @@ def test_budget_counts_every_tried_or_forced_assignment(case, nodes):
     # succeeds, so a search that tries or forces other assignments, or
     # counts them otherwise, changes what --budget N allows and fails here
     search = pinned_searches()[case]
-    assert search(nodes).is_valid()
+    assert not search(nodes).problems()
     with pytest.raises(SearchBudgetExceeded):
         search(nodes - 1)
 
@@ -775,14 +778,187 @@ def test_witness_problems_list_cycles_in_sorted_order():
 
 
 def test_verify_catches_forged_target(swap_structure):
-    # the target must be the structure of the rebuilt algebra, field by
-    # field, and valid
+    # the target must be the structure of the owner table, field by field:
+    # renamed, one cycle short, one Peircean orbit short (whole orbits, one
+    # fewer cycle count), or with another identity atom
     d = decide_z2(swap_structure)
     t = d.witness.target
     renamed = replaced(t, atom_names=("x", "y"))
     broken = replaced(t, cycles=t.cycles - {(1, 1, 0)})
-    for forged in (renamed, broken):
+    short = replaced(t, cycles=t.cycles - peirce_orbit((1, 1, 0),
+                                                       t.converse_map))
+    moved = replaced(t, identity_atoms={1})
+    for forged in (renamed, broken, short, moved):
         w = replaced(d.witness, target=forged)
         report = verify_decision(replaced(d, witness=w))
-        assert not report.ok
-        assert any("witness target" in p for p in report.problems)
+        assert report.problems == ("witness target is not the extraction of "
+                                   "the action's algebra",)
+
+
+def test_verify_catches_a_target_that_holds_only_the_lines():
+    # a parsed structure: the target holds the image of every cycle line
+    # and has as many cycles, but one cycle off the lines is swapped for a
+    # triple outside the algebra, which breaks the cycle law
+    s = parse_atom_structure(format_atom_structure(involution_structure(1, 1)))
+    d = decide_z2(s)
+    t, m = d.witness.target, d.witness.atom_map
+    images = {tuple(m[a] for a in c) for c in zip(*s._lines)}
+    off = min(t.cycles - images)
+    outside = min(c for c in itertools.product(range(t.n_atoms), repeat=3)
+                  if c not in t.cycles)
+    forged = replaced(t, cycles=t.cycles - {off} | {outside})
+    report = verify_decision(replaced(d, witness=replaced(d.witness,
+                                                          target=forged)))
+    assert report.problems == ("witness target is not the extraction of the "
+                               "action's algebra",)
+
+
+def test_verify_catches_a_structure_one_orbit_short():
+    # the decided structure and the witness's source both lack one Peircean
+    # orbit: every cycle still maps into the algebra, so only the count of
+    # the algebra's cycles, read off the fixed points, tells them apart
+    d = decide_z2(involution_structure(1, 1))
+    s = d.structure
+    c = min(c for c in s.cycles if s.identity_atoms.isdisjoint(c))
+    short = replaced(s, cycles=s.cycles - peirce_orbit(c, s.converse_map))
+    forged = replaced(d, structure=short,
+                      witness=replaced(d.witness, source=short))
+    n = len(s.cycles)
+    assert verify_decision(forged).problems == (
+        f"structure has {len(short.cycles)} cycles and the action's "
+        f"algebra {n}",)
+
+
+def accepted_decisions() -> list:
+    """The accepted decisions on the catalog structures and on the
+    structure of each involution with f points and t twins, f + 2t <= 8,
+    and on a shuffle of each, each as built and as parsed from its text,
+    whose cycle lines the checker maps."""
+    rng = random.Random(8)
+    structures = catalog_structures() + [
+        involution_structure(f, t) for f in range(9) for t in range(5)
+        if 0 < f + 2 * t <= 8]
+    out = []
+    for s in structures:
+        for x in (s, shuffled(s, rng)):
+            for y in (x, parse_atom_structure(format_atom_structure(x))):
+                d = decide_z2(y)
+                if d.accepted:
+                    out.append(d)
+    return out
+
+
+def test_verify_runs_none_of_the_decisions_code(monkeypatch):
+    # the checker reads the action, the owner table, the map and the
+    # structures: it builds no algebra, extracts no structure and runs no
+    # IsoWitness.problems(), so a fault there cannot pass twice
+    decisions = accepted_decisions()
+    assert len(decisions) == 272  # 137 with cycle lines: half, and swap.ra
+    assert sum(d.structure._lines is not None for d in decisions) == 137
+
+    def unreachable(*args):
+        raise AssertionError("verify_decision ran the decision's code")
+
+    for module, name in ((actions, "rel_algebra"), (decision, "rel_algebra"),
+                         (concrete, "extract_atom_structure"),
+                         (decision, "extract_atom_structure")):
+        monkeypatch.setattr(module, name, unreachable)
+    monkeypatch.setattr(IsoWitness, "problems", unreachable)
+    for d in decisions:
+        assert verify_decision(d).ok, d.structure.atom_names
+
+
+def test_verify_reports_certificates_of_the_wrong_shape():
+    # an action on another base set than the algebra's, and maps of the
+    # wrong length, with a repeated atom or an id past the atoms, each end
+    # in a reported problem, not in an IndexError or KeyError from the
+    # owner table; the identity among the generators changes nothing
+    d = decide_z2(involution_structure(1, 1))
+    m = d.witness.atom_map
+    assert len(m) == 5 and d.algebra.base_size == 3
+    table = "stored algebra is not the compatible-relation algebra of the " \
+        "action"
+    for action in (involution_action(1, 2), involution_action(0, 1),
+                   involution_action(3, 0), build_group(1, [])):
+        report = verify_decision(replaced(d, action=action))
+        assert report.problems == (table,), action
+    for bad in (m[:-1], m + (0,), (m[1],) + m[1:], m[:-1] + (5,)):
+        w = replaced(d.witness, atom_map=bad)
+        report = verify_decision(replaced(d, witness=w))
+        assert report.problems == ("atom map is not a bijection",), bad
+    g = d.action.generators[0]
+    action = build_group(3, [(0, 1, 2), g, g])
+    assert verify_decision(replaced(d, action=action)).ok
+
+
+def test_verify_catches_tables_that_are_not_the_actions_orbits():
+    # each table is named as rel_algebra names orbits: two atoms of the
+    # involution's algebra merged into one and numbered by least pair, a
+    # union of orbits still invariant under the involution and closed under
+    # converse; the same atoms numbered out of order; and the algebra of
+    # another involution with as many fixed points, so as many atoms
+    d = decide_z2(involution_structure(1, 1))
+    n, owner = d.algebra.base_size, d.algebra.owner
+    tables = []
+    for a, b in itertools.combinations(range(d.algebra.n_atoms), 2):
+        ids: dict[int, int] = {}
+        tables.append([ids.setdefault(a if k == b else k, len(ids))
+                       for k in owner])
+    tables.append([k ^ 1 if k < 2 else k for k in owner])
+    tables.append(rel_algebra(build_group(3, [(1, 0, 2)])).owner)
+    for table in tables:
+        forged = ConcreteAlgebra(n, _orbit_names(n, table), table)
+        report = verify_decision(replaced(d, algebra=forged))
+        assert report.problems == ("stored algebra is not the "
+                                   "compatible-relation algebra of the "
+                                   "action",), table
+
+
+def test_verify_catches_a_wrong_identity_atom():
+    # the map sends the point's identity atom to a diversity atom
+    d = decide_z2(involution_structure(1, 1))
+    s, m = d.structure, list(d.witness.atom_map)
+    e, x = min(s.identity_atoms), min(set(range(s.n_atoms))
+                                      - s.identity_atoms)
+    m[e], m[x] = m[x], m[e]
+    w = replaced(d.witness, atom_map=tuple(m))
+    report = verify_decision(replaced(d, witness=w))
+    assert report.problems[0] == \
+        "identity atoms are not mapped onto identity atoms"
+
+
+def test_verify_agrees_with_the_oracle_on_every_transposed_map():
+    # the proof's map with two atoms swapped, on a parsed structure whose
+    # cycle lines the checker maps: verified exactly when the oracle's
+    # full comparison finds an isomorphism
+    s = shuffled(involution_structure(2, 2), random.Random(22))
+    s = parse_atom_structure(format_atom_structure(s))
+    d = decide_z2(s)
+    failed = 0
+    for a, b in itertools.combinations(range(s.n_atoms), 2):
+        m = list(d.witness.atom_map)
+        m[a], m[b] = m[b], m[a]
+        w = replaced(d.witness, atom_map=tuple(m))
+        report = verify_decision(replaced(d, witness=w))
+        assert report.ok == (iso_problems_oracle(w) == ()), (a, b)
+        failed += not report.ok
+    assert failed > 100
+
+
+def test_verify_at_3200_atoms_takes_at_most_half_the_decision():
+    # the shuffled 80-point fixed-point-free involution, parsed from its
+    # text as the CLI reads it: the checker maps 44280 cycle lines against
+    # the owner table, where the decision builds the algebra, extracts its
+    # 256000 cycles and checks the proof's map
+    text = format_atom_structure(shuffled(involution_structure(0, 40),
+                                          random.Random(40)))
+    s = parse_atom_structure(text)
+    decide = verify = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        d = decide_z2(s)
+        mid = time.perf_counter()
+        assert verify_decision(d).ok
+        decide = min(decide, mid - start)
+        verify = min(verify, time.perf_counter() - mid)
+    assert verify <= decide / 2, (verify, decide)

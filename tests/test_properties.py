@@ -1,12 +1,13 @@
 """Property tests on random inputs, drawn by hypothesis when it is
 installed; without it they skip."""
 
-from itertools import combinations_with_replacement, compress
+from itertools import combinations_with_replacement, compress, product
 
 import pytest
 
-from relalg import (AtomStructure, InvalidStructureError, ParseError,
-                    build_group, check_action_represents, decide_z2,
+from relalg import (AtomStructure, InvalidStructureError, IsoWitness,
+                    ParseError, build_group, check_action_represents,
+                    decide_z2,
                     extract_atom_structure, find_isomorphism,
                     format_atom_structure, format_concrete_algebra,
                     format_group_action, pair_orbits, parse_atom_structure,
@@ -18,7 +19,8 @@ from relalg.search import _power_runs
 
 from conftest import (associativity_witness_oracle, close_cycles_oracle,
                       conjugate, emitted_cycle_lines, involution_action,
-                      local_laws_oracle, orbit_minimum_cycle_lines,
+                      iso_problems_oracle, local_laws_oracle,
+                      orbit_minimum_cycle_lines,
                       owner_table_oracle, pair_orbits_oracle,
                       random_prime_cyclic_action, rel_algebra_oracle, shuffled)
 
@@ -339,6 +341,93 @@ def test_structure_format_round_trips(data):
     # each Peircean orbit is written as its least member
     assert emitted_cycle_lines(format_atom_structure(s)) == \
         orbit_minimum_cycle_lines(s)
+
+
+@st.composite
+def orbit_line_texts(draw, s):
+    """The text of s, whose orbits must be whole, with cycle lines that
+    name any members of each Peircean orbit, least or not, one to three
+    lines per orbit, repeats included, in any order."""
+    names, conv = s.atom_names, s.converse_map
+    orbits = {frozenset(peirce_orbit(c, conv)) for c in s.cycles}
+    lines = []
+    for orbit in sorted(map(sorted, orbits)):
+        lines += draw(st.lists(st.sampled_from(orbit), min_size=1,
+                               max_size=3))
+    head = [line for line in format_atom_structure(s).splitlines()
+            if not line.startswith("cycle ")]
+    body = [f"cycle {names[x]} {names[y]} {names[z]}"
+            for x, y, z in draw(st.permutations(lines))]
+    return "\n".join(head + body) + "\n"
+
+
+@st.composite
+def claimed_isomorphisms(draw):
+    """An IsoWitness of the structure of an action onto a shuffle of it,
+    by the shuffle, or by the shuffle after one transposition.  The
+    source is the extracted structure, or that structure parsed from
+    orbit_line_texts; the target is the shuffle, the shuffle with one
+    cycle swapped for a triple it lacks, which breaks the cycle law with
+    the count kept, or the shuffle with the Peircean orbit of such a triple
+    added, which keeps the orbits whole.  A quarter of the draws are
+    instead a table of cycle_tables, most of which break the cycle law,
+    with a shuffle."""
+    if draw(st.integers(0, 3)) == 0:
+        s = draw(cycle_tables())
+        ids = draw(st.permutations(range(s.n_atoms)))
+        return IsoWitness(s, conjugate(s, ids), tuple(ids))
+    s = extract_atom_structure(rel_algebra(draw(actions())))
+    n = s.n_atoms
+    ids = draw(st.permutations(range(n)))
+    t, m = conjugate(s, ids), list(ids)
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        m[a], m[b] = m[b], m[a]
+    if draw(st.booleans()):
+        parsed = parse_atom_structure(draw(orbit_line_texts(s)))
+        assert parsed.cycles == s.cycles and parsed._lines is not None
+        s = parsed
+    lacking = st.tuples(*[st.integers(0, n - 1)] * 3).filter(
+        lambda c: c not in t.cycles)
+    change = draw(st.integers(0, 5)) if n > 1 else 0
+    if change == 1:
+        c = draw(st.sampled_from(sorted(t.cycles)))
+        t = AtomStructure(t.atom_names, t.converse_map, t.identity_atoms,
+                          t.cycles - {c} | {draw(lacking)})
+    elif change == 2:
+        t = AtomStructure(t.atom_names, t.converse_map, t.identity_atoms,
+                          t.cycles | peirce_orbit(draw(lacking),
+                                                  t.converse_map))
+    return IsoWitness(s, t, tuple(m))
+
+
+# swap.ra written with its one diversity line, and its table with the
+# cycle (d, 1', d), off the lines, swapped for (d, d, d): the lines land
+SWAP_LINES = parse_atom_structure(
+    "atoms e d\nidentity e\ncycle e e e\ncycle e d d\n")
+OFF_LINES = AtomStructure(SWAP_LINES.atom_names, (0, 1), {0},
+                          SWAP_LINES.cycles - {(1, 0, 1)} | {(1, 1, 1)})
+# every triple of three atoms is a cycle under any converse, so the lines
+# land though the identity map does not commute with converse
+ALL_TRIPLES = [*combinations_with_replacement(range(3), 3)]
+EVERY = AtomStructure(("e", "a", "b"), (0, 1, 2), {0},
+                      product(range(3), repeat=3))
+EVERY_LINES = parse_atom_structure(
+    "atoms e a b\nidentity e\nconverse a:b\n" + "".join(
+        f"cycle {' '.join('eab'[a] for a in c)}\n" for c in ALL_TRIPLES))
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(claimed_isomorphisms())
+@hypothesis.example(IsoWitness(SWAP_LINES, OFF_LINES, (0, 1)))
+@hypothesis.example(IsoWitness(EVERY_LINES, EVERY, (0, 1, 2)))
+def test_witness_problems_match_the_full_comparison(w):
+    # one cycle line per orbit is mapped where the source was parsed and
+    # both sides have whole orbits; otherwise, or when a line misses, the
+    # whole sets are compared: the same messages in the same order as the
+    # oracle's comparison of the whole cycle sets
+    assert w.problems() == iso_problems_oracle(w)
 
 
 @st.composite
