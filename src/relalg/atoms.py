@@ -32,9 +32,9 @@ _element_flags, read _comp.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, groupby
 from operator import or_
 
 from .errors import InvalidStructureError
@@ -195,29 +195,43 @@ class AtomStructure(_Record):
     # the parser's cycle lines, as three id columns whose Peircean closure
     # is the cycle set; preset by _of_checked_ids, None on other structures
     _lines: tuple[Sequence[int], Sequence[int], Sequence[int]] | None = None
+    # an extracted structure's cycles, each one or more times, from a call
+    # that streams them anew; preset by _of_checked_ids, None on others
+    _triples: Callable[[], Iterable[Triple]] | None = None
 
     @classmethod
     def _of_checked_ids(cls, atom_names: tuple[str, ...],
                         converse_map: tuple[int, ...],
                         identity_atoms: frozenset[int],
-                        cycles: frozenset[Triple],
-                        lines=None) -> "AtomStructure":
+                        cycles: frozenset[Triple] | None = None, *,
+                        lines=None, triples=None) -> "AtomStructure":
         """Internal to formats.parse_atom_structure and
-        concrete.extract_atom_structure: the structure with these four
-        fields, set as given, without the constructor's checks, and with the
-        cycle law's scan preset to find nothing and _lines to lines.  The
-        caller vouches that every id is an int below the atom count, that
-        the cycles are closed under an involutive converse, and that they
-        are the closure of lines, if given.  The parser reads its ids off
-        its name index, pairs each converse both ways, and closes its cycle
-        lines by _close_columns; extraction reads its ids off an owner table
-        that ConcreteAlgebra checked, and the structure of a proper algebra
+        concrete.extract_atom_structure: the structure with these fields,
+        set as given, without the constructor's checks, and with the cycle
+        law's scan preset to find nothing, _lines to lines and _triples to
+        triples.  The parser gives its cycles and their lines; extraction
+        gives triples instead of cycles, and the cycle set is built from
+        them the first time it is read.  The caller vouches that every id
+        is an int below the atom count, that the cycles are closed under an
+        involutive converse, and that they are the closure of lines, or the
+        set of what triples streams.  The parser reads its ids off its name
+        index, pairs each converse both ways, and closes its cycle lines by
+        _close_columns; extraction reads its ids off an owner table that
+        ConcreteAlgebra checked, and the structure of a proper algebra
         satisfies the cycle law (Maddux, Relation Algebras, 2006)."""
         s = cls.__new__(cls)
-        s.__dict__.update(zip(cls._fields, (atom_names, converse_map,
-                                            identity_atoms, cycles)),
-                          _cycle_law_broken=(), _lines=lines)
+        s.__dict__.update(atom_names=atom_names, converse_map=converse_map,
+                          identity_atoms=identity_atoms, _cycle_law_broken=(),
+                          _lines=lines, _triples=triples)
+        if cycles is not None:
+            s.__dict__["cycles"] = cycles
         return s
+
+    @cached_property
+    def cycles(self) -> frozenset[Triple]:
+        # a field, set by the constructor and the parser; on an extracted
+        # structure built from its triples the first time it is read
+        return frozenset(self._triples())
 
     # -- basic views ------------------------------------------------------
 
@@ -485,15 +499,22 @@ def _orbit_reps(s: AtomStructure) -> list[Triple]:
     The orbits must be whole (_whole_orbits), as in every parsed or
     extracted structure: the transforms of a cycle are then its orbit, so
     a cycle is its orbit's least exactly when it is at most each
-    transform, a local test per cycle.  The writer's one refusal, O(atoms)
-    on such structures: no text parses back to a table without identity
-    atoms, with an unusable or repeated name or not whole orbits, which
-    raises InvalidStructureError with its whole local-law report."""
+    transform, a local test per cycle.  The test runs over the cycle set,
+    or, on an extracted structure that has not built it, over the stream
+    of its triples, where a cycle can come more than once, so the sorted
+    leasts are deduplicated: the set is never built to be written.  The
+    writer's one refusal, O(atoms) on such structures: no text parses back
+    to a table without identity atoms, with an unusable or repeated name
+    or not whole orbits, which raises InvalidStructureError with its whole
+    local-law report."""
     names = s.atom_names  # usable and distinct: as many usable as names
     if not (s.identity_atoms and _whole_orbits(s)
             and len({*filter(usable_atom_name, names)}) == len(names)):
         raise InvalidStructureError(ValidationReport(s._local_violations))
-    return sorted(_orbit_leasts(s.cycles, s.converse_map))
+    if "cycles" in s.__dict__:
+        return sorted(_orbit_leasts(s.cycles, s.converse_map))
+    leasts = sorted(_orbit_leasts(s._triples(), s.converse_map))
+    return [t for t, _ in groupby(leasts)]
 
 
 # ---------------------------------------------------------------------------

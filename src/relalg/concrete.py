@@ -13,12 +13,15 @@ order.
 
 Closure under composition holds exactly when all pairs (i, k) of each atom z
 share one profile, the pairs (owner(i,j), owner(j,k)) over all j: O(n^3),
-checked only on algebras from outside.  Cycles are read off one pair per atom.
+checked only on algebras from outside.  Cycles are read off one pair per
+atom: extraction hands the structure the stream of those profiles'
+triples, which the writer's orbit test reads as they come, and the cycle
+set is built only for the readers that need it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, repeat
 
@@ -45,6 +48,15 @@ def _check_size(n: int) -> None:
         raise ValueError("base set must be nonempty")
 
 
+_OWNER_RULE = ("the owner table must give every atom a pair and name no "
+               "other atom")
+
+
+def _check_atoms(owner: Sequence[int], atoms: int) -> None:
+    if set(owner) != set(range(atoms)):
+        raise ValueError(_OWNER_RULE)
+
+
 class ConcreteAlgebra(_Record):
     """Atoms of a proper relation algebra on a finite base set:
     owner[i*n + j] is the atom holding the pair (i, j)."""
@@ -62,10 +74,9 @@ class ConcreteAlgebra(_Record):
             raise ValueError(f"expected an owner table of {n * n} entries, "
                              f"got {len(owner)}")
         # the types are read off every entry: 0.0 and True equal atom ids
-        if (set(map(type, owner)) != {int}
-                or set(owner) != set(range(len(atom_names)))):
-            raise ValueError("the owner table must give every atom a pair "
-                             "and name no other atom")
+        if set(map(type, owner)) != {int}:
+            raise ValueError(_OWNER_RULE)
+        _check_atoms(owner, len(atom_names))
 
     @classmethod
     def from_pairs(cls, base_size: int, atom_names: Sequence[str],
@@ -75,7 +86,10 @@ class ConcreteAlgebra(_Record):
         table is filled in atom and row order, a pair listed twice in one
         atom counted once; the first pair claimed by two atoms, or else the
         first pair no atom claims, raises ConcreteAlgebraError.  Names and
-        the base size are checked first, with ValueError."""
+        the base size are checked first, and last that every atom has a
+        pair and no other atom is named, with ValueError.  The table is
+        n^2 ints by construction, so the record is set without the
+        constructor's scans."""
         n, names = base_size, tuple(atom_names)
         _check_names(names)
         _check_size(n)
@@ -94,7 +108,10 @@ class ConcreteAlgebra(_Record):
             i, j = divmod(owner.index(-1), n)
             raise ConcreteAlgebraError(
                 (f"not a partition: pair ({i},{j}) is in no atom",))
-        return cls(n, names, owner)
+        _check_atoms(owner, len(names))
+        alg = cls.__new__(cls)
+        alg._init(n, names, tuple(owner))
+        return alg
 
     @classmethod
     def _of_orbits(cls, base_size: int, atom_names: Sequence[str],
@@ -213,8 +230,13 @@ def extract_atom_structure(c: ConcreteAlgebra) -> AtomStructure:
     """Read the abstract atom structure off a concrete algebra.
 
     Cycles are the triples (x, y, z) whose atom z meets the composition
-    x;y, read off the profile of one pair of each atom: closure, checked
-    first, gives every pair of an atom the same profile.
+    x;y, read off the profile of the first pair of each atom: closure,
+    checked first, gives every pair of an atom the same profile.  The
+    structure gets the stream of those triples, O(atoms * n) of them, in
+    which one profile can repeat a pair, and builds its cycle set, the
+    same set as a constructor-built copy's, the first time `cycles` is
+    read; atoms._orbit_reps writes the text off the stream, so that `rel`
+    never builds it.
 
     The result is not validated: once that check passes, the atoms are the
     atoms of a subalgebra of the full algebra of relations on the base set,
@@ -224,12 +246,18 @@ def extract_atom_structure(c: ConcreteAlgebra) -> AtomStructure:
     cycle law's scan is preset to find nothing (see
     AtomStructure._of_checked_ids): every id is read off the owner table,
     whose entries are the ints 0..atoms-1, checked by the ConcreteAlgebra
-    constructor or numbered so by rel_algebra (see _of_orbits), and the
-    names obey the structure's naming rule, checked there or written so.
+    constructor or by from_pairs, or numbered so by rel_algebra (see
+    _of_orbits), and the names obey the structure's naming rule, checked
+    there or written so.
     """
     c.require_invariants()
-    cycles = frozenset(chain.from_iterable(
-        zip(*c._profile(pairs[0]), repeat(z, c.base_size))
-        for z, pairs in enumerate(c._atom_pairs)))
+    n = c.base_size
+
+    def triples() -> Iterator[Triple]:
+        # the first-pair profile of each atom z as the triples (x, y, z)
+        return chain.from_iterable(
+            zip(*c._profile(pairs[0]), repeat(z, n))
+            for z, pairs in enumerate(c._atom_pairs))
+
     return AtomStructure._of_checked_ids(c.atom_names, c._converse_ids,
-                                         c._identity_ids, cycles)
+                                         c._identity_ids, triples=triples)

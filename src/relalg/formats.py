@@ -146,7 +146,7 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
     conv = tuple(range(len(atoms)) if converse is None else converse)
     return AtomStructure._of_checked_ids(
         tuple(atoms), conv, frozenset(identity),
-        _close_columns(xs, ys, zs, conv), (xs, ys, zs))
+        _close_columns(xs, ys, zs, conv), lines=(xs, ys, zs))
 
 
 def format_atom_structure(s: AtomStructure) -> str:
@@ -240,9 +240,10 @@ def parse_concrete_algebra(text: str, source: str = "<string>") -> ConcreteAlgeb
 
 def format_concrete_algebra(c: ConcreteAlgebra) -> str:
     n = c.base_size
-    # the text of every pair, cells[i*n + j] = "(i,j)", built once per call
-    cells = [row + col for row in [f"({i}," for i in range(n)]
-             for col in [f"{j})" for j in range(n)]]
+    # the text of every pair, cells[i*n + j] = "(i,j)", from the n row
+    # and the n column strings, each built once per call
+    cols = [f"{j})" for j in range(n)]
+    cells = [row + col for row in [f"({i}," for i in range(n)] for col in cols]
     lines = [f"set {n}"]
     lines += [f"atom {name} = " + " ".join(map(cells.__getitem__, pairs))
               for name, pairs in zip(c.atom_names, c._atom_pairs)]

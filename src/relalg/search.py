@@ -3,20 +3,20 @@ pairs with neither side in it and `check-action` with a group of order
 above two.  decision imports this module on that branch alone
 (decision._searched) and checks the map it returns as an IsoWitness.
 
-Colour refinement (_refined_colours) gives each source atom its
-candidates, the target atoms of its colour.  Before it branches, the
-search compares the atoms' power runs (_power_runs), an invariant of
-O(atoms + cycles) that answers None for the regular actions of distinct
-abelian groups of one order, which refinement cannot tell apart;
-isomorphic structures always have equal ones, so no found map or node
-count depends on it.  The search branches on the unassigned atom with
-the fewest live candidates (lowest id on ties), trying candidates in
-target id order.  Assigning a -> b also assigns a~ -> b~ and, for every
-assigned y, requires a;y and b;m(y) (and y;a, m(y);b) to have as many
-atoms, maps each assigned atom of a;y into b;m(y), and narrows the
-candidates of the unassigned ones to b;m(y).  An empty candidate set
-backtracks, a single one is assigned at once.  Each atom assignment,
-tried or forced, is one node of the budget; past it,
+The search first compares the atoms' power runs (_power_runs), an
+invariant of O(atoms + cycles) that answers None for the regular actions
+of distinct abelian groups of one order, which refinement cannot tell
+apart, without refinement's rounds; isomorphic structures always have
+equal ones, so no found map or node count depends on it.  Colour
+refinement (_refined_colours) then gives each source atom its
+candidates, the target atoms of its colour.  The search branches on the
+unassigned atom with the fewest live candidates (lowest id on ties),
+trying candidates in target id order.  Assigning a -> b also assigns
+a~ -> b~ and, for every assigned y, requires a;y and b;m(y) (and y;a,
+m(y);b) to have as many atoms, maps each assigned atom of a;y into
+b;m(y), and narrows the candidates of the unassigned ones to b;m(y).  An
+empty candidate set backtracks, a single one is assigned at once.  Each
+atom assignment, tried or forced, is one node of the budget; past it,
 SearchBudgetExceeded is raised.
 """
 
@@ -109,8 +109,10 @@ def _search_isomorphism(source: AtomStructure, target: AtomStructure,
                         budget: int) -> tuple[int, ...] | None:
     # the atom map of an isomorphism of structures whose local laws hold,
     # or None when none exists
+    if _power_runs(source) != _power_runs(target):
+        return None
     colours = _refined_colours(source, target)
-    if colours is None or _power_runs(source) != _power_runs(target):
+    if colours is None:
         return None
     n = source.n_atoms
     by_colour: dict[int, int] = {}

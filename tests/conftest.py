@@ -377,6 +377,18 @@ def atom_structure_text_oracle(s) -> str:
     return "\n".join(lines) + "\n"
 
 
+def concrete_algebra_text_oracle(c) -> str:
+    """The text format_concrete_algebra writes, pair by pair: each atom's
+    pairs in row order, read off the owner table."""
+    n, owner = c.base_size, c.owner
+    lines = [f"set {n}"]
+    for k, name in enumerate(c.atom_names):
+        pairs = [f"({i},{j})" for i in range(n) for j in range(n)
+                 if owner[i * n + j] == k]
+        lines.append(f"atom {name} = " + " ".join(pairs))
+    return "\n".join(lines) + "\n"
+
+
 def emitted_cycle_lines(text):
     return [ln for ln in text.splitlines() if ln.startswith("cycle ")]
 

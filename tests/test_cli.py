@@ -315,8 +315,21 @@ def test_rel_at_3200_atoms_stays_under_its_bounds(tmp_path):
                    encoding="utf-8")
     proc, elapsed, peak_kb = run_measured("rel", act)
     assert proc.stdout.count("\ncycle ") == 44280
-    assert peak_kb < 60 * 1024
-    assert elapsed < 2.0
+    assert peak_kb < 40 * 1024
+    assert elapsed < 1.0
+
+
+def test_rel_at_the_base_size_cap_stays_under_its_bounds(tmp_path):
+    # rel on the trivial action of 128 points: 16384 atoms and 2,097,152
+    # cycles, written as 357,760 cycle lines chosen from the profile
+    # triples as extraction streams them, with no set of the cycles
+    act = tmp_path / "triv128.act"
+    act.write_text(format_group_action(involution_action(128, 0)),
+                   encoding="utf-8")
+    proc, elapsed, peak_kb = run_measured("rel", act)
+    assert proc.stdout.count("\ncycle ") == 357760
+    assert peak_kb < 100 * 1024
+    assert elapsed < 1.5
 
 
 # cli.main on the child's arguments in a fresh interpreter, which then

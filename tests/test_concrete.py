@@ -1,11 +1,13 @@
 """The oracles' binary relations, algebra invariants, structure extraction."""
 
+import pickle
 import random
 
 import pytest
 
 from relalg import (AtomStructure, ConcreteAlgebra, ConcreteAlgebraError,
-                    build_group, extract_atom_structure, rel_algebra)
+                    build_group, concrete, extract_atom_structure,
+                    rel_algebra)
 from relalg.atoms import usable_atom_name
 
 from conftest import (ConcreteRelation, atom_relations,
@@ -194,6 +196,20 @@ def test_from_pairs_checks_names_before_the_partition():
         ConcreteAlgebra.from_pairs(2, ("x y",), ([(0, 0)],))
 
 
+def test_from_pairs_checks_each_name_once(monkeypatch):
+    # the record is set once from_pairs' own checks pass, without the
+    # constructor's second pass; an atom with no pairs is still refused
+    calls = []
+    monkeypatch.setattr(concrete, "usable_atom_name",
+                        lambda name: calls.append(name) or True)
+    c = ConcreteAlgebra.from_pairs(2, ("e0", "a0"), (
+        [(0, 0), (1, 1)], [(0, 1), (1, 0)]))
+    assert calls == ["e0", "a0"]
+    assert c == ConcreteAlgebra(2, ("e0", "a0"), (0, 1, 1, 0))
+    with pytest.raises(ValueError, match="every atom a pair"):
+        ConcreteAlgebra.from_pairs(1, ("x", "y"), ([(0, 0)], []))
+
+
 def test_algebra_and_structure_share_the_atom_name_rule():
     # ConcreteAlgebra rejects exactly the names validation flags, so every
     # algebra that builds extracts to a structure with usable names
@@ -220,6 +236,18 @@ def test_extract_swap_structure():
     assert s.identity_atoms == {0}
     assert s.cycles == {(0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1)}
     assert s.validation.ok
+
+
+def test_extraction_builds_its_cycle_set_when_read():
+    # the cycles are a field like the others: equality, hash, repr and
+    # pickle read them, and give what a constructor-built copy gives
+    c = rel_algebra(build_group(3, [(1, 2, 0)]))
+    s, t = extract_atom_structure(c), extract_atom_structure(c)
+    assert "cycles" not in s.__dict__
+    copy = AtomStructure(t.atom_names, t.converse_map, t.identity_atoms,
+                         t.cycles)
+    assert (s, hash(s), repr(s)) == (copy, hash(copy), repr(copy))
+    assert pickle.loads(pickle.dumps(extract_atom_structure(c))) == copy
 
 
 def test_extract_z3_structure():

@@ -18,7 +18,8 @@ from relalg.join import _associativity_witness
 from relalg.search import _power_runs
 
 from conftest import (associativity_witness_oracle, close_cycles_oracle,
-                      conjugate, emitted_cycle_lines, involution_action,
+                      concrete_algebra_text_oracle, conjugate,
+                      emitted_cycle_lines, involution_action,
                       iso_problems_oracle, local_laws_oracle,
                       orbit_minimum_cycle_lines,
                       owner_table_oracle, pair_orbits_oracle,
@@ -456,3 +457,31 @@ def test_answers_do_not_depend_on_atom_names_or_order(action, other, rng):
     for act in (action, other):
         assert (check_action_represents(s, act) is None) == \
             (check_action_represents(t, act) is None)
+
+
+@hypothesis.settings(max_examples=150)
+@hypothesis.given(st.one_of(actions(), small_cyclic_actions()))
+# an involution that fixes a point and swaps a twin, and the symmetric
+# group on four points: the profile of (0, 0), and of (0, 1), repeats a pair
+@hypothesis.example(involution_action(1, 1))
+@hypothesis.example(build_group(4, [(1, 0, 2, 3), (1, 2, 3, 0)]))
+def test_extraction_writes_its_text_without_building_its_cycle_set(act):
+    # the cycles of an extraction are the triples of each atom's first-pair
+    # profile; its text is that of a constructor-built copy, whether or not
+    # its cycle set was read first, and writing it builds no set
+    c = rel_algebra(act)
+    n, owner = c.base_size, c.owner
+    profiles = set()
+    for z in range(c.n_atoms):
+        i, k = divmod(owner.index(z), n)
+        profiles.update((owner[i * n + j], owner[j * n + k], z)
+                        for j in range(n))
+    unread, read = extract_atom_structure(c), extract_atom_structure(c)
+    assert read.cycles == profiles
+    built = AtomStructure(read.atom_names, read.converse_map,
+                          read.identity_atoms, read.cycles)
+    text = format_atom_structure(unread)
+    assert "cycles" not in unread.__dict__
+    assert text == format_atom_structure(read) == format_atom_structure(built)
+    assert unread == built and hash(unread) == hash(built)
+    assert format_concrete_algebra(c) == concrete_algebra_text_oracle(c)
