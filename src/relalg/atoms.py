@@ -501,8 +501,8 @@ def _orbit_reps(s: AtomStructure) -> list[Triple]:
     a cycle is its orbit's least exactly when it is at most each
     transform, a local test per cycle.  The test runs over the cycle set,
     or, on an extracted structure that has not built it, over the stream
-    of its triples, where a cycle can come more than once, so the sorted
-    leasts are deduplicated: the set is never built to be written.  The
+    of its triples, so the set is never built to be written; the stream
+    can repeat a cycle, so the sorted leasts are deduplicated.  The
     writer's one refusal, O(atoms) on such structures: no text parses back
     to a table without identity atoms, with an unusable or repeated name
     or not whole orbits, which raises InvalidStructureError with its whole
@@ -511,9 +511,8 @@ def _orbit_reps(s: AtomStructure) -> list[Triple]:
     if not (s.identity_atoms and _whole_orbits(s)
             and len({*filter(usable_atom_name, names)}) == len(names)):
         raise InvalidStructureError(ValidationReport(s._local_violations))
-    if "cycles" in s.__dict__:
-        return sorted(_orbit_leasts(s.cycles, s.converse_map))
-    leasts = sorted(_orbit_leasts(s._triples(), s.converse_map))
+    cycles = s.cycles if "cycles" in s.__dict__ else s._triples()
+    leasts = sorted(_orbit_leasts(cycles, s.converse_map))
     return [t for t, _ in groupby(leasts)]
 
 
