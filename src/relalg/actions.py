@@ -65,12 +65,15 @@ def _flat_images(action: GroupAction) -> list[list[int]]:
             for g in action.generators]
 
 
-def _pair_owners(n: int, images: Sequence[Sequence[int]]) -> list[int]:
-    """The owner table of the pair orbits: owner[i*n + j] is the orbit of
-    the pair (i, j).  One search over flat pair indices, following every
-    generator's image list; the orbit of the least unclaimed pair is
-    numbered next, so orbit k's least pair precedes orbit k+1's."""
+def _pair_owners(n: int, images: Sequence[Sequence[int]]
+                 ) -> tuple[list[int], list[list[int]]]:
+    """The owner table of the pair orbits, owner[i*n + j] the orbit of the
+    pair (i, j), and each orbit's pairs in the order found.  One search
+    over flat pair indices, following every generator's image list; the
+    orbit of the least unclaimed pair is numbered next, so orbit k's least
+    pair precedes orbit k+1's."""
     owner = [-1] * (n * n)
+    orbits = []
     k = 0
     for p in range(n * n):
         if owner[p] >= 0:
@@ -83,8 +86,9 @@ def _pair_owners(n: int, images: Sequence[Sequence[int]]) -> list[int]:
                 if owner[r] < 0:
                     owner[r] = k
                     orbit.append(r)
+        orbits.append(orbit)
         k += 1
-    return owner
+    return owner, orbits
 
 
 def pair_orbits(action: GroupAction) -> tuple[int, ...]:
@@ -95,7 +99,7 @@ def pair_orbits(action: GroupAction) -> tuple[int, ...]:
     is numbered first.
     """
     n = action.base_size
-    return tuple(_pair_owners(n, _flat_images(action)))
+    return tuple(_pair_owners(n, _flat_images(action))[0])
 
 
 def _orbit_names(n: int, owner: Sequence[int]) -> tuple[str, ...]:
@@ -117,17 +121,21 @@ def rel_algebra(action: GroupAction) -> ConcreteAlgebra:
     2006), named by _orbit_names.
 
     The generators' image lists are built once: _pair_owners reads them
-    for the owner table, one search over the n^2 pairs, and the self-check
-    reads them again.  The table is the algebra, so it is a partition by
-    construction: every pair is claimed by exactly one orbit, numbered
-    0, 1, ... in order, which is what ConcreteAlgebra._of_orbits takes on
-    trust.  The self-check, O(n^2 * generators), is the converse and
-    identity checks and each generator keeping every pair in its atom, one
-    comparison of the table with its image per generator."""
+    for the owner table and each orbit's pairs, one search over the n^2
+    pairs, and the self-check reads them again.  The table is the algebra,
+    so it is a partition by construction: every pair is claimed by exactly
+    one orbit, numbered 0, 1, ... in order, which is what
+    ConcreteAlgebra._of_orbits takes on trust, with each orbit's pairs
+    sorted into row order.  The self-check, O(n^2 * generators), is the
+    converse and identity checks and each generator keeping every pair in
+    its atom, one comparison of the table with its image per generator."""
     n = action.base_size
     images = _flat_images(action)
-    owner = _pair_owners(n, images)
-    alg = ConcreteAlgebra._of_orbits(n, _orbit_names(n, owner), tuple(owner))
+    owner, orbits = _pair_owners(n, images)
+    for orbit in orbits:
+        orbit.sort()
+    alg = ConcreteAlgebra._of_orbits(n, _orbit_names(n, owner), tuple(owner),
+                                     tuple(orbits))
     bad = alg.invariant_violations()
     if not bad:
         for k, img in enumerate(images):

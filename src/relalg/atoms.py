@@ -10,7 +10,14 @@ element inequalities; the decision never reads it, and it is kept as the
 compositional reference that the per-atom facts of the axioms are
 tested against.  The six Peircean transforms of a cycle are written out
 here only: peirce_orbit for one cycle, _close_columns for the parser's
-cycle lines, and _orbit_reps, the line that writes each whole orbit.
+cycle lines, AtomStructure._table and _line_places, which read those
+lines, and _orbit_reps, the line that writes each whole orbit.
+
+A parsed structure keeps its cycle lines, and a parsed or extracted one
+builds its cycle set only when `cycles` is first read: by the search's
+refinement, IsoWitness.problems(), the proof's map and verify_decision,
+which count the set or test membership in it.  The local laws and the
+dense table read a parsed structure's lines instead.
 
 Validation has two parts.  The local laws (names, converse, the cycle
 and identity laws, one domain and one range atom per atom) cost two
@@ -20,11 +27,13 @@ extraction build (AtomStructure._of_checked_ids), and
 AtomStructure._places, which places every atom by two masks per
 identity atom e, the atoms below e;1 and below 1;e, finds the atoms
 that are no functions, and records each (cycle, clause) that breaks the
-identity law.  Associativity is checked by the join, in its own
-module, join, which _validate imports when it runs.  The three axioms
-compose nothing: they read _places, O(atoms + identity atoms^2) mask
-operations.  AtomStructure._table builds the dense table _comp and the
-column supports in one O(cycles) pass; the join reads both, and
+identity law; on a parsed structure it reads one line per orbit where
+the lines break no clause (_line_places).  Associativity is checked by
+the join, in its own module, join, which _validate imports when it
+runs.  The three axioms compose nothing: they read _places, O(atoms +
+identity atoms^2) mask operations.  AtomStructure._table builds the
+dense table _comp and the column supports in one O(cycles) pass, over
+the cycles or a parsed structure's lines; the join reads both, and
 search._power_runs, the search, and compose_mask, the reference of
 _element_flags, read _comp.
 """
@@ -202,35 +211,37 @@ class AtomStructure(_Record):
     @classmethod
     def _of_checked_ids(cls, atom_names: tuple[str, ...],
                         converse_map: tuple[int, ...],
-                        identity_atoms: frozenset[int],
-                        cycles: frozenset[Triple] | None = None, *,
+                        identity_atoms: frozenset[int], *,
                         lines=None, triples=None) -> "AtomStructure":
         """Internal to formats.parse_atom_structure and
         concrete.extract_atom_structure: the structure with these fields,
-        set as given, without the constructor's checks, and with the cycle
-        law's scan preset to find nothing, _lines to lines and _triples to
-        triples.  The parser gives its cycles and their lines; extraction
-        gives triples instead of cycles, and the cycle set is built from
-        them the first time it is read.  The caller vouches that every id
-        is an int below the atom count, that the cycles are closed under an
-        involutive converse, and that they are the closure of lines, or the
-        set of what triples streams.  The parser reads its ids off its name
-        index, pairs each converse both ways, and closes its cycle lines by
-        _close_columns; extraction reads its ids off an owner table that
-        ConcreteAlgebra checked, and the structure of a proper algebra
+        set as given, without the constructor's checks, with the cycle
+        law's scan preset to find nothing, and with the cycle set built
+        the first time `cycles` is read: from the closure of lines, the
+        parser's three id columns, kept as _lines, or from the triples
+        that extraction's call triples streams.
+
+        The caller vouches that every id is an int below the atom count,
+        that the converse is an involution, and that the cycles obey the
+        cycle law.  The parser reads its ids off its name index and pairs
+        each converse both ways, no atom in two entries, so its converse is
+        an involution, and the closure of its lines under an involution
+        (_close_columns) obeys the cycle law; _places and _table read the
+        lines on that ground.  Extraction reads its ids off an owner table
+        that ConcreteAlgebra checked, and the structure of a proper algebra
         satisfies the cycle law (Maddux, Relation Algebras, 2006)."""
         s = cls.__new__(cls)
         s.__dict__.update(atom_names=atom_names, converse_map=converse_map,
                           identity_atoms=identity_atoms, _cycle_law_broken=(),
                           _lines=lines, _triples=triples)
-        if cycles is not None:
-            s.__dict__["cycles"] = cycles
         return s
 
     @cached_property
     def cycles(self) -> frozenset[Triple]:
-        # a field, set by the constructor and the parser; on an extracted
-        # structure built from its triples the first time it is read
+        # a field, set by the constructor; on a parsed or extracted
+        # structure built the first time it is read
+        if self._lines is not None:
+            return _close_columns(*self._lines, self.converse_map)
         return frozenset(self._triples())
 
     # -- basic views ------------------------------------------------------
@@ -258,13 +269,34 @@ class AtomStructure(_Record):
     @cached_property
     def _table(self) -> tuple[list[list[int]], list[int]]:
         # one pass over the cycles: the table _comp, and per atom b its
-        # column support, the bitmask of the atoms a with a;b != 0
+        # column support, the bitmask of the atoms a with a;b != 0.  On a
+        # parsed structure the pass runs over its lines instead, each
+        # entering the six transforms that the closure holds, so the cycle
+        # set is not built; entries are unions, so repeats change nothing
         n = self.n_atoms
         table = [[0] * n for _ in range(n)]
         col_supp = [0] * n
-        for x, y, z in self.cycles:
-            table[x][y] |= 1 << z
-            col_supp[y] |= 1 << x
+        bit = [1 << a for a in range(n)]
+        if self._lines is None:
+            for x, y, z in self.cycles:
+                table[x][y] |= bit[z]
+                col_supp[y] |= bit[x]
+            return table, col_supp
+        conv = self.converse_map
+        for x, y, z in zip(*self._lines):
+            cx, cy, cz = conv[x], conv[y], conv[z]
+            table[x][y] |= bit[z]
+            table[cx][z] |= bit[y]
+            table[z][cy] |= bit[x]
+            table[y][cz] |= bit[cx]
+            table[cz][x] |= bit[cy]
+            table[cy][cx] |= bit[cz]
+            col_supp[y] |= bit[x]
+            col_supp[z] |= bit[cx]
+            col_supp[cy] |= bit[z]
+            col_supp[cz] |= bit[y]
+            col_supp[x] |= bit[cz]
+            col_supp[cx] |= bit[cy]
         return table, col_supp
 
     @property
@@ -307,8 +339,13 @@ class AtomStructure(_Record):
         # (a, e, a), below 1;e, so e;1;f is out[e] & into[f]; then the atoms
         # a with some (a, w, a), w in 0': by the cycle law, the non-functions;
         # then each (cycle, clause) that breaks the identity law, sorted,
-        # its clause numbered as in _IDENTITY_LAW
+        # its clause numbered as in _IDENTITY_LAW.  A parsed structure's
+        # lines are read instead where they break no clause (_line_places)
         ident, conv = self.identity_atoms, self.converse_map
+        if self._lines is not None:
+            places = _line_places(self._lines, ident, conv)
+            if places is not None:
+                return places
         out, into, not_fn = dict.fromkeys(ident, 0), dict.fromkeys(ident, 0), 0
         broken = []
         for t in self.cycles:
@@ -355,6 +392,48 @@ class AtomStructure(_Record):
     def require_valid(self) -> None:
         if not self.validation.ok:
             raise InvalidStructureError(self.validation)
+
+
+def _line_places(lines, ident: frozenset[int], conv: Sequence[int]):
+    """AtomStructure._places read off cycle lines whose closure under the
+    involution conv is the cycle set, or None where that reading may not
+    hold: an identity atom that is not its own converse, or a line that
+    can break the identity law.  The scan's marks are unions, so each
+    line's Peircean orbit is read as a whole, repeats and all.
+
+    With every identity atom e its own converse, so is the set of them,
+    and an orbit meets them in every member or in none.  One that does
+    breaks no clause exactly when it is the orbit of some (e, a, a), a no
+    identity atom other than e: (e, a, a), (a, a~, e) and (a~, e, a~),
+    which put a in out[e] and a~ in into[e].  An orbit that does not marks
+    only non-functions, the first atoms of its members (u, w, u): of the
+    six transforms of (x, y, z), x when x = z, y when y = x~, and z~ when
+    y = z."""
+    if any(conv[e] != e for e in ident):
+        return None
+    out, into, not_fn = dict.fromkeys(ident, 0), dict.fromkeys(ident, 0), 0
+    for x, y, z in zip(*lines):
+        if x in ident or y in ident or z in ident:
+            if y == z and x in ident:
+                e, a = x, y
+            elif y == conv[x] and z in ident:
+                e, a = z, x
+            elif x == z and y in ident:
+                e, a = y, conv[x]
+            else:
+                return None
+            if a in ident and a != e:
+                return None
+            out[e] |= 1 << a
+            into[e] |= 1 << conv[a]
+        else:
+            if x == z:
+                not_fn |= 1 << x
+            if y == conv[x]:
+                not_fn |= 1 << y
+            if y == z:
+                not_fn |= 1 << conv[z]
+    return out, into, not_fn, []
 
 
 def _validate(s: AtomStructure) -> ValidationReport:
@@ -511,7 +590,8 @@ def _orbit_reps(s: AtomStructure) -> list[Triple]:
     if not (s.identity_atoms and _whole_orbits(s)
             and len({*filter(usable_atom_name, names)}) == len(names)):
         raise InvalidStructureError(ValidationReport(s._local_violations))
-    cycles = s.cycles if "cycles" in s.__dict__ else s._triples()
+    cycles = (s._triples() if s._triples and "cycles" not in s.__dict__
+              else s.cycles)
     leasts = sorted(_orbit_leasts(cycles, s.converse_map))
     return [t for t, _ in groupby(leasts)]
 

@@ -6,10 +6,10 @@ as one owner table: owner[i*n + j] is the atom holding the pair (i, j),
 so the partition holds by construction.  from_pairs fills the table from
 each atom's pairs and reports the first overlap or gap; an orbit algebra
 (built by rel_algebra through ConcreteAlgebra._of_orbits) comes with the
-table of its orbit search, taken without the constructor's scans.  The
-converse and identity checks read the table by slices and whole-table
-comparisons, in C, and each atom's pairs are read off it once, in row
-order.
+table and each orbit's pairs from its orbit search, taken without the
+constructor's scans.  The converse and identity checks read the table by
+slices and whole-table comparisons, in C; each atom's pairs, in row
+order, are read off the table once where the search did not give them.
 
 Closure under composition holds exactly when all pairs (i, k) of each atom z
 share one profile, the pairs (owner(i,j), owner(j,k)) over all j: O(n^3),
@@ -115,21 +115,24 @@ class ConcreteAlgebra(_Record):
 
     @classmethod
     def _of_orbits(cls, base_size: int, atom_names: Sequence[str],
-                   owner: Sequence[int]) -> "ConcreteAlgebra":
+                   owner: Sequence[int], atom_pairs: tuple[list[int], ...]
+                   ) -> "ConcreteAlgebra":
         """Internal to actions.rel_algebra: the algebra whose atoms are
         the pair orbits of a permutation group, given by their owner table,
-        owner[i*n + j] the orbit of (i, j).  The three fields are set as
-        given, without the constructor's scans: the caller vouches that
-        base_size is positive, that the names are usable and distinct, and
-        that owner is a tuple of n^2 ints naming each atom 0..atoms-1 at
-        least once and no other.  rel_algebra numbers the orbits itself
-        and names them e<k> and a<k>.  The closure scan is not run: the
-        orbits of a group are closed under composition.  Nothing here
-        checks that the table holds a group's orbits; invariant_violations
-        checks converse and identity."""
+        owner[i*n + j] the orbit of (i, j), and by the flat pairs of each
+        orbit in row order, which are kept as _atom_pairs.  The three fields
+        are set as given, without the constructor's scans: the caller
+        vouches that base_size is positive, that the names are usable and
+        distinct, that owner is a tuple of n^2 ints naming each atom
+        0..atoms-1 at least once and no other, and that atom_pairs[k] lists
+        the pairs p with owner[p] = k, in order.  rel_algebra numbers the
+        orbits itself and names them e<k> and a<k>.  The closure scan is
+        not run: the orbits of a group are closed under composition.
+        Nothing here checks that the table holds a group's orbits;
+        invariant_violations checks converse and identity."""
         alg = cls.__new__(cls)
         alg.__dict__.update(zip(cls._fields, (base_size, atom_names, owner)),
-                            _uncovered=())
+                            _atom_pairs=atom_pairs, _uncovered=())
         return alg
 
     @property
@@ -137,12 +140,13 @@ class ConcreteAlgebra(_Record):
         return len(self.atom_names)
 
     @cached_property
-    def _atom_pairs(self) -> tuple[tuple[int, ...], ...]:
-        """The flat pairs i*n + j of each atom, in row order."""
+    def _atom_pairs(self) -> tuple[list[int], ...]:
+        """The flat pairs i*n + j of each atom, in row order: grouped off
+        the owner table, or given by _of_orbits."""
         pairs: list[list[int]] = [[] for _ in self.atom_names]
         for p, k in enumerate(self.owner):
             pairs[k].append(p)
-        return tuple(map(tuple, pairs))
+        return tuple(pairs)
 
     @cached_property
     def _converse_ids(self) -> tuple[int, ...]:

@@ -175,7 +175,8 @@ def _generating_set(comp: Sequence[Sequence[int]], conv: Sequence[int],
             if new >> g & 1:  # g itself, against every reached atom
                 prods = chain(prods, compress(comp[g], reached),
                               map(itemgetter(g), compress(comp, reached)))
-            new = reduce(or_, filter(one_atom, prods), 0) & ~mask
+            # each distinct product tested and joined once: most repeat
+            new = reduce(or_, filter(one_atom, set(prods)), 0) & ~mask
     return gens, rank
 
 

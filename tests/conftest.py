@@ -393,6 +393,15 @@ def emitted_cycle_lines(text):
     return [ln for ln in text.splitlines() if ln.startswith("cycle ")]
 
 
+def atom_pairs_oracle(owner) -> list[list[int]]:
+    """The flat pairs of each atom of an owner table, grouped entry by
+    entry, in row order."""
+    pairs = [[] for _ in range(max(owner) + 1)]
+    for p, k in enumerate(owner):
+        pairs[k].append(p)
+    return pairs
+
+
 def generated_groups(max_points: int) -> dict:
     """One action per group generated by one or two permutations on 1 to
     max_points points, keyed by (points, sorted group elements)."""

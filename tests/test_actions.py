@@ -1,16 +1,20 @@
 """Permutation groups, orbit partitions, compatible-relation algebras."""
 
+import random
+
 import pytest
 
 import relalg.actions
 from relalg import (ActionError, ConcreteAlgebra, GroupAction, InternalError,
                     build_group, pair_orbits, rel_algebra)
 
-from conftest import (ConcreteRelation, atom_relations,
-                      compatible_masks_bruteforce, generated_groups,
-                      group_closure_oracle, involutions, is_compatible,
+from conftest import (DATA, ConcreteRelation, atom_pairs_oracle,
+                      atom_relations, compatible_masks_bruteforce,
+                      generated_groups, group_closure_oracle,
+                      involution_action, involutions, is_compatible,
                       load_action, owner_relations, owner_table_oracle,
-                      pair_orbits_oracle, union_of_orbits_masks)
+                      pair_orbits_oracle, random_prime_cyclic_action,
+                      regular_action, union_of_orbits_masks)
 
 
 def fresh(c):
@@ -211,6 +215,24 @@ def test_pair_orbits_match_the_orbits_under_every_group_element():
             owner_table_oracle(pair_orbits_oracle(act)), act.generators
 
 
+def test_orbit_pairs_are_the_owner_table_grouped():
+    # rel_algebra keeps each orbit's pairs as its search found them,
+    # sorted; they must be the owner table grouped atom by atom, in row
+    # order, as the algebra of any other source reads them
+    rng = random.Random(76)
+    actions = [*generated_groups(5).values(),
+               *(load_action(p.name) for p in sorted(DATA.glob("*.act"))),
+               *(involution_action(f, t) for f in range(5) for t in range(4)
+                 if f + t),
+               regular_action([2, 4]), regular_action([3, 3]),
+               *(random_prime_cyclic_action(rng)[1] for _ in range(40))]
+    assert len(actions) == 195 + 4 + 19 + 2 + 40
+    for act in actions:
+        alg = rel_algebra(act)
+        assert "_atom_pairs" in alg.__dict__
+        assert list(alg._atom_pairs) == atom_pairs_oracle(alg.owner)
+
+
 def test_rel_algebra_trips_on_broken_pair_orbits(monkeypatch):
     real = relalg.actions._pair_owners
     # dropping D5's reflection leaves Z5's orbits: a closed algebra, but
@@ -223,7 +245,9 @@ def test_rel_algebra_trips_on_broken_pair_orbits(monkeypatch):
     # merging Z5's orbits of i -> i+1 and i -> i+2: the converse of the
     # merged atom is not an atom
     def merged(n, images):
-        return [k - (k >= 2) for k in real(n, images)]
+        owner, orbits = real(n, images)
+        return ([k - (k >= 2) for k in owner],
+                [*orbits[:1], orbits[1] + orbits[2], *orbits[3:]])
     monkeypatch.setattr(relalg.actions, "_pair_owners", merged)
     with pytest.raises(InternalError, match="not closed under converse"):
         rel_algebra(build_group(5, [(1, 2, 3, 4, 0)]))

@@ -319,6 +319,19 @@ def test_rel_at_3200_atoms_stays_under_its_bounds(tmp_path):
     assert elapsed < 1.0
 
 
+def test_validate_at_3200_atoms_stays_under_its_bounds(tmp_path):
+    # validate on the 80-point fixed-point-free involution's structure as
+    # rel writes it: 3200 atoms and 44280 cycle lines, which the local laws
+    # and the join's table read, with no set of the 256000 cycles
+    ra = tmp_path / "inv80.ra"
+    ra.write_text(format_atom_structure(involution_structure(0, 40)),
+                  encoding="utf-8")
+    proc, elapsed, peak_kb = run_measured("validate", ra)
+    assert proc.stdout == "valid\n"
+    assert peak_kb < 170 * 1024
+    assert elapsed < 0.85
+
+
 def test_rel_at_the_base_size_cap_stays_under_its_bounds(tmp_path):
     # rel on the trivial action of 128 points: 16384 atoms and 2,097,152
     # cycles, written as 357,760 cycle lines chosen from the profile

@@ -13,7 +13,7 @@ from relalg import (AtomStructure, ConcreteAlgebra, ConcreteAlgebraError,
                     format_atom_structure, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, peirce_orbit,
                     rel_algebra)
-from relalg import atoms, join
+from relalg import atoms, cli, join
 from relalg.atoms import _local_laws, _validate
 from relalg.join import _associativity_witness, _generating_set
 from relalg.cli import main
@@ -263,6 +263,77 @@ def test_the_join_runs_only_before_uncertified_verdicts(monkeypatch, capsys):
         capsys.readouterr()
         assert len(calls) == joins, argv
         assert len({id(s) for s in calls}) == joins, argv
+
+
+def other_member_lines(text, rng):
+    """The .ra text with each cycle line replaced by two lines, each naming
+    a member of its Peircean orbit other than itself where it has one, in
+    shuffled order."""
+    s = parse_atom_structure(text)
+    names, head, lines = s.atom_names, [], []
+    for line in text.splitlines():
+        if not line.startswith("cycle "):
+            head.append(line)
+            continue
+        c = tuple(map(names.index, line.split()[1:]))
+        others = sorted(peirce_orbit(c, s.converse_map) - {c}) or [c]
+        lines += [" ".join(["cycle", *map(names.__getitem__,
+                                          rng.choice(others))])
+                  for _ in range(2)]
+    rng.shuffle(lines)
+    return "\n".join(head + lines) + "\n"
+
+
+def test_the_cycle_set_is_built_only_where_a_reader_needs_it(
+        monkeypatch, capsys, tmp_path):
+    # the local laws and the join read a parsed structure's cycle lines,
+    # so validate, axioms, a decide-z2 rejection and an iso `none` of the
+    # class or of the power runs never build its cycle set; an accepted
+    # decision, whose certificate counts the set, and the search's colour
+    # refinement build it when they first read it
+    parsed = []
+
+    def recording(text, source="<string>"):
+        parsed.append(parse(text, source))
+        return parsed[-1]
+
+    parse = cli.parse_atom_structure
+    monkeypatch.setattr(cli, "parse_atom_structure", recording)
+    rng = random.Random(39)
+    texts = [p.read_text() for p in sorted(DATA.glob("*.ra"))]
+    texts += shuffled_texts()
+    texts += [format_atom_structure(extract_atom_structure(rel_algebra(
+        load_action(p.name)))) for p in sorted(DATA.glob("*.act"))]
+    texts += [other_member_lines(t, rng) for t in texts]
+    paths = []
+    for k, text in enumerate(texts):
+        paths.append(tmp_path / f"{k}.ra")
+        paths[-1].write_text(text, encoding="utf-8")
+    z9, z3z3 = tmp_path / "z9.ra", tmp_path / "z3z3.ra"
+    for path, orders in ((z9, [9]), (z3z3, [3, 3])):
+        path.write_text(format_atom_structure(extract_atom_structure(
+            rel_algebra(regular_action(orders)))), encoding="utf-8")
+    runs = [(["validate", p], 0) for p in paths]
+    runs += [(["axioms", p], None) for p in paths]
+    runs += [(["decide-z2", p], 2) for p in paths
+             if main(["axioms", str(p)]) == 2]
+    runs += [(["iso", z9, z3z3], 2), (["iso", z3z3, DATA / "23.ra"], 2),
+             (["iso", DATA / "swap.ra", DATA / "23.ra"], 2)]
+    assert (len(paths), len(runs)) == (26, 2 * 26 + 20 + 3)
+    capsys.readouterr()
+    for argv, status in runs:
+        parsed.clear()
+        code = main([str(a) for a in argv])
+        capsys.readouterr()
+        assert status in (None, code), argv
+        assert parsed and all(s.validation.ok for s in parsed), argv
+        assert not any("cycles" in s.__dict__ for s in parsed), argv
+    for argv in (["decide-z2", DATA / "swap.ra", "--verify"],
+                 ["iso", DATA / "23.ra", DATA / "23_relabeled.ra"]):
+        parsed.clear()
+        assert main([str(a) for a in argv]) == 0
+        assert all("cycles" in s.__dict__ for s in parsed), argv
+    capsys.readouterr()
 
 
 def test_cycle_law_scan_runs_only_where_it_can_fail(monkeypatch):

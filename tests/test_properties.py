@@ -485,3 +485,70 @@ def test_extraction_writes_its_text_without_building_its_cycle_set(act):
     assert text == format_atom_structure(read) == format_atom_structure(built)
     assert unread == built and hash(unread) == hash(built)
     assert format_concrete_algebra(c) == concrete_algebra_text_oracle(c)
+
+
+@st.composite
+def identity_line_texts(draw):
+    """The text of a structure on at most 5 atoms, named a0, a1, ... or
+    with names from three letters, repeats included: any identity atoms,
+    any involution as converse, identity atoms swapped with others too, and
+    cycle lines of any triple or of one of the three shapes (e, a, a),
+    (a, a~, e) and (a~, e, a~) that an orbit meeting an identity atom e
+    must have, a an identity atom or not."""
+    n = draw(st.integers(1, 5))
+    atom = st.integers(0, n - 1)
+    names = draw(st.one_of(
+        st.just([f"a{i}" for i in range(n)]),
+        st.lists(st.sampled_from("abc"), min_size=n, max_size=n)))
+    identity = draw(st.lists(atom, min_size=1, max_size=n, unique=True))
+    conv = draw(involution_maps(n))
+    pairs = st.tuples(st.sampled_from(identity), atom)
+    lines = draw(st.lists(st.one_of(
+        st.tuples(atom, atom, atom),
+        pairs.map(lambda t: (t[0], t[1], t[1])),
+        pairs.map(lambda t: (t[1], conv[t[1]], t[0])),
+        pairs.map(lambda t: (conv[t[1]], t[0], conv[t[1]]))), max_size=12))
+    text = ["atoms " + " ".join(names),
+            "identity " + " ".join(names[e] for e in identity),
+            "converse " + " ".join(f"{names[a]}:{names[c]}"
+                                   for a, c in enumerate(conv) if a <= c)]
+    text += [f"cycle {names[x]} {names[y]} {names[z]}" for x, y, z in lines]
+    return "\n".join(text) + "\n"
+
+
+@st.composite
+def action_line_texts(draw):
+    """The text of a shuffled structure of an action, its cycle lines
+    naming any members of their orbits, repeated and shuffled
+    (orbit_line_texts)."""
+    s = extract_atom_structure(rel_algebra(draw(actions())))
+    s = conjugate(s, draw(st.permutations(range(s.n_atoms))))
+    return draw(orbit_line_texts(s))
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(st.one_of(identity_line_texts(), action_line_texts()))
+# identity atoms that are not their own converses, which take the scan
+@hypothesis.example("atoms e f\nidentity e f\nconverse e:f\ncycle e e e\n")
+@hypothesis.example("atoms e a\nidentity e\nconverse e:a\ncycle e a a\n")
+def test_line_reads_match_the_set_scans(text):
+    # _places and _table read a parsed structure's cycle lines, the local
+    # laws word what _places records: all as the set scans of a copy built
+    # by the constructor give them.  _places builds the cycle set for its
+    # scan exactly when an identity atom is not its own converse or a line
+    # breaks the identity law, and _table never does
+    try:
+        s = parse_atom_structure(text)
+    except ParseError as e:  # a repeated name paired twice
+        assert e.message == "atom appears in two converse pairs"
+        hypothesis.reject()
+    places, table = s._places, s._table
+    scanned = "cycles" in s.__dict__
+    copy = AtomStructure(s.atom_names, s.converse_map, s.identity_atoms,
+                         s.cycles)
+    assert places == copy._places
+    assert table == copy._table
+    assert s._local_violations == _local_laws(copy) == local_laws_oracle(copy)
+    conv = s.converse_map
+    assert scanned == bool(copy._places[3]
+                           or any(conv[e] != e for e in s.identity_atoms))
