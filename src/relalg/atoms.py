@@ -5,19 +5,19 @@ and the allowed composition cycles: a stored triple (x, y, z) means the
 atom z lies below the composition x;y.  An element is a set of atoms
 packed into an integer bitmask: union and meet are bit work, and
 AtomStructure.compose_mask and converse_mask give the Peircean operations.
-AtomStructure._element_flags states point, pair and function as the
-element inequalities; the decision never reads it, and it is kept as the
-compositional reference that the per-atom facts of the axioms are
-tested against.  The six Peircean transforms of a cycle are written out
-here only: peirce_orbit for one cycle, _close_columns for the parser's
-cycle lines, AtomStructure._table and _line_places, which read those
-lines, and _orbit_reps, the line that writes each whole orbit.
+The six Peircean transforms of a cycle are written out here only:
+peirce_orbit for one cycle, _close_columns for the parser's cycle lines,
+AtomStructure._table and _line_places, which read those lines, and
+_orbit_reps, the line that writes each whole orbit.
 
-A parsed structure keeps its cycle lines, and a parsed or extracted one
-builds its cycle set only when `cycles` is first read: by the search's
+How a structure holds its cycles is known to this module alone.  The
+parser and extraction hand AtomStructure._of_checked_ids a call that
+streams every cycle (the parser also its lines), and `cycles` is that
+stream's set, built the first time it is read: by the search's
 refinement, IsoWitness.problems(), the proof's map and verify_decision,
-which count the set or test membership in it.  The local laws and the
-dense table read a parsed structure's lines instead.
+which count the set or test membership in it.  Readers that only
+iterate take _cycle_stream, and the decision reads cycle lines through
+_line_columns.
 
 Validation has two parts.  The local laws (names, converse, the cycle
 and identity laws, one domain and one range atom per atom) cost two
@@ -34,8 +34,7 @@ runs.  The three axioms compose nothing: they read _places, O(atoms +
 identity atoms^2) mask operations.  AtomStructure._table builds the
 dense table _comp and the column supports in one O(cycles) pass, over
 the cycles or a parsed structure's lines; the join reads both, and
-search._power_runs, the search, and compose_mask, the reference of
-_element_flags, read _comp.
+search._power_runs and compose_mask read _comp.
 """
 
 from __future__ import annotations
@@ -89,12 +88,12 @@ def peirce_orbit(triple: Triple, converse: Sequence[int]) -> frozenset[Triple]:
 
 
 def _close_columns(xs: Sequence[int], ys: Sequence[int], zs: Sequence[int],
-                   converse: Sequence[int]) -> frozenset[Triple]:
-    # the six transforms of the cycles (xs[i], ys[i], zs[i]), built column
-    # by column with zip and map over the three columns, in C
+                   converse: Sequence[int]) -> Iterator[Triple]:
+    # the six transforms of the cycles (xs[i], ys[i], zs[i]), streamed
+    # column by column with zip and map over the three columns, in C
     cx, cy, cz = ([*map(converse.__getitem__, col)] for col in (xs, ys, zs))
-    return frozenset(chain(zip(xs, ys, zs), zip(cx, zs, ys), zip(zs, cy, xs),
-                           zip(ys, cz, cx), zip(cz, xs, cy), zip(cy, cx, cz)))
+    return chain(zip(xs, ys, zs), zip(cx, zs, ys), zip(zs, cy, xs),
+                 zip(ys, cz, cx), zip(cz, xs, cy), zip(cy, cx, cz))
 
 
 _setattr = object.__setattr__
@@ -156,9 +155,6 @@ class ValidationReport(_Record):
     def ok(self) -> bool:
         return not self.violations
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(v.code for v in self.violations)
-
     def lines(self) -> list[str]:
         return [f"{v.code}: {v.message}" for v in self.violations]
 
@@ -201,33 +197,33 @@ class AtomStructure(_Record):
                 if len(t) != 3 or any(not isinstance(a, int) or not 0 <= a < n for a in t):
                     raise ValueError(f"cycle {t!r} does not name three atom ids")
 
-    # the parser's cycle lines, as three id columns whose Peircean closure
-    # is the cycle set; preset by _of_checked_ids, None on other structures
-    _lines: tuple[Sequence[int], Sequence[int], Sequence[int]] | None = None
-    # an extracted structure's cycles, each one or more times, from a call
-    # that streams them anew; preset by _of_checked_ids, None on others
+    # a call that streams every cycle, one or more times, anew; preset by
+    # _of_checked_ids, None on other structures
     _triples: Callable[[], Iterable[Triple]] | None = None
+    # the parser's cycle lines, three id columns whose Peircean closure is
+    # the cycle set, read by _table and _line_places; None unless parsed
+    _lines: tuple[Sequence[int], Sequence[int], Sequence[int]] | None = None
 
     @classmethod
     def _of_checked_ids(cls, atom_names: tuple[str, ...],
                         converse_map: tuple[int, ...],
-                        identity_atoms: frozenset[int], *,
-                        lines=None, triples=None) -> "AtomStructure":
+                        identity_atoms: frozenset[int],
+                        triples: Callable[[], Iterable[Triple]],
+                        lines=None) -> "AtomStructure":
         """Internal to formats.parse_atom_structure and
         concrete.extract_atom_structure: the structure with these fields,
         set as given, without the constructor's checks, with the cycle
-        law's scan preset to find nothing, and with the cycle set built
-        the first time `cycles` is read: from the closure of lines, the
-        parser's three id columns, kept as _lines, or from the triples
-        that extraction's call triples streams.
+        law's scan preset to find nothing, and with `cycles` built the
+        first time it is read as the set of what triples() streams.  The
+        parser also gives lines, its three id columns, whose closure
+        (_close_columns) it streams.
 
         The caller vouches that every id is an int below the atom count,
         that the converse is an involution, and that the cycles obey the
         cycle law.  The parser reads its ids off its name index and pairs
         each converse both ways, no atom in two entries, so its converse is
         an involution, and the closure of its lines under an involution
-        (_close_columns) obeys the cycle law; _places and _table read the
-        lines on that ground.  Extraction reads its ids off an owner table
+        obeys the cycle law.  Extraction reads its ids off an owner table
         that ConcreteAlgebra checked, and the structure of a proper algebra
         satisfies the cycle law (Maddux, Relation Algebras, 2006)."""
         s = cls.__new__(cls)
@@ -238,11 +234,21 @@ class AtomStructure(_Record):
 
     @cached_property
     def cycles(self) -> frozenset[Triple]:
-        # a field, set by the constructor; on a parsed or extracted
-        # structure built the first time it is read
-        if self._lines is not None:
-            return _close_columns(*self._lines, self.converse_map)
+        # a field, set by the constructor; on a checked structure built the
+        # first time it is read
         return frozenset(self._triples())
+
+    def _cycle_stream(self) -> Iterable[Triple]:
+        # every cycle, one or more times, for readers that only iterate:
+        # the set where it is built, else the checked structure's stream
+        cycles = self.__dict__.get("cycles")
+        return self._triples() if cycles is None else cycles
+
+    def _line_columns(self) -> tuple[Sequence[int], Sequence[int],
+                                     Sequence[int]]:
+        # three id columns whose Peircean closure is the cycle set: the
+        # parser's lines, else every cycle
+        return self._lines or tuple(zip(*self.cycles)) or ((), (), ())
 
     # -- basic views ------------------------------------------------------
 
@@ -271,14 +277,14 @@ class AtomStructure(_Record):
         # one pass over the cycles: the table _comp, and per atom b its
         # column support, the bitmask of the atoms a with a;b != 0.  On a
         # parsed structure the pass runs over its lines instead, each
-        # entering the six transforms that the closure holds, so the cycle
-        # set is not built; entries are unions, so repeats change nothing
+        # entering the six transforms that the closure holds; entries are
+        # unions, so repeats change nothing
         n = self.n_atoms
         table = [[0] * n for _ in range(n)]
         col_supp = [0] * n
         bit = [1 << a for a in range(n)]
         if self._lines is None:
-            for x, y, z in self.cycles:
+            for x, y, z in self._cycle_stream():
                 table[x][y] |= bit[z]
                 col_supp[y] |= bit[x]
             return table, col_supp
@@ -318,18 +324,7 @@ class AtomStructure(_Record):
             acc |= 1 << conv[a]
         return acc
 
-    # -- element flags and the atom facts of the axioms ---------------------
-
-    def _element_flags(self, mask: int) -> tuple[bool, bool, bool]:
-        """(point, pair, function) flags of an element: x;1;x <= 1',
-        x;0';x;0';x <= 1' and x~;x <= 1'.  O(|x| * atoms) mask operations."""
-        div = self.full_mask & ~self.identity_mask
-        point = self.compose_mask(
-            self.compose_mask(mask, self.full_mask), mask) & div == 0
-        m = self.compose_mask(self.compose_mask(mask, div), mask)
-        pair = self.compose_mask(self.compose_mask(m, div), mask) & div == 0
-        fn = self.compose_mask(self.converse_mask(mask), mask) & div == 0
-        return point, pair, fn
+    # -- the atom facts of the axioms ---------------------------------------
 
     @cached_property
     def _places(self) -> tuple[dict[int, int], dict[int, int], int,
@@ -338,9 +333,10 @@ class AtomStructure(_Record):
         # atoms a with (e, a, a), below e;1, and into[e] those with
         # (a, e, a), below 1;e, so e;1;f is out[e] & into[f]; then the atoms
         # a with some (a, w, a), w in 0': by the cycle law, the non-functions;
-        # then each (cycle, clause) that breaks the identity law, sorted,
-        # its clause numbered as in _IDENTITY_LAW.  A parsed structure's
-        # lines are read instead where they break no clause (_line_places)
+        # then each (cycle, clause) that breaks the identity law, sorted
+        # and once each, its clause numbered as in _IDENTITY_LAW.  A parsed
+        # structure's lines are read instead where they break no clause
+        # (_line_places)
         ident, conv = self.identity_atoms, self.converse_map
         if self._lines is not None:
             places = _line_places(self._lines, ident, conv)
@@ -348,7 +344,7 @@ class AtomStructure(_Record):
                 return places
         out, into, not_fn = dict.fromkeys(ident, 0), dict.fromkeys(ident, 0), 0
         broken = []
-        for t in self.cycles:
+        for t in self._cycle_stream():
             x, y, z = t
             if x == z:
                 if y in ident:
@@ -364,7 +360,7 @@ class AtomStructure(_Record):
                 broken.append((t, 0))
             if z in ident and y != conv[x]:
                 broken.append((t, 2))
-        return out, into, not_fn, sorted(broken)
+        return out, into, not_fn, sorted(set(broken))
 
     @cached_property
     def _loops(self) -> dict[int, int]:
@@ -578,21 +574,18 @@ def _orbit_reps(s: AtomStructure) -> list[Triple]:
     The orbits must be whole (_whole_orbits), as in every parsed or
     extracted structure: the transforms of a cycle are then its orbit, so
     a cycle is its orbit's least exactly when it is at most each
-    transform, a local test per cycle.  The test runs over the cycle set,
-    or, on an extracted structure that has not built it, over the stream
-    of its triples, so the set is never built to be written; the stream
-    can repeat a cycle, so the sorted leasts are deduplicated.  The
-    writer's one refusal, O(atoms) on such structures: no text parses back
-    to a table without identity atoms, with an unusable or repeated name
-    or not whole orbits, which raises InvalidStructureError with its whole
-    local-law report."""
+    transform, a local test per cycle.  The test runs over
+    AtomStructure._cycle_stream, so the set is never built to be written;
+    the stream can repeat a cycle, so the sorted leasts are deduplicated.
+    The writer's one refusal, O(atoms) on such structures: no text parses
+    back to a table without identity atoms, with an unusable or repeated
+    name or not whole orbits, which raises InvalidStructureError with its
+    whole local-law report."""
     names = s.atom_names  # usable and distinct: as many usable as names
     if not (s.identity_atoms and _whole_orbits(s)
             and len({*filter(usable_atom_name, names)}) == len(names)):
         raise InvalidStructureError(ValidationReport(s._local_violations))
-    cycles = (s._triples() if s._triples and "cycles" not in s.__dict__
-              else s.cycles)
-    leasts = sorted(_orbit_leasts(cycles, s.converse_map))
+    leasts = sorted(_orbit_leasts(s._cycle_stream(), s.converse_map))
     return [t for t, _ in groupby(leasts)]
 
 
@@ -672,9 +665,6 @@ class AxiomReport(_Record):
                  functional_witness: str | None = None):
         self._init(simple, pair_dense, functional, simple_witness,
                    pair_dense_witness, functional_witness)
-
-    def as_triple(self) -> tuple[bool, bool, bool]:
-        return (self.simple, self.pair_dense, self.functional)
 
     @property
     def all_hold(self) -> bool:

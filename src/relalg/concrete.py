@@ -15,8 +15,7 @@ Closure under composition holds exactly when all pairs (i, k) of each atom z
 share one profile, the pairs (owner(i,j), owner(j,k)) over all j: O(n^3),
 checked only on algebras from outside.  Cycles are read off one pair per
 atom: extraction hands the structure the stream of those profiles'
-triples, which the writer's orbit test reads as they come, and the cycle
-set is built only for the readers that need it.
+triples.
 """
 
 from __future__ import annotations
@@ -237,10 +236,7 @@ def extract_atom_structure(c: ConcreteAlgebra) -> AtomStructure:
     x;y, read off the profile of the first pair of each atom: closure,
     checked first, gives every pair of an atom the same profile.  The
     structure gets the stream of those triples, O(atoms * n) of them, in
-    which one profile can repeat a pair, and builds its cycle set, the
-    same set as a constructor-built copy's, the first time `cycles` is
-    read; atoms._orbit_reps writes the text off the stream, so that `rel`
-    never builds it.
+    which one profile can repeat a pair.
 
     The result is not validated: once that check passes, the atoms are the
     atoms of a subalgebra of the full algebra of relations on the base set,
@@ -264,4 +260,4 @@ def extract_atom_structure(c: ConcreteAlgebra) -> AtomStructure:
             for z, pairs in enumerate(c._atom_pairs))
 
     return AtomStructure._of_checked_ids(c.atom_names, c._converse_ids,
-                                         c._identity_ids, triples=triples)
+                                         c._identity_ids, triples)

@@ -48,12 +48,13 @@ class IsoWitness(_Record):
     def problems(self) -> tuple[str, ...]:
         """Why the map is no isomorphism, () if it is one.  A bijection m
         keeps the cycles both ways iff it maps the source cycles onto the
-        target's.  If m commutes with converse, both sides have whole orbits
-        (atoms._whole_orbits) and as many cycles and the source has the
-        parser's cycle lines, m sends each line's transforms to its image's,
-        so lines landing on target cycles put their closure, the source
-        cycles, inside the target's, a set of the same size.  Otherwise, or
-        when a line misses, the whole sets are compared, misses sorted."""
+        target's.  If m commutes with converse and both sides have whole
+        orbits (atoms._whole_orbits) and as many cycles, m sends each of the
+        source's cycle lines (AtomStructure._line_columns) to its image's
+        transforms, so lines landing on target cycles put their closure,
+        the source cycles, inside the target's, a set of the same size.
+        Otherwise, or when a line misses, the whole sets are compared,
+        misses sorted."""
         s, t, m = self.source, self.target, self.atom_map
         n = s.n_atoms
         if t.n_atoms != n:
@@ -66,10 +67,10 @@ class IsoWitness(_Record):
         out += [f"map does not commute with converse at atom {s.atom_names[a]}"
                 for a, c in enumerate(s.converse_map)
                 if m[c] != t.converse_map[m[a]]]
-        if (not out and s._lines and len(s.cycles) == len(t.cycles)
+        if (not out and len(s.cycles) == len(t.cycles)
                 and _whole_orbits(s) and _whole_orbits(t)
-                and t.cycles.issuperset(zip(*(map(m.__getitem__, col)
-                                              for col in s._lines)))):
+                and t.cycles.issuperset(zip(*(map(m.__getitem__, ids)
+                                              for ids in s._line_columns())))):
             return ()
         if {(m[x], m[y], m[z]) for x, y, z in s.cycles} != t.cycles:
             inv = self.inverted().atom_map
@@ -348,13 +349,13 @@ def verify_decision(d: Z2Decision) -> VerificationReport:
     one but that j and g(j) meet when g fixes i and k: n K - t f^2 cycles
     for K atoms, f fixed points and t 2-cycles.  m is a bijection that
     keeps identity atoms and converse and puts each cycle line (x, y, z)
-    of s (each cycle, if s was not parsed) in a profile: (i, j) in m(x),
+    of s (AtomStructure._line_columns) in a profile: (i, j) in m(x),
     j = b if m(x)'s first pair (a, b) has a = i, g(b) if g(a) = i, has
     (j, k) in m(y).  m commutes with the Peircean transforms, which keep
-    the table's cycles, and a parsed structure's cycles are its lines'
-    closure, so m maps them into the table's, as many: onto.  t has the
-    table's names, converse and identity atoms, as many cycles, whole
-    orbits (atoms._whole_orbits) and each line's image: it is the table's."""
+    the table's cycles, and s's cycles are its lines' closure, so m maps
+    them into the table's, as many: onto.  t has the table's names,
+    converse and identity atoms, as many cycles, whole orbits
+    (atoms._whole_orbits) and each line's image: it is the table's."""
     if not d.accepted:
         raise ValueError("verify_decision requires an accepted decision")
     s, t, m, alg = d.structure, d.witness.target, d.witness.atom_map, d.algebra
@@ -379,7 +380,7 @@ def verify_decision(d: Z2Decision) -> VerificationReport:
             for a, c in enumerate(s.converse_map) if m[c] != conv[m[a]]]
     if out:
         return VerificationReport(tuple(out))
-    lines = s._lines or tuple(zip(*s.cycles)) or ((), (), ())
+    lines = s._line_columns()
     xs, ys, zs = ([*map(m.__getitem__, ids)] for ids in lines)
     out = [f"cycle {s._fmt_triple(c)} is not preserved" for c in sorted({
         c for c, x, y, z in zip(zip(*lines), xs, ys, zs)

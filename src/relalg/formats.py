@@ -10,16 +10,11 @@ number, and token.  Emitters produce text the parsers round-trip exactly.
 
 An atom structure is read in one loop over its lines, cycle lines tested
 first, with the three ids of each cycle line appended to three column
-lists, kept on the structure as its _lines.  The local laws, the join's
-table, IsoWitness.problems() and decision.verify_decision read the lines
-in place of the whole cycle set, which is their closure under the
-parser's converse (atoms._close_columns), built only when `cycles` is
-first read.  AtomStructure._of_checked_ids sets the fields without the
-constructor's checks and with the cycle law's scan preset to find
-nothing: every id is a value of the parser's name index, each converse
-entry a:b sets both a~ = b and b~ = a and no atom is in two entries, so
-the converse is an involution, and the closure under an involution
-obeys the cycle law.
+lists.  The structure is built by AtomStructure._of_checked_ids from the
+columns and the stream of their closure under the parser's converse
+(atoms._close_columns): every id is a value of the parser's name index,
+and each converse entry a:b sets both a~ = b and b~ = a, no atom in two
+entries, so the converse is an involution.
 
 An atom structure is written with one cycle line per Peircean orbit, its
 least member, chosen by atoms._orbit_reps, the writer's one refusal: no
@@ -33,7 +28,7 @@ from __future__ import annotations
 import re
 
 from .actions import GroupAction, build_group
-from .atoms import AtomStructure, _orbit_reps
+from .atoms import AtomStructure, _close_columns, _orbit_reps
 from .concrete import ConcreteAlgebra
 from .errors import ParseError
 
@@ -72,8 +67,7 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
 
     Converse is given as `a:b` pairs (fixed atoms may be listed as `a:a`
     or omitted); cycle lines list one representative per Peircean orbit,
-    and the cycle set is their closure under the six transforms, built
-    the first time `cycles` is read.
+    and the cycle set is their closure under the six transforms.
     """
     atoms: list[str] | None = None
     identity: list[int] | None = None
@@ -147,9 +141,9 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
     if identity is None:
         raise ParseError(source, 0, "missing identity line")
     conv = tuple(range(len(atoms)) if converse is None else converse)
-    return AtomStructure._of_checked_ids(tuple(atoms), conv,
-                                         frozenset(identity),
-                                         lines=(xs, ys, zs))
+    return AtomStructure._of_checked_ids(
+        tuple(atoms), conv, frozenset(identity),
+        lambda: _close_columns(xs, ys, zs, conv), lines=(xs, ys, zs))
 
 
 def format_atom_structure(s: AtomStructure) -> str:

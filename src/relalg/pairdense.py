@@ -65,9 +65,6 @@ class AtomClassification(_Record):
                  tilde: tuple[tuple[Twin, Twin], ...]):
         self._init(base, atoms, tilde)
 
-    def type_tags(self) -> tuple[int, ...]:
-        return tuple(info.type_tag for info in self.atoms)
-
     def report_lines(self) -> list[str]:
         pts = " ".join("{%d}" % p for p in self.base.points) or "(none)"
         tws = " ".join("{%d,%d}" % t for t in self.base.twins) or "(none)"

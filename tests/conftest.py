@@ -421,10 +421,39 @@ def usable_atom_name_oracle(name: str) -> bool:
     return bool(name) and not any(ch.isspace() or ch in ":#" for ch in name)
 
 
+def element_flags(s: AtomStructure, mask: int) -> tuple[bool, bool, bool]:
+    """(point, pair, function) flags of an element, stated as the element
+    inequalities x;1;x <= 1', x;0';x;0';x <= 1' and x~;x <= 1' through
+    AtomStructure.compose_mask: the compositional reference that the
+    per-atom facts of the axioms are tested against."""
+    comp = s.compose_mask
+    div = s.full_mask & ~s.identity_mask
+    point = comp(comp(mask, s.full_mask), mask) & div == 0
+    m = comp(comp(mask, div), mask)
+    pair = comp(comp(m, div), mask) & div == 0
+    fn = comp(s.converse_mask(mask), mask) & div == 0
+    return point, pair, fn
+
+
 def atom_flags_oracle(s: AtomStructure) -> list[tuple[bool, bool, bool]]:
     """(point, pair, function) flags of every atom as an element, by the
-    library's element-level definitions."""
-    return [s._element_flags(1 << a) for a in range(s.n_atoms)]
+    element-level definitions (element_flags)."""
+    return [element_flags(s, 1 << a) for a in range(s.n_atoms)]
+
+
+def report_codes(report) -> tuple[str, ...]:
+    """The codes of a ValidationReport's violations, in order."""
+    return tuple(v.code for v in report.violations)
+
+
+def axiom_triple(report) -> tuple[bool, bool, bool]:
+    """(simple, pair_dense, functional) of an AxiomReport."""
+    return report.simple, report.pair_dense, report.functional
+
+
+def type_tags(classification) -> tuple[int, ...]:
+    """The shape of each atom of an AtomClassification, in atom order."""
+    return tuple(info.type_tag for info in classification.atoms)
 
 
 def axioms_oracle(s: AtomStructure) -> tuple:

@@ -21,6 +21,7 @@ from conftest import (DATA, ConcreteRelation, atom_flags_oracle,
                       group_closure_oracle, involutions, is_compatible,
                       load_concrete, load_structure, points_twins_oracle,
                       random_prime_cyclic_action, union_of_orbits_masks)
+from conftest import element_flags, report_codes, type_tags
 
 
 def report(capsys, n, text, elapsed=None):
@@ -110,7 +111,7 @@ def test_criterion_4_rejection_soundness(capsys):
     assert not d23.accepted
     assert (2, "pair-density", "1'") in [
         (f.axiom, f.condition, f.witness) for f in d23.failures]
-    assert not s23._element_flags(1 << s23.atom_names.index("1'"))[1]
+    assert not element_flags(s23, 1 << s23.atom_names.index("1'"))[1]
 
     s57 = load_structure("57.ra")
     d57 = decide_z2(s57)
@@ -118,8 +119,8 @@ def test_criterion_4_rejection_soundness(capsys):
     assert (3, "functionality", "a") in [
         (f.axiom, f.condition, f.witness) for f in d57.failures]
     a = 1 << s57.atom_names.index("a")
-    assert not s57._element_flags(a)[2]
-    assert not s57._element_flags(s57.converse_mask(a))[2]
+    assert not element_flags(s57, a)[2]
+    assert not element_flags(s57, s57.converse_mask(a))[2]
     report(capsys, 4, "both catalog structures are rejected with witnesses "
            "that re-check from the element inequalities alone")
 
@@ -174,12 +175,12 @@ def test_criterion_7_structure_theory(capsys):
     for n, g, algebra, structure in involution_cases():
         cls = classify_atoms(algebra)
         points_twins_oracle(cls.base)
-        tags = cls.type_tags()
+        tags = type_tags(cls)
         assert set(tags) <= {1, 2, 3, 4, 5}, (n, g, tags)
 
     c6 = load_concrete("type6.ca")
     cls = classify_atoms(c6)
-    assert cls.type_tags() == (2, 2, 2, 2, 6, 6)
+    assert type_tags(cls) == (2, 2, 2, 2, 6, 6)
     assert cls.tilde == ()
     d = decide_z2(extract_atom_structure(c6))
     assert not d.accepted
@@ -221,7 +222,7 @@ def test_criterion_8_axiom_validator(capsys):
     for expected_code, bad in corrupted:
         result = bad.validation
         assert not result.ok
-        assert expected_code in result.codes(), expected_code
+        assert expected_code in report_codes(result), expected_code
     report(capsys, 8, "validator accepts the catalog and every extraction, "
            f"and rejects {len(corrupted)} corrupted structures with the "
            "expected violation codes")

@@ -11,6 +11,7 @@ from relalg.atoms import _close_columns, usable_atom_name
 from conftest import (atom_flags_oracle, close_cycles_oracle,
                       compose_masks_oracle, converse_mask_oracle,
                       load_structure, usable_atom_name_oracle)
+from conftest import axiom_triple, element_flags, report_codes
 
 
 def mask_of(s, *names):
@@ -44,7 +45,7 @@ def test_peirce_orbit_is_closed():
 
 def test_close_cycles_is_union_of_orbits(s23):
     reps = [(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 1, 2)]
-    closed = _close_columns(*zip(*reps), s23.converse_map)
+    closed = frozenset(_close_columns(*zip(*reps), s23.converse_map))
     assert closed == close_cycles_oracle(reps, s23.converse_map)
     assert closed == s23.cycles
 
@@ -85,7 +86,7 @@ def test_broken_involution_detected(s23):
                         s23.cycles)
     report = bad.validation
     assert not report.ok
-    assert "converse-not-involution" in report.codes()
+    assert "converse-not-involution" in report_codes(report)
 
 
 def test_broken_cycle_law_detected(s23):
@@ -94,7 +95,7 @@ def test_broken_cycle_law_detected(s23):
     bad = AtomStructure(s23.atom_names, s23.converse_map, s23.identity_atoms,
                         frozenset(cycles))
     report = bad.validation
-    assert "cycle-law" in report.codes()
+    assert "cycle-law" in report_codes(report)
     # the witness names the surviving triple and the missing transform
     msg = next(x.message for x in report.violations if x.code == "cycle-law")
     assert "(r~, r~, r)" in msg and "(r, r, r~)" in msg
@@ -105,7 +106,7 @@ def test_missing_domain_atom_detected(s23):
     bad = AtomStructure(s23.atom_names, s23.converse_map, s23.identity_atoms,
                         frozenset(cycles))
     report = bad.validation
-    assert "missing-domain-atom" in report.codes()
+    assert "missing-domain-atom" in report_codes(report)
     msg = next(x.message for x in report.violations
                if x.code == "missing-domain-atom")
     assert "(e, r, r)" in msg
@@ -113,14 +114,14 @@ def test_missing_domain_atom_detected(s23):
 
 def test_identity_atom_with_nontrivial_converse_detected():
     bad = AtomStructure(("e", "f"), (1, 0), frozenset({0}), frozenset())
-    assert "identity-not-self-converse" in bad.validation.codes()
+    assert "identity-not-self-converse" in report_codes(bad.validation)
 
 
 def test_identity_law_violation_detected(s23):
     cycles = set(s23.cycles) | peirce_orbit((0, 1, 2), s23.converse_map)
     bad = AtomStructure(s23.atom_names, s23.converse_map, s23.identity_atoms,
                         frozenset(cycles))
-    assert "identity-law" in bad.validation.codes()
+    assert "identity-law" in report_codes(bad.validation)
 
 
 def test_identity_law_on_a_converse_that_is_no_involution():
@@ -130,7 +131,7 @@ def test_identity_law_on_a_converse_that_is_no_involution():
     # one another
     cycles = {(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)}
     bad = AtomStructure(("a", "f"), (0, 0), frozenset({1}), cycles)
-    assert "cycle-law" not in bad.validation.codes()
+    assert "cycle-law" not in report_codes(bad.validation)
     assert [v.message for v in bad.validation.violations
             if v.code == "identity-law"] == [
         "cycle (f, a, f) composes an identity atom on the left but a != f"]
@@ -139,10 +140,10 @@ def test_identity_law_on_a_converse_that_is_no_involution():
 def test_duplicate_and_unusable_names_detected(s23):
     bad = AtomStructure(("1'", "r", "r"), s23.converse_map,
                         s23.identity_atoms, s23.cycles)
-    assert "duplicate-atom-name" in bad.validation.codes()
+    assert "duplicate-atom-name" in report_codes(bad.validation)
     bad2 = AtomStructure(("1'", "r", "a:b"), s23.converse_map,
                          s23.identity_atoms, s23.cycles)
-    assert "bad-atom-name" in bad2.validation.codes()
+    assert "bad-atom-name" in report_codes(bad2.validation)
 
 
 def test_atom_name_rule_matches_the_per_character_oracle():
@@ -158,7 +159,7 @@ def test_atom_name_rule_matches_the_per_character_oracle():
 
 def test_empty_structure_detected():
     empty = AtomStructure((), (), frozenset(), frozenset())
-    assert empty.validation.codes() == ("empty-structure",)
+    assert report_codes(empty.validation) == ("empty-structure",)
 
 
 def test_multiple_domain_atoms_detected():
@@ -168,7 +169,7 @@ def test_multiple_domain_atoms_detected():
         [(0, 0, 0), (1, 1, 1), (0, 2, 2), (1, 2, 2), (0, 3, 3)], conv)
     bad = AtomStructure(("e", "f", "a", "a~"), conv, frozenset({0, 1}),
                         cycles)
-    assert "multiple-domain-atoms" in bad.validation.codes()
+    assert "multiple-domain-atoms" in report_codes(bad.validation)
 
 
 def test_associativity_violation_detected():
@@ -180,7 +181,7 @@ def test_associativity_violation_detected():
     bad = AtomStructure(("e", "a"), conv, frozenset({0}), cycles)
     report = bad.validation
     assert not report.ok
-    assert "associativity" in report.codes()
+    assert "associativity" in report_codes(report)
 
 
 def test_out_of_range_inputs_rejected_at_construction():
@@ -239,34 +240,34 @@ def test_composition_is_monotone(s23):
 
 
 # --- element classification ----------------------------------------------
-# _element_flags(mask) is (point, pair, function); an atom is a twin when
+# element_flags(s, mask) is (point, pair, function); an atom is a twin when
 # it is a pair and not a point
 
 
 def test_element_classes_in_23(s23):
-    point, pair, fn = s23._element_flags(s23.identity_mask)
+    point, pair, fn = element_flags(s23, s23.identity_mask)
     assert not point and not pair and fn
-    assert s23._element_flags(mask_of(s23, "r")) == (False, False, True)
+    assert element_flags(s23, mask_of(s23, "r")) == (False, False, True)
 
 
 def test_element_classes_in_swap(swap_structure):
     s = swap_structure
-    point, pair, fn = s._element_flags(s.identity_mask)
+    point, pair, fn = element_flags(s, s.identity_mask)
     assert pair and not point and fn
-    assert s._element_flags(mask_of(s, "d"))[2]
+    assert element_flags(s, mask_of(s, "d"))[2]
 
 
 def test_element_classes_in_57(s57):
     a = mask_of(s57, "a")
-    assert not s57._element_flags(a)[2]
-    assert not s57._element_flags(s57.converse_mask(a))[2]
-    assert not s57._element_flags(s57.identity_mask)[1]
+    assert not element_flags(s57, a)[2]
+    assert not element_flags(s57, s57.converse_mask(a))[2]
+    assert not element_flags(s57, s57.identity_mask)[1]
 
 
 def test_point_in_trivial_two_point_structure():
     # two points, no twins: identity atoms of the trivial action on 2
     s = extract_atom_structure(rel_algebra(build_group(2, [(0, 1)])))
-    point, pair, _ = s._element_flags(mask_of(s, "e0"))
+    point, pair, _ = element_flags(s, mask_of(s, "e0"))
     assert point and pair
 
 
@@ -274,9 +275,9 @@ def test_point_in_trivial_two_point_structure():
 
 
 def test_axioms_frozen_for_catalog(s23, s57, swap_structure):
-    assert check_z2_axioms(s23).as_triple() == (True, False, True)
-    assert check_z2_axioms(s57).as_triple() == (True, False, False)
-    assert check_z2_axioms(swap_structure).as_triple() == (True, True, True)
+    assert axiom_triple(check_z2_axioms(s23)) == (True, False, True)
+    assert axiom_triple(check_z2_axioms(s57)) == (True, False, False)
+    assert axiom_triple(check_z2_axioms(swap_structure)) == (True, True, True)
 
 
 def test_axiom_witnesses(s23, s57):
@@ -339,7 +340,7 @@ def test_identity_of_one_atom_structure_is_a_point():
     s = AtomStructure(("1'",), (0,), frozenset({0}),
                       frozenset({(0, 0, 0)}))
     assert s.validation.ok
-    assert s._element_flags(s.identity_mask) == (True, True, True)
+    assert element_flags(s, s.identity_mask) == (True, True, True)
 
 
 def test_pair_density_matches_element_level_definition(s23, s57,
@@ -350,7 +351,7 @@ def test_pair_density_matches_element_level_definition(s23, s57,
     for s in structures:
         ident = s.identity_mask
         dense = all(
-            any(s._element_flags(ym)[1]
+            any(element_flags(s, ym)[1]
                 for ym in range(1, xm + 1) if ym & xm == ym)
             for xm in range(1, 1 << s.n_atoms) if xm & ~ident == 0)
         assert dense == check_z2_axioms(s).pair_dense

@@ -12,11 +12,13 @@ from relalg import (AtomStructure, InvalidStructureError, VerificationReport,
                     decision, extract_atom_structure, format_atom_structure,
                     format_group_action, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, rel_algebra)
+from relalg import cli
 from relalg.atoms import _z2_axioms
 from relalg.cli import main
 
 from conftest import (DATA, group_closure_oracle, involution_action,
                       involution_structure, one_orbit_corruptions, shuffled)
+from conftest import element_flags, report_codes
 
 
 def run(capsys, *argv):
@@ -476,16 +478,16 @@ def test_parser_is_built_once(monkeypatch, capsys):
 
 def test_no_subcommand_computes_element_flags(monkeypatch, capsys):
     # the axioms and decide-z2 read each atom's domain and range, and iso
-    # and check-action read neither; only the reference flags compose
-    # elements to classify them
+    # and check-action read neither; only the reference flags of the tests
+    # (conftest.element_flags) compose elements to classify them
     calls = []
-    flags = AtomStructure._element_flags
+    compose = AtomStructure.compose_mask
 
-    def counting_flags(self, mask):
-        calls.append(mask)
-        return flags(self, mask)
+    def counting_compose(self, xm, ym):
+        calls.append((xm, ym))
+        return compose(self, xm, ym)
 
-    monkeypatch.setattr(AtomStructure, "_element_flags", counting_flags)
+    monkeypatch.setattr(AtomStructure, "compose_mask", counting_compose)
     for argv, status in ((["validate", DATA / "57.ra"], 0),
                          (["rel", DATA / "z3.act"], 0),
                          (["classify", DATA / "type6.ca"], 0),
@@ -501,8 +503,50 @@ def test_no_subcommand_computes_element_flags(monkeypatch, capsys):
     assert calls == []
     # the wrapper does see the flags where they are read
     s = parse_atom_structure((DATA / "swap.ra").read_text())
-    assert s._element_flags(s.identity_mask)[1]
+    assert element_flags(s, s.identity_mask)[1]
     assert calls
+
+
+def test_readers_that_only_iterate_build_no_cycle_set(monkeypatch, capsys,
+                                                       tmp_path):
+    # the fallback scan of the identity law, the writer and the dense
+    # table read a parsed or extracted structure's stream of cycles: only
+    # a reader that counts the cycles or tests membership builds the set
+    built = []
+
+    def recording(read):
+        def wrapper(*args, **kwargs):
+            built.append(read(*args, **kwargs))
+            return built[-1]
+        return wrapper
+
+    monkeypatch.setattr(cli, "parse_atom_structure",
+                        recording(parse_atom_structure))
+    monkeypatch.setattr(cli, "extract_atom_structure",
+                        recording(extract_atom_structure))
+    # identity atoms that are not their own converses, and a line that
+    # breaks the identity law
+    for k, (text, line) in enumerate((
+            ("atoms e f\nidentity e f\nconverse e:f\ncycle e e e\n",
+             "identity-law: cycle (e, e, e) puts an identity atom below "
+             "e;e but e != f"),
+            ("atoms e a\nidentity e\nconverse e:a\ncycle e a a\n",
+             "identity-law: cycle (e, a, e) composes an identity atom on "
+             "the left but a != e"))):
+        path = tmp_path / f"{k}.ra"
+        path.write_text(text)
+        built.clear()
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 2 and line in out.splitlines(), out
+        assert [*built[0]._places[3]] and "cycles" not in built[0].__dict__
+    built.clear()
+    assert run(capsys, "rel", DATA / "z3.act")[0] == 0
+    assert "cycles" not in built[0].__dict__
+    s = parse_atom_structure((DATA / "23.ra").read_text())
+    format_atom_structure(s)
+    assert "cycles" not in s.__dict__
+    t = extract_atom_structure(rel_algebra(involution_action(2, 1)))
+    assert t._table and "cycles" not in t.__dict__
 
 
 def test_locally_valid_non_associative_tables_exit_1(tmp_path, capsys):
@@ -521,7 +565,7 @@ def test_locally_valid_non_associative_tables_exit_1(tmp_path, capsys):
 
     paths, errors = [], []
     for k, (s, action) in enumerate(tables):
-        assert s.validation.codes() == ("associativity",)
+        assert report_codes(s.validation) == ("associativity",)
         assert _z2_axioms(s).all_hold
         paths.append(write(f"bad{k}.ra", format_atom_structure(s)))
         errors.append("error: " + str(InvalidStructureError(s.validation))

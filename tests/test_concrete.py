@@ -12,6 +12,7 @@ from relalg.atoms import usable_atom_name
 
 from conftest import (ConcreteRelation, atom_relations,
                       relation_compose_oracle, relation_converse_oracle)
+from conftest import report_codes
 
 
 def random_relation(rng, n):
@@ -217,7 +218,7 @@ def test_algebra_and_structure_share_the_atom_name_rule():
     cycles = extract_atom_structure(swap).cycles
     for name in ("e0", "1'", "x~", "e:0", ":", "e#0", "e 0", "e\t0", ""):
         s = AtomStructure((name, "a0"), (0, 1), {0}, cycles)
-        assert ("bad-atom-name" in s.validation.codes()) != usable_atom_name(name)
+        assert ("bad-atom-name" in report_codes(s.validation)) != usable_atom_name(name)
         if usable_atom_name(name):
             c = ConcreteAlgebra(2, (name, "a0"), swap.owner)
             assert extract_atom_structure(c).validation.ok, name

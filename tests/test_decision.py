@@ -30,6 +30,7 @@ from conftest import (DATA, atom_flags_oracle, close_cycles_oracle, conjugate,
                       load_structure, one_orbit_corruptions,
                       refined_colours_oracle, regular_action, replaced,
                       shuffled, signature_oracle)
+from conftest import element_flags, report_codes, type_tags
 
 
 # --- find_isomorphism -----------------------------------------------------
@@ -222,7 +223,7 @@ def test_rejects_23_with_pair_density_witness(s23):
     assert [(f.axiom, f.witness) for f in d.failures] == [(2, "1'")]
     assert d.action is None and d.witness is None
     # the reported witness re-checks from the element inequality alone
-    assert not s23._element_flags(1 << s23.atom_names.index("1'"))[1]
+    assert not element_flags(s23, 1 << s23.atom_names.index("1'"))[1]
 
 
 def test_rejects_57_with_both_failed_axioms(s57):
@@ -230,8 +231,8 @@ def test_rejects_57_with_both_failed_axioms(s57):
     assert not d.accepted
     assert [(f.axiom, f.witness) for f in d.failures] == [(2, "1'"), (3, "a")]
     a = 1 << s57.atom_names.index("a")
-    assert not s57._element_flags(a)[2]
-    assert not s57._element_flags(s57.converse_mask(a))[2]
+    assert not element_flags(s57, a)[2]
+    assert not element_flags(s57, s57.converse_mask(a))[2]
 
 
 def test_rejects_type6_extraction(type6_algebra):
@@ -240,8 +241,8 @@ def test_rejects_type6_extraction(type6_algebra):
     assert not d.accepted
     assert [(f.axiom, f.witness) for f in d.failures] == [(3, "x0")]
     x0 = 1 << s.atom_names.index("x0")
-    assert not s._element_flags(x0)[2]
-    assert not s._element_flags(s.converse_mask(x0))[2]
+    assert not element_flags(s, x0)[2]
+    assert not element_flags(s, s.converse_mask(x0))[2]
 
 
 def test_round_trip_small_involutions():
@@ -257,7 +258,7 @@ def test_round_trip_small_involutions():
                 sum(1 for i in range(n) if g[i] == i), (n, g)
             # the constructed algebra never needs the cross-twin shape
             cls = classify_atoms(d.algebra)
-            assert set(cls.type_tags()) <= {1, 2, 3, 4, 5}, (n, g)
+            assert set(type_tags(cls)) <= {1, 2, 3, 4, 5}, (n, g)
 
 
 @pytest.mark.parametrize("points,twins,atoms", [(8, 0, 64), (0, 6, 72),
@@ -543,7 +544,7 @@ def test_a_broken_local_law_stops_every_answer(swap_structure):
                  lambda: check_action_represents(dup, action)):
         with pytest.raises(InvalidStructureError) as caught:
             call()
-        assert caught.value.report.codes() == ("duplicate-atom-name",)
+        assert report_codes(caught.value.report) == ("duplicate-atom-name",)
 
 
 # --- check_action_represents ----------------------------------------------

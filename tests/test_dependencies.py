@@ -1,5 +1,5 @@
 """The library imports nothing outside the Python standard library, parses
-as Python 3.10, and keeps no private helper that nothing names."""
+as Python 3.10, and defines no name that nothing names."""
 
 import ast
 import sys
@@ -37,22 +37,60 @@ def test_library_parses_as_python_3_10():
                   feature_version=(3, 10))
 
 
+def defined(node) -> list[str]:
+    """The names a statement defines: a def's or class's, or an
+    assignment's plain targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+# names that no statement of the package reads, kept on purpose
+KEPT_UNNAMED = {
+    # the element API that the package docstring documents: composition
+    # and converse of elements as bitmasks of atoms
+    "compose_mask": "documented element API",
+    "converse_mask": "documented element API",
+}
+
+
 def test_every_private_helper_is_named_outside_its_definition():
-    # a module-level function or class whose name starts with a single
-    # underscore serves the library only: when no other statement of the
-    # package names it in code, it is dead
+    # a module-level name, or a method of a module-level class, serves the
+    # library only where another statement of the package names it in
+    # code; unless it is public (relalg.__all__), a dunder or kept on
+    # purpose (KEPT_UNNAMED), a name that nothing names is dead.  The
+    # statements are the module-level ones, a class's members each apart
     files = sorted(Path(relalg.__file__).parent.glob("*.py"))
-    statements = [(path.name, node) for path in files for node in ast.parse(
-        path.read_text(encoding="utf-8"), filename=str(path)).body]
+    units = []  # (file, defined names, the class's unit or None, nodes)
+    for path in files:
+        for node in ast.parse(path.read_text(encoding="utf-8"),
+                              filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                header = len(units)
+                units.append((path.name, [node.name], None,
+                              [*node.bases, *node.decorator_list]))
+                units += [(path.name, defined(member), header, [member])
+                          for member in node.body]
+            else:
+                units.append((path.name, defined(node), None, [node]))
     named = [{n.id if isinstance(n, ast.Name) else n.attr
-              for n in ast.walk(node)
+              for root in roots for n in ast.walk(root)
               if isinstance(n, (ast.Name, ast.Attribute))}
-             for _, node in statements]
-    helpers = [(i, file, node.name)
-               for i, (file, node) in enumerate(statements)
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and node.name[1:2] != "_"]
-    assert len(helpers) > 5
-    dead = [f"{file}: {name}" for i, file, name in helpers
-            if not any(name in names for j, names in enumerate(named) if j != i)]
+             for *_, roots in units]
+    # a class is named outside its body, any other name outside itself
+    own = [{i} for i in range(len(units))]
+    for j, (_, _, cls, _) in enumerate(units):
+        if cls is not None:
+            own[cls].add(j)
+    kept = {*relalg.__all__, *KEPT_UNNAMED}
+    names = [(i, file, name) for i, (file, found, _, _) in enumerate(units)
+             for name in found
+             if name not in kept and not (name[:2] == name[-2:] == "__")]
+    assert len(names) > 100
+    dead = [f"{file}: {name}" for i, file, name in names
+            if not any(name in n for j, n in enumerate(named)
+                       if j not in own[i])]
     assert dead == []

@@ -26,6 +26,7 @@ from conftest import (DATA, ConcreteRelation, associativity_witness_oracle,
                       involution_action, involution_structure, involutions,
                       load_action, load_structure, local_laws_oracle,
                       regular_action, shuffled)
+from conftest import axiom_triple, element_flags, report_codes
 
 
 def random_algebras(rng, count, max_n):
@@ -415,7 +416,7 @@ def test_join_matches_dense_scan_on_corrupted_tables(monkeypatch):
                 assert len(passes[-1]) == wit[1] + 1
                 if len(first) < bad.n_atoms:
                     rerun += 1
-                assert "associativity" in bad.validation.codes()
+                assert "associativity" in report_codes(bad.validation)
             else:
                 assert len(passes) == 1 and not any(passes[0])
     assert failing > 10  # the corruptions do break associativity
@@ -734,7 +735,7 @@ def test_atom_flags_and_simplicity_match_element_level_oracle():
                      for a in range(s.n_atoms))
         assert want[0] == simple
         r = check_z2_axioms(s)
-        assert (*r.as_triple(), r.simple_witness, r.pair_dense_witness,
+        assert (*axiom_triple(r), r.simple_witness, r.pair_dense_witness,
                 r.functional_witness) == want, s.atom_names
         fn = sum(1 << a for a in range(s.n_atoms) if flags[a][2])
         assert (s.compose_mask(s.converse_mask(fn), fn) == full) == (
@@ -757,7 +758,7 @@ def test_places_are_the_rectangles_e_1_and_1_e():
             assert out[e] == s.compose_mask(1 << e, full), s.atom_names
             assert into[e] == s.compose_mask(full, 1 << e), s.atom_names
         assert not_fn == sum(1 << a for a in range(s.n_atoms)
-                             if not s._element_flags(1 << a)[2])
+                             if not element_flags(s, 1 << a)[2])
 
 
 def test_every_end_atom_branch_matches_the_oracle():
