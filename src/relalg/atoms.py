@@ -7,7 +7,7 @@ packed into an integer bitmask: union and meet are bit work, and
 AtomStructure.compose_mask and converse_mask give the Peircean operations.
 The six Peircean transforms of a cycle are written out here only:
 peirce_orbit for one cycle, _close_columns for the parser's cycle lines,
-AtomStructure._table and _line_places, which read those lines, and
+AtomStructure._table and laws._line_places, which read those lines, and
 _orbit_reps, the line that writes each whole orbit.
 
 How a structure holds its cycles is known to this module alone.  The
@@ -19,31 +19,25 @@ which count the set or test membership in it.  Readers that only
 iterate take _cycle_stream, and the decision reads cycle lines through
 _line_columns.
 
-Validation has two parts.  The local laws (names, converse, the cycle
-and identity laws, one domain and one range atom per atom) cost two
-O(cycles) scans, which record what breaks each law for _local_laws to
-word: the cycle law's, skipped on structures that the parser and
-extraction build (AtomStructure._of_checked_ids), and
-AtomStructure._places, which places every atom by two masks per
-identity atom e, the atoms below e;1 and below 1;e, finds the atoms
-that are no functions, and records each (cycle, clause) that breaks the
-identity law; on a parsed structure it reads one line per orbit where
-the lines break no clause (_line_places).  Associativity is checked by
-the join, in its own module, join, which _validate imports when it
-runs.  The three axioms compose nothing: they read _places, O(atoms +
-identity atoms^2) mask operations.  AtomStructure._table builds the
-dense table _comp and the column supports in one O(cycles) pass, over
-the cycles or a parsed structure's lines; the join reads both, and
-search._power_runs and compose_mask read _comp.
+The local laws and validation live in `laws`, and the three axioms in
+`axioms`.  The members of AtomStructure that compute the laws (_places,
+_cycle_law_broken, _local_violations and validation) import `laws` the
+first time they are computed, and check_z2_axioms imports `axioms` when
+it is called.  So `rel` and `classify` compile neither module, and
+`validate` compiles `laws` but not `axioms`.
+
+AtomStructure._table builds the dense table _comp and the column
+supports in one O(cycles) pass, over the cycles or a parsed structure's
+lines; the join reads both, and search._power_runs and compose_mask read
+_comp.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, groupby
-from operator import or_
 
 from .errors import InvalidStructureError
 
@@ -329,38 +323,11 @@ class AtomStructure(_Record):
     @cached_property
     def _places(self) -> tuple[dict[int, int], dict[int, int], int,
                                list[tuple[Triple, int]]]:
-        # one pass over the cycles: per identity atom e, out[e] holds the
-        # atoms a with (e, a, a), below e;1, and into[e] those with
-        # (a, e, a), below 1;e, so e;1;f is out[e] & into[f]; then the atoms
-        # a with some (a, w, a), w in 0': by the cycle law, the non-functions;
-        # then each (cycle, clause) that breaks the identity law, sorted
-        # and once each, its clause numbered as in _IDENTITY_LAW.  A parsed
-        # structure's lines are read instead where they break no clause
-        # (_line_places)
-        ident, conv = self.identity_atoms, self.converse_map
-        if self._lines is not None:
-            places = _line_places(self._lines, ident, conv)
-            if places is not None:
-                return places
-        out, into, not_fn = dict.fromkeys(ident, 0), dict.fromkeys(ident, 0), 0
-        broken = []
-        for t in self._cycle_stream():
-            x, y, z = t
-            if x == z:
-                if y in ident:
-                    into[y] |= 1 << x
-                else:
-                    not_fn |= 1 << x
-            elif y in ident:
-                broken.append((t, 1))
-            if y == z:
-                if x in ident:
-                    out[x] |= 1 << y
-            elif x in ident:
-                broken.append((t, 0))
-            if z in ident and y != conv[x]:
-                broken.append((t, 2))
-        return out, into, not_fn, sorted(set(broken))
+        # per identity atom e the atoms below e;1 and those below 1;e, the
+        # atoms that are no functions, and each (cycle, clause) that breaks
+        # the identity law: one O(cycles) scan, laws._place_atoms
+        from .laws import _place_atoms
+        return _place_atoms(self)
 
     @cached_property
     def _loops(self) -> dict[int, int]:
@@ -373,166 +340,24 @@ class AtomStructure(_Record):
 
     @cached_property
     def validation(self) -> ValidationReport:
+        from .laws import _validate
         return _validate(self)
 
     @cached_property
     def _local_violations(self) -> tuple[Violation, ...]:
+        from .laws import _local_laws
         return _local_laws(self)
 
     @cached_property
     def _cycle_law_broken(self) -> Sequence[tuple[Triple, Triple]]:
         # each (cycle, missing transform), sorted; preset to none by
         # _of_checked_ids
+        from .laws import _broken_cycles
         return _broken_cycles(self)
 
     def require_valid(self) -> None:
         if not self.validation.ok:
             raise InvalidStructureError(self.validation)
-
-
-def _line_places(lines, ident: frozenset[int], conv: Sequence[int]):
-    """AtomStructure._places read off cycle lines whose closure under the
-    involution conv is the cycle set, or None where that reading may not
-    hold: an identity atom that is not its own converse, or a line that
-    can break the identity law.  The scan's marks are unions, so each
-    line's Peircean orbit is read as a whole, repeats and all.
-
-    With every identity atom e its own converse, so is the set of them,
-    and an orbit meets them in every member or in none.  One that does
-    breaks no clause exactly when it is the orbit of some (e, a, a), a no
-    identity atom other than e: (e, a, a), (a, a~, e) and (a~, e, a~),
-    which put a in out[e] and a~ in into[e].  An orbit that does not marks
-    only non-functions, the first atoms of its members (u, w, u): of the
-    six transforms of (x, y, z), x when x = z, y when y = x~, and z~ when
-    y = z."""
-    if any(conv[e] != e for e in ident):
-        return None
-    out, into, not_fn = dict.fromkeys(ident, 0), dict.fromkeys(ident, 0), 0
-    for x, y, z in zip(*lines):
-        if x in ident or y in ident or z in ident:
-            if y == z and x in ident:
-                e, a = x, y
-            elif y == conv[x] and z in ident:
-                e, a = z, x
-            elif x == z and y in ident:
-                e, a = y, conv[x]
-            else:
-                return None
-            if a in ident and a != e:
-                return None
-            out[e] |= 1 << a
-            into[e] |= 1 << conv[a]
-        else:
-            if x == z:
-                not_fn |= 1 << x
-            if y == conv[x]:
-                not_fn |= 1 << y
-            if y == z:
-                not_fn |= 1 << conv[z]
-    return out, into, not_fn, []
-
-
-def _validate(s: AtomStructure) -> ValidationReport:
-    """The local laws, then associativity.  The join is imported here, so
-    that a request that validates no structure in full never compiles it."""
-    from .join import _associativity_witness
-    wit = _associativity_witness(s)
-    if wit is None:
-        return ValidationReport(s._local_violations)
-    names = s.atom_names
-    a, b, c = wit
-    return ValidationReport(s._local_violations + (Violation(
-        "associativity",
-        f"({names[a]};{names[b]});{names[c]} != "
-        f"{names[a]};({names[b]};{names[c]})"),))
-
-
-# the identity law's clauses as _places numbers them, in x, y, z and x~
-_IDENTITY_LAW = ("composes an identity atom on the left but {1} != {2}",
-                 "composes an identity atom on the right but {0} != {2}",
-                 "puts an identity atom below {0};{1} but {1} != {3}")
-
-
-def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
-    """Names, converse, self-converse identity atoms, the cycle law, the
-    identity law, and one domain and one range atom per atom.  The cycle
-    law's scan, run on a structure built by the constructor, and
-    AtomStructure._places, one O(cycles) pass each, record what breaks
-    the two laws on cycles, and the record is only worded here."""
-    v: list[Violation] = []
-    names = s.atom_names
-    n = s.n_atoms
-    if n == 0:
-        return (Violation("empty-structure",
-                          "structure has no atoms (one = zero)"),)
-
-    seen: dict[str, int] = {}
-    for a, nm in enumerate(names):
-        if not usable_atom_name(nm):
-            v.append(Violation("bad-atom-name", f"atom {a} has unusable name {nm!r}"))
-        if nm in seen:
-            v.append(Violation(
-                "duplicate-atom-name",
-                f"atom name {nm!r} used by atoms {seen[nm]} and {a}"))
-        else:
-            seen[nm] = a
-
-    conv = s.converse_map
-    for a in range(n):
-        if conv[conv[a]] != a:
-            v.append(Violation(
-                "converse-not-involution",
-                f"converse(converse({names[a]})) = {names[conv[conv[a]]]} != {names[a]}"))
-
-    for e in sorted(s.identity_atoms):
-        if conv[e] != e:
-            v.append(Violation(
-                "identity-not-self-converse",
-                f"identity atom {names[e]} has converse {names[conv[e]]}"))
-
-    for t, u in s._cycle_law_broken:
-        v.append(Violation(
-            "cycle-law", f"cycle {s._fmt_triple(t)} present but its "
-            f"transform {s._fmt_triple(u)} is missing"))
-
-    out, into, _, broken = s._places
-    for (x, y, z), clause in broken:
-        v.append(Violation("identity-law", f"cycle {s._fmt_triple((x, y, z))} "
-                           + _IDENTITY_LAW[clause].format(
-                               names[x], names[y], names[z], names[conv[x]])))
-
-    # one out[e] holds each atom iff their sizes sum to n and union is all
-    if any(sum(map(int.bit_count, m.values())) != n
-           or reduce(or_, m.values(), 0) != s.full_mask for m in (out, into)):
-        idents = sorted(s.identity_atoms)
-        for a in range(n):
-            for side, m, cycle in (("domain", out, "e has (e, {0}, {0})"),
-                                   ("range", into, "f has ({0}, f, {0})")):
-                found = [e for e in idents if m[e] >> a & 1]
-                if not found:
-                    v.append(Violation(
-                        f"missing-{side}-atom",
-                        f"no identity atom {cycle.format(names[a])} as a cycle"))
-                elif len(found) > 1:
-                    v.append(Violation(
-                        f"multiple-{side}-atoms", f"atom {names[a]} has "
-                        f"{side} atoms " + ", ".join(names[e] for e in found)))
-    return tuple(v)
-
-
-def _broken_cycles(s: AtomStructure) -> list[tuple[Triple, Triple]]:
-    """Each (cycle, transform of it that is missing), sorted.
-
-    Closure under (x~, z, y) and (z, y~, x) is closure under all six
-    transforms, converse an involution or not: they compose to the other
-    three.  The six are listed only to find the culprits.
-    """
-    cycles, conv = s.cycles, s.converse_map
-    if all((conv[x], z, y) in cycles and (z, conv[y], x) in cycles
-           for x, y, z in cycles):
-        return []
-    return sorted((t, u) for t in cycles for u in peirce_orbit(t, conv)
-                  if u not in cycles)
 
 
 def _whole_orbits(s: AtomStructure) -> bool:
@@ -589,105 +414,10 @@ def _orbit_reps(s: AtomStructure) -> list[Triple]:
     return [t for t, _ in groupby(leasts)]
 
 
-# ---------------------------------------------------------------------------
-# the three axioms
-
-
-# The three witnesses below read per-atom facts, never a composition, and
-# the local laws, which make each atom's domain and range single identity
-# atoms.  Simplicity and pair-density lean on associativity too; where it
-# fails they may err, but no output changes: every rejection and `none` is
-# validated, every accepted map certified (IsoWitness.problems()), and a
-# failed proof map validated first (decision._gated).
-
-
-def _simplicity_witness(s: AtomStructure) -> str | None:
-    """The least atom a with 1;a;1 != 1, or None.
-
-    On a valid structure 1;a;1 = 1;d;1 for d the domain of a, since
-    a = d;a and d <= a;a~.  And 1;d;1 = 1 exactly when every identity atom
-    f lies below it, which holds when some atom runs from f to d, that is
-    when the rectangle f;1;d, out[f] & into[d], is not empty, and only
-    then.  So the witness is the least atom in the union of out[d], the
-    atoms with domain d, over the identity atoms d that fail.
-    """
-    out, into = s._places[:2]
-    bad = reduce(or_, (out[d] for d in s.identity_atoms
-                       if not all(out[f] & into[d] for f in s.identity_atoms)), 0)
-    return s.atom_names[(bad & -bad).bit_length() - 1] if bad else None
-
-
-def _pair_density_witness(s: AtomStructure, fn: int) -> str | None:
-    """The least identity atom e that is not a pair, or None.
-
-    e;0';e;0';e = L;L for L = e;0';e, the diversity atoms from e to e.
-    Each x;y with x, y in L is nonzero and meets 1' only if y = x~, so two
-    atoms of L fail (in x;y or x;x), and one, then x = x~, passes iff it is
-    a function (in fn).
-    """
-    for e, loops in sorted(s._loops.items()):
-        if loops & (loops - 1) or loops & ~fn:
-            return s.atom_names[e]
-    return None
-
-
-def _functionality_witness(s: AtomStructure, fn: int) -> str | None:
-    """The least atom a with neither a nor a~ a function (in fn), or None."""
-    for a, c in enumerate(s.converse_map):
-        if not (fn >> a & 1 or fn >> c & 1):
-            return s.atom_names[a]
-    return None
-
-
-# the three axioms in order: number, condition, and the AxiomReport field
-# of the answer (its witness is the field name + "_witness")
-_AXIOMS = ((1, "simplicity", "simple"), (2, "pair-density", "pair_dense"),
-           (3, "functionality", "functional"))
-
-
-class AxiomFailure(_Record):
-    __slots__ = _fields = ("axiom", "condition", "witness")
-
-    def __init__(self, axiom: int, condition: str, witness: str):
-        self._init(axiom, condition, witness)
-
-
-class AxiomReport(_Record):
-    """Results of the three first-order axioms, with witnesses on failure."""
-
-    __slots__ = _fields = ("simple", "pair_dense", "functional",
-                           "simple_witness", "pair_dense_witness",
-                           "functional_witness")
-
-    def __init__(self, simple: bool, pair_dense: bool, functional: bool,
-                 simple_witness: str | None = None,
-                 pair_dense_witness: str | None = None,
-                 functional_witness: str | None = None):
-        self._init(simple, pair_dense, functional, simple_witness,
-                   pair_dense_witness, functional_witness)
-
-    @property
-    def all_hold(self) -> bool:
-        return self.simple and self.pair_dense and self.functional
-
-    def failures(self) -> tuple[AxiomFailure, ...]:
-        return tuple(AxiomFailure(k, condition, getattr(self, f"{field}_witness"))
-                     for k, condition, field in _AXIOMS
-                     if not getattr(self, field))
-
-
 def check_z2_axioms(s: AtomStructure) -> AxiomReport:
-    """Evaluate simplicity, pair-density and atom functionality."""
+    """Evaluate simplicity, pair-density and atom functionality, as an
+    axioms.AxiomReport.  The axioms are imported here, so that a request
+    that checks none never compiles them."""
     s.require_valid()
+    from .axioms import _z2_axioms
     return _z2_axioms(s)
-
-
-def _z2_axioms(s: AtomStructure) -> AxiomReport:
-    # check_z2_axioms on a structure whose local laws hold
-    fn = s.full_mask & ~s._places[2]  # the functions, by the cycle law
-    sw = _simplicity_witness(s)
-    pw = _pair_density_witness(s, fn)
-    fw = _functionality_witness(s, fn)
-    return AxiomReport(
-        simple=sw is None, pair_dense=pw is None, functional=fw is None,
-        simple_witness=sw, pair_dense_witness=pw, functional_witness=fw)

@@ -11,7 +11,9 @@ A handler imports the decision procedure (`decision`) or the pair-dense
 classification (`pairdense`) itself, so that `rel`, `validate` and
 `axioms` neither compile nor run those modules; `decision` imports the
 isomorphism search (`search`) only for an `iso` pair with neither side in
-the class and a `check-action` group of order above two.
+the class and a `check-action` group of order above two.  The local laws
+(`laws`) and the three axioms (`axioms`) load only where they run, so
+`rel` and `classify` compile neither and `validate` compiles no axiom.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import codecs
 import functools
 import sys
 
-from .atoms import _AXIOMS, check_z2_axioms
+from .atoms import check_z2_axioms
 from .concrete import extract_atom_structure
 from .errors import DEFAULT_BUDGET, InternalError, RelalgError
 from .formats import (_int, format_atom_structure, format_concrete_algebra,
@@ -45,6 +47,11 @@ def _read(path: str) -> str:
                           f"{exc.start + 3 * mark})") from None
 
 
+def _structure(path: str):
+    # the atom structure in the file at path; its errors name the path
+    return parse_atom_structure(_read(path), source=path)
+
+
 def _budget(text: str) -> int:
     try:
         n = _int(text)  # ASCII digits, as in the file formats
@@ -62,8 +69,7 @@ def _axiom_line(axiom: int, condition: str, witness: str | None) -> str:
 
 
 def _cmd_validate(args) -> tuple[int, list[str]]:
-    s = parse_atom_structure(_read(args.file), source=args.file)
-    report = s.validation
+    report = _structure(args.file).validation
     if report.ok:
         return 0, ["valid"]
     return 2, ["invalid"] + list(report.lines())
@@ -81,8 +87,7 @@ def _cmd_rel(args) -> tuple[int, list[str]]:
 
 def _cmd_decide_z2(args) -> tuple[int, list[str]]:
     from .decision import decide_z2, verify_decision
-    s = parse_atom_structure(_read(args.file), source=args.file)
-    decision = decide_z2(s)
+    decision = decide_z2(_structure(args.file))
     if not decision.accepted:
         lines = ["rejected"]
         lines.extend(_axiom_line(f.axiom, f.condition, f.witness)
@@ -103,9 +108,8 @@ def _cmd_decide_z2(args) -> tuple[int, list[str]]:
 
 def _cmd_iso(args) -> tuple[int, list[str]]:
     from .decision import find_isomorphism
-    s1 = parse_atom_structure(_read(args.file), source=args.file)
-    s2 = parse_atom_structure(_read(args.other), source=args.other)
-    witness = find_isomorphism(s1, s2, budget=args.budget)
+    witness = find_isomorphism(_structure(args.file),
+                               _structure(args.other), budget=args.budget)
     if witness is None:
         return 2, ["none"]
     return 0, witness.map_lines()
@@ -119,7 +123,7 @@ def _cmd_classify(args) -> tuple[int, list[str]]:
 
 def _cmd_check_action(args) -> tuple[int, list[str]]:
     from .decision import check_action_represents
-    s = parse_atom_structure(_read(args.file), source=args.file)
+    s = _structure(args.file)
     action = parse_group_action(_read(args.action_file),
                                 source=args.action_file)
     witness = check_action_represents(s, action, budget=args.budget)
@@ -129,8 +133,8 @@ def _cmd_check_action(args) -> tuple[int, list[str]]:
 
 
 def _cmd_axioms(args) -> tuple[int, list[str]]:
-    s = parse_atom_structure(_read(args.file), source=args.file)
-    report = check_z2_axioms(s)
+    from .axioms import _AXIOMS
+    report = check_z2_axioms(_structure(args.file))
     return (0 if report.all_hold else 2), [
         _axiom_line(k, condition, getattr(report, f"{field}_witness"))
         for k, condition, field in _AXIOMS]

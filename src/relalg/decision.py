@@ -29,8 +29,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .actions import GroupAction, _orbit_names, build_group, rel_algebra
-from .atoms import (AtomStructure, AxiomFailure, _Record, _whole_orbits,
-                    _z2_axioms, iter_bits)
+from .atoms import AtomStructure, _Record, _whole_orbits, iter_bits
+from .axioms import AxiomFailure, _z2_axioms
 from .concrete import ConcreteAlgebra, extract_atom_structure
 from .errors import DEFAULT_BUDGET, InternalError
 from .formats import format_atom_structure

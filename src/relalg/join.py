@@ -1,6 +1,6 @@
 """The associativity join, run only where a verdict needs it: `validate`
 and `axioms`, a `decide-z2` rejection, an `iso` or `check-action` answer
-of `none`, and the source of an `iso` map found by search.  atoms._validate
+of `none`, and the source of an `iso` map found by search.  laws._validate
 imports this module when it is called, so that a request that validates
 no structure in full never compiles it.
 

@@ -8,12 +8,14 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from relalg import (AtomStructure, InvalidStructureError, VerificationReport,
                     decision, extract_atom_structure, format_atom_structure,
                     format_group_action, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, rel_algebra)
 from relalg import cli
-from relalg.atoms import _z2_axioms
+from relalg.axioms import _z2_axioms
 from relalg.cli import main
 
 from conftest import (DATA, group_closure_oracle, involution_action,
@@ -291,60 +293,65 @@ def run_measured(*argv):
     return proc, elapsed, int(proc.stderr.split()[-1])
 
 
-def test_class_path_at_3200_atoms_stays_under_its_bounds(tmp_path):
-    # decide-z2 --verify on a shuffle of the 80-point fixed-point-free
-    # involution's structure, and iso on two: neither builds a composition
-    # table of 3200 x 3200 masks
+@pytest.fixture(scope="session")
+def large_inputs(tmp_path_factory):
+    """The inputs of the size-bound rows, each written once, by name: two
+    shuffles of the 80-point fixed-point-free involution's structure (3200
+    atoms, 256000 cycles), the structure as rel writes it, the involution
+    itself, and the trivial action of 128 points, at the base-size cap."""
     s = involution_structure(0, 40)
     assert (s.n_atoms, len(s.cycles)) == (3200, 256000)
     rng = random.Random(40)
-    a, b = tmp_path / "a.ra", tmp_path / "b.ra"
-    for path in (a, b):
-        path.write_text(format_atom_structure(shuffled(s, rng)),
-                        encoding="utf-8")
-    for argv in (["decide-z2", a, "--verify"], ["iso", a, b]):
-        proc, elapsed, peak_kb = run_measured(*argv)
-        assert peak_kb < 150 * 1024, argv
-        assert elapsed < 3.0, argv
+    texts = {"a.ra": format_atom_structure(shuffled(s, rng)),
+             "b.ra": format_atom_structure(shuffled(s, rng)),
+             "inv80.ra": format_atom_structure(s),
+             "inv80.act": format_group_action(involution_action(0, 40)),
+             "triv128.act": format_group_action(involution_action(128, 0))}
+    root = tmp_path_factory.mktemp("large")
+    for name, text in texts.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return {name: root / name for name in texts}
 
 
-def test_rel_at_3200_atoms_stays_under_its_bounds(tmp_path):
-    # rel on the 80-point fixed-point-free involution: 3200 atoms and
+# One row per fresh-interpreter run on a large input: its id, its command
+# line by the input names of large_inputs, its peak RSS bound in MB, its
+# seconds bound, and a test of its stdout
+SIZE_BOUNDS = [
+    # the class path at 3200 atoms, on shuffled ids: neither builds a
+    # composition table of 3200 x 3200 masks
+    ("decide-z2-3200-shuffled", ["decide-z2", "a.ra", "--verify"], 150, 3.0,
+     None),
+    ("iso-3200-shuffled", ["iso", "a.ra", "b.ra"], 150, 3.0, None),
     # 256000 cycles, written as 44280 cycle lines chosen by a local test
     # per cycle, with no marking set of the cycles
-    act = tmp_path / "inv80.act"
-    act.write_text(format_group_action(involution_action(0, 40)),
-                   encoding="utf-8")
-    proc, elapsed, peak_kb = run_measured("rel", act)
-    assert proc.stdout.count("\ncycle ") == 44280
-    assert peak_kb < 40 * 1024
-    assert elapsed < 1.0
+    ("rel-3200", ["rel", "inv80.act"], 40, 1.0,
+     lambda out: out.count("\ncycle ") == 44280),
+    # the 44280 cycle lines as rel writes them, which the local laws and
+    # the join's table read, with no set of the 256000 cycles
+    ("validate-3200", ["validate", "inv80.ra"], 170, 0.85,
+     lambda out: out == "valid\n"),
+    # the same on shuffled ids, where the table and the join read the
+    # lines out of order, the slower case
+    ("validate-3200-shuffled", ["validate", "a.ra"], 170, 2.0,
+     lambda out: out == "valid\n"),
+    # 16384 atoms and 2,097,152 cycles, written as 357,760 cycle lines
+    # chosen from the profile triples as extraction streams them, with no
+    # set of the cycles
+    ("rel-cap", ["rel", "triv128.act"], 100, 1.5,
+     lambda out: out.count("\ncycle ") == 357760),
+]
 
 
-def test_validate_at_3200_atoms_stays_under_its_bounds(tmp_path):
-    # validate on the 80-point fixed-point-free involution's structure as
-    # rel writes it: 3200 atoms and 44280 cycle lines, which the local laws
-    # and the join's table read, with no set of the 256000 cycles
-    ra = tmp_path / "inv80.ra"
-    ra.write_text(format_atom_structure(involution_structure(0, 40)),
-                  encoding="utf-8")
-    proc, elapsed, peak_kb = run_measured("validate", ra)
-    assert proc.stdout == "valid\n"
-    assert peak_kb < 170 * 1024
-    assert elapsed < 0.85
-
-
-def test_rel_at_the_base_size_cap_stays_under_its_bounds(tmp_path):
-    # rel on the trivial action of 128 points: 16384 atoms and 2,097,152
-    # cycles, written as 357,760 cycle lines chosen from the profile
-    # triples as extraction streams them, with no set of the cycles
-    act = tmp_path / "triv128.act"
-    act.write_text(format_group_action(involution_action(128, 0)),
-                   encoding="utf-8")
-    proc, elapsed, peak_kb = run_measured("rel", act)
-    assert proc.stdout.count("\ncycle ") == 357760
-    assert peak_kb < 100 * 1024
-    assert elapsed < 1.5
+@pytest.mark.parametrize("argv, mb, seconds, check",
+                         [row[1:] for row in SIZE_BOUNDS],
+                         ids=[row[0] for row in SIZE_BOUNDS])
+def test_large_input_stays_under_its_bounds(large_inputs, argv, mb, seconds,
+                                            check):
+    proc, elapsed, peak_kb = run_measured(
+        *(large_inputs.get(arg, arg) for arg in argv))
+    assert check is None or check(proc.stdout), argv
+    assert peak_kb < mb * 1024, argv
+    assert elapsed < seconds, argv
 
 
 # cli.main on the child's arguments in a fresh interpreter, which then
@@ -360,9 +367,11 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
     # imported by the handlers that call them, the search only when the
     # class cannot answer, and the associativity join only where a verdict
     # rests on it: validate, axioms, a rejection, and the source of a
-    # searched map; test_api.py runs in the test process, where other
-    # tests have imported everything already.  -S starts the child without
-    # site, whose .pth files could import a module first
+    # searched map; the local laws everywhere but rel and classify, and
+    # the axioms everywhere but those two and validate; test_api.py runs
+    # in the test process, where other tests have imported everything
+    # already.  -S starts the child without site, whose .pth files could
+    # import a module first
     searched = ["iso", DATA / "23.ra", DATA / "23_relabeled.ra"]
     for argv, status, joined in (
             (["validate", DATA / "23.ra"], 0, True),
@@ -386,6 +395,10 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
         assert ("relalg.pairdense" in loaded) == (argv[0] == "classify"), argv
         assert ("relalg.search" in loaded) == (argv == searched), argv
         assert ("relalg.join" in loaded) == joined, argv
+        assert ("relalg.laws" in loaded) == (
+            argv[0] not in ("rel", "classify")), argv
+        assert ("relalg.axioms" in loaded) == (
+            argv[0] not in ("rel", "classify", "validate")), argv
         assert not loaded & {"dataclasses", "inspect", "typing",
                              "pathlib"}, argv
 

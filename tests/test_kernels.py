@@ -13,8 +13,8 @@ from relalg import (AtomStructure, ConcreteAlgebra, ConcreteAlgebraError,
                     format_atom_structure, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, peirce_orbit,
                     rel_algebra)
-from relalg import atoms, cli, join
-from relalg.atoms import _local_laws, _validate
+from relalg import cli, join, laws
+from relalg.laws import _local_laws, _validate
 from relalg.join import _associativity_witness, _generating_set
 from relalg.cli import main
 
@@ -195,7 +195,7 @@ def test_the_trusted_callers_keep_the_cycle_law():
     structures += [extract_atom_structure(c) for c in algebras]
     assert len(structures) == 4 + 5 + 4 + 40
     for s in structures:
-        assert atoms._broken_cycles(s) == [], s.atom_names
+        assert laws._broken_cycles(s) == [], s.atom_names
 
 
 def test_validation_runs_at_most_once_per_structure(monkeypatch, capsys):
@@ -348,8 +348,8 @@ def test_cycle_law_scan_runs_only_where_it_can_fail(monkeypatch):
         calls.append(s)
         return broken_cycles(s)
 
-    broken_cycles = atoms._broken_cycles
-    monkeypatch.setattr(atoms, "_broken_cycles", counting)
+    broken_cycles = laws._broken_cycles
+    monkeypatch.setattr(laws, "_broken_cycles", counting)
 
     def scans(s):
         calls.clear()

@@ -13,7 +13,8 @@ from relalg import (AtomStructure, InvalidStructureError, IsoWitness,
                     format_group_action, pair_orbits, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, peirce_orbit,
                     rel_algebra)
-from relalg.atoms import _close_columns, _local_laws
+from relalg.atoms import _close_columns
+from relalg.laws import _local_laws
 from relalg.join import _associativity_witness
 from relalg.search import _power_runs
 
