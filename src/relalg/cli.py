@@ -7,13 +7,8 @@ files, parse failures, violated preconditions (an invalid structure in
 `decide-z2`, `iso`, `check-action` and `axioms`), an exhausted search
 budget in `iso` or `check-action`, or a Python recursion or memory limit.
 
-A handler imports the decision procedure (`decision`) or the pair-dense
-classification (`pairdense`) itself, so that `rel`, `validate` and
-`axioms` neither compile nor run those modules; `decision` imports the
-isomorphism search (`search`) only for an `iso` pair with neither side in
-the class and a `check-action` group of order above two.  The local laws
-(`laws`) and the three axioms (`axioms`) load only where they run, so
-`rel` and `classify` compile neither and `validate` compiles no axiom.
+Each handler imports the modules it runs, so a command compiles only
+those; README, "Start-up", lists which command loads which.
 """
 
 from __future__ import annotations
@@ -24,12 +19,10 @@ import functools
 import sys
 
 from .atoms import check_z2_axioms
-from .concrete import extract_atom_structure
 from .errors import DEFAULT_BUDGET, InternalError, RelalgError
 from .formats import (_int, format_atom_structure, format_concrete_algebra,
                       format_group_action, parse_atom_structure,
                       parse_concrete_algebra, parse_group_action)
-from .actions import rel_algebra
 
 
 def _read(path: str) -> str:
@@ -76,6 +69,8 @@ def _cmd_validate(args) -> tuple[int, list[str]]:
 
 
 def _cmd_rel(args) -> tuple[int, list[str]]:
+    from .actions import rel_algebra
+    from .concrete import extract_atom_structure
     action = parse_group_action(_read(args.file), source=args.file)
     algebra = rel_algebra(action)
     structure = extract_atom_structure(algebra)

@@ -1,13 +1,14 @@
 """Deciding representability over actions of the two-element group.
 
 decide_z2 evaluates three first-order axioms (simplicity, pair-density,
-functionality of every atom up to converse), builds the canonical
-involution, one base element per point atom and two per twin atom, and
-certifies acceptance with the proof's atom bijection (_proof_witness),
-checked by IsoWitness.problems() one cycle line per Peircean orbit.  By
-the theorem it fails on no valid input that satisfies the axioms, so a
-failure is an InternalError.  verify_decision re-checks an accepted
-decision from its algebra's owner table, with none of that code.
+functionality of every atom up to converse) and, when they hold, runs the
+paper's construction (module `proof`): the canonical involution, one base
+element per point atom and two per twin atom, its algebra, and the
+proof's atom bijection (proof._proof_witness), checked by
+IsoWitness.problems() one cycle line per Peircean orbit.  By the theorem
+it fails on no valid input that satisfies the axioms, so a failure is an
+InternalError.  verify_decision re-checks an accepted decision from its
+algebra's owner table, with none of that code.
 
 `iso` and `check-action` let the class answer whenever it can.  The
 axioms decide membership (_class_counts) and are first-order, so kept by
@@ -15,25 +16,23 @@ isomorphism, and two structures in the class, or one and the algebra of
 an involution, are isomorphic exactly when their point and twin counts
 (fixed points and 2-cycles) agree.  So a side outside the class, or
 unequal counts, answer `none` before any algebra is built, and equal
-counts get the proof's map (_realize), for `iso` both sides' maps onto
-the algebra of the source's involution, composed.  Only `iso` pairs with
-neither side in the class and actions of order above two reach the
+counts get the proof's map (proof._realize), for `iso` both sides' maps
+onto the algebra of the source's involution, composed.  Only `iso` pairs
+with neither side in the class and actions of order above two reach the
 search and its budget (_searched).
 
 Inputs are checked against the local laws first, and the associativity
 join runs only before a verdict that no witness certifies (_gated).
+
+This module imports `proof`, `actions`, `concrete` and `search` only in
+the branches that run them (README, "Start-up").
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from .actions import GroupAction, _orbit_names, build_group, rel_algebra
-from .atoms import AtomStructure, _Record, _whole_orbits, iter_bits
+from .atoms import AtomStructure, _Record, _whole_orbits
 from .axioms import AxiomFailure, _z2_axioms
-from .concrete import ConcreteAlgebra, extract_atom_structure
 from .errors import DEFAULT_BUDGET, InternalError
-from .formats import format_atom_structure
 
 
 class IsoWitness(_Record):
@@ -107,6 +106,8 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
             return w, (source, target) if w is None else (source,)
         if counts[0] != counts[1]:
             return None, (source, target)
+        from .proof import (_blocks, _canonical_involution, _proof_witness,
+                            _realize)
         g = _canonical_involution(source)  # both maps onto g's algebra
         _, algebra, there = _realize(source, g)
         back = _proof_witness(target, _blocks(target, g), algebra,
@@ -176,7 +177,8 @@ class Z2Decision(_Record):
 def decide_z2(structure: AtomStructure) -> Z2Decision:
     """Decide whether the structure is the algebra of some action of the
     two-element group, and construct one if so.  An invalid structure
-    raises InvalidStructureError (_gated); _proof_witness certifies one."""
+    raises InvalidStructureError (_gated); proof._proof_witness certifies
+    one."""
     return _gated((structure,), lambda: _decide_z2(structure))
 
 
@@ -187,30 +189,11 @@ def _decide_z2(structure: AtomStructure
     if not report.all_hold:
         return (Z2Decision(structure, False, failures=report.failures()),
                 (structure,))
+    from .proof import _canonical_involution, _realize
     action, algebra, witness = _realize(structure,
                                         _canonical_involution(structure))
     return Z2Decision(structure, True, action=action, algebra=algebra,
                       witness=witness), ()
-
-
-def _realize(s: AtomStructure, g: tuple[int, ...]
-             ) -> tuple[GroupAction, ConcreteAlgebra, IsoWitness]:
-    """The action of the involution g, with as many fixed points and
-    2-cycles as s has points and twins, its algebra, and the proof's map."""
-    action = build_group(len(g), [g])
-    algebra = rel_algebra(action)
-    return action, algebra, _proof_witness(
-        s, _blocks(s, g), algebra, extract_atom_structure(algebra))
-
-
-def _canonical_involution(s: AtomStructure) -> tuple[int, ...]:
-    """The proof's involution for s, in identity-atom id order as _blocks
-    walks them: a fixed element per point, two swapped ones per twin, an
-    identity atom e with a diversity atom from e to e (_loops)."""
-    g: list[int] = []
-    for e in sorted(s.identity_atoms):
-        g.extend((len(g) + 1, len(g)) if s._loops[e] else (len(g),))
-    return tuple(g)
 
 
 def _class_counts(s: AtomStructure) -> tuple[int, int] | None:
@@ -222,89 +205,25 @@ def _class_counts(s: AtomStructure) -> tuple[int, int] | None:
     return len(s.identity_atoms) - twins, twins
 
 
-def _blocks(s: AtomStructure, g: Sequence[int]
-            ) -> dict[int, tuple[int, ...]]:
-    """Base elements for s's identity atoms from an involution g with as
-    many fixed points and 2-cycles as s has points and twins: in id order,
-    a point gets the next fixed point, a twin the next 2-cycle."""
-    fixed = iter([(i,) for i, j in enumerate(g) if i == j])
-    swaps = iter([(i, j) for i, j in enumerate(g) if i < j])
-    return {e: next(swaps if s._loops[e] else fixed)
-            for e in sorted(s.identity_atoms)}
-
-
-def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
-                   algebra: ConcreteAlgebra, target: AtomStructure
-                   ) -> IsoWitness:
-    """The proof's map from s onto target, extracted from the algebra of an
-    involution whose fixed points and 2-cycles are the blocks of s's points
-    and twins: an atom from identity atom d to r maps to the orbit of a
-    pair from block d to block r.  Between twins the axioms leave two
-    atoms: the lower-id atom p[E] from the first twin R to each twin E is
-    parallel (p[R] = R), and x from E1 to E2 is parallel iff (p[E1]~,
-    p[E2], x) is a cycle; a parallel atom maps to the orbit from the first
-    element of block d to the first of block r, a crossed one to the
-    second.  Where s has not this shape or the map fails the decision's one
-    tripwire, IsoWitness.problems(), raises InternalError with the reason
-    and both structures."""
-    conv, names = s.converse_map, s.atom_names
-    idents = sorted(blocks)
-    out, into = s._places[:2]
-    groups = {(d, r): [*iter_bits(out[d] & into[r])]
-              for d in idents for r in idents}
-    for (d, r), group in groups.items():
-        if len(group) != 1 + (len(blocks[d]) == len(blocks[r]) == 2):
-            raise _unproven(s, target, f"{len(group)} atoms from "
-                                       f"{names[d]} to {names[r]}")
-    twins = sorted(e for e, b in blocks.items() if len(b) == 2)
-    p = {e: e if e == twins[0] else min(groups[twins[0], e]) for e in twins}
-    owner, n = algebra.owner, algebra.base_size
-    m = [-1] * s.n_atoms
-    for (d, r), group in groups.items():
-        # par holds the atoms sent to the first element of block r: a
-        # twin's identity atom, a single atom, or the parallel atom
-        par = 1 << d if d == r else 1 << group[0]
-        if d != r and len(group) == 2:
-            par = sum(1 << a for a in group
-                      if (conv[p[d]], p[r], a) in s.cycles)
-            if par & (par - 1) or not par:
-                raise _unproven(s, target,
-                                f"{names[p[d]]}~;{names[p[r]]} is not one "
-                                f"atom from {names[d]} to {names[r]}")
-        for a in group:
-            m[a] = owner[blocks[d][0] * n + blocks[r][not par >> a & 1]]
-    witness = IsoWitness(s, target, tuple(m))
-    bad = witness.problems()
-    if bad:
-        raise _unproven(s, target, bad[0])
-    return witness
-
-
-def _unproven(s: AtomStructure, target: AtomStructure, reason: str
-              ) -> InternalError:
-    # the error to raise where the proof's map of s onto target breaks
-    return InternalError(
-        f"accepted axioms but the constructed isomorphism fails: {reason}"
-        "\n--- input ---\n" + format_atom_structure(s)
-        + "--- constructed ---\n" + format_atom_structure(target))
-
-
 def check_action_represents(structure: AtomStructure, action: GroupAction,
                             budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
     """Does this particular action's algebra realize the structure?  For
     a group of order at most two the class answers: None before any
-    algebra is built, or the proof's map (_realize).  Larger groups go to
-    the search.  Only the structure is validated: the action's is valid by
-    construction (see extract_atom_structure)."""
+    algebra is built, or the proof's map (proof._realize).  Larger groups
+    go to the search.  Only the structure is validated: the action's is
+    valid by construction (see extract_atom_structure)."""
     def compute():
         g = _involution(action)
         if g is None:
+            from .actions import rel_algebra
+            from .concrete import extract_atom_structure
             target = extract_atom_structure(rel_algebra(action))
             w = _searched(structure, target, budget)
             return w, (structure,) if w is None else ()
         fixed = sum(i == j for i, j in enumerate(g))
         if _class_counts(structure) != (fixed, (len(g) - fixed) // 2):
             return None, (structure,)
+        from .proof import _realize
         return _realize(structure, g)[2], ()
 
     return _gated((structure,), compute)
@@ -407,6 +326,7 @@ def _orbit_firsts(g: tuple[int, ...] | None, alg: ConcreteAlgebra
     names them (_orbit_names), else None.  g keeps every atom (one list
     comparison), so each is a union of orbits, which number f^2 + (n^2 -
     f^2)/2 for f fixed points: as many atoms are one orbit each."""
+    from .actions import _orbit_names
     n, owner = alg.base_size, alg.owner
     if g is None or len(g) != n or alg.atom_names != _orbit_names(n, owner):
         return None

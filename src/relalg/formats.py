@@ -21,15 +21,19 @@ least member, chosen by atoms._orbit_reps, the writer's one refusal: no
 text parses back to a table without identity atoms, with an unusable or
 repeated atom name, whose converse is no involution or that breaks the
 cycle law, and _orbit_reps raises InvalidStructureError on it.
+
+Two caps bound what a text can ask for, each checked at its line: the
+`set n` of an action or a concrete algebra (MAX_BASE_SIZE) and the atoms
+line of a structure (MAX_ATOMS).  The action and concrete-algebra
+parsers import `actions` and `concrete` where they build their result
+(README, "Start-up").
 """
 
 from __future__ import annotations
 
 import re
 
-from .actions import GroupAction, build_group
 from .atoms import AtomStructure, _close_columns, _orbit_reps
-from .concrete import ConcreteAlgebra
 from .errors import ParseError
 
 # numbers are ASCII digits: int() and \d would also read underscores and
@@ -40,6 +44,10 @@ _INT_RE = re.compile(r"([+-]?)0*([0-9]+)")
 # the largest `set n` of a .act or .ca file, checked before any table of
 # the n^2 pairs is built
 MAX_BASE_SIZE = 128
+# the most atoms an `atoms` line may list, checked before any later line
+# is read: the n^2 atoms of the trivial action at the base-size cap, the
+# most that `rel` writes
+MAX_ATOMS = MAX_BASE_SIZE ** 2
 
 
 def _int(tok: str) -> int:
@@ -105,6 +113,10 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
                 raise ParseError(source, lineno, "duplicate atoms line")
             if len(parts) == 1:
                 raise ParseError(source, lineno, "atoms line lists no atoms")
+            if len(parts) - 1 > MAX_ATOMS:
+                raise ParseError(source, lineno, f"atoms line lists "
+                                 f"{len(parts) - 1} atoms, above the cap of "
+                                 f"{MAX_ATOMS} atoms")
             atoms = parts[1:]
             for a, name in enumerate(atoms):
                 index.setdefault(name, a)
@@ -229,6 +241,7 @@ def parse_concrete_algebra(text: str, source: str = "<string>") -> ConcreteAlgeb
         atom_pairs.append(pairs)
     if not names:
         raise ParseError(source, 0, "no atom lines")
+    from .concrete import ConcreteAlgebra
     try:
         return ConcreteAlgebra.from_pairs(n, names, atom_pairs)
     except ValueError as exc:
@@ -267,6 +280,7 @@ def parse_group_action(text: str, source: str = "<string>") -> GroupAction:
                 raise ParseError(source, lineno,
                                  "image outside the base set", token=tok)
         gens.append(tuple(imgs))
+    from .actions import build_group
     return build_group(n, gens)
 
 

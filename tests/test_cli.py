@@ -3,6 +3,7 @@
 import argparse
 import random
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -14,9 +15,10 @@ from relalg import (AtomStructure, InvalidStructureError, VerificationReport,
                     decision, extract_atom_structure, format_atom_structure,
                     format_group_action, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, rel_algebra)
-from relalg import cli
+from relalg import cli, concrete
 from relalg.axioms import _z2_axioms
 from relalg.cli import main
+from relalg.formats import MAX_ATOMS
 
 from conftest import (DATA, group_closure_oracle, involution_action,
                       involution_structure, one_orbit_corruptions, shuffled)
@@ -281,15 +283,16 @@ PEAK_RSS_CHILD = ("import re, sys\nfrom relalg import cli\n"
                   " file=sys.stderr)\nsys.exit(code)\n")
 
 
-def run_measured(*argv):
+def run_measured(*argv, status=0, preexec_fn=None):
     """(completed process, seconds, peak RSS in KB) of one CLI run in a
-    fresh interpreter started from src/; the run must exit 0."""
+    fresh interpreter started from src/, with preexec_fn run in the child
+    before it starts; the run must exit with status."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD,
                            *map(str, argv)], capture_output=True, text=True,
-                          cwd=DATA.parent / "src")
+                          cwd=DATA.parent / "src", preexec_fn=preexec_fn)
     elapsed = time.perf_counter() - start
-    assert proc.returncode == 0, (argv, proc.stderr)
+    assert proc.returncode == status, (argv, proc.stderr)
     return proc, elapsed, int(proc.stderr.split()[-1])
 
 
@@ -322,6 +325,10 @@ SIZE_BOUNDS = [
     ("decide-z2-3200-shuffled", ["decide-z2", "a.ra", "--verify"], 150, 3.0,
      None),
     ("iso-3200-shuffled", ["iso", "a.ra", "b.ra"], 150, 3.0, None),
+    # the structure against its involution: the axioms give its points
+    # and twins, then the proof's map is built, with no search and no join
+    ("check-action-3200-shuffled", ["check-action", "a.ra", "inv80.act"], 90,
+     1.5, lambda out: out.count("map ") == 3200),
     # 256000 cycles, written as 44280 cycle lines chosen by a local test
     # per cycle, with no marking set of the cycles
     ("rel-3200", ["rel", "inv80.act"], 40, 1.0,
@@ -334,6 +341,9 @@ SIZE_BOUNDS = [
     # lines out of order, the slower case
     ("validate-3200-shuffled", ["validate", "a.ra"], 170, 2.0,
      lambda out: out == "valid\n"),
+    # full validation, then the three axioms, which all hold
+    ("axioms-3200-shuffled", ["axioms", "a.ra"], 170, 2.5,
+     lambda out: out.count(" holds (") == 3),
     # 16384 atoms and 2,097,152 cycles, written as 357,760 cycle lines
     # chosen from the profile triples as extraction streams them, with no
     # set of the cycles
@@ -368,11 +378,15 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
     # class cannot answer, and the associativity join only where a verdict
     # rests on it: validate, axioms, a rejection, and the source of a
     # searched map; the local laws everywhere but rel and classify, and
-    # the axioms everywhere but those two and validate; test_api.py runs
-    # in the test process, where other tests have imported everything
-    # already.  -S starts the child without site, whose .pth files could
-    # import a module first
+    # the axioms everywhere but those two and validate; actions, concrete
+    # and proof as README's "Start-up" lists.  test_api.py runs in the
+    # test process, where other tests have imported everything already.
+    # -S starts the child without site, whose .pth files could import a
+    # module first
     searched = ["iso", DATA / "23.ra", DATA / "23_relabeled.ra"]
+    built = [["decide-z2", DATA / "swap.ra", "--verify"],
+             ["iso", DATA / "swap.ra", DATA / "swap.ra"],
+             ["check-action", DATA / "swap.ra", DATA / "swap.act"]]
     for argv, status, joined in (
             (["validate", DATA / "23.ra"], 0, True),
             (["rel", DATA / "z3.act"], 0, False),
@@ -399,6 +413,11 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
             argv[0] not in ("rel", "classify")), argv
         assert ("relalg.axioms" in loaded) == (
             argv[0] not in ("rel", "classify", "validate")), argv
+        assert ("relalg.proof" in loaded) == (argv in built), argv
+        assert ("relalg.actions" in loaded) == (
+            argv in built or argv[0] == "rel"), argv
+        assert ("relalg.concrete" in loaded) == (
+            argv in built or argv[0] in ("rel", "classify")), argv
         assert not loaded & {"dataclasses", "inspect", "typing",
                              "pathlib"}, argv
 
@@ -475,6 +494,28 @@ def test_base_size_above_the_cap_exits_1(tmp_path, capsys):
                        f"points (token '999999999999')\n"), argv
 
 
+def test_atom_count_above_the_cap_exits_1(tmp_path, capsys):
+    # the atoms line fails before any later line is read and before any
+    # table over the atoms is built: in a fresh interpreter whose address
+    # space is capped at 512 MB, where a missing cap would end in a
+    # MemoryError, not in the cap's message
+    names = " ".join(f"a{i}" for i in range(MAX_ATOMS + 1))
+    big = tmp_path / "big.ra"
+    big.write_text(f"atoms {names}\nidentity a0\n", encoding="utf-8")
+    message = (f"error: {big}:1: atoms line lists 16385 atoms, above the "
+               f"cap of 16384 atoms\n")
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc, elapsed, peak_kb = run_measured("validate", big, status=1,
+                                          preexec_fn=capped)
+    assert (proc.stdout, proc.stderr.splitlines()[:-1]) == ("",
+                                                            [message[:-1]])
+    assert peak_kb < 40 * 1024 and elapsed < 1.0
+    assert run(capsys, "axioms", big) == (1, "", message)
+
+
 def test_parser_is_built_once(monkeypatch, capsys):
     run(capsys, "validate", DATA / "23.ra")
     built = []
@@ -535,7 +576,7 @@ def test_readers_that_only_iterate_build_no_cycle_set(monkeypatch, capsys,
 
     monkeypatch.setattr(cli, "parse_atom_structure",
                         recording(parse_atom_structure))
-    monkeypatch.setattr(cli, "extract_atom_structure",
+    monkeypatch.setattr(concrete, "extract_atom_structure",
                         recording(extract_atom_structure))
     # identity atoms that are not their own converses, and a line that
     # breaks the identity law

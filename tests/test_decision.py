@@ -16,11 +16,11 @@ from relalg import (ActionError, AtomStructure, ConcreteAlgebra, GroupAction,
                     check_action_represents, check_z2_axioms, classify_atoms,
                     decide_z2, extract_atom_structure, find_isomorphism,
                     peirce_orbit, rel_algebra, verify_decision)
-from relalg import actions, concrete, decision, join, search
+from relalg import actions, concrete, decision, join, proof, search
 from relalg.actions import _orbit_names
 from relalg.cli import main
-from relalg.decision import _proof_witness
 from relalg.formats import format_atom_structure, parse_atom_structure
+from relalg.proof import _proof_witness
 from relalg.search import _power_runs, _refined_colours
 
 from conftest import (DATA, atom_flags_oracle, close_cycles_oracle, conjugate,
@@ -339,8 +339,9 @@ def test_class_verdicts_need_no_search(monkeypatch):
     # joins every input it does not certify; the action's fixed points and
     # 2-cycles are counted before any algebra is built
     built = []
-    monkeypatch.setattr(decision, "rel_algebra",
-                        lambda a: built.append(a) or rel_algebra(a))
+    for module in (actions, proof):
+        monkeypatch.setattr(module, "rel_algebra",
+                            lambda a: built.append(a) or rel_algebra(a))
     # f points and t twins make (f + t)^2 + t^2 atoms: 25 for both
     points, mixed = involution_structure(5, 0), involution_structure(1, 3)
     assert points.n_atoms == mixed.n_atoms == 25
@@ -372,8 +373,9 @@ def test_the_class_answers_whenever_one_side_is_in_it(monkeypatch):
     built, joins = [], []
     witness = join._associativity_witness
     monkeypatch.setattr(search, "_search_isomorphism", unreachable)
-    monkeypatch.setattr(decision, "rel_algebra",
-                        lambda a: built.append(a) or rel_algebra(a))
+    for module in (actions, proof):
+        monkeypatch.setattr(module, "rel_algebra",
+                            lambda a: built.append(a) or rel_algebra(a))
     monkeypatch.setattr(join, "_associativity_witness",
                         lambda s: joins.append(s) or witness(s))
     rng = random.Random(25)
@@ -428,14 +430,14 @@ def test_a_failed_proof_map_on_valid_inputs_is_an_internal_error(
     reached = []
     monkeypatch.setattr(search, "_search_isomorphism",
                         lambda *args: reached.append(args))
-    blocks = decision._blocks
+    blocks = proof._blocks
 
     def swapped(s, g):
         (point, one), (twin, two) = sorted(blocks(s, g).items(),
                                            key=lambda kv: len(kv[1]))
         return {point: two, twin: one}
 
-    monkeypatch.setattr(decision, "_blocks", swapped)
+    monkeypatch.setattr(proof, "_blocks", swapped)
     rng = random.Random(11)
     source = shuffled(involution_structure(1, 1), rng)
     target = shuffled(involution_structure(1, 1), rng)
@@ -860,9 +862,9 @@ def test_verify_runs_none_of_the_decisions_code(monkeypatch):
     def unreachable(*args):
         raise AssertionError("verify_decision ran the decision's code")
 
-    for module, name in ((actions, "rel_algebra"), (decision, "rel_algebra"),
+    for module, name in ((actions, "rel_algebra"), (proof, "rel_algebra"),
                          (concrete, "extract_atom_structure"),
-                         (decision, "extract_atom_structure")):
+                         (proof, "extract_atom_structure")):
         monkeypatch.setattr(module, name, unreachable)
     monkeypatch.setattr(IsoWitness, "problems", unreachable)
     for d in decisions:

@@ -10,7 +10,7 @@ from relalg import (AtomStructure, ConcreteAlgebraError,
                     format_concrete_algebra, format_group_action,
                     parse_atom_structure, parse_concrete_algebra,
                     parse_group_action, peirce_orbit, rel_algebra)
-from relalg.formats import MAX_BASE_SIZE
+from relalg.formats import MAX_ATOMS, MAX_BASE_SIZE
 
 from conftest import DATA, atom_structure_text_oracle, emitted_cycle_lines, \
     involutions, load_action, load_concrete, load_structure, \
@@ -246,6 +246,20 @@ def test_missing_sections_rejected():
     assert (e.message, e.line) == ("atoms line lists no atoms", 1)
     e = err(parse_atom_structure, "atoms a\nidentity  # none\n")
     assert (e.message, e.line) == ("identity line lists no atoms", 2)
+
+
+def test_atom_count_above_the_cap_fails_at_the_atoms_line():
+    # the n^2 atoms of the trivial action at the base-size cap, the most
+    # that rel writes, still parse; one more fails at the atoms line, so
+    # the unknown directive after it is never read
+    assert MAX_ATOMS == MAX_BASE_SIZE ** 2 == 16384
+    names = [f"a{i}" for i in range(MAX_ATOMS + 1)]
+    e = err(parse_atom_structure, f"# many\natoms {' '.join(names)}\n"
+                                  "frobnicate\n")
+    assert (e.message, e.line, e.token) == (
+        "atoms line lists 16385 atoms, above the cap of 16384 atoms", 2, None)
+    s = parse_atom_structure(f"atoms {' '.join(names[:-1])}\nidentity a0\n")
+    assert s.n_atoms == MAX_ATOMS and s.atom_names[-1] == "a16383"
 
 
 def test_converse_pair_conflicts_rejected():
