@@ -9,14 +9,26 @@ budget in `iso` or `check-action`, or a Python recursion or memory limit.
 
 Each handler imports the modules it runs, so a command compiles only
 those; README, "Start-up", lists which command loads which.
+
+`_COMMANDS` is the one description of the subcommands: handler, help,
+positionals and options. Two readers work from it. The plain reader
+(`_plain_args`) takes the subcommand from the first word, then accepts
+only the exact spellings of its options, each at most once, an option's
+value not led by `-` (for `--budget`, ASCII digits and at least 1), and
+exactly its positionals, none led by `-`; it gives the attributes that
+argparse would. It declines every other line: help, usage errors,
+abbreviated options, `--opt=value`, repeats, `--`, dash-led values and
+bad budgets. Only those import argparse, through `build_parser`, which
+builds its parser from the same table and stays the one source of help,
+usage and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import functools
 import sys
+from types import SimpleNamespace
 
 from .atoms import check_z2_axioms
 from .errors import DEFAULT_BUDGET, InternalError, RelalgError
@@ -45,14 +57,27 @@ def _structure(path: str):
     return parse_atom_structure(_read(path), source=path)
 
 
-def _budget(text: str) -> int:
+def _budget_value(text: str) -> int | None:
+    # a --budget value: ASCII digits, as in the file formats, where int()
+    # also reads 1_0 and other scripts' digits, and at least 1; else None
     try:
-        n = _int(text)  # ASCII digits, as in the file formats
+        n = _int(text)
+    except ValueError:
+        return None
+    return n if n >= 1 else None
+
+
+def _budget(text: str) -> int:
+    # argparse's type for --budget, which imports argparse only to refuse
+    n = _budget_value(text)
+    if n is not None:
+        return n
+    import argparse
+    try:
+        n = _int(text)
     except ValueError:  # argparse's own wording for type=int
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+    raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
 
 
 def _axiom_line(axiom: int, condition: str, witness: str | None) -> str:
@@ -135,74 +160,126 @@ def _cmd_axioms(args) -> tuple[int, list[str]]:
         for k, condition, field in _AXIOMS]
 
 
-def _search_budget_help(runs: str) -> str:
-    return ("cap on the atom assignments of the isomorphism search "
-            f"(default %(default)s); the search runs only {runs}: the "
-            "axioms and the paper's construction answer every other input, "
-            "so the cap cannot run out on it")
+def _budget_option(help_text: str):
+    return ("--budget", {"type": _budget, "default": DEFAULT_BUDGET,
+                         "help": help_text})
+
+
+def _search_budget_option(runs: str):
+    return _budget_option(
+        "cap on the atom assignments of the isomorphism search "
+        f"(default %(default)s); the search runs only {runs}: the axioms "
+        "and the paper's construction answer every other input, so the cap "
+        "cannot run out on it")
+
+
+# --output, which every subcommand takes first, and --verify
+_OUTPUT = ("--output", {"metavar": "PATH",
+                        "help": "write the report to a file instead of stdout"})
+_VERIFY = ("--verify", {"action": "store_true",
+                        "help": "independently re-check an accepted decision"})
+
+# The one description of the subcommands, in the order of the help: by
+# name, the handler, the help text, the positionals, and the options after
+# --output, each a spelling and its add_argument keywords
+_COMMANDS = {
+    "validate": (_cmd_validate, "check an atom structure file", ("file",),
+                 ()),
+    "rel": (_cmd_rel,
+            "compute the compatible-relation algebra of a group action",
+            ("file",), ()),
+    "decide-z2": (_cmd_decide_z2,
+                  "decide representability over an order-two group action",
+                  ("file",),
+                  (_budget_option(
+                      "has no effect; the witness is built, not searched"),
+                   _VERIFY)),
+    "iso": (_cmd_iso,
+            "search for an isomorphism between two atom structures",
+            ("file", "other"),
+            (_search_budget_option(
+                "when neither structure satisfies the three axioms"),)),
+    "classify": (_cmd_classify, "classify the atoms of a concrete algebra "
+                                "over points and twins", ("file",), ()),
+    "check-action": (_cmd_check_action, "test whether a given action's "
+                                        "algebra realizes a structure",
+                     ("file", "action_file"),
+                     (_search_budget_option(
+                         "when the action's group has order above two"),)),
+    "axioms": (_cmd_axioms,
+               "report the three representability axioms with witnesses",
+               ("file",), ()),
+}
+
+
+def _plain_args(argv):
+    """The arguments of a plain command line, with the attributes that
+    argparse's parser gives them, handler included; None for every other
+    line, which only argparse reads (see the module docstring)."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, positionals, options = _COMMANDS[argv[0]]
+    options = dict((_OUTPUT, *options))
+    args = {"command": argv[0], "handler": handler}
+    for spelling, kwargs in options.items():
+        args[spelling[2:].replace("-", "_")] = kwargs.get(
+            "default", False if kwargs.get("action") == "store_true" else None)
+    seen, words, rest = set(), [], iter(argv[1:])
+    for word in rest:
+        if not word.startswith("-"):
+            words.append(word)
+            continue
+        if word not in options or word in seen:
+            return None
+        seen.add(word)
+        kwargs = options[word]
+        if kwargs.get("action") == "store_true":
+            value = True
+        else:
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+            if kwargs.get("type") is _budget:
+                value = _budget_value(value)
+                if value is None:
+                    return None
+        args[word[2:].replace("-", "_")] = value
+    if len(words) != len(positionals):
+        return None
+    args.update(zip(positionals, words))
+    return SimpleNamespace(**args)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """argparse's parser, built from _COMMANDS: the one source of help,
+    usage and error text, imported and built only for a command line that
+    the plain reader declines."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="relalg",
         description="Finite relation algebras of group actions: validate "
                     "atom structures, compute compatible-relation algebras, "
                     "and decide representability over order-two actions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    for name, (handler, help_text, positionals, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument("--output", metavar="PATH",
-                       help="write the report to a file instead of stdout")
-        return p
-
-    p = add("validate", _cmd_validate, "check an atom structure file")
-    p.add_argument("file")
-
-    p = add("rel", _cmd_rel,
-            "compute the compatible-relation algebra of a group action")
-    p.add_argument("file")
-
-    p = add("decide-z2", _cmd_decide_z2,
-            "decide representability over an order-two group action")
-    p.add_argument("file")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                   help="has no effect; the witness is built, not searched")
-    p.add_argument("--verify", action="store_true",
-                   help="independently re-check an accepted decision")
-
-    p = add("iso", _cmd_iso, "search for an isomorphism between two "
-                             "atom structures")
-    p.add_argument("file")
-    p.add_argument("other")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                   help=_search_budget_help(
-                       "when neither structure satisfies the three axioms"))
-
-    p = add("classify", _cmd_classify,
-            "classify the atoms of a concrete algebra over points and twins")
-    p.add_argument("file")
-
-    p = add("check-action", _cmd_check_action,
-            "test whether a given action's algebra realizes a structure")
-    p.add_argument("file")
-    p.add_argument("action_file")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                   help=_search_budget_help(
-                       "when the action's group has order above two"))
-
-    p = add("axioms", _cmd_axioms,
-            "report the three representability axioms with witnesses")
-    p.add_argument("file")
-
+        p.add_argument(_OUTPUT[0], **_OUTPUT[1])
+        for positional in positionals:
+            p.add_argument(positional)
+        for spelling, kwargs in options:
+            p.add_argument(spelling, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = _plain_args(argv)
+        if args is None:  # help, usage errors and every other shape
+            args = build_parser().parse_args(argv)
         status, lines = args.handler(args)
         text = "\n".join(lines) + "\n"
         if args.output:

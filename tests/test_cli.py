@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, report text, determinism."""
 
 import argparse
+import contextlib
+import io
 import random
 import re
 import resource
@@ -12,7 +14,7 @@ import time
 import pytest
 
 from relalg import (AtomStructure, InvalidStructureError, VerificationReport,
-                    decision, extract_atom_structure, format_atom_structure,
+                    build_group, decision, extract_atom_structure, format_atom_structure,
                     format_group_action, parse_atom_structure,
                     parse_concrete_algebra, parse_group_action, rel_algebra)
 from relalg import cli, concrete
@@ -301,7 +303,8 @@ def large_inputs(tmp_path_factory):
     """The inputs of the size-bound rows, each written once, by name: two
     shuffles of the 80-point fixed-point-free involution's structure (3200
     atoms, 256000 cycles), the structure as rel writes it, the involution
-    itself, and the trivial action of 128 points, at the base-size cap."""
+    itself and a copy with its points relabelled, and the trivial action of
+    128 points, at the base-size cap."""
     s = involution_structure(0, 40)
     assert (s.n_atoms, len(s.cycles)) == (3200, 256000)
     rng = random.Random(40)
@@ -310,6 +313,14 @@ def large_inputs(tmp_path_factory):
              "inv80.ra": format_atom_structure(s),
              "inv80.act": format_group_action(involution_action(0, 40)),
              "triv128.act": format_group_action(involution_action(128, 0))}
+    # the involution i -> i xor 1 with point i renamed points[i]
+    points = list(range(80))
+    rng.shuffle(points)
+    image = [0] * 80
+    for i in range(80):
+        image[points[i]] = points[i ^ 1]
+    texts["inv80-shuffled.act"] = format_group_action(
+        build_group(80, [tuple(image)]))
     root = tmp_path_factory.mktemp("large")
     for name, text in texts.items():
         (root / name).write_text(text, encoding="utf-8")
@@ -332,6 +343,10 @@ SIZE_BOUNDS = [
     # 256000 cycles, written as 44280 cycle lines chosen by a local test
     # per cycle, with no marking set of the cycles
     ("rel-3200", ["rel", "inv80.act"], 40, 1.0,
+     lambda out: out.count("\ncycle ") == 44280),
+    # the same on relabelled points, where the pairs' orbits and the
+    # atoms' profiles come in another order
+    ("rel-3200-shuffled", ["rel", "inv80-shuffled.act"], 40, 1.0,
      lambda out: out.count("\ncycle ") == 44280),
     # the 44280 cycle lines as rel writes them, which the local laws and
     # the join's table read, with no set of the 256000 cycles
@@ -372,6 +387,17 @@ MODULES_CHILD = ("import sys\nfrom relalg import cli\n"
                  "sys.exit(code)\n")
 
 
+def loaded_modules(argv, status):
+    """The modules a fresh interpreter has loaded after cli.main(argv),
+    which must return status; -S starts it without site, whose .pth files
+    could import a module first."""
+    proc = subprocess.run([sys.executable, "-S", "-c", MODULES_CHILD,
+                           *map(str, argv)], capture_output=True, text=True,
+                          cwd=DATA.parent / "src")
+    assert proc.returncode == status, (argv, proc.stderr)
+    return set(proc.stderr.splitlines()[-1].split())
+
+
 def test_each_subcommand_loads_only_the_modules_it_runs():
     # the decision procedure and the pair-dense classification are
     # imported by the handlers that call them, the search only when the
@@ -379,10 +405,9 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
     # rests on it: validate, axioms, a rejection, and the source of a
     # searched map; the local laws everywhere but rel and classify, and
     # the axioms everywhere but those two and validate; actions, concrete
-    # and proof as README's "Start-up" lists.  test_api.py runs in the
-    # test process, where other tests have imported everything already.
-    # -S starts the child without site, whose .pth files could import a
-    # module first
+    # and proof as README's "Start-up" lists; argparse, with gettext, only
+    # for help and usage errors.  test_api.py runs in the test process,
+    # where other tests have imported everything already
     searched = ["iso", DATA / "23.ra", DATA / "23_relabeled.ra"]
     built = [["decide-z2", DATA / "swap.ra", "--verify"],
              ["iso", DATA / "swap.ra", DATA / "swap.ra"],
@@ -398,11 +423,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
             (["iso", DATA / "swap.ra", DATA / "swap.ra"], 0, False),
             (["check-action", DATA / "swap.ra", DATA / "swap.act"], 0,
              False)):
-        proc = subprocess.run([sys.executable, "-S", "-c", MODULES_CHILD,
-                               *map(str, argv)], capture_output=True,
-                              text=True, cwd=DATA.parent / "src")
-        assert proc.returncode == status, (argv, proc.stderr)
-        loaded = set(proc.stderr.splitlines()[-1].split())
+        loaded = loaded_modules(argv, status)
         assert {"relalg.cli", "relalg.errors", "relalg.formats"} <= loaded
         assert ("relalg.decision" in loaded) == (
             argv[0] in ("decide-z2", "iso", "check-action")), argv
@@ -418,8 +439,11 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
             argv in built or argv[0] == "rel"), argv
         assert ("relalg.concrete" in loaded) == (
             argv in built or argv[0] in ("rel", "classify")), argv
-        assert not loaded & {"dataclasses", "inspect", "typing",
-                             "pathlib"}, argv
+        assert not loaded & {"dataclasses", "inspect", "typing", "pathlib",
+                             "argparse", "gettext"}, argv
+    for argv, status in ((["--help"], 0), (["iso", "--help"], 0),
+                         (["frobnicate"], 1)):
+        assert {"argparse", "gettext"} <= loaded_modules(argv, status), argv
 
 
 def test_import_loads_no_submodule_and_names_resolve_on_use():
@@ -516,8 +540,10 @@ def test_atom_count_above_the_cap_exits_1(tmp_path, capsys):
     assert run(capsys, "axioms", big) == (1, "", message)
 
 
-def test_parser_is_built_once(monkeypatch, capsys):
-    run(capsys, "validate", DATA / "23.ra")
+def test_parser_is_built_once(monkeypatch, tmp_path, capsys):
+    # a plain command line builds no parser; the first line that only
+    # argparse reads, here with --output abbreviated, builds the parser and
+    # its seven subparsers, and the next line reuses them
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -526,8 +552,104 @@ def test_parser_is_built_once(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
     assert run(capsys, "validate", DATA / "23.ra") == (0, "valid\n", "")
     assert built == []
+    report = tmp_path / "report.txt"
+    for _ in range(2):
+        assert run(capsys, "validate", "--out", report, DATA / "23.ra") == (
+            0, "", "")
+        assert report.read_text() == "valid\n"
+    assert built == ["relalg", *(f"relalg {name}" for name in cli._COMMANDS)]
+
+
+def test_plain_reader_agrees_with_argparse(monkeypatch, tmp_path):
+    # command lines drawn over the words of cli._COMMANDS and over the
+    # shapes that the plain reader leaves to argparse: abbreviations, the
+    # = form, repeats, --, help, dash-led values, missing or extra
+    # positionals and budgets that int() reads but the formats do not.
+    # Where the plain reader accepts a line, it gives argparse's
+    # arguments; every line ends cli.main with 0, 1 or 2 and no traceback.
+    # The inputs are copies in tmp_path, the working directory, rewritten
+    # before each line, as --output may name one of them
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    inputs = {name: (DATA / name).read_bytes() for name in (
+        "23.ra", "23_relabeled.ra", "57.ra", "swap.ra", "swap.act", "z3.act",
+        "type6.ca")}
+    monkeypatch.chdir(tmp_path)
+    spellings = sorted({spelling for *_, options in cli._COMMANDS.values()
+                        for spelling, _ in options} | {"--output"})
+    words = [*cli._COMMANDS, *inputs, *spellings, "missing.ra", "", "."]
+    values = ["1", "7", "+3", "007", "9" * 30, "report.txt", "."]
+    bad_values = ["0", "-5", "-", "1_0", "\u0661\u0660", "abc", "-x", "-h",
+                  "--verify", "--output"]
+    abbreviated = ["--out", "--bud", "--ver"]
+    declined = [*abbreviated, "--output=report.txt", "--budget=5", "--",
+                "-h", "--help", "--bogus", "-x"]
+    # a piece the plain reader may decline: a word, a spelling with a value
+    # of either kind, or one of the shapes above
+    odd_pieces = st.one_of(
+        st.sampled_from(words).map(lambda w: [w]),
+        st.tuples(st.sampled_from(spellings + abbreviated),
+                  st.sampled_from(values + bad_values + words)).map(list),
+        st.sampled_from(declined).map(lambda w: [w]))
+
+    @st.composite
+    def command_lines(draw):
+        # a subcommand with its positionals and some of its options, in any
+        # order, and a few odd pieces, often none
+        name = draw(st.sampled_from([*cli._COMMANDS, "frobnicate", None]))
+        _, _, positionals, options = cli._COMMANDS.get(name, (0, 0, (), ()))
+        pieces = [[draw(st.sampled_from([*inputs, "missing.ra"]))]
+                  for _ in positionals]
+        for spelling, kwargs in (("--output", {}), *options):
+            if draw(st.booleans()):
+                pieces.append([spelling] if "action" in kwargs else [
+                    spelling, draw(st.sampled_from(values + bad_values))])
+        pieces = draw(st.permutations(pieces))
+        for piece in draw(st.lists(odd_pieces, max_size=2)):
+            pieces.insert(draw(st.integers(0, len(pieces))), piece)
+        return [w for w in [name] if w is not None] + [
+            w for piece in pieces for w in piece]
+
+    seen = {"accepted": 0, "declined": 0}
+
+    @hypothesis.settings(max_examples=500)
+    @hypothesis.given(command_lines())
+    @hypothesis.example(["iso", "23.ra", "57.ra", "--budget", "0"])
+    @hypothesis.example(["iso", "23.ra", "57.ra", "--budget", "1_0"])
+    @hypothesis.example(["iso", "23.ra", "57.ra", "--budget",
+                         "\u0661\u0660"])
+    @hypothesis.example(["decide-z2", "swap.ra", "--verify", "--budget", "3"])
+    @hypothesis.example(["validate", "swap.ra", "--output"])
+    @hypothesis.example(["validate", "-x"])
+    @hypothesis.example(["check-action", "swap.ra", "swap.act", "--output",
+                         "report.txt", "--budget", "9" * 30])
+    def check(argv):
+        for path in tmp_path.iterdir():
+            if path.is_file():
+                path.unlink()
+        for name, data in inputs.items():
+            (tmp_path / name).write_bytes(data)
+        plain = cli._plain_args(argv)
+        seen["declined" if plain is None else "accepted"] += 1
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            if plain is not None:
+                try:
+                    parsed = vars(cli.build_parser().parse_args(argv))
+                except SystemExit:  # help or a usage error
+                    parsed = None
+                assert vars(plain) == parsed, argv
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+
+    start = time.perf_counter()
+    check()
+    assert time.perf_counter() - start < 30.0
+    assert min(seen.values()) > 50, seen
 
 
 def test_no_subcommand_computes_element_flags(monkeypatch, capsys):
