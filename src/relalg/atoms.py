@@ -13,11 +13,15 @@ _orbit_reps, the line that writes each whole orbit.
 How a structure holds its cycles is known to this module alone.  The
 parser and extraction hand AtomStructure._of_checked_ids a call that
 streams every cycle (the parser also its lines), and `cycles` is that
-stream's set, built the first time it is read: by the search's
-refinement, IsoWitness.problems(), the proof's map and verify_decision,
-which count the set or test membership in it.  Readers that only
-iterate take _cycle_stream, and the decision reads cycle lines through
-_line_columns.
+stream's set, built the first time it is read: by the proof's map,
+verify_decision and IsoWitness.problems(), which count the set or test
+membership in it (_maps_lines_into), and by the messages of a map that
+fails.  The search reads nothing but the table _comp, and where a
+structure holds the table and no set (_table_only), as the search
+leaves both sides, problems() tests membership through the table and
+counts no cycles, so a searched `iso` or `check-action` builds no set.
+Readers that only iterate take _cycle_stream, and verify_decision reads
+cycle lines through _line_columns.
 
 The local laws and validation live in `laws`, and the three axioms in
 `axioms`.  The members of AtomStructure that compute the laws (_places,
@@ -28,8 +32,8 @@ it is called.  So `rel` and `classify` compile neither module, and
 
 AtomStructure._table builds the dense table _comp and the column
 supports in one O(cycles) pass, over the cycles or a parsed structure's
-lines; the join reads both, and search._power_runs and compose_mask read
-_comp.
+lines; the join reads both, and the search, _maps_lines_into and
+compose_mask read _comp.
 """
 
 from __future__ import annotations
@@ -237,6 +241,25 @@ class AtomStructure(_Record):
         # the set where it is built, else the checked structure's stream
         cycles = self.__dict__.get("cycles")
         return self._triples() if cycles is None else cycles
+
+    def _table_only(self) -> bool:
+        # whether the table _comp is built and the cycle set is not, as
+        # the search leaves both sides
+        return "_table" in self.__dict__ and "cycles" not in self.__dict__
+
+    def _maps_lines_into(self, t: "AtomStructure",
+                         m: Sequence[int]) -> bool:
+        # whether m maps each of the cycle lines (the parser's lines, else
+        # every cycle, streamed where no set is built) to a cycle of t,
+        # tested through t's table where t holds it and no set
+        if self._lines is None:
+            images = ((m[x], m[y], m[z]) for x, y, z in self._cycle_stream())
+        else:
+            images = zip(*(map(m.__getitem__, ids) for ids in self._lines))
+        if t._table_only():
+            comp = t._comp
+            return all(comp[x][y] >> z & 1 for x, y, z in images)
+        return t.cycles.issuperset(images)
 
     def _line_columns(self) -> tuple[Sequence[int], Sequence[int],
                                      Sequence[int]]:

@@ -48,12 +48,19 @@ class IsoWitness(_Record):
         """Why the map is no isomorphism, () if it is one.  A bijection m
         keeps the cycles both ways iff it maps the source cycles onto the
         target's.  If m commutes with converse and both sides have whole
-        orbits (atoms._whole_orbits) and as many cycles, m sends each of the
-        source's cycle lines (AtomStructure._line_columns) to its image's
-        transforms, so lines landing on target cycles put their closure,
-        the source cycles, inside the target's, a set of the same size.
-        Otherwise, or when a line misses, the whole sets are compared,
-        misses sorted."""
+        orbits (atoms._whole_orbits), m sends each of the source's cycle
+        lines (a parsed structure's lines, else its cycles) to its image's
+        transforms, so lines landing on target cycles
+        (AtomStructure._maps_lines_into) put their closure, the source
+        cycles, inside the target's: onto if the two sets have the same
+        size, or if the target's lines land on source cycles under the
+        inverse map.  Where both sides hold their cycle sets, the sizes are
+        compared.  Where a side holds its table and no set
+        (AtomStructure._table_only), as the search leaves both, the
+        target's lines are mapped back, and every line is tested through
+        the table, so checking a searched map builds no set and reads no
+        more of the table than the lines' entries.  Otherwise, or when a
+        line misses, the whole sets are compared, misses sorted."""
         s, t, m = self.source, self.target, self.atom_map
         n = s.n_atoms
         if t.n_atoms != n:
@@ -66,10 +73,11 @@ class IsoWitness(_Record):
         out += [f"map does not commute with converse at atom {s.atom_names[a]}"
                 for a, c in enumerate(s.converse_map)
                 if m[c] != t.converse_map[m[a]]]
-        if (not out and len(s.cycles) == len(t.cycles)
-                and _whole_orbits(s) and _whole_orbits(t)
-                and t.cycles.issuperset(zip(*(map(m.__getitem__, ids)
-                                              for ids in s._line_columns())))):
+        if (not out and _whole_orbits(s) and _whole_orbits(t)
+                and s._maps_lines_into(t, m)
+                and (t._maps_lines_into(s, self.inverted().atom_map)
+                     if s._table_only() or t._table_only()
+                     else len(s.cycles) == len(t.cycles))):
             return ()
         if {(m[x], m[y], m[z]) for x, y, z in s.cycles} != t.cycles:
             inv = self.inverted().atom_map

@@ -3,26 +3,36 @@ pairs with neither side in it and `check-action` with a group of order
 above two.  decision imports this module on that branch alone
 (decision._searched) and checks the map it returns as an IsoWitness.
 
+Everything here reads each structure's composition table _comp (and the
+identity atoms and converse), never its cycle set, which the search
+therefore never builds (AtomStructure.cycles).
+
 The search first compares the atoms' power runs (_power_runs), an
 invariant of O(atoms + cycles) that answers None for the regular actions
 of distinct abelian groups of one order, which refinement cannot tell
-apart, without refinement's rounds; isomorphic structures always have
-equal ones, so no found map or node count depends on it.  Colour
-refinement (_refined_colours) then gives each source atom its
-candidates, the target atoms of its colour.  The search branches on the
-unassigned atom with the fewest live candidates (lowest id on ties),
-trying candidates in target id order.  Assigning a -> b also assigns
-a~ -> b~ and, for every assigned y, requires a;y and b;m(y) (and y;a,
-m(y);b) to have as many atoms, maps each assigned atom of a;y into
-b;m(y), and narrows the candidates of the unassigned ones to b;m(y).  An
-empty candidate set backtracks, a single one is assigned at once.  Each
-atom assignment, tried or forced, is one node of the budget; past it,
-SearchBudgetExceeded is raised.
+apart, without refinement's rounds.  Colour refinement (_refined_colours)
+then gives each source atom its candidates, the target atoms of its
+colour.  The search branches on the unassigned atom with the fewest live
+candidates (lowest id on ties), trying first the candidates whose power
+run equals the atom's, then the others, each group in target id order.
+Assigning a -> b also assigns a~ -> b~ and, for every assigned y,
+requires a;y and b;m(y) (and y;a, m(y);b) to have as many atoms, maps
+each assigned atom of a;y into b;m(y), and narrows the candidates of the
+unassigned ones to b;m(y).  An empty candidate set backtracks, a single
+one is assigned at once.  Each atom assignment, tried or forced, is one
+node of the budget; past it, SearchBudgetExceeded is raised.
+
+An isomorphism keeps each atom's power run, so a candidate of another run
+leads to no map: the map found is the one that trying candidates in id
+order alone finds, the candidates tried before it are a subset of those,
+so no node count rises, and a search that ends in None tries the same
+candidates from the same states, only in another order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 
 from .atoms import AtomStructure
 from .errors import SearchBudgetExceeded
@@ -40,6 +50,14 @@ def _refined_colours(source: AtomStructure, target: AtomStructure
     colours; rounds stop when no class splits.  None when some class
     differs in size.
 
+    x's first-place cycles are read off its row of the table _comp, not
+    off the cycle set, which is never built here: C (compress) finds the
+    row's nonzero entries, and only those are touched in Python, so a
+    round's Python work is O(cycles) even at thousands of atoms.  A
+    one-atom entry's atom is its bit length less one; an entry of several
+    atoms is read bit by bit.  Repeated cycle lines of a parsed text are
+    merged in the table, so they count once, as in the cycle set.
+
     Requires the cycle law, with converse an involution, as valid and
     extracted structures have.  Then x's second- and third-place cycles
     are the (z~, x, y~) and (z, y~, x), and x~'s first-place cycles the
@@ -51,44 +69,66 @@ def _refined_colours(source: AtomStructure, target: AtomStructure
     table: dict = {}
     cols = [[table.setdefault((a in s.identity_atoms, c == a), len(table))
              for a, c in enumerate(s.converse_map)] for s in (source, target)]
+    ids = [*range(source.n_atoms)]  # a list: compress yields its ints
     while Counter(cols[0]) == Counter(cols[1]):
         classes, table = len(table), {}
         for k, s in enumerate((source, target)):
-            c = cols[k]
-            ctx: list[list[int]] = [[] for _ in c]
-            for x, y, z in s.cycles:
-                ctx[x].append(c[y] * classes + c[z])
-            cols[k] = [table.setdefault((c[a], tuple(sorted(t))), len(table))
-                       for a, t in enumerate(ctx)]
+            c, new = cols[k], []
+            cy = [col * classes for col in c]
+            for a, row in enumerate(s._comp):
+                keys = []
+                for y in compress(ids, row):
+                    e = row[y]
+                    if e & (e - 1):  # several atoms, read bit by bit
+                        while e:
+                            low = e & -e
+                            keys.append(cy[y] + c[low.bit_length() - 1])
+                            e ^= low
+                    else:
+                        keys.append(cy[y] + c[e.bit_length() - 1])
+                keys.sort()
+                new.append(table.setdefault((c[a], tuple(keys)), len(table)))
+            cols[k] = new
         if len(table) == classes:
             return cols[0], cols[1]
     return None
 
 
-def _power_runs(s: AtomStructure) -> Counter:
-    """The multiset of the atoms' power runs, an isomorphism invariant.
+def _power_runs(s: AtomStructure, runs: list | None = None) -> Counter:
+    """The multiset of the atoms' power runs, an isomorphism invariant;
+    each atom's run is also appended to `runs`, in atom order, when given,
+    for the search to order its candidates by.
 
     Atom x's run follows x, x;x, (x;x);x, ... while each power is one atom
     and stops at the first power that is empty, has several atoms or
-    repeats; each power adds its atom count and whether it meets the
-    identity.  In the structure of a group, the identity first shows at
-    the element's order.  Only _comp and the identity atoms are read, so a
-    relabelling keeps the multiset.  Step k of x's run reads the cycle
-    (x^k, x, x^(k+1)), never the same one twice over all runs, so all runs
-    cost at most atoms + cycles lookups.
+    repeats; each power adds the int 2 * (its atom count) + (whether it
+    meets the identity), so a run is a tuple of small ints that hashes
+    and compares fast.  In the structure of a group, the identity first
+    shows at the element's order.  Only _comp and the identity atoms are
+    read, so a relabelling keeps the multiset and an isomorphism keeps
+    each atom's run.  Step k of x's run reads the cycle (x^k, x, x^(k+1)),
+    never the same one twice over all runs, so all runs cost at most
+    atoms + cycles lookups.
     """
-    comp, ident = s._comp, s.identity_mask
-    runs: Counter = Counter()
-    for x in range(s.n_atoms):
-        p, seen, run = 1 << x, 0, []
+    comp, ident, n = s._comp, s.identity_mask, s.n_atoms
+    # a one-atom power z adds one[z]; last[z] == x once z is a power of x
+    one = [2 + (ident >> z & 1) for z in range(n)]
+    last = [-1] * n
+    of_atom = [] if runs is None else runs
+    for x in range(n):
+        z, run = x, []
         while True:
-            run.append((p.bit_count(), p & ident != 0))
-            if not p or p & (p - 1) or p & seen:
+            run.append(one[z])
+            if last[z] == x:
                 break
-            seen |= p
-            p = comp[p.bit_length() - 1][x]
-        runs[tuple(run)] += 1
-    return runs
+            last[z] = x
+            p = comp[z][x]
+            if not p or p & (p - 1):
+                run.append(2 * p.bit_count() + (p & ident != 0))
+                break
+            z = p.bit_length() - 1
+        of_atom.append(tuple(run))
+    return Counter(of_atom)
 
 
 class _Partial:
@@ -109,15 +149,20 @@ def _search_isomorphism(source: AtomStructure, target: AtomStructure,
                         budget: int) -> tuple[int, ...] | None:
     # the atom map of an isomorphism of structures whose local laws hold,
     # or None when none exists
-    if _power_runs(source) != _power_runs(target):
+    sruns: list[tuple[int, ...]] = []
+    truns: list[tuple[int, ...]] = []
+    if _power_runs(source, sruns) != _power_runs(target, truns):
         return None
     colours = _refined_colours(source, target)
     if colours is None:
         return None
     n = source.n_atoms
     by_colour: dict[int, int] = {}
-    for b, c in enumerate(colours[1]):
+    by_run: dict[tuple[int, ...], int] = {}
+    for b, (c, r) in enumerate(zip(colours[1], truns)):
         by_colour[c] = by_colour.get(c, 0) | 1 << b
+        by_run[r] = by_run.get(r, 0) | 1 << b
+    same_run = [*map(by_run.__getitem__, sruns)]
     scomp, tcomp = source._comp, target._comp
     sconv, tconv = source.converse_map, target.converse_map
     nodes = 0
@@ -180,22 +225,28 @@ def _search_isomorphism(source: AtomStructure, target: AtomStructure,
 
     p = _Partial([-1] * n, [by_colour[c] for c in colours[0]], [], 0)
     # one entry per open branching decision: the state before it, the atom
-    # branched on, and its candidates not yet tried; the last one tried,
-    # like the only one of a forced atom, takes the saved state, not a copy
-    stack: list[tuple[_Partial, int, int]] = []
+    # branched on, and its candidates not yet tried, as the group being
+    # tried (those of the atom's power run, then the others) and the group
+    # after it; the last one tried, like the only one of a forced atom,
+    # takes the saved state, not a copy
+    stack: list[tuple[_Partial, int, int, int]] = []
     while True:
         a, live = branch_atom(p)
         if a < 0:
             break
         if live:
-            stack.append((p, a, live))
+            first = live & same_run[a] or live
+            stack.append((p, a, first, live ^ first))
         while True:
             if not stack:
                 return None
-            saved, a, cands = stack.pop()
+            saved, a, cands, rest = stack.pop()
             low = cands & -cands
-            if cands != low:
-                stack.append((saved, a, cands ^ low))
+            cands ^= low
+            if not cands:
+                cands, rest = rest, 0
+            if cands:
+                stack.append((saved, a, cands, rest))
                 saved = saved.copy()
             p = saved
             if assign(p, a, low.bit_length() - 1):

@@ -304,7 +304,9 @@ def large_inputs(tmp_path_factory):
     shuffles of the 80-point fixed-point-free involution's structure (3200
     atoms, 256000 cycles), the structure as rel writes it, the involution
     itself and a copy with its points relabelled, and the trivial action of
-    128 points, at the base-size cap."""
+    128 points, at the base-size cap; and two shuffles of the structure of
+    Z3 rotating 20 triangles (1200 atoms, 72000 cycles, outside the class)
+    and that action, which the search answers."""
     s = involution_structure(0, 40)
     assert (s.n_atoms, len(s.cycles)) == (3200, 256000)
     rng = random.Random(40)
@@ -321,6 +323,13 @@ def large_inputs(tmp_path_factory):
         image[points[i]] = points[i ^ 1]
     texts["inv80-shuffled.act"] = format_group_action(
         build_group(80, [tuple(image)]))
+    z3 = build_group(60, [tuple(3 * (i // 3) + (i + 1) % 3
+                                for i in range(60))])
+    t = extract_atom_structure(rel_algebra(z3))
+    assert (t.n_atoms, len(t.cycles)) == (1200, 72000)
+    texts["z3t20.act"] = format_group_action(z3)
+    texts["z3t20-a.ra"] = format_atom_structure(shuffled(t, rng))
+    texts["z3t20-b.ra"] = format_atom_structure(shuffled(t, rng))
     root = tmp_path_factory.mktemp("large")
     for name, text in texts.items():
         (root / name).write_text(text, encoding="utf-8")
@@ -359,6 +368,13 @@ SIZE_BOUNDS = [
     # full validation, then the three axioms, which all hold
     ("axioms-3200-shuffled", ["axioms", "a.ra"], 170, 2.5,
      lambda out: out.count(" holds (") == 3),
+    # the search and the check of its map read the composition table,
+    # with no set of the 72000 cycles on either side
+    ("iso-1200-searched", ["iso", "z3t20-a.ra", "z3t20-b.ra"], 62, 3.0,
+     lambda out: out.count("map ") == 1200),
+    ("check-action-1200-searched", ["check-action", "z3t20-a.ra",
+                                    "z3t20.act"], 62, 3.0,
+     lambda out: out.count("map ") == 1200),
     # 16384 atoms and 2,097,152 cycles, written as 357,760 cycle lines
     # chosen from the profile triples as extraction streams them, with no
     # set of the cycles
@@ -377,6 +393,28 @@ def test_large_input_stays_under_its_bounds(large_inputs, argv, mb, seconds,
     assert check is None or check(proc.stdout), argv
     assert peak_kb < mb * 1024, argv
     assert elapsed < seconds, argv
+
+
+def test_a_searched_map_at_1200_atoms_builds_no_cycle_set(
+        large_inputs, monkeypatch, capsys):
+    # the rows above in this process: the search, its refinement and the
+    # check of its map read each side's composition table, so neither the
+    # parsed structures nor the action's extracted one build the set
+    searched = []
+
+    def recording(source, target, budget):
+        searched.extend((source, target))
+        return search(source, target, budget)
+
+    search = decision._searched
+    monkeypatch.setattr(decision, "_searched", recording)
+    for argv in (["iso", "z3t20-a.ra", "z3t20-b.ra"],
+                 ["check-action", "z3t20-a.ra", "z3t20.act"]):
+        searched.clear()
+        assert main([str(large_inputs.get(a, a)) for a in argv]) == 0
+        assert capsys.readouterr().out.count("map ") == 1200
+        assert len(searched) == 2, argv
+        assert not any("cycles" in s.__dict__ for s in searched), argv
 
 
 # cli.main on the child's arguments in a fresh interpreter, which then

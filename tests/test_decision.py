@@ -634,13 +634,14 @@ def test_distinct_abelian_groups_are_told_apart_without_a_search(left, right):
                                            for o in pair}))
 def test_a_power_run_reads_the_element_order(orders):
     # in a group every power is one atom; an element of order k meets the
-    # identity first at its k-th power and repeats itself at the next
+    # identity first at its k-th power and repeats itself at the next.  A
+    # power of one atom reads 2, one that meets the identity 2 + 1
     s = shuffled(extract_atom_structure(rel_algebra(regular_action(orders))),
                  random.Random(len(orders)))
     expected: Counter = Counter()
     for g in itertools.product(*(range(q) for q in orders)):
         k = math.lcm(*(q // math.gcd(x, q) for x, q in zip(g, orders)))
-        expected[tuple((1, i % k == 0) for i in range(1, k + 2))] += 1
+        expected[tuple(2 + (i % k == 0) for i in range(1, k + 2))] += 1
     assert _power_runs(s) == expected
 
 
@@ -668,8 +669,8 @@ def pinned_searches() -> dict:
 
 
 @pytest.mark.parametrize("case,nodes", [("23-relabeled", 3),
-                                        ("z48-shuffles", 65),
-                                        ("z3-triangles-check-action", 163)])
+                                        ("z48-shuffles", 50),
+                                        ("z3-triangles-check-action", 132)])
 def test_budget_counts_every_tried_or_forced_assignment(case, nodes):
     # the node counts of fixed searches: `nodes` is the least budget that
     # succeeds, so a search that tries or forces other assignments, or
@@ -678,6 +679,44 @@ def test_budget_counts_every_tried_or_forced_assignment(case, nodes):
     assert not search(nodes).problems()
     with pytest.raises(SearchBudgetExceeded):
         search(nodes - 1)
+
+
+def test_the_map_check_reads_the_table_as_it_reads_the_set():
+    # problems() tests the line images through the table _comp where a
+    # structure holds it and no set, as the search leaves them, mapping the
+    # target's lines back in place of counting cycles, and through the set
+    # otherwise: the same tuple either way, for the found map, for two
+    # atoms of one colour swapped with their converses, and for the two
+    # swapped alone, which breaks converse
+    for action in (regular_action([48]), triangles_action(5)):
+        s = extract_atom_structure(rel_algebra(action))
+        rng = random.Random(s.n_atoms)
+        texts = [format_atom_structure(shuffled(s, rng)) for _ in range(2)]
+        source, target = map(parse_atom_structure, texts)
+        found = find_isomorphism(source, target).atom_map
+        assert not any("cycles" in x.__dict__ for x in (source, target))
+        colours = _refined_colours(source, target)[0]
+        conv = source.converse_map
+        pairs = itertools.combinations(range(len(conv)), 2)
+        a, b = next((a, b) for a, b in pairs if colours[a] == colours[b]
+                    and len({a, b, conv[a], conv[b]}) == 4)
+        maps = [found]
+        for swaps in (((a, b), (conv[a], conv[b])), ((a, b),)):
+            m = list(found)
+            for x, y in swaps:
+                m[x], m[y] = m[y], m[x]
+            maps.append(tuple(m))
+        for k, m in enumerate(maps):
+            sides = [[*map(parse_atom_structure, texts)] for _ in range(2)]
+            for x in sides[1]:
+                x._table
+            with_set, with_table = (IsoWitness(x, y, m).problems()
+                                    for x, y in sides)
+            assert with_table == with_set
+            assert bool(with_set) == (k > 0), k
+            assert any("converse" in line for line in with_set) == (k == 2), k
+            if k == 0:
+                assert not any("cycles" in x.__dict__ for x in sides[1])
 
 
 # --- verify_decision ------------------------------------------------------

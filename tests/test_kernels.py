@@ -10,10 +10,10 @@ import pytest
 
 from relalg import (AtomStructure, ConcreteAlgebra, ConcreteAlgebraError,
                     build_group, check_z2_axioms, extract_atom_structure,
-                    format_atom_structure, parse_atom_structure,
-                    parse_concrete_algebra, parse_group_action, peirce_orbit,
-                    rel_algebra)
-from relalg import cli, join, laws
+                    format_atom_structure, format_group_action,
+                    parse_atom_structure, parse_concrete_algebra,
+                    parse_group_action, peirce_orbit, rel_algebra)
+from relalg import cli, decision, join, laws
 from relalg.laws import _local_laws, _validate
 from relalg.join import _associativity_witness, _generating_set
 from relalg.cli import main
@@ -289,17 +289,24 @@ def test_the_cycle_set_is_built_only_where_a_reader_needs_it(
         monkeypatch, capsys, tmp_path):
     # the local laws and the join read a parsed structure's cycle lines,
     # so validate, axioms, a decide-z2 rejection and an iso `none` of the
-    # class or of the power runs never build its cycle set; an accepted
-    # decision, whose certificate counts the set, and the search's colour
-    # refinement build it when they first read it
-    parsed = []
+    # class or of the power runs never build its cycle set; the search and
+    # the check of its map read the table _comp, so neither side of a
+    # searched iso or check-action builds it either, the action's
+    # extracted structure included; an accepted decision, whose
+    # certificate counts the set, builds it when it first reads it
+    parsed, searched = [], []
 
     def recording(text, source="<string>"):
         parsed.append(parse(text, source))
         return parsed[-1]
 
-    parse = cli.parse_atom_structure
+    def recording_search(source, target, budget):
+        searched.extend((source, target))
+        return search(source, target, budget)
+
+    parse, search = cli.parse_atom_structure, decision._searched
     monkeypatch.setattr(cli, "parse_atom_structure", recording)
+    monkeypatch.setattr(decision, "_searched", recording_search)
     rng = random.Random(39)
     texts = [p.read_text() for p in sorted(DATA.glob("*.ra"))]
     texts += shuffled_texts()
@@ -329,11 +336,23 @@ def test_the_cycle_set_is_built_only_where_a_reader_needs_it(
         assert status in (None, code), argv
         assert parsed and all(s.validation.ok for s in parsed), argv
         assert not any("cycles" in s.__dict__ for s in parsed), argv
-    for argv in (["decide-z2", DATA / "swap.ra", "--verify"],
-                 ["iso", DATA / "23.ra", DATA / "23_relabeled.ra"]):
+    # Z3 on four triangles, of order three, so check-action searches
+    z3 = build_group(12, [tuple(3 * (i // 3) + (i + 1) % 3
+                                for i in range(12))])
+    tri, tri_act = tmp_path / "tri.ra", tmp_path / "tri.act"
+    tri.write_text(format_atom_structure(shuffled(extract_atom_structure(
+        rel_algebra(z3)), rng)), encoding="utf-8")
+    tri_act.write_text(format_group_action(z3), encoding="utf-8")
+    for argv in (["iso", DATA / "23.ra", DATA / "23_relabeled.ra"],
+                 ["check-action", tri, tri_act]):
         parsed.clear()
+        searched.clear()
         assert main([str(a) for a in argv]) == 0
-        assert all("cycles" in s.__dict__ for s in parsed), argv
+        assert parsed and len(searched) == 2, argv
+        assert not any("cycles" in s.__dict__ for s in parsed + searched), argv
+    parsed.clear()
+    assert main(["decide-z2", str(DATA / "swap.ra"), "--verify"]) == 0
+    assert parsed and all("cycles" in s.__dict__ for s in parsed)
     capsys.readouterr()
 
 
