@@ -6,9 +6,9 @@ atom z lies below the composition x;y.  An element is a set of atoms
 packed into an integer bitmask: union and meet are bit work, and
 AtomStructure.compose_mask and converse_mask give the Peircean operations.
 The six Peircean transforms of a cycle are written out here only:
-peirce_orbit for one cycle, _close_columns for the parser's cycle lines,
-AtomStructure._table and laws._line_places, which read those lines, and
-_orbit_reps, the line that writes each whole orbit.
+_close_columns for the parser's cycle lines and for one cycle
+(peirce_orbit), AtomStructure._table and laws._line_places, which read
+those lines, and _orbit_reps, the line that writes each whole orbit.
 
 How a structure holds its cycles is known to this module alone.  The
 parser and extraction hand AtomStructure._of_checked_ids a call that
@@ -20,8 +20,8 @@ fails.  The search reads nothing but the table _comp, and where a
 structure holds the table and no set (_table_only), as the search
 leaves both sides, problems() tests membership through the table and
 counts no cycles, so a searched `iso` or `check-action` builds no set.
-Readers that only iterate take _cycle_stream, and verify_decision reads
-cycle lines through _line_columns.
+Readers that only iterate take _cycle_stream (a checked structure's
+stream, set built or not); verify_decision reads _line_columns.
 
 The local laws and validation live in `laws`, and the three axioms in
 `axioms`.  The members of AtomStructure that compute the laws (_places,
@@ -73,18 +73,6 @@ def _union(table: Sequence[int], mask: int) -> int:
     return acc
 
 
-def peirce_orbit(triple: Triple, converse: Sequence[int]) -> frozenset[Triple]:
-    """All six transforms of a cycle that must hold together.
-
-    If z <= x;y then also y <= x~;z, x <= z;y~, and the converses of all
-    three, which gives six triples.
-    """
-    x, y, z = triple
-    cx, cy, cz = converse[x], converse[y], converse[z]
-    return frozenset(((x, y, z), (cx, z, y), (z, cy, x),
-                      (y, cz, cx), (cz, x, cy), (cy, cx, cz)))
-
-
 def _close_columns(xs: Sequence[int], ys: Sequence[int], zs: Sequence[int],
                    converse: Sequence[int]) -> Iterator[Triple]:
     # the six transforms of the cycles (xs[i], ys[i], zs[i]), streamed
@@ -92,6 +80,16 @@ def _close_columns(xs: Sequence[int], ys: Sequence[int], zs: Sequence[int],
     cx, cy, cz = ([*map(converse.__getitem__, col)] for col in (xs, ys, zs))
     return chain(zip(xs, ys, zs), zip(cx, zs, ys), zip(zs, cy, xs),
                  zip(ys, cz, cx), zip(cz, xs, cy), zip(cy, cx, cz))
+
+
+def peirce_orbit(triple: Triple, converse: Sequence[int]) -> frozenset[Triple]:
+    """All six transforms of a cycle that must hold together.
+
+    If z <= x;y then also y <= x~;z, x <= z;y~, and the converses of all
+    three, which gives six triples (_close_columns of one cycle line).
+    """
+    x, y, z = triple
+    return frozenset(_close_columns((x,), (y,), (z,), converse))
 
 
 _setattr = object.__setattr__
@@ -238,9 +236,8 @@ class AtomStructure(_Record):
 
     def _cycle_stream(self) -> Iterable[Triple]:
         # every cycle, one or more times, for readers that only iterate:
-        # the set where it is built, else the checked structure's stream
-        cycles = self.__dict__.get("cycles")
-        return self._triples() if cycles is None else cycles
+        # a checked structure's stream, else the constructor's set
+        return self.cycles if self._triples is None else self._triples()
 
     def _table_only(self) -> bool:
         # whether the table _comp is built and the cycle set is not, as

@@ -35,6 +35,26 @@ from .axioms import AxiomFailure, _z2_axioms
 from .errors import DEFAULT_BUDGET, InternalError
 
 
+_NOT_A_BIJECTION = "atom map is not a bijection"
+
+
+def _map_problems(s: AtomStructure, m: tuple[int, ...], identity,
+                  converse: tuple[int, ...]) -> list[str]:
+    """The rules of an atom map m from s to a target with these identity
+    atoms and converse: a bijection of int ids (floats and bools refused,
+    as by ConcreteAlgebra and GroupAction), else that problem alone; the
+    identity atoms mapped onto the target's; converse kept at each atom."""
+    n = len(converse)
+    if (s.n_atoms != n or len(m) != n or any(type(b) is not int for b in m)
+            or sorted(m) != list(range(n))):
+        return [_NOT_A_BIJECTION]
+    out = [] if {m[e] for e in s.identity_atoms} == set(identity) else [
+        "identity atoms are not mapped onto identity atoms"]
+    return out + [f"map does not commute with converse at atom "
+                  f"{s.atom_names[a]}" for a, c in enumerate(s.converse_map)
+                  if m[c] != converse[m[a]]]
+
+
 class IsoWitness(_Record):
     """An atom bijection claimed to be an isomorphism of structures."""
 
@@ -60,19 +80,14 @@ class IsoWitness(_Record):
         target's lines are mapped back, and every line is tested through
         the table, so checking a searched map builds no set and reads no
         more of the table than the lines' entries.  Otherwise, or when a
-        line misses, the whole sets are compared, misses sorted."""
+        line misses, the whole sets are compared, misses sorted.  The map
+        rules come first (_map_problems), a non-bijection alone."""
         s, t, m = self.source, self.target, self.atom_map
-        n = s.n_atoms
-        if t.n_atoms != n:
+        if t.n_atoms != s.n_atoms:
             return ("structures have different atom counts",)
-        if len(m) != n or sorted(m) != list(range(n)):
-            return ("atom map is not a bijection",)
-        out = []
-        if {m[e] for e in s.identity_atoms} != set(t.identity_atoms):
-            out.append("identity atoms are not mapped onto identity atoms")
-        out += [f"map does not commute with converse at atom {s.atom_names[a]}"
-                for a, c in enumerate(s.converse_map)
-                if m[c] != t.converse_map[m[a]]]
+        out = _map_problems(s, m, t.identity_atoms, t.converse_map)
+        if out == [_NOT_A_BIJECTION]:
+            return tuple(out)
         if (not out and _whole_orbits(s) and _whole_orbits(t)
                 and s._maps_lines_into(t, m)
                 and (t._maps_lines_into(s, self.inverted().atom_map)
@@ -266,7 +281,9 @@ class VerificationReport(_Record):
 def verify_decision(d: Z2Decision) -> VerificationReport:
     """Re-check an accepted decision from its certificate alone (action,
     owner table, the witness's map m and target t, the decided structure
-    s), with none of rel_algebra, extract_atom_structure and problems().
+    s), with none of rel_algebra, extract_atom_structure and problems()
+    but its map rules (_map_problems).  A rejected decision has no
+    certificate to re-check and raises ValueError.
 
     The group is {1, g} (_involution) and the table holds its orbits on
     pairs (_orbit_firsts), so it is the action's algebra: atom z's converse
@@ -274,15 +291,14 @@ def verify_decision(d: Z2Decision) -> VerificationReport:
     the diagonal, and the cycles are the (x, y, z) with (x, y) in the
     profile of (i, k), the image of j -> (owner(i,j), owner(j,k)), one to
     one but that j and g(j) meet when g fixes i and k: n K - t f^2 cycles
-    for K atoms, f fixed points and t 2-cycles.  m is a bijection that
-    keeps identity atoms and converse and puts each cycle line (x, y, z)
-    of s (AtomStructure._line_columns) in a profile: (i, j) in m(x),
-    j = b if m(x)'s first pair (a, b) has a = i, g(b) if g(a) = i, has
-    (j, k) in m(y).  m commutes with the Peircean transforms, which keep
-    the table's cycles, and s's cycles are its lines' closure, so m maps
-    them into the table's, as many: onto.  t has the table's names,
-    converse and identity atoms, as many cycles, whole orbits
-    (atoms._whole_orbits) and each line's image: it is the table's."""
+    for K atoms, f fixed points and t 2-cycles.  m keeps the map rules and
+    puts each cycle line (x, y, z) of s (AtomStructure._line_columns) in a
+    profile: (i, j) in m(x), j = b if m(x)'s first pair (a, b) has a = i,
+    g(b) if g(a) = i, has (j, k) in m(y).  m commutes with the Peircean
+    transforms, which keep the table's cycles, and s's cycles are its
+    lines' closure, so m maps them into the table's, as many: onto.  t has
+    the table's names, converse and identity atoms, as many cycles, whole
+    orbits (atoms._whole_orbits) and each line's image: it is the table's."""
     if not d.accepted:
         raise ValueError("verify_decision requires an accepted decision")
     s, t, m, alg = d.structure, d.witness.target, d.witness.atom_map, d.algebra
@@ -298,13 +314,8 @@ def verify_decision(d: Z2Decision) -> VerificationReport:
     n, owner, atoms = alg.base_size, alg.owner, len(firsts)
     row, col = [p // n for p in firsts], [p % n for p in firsts]
     conv = tuple(owner[b * n + a] for a, b in zip(row, col))
-    if s.n_atoms != atoms or sorted(m) != list(range(atoms)):
-        return VerificationReport((*out, "atom map is not a bijection"))
     ident = set(owner[::n + 1])
-    if {m[e] for e in s.identity_atoms} != ident:
-        out.append("identity atoms are not mapped onto identity atoms")
-    out += [f"map does not commute with converse at atom {s.atom_names[a]}"
-            for a, c in enumerate(s.converse_map) if m[c] != conv[m[a]]]
+    out += _map_problems(s, m, ident, conv)
     if out:
         return VerificationReport(tuple(out))
     lines = s._line_columns()

@@ -7,26 +7,23 @@ Everything here reads each structure's composition table _comp (and the
 identity atoms and converse), never its cycle set, which the search
 therefore never builds (AtomStructure.cycles).
 
-The search first compares the atoms' power runs (_power_runs), an
-invariant of O(atoms + cycles) that answers None for the regular actions
-of distinct abelian groups of one order, which refinement cannot tell
-apart, without refinement's rounds.  Colour refinement (_refined_colours)
-then gives each source atom its candidates, the target atoms of its
-colour.  The search branches on the unassigned atom with the fewest live
-candidates (lowest id on ties), trying first the candidates whose power
-run equals the atom's, then the others, each group in target id order.
-Assigning a -> b also assigns a~ -> b~ and, for every assigned y,
-requires a;y and b;m(y) (and y;a, m(y);b) to have as many atoms, maps
-each assigned atom of a;y into b;m(y), and narrows the candidates of the
-unassigned ones to b;m(y).  An empty candidate set backtracks, a single
-one is assigned at once.  Each atom assignment, tried or forced, is one
-node of the budget; past it, SearchBudgetExceeded is raised.
-
-An isomorphism keeps each atom's power run, so a candidate of another run
-leads to no map: the map found is the one that trying candidates in id
-order alone finds, the candidates tried before it are a subset of those,
-so no node count rises, and a search that ends in None tries the same
-candidates from the same states, only in another order.
+The search first compares the multisets of the atoms' power runs
+(_power_runs), an invariant of O(atoms + cycles) that answers None for
+the regular actions of distinct abelian groups of one order, which
+refinement cannot tell apart, without refinement's rounds.  Colour
+refinement (_refined_colours) then gives each source atom its candidates,
+the target atoms of its colour.  The search branches on the unassigned
+atom with the fewest live candidates (lowest id on ties) and tries, in
+target id order, only those whose power run equals the atom's.  An
+isomorphism keeps each atom's run, so the others lead to no map: the map
+found is the one that trying every live candidate finds, with a subset of
+its assignments.  Assigning a -> b also assigns a~ -> b~ and, for every
+assigned y, requires a;y and b;m(y) (and y;a, m(y);b) to have as many
+atoms, maps each assigned atom of a;y into b;m(y), and narrows the
+candidates of the unassigned ones to b;m(y).  An empty candidate set
+backtracks, a single one is assigned at once.  Each atom assignment,
+tried or forced, is one node of the budget; past it,
+SearchBudgetExceeded is raised.
 """
 
 from __future__ import annotations
@@ -94,10 +91,9 @@ def _refined_colours(source: AtomStructure, target: AtomStructure
     return None
 
 
-def _power_runs(s: AtomStructure, runs: list | None = None) -> Counter:
-    """The multiset of the atoms' power runs, an isomorphism invariant;
-    each atom's run is also appended to `runs`, in atom order, when given,
-    for the search to order its candidates by.
+def _power_runs(s: AtomStructure) -> list[tuple[int, ...]]:
+    """Each atom's power run, in atom order: an isomorphism keeps each
+    atom's run, so the multisets of two isomorphic structures' runs agree.
 
     Atom x's run follows x, x;x, (x;x);x, ... while each power is one atom
     and stops at the first power that is empty, has several atoms or
@@ -105,16 +101,15 @@ def _power_runs(s: AtomStructure, runs: list | None = None) -> Counter:
     meets the identity), so a run is a tuple of small ints that hashes
     and compares fast.  In the structure of a group, the identity first
     shows at the element's order.  Only _comp and the identity atoms are
-    read, so a relabelling keeps the multiset and an isomorphism keeps
-    each atom's run.  Step k of x's run reads the cycle (x^k, x, x^(k+1)),
-    never the same one twice over all runs, so all runs cost at most
-    atoms + cycles lookups.
+    read, so a relabelling permutes the runs.  Step k of x's run reads the
+    cycle (x^k, x, x^(k+1)), never the same one twice over all runs, so
+    all runs cost at most atoms + cycles lookups.
     """
     comp, ident, n = s._comp, s.identity_mask, s.n_atoms
     # a one-atom power z adds one[z]; last[z] == x once z is a power of x
     one = [2 + (ident >> z & 1) for z in range(n)]
     last = [-1] * n
-    of_atom = [] if runs is None else runs
+    runs = []
     for x in range(n):
         z, run = x, []
         while True:
@@ -127,8 +122,8 @@ def _power_runs(s: AtomStructure, runs: list | None = None) -> Counter:
                 run.append(2 * p.bit_count() + (p & ident != 0))
                 break
             z = p.bit_length() - 1
-        of_atom.append(tuple(run))
-    return Counter(of_atom)
+        runs.append(tuple(run))
+    return runs
 
 
 class _Partial:
@@ -149,9 +144,8 @@ def _search_isomorphism(source: AtomStructure, target: AtomStructure,
                         budget: int) -> tuple[int, ...] | None:
     # the atom map of an isomorphism of structures whose local laws hold,
     # or None when none exists
-    sruns: list[tuple[int, ...]] = []
-    truns: list[tuple[int, ...]] = []
-    if _power_runs(source, sruns) != _power_runs(target, truns):
+    sruns, truns = _power_runs(source), _power_runs(target)
+    if Counter(sruns) != Counter(truns):
         return None
     colours = _refined_colours(source, target)
     if colours is None:
@@ -225,28 +219,25 @@ def _search_isomorphism(source: AtomStructure, target: AtomStructure,
 
     p = _Partial([-1] * n, [by_colour[c] for c in colours[0]], [], 0)
     # one entry per open branching decision: the state before it, the atom
-    # branched on, and its candidates not yet tried, as the group being
-    # tried (those of the atom's power run, then the others) and the group
-    # after it; the last one tried, like the only one of a forced atom,
-    # takes the saved state, not a copy
-    stack: list[tuple[_Partial, int, int, int]] = []
+    # branched on, and its candidates of the atom's power run not yet
+    # tried; the last one tried, like the only one of a forced atom, takes
+    # the saved state, not a copy
+    stack: list[tuple[_Partial, int, int]] = []
     while True:
         a, live = branch_atom(p)
         if a < 0:
             break
-        if live:
-            first = live & same_run[a] or live
-            stack.append((p, a, first, live ^ first))
+        cands = live & same_run[a]
+        if cands:
+            stack.append((p, a, cands))
         while True:
             if not stack:
                 return None
-            saved, a, cands, rest = stack.pop()
+            saved, a, cands = stack.pop()
             low = cands & -cands
             cands ^= low
-            if not cands:
-                cands, rest = rest, 0
             if cands:
-                stack.append((saved, a, cands, rest))
+                stack.append((saved, a, cands))
                 saved = saved.copy()
             p = saved
             if assign(p, a, low.bit_length() - 1):

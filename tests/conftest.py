@@ -639,15 +639,16 @@ def associativity_witness_oracle(s: AtomStructure):
 
 def iso_problems_oracle(w) -> tuple[str, ...]:
     """IsoWitness.problems() by the whole cycle sets: atom counts, then
-    bijection, each alone; then identity atoms, converse at each atom, and,
-    when the mapped source cycles are not the target's, each unpreserved
-    source cycle and each target cycle without a source cycle, both in
-    sorted order."""
+    bijection of int ids, each alone; then identity atoms, converse at each
+    atom, and, when the mapped source cycles are not the target's, each
+    unpreserved source cycle and each target cycle without a source cycle,
+    both in sorted order."""
     s, t, m = w.source, w.target, w.atom_map
     n = s.n_atoms
     if t.n_atoms != n:
         return ("structures have different atom counts",)
-    if len(m) != n or sorted(m) != list(range(n)):
+    if (len(m) != n or any(type(b) is not int for b in m)
+            or sorted(m) != list(range(n))):
         return ("atom map is not a bijection",)
     out = []
     if {m[e] for e in s.identity_atoms} != set(t.identity_atoms):

@@ -642,13 +642,85 @@ def test_a_power_run_reads_the_element_order(orders):
     for g in itertools.product(*(range(q) for q in orders)):
         k = math.lcm(*(q // math.gcd(x, q) for x, q in zip(g, orders)))
         expected[tuple(2 + (i % k == 0) for i in range(1, k + 2))] += 1
-    assert _power_runs(s) == expected
+    assert Counter(_power_runs(s)) == expected
 
 
 def test_power_runs_are_invariant_under_relabelling():
     rng = random.Random(15)
     for s in catalog_structures() + larger_structures():
-        assert _power_runs(shuffled(s, rng)) == _power_runs(s), s.atom_names
+        assert (Counter(_power_runs(shuffled(s, rng)))
+                == Counter(_power_runs(s))), s.atom_names
+
+
+def regular_action_of(elements, mul, generators):
+    """A group acting on its elements by right multiplication."""
+    index = {e: i for i, e in enumerate(elements)}
+    return build_group(len(elements), [
+        tuple(index[mul(h, g)] for h in elements) for g in generators])
+
+
+def least_budget(source, target):
+    """The search's answer and the least budget it succeeds within."""
+    lo, hi = -1, 1
+    while True:
+        try:
+            answer = search._search_isomorphism(source, target, hi)
+            break
+        except SearchBudgetExceeded:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            search._search_isomorphism(source, target, mid)
+            hi = mid
+        except SearchBudgetExceeded:
+            lo = mid
+    return answer, hi
+
+
+def test_trying_only_the_branched_atoms_run_cuts_no_map(monkeypatch):
+    # an isomorphism keeps each atom's power run, so each branch tries only
+    # the candidates of the branched atom's run.  With every atom given one
+    # run, each branch tries all live candidates: the search returns the
+    # same map, or None, and needs at least as many nodes.  Z3^3 and the
+    # Heisenberg group He3, like Z9xZ3 and Z9 x| Z3, have as many elements
+    # of each order, so their runs agree and the search answers None
+    structures = {name: extract_atom_structure(rel_algebra(action))
+                  for name, action in (
+        ("Z9", regular_action([9])), ("Z3^2", regular_action([3, 3])),
+        ("Z2xZ8", regular_action([2, 8])), ("Z4^2", regular_action([4, 4])),
+        ("Z27", regular_action([27])), ("Z9xZ3", regular_action([9, 3])),
+        ("Z9x|Z3", regular_action_of(
+            [*itertools.product(range(9), range(3))],
+            lambda p, q: ((p[0] + q[0] * 4 ** p[1]) % 9, (p[1] + q[1]) % 3),
+            [(1, 0), (0, 1)])),
+        ("Z3^3", regular_action([3, 3, 3])),
+        ("He3", regular_action_of(
+            [*itertools.product(range(3), repeat=3)],
+            lambda p, q: ((p[0] + q[0]) % 3, (p[1] + q[1]) % 3,
+                          (p[2] + q[2] + p[0] * q[1]) % 3),
+            [(1, 0, 0), (0, 1, 0)])),
+        ("Z3 on 2 triangles", triangles_action(2)),
+        ("Z3 on 3 triangles", triangles_action(3)))}
+    pairs = [(a, a) for a in structures] + [
+        ("Z9", "Z3^2"), ("Z2xZ8", "Z4^2"), ("Z27", "Z9xZ3"),
+        ("Z9xZ3", "Z9x|Z3"), ("Z3^3", "He3")]
+    rng = random.Random(27)
+    cut = []
+    for a, b in pairs:
+        x, y = shuffled(structures[a], rng), shuffled(structures[b], rng)
+        answer, least = least_budget(x, y)
+        assert (answer is None) == (a != b), (a, b)
+        with monkeypatch.context() as patched:
+            patched.setattr(search, "_power_runs",
+                            lambda s: [()] * s.n_atoms)
+            one_run, one_run_least = least_budget(x, y)
+        assert one_run == answer, (a, b)
+        assert least <= one_run_least, (a, b)
+        if least < one_run_least:
+            cut.append((a, b))
+    # a found map and an exhausted search with equal runs both gain
+    assert {("Z9xZ3", "Z9xZ3"), ("Z9xZ3", "Z9x|Z3")} <= {*cut}, cut
 
 
 def pinned_searches() -> dict:
@@ -931,6 +1003,23 @@ def test_verify_reports_certificates_of_the_wrong_shape():
     g = d.action.generators[0]
     action = build_group(3, [(0, 1, 2), g, g])
     assert verify_decision(replaced(d, action=action)).ok
+
+
+def test_both_checkers_refuse_a_map_of_floats_or_bools():
+    # 0.0 == 0 and True == 1, so such a map sorts like the atom ids; both
+    # checkers refuse it, as the ConcreteAlgebra and GroupAction
+    # constructors refuse such ids, before they index with it
+    s = load_structure("swap.ra")
+    d = decide_z2(s)
+    m = d.witness.atom_map
+    assert not IsoWitness(s, s, (0, 1)).problems() and verify_decision(d).ok
+    for kind in (float, bool):
+        bad = tuple(map(kind, range(2)))
+        assert IsoWitness(s, s, bad).problems() == (
+            "atom map is not a bijection",), kind
+        w = replaced(d.witness, atom_map=tuple(map(kind, m)))
+        assert verify_decision(replaced(d, witness=w)).problems == (
+            "atom map is not a bijection",), kind
 
 
 def test_verify_catches_tables_that_are_not_the_actions_orbits():

@@ -269,10 +269,13 @@ def test_parsed_structures_have_peircean_symmetry(text):
 @hypothesis.given(st.data())
 def test_power_runs_are_invariant_under_relabelling(data):
     # the runs read only composition and the identity atoms, so they need
-    # no valid structure
+    # no valid structure; a relabelling moves each atom's run with it,
+    # which the search relies on when it tries only candidates of the
+    # branched atom's run
     s = data.draw(cycle_tables())
     ids = data.draw(st.permutations(range(s.n_atoms)))
-    assert _power_runs(conjugate(s, ids)) == _power_runs(s)
+    runs = _power_runs(conjugate(s, ids))
+    assert [runs[b] for b in ids] == _power_runs(s)
 
 
 @st.composite
