@@ -86,6 +86,10 @@ def _axiom_line(axiom: int, condition: str, witness: str | None) -> str:
     return f"axiom {axiom} fails at atom {witness} ({condition})"
 
 
+def _map_answer(witness) -> tuple[int, list[str]]:
+    return (2, ["none"]) if witness is None else (0, witness.map_lines())
+
+
 def _cmd_validate(args) -> tuple[int, list[str]]:
     report = _structure(args.file).validation
     if report.ok:
@@ -128,11 +132,8 @@ def _cmd_decide_z2(args) -> tuple[int, list[str]]:
 
 def _cmd_iso(args) -> tuple[int, list[str]]:
     from .decision import find_isomorphism
-    witness = find_isomorphism(_structure(args.file),
-                               _structure(args.other), budget=args.budget)
-    if witness is None:
-        return 2, ["none"]
-    return 0, witness.map_lines()
+    return _map_answer(find_isomorphism(
+        _structure(args.file), _structure(args.other), budget=args.budget))
 
 
 def _cmd_classify(args) -> tuple[int, list[str]]:
@@ -146,10 +147,7 @@ def _cmd_check_action(args) -> tuple[int, list[str]]:
     s = _structure(args.file)
     action = parse_group_action(_read(args.action_file),
                                 source=args.action_file)
-    witness = check_action_represents(s, action, budget=args.budget)
-    if witness is None:
-        return 2, ["none"]
-    return 0, witness.map_lines()
+    return _map_answer(check_action_represents(s, action, budget=args.budget))
 
 
 def _cmd_axioms(args) -> tuple[int, list[str]]:

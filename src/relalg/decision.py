@@ -202,21 +202,18 @@ def decide_z2(structure: AtomStructure) -> Z2Decision:
     two-element group, and construct one if so.  An invalid structure
     raises InvalidStructureError (_gated); proof._proof_witness certifies
     one."""
-    return _gated((structure,), lambda: _decide_z2(structure))
+    def compute():
+        report = _z2_axioms(structure)
+        if not report.all_hold:
+            return (Z2Decision(structure, False, failures=report.failures()),
+                    (structure,))
+        from .proof import _canonical_involution, _realize
+        action, algebra, witness = _realize(structure,
+                                            _canonical_involution(structure))
+        return Z2Decision(structure, True, action=action, algebra=algebra,
+                          witness=witness), ()
 
-
-def _decide_z2(structure: AtomStructure
-               ) -> tuple[Z2Decision, tuple[AtomStructure, ...]]:
-    # decide_z2 under the local laws, with the inputs left unproven
-    report = _z2_axioms(structure)
-    if not report.all_hold:
-        return (Z2Decision(structure, False, failures=report.failures()),
-                (structure,))
-    from .proof import _canonical_involution, _realize
-    action, algebra, witness = _realize(structure,
-                                        _canonical_involution(structure))
-    return Z2Decision(structure, True, action=action, algebra=algebra,
-                      witness=witness), ()
+    return _gated((structure,), compute)
 
 
 def _class_counts(s: AtomStructure) -> tuple[int, int] | None:
@@ -283,7 +280,8 @@ def verify_decision(d: Z2Decision) -> VerificationReport:
     owner table, the witness's map m and target t, the decided structure
     s), with none of rel_algebra, extract_atom_structure and problems()
     but its map rules (_map_problems).  A rejected decision has no
-    certificate to re-check and raises ValueError.
+    certificate to re-check and raises ValueError; an accepted one that
+    lacks its action, algebra or witness fails, each missing part named.
 
     The group is {1, g} (_involution) and the table holds its orbits on
     pairs (_orbit_firsts), so it is the action's algebra: atom z's converse
@@ -301,6 +299,10 @@ def verify_decision(d: Z2Decision) -> VerificationReport:
     orbits (atoms._whole_orbits) and each line's image: it is the table's."""
     if not d.accepted:
         raise ValueError("verify_decision requires an accepted decision")
+    missing = tuple(f"accepted decision has no {part}" for part in
+                    ("action", "algebra", "witness") if getattr(d, part) is None)
+    if missing:
+        return VerificationReport(missing)
     s, t, m, alg = d.structure, d.witness.target, d.witness.atom_map, d.algebra
     g = _involution(d.action)
     firsts = _orbit_firsts(g, alg)

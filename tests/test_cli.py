@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import random
 import re
@@ -16,7 +17,8 @@ import pytest
 from relalg import (AtomStructure, InvalidStructureError, VerificationReport,
                     build_group, decision, extract_atom_structure, format_atom_structure,
                     format_group_action, parse_atom_structure,
-                    parse_concrete_algebra, parse_group_action, rel_algebra)
+                    parse_concrete_algebra, parse_group_action, peirce_orbit,
+                    rel_algebra)
 from relalg import cli, concrete
 from relalg.axioms import _z2_axioms
 from relalg.cli import main
@@ -46,9 +48,32 @@ def test_validate_invalid_reports_violations(tmp_path, capsys):
     assert code == 2
     assert out.startswith("invalid\n")
     assert "missing-range-atom" in out or "missing-domain-atom" in out
+    # the structures of the involution on 48 points (1152 atoms) and of the
+    # dihedral group on 128 points (65 atoms, each its own converse, so the
+    # join's blocks compute one side only), each less the Peircean orbit of
+    # its least cycle of diversity atoms: the local laws still hold, so
+    # validate runs the join, then the search for the least witness
+    n = 128
+    for name, group, atoms in (
+            ("inv48", build_group(48, [tuple(i ^ 1 for i in range(48))]),
+             1152),
+            ("d128", build_group(n, [tuple((i + 1) % n for i in range(n)),
+                                     tuple(-i % n for i in range(n))]), 65)):
+        s = extract_atom_structure(rel_algebra(group))
+        assert s.n_atoms == atoms, name
+        assert (s.converse_map == tuple(range(atoms))) == (name == "d128")
+        whole, dropped = tmp_path / f"{name}.ra", tmp_path / f"{name}-drop.ra"
+        whole.write_text(format_atom_structure(s))
+        t = min(c for c in s.cycles if s.identity_atoms.isdisjoint(c))
+        dropped.write_text(format_atom_structure(AtomStructure(
+            s.atom_names, s.converse_map, s.identity_atoms,
+            s.cycles - peirce_orbit(t, s.converse_map))))
+        assert run(capsys, "validate", whole) == (0, "valid\n", ""), name
+        assert run(capsys, "validate", dropped) == (
+            2, "invalid\nassociativity: (a0;a0);a1 != a0;(a0;a1)\n", ""), name
 
 
-def test_rel_emits_algebra_and_structure(capsys):
+def test_rel_emits_algebra_and_structure(tmp_path, capsys):
     code, out, err = run(capsys, "rel", DATA / "z3.act")
     assert code == 0
     concrete_text, structure_text = out.split("\n\n")
@@ -57,6 +82,16 @@ def test_rel_emits_algebra_and_structure(capsys):
     s = parse_atom_structure(structure_text)
     assert s.atom_names == ("e0", "a0", "a1")
     assert s.validation.ok
+    # the structure half of rel's output on each action of data/ is built
+    # by the trusted constructor, which skips the cycle law's scan; read
+    # back, it passes the full laws, and swap's is accepted and verified
+    for act in sorted(DATA.glob("*.act")):
+        code, out, err = run(capsys, "rel", act)
+        saved = tmp_path / f"{act.stem}.ra"
+        saved.write_text(out[out.index("\natoms ") + 1:])
+        assert run(capsys, "validate", saved) == (0, "valid\n", ""), act
+    code, out, err = run(capsys, "decide-z2", tmp_path / "swap.ra", "--verify")
+    assert (code, err) == (0, "") and out.startswith("accepted\nverified\n")
 
 
 def test_rel_on_symmetric_groups(tmp_path, capsys):
@@ -130,9 +165,11 @@ def test_check_action(capsys):
     code, out, err = run(capsys, "check-action", DATA / "swap.ra",
                          DATA / "swap.act")
     assert code == 0 and out.splitlines()[0] == "map 1' -> e0"
-    code, out, err = run(capsys, "check-action", DATA / "23.ra",
-                         DATA / "swap.act")
-    assert (code, out) == (2, "none\n")
+    # 23.ra is outside the class and the action has order two, so the
+    # axioms answer and no search node is spent, whatever the budget
+    for budget in ([], ["--budget", "1"]):
+        assert run(capsys, "check-action", DATA / "23.ra", DATA / "swap.act",
+                   *budget) == (2, "none\n", ""), budget
 
 
 def test_axioms_report(capsys):
@@ -179,23 +216,31 @@ def test_undecodable_file_is_an_error(tmp_path, capsys):
 def test_byte_order_mark_is_skipped(tmp_path, capsys):
     # every input of data/, saved with a UTF-8 byte-order mark, with CRLF
     # or lone-CR line ends, or with both a mark and CRLF, gives the same
-    # exit code and report as the original
+    # exit code and report as the original; check-action reads both
+    # formats, here both saved the same way
     commands = {".ra": ["decide-z2", "--verify"], ".act": ["rel"],
                 ".ca": ["classify"]}
     paths = sorted(DATA.iterdir())
     assert {p.suffix for p in paths} == set(commands)
+    runs = [[*commands[p.suffix], p] for p in paths]
+    runs.append(["check-action", DATA / "swap.ra", DATA / "swap.act"])
+    variants = (lambda raw: b"\xef\xbb\xbf" + raw,
+                lambda raw: raw.replace(b"\n", b"\r\n"),
+                lambda raw: raw.replace(b"\n", b"\r"),
+                lambda raw: b"\xef\xbb\xbf" + raw.replace(b"\n", b"\r\n"))
     for path in paths:
         raw = path.read_bytes()
         assert b"\r" not in raw and raw.count(b"\n") > 1, path
-        crlf = raw.replace(b"\n", b"\r\n")
-        expected = run(capsys, *commands[path.suffix], path)[:2]
-        for variant in (b"\xef\xbb\xbf" + raw, crlf,
-                        raw.replace(b"\n", b"\r"), b"\xef\xbb\xbf" + crlf):
-            saved = tmp_path / path.name
-            saved.write_bytes(variant)
-            code, out, err = run(capsys, *commands[path.suffix], saved)
-            assert (code, out) == expected, (path, variant[:24])
-            assert out and not err, (path, variant[:24])
+    for argv in runs:
+        expected = run(capsys, *argv)[:2]
+        for k, variant in enumerate(variants):
+            saved = [tmp_path / a.name if a in paths else a for a in argv]
+            for a, b in zip(argv, saved):
+                if a in paths:
+                    b.write_bytes(variant(a.read_bytes()))
+            code, out, err = run(capsys, *saved)
+            assert (code, out) == expected, (argv, k)
+            assert out and not err, (argv, k)
 
 
 def test_unwritable_output_is_an_error(tmp_path, capsys):
@@ -214,6 +259,13 @@ def test_parse_error_is_an_error(tmp_path, capsys):
     code, out, err = run(capsys, "validate", f)
     assert code == 1
     assert "zz" in err and str(f) in err
+    # a concrete algebra whose atoms do not partition the pairs is refused
+    # when the file is read
+    gap = tmp_path / "gap.ca"
+    gap.write_text("set 2\natom x = (0,0) (1,1) (0,1)\n")
+    code, out, err = run(capsys, "classify", gap)
+    assert (code, out) == (1, "")
+    assert "pair (1,0) is in no atom" in err and "Traceback" not in err
 
 
 def test_number_past_int_digit_limit_is_a_parse_error(tmp_path, capsys):
@@ -303,8 +355,9 @@ def large_inputs(tmp_path_factory):
     """The inputs of the size-bound rows, each written once, by name: two
     shuffles of the 80-point fixed-point-free involution's structure (3200
     atoms, 256000 cycles), the structure as rel writes it, the involution
-    itself and a copy with its points relabelled, and the trivial action of
-    128 points, at the base-size cap; and two shuffles of the structure of
+    itself and a copy with its points relabelled, and the trivial action and
+    the fixed-point-free involution of 128 points, at the base-size cap;
+    and two shuffles of the structure of
     Z3 rotating 20 triangles (1200 atoms, 72000 cycles, outside the class)
     and that action, which the search answers."""
     s = involution_structure(0, 40)
@@ -314,7 +367,8 @@ def large_inputs(tmp_path_factory):
              "b.ra": format_atom_structure(shuffled(s, rng)),
              "inv80.ra": format_atom_structure(s),
              "inv80.act": format_group_action(involution_action(0, 40)),
-             "triv128.act": format_group_action(involution_action(128, 0))}
+             "triv128.act": format_group_action(involution_action(128, 0)),
+             "inv128.act": format_group_action(involution_action(0, 64))}
     # the involution i -> i xor 1 with point i renamed points[i]
     points = list(range(80))
     rng.shuffle(points)
@@ -334,6 +388,10 @@ def large_inputs(tmp_path_factory):
     for name, text in texts.items():
         (root / name).write_text(text, encoding="utf-8")
     return {name: root / name for name in texts}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # One row per fresh-interpreter run on a large input: its id, its command
@@ -377,9 +435,15 @@ SIZE_BOUNDS = [
      lambda out: out.count("map ") == 1200),
     # 16384 atoms and 2,097,152 cycles, written as 357,760 cycle lines
     # chosen from the profile triples as extraction streams them, with no
-    # set of the cycles
+    # set of the cycles; each Peircean orbit of the pair algebra is a
+    # multiset of three base points, C(130, 3) of them. The text is pinned
+    # byte for byte by its sha256, as is that of the involution i -> i xor 1
     ("rel-cap", ["rel", "triv128.act"], 100, 1.5,
-     lambda out: out.count("\ncycle ") == 357760),
+     lambda out: out.count("\ncycle ") == 357760 and sha256(out) == (
+         "b58fdc4133b6fc660b993d6ec3599daa2772d9902e4e37ef8892fefe3454cf54")),
+    ("rel-cap-involution", ["rel", "inv128.act"], 60, 1.0,
+     lambda out: out.count("\ncycle ") == 178880 and sha256(out) == (
+         "9064b7c03c409c11d240a00131b71512923b595d71113c18d8c095ee3066cf38")),
 ]
 
 
@@ -454,6 +518,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
             (["validate", DATA / "23.ra"], 0, True),
             (["rel", DATA / "z3.act"], 0, False),
             (["axioms", DATA / "57.ra"], 2, True),
+            (["axioms", DATA / "swap.ra"], 0, True),
             (["classify", DATA / "type6.ca"], 0, False),
             (["decide-z2", DATA / "swap.ra", "--verify"], 0, False),
             (["decide-z2", DATA / "57.ra"], 2, True),
@@ -753,6 +818,22 @@ def test_readers_that_only_iterate_build_no_cycle_set(monkeypatch, capsys,
         code, out, _ = run(capsys, "validate", path)
         assert code == 2 and line in out.splitlines(), out
         assert [*built[0]._places[3]] and "cycles" not in built[0].__dict__
+    # the first table's identity-law lines come from the closure of its one
+    # cycle line, not from the line alone; axioms, decide-z2 and iso refuse
+    # it, exit 1, with the same report on stderr, from the same stream
+    ef = tmp_path / "0.ra"
+    code, out, _ = run(capsys, "validate", ef)
+    lines = out.splitlines()[1:]
+    assert {"identity-law: cycle (e, e, e) puts an identity atom below e;e "
+            "but e != f",
+            "identity-law: cycle (f, e, f) composes an identity atom on the "
+            "left but e != f",
+            "multiple-domain-atoms: atom e has domain atoms e, f"} <= set(lines)
+    for argv in (["axioms", ef], ["decide-z2", ef], ["iso", ef, ef]):
+        built.clear()
+        assert run(capsys, *argv) == (
+            1, "", f"error: invalid atom structure: {'; '.join(lines)}\n"), argv
+        assert built and not any("cycles" in s.__dict__ for s in built), argv
     built.clear()
     assert run(capsys, "rel", DATA / "z3.act")[0] == 0
     assert "cycles" not in built[0].__dict__

@@ -799,6 +799,18 @@ def test_verify_rejects_unaccepted(s23):
         verify_decision(decide_z2(s23))
 
 
+def test_verify_names_each_missing_part_of_a_certificate(swap_structure):
+    # an accepted decision without its action, algebra or witness has a
+    # broken certificate: a report naming each missing part, no crash
+    d = decide_z2(swap_structure)
+    parts = ("action", "algebra", "witness")
+    for k in range(1, len(parts) + 1):
+        for gone in itertools.combinations(parts, k):
+            report = verify_decision(replaced(d, **dict.fromkeys(gone)))
+            assert report.problems == tuple(
+                f"accepted decision has no {part}" for part in gone), gone
+
+
 def test_verify_catches_wrong_action(swap_structure):
     # a 3-cycle, the Klein four-group (two distinct involutions, each of
     # which alone would pass) and a 4-cycle all generate groups of order

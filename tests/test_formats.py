@@ -1,6 +1,9 @@
 """Text formats: round trips and parse diagnostics."""
 
+import contextlib
+import io
 import random
+import re
 
 import pytest
 
@@ -10,6 +13,7 @@ from relalg import (AtomStructure, ConcreteAlgebraError,
                     format_concrete_algebra, format_group_action,
                     parse_atom_structure, parse_concrete_algebra,
                     parse_group_action, peirce_orbit, rel_algebra)
+from relalg.cli import main
 from relalg.formats import MAX_ATOMS, MAX_BASE_SIZE
 
 from conftest import DATA, atom_structure_text_oracle, emitted_cycle_lines, \
@@ -397,3 +401,101 @@ def test_data_files_all_parse():
             load_action(p.name)
         elif p.suffix == ".ca":
             assert load_concrete(p.name).invariant_violations() == (), p.name
+
+
+# --- mutated files through the command line --------------------------------
+
+
+def test_mutated_data_files_end_in_an_exit_code_through_every_subcommand(
+        tmp_path):
+    # the texts of data/, mutated at the token level: a number written in
+    # other digits, signed, with an underscore or past int()'s digit
+    # limit, a token dropped, repeated or moved, a line dropped or
+    # repeated, a stray comment, a byte-order mark, CRLF or lone-CR line
+    # ends. Every subcommand that reads the file, with the data file it
+    # pairs with, ends cli.main with 0, 1 or 2 and writes no traceback
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    texts = {p.name: p.read_text(encoding="utf-8")
+             for p in sorted(DATA.iterdir())}
+    swap_ra, swap_act = str(DATA / "swap.ra"), str(DATA / "swap.act")
+
+    def runs(name, path):
+        original = str(DATA / name)
+        if name.endswith(".ra"):
+            return [["validate", path], ["axioms", path],
+                    ["decide-z2", path, "--verify"],
+                    ["iso", path, original, "--budget", "200"],
+                    ["iso", original, path, "--budget", "200"],
+                    ["check-action", path, swap_act, "--budget", "200"]]
+        if name.endswith(".act"):
+            return [["rel", path],
+                    ["check-action", swap_ra, path, "--budget", "200"]]
+        return [["classify", path]]
+
+    numbers = ["\u0661", "\uff11", "\u00b2", "+1", "-1", "1_0", "9" * 5000,
+               str(10 ** 30), "0" * 40 + "1"]
+
+    def mutate(text, op, k, j):
+        lines = text.split("\n")
+        i = k % len(lines)
+        if op == "number":
+            found = [*re.finditer(r"\d+", text)]
+            if found:
+                m = found[k % len(found)]
+                return text[:m.start()] + numbers[j % len(numbers)] + \
+                    text[m.end():]
+            return text
+        if op in ("drop token", "repeat token", "move token"):
+            words = lines[i].split(" ")
+            w = j % len(words)
+            if op == "drop token":
+                del words[w]
+            elif op == "repeat token":
+                words.insert(w, words[w])
+            else:
+                words.append(words.pop(w))
+            lines[i] = " ".join(words)
+        elif op == "drop line":
+            del lines[i]
+        elif op == "repeat line":
+            lines.insert(i, lines[i])
+        elif op == "comment":
+            lines[i] += [" # stray", "#", " #x y"][j % 3]
+        elif op == "mark":
+            return "\ufeff" + text
+        elif op == "crlf":
+            return text.replace("\n", ["\r\n", "\r"][j % 2])
+        return "\n".join(lines)
+
+    ops = ["number", "drop token", "repeat token", "move token", "drop line",
+           "repeat line", "comment", "mark", "crlf"]
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                         deadline=None)
+    @hypothesis.given(st.sampled_from(sorted(texts)),
+                      st.lists(st.tuples(st.sampled_from(ops),
+                                         st.integers(0, 999),
+                                         st.integers(0, 999)),
+                               min_size=1, max_size=3))
+    def check(name, mutations):
+        text = texts[name]
+        for op, k, j in mutations:
+            text = mutate(text, op, k, j)
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        for argv in runs(name, str(path)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, text)
+            assert "Traceback" not in err.getvalue(), (argv, text)
+            seen.add((argv[0], code))
+
+    check()
+    assert {code for _, code in seen} == {0, 1, 2}
+    assert {command for command, _ in seen} == {
+        "validate", "axioms", "decide-z2", "iso", "check-action", "rel",
+        "classify"}

@@ -354,6 +354,33 @@ def test_the_cycle_set_is_built_only_where_a_reader_needs_it(
     assert main(["decide-z2", str(DATA / "swap.ra"), "--verify"]) == 0
     assert parsed and all("cycles" in s.__dict__ for s in parsed)
     capsys.readouterr()
+    # the structures of the involution with two points and two twins, in
+    # the class, and of Z3 on four triangles, outside it, so iso searches;
+    # their copies by other_member_lines give the same outputs, the
+    # searched map included: the checks read the lines' closure, and the
+    # search and the check of its map the table, which merges repeats
+    inv6 = build_group(6, [(0, 2, 1, 4, 3, 5)])
+    for group, seed, atoms, z2 in ((inv6, 6, 20, 0), (z3, 4, 48, 2)):
+        text = format_atom_structure(extract_atom_structure(rel_algebra(
+            group)))
+        copy = other_member_lines(text, random.Random(seed))
+        assert copy.count("\ncycle ") == 2 * text.count("\ncycle ")
+        o, c = tmp_path / "original.ra", tmp_path / "copy.ra"
+        o.write_text(text, encoding="utf-8")
+        c.write_text(copy, encoding="utf-8")
+        for argv, status, rewritten in (
+                (["decide-z2", o, "--verify"], z2, [["decide-z2", c,
+                                                      "--verify"]]),
+                (["validate", o], 0, [["validate", c]]),
+                (["axioms", o], z2, [["axioms", c]]),
+                (["iso", o, o], 0, [["iso", c, c], ["iso", o, c],
+                                    ["iso", c, o]])):
+            assert main([str(a) for a in argv]) == status, argv
+            want = capsys.readouterr()
+            for other in rewritten:
+                assert main([str(a) for a in other]) == status, other
+                assert capsys.readouterr() == want, other
+        assert want.out.count("map ") == atoms
 
 
 def test_cycle_law_scan_runs_only_where_it_can_fail(monkeypatch):
