@@ -13,7 +13,9 @@ p = i*n + j: each generator becomes one image list of length n^2, and one
 search along those lists writes the owner table, the orbit of every pair.
 That table is the algebra (ConcreteAlgebra holds nothing else), and its
 atom names are read off it; the check that every generator keeps each
-pair in its atom reads the table along the same image lists.
+pair in its atom reads the table along the same image lists.  With the
+extraction of its structure, O(atoms * n), an action's path costs
+O(n^2 * generators + atoms * n), whatever the order of the group.
 """
 
 from __future__ import annotations

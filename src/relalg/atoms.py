@@ -11,12 +11,13 @@ _close_columns for the parser's cycle lines and for one cycle
 those lines, and _orbit_reps, the line that writes each whole orbit.
 
 How a structure holds its cycles is known to this module alone.  The
-parser and extraction hand AtomStructure._of_checked_ids a call that
-streams every cycle (the parser also its lines), and `cycles` is that
-stream's set, built the first time it is read: by the proof's map,
-verify_decision and IsoWitness.problems(), which count the set or test
-membership in it (_maps_lines_into), and by the messages of a map that
-fails.  The search reads nothing but the table _comp, and where a
+parser hands AtomStructure._of_checked_ids its three columns of cycle
+lines, and extraction a call that streams every cycle, never both;
+_cycle_stream closes a parsed structure's lines (_close_columns) or calls
+the extracted one's stream, and `cycles` is that stream's set, built the
+first time it is read: by the proof's map, verify_decision and
+IsoWitness.problems(), which count the set or test membership in it
+(_maps_lines_into), and by the messages of a map that fails.  The search reads nothing but the table _comp, and where a
 structure holds the table and no set (_table_only), as the search
 leaves both sides, problems() tests membership through the table and
 counts no cycles, so a searched `iso` or `check-action` builds no set.
@@ -176,25 +177,26 @@ class AtomStructure(_Record):
         n = len(atom_names)
         if len(converse_map) != n:
             raise ValueError("converse_map must assign an image to every atom id")
+        # ids are ints, as in ConcreteAlgebra and GroupAction: floats and
+        # bools refused
         for a in converse_map:
-            if not isinstance(a, int) or not 0 <= a < n:
+            if type(a) is not int or not 0 <= a < n:
                 raise ValueError(f"converse image {a!r} is not an atom id")
         for e in identity_atoms:
-            if not isinstance(e, int) or not 0 <= e < n:
+            if type(e) is not int or not 0 <= e < n:
                 raise ValueError(f"identity atom {e!r} is not an atom id")
         # distinct ids and id types tested once; the culprit sought on
         # failure.  The types are read off every id, not off the distinct
         # ones, where 1.0 could hide behind an equal 1
         if not (set(map(len, cycles)) <= {3}
-                and all(issubclass(k, int) for k in
-                        set(map(type, chain.from_iterable(cycles))))
+                and set(map(type, chain.from_iterable(cycles))) <= {int}
                 and all(0 <= a < n for a in set(chain.from_iterable(cycles)))):
             for t in cycles:
-                if len(t) != 3 or any(not isinstance(a, int) or not 0 <= a < n for a in t):
+                if len(t) != 3 or any(type(a) is not int or not 0 <= a < n for a in t):
                     raise ValueError(f"cycle {t!r} does not name three atom ids")
 
-    # a call that streams every cycle, one or more times, anew; preset by
-    # _of_checked_ids, None on other structures
+    # extraction's call that streams every cycle, one or more times,
+    # anew; None on other structures
     _triples: Callable[[], Iterable[Triple]] | None = None
     # the parser's cycle lines, three id columns whose Peircean closure is
     # the cycle set, read by _table and _line_places; None unless parsed
@@ -204,15 +206,16 @@ class AtomStructure(_Record):
     def _of_checked_ids(cls, atom_names: tuple[str, ...],
                         converse_map: tuple[int, ...],
                         identity_atoms: frozenset[int],
-                        triples: Callable[[], Iterable[Triple]],
+                        triples: Callable[[], Iterable[Triple]] | None = None,
                         lines=None) -> "AtomStructure":
         """Internal to formats.parse_atom_structure and
         concrete.extract_atom_structure: the structure with these fields,
         set as given, without the constructor's checks, with the cycle
         law's scan preset to find nothing, and with `cycles` built the
-        first time it is read as the set of what triples() streams.  The
-        parser also gives lines, its three id columns, whose closure
-        (_close_columns) it streams.
+        first time it is read as the set of _cycle_stream().  The parser
+        gives lines, its three id columns, and _cycle_stream streams their
+        closure (_close_columns); extraction gives triples, a call that
+        streams the cycles.  Each caller gives one of the two.
 
         The caller vouches that every id is an int below the atom count,
         that the converse is an involution, and that the cycles obey the
@@ -232,11 +235,14 @@ class AtomStructure(_Record):
     def cycles(self) -> frozenset[Triple]:
         # a field, set by the constructor; on a checked structure built the
         # first time it is read
-        return frozenset(self._triples())
+        return frozenset(self._cycle_stream())
 
     def _cycle_stream(self) -> Iterable[Triple]:
         # every cycle, one or more times, for readers that only iterate:
-        # a checked structure's stream, else the constructor's set
+        # the closure of a parsed structure's lines, an extracted one's
+        # stream, else the constructor's set
+        if self._lines is not None:
+            return _close_columns(*self._lines, self.converse_map)
         return self.cycles if self._triples is None else self._triples()
 
     def _table_only(self) -> bool:

@@ -113,10 +113,8 @@ def _cmd_decide_z2(args) -> tuple[int, list[str]]:
     from .decision import decide_z2, verify_decision
     decision = decide_z2(_structure(args.file))
     if not decision.accepted:
-        lines = ["rejected"]
-        lines.extend(_axiom_line(f.axiom, f.condition, f.witness)
-                     for f in decision.failures)
-        return 2, lines
+        return 2, ["rejected", *(_axiom_line(f.axiom, f.condition, f.witness)
+                                 for f in decision.failures)]
     lines = ["accepted"]
     if args.verify:
         report = verify_decision(decision)

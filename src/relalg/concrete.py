@@ -82,23 +82,38 @@ class ConcreteAlgebra(_Record):
                    atom_pairs: Iterable[Iterable[tuple[int, int]]]
                    ) -> "ConcreteAlgebra":
         """The algebra whose atom k holds the pairs atom_pairs[k].  The
-        table is filled in atom and row order, a pair listed twice in one
-        atom counted once; the first pair claimed by two atoms, or else the
-        first pair no atom claims, raises ConcreteAlgebraError.  Names and
-        the base size are checked first, and last that every atom has a
-        pair and no other atom is named, with ValueError.  The table is
-        n^2 ints by construction, so the record is set without the
-        constructor's scans."""
+        table is filled atom by atom, a pair listed twice in one atom
+        counted once.  The first fault in atom and row order raises: a
+        pair outside the base set ValueError, a pair claimed by two atoms
+        ConcreteAlgebraError; then the first pair no atom claims raises
+        ConcreteAlgebraError.  Names and the base size are checked first,
+        then that there are no more pair lists than names and that every
+        coordinate is an int (floats and bools refused, as by the
+        constructor), and last that every atom has a pair and no other
+        atom is named, with ValueError.  The table is n^2 ints by
+        construction, so the record is set without the constructor's
+        scans."""
         n, names = base_size, tuple(atom_names)
         _check_names(names)
         _check_size(n)
+        lists = [*map(tuple, atom_pairs)]
+        if len(lists) > len(names):
+            raise ValueError(_OWNER_RULE)
+        # the types are read off every coordinate, in C, before any set
+        # can merge (True, 1) into an equal (1, 1)
+        coords = chain.from_iterable(chain.from_iterable(lists))
+        if {*map(type, coords)} - {int}:
+            raise ValueError("pair coordinates must be ints")
         owner = [-1] * (n * n)
-        for k, pairs in enumerate(atom_pairs):
-            for i, j in sorted(set(pairs)):
-                if not (0 <= i < n and 0 <= j < n):
-                    raise ValueError(f"pair ({i},{j}) outside base set of "
-                                     f"size {n}")
-                if owner[i * n + j] >= 0:
+        for k, pairs in enumerate(map(set, lists)):
+            for i, j in pairs:
+                if not (0 <= i < n and 0 <= j < n) or owner[i * n + j] >= 0:
+                    # the atom's first fault in row order, sought only here
+                    i, j = min(p for p in pairs if not 0 <= min(p) <= max(p) < n
+                               or owner[p[0] * n + p[1]] not in (-1, k))
+                    if not 0 <= min(i, j) <= max(i, j) < n:
+                        raise ValueError(f"pair ({i},{j}) outside base set "
+                                         f"of size {n}")
                     raise ConcreteAlgebraError((
                         f"not a partition: atoms {names[owner[i * n + j]]}"
                         f" and {names[k]} overlap at pair ({i},{j})",))

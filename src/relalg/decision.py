@@ -3,8 +3,9 @@
 decide_z2 evaluates three first-order axioms (simplicity, pair-density,
 functionality of every atom up to converse) and, when they hold, runs the
 paper's construction (module `proof`): the canonical involution, one base
-element per point atom and two per twin atom, its algebra, and the
-proof's atom bijection (proof._proof_witness), checked by
+element per point atom and two per twin atom, and one call of
+proof._realize, which returns the action, its algebra and the proof's
+atom bijection onto the structure extracted from it, checked by
 IsoWitness.problems() one cycle line per Peircean orbit.  By the theorem
 it fails on no valid input that satisfies the axioms, so a failure is an
 InternalError.  verify_decision re-checks an accepted decision from its
@@ -16,10 +17,16 @@ isomorphism, and two structures in the class, or one and the algebra of
 an involution, are isomorphic exactly when their point and twin counts
 (fixed points and 2-cycles) agree.  So a side outside the class, or
 unequal counts, answer `none` before any algebra is built, and equal
-counts get the proof's map (proof._realize), for `iso` both sides' maps
-onto the algebra of the source's involution, composed.  Only `iso` pairs
-with neither side in the class and actions of order above two reach the
-search and its budget (_searched).
+counts get the proof's maps from one call of proof._realize, which builds
+one algebra and one extracted structure: for `check-action` the
+structure's map onto the action's algebra, for `iso` both sides' maps
+onto the algebra of the source's involution, the first composed with the
+inverse of the second.  Such an answer costs the algebra and its
+extraction, O(n^2 + atoms * n) on n points, and O(cycles) per map's
+check, besides the local laws and the axioms, and no search budget.
+Only `iso` pairs with neither side in the class and actions of order
+above two reach the search and its budget (_searched), which must be an
+int (_check_budget).
 
 Inputs are checked against the local laws first, and the associativity
 join runs only before a verdict that no witness certifies (_gated).
@@ -105,10 +112,9 @@ class IsoWitness(_Record):
         return tuple(out)
 
     def inverted(self) -> "IsoWitness":
-        inv = [0] * len(self.atom_map)
-        for a, b in enumerate(self.atom_map):
-            inv[b] = a
-        return IsoWitness(self.target, self.source, tuple(inv))
+        m = self.atom_map  # a bijection: its inverse sorts the ids by image
+        return IsoWitness(self.target, self.source,
+                          tuple(sorted(range(len(m)), key=m.__getitem__)))
 
     def map_lines(self) -> list[str]:
         s, t = self.source.atom_names, self.target.atom_names
@@ -121,7 +127,10 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
     when either side is in it, otherwise by a search (_searched) that
     counts each atom assignment, tried or forced, as one node of `budget`
     and raises SearchBudgetExceeded past it.  An invalid structure raises
-    InvalidStructureError, the source's when both are (see _gated)."""
+    InvalidStructureError, the source's when both are (see _gated); a
+    budget that is not an int raises ValueError before any work."""
+    _check_budget(budget)
+
     def compute():
         counts = _class_counts(source), _class_counts(target)
         if counts == (None, None):
@@ -129,16 +138,20 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
             return w, (source, target) if w is None else (source,)
         if counts[0] != counts[1]:
             return None, (source, target)
-        from .proof import (_blocks, _canonical_involution, _proof_witness,
-                            _realize)
-        g = _canonical_involution(source)  # both maps onto g's algebra
-        _, algebra, there = _realize(source, g)
-        back = _proof_witness(target, _blocks(target, g), algebra,
-                              there.target).inverted().atom_map
-        return IsoWitness(source, target,
-                          tuple(back[b] for b in there.atom_map)), ()
+        from .proof import _canonical_involution, _realize
+        there, back = _realize(_canonical_involution(source), source,
+                               target)[2]  # both maps onto one algebra
+        return IsoWitness(source, target, tuple(map(
+            back.inverted().atom_map.__getitem__, there.atom_map))), ()
 
     return _gated((source, target), compute)
+
+
+def _check_budget(budget) -> None:
+    # the search's node budget is an int, as the CLI reads it: floats,
+    # bools and None refused, whether or not the search would run
+    if type(budget) is not int:
+        raise ValueError(f"search budget {budget!r} is not an int")
 
 
 def _gated(inputs: tuple[AtomStructure, ...], compute):
@@ -200,16 +213,16 @@ class Z2Decision(_Record):
 def decide_z2(structure: AtomStructure) -> Z2Decision:
     """Decide whether the structure is the algebra of some action of the
     two-element group, and construct one if so.  An invalid structure
-    raises InvalidStructureError (_gated); proof._proof_witness certifies
-    one."""
+    raises InvalidStructureError (_gated); the proof's map, from one call
+    of proof._realize, certifies an accepted one."""
     def compute():
         report = _z2_axioms(structure)
         if not report.all_hold:
             return (Z2Decision(structure, False, failures=report.failures()),
                     (structure,))
         from .proof import _canonical_involution, _realize
-        action, algebra, witness = _realize(structure,
-                                            _canonical_involution(structure))
+        action, algebra, (witness,) = _realize(
+            _canonical_involution(structure), structure)
         return Z2Decision(structure, True, action=action, algebra=algebra,
                           witness=witness), ()
 
@@ -231,7 +244,10 @@ def check_action_represents(structure: AtomStructure, action: GroupAction,
     a group of order at most two the class answers: None before any
     algebra is built, or the proof's map (proof._realize).  Larger groups
     go to the search.  Only the structure is validated: the action's is
-    valid by construction (see extract_atom_structure)."""
+    valid by construction (see extract_atom_structure).  A budget that is
+    not an int raises ValueError before any work."""
+    _check_budget(budget)
+
     def compute():
         g = _involution(action)
         if g is None:
@@ -244,7 +260,7 @@ def check_action_represents(structure: AtomStructure, action: GroupAction,
         if _class_counts(structure) != (fixed, (len(g) - fixed) // 2):
             return None, (structure,)
         from .proof import _realize
-        return _realize(structure, g)[2], ()
+        return _realize(g, structure)[2][0], ()
 
     return _gated((structure,), compute)
 

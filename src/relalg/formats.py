@@ -11,10 +11,11 @@ number, and token.  Emitters produce text the parsers round-trip exactly.
 An atom structure is read in one loop over its lines, cycle lines tested
 first, with the three ids of each cycle line appended to three column
 lists.  The structure is built by AtomStructure._of_checked_ids from the
-columns and the stream of their closure under the parser's converse
-(atoms._close_columns): every id is a value of the parser's name index,
-and each converse entry a:b sets both a~ = b and b~ = a, no atom in two
-entries, so the converse is an involution.
+columns alone, and `atoms` streams their closure under the converse
+where a reader needs the cycles; the parser streams none.  Every id is a
+value of the parser's name index, and each converse entry a:b sets both
+a~ = b and b~ = a, no atom in two entries, so the converse is an
+involution.
 
 An atom structure is written with one cycle line per Peircean orbit, its
 least member, chosen by atoms._orbit_reps, the writer's one refusal: no
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import re
 
-from .atoms import AtomStructure, _close_columns, _orbit_reps
+from .atoms import AtomStructure, _orbit_reps
 from .errors import ParseError
 
 # numbers are ASCII digits: int() and \d would also read underscores and
@@ -154,8 +155,7 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
         raise ParseError(source, 0, "missing identity line")
     conv = tuple(range(len(atoms)) if converse is None else converse)
     return AtomStructure._of_checked_ids(
-        tuple(atoms), conv, frozenset(identity),
-        lambda: _close_columns(xs, ys, zs, conv), lines=(xs, ys, zs))
+        tuple(atoms), conv, frozenset(identity), lines=(xs, ys, zs))
 
 
 def format_atom_structure(s: AtomStructure) -> str:

@@ -136,8 +136,7 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
     AtomStructure._places, one O(cycles) pass each, record what breaks
     the two laws on cycles, and the record is only worded here."""
     v: list[Violation] = []
-    names = s.atom_names
-    n = s.n_atoms
+    names, n, conv = s.atom_names, s.n_atoms, s.converse_map
     if n == 0:
         return (Violation("empty-structure",
                           "structure has no atoms (one = zero)"),)
@@ -146,30 +145,20 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
     for a, nm in enumerate(names):
         if not usable_atom_name(nm):
             v.append(Violation("bad-atom-name", f"atom {a} has unusable name {nm!r}"))
-        if nm in seen:
+        if seen.setdefault(nm, a) != a:
             v.append(Violation(
                 "duplicate-atom-name",
                 f"atom name {nm!r} used by atoms {seen[nm]} and {a}"))
-        else:
-            seen[nm] = a
 
-    conv = s.converse_map
-    for a in range(n):
-        if conv[conv[a]] != a:
-            v.append(Violation(
-                "converse-not-involution",
-                f"converse(converse({names[a]})) = {names[conv[conv[a]]]} != {names[a]}"))
-
-    for e in sorted(s.identity_atoms):
-        if conv[e] != e:
-            v.append(Violation(
-                "identity-not-self-converse",
-                f"identity atom {names[e]} has converse {names[conv[e]]}"))
-
-    for t, u in s._cycle_law_broken:
-        v.append(Violation(
-            "cycle-law", f"cycle {s._fmt_triple(t)} present but its "
-            f"transform {s._fmt_triple(u)} is missing"))
+    v += [Violation("converse-not-involution", f"converse(converse("
+                    f"{names[a]})) = {names[conv[conv[a]]]} != {names[a]}")
+          for a in range(n) if conv[conv[a]] != a]
+    v += [Violation("identity-not-self-converse", f"identity atom "
+                    f"{names[e]} has converse {names[conv[e]]}")
+          for e in sorted(s.identity_atoms) if conv[e] != e]
+    v += [Violation("cycle-law", f"cycle {s._fmt_triple(t)} present but "
+                    f"its transform {s._fmt_triple(u)} is missing")
+          for t, u in s._cycle_law_broken]
 
     out, into, _, broken = s._places
     for (x, y, z), clause in broken:

@@ -2,11 +2,14 @@
 
 A structure in the class has points and twins, its identity atoms with
 and without a diversity atom from e to e.  _canonical_involution fixes
-one base element per point and swaps two per twin, _realize builds that
-action and its algebra of compatible relations, and _proof_witness maps
-each atom from identity atom d to r onto the orbit of a pair from d's
-block to r's (_blocks), checked by IsoWitness.problems(); where the map
-fails, _unproven words the InternalError with both structures' texts.
+one base element per point and swaps two per twin.  One call of
+_realize(g, *structures) makes every proof map of a request: it builds
+the action of the involution g, its algebra of compatible relations and
+the one structure extracted from it, and returns each given structure's
+map onto that structure.  _proof_witness maps each atom from identity
+atom d to r onto the orbit of a pair from d's block to r's (_blocks),
+checked by IsoWitness.problems(); where the map fails, _unproven words
+the InternalError with both structures' texts.
 
 `decision` imports this module only in the branches where the
 construction runs (README, "Start-up").
@@ -24,14 +27,17 @@ from .errors import InternalError
 from .formats import format_atom_structure
 
 
-def _realize(s: AtomStructure, g: tuple[int, ...]
-             ) -> tuple[GroupAction, ConcreteAlgebra, IsoWitness]:
-    """The action of the involution g, with as many fixed points and
-    2-cycles as s has points and twins, its algebra, and the proof's map."""
+def _realize(g: tuple[int, ...], *structures: AtomStructure
+             ) -> tuple[GroupAction, ConcreteAlgebra, list[IsoWitness]]:
+    """The action of the involution g, its algebra, and the proof's map of
+    each structure, in order, onto the one structure extracted from that
+    algebra; each structure has as many points and twins as g has fixed
+    points and 2-cycles."""
     action = build_group(len(g), [g])
     algebra = rel_algebra(action)
-    return action, algebra, _proof_witness(
-        s, _blocks(s, g), algebra, extract_atom_structure(algebra))
+    target = extract_atom_structure(algebra)
+    return action, algebra, [_proof_witness(s, _blocks(s, g), algebra, target)
+                             for s in structures]
 
 
 def _canonical_involution(s: AtomStructure) -> tuple[int, ...]:

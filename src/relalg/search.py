@@ -10,7 +10,9 @@ therefore never builds (AtomStructure.cycles).
 The search first compares the multisets of the atoms' power runs
 (_power_runs), an invariant of O(atoms + cycles) that answers None for
 the regular actions of distinct abelian groups of one order, which
-refinement cannot tell apart, without refinement's rounds.  Colour
+refinement cannot tell apart (colour refinement does not separate the
+Cayley tables of groups of one order; Cai, Fürer & Immerman, 1992),
+without refinement's rounds.  Colour
 refinement (_refined_colours) then gives each source atom its candidates,
 the target atoms of its colour.  The search branches on the unassigned
 atom with the fewest live candidates (lowest id on ties) and tries, in

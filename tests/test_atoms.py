@@ -193,6 +193,22 @@ def test_out_of_range_inputs_rejected_at_construction():
         AtomStructure(("a",), (0,), frozenset(), frozenset({(0, 0, 5)}))
 
 
+def test_bool_and_float_ids_rejected_at_construction():
+    # ids are ints, as in ConcreteAlgebra and GroupAction: False and True
+    # equal 0 and 1 but are refused, in every field, as 1.0 is
+    names, cycles = ("e", "a"), {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
+    assert AtomStructure(names, (0, 1), {0}, cycles).validation.ok
+    for conv, ident, cyc, culprit in (
+            ((False, True), {False}, cycles, "converse image False"),
+            ((0, True), {0}, cycles, "converse image True"),
+            ((0, 1), {False}, cycles, "identity atom False"),
+            ((0, 1), {0}, cycles - {(1, 1, 0)} | {(1, 1, False)}, "cycle"),
+            ((0, 1), {0}, cycles - {(1, 1, 0)} | {(True, 1, 0)}, "cycle"),
+            ((0, 1), {0}, cycles - {(1, 1, 0)} | {(1, 1, 0.0)}, "cycle")):
+        with pytest.raises(ValueError, match=culprit):
+            AtomStructure(names, conv, ident, cyc)
+
+
 def test_require_valid_raises_with_report(s23):
     bad = AtomStructure(s23.atom_names, (0, 1, 1), s23.identity_atoms,
                         s23.cycles)

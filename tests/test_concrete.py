@@ -211,6 +211,26 @@ def test_from_pairs_checks_each_name_once(monkeypatch):
         ConcreteAlgebra.from_pairs(1, ("x", "y"), ([(0, 0)], []))
 
 
+def test_from_pairs_keeps_the_constructors_id_rule():
+    # more pair lists than names get the owner rule, overlapping or not,
+    # and a coordinate that is no int is refused, where 1.0 raised
+    # TypeError and (True, 1) was read as (1, 1)
+    for lists in ([[(0, 0)], [(0, 0)]], [[(0, 0)], [(0, 0)], []],
+                  [[(0, 0)], []]):
+        with pytest.raises(ValueError) as exc:
+            ConcreteAlgebra.from_pairs(1, ["a"], lists)
+        assert str(exc.value) == concrete._OWNER_RULE
+    good = [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
+    assert ConcreteAlgebra.from_pairs(2, ["e", "a"], good).owner == (0, 1, 1, 0)
+    for bad in ([(0, 0), (1.0, 1)], [(0, 0), (True, 1), (1, 1)],
+                [(0, 0), (1, 1), (False, 0)], [(0, 0), (1, 1), ("1", 1)]):
+        with pytest.raises(ValueError, match="pair coordinates must be ints"):
+            ConcreteAlgebra.from_pairs(2, ["e", "a"], [bad, good[1]])
+    # pairs given as iterators are read once, as before
+    c = ConcreteAlgebra.from_pairs(2, ["e", "a"], (iter(p) for p in good))
+    assert c.owner == (0, 1, 1, 0)
+
+
 def test_algebra_and_structure_share_the_atom_name_rule():
     # ConcreteAlgebra rejects exactly the names validation flags, so every
     # algebra that builds extracts to a structure with usable names

@@ -2,9 +2,11 @@
 
 import contextlib
 import functools
+import inspect
 import itertools
 import math
 import random
+import sys
 import time
 from collections import Counter
 
@@ -19,7 +21,8 @@ from relalg import (ActionError, AtomStructure, ConcreteAlgebra, GroupAction,
 from relalg import actions, concrete, decision, join, proof, search
 from relalg.actions import _orbit_names
 from relalg.cli import main
-from relalg.formats import format_atom_structure, parse_atom_structure
+from relalg.formats import (format_atom_structure, format_group_action,
+                            parse_atom_structure, parse_group_action)
 from relalg.proof import _proof_witness
 from relalg.search import _power_runs, _refined_colours
 
@@ -176,6 +179,85 @@ def test_refined_colours_match_the_all_places_oracle():
 def test_budget_exhaustion(s23):
     with pytest.raises(SearchBudgetExceeded):
         find_isomorphism(s23, s23, budget=1)
+
+
+@pytest.mark.parametrize("budget", [None, 2.5, True, "5"])
+def test_a_budget_that_is_no_int_is_refused_before_any_work(budget):
+    # as the CLI refuses such values: 23.ra is outside the class, so it is
+    # searched, where None raised TypeError inside the search; the check
+    # comes before the local laws, the axioms and any search
+    for call in (lambda s: find_isomorphism(s, s, budget=budget),
+                 lambda s: check_action_represents(
+                     s, regular_action([3]), budget=budget)):
+        s = load_structure("23.ra")
+        with pytest.raises(ValueError, match="search budget .* not an int"):
+            call(s)
+        assert not {"_places", "_table", "validation"} & {*s.__dict__}
+
+
+def five_point_structures():
+    """The structures of two actions on 5 points, outside the class, with
+    6 atoms each and equal power-run multisets, that colour refinement
+    tells apart: its classes differ in size."""
+    texts = ("set 5\ngen 0 1 2 4 3\ngen 0 3 4 1 2\n",
+             "set 5\ngen 0 1 2 4 3\ngen 1 0 3 2 4\n")
+    actions = [parse_group_action(t) for t in texts]
+    return actions, [extract_atom_structure(rel_algebra(a)) for a in actions]
+
+
+def test_refinement_answers_none_before_the_first_node(tmp_path, capsys):
+    # the power runs agree, so only refinement's answer ends these
+    # requests within a budget of one node
+    actions, (a, b) = five_point_structures()
+    assert a.n_atoms == b.n_atoms == 6
+    assert Counter(_power_runs(a)) == Counter(_power_runs(b))
+    assert _refined_colours(a, b) is None
+    paths = {}
+    for name, text in (("a.ra", format_atom_structure(a)),
+                       ("b.ra", format_atom_structure(b)),
+                       ("b.act", format_group_action(actions[1]))):
+        paths[name] = tmp_path / name
+        paths[name].write_text(text, encoding="utf-8")
+    for argv in (["iso", paths["a.ra"], paths["b.ra"]],
+                 ["iso", paths["b.ra"], paths["a.ra"]],
+                 ["check-action", paths["a.ra"], paths["b.act"]]):
+        assert main([*map(str, argv), "--budget", "1"]) == 2, argv
+        assert capsys.readouterr() == ("none\n", ""), argv
+
+
+def test_a_forced_assignment_onto_a_taken_target_backtracks(capsys):
+    # both tables are the one with a;a = b, b;b = b, so the isomorphism
+    # swaps a and b.  The search tries a -> a first, which forces b onto
+    # a as well: assign refuses a target already taken, and the search
+    # backtracks to a -> b
+    x, y = (parse_atom_structure(
+        "atoms e a b\nidentity e\n"
+        f"cycle e e e\ncycle e a a\ncycle e b b\n{extra}")
+        for extra in ("cycle a a b\ncycle b b b\n",
+                      "cycle a a a\ncycle a b b\n"))
+    source, start = inspect.getsourcelines(search)
+    refusal = start + next(k for k, line in enumerate(source)
+                           if "p.taken >> b & 1" in line) + 1
+    assert source[refusal - start].strip() == "return False"
+    lines = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_name != "assign":
+            return None
+
+        def local(frame, event, arg):
+            lines.add(frame.f_lineno)
+            return local
+        return local
+
+    sys.settrace(tracer)
+    try:
+        w = find_isomorphism(x, y)
+    finally:
+        sys.settrace(None)
+    assert refusal in lines
+    assert w.map_lines() == ["map e -> e", "map a -> b", "map b -> a"]
+    assert least_budget(x, y) == (w.atom_map, 5)
 
 
 def test_witness_tampering_is_detected(s23):
