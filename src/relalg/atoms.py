@@ -10,17 +10,24 @@ _close_columns for the parser's cycle lines and for one cycle
 (peirce_orbit), AtomStructure._table and laws._line_places, which read
 those lines, and _orbit_reps, the line that writes each whole orbit.
 
-How a structure holds its cycles is known to this module alone.  The
-parser hands AtomStructure._of_checked_ids its three columns of cycle
-lines, and extraction a call that streams every cycle, never both;
-_cycle_stream closes a parsed structure's lines (_close_columns) or calls
-the extracted one's stream, and `cycles` is that stream's set, built the
-first time it is read: by the proof's map, verify_decision and
-IsoWitness.problems(), which count the set or test membership in it
-(_maps_lines_into), and by the messages of a map that fails.  The search reads nothing but the table _comp, and where a
-structure holds the table and no set (_table_only), as the search
-leaves both sides, problems() tests membership through the table and
-counts no cycles, so a searched `iso` or `check-action` builds no set.
+How a structure holds its cycles is known to this module alone, and its
+members choose which store answers a reader.  The parser hands
+AtomStructure._of_checked_ids its three columns of cycle lines, and
+extraction a call that streams every cycle, never both; _cycle_stream
+closes a parsed structure's lines (_close_columns) or calls the extracted
+one's stream, and `cycles` is that stream's set, built the first time it
+is read: by the proof's map and verify_decision, which count the set or
+test membership in it, and by the messages of a map that fails.
+_places reads a parsed structure's lines where they break no clause of
+the identity law (laws._line_places), else the stream
+(laws._place_atoms).  _maps_onto, the onto test of
+IsoWitness.problems(), maps the source's cycle lines into the target
+(_maps_lines_into).  The search reads nothing but the table _comp, and
+where a side holds that table and no set (_table_only), as the search
+leaves both sides, _maps_onto maps the target's lines back under the
+inverse map, each image tested through the table of the side it lands
+in where that side holds no set, so a searched `iso` or `check-action`
+builds no set; else it compares the two sets' sizes.
 Readers that only iterate take _cycle_stream (a checked structure's
 stream, set built or not); verify_decision reads _line_columns.
 
@@ -199,7 +206,7 @@ class AtomStructure(_Record):
     # anew; None on other structures
     _triples: Callable[[], Iterable[Triple]] | None = None
     # the parser's cycle lines, three id columns whose Peircean closure is
-    # the cycle set, read by _table and _line_places; None unless parsed
+    # the cycle set, read in this module only; None unless parsed
     _lines: tuple[Sequence[int], Sequence[int], Sequence[int]] | None = None
 
     @classmethod
@@ -263,6 +270,20 @@ class AtomStructure(_Record):
             comp = t._comp
             return all(comp[x][y] >> z & 1 for x, y, z in images)
         return t.cycles.issuperset(images)
+
+    def _maps_onto(self, t: "AtomStructure", m: Sequence[int]) -> bool:
+        # whether m, a bijection that keeps converse between structures
+        # with whole orbits (_whole_orbits), maps the cycles onto t's.  m
+        # sends each cycle line to its image's transforms, so lines that
+        # land on t's cycles put their closure, every cycle, inside t's:
+        # onto if t's lines land on ours under the inverse map, the test
+        # where a side holds its table and no set (_table_only), as the
+        # search leaves both, so a searched map builds no set; else if the
+        # two sets are as large
+        return self._maps_lines_into(t, m) and (
+            t._maps_lines_into(self, sorted(range(len(m)), key=m.__getitem__))
+            if self._table_only() or t._table_only()
+            else len(self.cycles) == len(t.cycles))
 
     def _line_columns(self) -> tuple[Sequence[int], Sequence[int],
                                      Sequence[int]]:
@@ -351,9 +372,13 @@ class AtomStructure(_Record):
                                list[tuple[Triple, int]]]:
         # per identity atom e the atoms below e;1 and those below 1;e, the
         # atoms that are no functions, and each (cycle, clause) that breaks
-        # the identity law: one O(cycles) scan, laws._place_atoms
-        from .laws import _place_atoms
-        return _place_atoms(self)
+        # the identity law: one O(cycles) scan, of a parsed structure's
+        # lines where they break no clause (laws._line_places), else of
+        # the stream (laws._place_atoms)
+        from .laws import _line_places, _place_atoms
+        places = self._lines and _line_places(
+            self._lines, self.identity_atoms, self.converse_map)
+        return places or _place_atoms(self)
 
     @cached_property
     def _loops(self) -> dict[int, int]:

@@ -26,7 +26,7 @@ extraction, O(n^2 + atoms * n) on n points, and O(cycles) per map's
 check, besides the local laws and the axioms, and no search budget.
 Only `iso` pairs with neither side in the class and actions of order
 above two reach the search and its budget (_searched), which must be an
-int (_check_budget).
+int of at least 1 (_check_budget).
 
 Inputs are checked against the local laws first, and the associativity
 join runs only before a verdict that no witness certifies (_gated).
@@ -72,23 +72,15 @@ class IsoWitness(_Record):
         self._init(source, target, atom_map)
 
     def problems(self) -> tuple[str, ...]:
-        """Why the map is no isomorphism, () if it is one.  A bijection m
+        """Why the map is no isomorphism, () if it is one.  The map rules
+        come first (_map_problems), a non-bijection alone.  A bijection
         keeps the cycles both ways iff it maps the source cycles onto the
-        target's.  If m commutes with converse and both sides have whole
-        orbits (atoms._whole_orbits), m sends each of the source's cycle
-        lines (a parsed structure's lines, else its cycles) to its image's
-        transforms, so lines landing on target cycles
-        (AtomStructure._maps_lines_into) put their closure, the source
-        cycles, inside the target's: onto if the two sets have the same
-        size, or if the target's lines land on source cycles under the
-        inverse map.  Where both sides hold their cycle sets, the sizes are
-        compared.  Where a side holds its table and no set
-        (AtomStructure._table_only), as the search leaves both, the
-        target's lines are mapped back, and every line is tested through
-        the table, so checking a searched map builds no set and reads no
-        more of the table than the lines' entries.  Otherwise, or when a
-        line misses, the whole sets are compared, misses sorted.  The map
-        rules come first (_map_problems), a non-bijection alone."""
+        target's.  Where m keeps the rules and both sides have whole orbits
+        (atoms._whole_orbits), AtomStructure._maps_onto answers that from
+        each side's cycle lines, and from whichever store it holds: a
+        searched map is checked without building a cycle set.  Otherwise,
+        or when it answers no, the whole sets are compared, misses
+        sorted."""
         s, t, m = self.source, self.target, self.atom_map
         if t.n_atoms != s.n_atoms:
             return ("structures have different atom counts",)
@@ -96,10 +88,7 @@ class IsoWitness(_Record):
         if out == [_NOT_A_BIJECTION]:
             return tuple(out)
         if (not out and _whole_orbits(s) and _whole_orbits(t)
-                and s._maps_lines_into(t, m)
-                and (t._maps_lines_into(s, self.inverted().atom_map)
-                     if s._table_only() or t._table_only()
-                     else len(s.cycles) == len(t.cycles))):
+                and s._maps_onto(t, m)):
             return ()
         if {(m[x], m[y], m[z]) for x, y, z in s.cycles} != t.cycles:
             inv = self.inverted().atom_map
@@ -128,7 +117,8 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
     counts each atom assignment, tried or forced, as one node of `budget`
     and raises SearchBudgetExceeded past it.  An invalid structure raises
     InvalidStructureError, the source's when both are (see _gated); a
-    budget that is not an int raises ValueError before any work."""
+    budget that is not an int of at least 1 raises ValueError before any
+    work."""
     _check_budget(budget)
 
     def compute():
@@ -148,10 +138,11 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
 
 
 def _check_budget(budget) -> None:
-    # the search's node budget is an int, as the CLI reads it: floats,
-    # bools and None refused, whether or not the search would run
-    if type(budget) is not int:
-        raise ValueError(f"search budget {budget!r} is not an int")
+    # the search's node budget is an int of at least 1, as the CLI reads
+    # it: floats, bools, None and ints below 1 refused, whether or not the
+    # search would run
+    if type(budget) is not int or budget < 1:
+        raise ValueError(f"search budget {budget!r} is not an int of at least 1")
 
 
 def _gated(inputs: tuple[AtomStructure, ...], compute):
@@ -245,7 +236,7 @@ def check_action_represents(structure: AtomStructure, action: GroupAction,
     algebra is built, or the proof's map (proof._realize).  Larger groups
     go to the search.  Only the structure is validated: the action's is
     valid by construction (see extract_atom_structure).  A budget that is
-    not an int raises ValueError before any work."""
+    not an int of at least 1 raises ValueError before any work."""
     _check_budget(budget)
 
     def compute():

@@ -5,13 +5,14 @@ cycle law, the identity law, and one domain and one range atom per atom.
 They cost two O(cycles) scans, which record what breaks each law for
 _local_laws to word: the cycle law's (_broken_cycles), skipped on
 structures that the parser and extraction build
-(AtomStructure._of_checked_ids), and _place_atoms, behind
-AtomStructure._places, which places every atom by two masks per identity
-atom e, the atoms below e;1 and below 1;e, finds the atoms that are no
-functions, and records each (cycle, clause) that breaks the identity
-law; on a parsed structure it reads one line per orbit where the lines
-break no clause (_line_places).  _validate adds associativity, checked by
-the join, in its own module, which it imports when it runs.
+(AtomStructure._of_checked_ids), and _place_atoms, which places every
+atom by two masks per identity atom e, the atoms below e;1 and below
+1;e, finds the atoms that are no functions, and records each (cycle,
+clause) that breaks the identity law.  AtomStructure._places, which
+alone knows how the cycles are held, calls _line_places on a parsed
+structure's lines, and _place_atoms where the lines break a clause or
+there are none.  _validate adds associativity, checked by the join, in
+its own module, which it imports when it runs.
 
 The members of AtomStructure that these compute (_places,
 _cycle_law_broken, _local_violations and validation) import this module
@@ -37,14 +38,12 @@ def _place_atoms(s: AtomStructure) -> tuple[dict[int, int], dict[int, int],
     those with (a, e, a), below 1;e, so e;1;f is out[e] & into[f]; then the
     atoms a with some (a, w, a), w in 0': by the cycle law, the
     non-functions; then each (cycle, clause) that breaks the identity law,
-    sorted and once each, its clause numbered as in _IDENTITY_LAW.  A
-    parsed structure's lines are read instead where they break no clause
-    (_line_places)."""
+    sorted and once each, its clause numbered as in _IDENTITY_LAW.  The
+    pass reads AtomStructure._cycle_stream, which holds every cycle, once
+    or more; the marks are unions and the records deduplicated, so repeats
+    change nothing.  _places calls it where _line_places gives no
+    answer."""
     ident, conv = s.identity_atoms, s.converse_map
-    if s._lines is not None:
-        places = _line_places(s._lines, ident, conv)
-        if places is not None:
-            return places
     out, into, not_fn = dict.fromkeys(ident, 0), dict.fromkeys(ident, 0), 0
     broken = []
     for t in s._cycle_stream():

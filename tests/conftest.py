@@ -415,6 +415,26 @@ def generated_groups(max_points: int) -> dict:
     return actions
 
 
+def catalog_structures() -> list[AtomStructure]:
+    """The structures of the 195 actions on up to 5 points, of every
+    data/*.ra file, and of the type6.ca algebra."""
+    structures = [extract_atom_structure(rel_algebra(a))
+                  for a in generated_groups(5).values()]
+    structures += [load_structure(p.name) for p in sorted(DATA.glob("*.ra"))]
+    structures.append(extract_atom_structure(load_concrete("type6.ca")))
+    assert len(structures) == 195 + 4 + 1
+    return structures
+
+
+def larger_structures() -> list[AtomStructure]:
+    """Involution structures of 17 to 52 atoms and regular actions of 12
+    to 48 atoms, beyond the catalog's 5 points."""
+    return ([involution_structure(p, t) for p, t in ((3, 1), (0, 4),
+                                                      (2, 4), (4, 2))]
+            + [extract_atom_structure(rel_algebra(regular_action(orders)))
+               for orders in ([12], [48], [2, 8], [3, 9], [4, 4])])
+
+
 def usable_atom_name_oracle(name: str) -> bool:
     """The atom name rule character by character: non-empty, and no
     character is whitespace (str.isspace), `:` or `#`."""

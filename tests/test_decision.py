@@ -26,13 +26,13 @@ from relalg.formats import (format_atom_structure, format_group_action,
 from relalg.proof import _proof_witness
 from relalg.search import _power_runs, _refined_colours
 
-from conftest import (DATA, atom_flags_oracle, close_cycles_oracle, conjugate,
-                      generated_groups, group_closure_oracle,
-                      involution_action, involution_structure, involutions,
-                      iso_problems_oracle, load_action, load_concrete,
-                      load_structure, one_orbit_corruptions,
-                      refined_colours_oracle, regular_action, replaced,
-                      shuffled, signature_oracle)
+from conftest import (DATA, atom_flags_oracle, catalog_structures,
+                      close_cycles_oracle, conjugate, generated_groups,
+                      group_closure_oracle, involution_action,
+                      involution_structure, involutions, iso_problems_oracle,
+                      larger_structures, load_action, load_structure,
+                      one_orbit_corruptions, refined_colours_oracle,
+                      regular_action, replaced, shuffled, signature_oracle)
 from conftest import element_flags, report_codes, type_tags
 
 
@@ -90,17 +90,6 @@ def test_cycle_difference_rejected(s23):
     assert find_isomorphism(other, s23) is None
 
 
-def catalog_structures() -> list[AtomStructure]:
-    """The structures of the 195 actions on up to 5 points, of every
-    data/*.ra file, and of the type6.ca algebra."""
-    structures = [extract_atom_structure(rel_algebra(a))
-                  for a in generated_groups(5).values()]
-    structures += [load_structure(p.name) for p in sorted(DATA.glob("*.ra"))]
-    structures.append(extract_atom_structure(load_concrete("type6.ca")))
-    assert len(structures) == 195 + 4 + 1
-    return structures
-
-
 def test_refined_colours_agree_with_the_signature_oracle():
     # refinement starts from identity and self-converse alone; atoms it
     # leaves in one class still agree on the point, pair and function flags
@@ -112,15 +101,6 @@ def test_refined_colours_agree_with_the_signature_oracle():
         first: dict[int, int] = {}
         for a, c in enumerate(colours):
             assert sig[first.setdefault(c, a)] == sig[a], (s.atom_names, a)
-
-
-def larger_structures() -> list[AtomStructure]:
-    """Involution structures of 17 to 52 atoms and regular actions of 12
-    to 48 atoms, beyond the catalog's 5 points."""
-    return ([involution_structure(p, t) for p, t in ((3, 1), (0, 4),
-                                                      (2, 4), (4, 2))]
-            + [extract_atom_structure(rel_algebra(regular_action(orders)))
-               for orders in ([12], [48], [2, 8], [3, 9], [4, 4])])
 
 
 def random_cycle_law_tables(rng, count):
@@ -181,15 +161,20 @@ def test_budget_exhaustion(s23):
         find_isomorphism(s23, s23, budget=1)
 
 
-@pytest.mark.parametrize("budget", [None, 2.5, True, "5"])
+@pytest.mark.parametrize("budget", [None, 2.5, True, "5", 0, -5])
 def test_a_budget_that_is_no_int_is_refused_before_any_work(budget):
     # as the CLI refuses such values: 23.ra is outside the class, so it is
-    # searched, where None raised TypeError inside the search; the check
-    # comes before the local laws, the axioms and any search
-    for call in (lambda s: find_isomorphism(s, s, budget=budget),
-                 lambda s: check_action_represents(
-                     s, regular_action([3]), budget=budget)):
-        s = load_structure("23.ra")
+    # searched, where None raised TypeError inside the search and 0 or -5
+    # ran out at the first node; swap.ra is in the class, where 0 gave the
+    # proof's map, as no search runs.  The check comes before the local
+    # laws, the axioms and any search
+    for name, call in (
+            ("23.ra", lambda s: find_isomorphism(s, s, budget=budget)),
+            ("23.ra", lambda s: check_action_represents(
+                s, regular_action([3]), budget=budget)),
+            ("swap.ra", lambda s: check_action_represents(
+                s, load_action("swap.act"), budget=budget))):
+        s = load_structure(name)
         with pytest.raises(ValueError, match="search budget .* not an int"):
             call(s)
         assert not {"_places", "_table", "validation"} & {*s.__dict__}
@@ -728,10 +713,13 @@ def test_a_power_run_reads_the_element_order(orders):
 
 
 def test_power_runs_are_invariant_under_relabelling():
+    # every structure of the catalog and beyond it, up to 52 atoms that
+    # share runs, once relabelled: each atom's run moves with it
     rng = random.Random(15)
     for s in catalog_structures() + larger_structures():
-        assert (Counter(_power_runs(shuffled(s, rng)))
-                == Counter(_power_runs(s))), s.atom_names
+        ids = rng.sample(range(s.n_atoms), s.n_atoms)
+        runs = _power_runs(conjugate(s, ids))
+        assert [runs[b] for b in ids] == _power_runs(s), s.atom_names
 
 
 def regular_action_of(elements, mul, generators):
@@ -871,6 +859,19 @@ def test_the_map_check_reads_the_table_as_it_reads_the_set():
             assert any("converse" in line for line in with_set) == (k == 2), k
             if k == 0:
                 assert not any("cycles" in x.__dict__ for x in sides[1])
+    # and a target with the orbit of (r, r, r) added to 23.ra's: every
+    # line of 23.ra lands in it, so only the target's lines mapped back,
+    # or the two cycle counts, find the cycles that have no source
+    text = (DATA / "23.ra").read_text()
+    sides = [[parse_atom_structure(t) for t in (text, text + "cycle r r r\n")]
+             for _ in range(2)]
+    for x in sides[1]:
+        x._table
+    with_set, with_table = (IsoWitness(x, y, (0, 1, 2)).problems()
+                            for x, y in sides)
+    assert with_table == with_set
+    assert len(with_set) == 6 and all(
+        line.startswith("target cycle") for line in with_set), with_set
 
 
 # --- verify_decision ------------------------------------------------------

@@ -1,5 +1,6 @@
 """The library imports nothing outside the Python standard library, parses
-as Python 3.10, and defines no name that nothing names."""
+as Python 3.10, defines no name that nothing names, and reads how a
+structure holds its cycles in `atoms` alone."""
 
 import ast
 import sys
@@ -94,3 +95,25 @@ def test_every_private_helper_is_named_outside_its_definition():
             if not any(name in n for j, n in enumerate(named)
                        if j not in own[i])]
     assert dead == []
+
+
+# how a checked structure holds its cycles: the parser's lines, the
+# extraction's stream, and whether the table is held and no cycle set
+STORAGE = {"_lines", "_triples", "_table_only"}
+
+
+def test_only_atoms_reads_how_a_structure_holds_its_cycles():
+    # atoms chooses which store answers a reader (_cycle_stream, _places,
+    # _maps_onto, _line_columns), so every other module states what must
+    # hold of the cycles, not how they are stored.  An attribute read, or
+    # a name in a string as getattr or __dict__ would take it, counts
+    files = sorted(Path(relalg.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    readers = {path.name: {
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in STORAGE
+        or isinstance(node, ast.Constant) and node.value in STORAGE}
+        for path in files}
+    assert readers.pop("atoms.py") == STORAGE
+    assert {name: found for name, found in readers.items() if found} == {}
