@@ -29,7 +29,8 @@ inverse map, each image tested through the table of the side it lands
 in where that side holds no set, so a searched `iso` or `check-action`
 builds no set; else it compares the two sets' sizes.
 Readers that only iterate take _cycle_stream (a checked structure's
-stream, set built or not); verify_decision reads _line_columns.
+stream, set built or not); verify_decision's body, check.check, reads
+_line_columns.
 
 The local laws and validation live in `laws`, and the three axioms in
 `axioms`.  The members of AtomStructure that compute the laws (_places,
@@ -46,7 +47,6 @@ compose_mask read _comp.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, groupby
@@ -64,13 +64,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# \s matches exactly the characters for which str.isspace() holds
-_USABLE_NAME = re.compile(r"[^\s:#]+")
-
-
 def usable_atom_name(name: str) -> bool:
-    """Non-empty, without whitespace, `:` or `#`, as the text formats need."""
-    return _USABLE_NAME.fullmatch(name) is not None
+    """A str, non-empty, without whitespace, `:` or `#`, as the text
+    formats need.  str.split() splits at exactly the characters for which
+    str.isspace() holds, so a name without them is its one word."""
+    return (isinstance(name, str) and name.split() == [name]
+            and ":" not in name and "#" not in name)
 
 
 def _union(table: Sequence[int], mask: int) -> int:
@@ -309,7 +308,8 @@ class AtomStructure(_Record):
         return m
 
     def _fmt_triple(self, t: Triple) -> str:
-        return "(" + ", ".join(self.atom_names[a] for a in t) + ")"
+        x, y, z = map(self.atom_names.__getitem__, t)  # names of any type
+        return f"({x}, {y}, {z})"
 
     # -- composition and converse on masks --------------------------------
 

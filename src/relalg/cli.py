@@ -25,7 +25,6 @@ usage and error text.
 
 from __future__ import annotations
 
-import codecs
 import functools
 import sys
 from types import SimpleNamespace
@@ -40,16 +39,17 @@ from .formats import (_int, format_atom_structure, format_concrete_algebra,
 def _read(path: str) -> str:
     # read whole as bytes, in one unbuffered call, and decoded at once:
     # the parsers split lines with str.splitlines, which ends a line at
-    # CRLF and at a lone CR as text mode's newline translation did; a
-    # leading byte-order mark is skipped, and still counted in offsets
+    # CRLF and at a lone CR as text mode's newline translation did.  The
+    # default codec decodes the byte-order mark too, so offsets count it,
+    # and a leading one (U+FEFF) is then dropped here, which loads no
+    # utf-8-sig codec
     with open(path, "rb", buffering=0) as f:
         data = f.read()
     try:
-        return data.decode("utf-8-sig")
+        return data.decode().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        mark = data.startswith(codecs.BOM_UTF8)
         raise RelalgError(f"{path}: not UTF-8 text ({exc.reason} at byte "
-                          f"{exc.start + 3 * mark})") from None
+                          f"{exc.start})") from None
 
 
 def _structure(path: str):

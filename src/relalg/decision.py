@@ -9,7 +9,8 @@ atom bijection onto the structure extracted from it, checked by
 IsoWitness.problems() one cycle line per Peircean orbit.  By the theorem
 it fails on no valid input that satisfies the axioms, so a failure is an
 InternalError.  verify_decision re-checks an accepted decision from its
-algebra's owner table, with none of that code.
+algebra's owner table, with none of that code: its body is module
+`check`, imported on the first verification.
 
 `iso` and `check-action` let the class answer whenever it can.  The
 axioms decide membership (_class_counts) and are first-order, so kept by
@@ -26,16 +27,19 @@ extraction, O(n^2 + atoms * n) on n points, and O(cycles) per map's
 check, besides the local laws and the axioms, and no search budget.
 Only `iso` pairs with neither side in the class and actions of order
 above two reach the search and its budget (_searched), which must be an
-int of at least 1 (_check_budget).
+int of at least 1 (_check_budget), and the search module is imported
+only when the two sides' power runs (_power_runs) agree.
 
 Inputs are checked against the local laws first, and the associativity
 join runs only before a verdict that no witness certifies (_gated).
 
-This module imports `proof`, `actions`, `concrete` and `search` only in
-the branches that run them (README, "Start-up").
+This module imports `proof`, `actions`, `concrete`, `search` and `check`
+only in the branches that run them (README, "Start-up").
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .atoms import AtomStructure, _Record, _whole_orbits
 from .axioms import AxiomFailure, _z2_axioms
@@ -173,9 +177,14 @@ def _gated(inputs: tuple[AtomStructure, ...], compute):
 def _searched(source: AtomStructure, target: AtomStructure,
               budget: int) -> IsoWitness | None:
     """The search's checked isomorphism of structures whose local laws
-    hold, or None; search is imported here, so only a search compiles it."""
+    hold, or None.  Unequal multisets of power runs (_power_runs) answer
+    None before the first node; search is imported only when they agree,
+    so only a search compiles it, and is given the runs."""
+    runs = _power_runs(source), _power_runs(target)
+    if Counter(runs[0]) != Counter(runs[1]):
+        return None
     from .search import _search_isomorphism
-    atom_map = _search_isomorphism(source, target, budget)
+    atom_map = _search_isomorphism(source, target, budget, runs)
     if atom_map is None:
         return None
     witness = IsoWitness(source, target, atom_map)
@@ -183,6 +192,46 @@ def _searched(source: AtomStructure, target: AtomStructure,
     if bad:
         raise InternalError("search produced an invalid witness: " + bad[0])
     return witness
+
+
+def _power_runs(s: AtomStructure) -> list[tuple[int, ...]]:
+    """Each atom's power run, in atom order: an isomorphism keeps each
+    atom's run, so the multisets of two isomorphic structures' runs agree.
+    An invariant of O(atoms + cycles), it answers None for the regular
+    actions of distinct abelian groups of one order, which colour
+    refinement cannot tell apart (it does not separate the Cayley tables
+    of groups of one order; Cai, Fürer & Immerman, 1992), before search
+    is imported; the search orders each branch's candidates by the runs.
+
+    Atom x's run follows x, x;x, (x;x);x, ... while each power is one atom
+    and stops at the first power that is empty, has several atoms or
+    repeats; each power adds the int 2 * (its atom count) + (whether it
+    meets the identity), so a run is a tuple of small ints that hashes
+    and compares fast.  In the structure of a group, the identity first
+    shows at the element's order.  Only _comp and the identity atoms are
+    read, so a relabelling permutes the runs.  Step k of x's run reads the
+    cycle (x^k, x, x^(k+1)), never the same one twice over all runs, so
+    all runs cost at most atoms + cycles lookups.
+    """
+    comp, ident, n = s._comp, s.identity_mask, s.n_atoms
+    # a one-atom power z adds one[z]; last[z] == x once z is a power of x
+    one = [2 + (ident >> z & 1) for z in range(n)]
+    last = [-1] * n
+    runs = []
+    for x in range(n):
+        z, run = x, []
+        while True:
+            run.append(one[z])
+            if last[z] == x:
+                break
+            last[z] = x
+            p = comp[z][x]
+            if not p or p & (p - 1):
+                run.append(2 * p.bit_count() + (p & ident != 0))
+                break
+            z = p.bit_length() - 1
+        runs.append(tuple(run))
+    return runs
 
 
 class Z2Decision(_Record):
@@ -282,87 +331,16 @@ class VerificationReport(_Record):
         return self.ok
 
 
-def verify_decision(d: Z2Decision) -> VerificationReport:
-    """Re-check an accepted decision from its certificate alone (action,
-    owner table, the witness's map m and target t, the decided structure
-    s), with none of rel_algebra, extract_atom_structure and problems()
-    but its map rules (_map_problems).  A rejected decision has no
-    certificate to re-check and raises ValueError; an accepted one that
-    lacks its action, algebra or witness fails, each missing part named.
 
-    The group is {1, g} (_involution) and the table holds its orbits on
-    pairs (_orbit_firsts), so it is the action's algebra: atom z's converse
-    holds the transpose of its first pair (i, k), the identity atoms meet
-    the diagonal, and the cycles are the (x, y, z) with (x, y) in the
-    profile of (i, k), the image of j -> (owner(i,j), owner(j,k)), one to
-    one but that j and g(j) meet when g fixes i and k: n K - t f^2 cycles
-    for K atoms, f fixed points and t 2-cycles.  m keeps the map rules and
-    puts each cycle line (x, y, z) of s (AtomStructure._line_columns) in a
-    profile: (i, j) in m(x), j = b if m(x)'s first pair (a, b) has a = i,
-    g(b) if g(a) = i, has (j, k) in m(y).  m commutes with the Peircean
-    transforms, which keep the table's cycles, and s's cycles are its
-    lines' closure, so m maps them into the table's, as many: onto.  t has
-    the table's names, converse and identity atoms, as many cycles, whole
-    orbits (atoms._whole_orbits) and each line's image: it is the table's."""
+
+def verify_decision(d: Z2Decision) -> VerificationReport:
+    """Re-check an accepted decision from its certificate alone (module
+    `check`, imported on the first verification), with none of
+    rel_algebra, extract_atom_structure and problems() but its map rules
+    (_map_problems).  A rejected decision has no certificate to re-check
+    and raises ValueError; an accepted one that lacks its action, algebra
+    or witness fails, each missing part named."""
     if not d.accepted:
         raise ValueError("verify_decision requires an accepted decision")
-    missing = tuple(f"accepted decision has no {part}" for part in
-                    ("action", "algebra", "witness") if getattr(d, part) is None)
-    if missing:
-        return VerificationReport(missing)
-    s, t, m, alg = d.structure, d.witness.target, d.witness.atom_map, d.algebra
-    g = _involution(d.action)
-    firsts = _orbit_firsts(g, alg)
-    out = [] if firsts else ["action group has order above 2, expected <= 2"
-                             if g is None else "stored algebra is not the "
-                             "compatible-relation algebra of the action"]
-    if d.witness.source != s:
-        out.append("witness source is not the decided structure")
-    if not firsts:
-        return VerificationReport(tuple(out))
-    n, owner, atoms = alg.base_size, alg.owner, len(firsts)
-    row, col = [p // n for p in firsts], [p % n for p in firsts]
-    conv = tuple(owner[b * n + a] for a, b in zip(row, col))
-    ident = set(owner[::n + 1])
-    out += _map_problems(s, m, ident, conv)
-    if out:
-        return VerificationReport(tuple(out))
-    lines = s._line_columns()
-    xs, ys, zs = ([*map(m.__getitem__, ids)] for ids in lines)
-    out = [f"cycle {s._fmt_triple(c)} is not preserved" for c in sorted({
-        c for c, x, y, z in zip(zip(*lines), xs, ys, zs)
-        if not (row[x] == row[z] and owner[col[x] * n + col[z]] == y
-                or g[row[x]] == row[z] and owner[g[col[x]] * n + col[z]] == y)})]
-    f = sum(a == b for a, b in enumerate(g))
-    size = atoms * n - (n - f) // 2 * f * f
-    if not out and size != len(s.cycles):
-        out.append(f"structure has {len(s.cycles)} cycles and the action's "
-                   f"algebra {size}")
-    if not out and ((t.atom_names, t.converse_map, t.identity_atoms)
-                    != (alg.atom_names, conv, ident) or len(t.cycles) != size
-                    or not _whole_orbits(t)
-                    or not t.cycles.issuperset(zip(xs, ys, zs))):
-        out.append("witness target is not the extraction of the action's "
-                   "algebra")
-    return VerificationReport(tuple(out))
-
-
-def _orbit_firsts(g: tuple[int, ...] | None, alg: ConcreteAlgebra
-                  ) -> list[int] | None:
-    """The first pair of each atom if alg's owner table holds the orbits
-    of the involution g on pairs as rel_algebra numbers (by least pair) and
-    names them (_orbit_names), else None.  g keeps every atom (one list
-    comparison), so each is a union of orbits, which number f^2 + (n^2 -
-    f^2)/2 for f fixed points: as many atoms are one orbit each."""
-    from .actions import _orbit_names
-    n, owner = alg.base_size, alg.owner
-    if g is None or len(g) != n or alg.atom_names != _orbit_names(n, owner):
-        return None
-    first = dict(zip(owner[::-1], range(n * n - 1, -1, -1)))
-    firsts = [*map(first.__getitem__, range(len(first)))]
-    f = sum(a == b for a, b in enumerate(g))
-    image = [q for a in g for q in map((a * n).__add__, g)]
-    if (firsts == sorted(firsts) and len(firsts) == (n * n + f * f) // 2
-            and [*map(owner.__getitem__, image)] == [*owner]):
-        return firsts
-    return None
+    from .check import check
+    return VerificationReport(check(d))

@@ -32,15 +32,8 @@ parsers import `actions` and `concrete` where they build their result
 
 from __future__ import annotations
 
-import re
-
 from .atoms import AtomStructure, _orbit_reps
 from .errors import ParseError
-
-# numbers are ASCII digits: int() and \d would also read underscores and
-# other scripts' digits, which no emitter writes
-_PAIR_RE = re.compile(r"^\(([0-9]+),([0-9]+)\)$")
-_INT_RE = re.compile(r"([+-]?)0*([0-9]+)")
 
 # the largest `set n` of a .act or .ca file, checked before any table of
 # the n^2 pairs is built
@@ -52,15 +45,32 @@ MAX_ATOMS = MAX_BASE_SIZE ** 2
 
 
 def _int(tok: str) -> int:
-    """The value of a number token, else ValueError.  Past 18 digits,
-    leading zeros aside, it is read as 10**18 with its sign: beyond every
-    size and index the formats take, so that their range checks name the
-    fault, where int() would refuse a number of more than 4300 digits."""
-    m = _INT_RE.fullmatch(tok)
-    if not m:
+    """The value of a number token, an optional sign and ASCII digits,
+    else ValueError.  Past 18 digits, leading zeros aside, it is read as
+    10**18 with its sign: beyond every size and index the formats take, so
+    that their range checks name the fault, where int() would refuse a
+    number of more than 4300 digits."""
+    sign = tok[:1] if tok[:1] in ("+", "-") else ""
+    digits = tok[len(sign):]
+    # ASCII digits: int() and isdigit() alone would also read other
+    # scripts' digits, and int() underscores, which no emitter writes
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(tok)
-    sign, digits = m.groups()
+    digits = digits.lstrip("0") or "0"
     return int(sign + (digits if len(digits) <= 18 else "1" + "0" * 18))
+
+
+def _pair(tok: str) -> tuple[int, int] | None:
+    # the two numbers of a pair token `(i,j)`, ASCII digits as in _int,
+    # else None
+    if tok[:1] == "(" and tok[-1:] == ")" and tok.isascii():
+        i, _, j = tok[1:-1].partition(",")
+        if i.isdigit() and j.isdigit():
+            try:
+                return int(i), int(j)
+            except ValueError:  # more than int()'s 4300 digits
+                return _int(i), _int(j)
+    return None
 
 
 def _content_lines(text: str):
@@ -160,7 +170,9 @@ def parse_atom_structure(text: str, source: str = "<string>") -> AtomStructure:
 
 def format_atom_structure(s: AtomStructure) -> str:
     """The text of s, one cycle line per Peircean orbit: its least member,
-    in sorted order, as atoms._orbit_reps chooses them or refuses s."""
+    in sorted order, as atoms._orbit_reps chooses them or refuses s,
+    before any name is written."""
+    reps = _orbit_reps(s)
     conv, names = s.converse_map, s.atom_names
     lines = ["atoms " + " ".join(names)]
     lines.append("identity " + " ".join(names[e]
@@ -169,7 +181,7 @@ def format_atom_structure(s: AtomStructure) -> str:
              for a in range(s.n_atoms) if a <= conv[a]]
     lines.append("converse " + " ".join(pairs))
     lines += [f"cycle {names[x]} {names[y]} {names[z]}"
-              for x, y, z in _orbit_reps(s)]
+              for x, y, z in reps]
     return "\n".join(lines) + "\n"
 
 
@@ -226,17 +238,13 @@ def parse_concrete_algebra(text: str, source: str = "<string>") -> ConcreteAlgeb
                              "atom lines look like: atom name = (i,j) ...")
         pairs = []
         for tok in parts[3:]:
-            mm = _PAIR_RE.match(tok)
-            if not mm:
+            pair = _pair(tok)
+            if pair is None:
                 raise ParseError(source, lineno, "malformed pair", token=tok)
-            try:
-                i, j = int(mm.group(1)), int(mm.group(2))
-            except ValueError:  # more than int()'s 4300 digits
-                i, j = _int(mm.group(1)), _int(mm.group(2))
-            if i >= n or j >= n:
+            if pair[0] >= n or pair[1] >= n:
                 raise ParseError(source, lineno,
                                  "pair outside the base set", token=tok)
-            pairs.append((i, j))
+            pairs.append(pair)
         names.append(parts[1])
         atom_pairs.append(pairs)
     if not names:

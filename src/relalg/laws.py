@@ -140,11 +140,11 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
         return (Violation("empty-structure",
                           "structure has no atoms (one = zero)"),)
 
-    seen: dict[str, int] = {}
+    seen: dict[str, int] = {}  # a name that is no str is only unusable
     for a, nm in enumerate(names):
         if not usable_atom_name(nm):
             v.append(Violation("bad-atom-name", f"atom {a} has unusable name {nm!r}"))
-        if seen.setdefault(nm, a) != a:
+        if isinstance(nm, str) and seen.setdefault(nm, a) != a:
             v.append(Violation(
                 "duplicate-atom-name",
                 f"atom name {nm!r} used by atoms {seen[nm]} and {a}"))
@@ -180,7 +180,8 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
                 elif len(found) > 1:
                     v.append(Violation(
                         f"multiple-{side}-atoms", f"atom {names[a]} has "
-                        f"{side} atoms " + ", ".join(names[e] for e in found)))
+                        f"{side} atoms " + ", ".join(
+                            f"{names[e]}" for e in found)))
     return tuple(v)
 
 

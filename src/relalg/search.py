@@ -1,31 +1,28 @@
 """The isomorphism search, run only where the class cannot answer: `iso`
 pairs with neither side in it and `check-action` with a group of order
-above two.  decision imports this module on that branch alone
-(decision._searched) and checks the map it returns as an IsoWitness.
+above two, and then only when the two sides' power runs agree.
+decision imports this module on that branch alone (decision._searched)
+and checks the map it returns as an IsoWitness.
 
 Everything here reads each structure's composition table _comp (and the
 identity atoms and converse), never its cycle set, which the search
 therefore never builds (AtomStructure.cycles).
 
-The search first compares the multisets of the atoms' power runs
-(_power_runs), an invariant of O(atoms + cycles) that answers None for
-the regular actions of distinct abelian groups of one order, which
-refinement cannot tell apart (colour refinement does not separate the
-Cayley tables of groups of one order; Cai, Fürer & Immerman, 1992),
-without refinement's rounds.  Colour
-refinement (_refined_colours) then gives each source atom its candidates,
-the target atoms of its colour.  The search branches on the unassigned
-atom with the fewest live candidates (lowest id on ties) and tries, in
-target id order, only those whose power run equals the atom's.  An
-isomorphism keeps each atom's run, so the others lead to no map: the map
-found is the one that trying every live candidate finds, with a subset of
-its assignments.  Assigning a -> b also assigns a~ -> b~ and, for every
-assigned y, requires a;y and b;m(y) (and y;a, m(y);b) to have as many
-atoms, maps each assigned atom of a;y into b;m(y), and narrows the
-candidates of the unassigned ones to b;m(y).  An empty candidate set
-backtracks, a single one is assigned at once.  Each atom assignment,
-tried or forced, is one node of the budget; past it,
-SearchBudgetExceeded is raised.
+decision._searched has compared the multisets of the atoms' power runs
+(decision._power_runs) before importing this module, and passes the runs
+in: they agree.  Colour refinement (_refined_colours) gives each source
+atom its candidates, the target atoms of its colour.  The search
+branches on the unassigned atom with the fewest live candidates (lowest
+id on ties) and tries, in target id order, only those whose power run
+equals the atom's.  An isomorphism keeps each atom's run, so the others
+lead to no map: the map found is the one that trying every live
+candidate finds, with a subset of its assignments.  Assigning a -> b
+also assigns a~ -> b~ and, for every assigned y, requires a;y and b;m(y)
+(and y;a, m(y);b) to have as many atoms, maps each assigned atom of a;y
+into b;m(y), and narrows the candidates of the unassigned ones to
+b;m(y).  An empty candidate set backtracks, a single one is assigned at
+once.  Each atom assignment, tried or forced, is one node of the budget;
+past it, SearchBudgetExceeded is raised.
 """
 
 from __future__ import annotations
@@ -93,41 +90,6 @@ def _refined_colours(source: AtomStructure, target: AtomStructure
     return None
 
 
-def _power_runs(s: AtomStructure) -> list[tuple[int, ...]]:
-    """Each atom's power run, in atom order: an isomorphism keeps each
-    atom's run, so the multisets of two isomorphic structures' runs agree.
-
-    Atom x's run follows x, x;x, (x;x);x, ... while each power is one atom
-    and stops at the first power that is empty, has several atoms or
-    repeats; each power adds the int 2 * (its atom count) + (whether it
-    meets the identity), so a run is a tuple of small ints that hashes
-    and compares fast.  In the structure of a group, the identity first
-    shows at the element's order.  Only _comp and the identity atoms are
-    read, so a relabelling permutes the runs.  Step k of x's run reads the
-    cycle (x^k, x, x^(k+1)), never the same one twice over all runs, so
-    all runs cost at most atoms + cycles lookups.
-    """
-    comp, ident, n = s._comp, s.identity_mask, s.n_atoms
-    # a one-atom power z adds one[z]; last[z] == x once z is a power of x
-    one = [2 + (ident >> z & 1) for z in range(n)]
-    last = [-1] * n
-    runs = []
-    for x in range(n):
-        z, run = x, []
-        while True:
-            run.append(one[z])
-            if last[z] == x:
-                break
-            last[z] = x
-            p = comp[z][x]
-            if not p or p & (p - 1):
-                run.append(2 * p.bit_count() + (p & ident != 0))
-                break
-            z = p.bit_length() - 1
-        runs.append(tuple(run))
-    return runs
-
-
 class _Partial:
     """A partial atom map: m (-1 where unset), the live target candidates
     of each unassigned source atom as a bitmask, the assigned source atoms
@@ -143,12 +105,12 @@ class _Partial:
 
 
 def _search_isomorphism(source: AtomStructure, target: AtomStructure,
-                        budget: int) -> tuple[int, ...] | None:
+                        budget: int, runs: tuple[list, list]
+                        ) -> tuple[int, ...] | None:
     # the atom map of an isomorphism of structures whose local laws hold,
-    # or None when none exists
-    sruns, truns = _power_runs(source), _power_runs(target)
-    if Counter(sruns) != Counter(truns):
-        return None
+    # or None when none exists; runs are both sides' power runs
+    # (decision._power_runs), whose multisets agree
+    sruns, truns = runs
     colours = _refined_colours(source, target)
     if colours is None:
         return None

@@ -1,10 +1,18 @@
-"""The size of the library: lines and code lines of each module.
+"""The size of the library: lines and code lines of each module, and of
+the modules that each command's start loads.
 
 For every module of `src/relalg` this prints its line count, as `wc -l`
 gives it, and its code lines: the lines that hold a token other than a
 comment, and that lie in no docstring (the first statement of a module,
-class or function, when it is a string).  The last line gives the totals.
-Run it from anywhere, standard library only:
+class or function, when it is a string).  A line gives the totals.
+
+Then, for one plain command line per subcommand on the files of `data/`,
+and for an `iso` of two structures outside the class that their power
+runs answer, it prints the code lines of the relalg modules that a fresh
+`python -S` start of that line loads, and those modules.  Every start
+compiles what it loads where no bytecode is cached, so the sum counts a
+start's import work without a clock.  Run it from anywhere, standard
+library only:
 
     python tests/code_lines.py
 
@@ -13,10 +21,26 @@ The file name does not start with `test_`, so pytest does not collect it.
 
 import ast
 import io
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "relalg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "relalg"
+# one plain command line per subcommand, and the `iso` that the power
+# runs answer: 23.ra and 57.ra are both outside the class
+STARTS = [("validate", "data/23.ra"), ("rel", "data/z3.act"),
+          ("decide-z2", "data/swap.ra", "--verify"),
+          ("iso", "data/swap.ra", "data/swap.ra"),
+          ("iso", "data/23.ra", "data/57.ra"), ("classify", "data/type6.ca"),
+          ("check-action", "data/swap.ra", "data/swap.act"),
+          ("axioms", "data/swap.ra")]
+# runs cli.main on its arguments and prints the relalg modules loaded;
+# -S keeps site's .pth files from importing anything first
+_CHILD = ("import sys\nfrom relalg import cli\ncli.main(sys.argv[1:])\n"
+          "print(*sorted(m for m in sys.modules if m.startswith('relalg')),"
+          " file=sys.stderr)\n")
 # tokens that carry no code of their own
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -40,15 +64,31 @@ def code_lines(text: str) -> int:
     return len(lines)
 
 
+def loaded(argv: tuple[str, ...]) -> list[str]:
+    """The relalg modules, by file stem, that a fresh `python -S` start
+    of the command line loads."""
+    args = [str(ROOT / w) if w.startswith("data/") else w for w in argv]
+    proc = subprocess.run([sys.executable, "-S", "-c", _CHILD, *args],
+                          cwd=SRC.parent, capture_output=True, text=True)
+    modules = proc.stderr.splitlines()[-1].split()
+    return [m.partition(".")[2] or "__init__" for m in modules]
+
+
 def main() -> None:
     total = total_code = 0
+    code = {}
     print(f"{'module':<16}{'lines':>8}{'code':>8}")
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        n, code = text.count("\n"), code_lines(text)
-        total, total_code = total + n, total_code + code
-        print(f"{path.name:<16}{n:>8}{code:>8}")
+        n, code[path.stem] = text.count("\n"), code_lines(text)
+        total, total_code = total + n, total_code + code[path.stem]
+        print(f"{path.name:<16}{n:>8}{code[path.stem]:>8}")
     print(f"{'total':<16}{total:>8}{total_code:>8}")
+    print(f"\n{'start-up':<40}{'code':>6}  modules loaded")
+    for argv in STARTS:
+        modules = loaded(argv)
+        print(f"{' '.join(argv):<40}{sum(map(code.__getitem__, modules)):>6}"
+              f"  {' '.join(modules)}")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import functools
 import inspect
 import itertools
 import operator
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -433,6 +434,26 @@ def larger_structures() -> list[AtomStructure]:
                                                       (2, 4), (4, 2))]
             + [extract_atom_structure(rel_algebra(regular_action(orders)))
                for orders in ([12], [48], [2, 8], [3, 9], [4, 4])])
+
+
+# the regular expressions that the library's token tests once were, kept
+# as oracles: \s matches exactly the characters for which str.isspace()
+# holds, numbers are ASCII digits, and the pair reader is given the words
+# of str.split(), so its $ never meets a newline
+USABLE_NAME_RE = re.compile(r"[^\s:#]+")
+INT_RE = re.compile(r"([+-]?)0*([0-9]+)")
+PAIR_RE = re.compile(r"^\(([0-9]+),([0-9]+)\)$")
+
+
+def int_oracle(tok: str) -> int | None:
+    """The value that formats._int gives a number token, by INT_RE: past
+    18 digits, leading zeros aside, 10**18 with its sign; None where it
+    raises ValueError."""
+    m = INT_RE.fullmatch(tok)
+    if m is None:
+        return None
+    sign, digits = m.groups()
+    return int(sign + (digits if len(digits) <= 18 else "1" + "0" * 18))
 
 
 def usable_atom_name_oracle(name: str) -> bool:

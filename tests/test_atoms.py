@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from relalg import (AtomStructure, build_group, check_z2_axioms,
-                    extract_atom_structure, peirce_orbit, rel_algebra)
+from relalg import (AtomStructure, InvalidStructureError, build_group,
+                    check_z2_axioms, decide_z2, extract_atom_structure,
+                    format_atom_structure, peirce_orbit, rel_algebra)
 from relalg.atoms import _close_columns, usable_atom_name
 
 from conftest import (atom_flags_oracle, close_cycles_oracle,
@@ -155,6 +156,38 @@ def test_atom_name_rule_matches_the_per_character_oracle():
     for name in ("", "a", "1'", "x~", "e:0", "e#0", "e 0", "e\u00a00",
                  "e\u20280", "\u3000e", "e\x1c", "e\u200b0", "e\n"):
         assert usable_atom_name(name) == usable_atom_name_oracle(name), name
+
+
+def test_a_name_that_is_no_str_is_unusable():
+    # an int, bytes or list name is reported as unusable, where the name
+    # test raised TypeError, and every message that shows names words it.
+    # decide_z2 and the writer refuse the structure with its report
+    one = AtomStructure((1,), (0,), {0}, {(0, 0, 0)})
+    assert report_codes(one.validation) == ("bad-atom-name",)
+    assert one.validation.lines() == [
+        "bad-atom-name: atom 0 has unusable name 1"]
+    for call in (decide_z2, format_atom_structure):
+        with pytest.raises(InvalidStructureError) as err:
+            call(one)
+        assert err.value.report == one.validation, call
+    assert not usable_atom_name(b"a") and not usable_atom_name(None)
+    # an unhashable name too, which takes no part in the duplicate test
+    listed = AtomStructure((["a"],), (0,), {0}, {(0, 0, 0)})
+    assert listed.validation.lines() == [
+        "bad-atom-name: atom 0 has unusable name ['a']"]
+    with pytest.raises(InvalidStructureError):
+        decide_z2(listed)
+    # the cycle and identity laws' messages print the names
+    broken = AtomStructure((1, 2), (0, 1), {0}, {(0, 1, 1)})
+    assert ("cycle-law: cycle (1, 2, 2) present but its transform "
+            "(2, 1, 2) is missing") in broken.validation.lines()
+    two = AtomStructure((b"e", b"f"), (0, 1), {0, 1},
+                        {(0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0)})
+    lines = two.validation.lines()
+    assert lines[:2] == ["bad-atom-name: atom 0 has unusable name b'e'",
+                         "bad-atom-name: atom 1 has unusable name b'f'"]
+    assert "multiple-domain-atoms: atom b'f' has domain atoms b'e', b'f'" \
+        in lines
 
 
 def test_empty_structure_detected():

@@ -25,7 +25,8 @@ from relalg.cli import main
 from relalg.formats import MAX_ATOMS
 
 from conftest import (DATA, group_closure_oracle, involution_action,
-                      involution_structure, one_orbit_corruptions, shuffled)
+                      involution_structure, one_orbit_corruptions,
+                      regular_action, shuffled)
 from conftest import element_flags, report_codes
 
 
@@ -500,18 +501,30 @@ def loaded_modules(argv, status):
     return set(proc.stderr.splitlines()[-1].split())
 
 
-def test_each_subcommand_loads_only_the_modules_it_runs():
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     # the decision procedure and the pair-dense classification are
     # imported by the handlers that call them, the search only when the
-    # class cannot answer, and the associativity join only where a verdict
+    # class cannot answer and the power runs agree, the re-check (check)
+    # only under --verify, and the associativity join only where a verdict
     # rests on it: validate, axioms, a rejection, and the source of a
     # searched map; the local laws everywhere but rel and classify, and
     # the axioms everywhere but those two and validate; actions, concrete
     # and proof as README's "Start-up" lists; argparse, with gettext, only
-    # for help and usage errors.  test_api.py runs in the test process,
-    # where other tests have imported everything already
+    # for help and usage errors, and re and the utf-8-sig codec never.
+    # test_api.py runs in the test process, where other tests have
+    # imported everything already
     searched = ["iso", DATA / "23.ra", DATA / "23_relabeled.ra"]
-    built = [["decide-z2", DATA / "swap.ra", "--verify"],
+    # the regular actions of Z4 and Z2^2: outside the class, 4 atoms each,
+    # and only Z4 has elements of order 4, so the power runs answer none
+    runs = []
+    for name, orders in (("z4.ra", [4]), ("z2z2.ra", [2, 2])):
+        s = extract_atom_structure(rel_algebra(regular_action(orders)))
+        assert s.n_atoms == 4 and not _z2_axioms(s).all_hold
+        runs.append(tmp_path / name)
+        runs[-1].write_text(format_atom_structure(s), encoding="utf-8")
+    by_runs = ["iso", *runs]
+    verified = ["decide-z2", DATA / "swap.ra", "--verify"]
+    built = [verified, ["decide-z2", DATA / "swap.ra"],
              ["iso", DATA / "swap.ra", DATA / "swap.ra"],
              ["check-action", DATA / "swap.ra", DATA / "swap.act"]]
     for argv, status, joined in (
@@ -520,9 +533,11 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
             (["axioms", DATA / "57.ra"], 2, True),
             (["axioms", DATA / "swap.ra"], 0, True),
             (["classify", DATA / "type6.ca"], 0, False),
-            (["decide-z2", DATA / "swap.ra", "--verify"], 0, False),
+            (verified, 0, False),
+            (["decide-z2", DATA / "swap.ra"], 0, False),
             (["decide-z2", DATA / "57.ra"], 2, True),
             (searched, 0, True),
+            (by_runs, 2, True),
             (["iso", DATA / "swap.ra", DATA / "swap.ra"], 0, False),
             (["check-action", DATA / "swap.ra", DATA / "swap.act"], 0,
              False)):
@@ -532,6 +547,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
             argv[0] in ("decide-z2", "iso", "check-action")), argv
         assert ("relalg.pairdense" in loaded) == (argv[0] == "classify"), argv
         assert ("relalg.search" in loaded) == (argv == searched), argv
+        assert ("relalg.check" in loaded) == (argv == verified), argv
         assert ("relalg.join" in loaded) == joined, argv
         assert ("relalg.laws" in loaded) == (
             argv[0] not in ("rel", "classify")), argv
@@ -543,7 +559,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
         assert ("relalg.concrete" in loaded) == (
             argv in built or argv[0] in ("rel", "classify")), argv
         assert not loaded & {"dataclasses", "inspect", "typing", "pathlib",
-                             "argparse", "gettext"}, argv
+                             "argparse", "gettext", "re",
+                             "encodings.utf_8_sig"}, argv
     for argv, status in ((["--help"], 0), (["iso", "--help"], 0),
                          (["frobnicate"], 1)):
         assert {"argparse", "gettext"} <= loaded_modules(argv, status), argv

@@ -197,6 +197,15 @@ def test_from_pairs_checks_names_before_the_partition():
         ConcreteAlgebra.from_pairs(2, ("x y",), ([(0, 0)],))
 
 
+def test_a_name_that_is_no_str_is_refused():
+    # both paths refuse an int or bytes name as unusable, where the name
+    # test raised TypeError
+    with pytest.raises(ValueError, match="^unusable atom name 5$"):
+        ConcreteAlgebra(1, (5,), (0,))
+    with pytest.raises(ValueError, match="^unusable atom name b'a'$"):
+        ConcreteAlgebra.from_pairs(1, [b"a"], [[(0, 0)]])
+
+
 def test_from_pairs_checks_each_name_once(monkeypatch):
     # the record is set once from_pairs' own checks pass, without the
     # constructor's second pass; an atom with no pairs is still refused

@@ -21,10 +21,11 @@ from relalg import (ActionError, AtomStructure, ConcreteAlgebra, GroupAction,
 from relalg import actions, concrete, decision, join, proof, search
 from relalg.actions import _orbit_names
 from relalg.cli import main
+from relalg.decision import _power_runs
 from relalg.formats import (format_atom_structure, format_group_action,
                             parse_atom_structure, parse_group_action)
 from relalg.proof import _proof_witness
-from relalg.search import _power_runs, _refined_colours
+from relalg.search import _refined_colours
 
 from conftest import (DATA, atom_flags_oracle, catalog_structures,
                       close_cycles_oracle, conjugate, generated_groups,
@@ -729,19 +730,26 @@ def regular_action_of(elements, mul, generators):
         tuple(index[mul(h, g)] for h in elements) for g in generators])
 
 
+def searched_map(source, target, budget):
+    """The search's atom map, or None: decision._searched, which compares
+    the power runs before it imports the search."""
+    witness = decision._searched(source, target, budget)
+    return witness and witness.atom_map
+
+
 def least_budget(source, target):
     """The search's answer and the least budget it succeeds within."""
     lo, hi = -1, 1
     while True:
         try:
-            answer = search._search_isomorphism(source, target, hi)
+            answer = searched_map(source, target, hi)
             break
         except SearchBudgetExceeded:
             lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            search._search_isomorphism(source, target, mid)
+            searched_map(source, target, mid)
             hi = mid
         except SearchBudgetExceeded:
             lo = mid
@@ -782,7 +790,7 @@ def test_trying_only_the_branched_atoms_run_cuts_no_map(monkeypatch):
         answer, least = least_budget(x, y)
         assert (answer is None) == (a != b), (a, b)
         with monkeypatch.context() as patched:
-            patched.setattr(search, "_power_runs",
+            patched.setattr(decision, "_power_runs",
                             lambda s: [()] * s.n_atoms)
             one_run, one_run_least = least_budget(x, y)
         assert one_run == answer, (a, b)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import random
 import re
+import sys
 
 import pytest
 
@@ -14,11 +15,13 @@ from relalg import (AtomStructure, ConcreteAlgebraError,
                     parse_atom_structure, parse_concrete_algebra,
                     parse_group_action, peirce_orbit, rel_algebra)
 from relalg.cli import main
-from relalg.formats import MAX_ATOMS, MAX_BASE_SIZE
+from relalg.atoms import usable_atom_name
+from relalg.formats import MAX_ATOMS, MAX_BASE_SIZE, _int, _pair
 
 from conftest import DATA, atom_structure_text_oracle, emitted_cycle_lines, \
     involutions, load_action, load_concrete, load_structure, \
     local_laws_oracle, orbit_minimum_cycle_lines, shuffled
+from conftest import INT_RE, PAIR_RE, USABLE_NAME_RE, int_oracle
 from conftest import report_codes
 
 
@@ -327,6 +330,67 @@ def test_concrete_parse_errors():
                                f"atom x = (0,{zeros}1) (1,0)\n")
     assert c == parse_concrete_algebra("set 2\natom e = (0,0) (1,1)\n"
                                        "atom x = (0,1) (1,0)\n")
+
+
+def drawn_tokens(rng: random.Random, count: int) -> list[str]:
+    """Tokens near the shapes of numbers, pairs and names, each mutated
+    at random: ASCII and other scripts' digits, signs, underscores, every
+    character for which str.isspace() holds, `:`, `#` and pair marks."""
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    digits = "0123456789"
+    # Arabic-Indic, extended Arabic-Indic and fullwidth digits, superscript
+    # two, circled one and mathematical bold zero: isdigit() holds for each
+    foreign = "\u0663\u06f4\uff11\u00b2\u2460\U0001d7ce"
+    extra = [*"+-_:#(),a\u00e9", *foreign, *spaces]
+    pool = [*digits * 3, *extra]
+
+    def number():
+        return "".join(rng.choice(digits) for _ in range(rng.choice(
+            (0, 1, 1, 2, 3, 19, 25))))
+
+    out = []
+    for _ in range(count):
+        shape = rng.randrange(4)
+        if shape == 0:
+            tok = rng.choice(("", "+", "-", "0", "00")) + number()
+        elif shape == 1:
+            tok = f"({number()},{number()})"
+        elif shape == 2:
+            tok = "".join(rng.choice(pool) for _ in range(rng.randrange(6)))
+        else:
+            tok = "".join(rng.choice("ab1'~e") for _ in range(rng.randrange(1, 4)))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            k = rng.randrange(len(tok) + 1)
+            tok = tok[:k] + rng.choice(extra) + tok[k + rng.randrange(2):]
+        out.append(tok)
+    return out
+
+
+def test_token_tests_accept_what_the_old_patterns_accepted():
+    # the number, pair and name tests are str methods where they were
+    # regular expressions (conftest: INT_RE, PAIR_RE, USABLE_NAME_RE); on
+    # drawn tokens each accepts exactly what its pattern did, with the
+    # same values.  The pair reader is given the words of a line
+    tokens = drawn_tokens(random.Random(3), 30000)
+    accepted = {"int": 0, "pair": 0, "name": 0}
+    for tok in tokens:
+        expected = int_oracle(tok)
+        if expected is None:
+            with pytest.raises(ValueError):
+                _int(tok)
+        else:
+            assert _int(tok) == expected, tok
+            accepted["int"] += 1
+        name = USABLE_NAME_RE.fullmatch(tok) is not None
+        assert usable_atom_name(tok) == name, tok
+        accepted["name"] += name
+        for word in tok.split():
+            m = PAIR_RE.match(word)
+            assert _pair(word) == (m and (int(m[1]), int(m[2]))), word
+            accepted["pair"] += m is not None
+    # each shape is drawn often enough to be accepted, and refused
+    assert all(k > 2000 for k in accepted.values()), accepted
+    assert sum(INT_RE.fullmatch(t) is None for t in tokens) > 10000
 
 
 def test_concrete_constructor_errors_become_parse_errors():

@@ -14,9 +14,9 @@ from relalg import (AtomStructure, InvalidStructureError, IsoWitness,
                     parse_concrete_algebra, parse_group_action, peirce_orbit,
                     rel_algebra)
 from relalg.atoms import _close_columns
+from relalg.decision import _power_runs
 from relalg.laws import _local_laws
 from relalg.join import _associativity_witness
-from relalg.search import _power_runs
 
 from conftest import (associativity_witness_oracle, close_cycles_oracle,
                       concrete_algebra_text_oracle, conjugate,
