@@ -22,14 +22,15 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .atoms import _Record
+from .atoms import _converted, _Record
 from .concrete import ConcreteAlgebra
 from .errors import ActionError, InternalError
 
 
 class GroupAction(_Record):
     """The permutation group on {0..base_size-1} generated by `generators`,
-    each checked to be a bijection of a nonempty base set."""
+    a sequence of image sequences, each checked to be a bijection of a
+    nonempty base set; ActionError otherwise."""
 
     __slots__ = _fields = ("base_size", "generators")
 
@@ -39,7 +40,9 @@ class GroupAction(_Record):
             raise ActionError(f"base set size {n!r} is not an int")
         if n < 1:
             raise ActionError("base set must be nonempty")
-        gens = tuple(map(tuple, generators))
+        gens = _converted(lambda gs: tuple(map(tuple, gs)), generators,
+                          "generators must be sequences of images",
+                          ActionError)
         for k, g in enumerate(gens):
             if len(g) != n:
                 raise ActionError(f"generator {k} lists {len(g)} images, expected {n}")

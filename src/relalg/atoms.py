@@ -56,6 +56,16 @@ from .errors import InvalidStructureError
 Triple = tuple[int, int, int]
 
 
+def _converted(kind, value, message: str, error=ValueError):
+    """kind(value), where kind makes a tuple or a set of a constructor's
+    argument; error(message) where the argument or a member is of no type
+    that converts (not iterable, or unhashable), not a TypeError."""
+    try:
+        return kind(value)
+    except TypeError:
+        raise error(message) from None
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of mask, lowest first."""
     while mask:
@@ -162,6 +172,10 @@ class ValidationReport(_Record):
         return [f"{v.code}: {v.message}" for v in self.violations]
 
 
+_NAMES_RULE = "atom_names must be a sequence of names"
+_CONVERSE_RULE = "converse_map must assign an image to every atom id"
+
+
 class AtomStructure(_Record):
     """Atom-level presentation of a finite relation algebra.
 
@@ -176,13 +190,16 @@ class AtomStructure(_Record):
     def __init__(self, atom_names: tuple[str, ...],
                  converse_map: tuple[int, ...], identity_atoms: frozenset[int],
                  cycles: frozenset[Triple]):
-        atom_names, converse_map = tuple(atom_names), tuple(converse_map)
-        identity_atoms = frozenset(identity_atoms)
-        cycles = frozenset(map(tuple, cycles))
+        atom_names = _converted(tuple, atom_names, _NAMES_RULE)
+        converse_map = _converted(tuple, converse_map, _CONVERSE_RULE)
+        identity_atoms = _converted(frozenset, identity_atoms,
+                                    "identity_atoms must be a set of atom ids")
+        cycles = _converted(lambda c: frozenset(map(tuple, c)), cycles,
+                            "cycles must be a set of triples of atom ids")
         self._init(atom_names, converse_map, identity_atoms, cycles)
         n = len(atom_names)
         if len(converse_map) != n:
-            raise ValueError("converse_map must assign an image to every atom id")
+            raise ValueError(_CONVERSE_RULE)
         # ids are ints, as in ConcreteAlgebra and GroupAction: floats and
         # bools refused
         for a in converse_map:

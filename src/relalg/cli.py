@@ -161,12 +161,12 @@ def _budget_option(help_text: str):
                          "help": help_text})
 
 
-def _search_budget_option(runs: str):
-    return _budget_option(
-        "cap on the atom assignments of the isomorphism search "
-        f"(default %(default)s); the search runs only {runs}: the axioms "
-        "and the paper's construction answer every other input, so the cap "
-        "cannot run out on it")
+# --budget of iso and check-action, which answer by one rule
+_SEARCH_BUDGET = _budget_option(
+    "cap on the atom assignments of the isomorphism search (default "
+    "%(default)s); the search runs only when neither side satisfies the "
+    "three axioms: the axioms and the paper's construction answer every "
+    "other input, so the cap cannot run out on it")
 
 
 # --output, which every subcommand takes first, and --verify
@@ -193,15 +193,13 @@ _COMMANDS = {
     "iso": (_cmd_iso,
             "search for an isomorphism between two atom structures",
             ("file", "other"),
-            (_search_budget_option(
-                "when neither structure satisfies the three axioms"),)),
+            (_SEARCH_BUDGET,)),
     "classify": (_cmd_classify, "classify the atoms of a concrete algebra "
                                 "over points and twins", ("file",), ()),
     "check-action": (_cmd_check_action, "test whether a given action's "
                                         "algebra realizes a structure",
                      ("file", "action_file"),
-                     (_search_budget_option(
-                         "when the action's group has order above two"),)),
+                     (_SEARCH_BUDGET,)),
     "axioms": (_cmd_axioms,
                "report the three representability axioms with witnesses",
                ("file",), ()),

@@ -24,7 +24,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, repeat
 
-from .atoms import AtomStructure, Triple, _Record, usable_atom_name
+from .atoms import (_NAMES_RULE, AtomStructure, Triple, _converted, _Record,
+                    usable_atom_name)
 from .errors import ConcreteAlgebraError
 
 
@@ -64,7 +65,8 @@ class ConcreteAlgebra(_Record):
 
     def __init__(self, base_size: int, atom_names: tuple[str, ...],
                  owner: tuple[int, ...]):
-        atom_names, owner = tuple(atom_names), tuple(owner)
+        atom_names = _converted(tuple, atom_names, _NAMES_RULE)
+        owner = _converted(tuple, owner, _OWNER_RULE)
         self._init(base_size, atom_names, owner)
         _check_names(atom_names)
         n = base_size
@@ -87,22 +89,26 @@ class ConcreteAlgebra(_Record):
         pair outside the base set ValueError, a pair claimed by two atoms
         ConcreteAlgebraError; then the first pair no atom claims raises
         ConcreteAlgebraError.  Names and the base size are checked first,
-        then that there are no more pair lists than names and that every
-        coordinate is an int (floats and bools refused, as by the
+        then that atom_pairs is a list of pair lists, no longer than the
+        names, that every pair is a tuple of two coordinates, and that
+        every coordinate is an int (floats and bools refused, as by the
         constructor), and last that every atom has a pair and no other
         atom is named, with ValueError.  The table is n^2 ints by
         construction, so the record is set without the constructor's
         scans."""
-        n, names = base_size, tuple(atom_names)
+        n, names = base_size, _converted(tuple, atom_names, _NAMES_RULE)
         _check_names(names)
         _check_size(n)
-        lists = [*map(tuple, atom_pairs)]
+        lists = _converted(lambda ps: [*map(tuple, ps)], atom_pairs,
+                           "atom_pairs must list the pairs of each atom")
         if len(lists) > len(names):
             raise ValueError(_OWNER_RULE)
-        # the types are read off every coordinate, in C, before any set
-        # can merge (True, 1) into an equal (1, 1)
-        coords = chain.from_iterable(chain.from_iterable(lists))
-        if {*map(type, coords)} - {int}:
+        # the types are read off every pair and coordinate, in C, before
+        # any set can merge (True, 1) into an equal (1, 1)
+        flat = [*chain.from_iterable(lists)]
+        if {*map(type, flat)} - {tuple} or {*map(len, flat)} - {2}:
+            raise ValueError("each pair must be a tuple of two coordinates")
+        if {*map(type, chain.from_iterable(flat))} - {int}:
             raise ValueError("pair coordinates must be ints")
         owner = [-1] * (n * n)
         for k, pairs in enumerate(map(set, lists)):

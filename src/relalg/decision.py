@@ -12,12 +12,18 @@ InternalError.  verify_decision re-checks an accepted decision from its
 algebra's owner table, with none of that code: its body is module
 `check`, imported on the first verification.
 
-`iso` and `check-action` let the class answer whenever it can.  The
+`iso` and `check-action` answer by one rule (_answer): the class answers
+whenever either side is in it, and the search only when neither is.  The
 axioms decide membership (_class_counts) and are first-order, so kept by
-isomorphism, and two structures in the class, or one and the algebra of
-an involution, are isomorphic exactly when their point and twin counts
-(fixed points and 2-cycles) agree.  So a side outside the class, or
-unequal counts, answer `none` before any algebra is built, and equal
+isomorphism, and two structures in the class are isomorphic exactly when
+their point and twin counts agree.  The algebra of an action is in the
+class exactly when its group has order at most two: pair-density allows
+no orbit of three or more points, and functionality makes any two 2-point
+orbits swap together.  So `check-action` asks _answer about the action's
+extracted structure when _involution finds no involution, and reads the
+action side's counts, its fixed points and 2-cycles, off the involution
+before any algebra is built otherwise: a shortcut of the same rule.  A
+side outside the class, or unequal counts, answer `none`, and equal
 counts get the proof's maps from one call of proof._realize, which builds
 one algebra and one extracted structure: for `check-action` the
 structure's map onto the action's algebra, for `iso` both sides' maps
@@ -25,10 +31,10 @@ onto the algebra of the source's involution, the first composed with the
 inverse of the second.  Such an answer costs the algebra and its
 extraction, O(n^2 + atoms * n) on n points, and O(cycles) per map's
 check, besides the local laws and the axioms, and no search budget.
-Only `iso` pairs with neither side in the class and actions of order
-above two reach the search and its budget (_searched), which must be an
-int of at least 1 (_check_budget), and the search module is imported
-only when the two sides' power runs (_power_runs) agree.
+Only pairs with neither side in the class reach the search and its
+budget (_searched, called by _answer alone), which must be an int of at
+least 1 (_check_budget), and the search module is imported only when the
+two sides' power runs (_power_runs) agree.
 
 Inputs are checked against the local laws first, and the associativity
 join runs only before a verdict that no witness certifies (_gated).
@@ -40,6 +46,7 @@ only in the branches that run them (README, "Start-up").
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 
 from .atoms import AtomStructure, _Record, _whole_orbits
 from .axioms import AxiomFailure, _z2_axioms
@@ -52,11 +59,13 @@ _NOT_A_BIJECTION = "atom map is not a bijection"
 def _map_problems(s: AtomStructure, m: tuple[int, ...], identity,
                   converse: tuple[int, ...]) -> list[str]:
     """The rules of an atom map m from s to a target with these identity
-    atoms and converse: a bijection of int ids (floats and bools refused,
-    as by ConcreteAlgebra and GroupAction), else that problem alone; the
-    identity atoms mapped onto the target's; converse kept at each atom."""
+    atoms and converse: a sequence that is a bijection of int ids (floats
+    and bools refused, as by ConcreteAlgebra and GroupAction), else that
+    problem alone; the identity atoms mapped onto the target's; converse
+    kept at each atom."""
     n = len(converse)
-    if (s.n_atoms != n or len(m) != n or any(type(b) is not int for b in m)
+    if (not isinstance(m, Sequence) or s.n_atoms != n or len(m) != n
+            or any(type(b) is not int for b in m)
             or sorted(m) != list(range(n))):
         return [_NOT_A_BIJECTION]
     out = [] if {m[e] for e in s.identity_atoms} == set(identity) else [
@@ -116,29 +125,33 @@ class IsoWitness(_Record):
 
 def find_isomorphism(source: AtomStructure, target: AtomStructure,
                      budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
-    """An isomorphism of structures, or None if none exists: by the class
-    when either side is in it, otherwise by a search (_searched) that
-    counts each atom assignment, tried or forced, as one node of `budget`
-    and raises SearchBudgetExceeded past it.  An invalid structure raises
+    """An isomorphism of structures, or None if none exists, by the rule
+    of _answer: by the class when either side is in it, otherwise by a
+    search (_searched) that counts each atom assignment, tried or forced,
+    as one node of `budget` and raises SearchBudgetExceeded past it.  An invalid structure raises
     InvalidStructureError, the source's when both are (see _gated); a
     budget that is not an int of at least 1 raises ValueError before any
     work."""
     _check_budget(budget)
+    return _gated((source, target), lambda: _answer(source, target, budget))
 
-    def compute():
-        counts = _class_counts(source), _class_counts(target)
-        if counts == (None, None):
-            w = _searched(source, target, budget)
-            return w, (source, target) if w is None else (source,)
-        if counts[0] != counts[1]:
-            return None, (source, target)
-        from .proof import _canonical_involution, _realize
-        there, back = _realize(_canonical_involution(source), source,
-                               target)[2]  # both maps onto one algebra
-        return IsoWitness(source, target, tuple(map(
-            back.inverted().atom_map.__getitem__, there.atom_map))), ()
 
-    return _gated((source, target), compute)
+def _answer(source: AtomStructure, target: AtomStructure, budget: int):
+    """The one rule of `iso` and `check-action`: the isomorphism of
+    structures whose local laws hold, or None, with the inputs the answer
+    leaves unproven (see _gated).  The class answers when either side is
+    in it; the search (_searched) only when neither is."""
+    counts = _class_counts(source), _class_counts(target)
+    if counts == (None, None):
+        w = _searched(source, target, budget)
+        return w, (source, target) if w is None else (source,)
+    if counts[0] != counts[1]:
+        return None, (source, target)
+    from .proof import _canonical_involution, _realize
+    there, back = _realize(_canonical_involution(source), source,
+                           target)[2]  # both maps onto one algebra
+    return IsoWitness(source, target, tuple(map(
+        back.inverted().atom_map.__getitem__, there.atom_map))), ()
 
 
 def _check_budget(budget) -> None:
@@ -280,12 +293,16 @@ def _class_counts(s: AtomStructure) -> tuple[int, int] | None:
 
 def check_action_represents(structure: AtomStructure, action: GroupAction,
                             budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
-    """Does this particular action's algebra realize the structure?  For
-    a group of order at most two the class answers: None before any
-    algebra is built, or the proof's map (proof._realize).  Larger groups
-    go to the search.  Only the structure is validated: the action's is
-    valid by construction (see extract_atom_structure).  A budget that is
-    not an int of at least 1 raises ValueError before any work."""
+    """Does this particular action's algebra realize the structure?  The
+    rule of find_isomorphism (_answer) answers, on the action's extracted
+    structure, which is in the class exactly when the group has order at
+    most two.  For such a group the counts are read off its involution
+    instead, before any algebra is built: None, or the proof's map
+    (proof._realize).  For a larger one the structure's class counts
+    answer None, and only a structure outside the class reaches the
+    search.  Only the structure is validated: the action's is valid by
+    construction (see extract_atom_structure).  A budget that is not an
+    int of at least 1 raises ValueError before any work."""
     _check_budget(budget)
 
     def compute():
@@ -293,8 +310,10 @@ def check_action_represents(structure: AtomStructure, action: GroupAction,
         if g is None:
             from .actions import rel_algebra
             from .concrete import extract_atom_structure
-            target = extract_atom_structure(rel_algebra(action))
-            w = _searched(structure, target, budget)
+            w = _answer(structure, extract_atom_structure(
+                rel_algebra(action)), budget)[0]
+            # the action's side is valid by construction, and a map onto
+            # its algebra's structure proves the structure (see _gated)
             return w, (structure,) if w is None else ()
         fixed = sum(i == j for i, j in enumerate(g))
         if _class_counts(structure) != (fixed, (len(g) - fixed) // 2):

@@ -1,8 +1,10 @@
-"""The isomorphism search, run only where the class cannot answer: `iso`
-pairs with neither side in it and `check-action` with a group of order
-above two, and then only when the two sides' power runs agree.
-decision imports this module on that branch alone (decision._searched)
-and checks the map it returns as an IsoWitness.
+"""The isomorphism search, run only where the class cannot answer: on
+pairs with neither side in it (decision._answer, the one rule of `iso`
+and `check-action`), and then only when the two sides' power runs agree.
+`check-action` reaches it only with a group of order above two, whose
+algebra is outside the class.  decision imports this module on that
+branch alone (decision._searched) and checks the map it returns as an
+IsoWitness.
 
 Everything here reads each structure's composition table _comp (and the
 identity atoms and converse), never its cycle set, which the search

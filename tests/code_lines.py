@@ -7,16 +7,18 @@ comment, and that lie in no docstring (the first statement of a module,
 class or function, when it is a string).  A line gives the totals.
 
 Then, for one plain command line per subcommand on the files of `data/`,
-and for an `iso` of two structures outside the class that their power
-runs answer, it prints the code lines of the relalg modules that a fresh
-`python -S` start of that line loads, and those modules.  Every start
-compiles what it loads where no bytecode is cached, so the sum counts a
-start's import work without a clock.  Run it from anywhere, standard
-library only:
+for an `iso` of two structures outside the class that their power runs
+answer, and for a `check-action` of a group of order above two that the
+class answers, it prints the code lines of the relalg modules that a
+fresh `python -S` start of that line loads, and those modules.  Every
+start compiles what it loads where no bytecode is cached, so the sum
+counts a start's import work without a clock.  Run it from anywhere,
+standard library only:
 
     python tests/code_lines.py
 
-The file name does not start with `test_`, so pytest does not collect it.
+The file name does not start with `test_`, so pytest does not collect it;
+tests/test_cli.py starts its children through loaded().
 """
 
 import ast
@@ -28,19 +30,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "relalg"
-# one plain command line per subcommand, and the `iso` that the power
-# runs answer: 23.ra and 57.ra are both outside the class
+# one plain command line per subcommand, the `iso` that the power runs
+# answer (23.ra and 57.ra are both outside the class), and the
+# `check-action` that the class answers (swap.ra is in it, Z3's algebra
+# is not)
 STARTS = [("validate", "data/23.ra"), ("rel", "data/z3.act"),
           ("decide-z2", "data/swap.ra", "--verify"),
           ("iso", "data/swap.ra", "data/swap.ra"),
           ("iso", "data/23.ra", "data/57.ra"), ("classify", "data/type6.ca"),
           ("check-action", "data/swap.ra", "data/swap.act"),
+          ("check-action", "data/swap.ra", "data/z3.act"),
           ("axioms", "data/swap.ra")]
-# runs cli.main on its arguments and prints the relalg modules loaded;
-# -S keeps site's .pth files from importing anything first
-_CHILD = ("import sys\nfrom relalg import cli\ncli.main(sys.argv[1:])\n"
-          "print(*sorted(m for m in sys.modules if m.startswith('relalg')),"
-          " file=sys.stderr)\n")
+# runs cli.main on its arguments, prints every module loaded on the last
+# line of stderr, and exits with main's status
+_CHILD = ("import sys\nfrom relalg import cli\ncode = cli.main(sys.argv[1:])\n"
+          "print(*sorted(sys.modules), file=sys.stderr)\nsys.exit(code)\n")
 # tokens that carry no code of their own
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -64,14 +68,17 @@ def code_lines(text: str) -> int:
     return len(lines)
 
 
-def loaded(argv: tuple[str, ...]) -> list[str]:
-    """The relalg modules, by file stem, that a fresh `python -S` start
-    of the command line loads."""
-    args = [str(ROOT / w) if w.startswith("data/") else w for w in argv]
+def loaded(argv) -> tuple[int, set[str], str]:
+    """The exit status, the modules loaded and the stderr of a fresh
+    `python -S` start of cli.main(argv); -S keeps site's .pth files from
+    importing anything first.  A word led by `data/` names a file of the
+    repository's data directory."""
+    args = [str(ROOT / w) if str(w).startswith("data/") else str(w)
+            for w in argv]
     proc = subprocess.run([sys.executable, "-S", "-c", _CHILD, *args],
                           cwd=SRC.parent, capture_output=True, text=True)
-    modules = proc.stderr.splitlines()[-1].split()
-    return [m.partition(".")[2] or "__init__" for m in modules]
+    return (proc.returncode, set(proc.stderr.splitlines()[-1].split()),
+            proc.stderr)
 
 
 def main() -> None:
@@ -86,7 +93,9 @@ def main() -> None:
     print(f"{'total':<16}{total:>8}{total_code:>8}")
     print(f"\n{'start-up':<40}{'code':>6}  modules loaded")
     for argv in STARTS:
-        modules = loaded(argv)
+        modules = sorted(m.partition(".")[2] or "__init__"
+                         for m in loaded(argv)[1]
+                         if m.partition(".")[0] == "relalg")
         print(f"{' '.join(argv):<40}{sum(map(code.__getitem__, modules)):>6}"
               f"  {' '.join(modules)}")
 

@@ -86,6 +86,16 @@ def test_group_action_refuses_a_size_or_image_that_is_no_int(
         GroupAction(base_size, generators)
 
 
+@pytest.mark.parametrize("generators", [[1, 0], None],
+                         ids=["bare-images", "none"])
+def test_group_action_refuses_generators_that_are_no_lists(generators):
+    # one generator given without its list, or none at all, raised
+    # TypeError
+    with pytest.raises(ActionError,
+                       match="^generators must be sequences of images$"):
+        GroupAction(2, generators)
+
+
 def test_group_action_blames_the_caller_for_a_bad_generator():
     # the constructor checks the generators as build_group does, so a
     # generator that is no bijection is an ActionError, not a failed

@@ -242,6 +242,25 @@ def test_bool_and_float_ids_rejected_at_construction():
             AtomStructure(names, conv, ident, cyc)
 
 
+CYCLES_RULE = "cycles must be a set of triples of atom ids"
+CONVERSE_RULE = "converse_map must assign an image to every atom id"
+
+
+@pytest.mark.parametrize("fields,message", [
+    ((("a",), (0,), {0}, None), CYCLES_RULE),
+    ((("a",), (0,), {0}, [0]), CYCLES_RULE),
+    ((("a",), 0, {0}, []), CONVERSE_RULE),
+    ((("a",), (0,), 0, []), "identity_atoms must be a set of atom ids"),
+    ((("a",), (), {0}, []), CONVERSE_RULE),
+], ids=["cycles-none", "cycle-no-triple", "converse-int", "identity-int",
+        "converse-short"])
+def test_fields_of_the_wrong_type_or_length_are_refused(fields, message):
+    # each ended in TypeError but the short converse, which no test reached
+    with pytest.raises(ValueError) as exc:
+        AtomStructure(*fields)
+    assert str(exc.value) == message
+
+
 def test_require_valid_raises_with_report(s23):
     bad = AtomStructure(s23.atom_names, (0, 1, 1), s23.identity_atoms,
                         s23.cycles)

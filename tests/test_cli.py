@@ -28,6 +28,7 @@ from conftest import (DATA, group_closure_oracle, involution_action,
                       involution_structure, one_orbit_corruptions,
                       regular_action, shuffled)
 from conftest import element_flags, report_codes
+import code_lines
 
 
 def run(capsys, *argv):
@@ -482,23 +483,12 @@ def test_a_searched_map_at_1200_atoms_builds_no_cycle_set(
         assert not any("cycles" in s.__dict__ for s in searched), argv
 
 
-# cli.main on the child's arguments in a fresh interpreter, which then
-# lists the relalg submodules it has loaded, on the last line of stderr
-MODULES_CHILD = ("import sys\nfrom relalg import cli\n"
-                 "code = cli.main(sys.argv[1:])\n"
-                 "print(*sorted(sys.modules), file=sys.stderr)\n"
-                 "sys.exit(code)\n")
-
-
 def loaded_modules(argv, status):
     """The modules a fresh interpreter has loaded after cli.main(argv),
-    which must return status; -S starts it without site, whose .pth files
-    could import a module first."""
-    proc = subprocess.run([sys.executable, "-S", "-c", MODULES_CHILD,
-                           *map(str, argv)], capture_output=True, text=True,
-                          cwd=DATA.parent / "src")
-    assert proc.returncode == status, (argv, proc.stderr)
-    return set(proc.stderr.splitlines()[-1].split())
+    which must return status (code_lines.loaded starts it)."""
+    code, modules, stderr = code_lines.loaded(argv)
+    assert code == status, (argv, stderr)
+    return modules
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
@@ -540,7 +530,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
             (by_runs, 2, True),
             (["iso", DATA / "swap.ra", DATA / "swap.ra"], 0, False),
             (["check-action", DATA / "swap.ra", DATA / "swap.act"], 0,
-             False)):
+             False),
+            (["check-action", DATA / "swap.ra", DATA / "z3.act"], 2, True)):
         loaded = loaded_modules(argv, status)
         assert {"relalg.cli", "relalg.errors", "relalg.formats"} <= loaded
         assert ("relalg.decision" in loaded) == (
@@ -555,9 +546,10 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
             argv[0] not in ("rel", "classify", "validate")), argv
         assert ("relalg.proof" in loaded) == (argv in built), argv
         assert ("relalg.actions" in loaded) == (
-            argv in built or argv[0] == "rel"), argv
+            argv[0] in ("rel", "check-action") or argv in built), argv
         assert ("relalg.concrete" in loaded) == (
-            argv in built or argv[0] in ("rel", "classify")), argv
+            argv[0] in ("rel", "classify", "check-action")
+            or argv in built), argv
         assert not loaded & {"dataclasses", "inspect", "typing", "pathlib",
                              "argparse", "gettext", "re",
                              "encodings.utf_8_sig"}, argv

@@ -192,6 +192,23 @@ def test_algebra_constructor_rejects_malformed_input():
         ConcreteAlgebra.from_pairs(2, ("x",), ([(0, 2)],))
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: ConcreteAlgebra(1, ("a",), 0), concrete._OWNER_RULE),
+    (lambda: ConcreteAlgebra.from_pairs(1, ("a",), None),
+     "atom_pairs must list the pairs of each atom"),
+    (lambda: ConcreteAlgebra.from_pairs(1, ("a",), [[0]]),
+     "each pair must be a tuple of two coordinates"),
+    (lambda: ConcreteAlgebra.from_pairs(1, ("a",), [[(0,)]]),
+     "each pair must be a tuple of two coordinates"),
+], ids=["owner-int", "pairs-none", "pair-int", "pair-one-coordinate"])
+def test_arguments_of_the_wrong_type_or_shape_are_refused(build, message):
+    # each ended in TypeError, or in Python's own "not enough values to
+    # unpack"
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_from_pairs_checks_names_before_the_partition():
     with pytest.raises(ValueError, match="unusable atom name"):
         ConcreteAlgebra.from_pairs(2, ("x y",), ([(0, 0)],))

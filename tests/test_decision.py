@@ -246,6 +246,37 @@ def test_a_forced_assignment_onto_a_taken_target_backtracks(capsys):
     assert least_budget(x, y) == (w.atom_map, 5)
 
 
+# two shuffles of the structure of D9 on the nine vertices of a polygon:
+# the identity and the four distances between vertices, all self-converse
+NINE_GON = tuple(
+    "atoms q0 q1 q2 q3 q4\nidentity q2\n"
+    "converse q0:q0 q1:q1 q2:q2 q3:q3 q4:q4\n" + "".join(
+        f"cycle {line}\n" for line in lines.split(", "))
+    for lines in (
+        "q0 q0 q2, q0 q0 q4, q0 q1 q3, q0 q1 q4, q0 q3 q3, q1 q1 q1, "
+        "q1 q1 q2, q1 q3 q4, q2 q2 q2, q2 q3 q3, q2 q4 q4, q3 q4 q4",
+        "q0 q0 q0, q0 q0 q2, q0 q1 q3, q0 q1 q4, q0 q3 q4, q1 q1 q2, "
+        "q1 q1 q3, q1 q4 q4, q2 q2 q2, q2 q3 q3, q2 q4 q4, q3 q3 q4"))
+
+
+def test_assign_refuses_a_target_already_taken_on_the_nine_gon():
+    # the search reaches a state where an atom's forced image is already
+    # the image of another atom, with the candidate masks still allowing
+    # it; only assign's taken test refuses it there.  Without that test
+    # the search returns a map that is no bijection, and the tripwire
+    # raises InternalError (as on the benchmark's shuffled copies of the
+    # 30-gon)
+    x, y = map(parse_atom_structure, NINE_GON)
+    assert not check_z2_axioms(x).all_hold
+    for source, target in ((x, y), (y, x)):
+        w = find_isomorphism(source, target)
+        assert w is not None and not w.problems()
+        assert w.map_lines() == ["map q0 -> q1", "map q1 -> q0",
+                                 "map q2 -> q2", "map q3 -> q4",
+                                 "map q4 -> q3"]
+    assert least_budget(x, y) == ((1, 0, 2, 4, 3), 7)
+
+
 def test_witness_tampering_is_detected(s23):
     w = find_isomorphism(s23, s23)
     # the converse is an automorphism
@@ -588,6 +619,25 @@ def test_axioms_decide_representability_on_five_points():
     assert time.perf_counter() - start < 10.0
 
 
+def test_an_actions_algebra_is_in_the_class_iff_its_group_has_order_two():
+    # the lemma behind check-action's one rule: pair-density allows no
+    # orbit of three or more points, and functionality makes any two
+    # 2-point orbits swap together.  So the class counts of an action's
+    # structure exist exactly when _involution finds an involution, and
+    # they are its fixed points and 2-cycles, which check-action reads off
+    # the involution before any algebra is built
+    actions = generated_groups(5)
+    assert len(actions) == 195
+    for a in actions.values():
+        g = decision._involution(a)
+        counts = decision._class_counts(
+            extract_atom_structure(rel_algebra(a)))
+        assert (counts is None) == (g is None), a.generators
+        if g is not None:
+            fixed = sum(i == j for i, j in enumerate(g))
+            assert counts == (fixed, (len(g) - fixed) // 2), a.generators
+
+
 def test_decision_is_deterministic(swap_structure):
     d1 = decide_z2(swap_structure)
     d2 = decide_z2(swap_structure)
@@ -632,6 +682,31 @@ def test_check_action_negative(s23):
     # D5's algebra realizes 5-7, not 2-3
     d5 = build_group(5, [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)])
     assert check_action_represents(s23, d5) is None
+
+
+def test_check_action_of_a_larger_group_asks_the_class_first(monkeypatch,
+                                                            capsys):
+    # swap.ra is in the class and the algebra of Z3 is not, so the class
+    # answers none: the search never runs
+    def unreachable(*args):
+        raise AssertionError("the search ran beside a structure of the class")
+
+    monkeypatch.setattr(decision, "_searched", unreachable)
+    assert main(["check-action", str(DATA / "swap.ra"),
+                 str(DATA / "z3.act")]) == 2
+    assert capsys.readouterr() == ("none\n", "")
+
+
+def test_check_action_of_z3_triangles_still_searches(monkeypatch):
+    # neither side is in the class, so the rule of find_isomorphism hands
+    # the pair to the search, once; its node count is pinned in
+    # test_budget_counts_every_tried_or_forced_assignment
+    calls = []
+    searched = decision._searched
+    monkeypatch.setattr(decision, "_searched",
+                        lambda *args: calls.append(args) or searched(*args))
+    w = pinned_searches()["z3-triangles-check-action"](132)
+    assert w is not None and not w.problems() and len(calls) == 1
 
 
 # --- search on relabeled inputs -------------------------------------------
@@ -1123,6 +1198,19 @@ def test_both_checkers_refuse_a_map_of_floats_or_bools():
         w = replaced(d.witness, atom_map=tuple(map(kind, m)))
         assert verify_decision(replaced(d, witness=w)).problems == (
             "atom map is not a bijection",), kind
+
+
+def test_a_map_that_is_no_sequence_is_no_bijection():
+    # len(None) raised TypeError
+    s = load_structure("swap.ra")
+    assert IsoWitness(s, s, None).problems() == ("atom map is not a bijection",)
+
+
+@pytest.mark.parametrize("problems,truth", [((), True), (("p",), False)])
+def test_a_verification_report_is_true_when_it_lists_no_problem(problems,
+                                                                 truth):
+    report = decision.VerificationReport(problems)
+    assert bool(report) is truth and report.ok is truth
 
 
 def test_verify_catches_tables_that_are_not_the_actions_orbits():
