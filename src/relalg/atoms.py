@@ -16,21 +16,25 @@ AtomStructure._of_checked_ids its three columns of cycle lines, and
 extraction a call that streams every cycle, never both; _cycle_stream
 closes a parsed structure's lines (_close_columns) or calls the extracted
 one's stream, and `cycles` is that stream's set, built the first time it
-is read: by the proof's map and verify_decision, which count the set or
-test membership in it, and by the messages of a map that fails.
+is read.  Two members alone read the set for other modules: _has_cycles,
+whether every triple given is a cycle, tested through the table where it
+is built and the set is not (_table_only), else in the set; and
+_cycle_count, the set's size.  The proof's twin test, the cycle law's
+scan (laws._broken_cycles), the misses that IsoWitness.problems() words
+and verify_decision's body, check.check, ask them.
 _places reads a parsed structure's lines where they break no clause of
 the identity law (laws._line_places), else the stream
 (laws._place_atoms).  _maps_onto, the onto test of
-IsoWitness.problems(), maps the source's cycle lines into the target
-(_maps_lines_into).  The search reads nothing but the table _comp, and
-where a side holds that table and no set (_table_only), as the search
-leaves both sides, _maps_onto maps the target's lines back under the
-inverse map, each image tested through the table of the side it lands
-in where that side holds no set, so a searched `iso` or `check-action`
-builds no set; else it compares the two sets' sizes.
+IsoWitness.problems(), tests that both sides have whole orbits
+(_whole_orbits) and maps the source's cycle lines into the target
+(_maps_lines_into, through _has_cycles).  The search reads nothing but
+the table _comp, and where a side holds that table and no set, as the
+search leaves both sides, _maps_onto maps the target's lines back under
+the inverse map, each image tested through the table of the side it
+lands in where that side holds no set, so a searched `iso` or
+`check-action` builds no set; else it compares the two cycle counts.
 Readers that only iterate take _cycle_stream (a checked structure's
-stream, set built or not); verify_decision's body, check.check, reads
-_line_columns.
+stream, set built or not); check.check reads _line_columns.
 
 The local laws and validation live in `laws`, and the three axioms in
 `axioms`.  The members of AtomStructure that compute the laws (_places,
@@ -273,33 +277,43 @@ class AtomStructure(_Record):
         # the search leaves both sides
         return "_table" in self.__dict__ and "cycles" not in self.__dict__
 
+    def _has_cycles(self, triples: Iterable[Triple]) -> bool:
+        # whether every triple is a cycle: tested through the table where
+        # it is built and the set is not (_table_only), as the search
+        # leaves both sides, else in the set, built the first time
+        if self._table_only():
+            comp = self._comp
+            return all(comp[x][y] >> z & 1 for x, y, z in triples)
+        return self.cycles.issuperset(triples)
+
+    def _cycle_count(self) -> int:
+        # the number of cycles, the size of the set
+        return len(self.cycles)
+
     def _maps_lines_into(self, t: "AtomStructure",
                          m: Sequence[int]) -> bool:
         # whether m maps each of the cycle lines (the parser's lines, else
-        # every cycle, streamed where no set is built) to a cycle of t,
-        # tested through t's table where t holds it and no set
-        if self._lines is None:
-            images = ((m[x], m[y], m[z]) for x, y, z in self._cycle_stream())
-        else:
-            images = zip(*(map(m.__getitem__, ids) for ids in self._lines))
-        if t._table_only():
-            comp = t._comp
-            return all(comp[x][y] >> z & 1 for x, y, z in images)
-        return t.cycles.issuperset(images)
+        # every cycle, streamed where no set is built) to a cycle of t
+        return t._has_cycles(
+            ((m[x], m[y], m[z]) for x, y, z in self._cycle_stream())
+            if self._lines is None
+            else zip(*(map(m.__getitem__, ids) for ids in self._lines)))
 
     def _maps_onto(self, t: "AtomStructure", m: Sequence[int]) -> bool:
-        # whether m, a bijection that keeps converse between structures
-        # with whole orbits (_whole_orbits), maps the cycles onto t's.  m
+        # whether both structures have whole orbits (_whole_orbits) and m,
+        # a bijection that keeps converse, maps the cycles onto t's.  m
         # sends each cycle line to its image's transforms, so lines that
         # land on t's cycles put their closure, every cycle, inside t's:
         # onto if t's lines land on ours under the inverse map, the test
         # where a side holds its table and no set (_table_only), as the
         # search leaves both, so a searched map builds no set; else if the
-        # two sets are as large
-        return self._maps_lines_into(t, m) and (
-            t._maps_lines_into(self, sorted(range(len(m)), key=m.__getitem__))
-            if self._table_only() or t._table_only()
-            else len(self.cycles) == len(t.cycles))
+        # two cycle counts agree
+        return (_whole_orbits(self) and _whole_orbits(t)
+                and self._maps_lines_into(t, m) and (
+                    t._maps_lines_into(self, sorted(range(len(m)),
+                                                    key=m.__getitem__))
+                    if self._table_only() or t._table_only()
+                    else self._cycle_count() == t._cycle_count()))
 
     def _line_columns(self) -> tuple[Sequence[int], Sequence[int],
                                      Sequence[int]]:

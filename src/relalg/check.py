@@ -7,7 +7,9 @@ action, the algebra's owner table, the witness's map and target and the
 decided structure, and runs none of rel_algebra, extract_atom_structure
 and IsoWitness.problems(): a fault there cannot pass twice.  Of the
 decision procedure it shares only the map rules (_map_problems) and the
-test for a group of order at most two (_involution), and with
+test for a group of order at most two (_involution), with problems() the
+members of `atoms` that read a structure's cycle set (the membership
+test AtomStructure._has_cycles and the count _cycle_count), and with
 rel_algebra the rule that names each orbit atom (actions._orbit_names).
 """
 
@@ -66,13 +68,13 @@ def check(d: Z2Decision) -> tuple[str, ...]:
                 or g[row[x]] == row[z] and owner[g[col[x]] * n + col[z]] == y)})]
     f = sum(a == b for a, b in enumerate(g))
     size = atoms * n - (n - f) // 2 * f * f
-    if not out and size != len(s.cycles):
-        out.append(f"structure has {len(s.cycles)} cycles and the action's "
+    if not out and size != s._cycle_count():
+        out.append(f"structure has {s._cycle_count()} cycles and the action's "
                    f"algebra {size}")
     if not out and ((t.atom_names, t.converse_map, t.identity_atoms)
-                    != (alg.atom_names, conv, ident) or len(t.cycles) != size
-                    or not _whole_orbits(t)
-                    or not t.cycles.issuperset(zip(xs, ys, zs))):
+                    != (alg.atom_names, conv, ident)
+                    or t._cycle_count() != size or not _whole_orbits(t)
+                    or not t._has_cycles(zip(xs, ys, zs))):
         out.append("witness target is not the extraction of the action's "
                    "algebra")
     return tuple(out)

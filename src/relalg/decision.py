@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 
-from .atoms import AtomStructure, _Record, _whole_orbits
+from .atoms import AtomStructure, _Record
 from .axioms import AxiomFailure, _z2_axioms
 from .errors import DEFAULT_BUDGET, InternalError
 
@@ -88,29 +88,28 @@ class IsoWitness(_Record):
         """Why the map is no isomorphism, () if it is one.  The map rules
         come first (_map_problems), a non-bijection alone.  A bijection
         keeps the cycles both ways iff it maps the source cycles onto the
-        target's.  Where m keeps the rules and both sides have whole orbits
-        (atoms._whole_orbits), AtomStructure._maps_onto answers that from
-        each side's cycle lines, and from whichever store it holds: a
-        searched map is checked without building a cycle set.  Otherwise,
-        or when it answers no, the whole sets are compared, misses
-        sorted."""
+        target's.  Where m keeps the rules, AtomStructure._maps_onto
+        answers that from each side's cycle lines, and from whichever
+        store it holds: a searched map is checked without building a cycle
+        set.  Otherwise, or when it answers no, every cycle of each side
+        is looked up on the other, misses sorted."""
         s, t, m = self.source, self.target, self.atom_map
         if t.n_atoms != s.n_atoms:
             return ("structures have different atom counts",)
         out = _map_problems(s, m, t.identity_atoms, t.converse_map)
         if out == [_NOT_A_BIJECTION]:
             return tuple(out)
-        if (not out and _whole_orbits(s) and _whole_orbits(t)
-                and s._maps_onto(t, m)):
+        if not out and s._maps_onto(t, m):
             return ()
-        if {(m[x], m[y], m[z]) for x, y, z in s.cycles} != t.cycles:
-            inv = self.inverted().atom_map
-            out += [f"cycle {s._fmt_triple(c)} is not preserved" for c in
-                    sorted(c for c in s.cycles
-                           if (m[c[0]], m[c[1]], m[c[2]]) not in t.cycles)]
-            out += [f"target cycle {t._fmt_triple(c)} has no source cycle"
-                    for c in sorted(c for c in t.cycles if (
-                        inv[c[0]], inv[c[1]], inv[c[2]]) not in s.cycles)]
+
+        def misses(a, b, f):  # a's cycles that f maps to no cycle of b
+            return sorted({c for c in a._cycle_stream() if not b._has_cycles(
+                ((f[c[0]], f[c[1]], f[c[2]]),))})
+
+        out += [f"cycle {s._fmt_triple(c)} is not preserved"
+                for c in misses(s, t, m)]
+        out += [f"target cycle {t._fmt_triple(c)} has no source cycle"
+                for c in misses(t, s, self.inverted().atom_map)]
         return tuple(out)
 
     def inverted(self) -> "IsoWitness":
@@ -128,10 +127,10 @@ def find_isomorphism(source: AtomStructure, target: AtomStructure,
     """An isomorphism of structures, or None if none exists, by the rule
     of _answer: by the class when either side is in it, otherwise by a
     search (_searched) that counts each atom assignment, tried or forced,
-    as one node of `budget` and raises SearchBudgetExceeded past it.  An invalid structure raises
-    InvalidStructureError, the source's when both are (see _gated); a
-    budget that is not an int of at least 1 raises ValueError before any
-    work."""
+    as one node of `budget` and raises SearchBudgetExceeded past it.  An
+    invalid structure raises InvalidStructureError, the source's when
+    both are (see _gated); a budget that is not an int of at least 1
+    raises ValueError before any work."""
     _check_budget(budget)
     return _gated((source, target), lambda: _answer(source, target, budget))
 
@@ -348,8 +347,6 @@ class VerificationReport(_Record):
 
     def __bool__(self) -> bool:
         return self.ok
-
-
 
 
 def verify_decision(d: Z2Decision) -> VerificationReport:

@@ -28,7 +28,7 @@ from functools import reduce
 from operator import or_
 
 from .atoms import (AtomStructure, Triple, ValidationReport, Violation,
-                    peirce_orbit, usable_atom_name)
+                    iter_bits, peirce_orbit, usable_atom_name)
 
 
 def _place_atoms(s: AtomStructure) -> tuple[dict[int, int], dict[int, int],
@@ -133,7 +133,9 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
     identity law, and one domain and one range atom per atom.  The cycle
     law's scan, run on a structure built by the constructor, and
     AtomStructure._places, one O(cycles) pass each, record what breaks
-    the two laws on cycles, and the record is only worded here."""
+    the two laws on cycles, and the record is only worded here.  The
+    domain and range lines take one pass over the set bits of the masks
+    of _places, O(atoms + identity atoms) besides the lines written."""
     v: list[Violation] = []
     names, n, conv = s.atom_names, s.n_atoms, s.converse_map
     if n == 0:
@@ -168,11 +170,18 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
     # one out[e] holds each atom iff their sizes sum to n and union is all
     if any(sum(map(int.bit_count, m.values())) != n
            or reduce(or_, m.values(), 0) != s.full_mask for m in (out, into)):
-        idents = sorted(s.identity_atoms)
+        sides = (("domain", out, "e has (e, {0}, {0})"),
+                 ("range", into, "f has ({0}, f, {0})"))
+        # each atom's domain and range atoms, in id order, from one pass
+        # over the set bits of every out[e] and into[e]
+        places = {side: [[] for _ in range(n)] for side, _, _ in sides}
+        for e in sorted(s.identity_atoms):
+            for side, m, _ in sides:
+                for a in iter_bits(m[e]):
+                    places[side][a].append(e)
         for a in range(n):
-            for side, m, cycle in (("domain", out, "e has (e, {0}, {0})"),
-                                   ("range", into, "f has ({0}, f, {0})")):
-                found = [e for e in idents if m[e] >> a & 1]
+            for side, _, cycle in sides:
+                found = places[side][a]
                 if not found:
                     v.append(Violation(
                         f"missing-{side}-atom",
@@ -186,15 +195,17 @@ def _local_laws(s: AtomStructure) -> tuple[Violation, ...]:
 
 
 def _broken_cycles(s: AtomStructure) -> list[tuple[Triple, Triple]]:
-    """Each (cycle, transform of it that is missing), sorted.
+    """Each (cycle, transform of it that is missing), sorted and once.
 
     Closure under (x~, z, y) and (z, y~, x) is closure under all six
     transforms, converse an involution or not: they compose to the other
-    three.  The six are listed only to find the culprits.
+    three.  The six are listed only to find the culprits.  The cycles are
+    read off AtomStructure._cycle_stream and looked up through
+    AtomStructure._has_cycles.
     """
-    cycles, conv = s.cycles, s.converse_map
-    if all((conv[x], z, y) in cycles and (z, conv[y], x) in cycles
-           for x, y, z in cycles):
+    conv = s.converse_map
+    if s._has_cycles(u for x, y, z in s._cycle_stream()
+                     for u in ((conv[x], z, y), (z, conv[y], x))):
         return []
-    return sorted((t, u) for t in cycles for u in peirce_orbit(t, conv)
-                  if u not in cycles)
+    return sorted({(t, u) for t in s._cycle_stream()
+                   for u in peirce_orbit(t, conv) if not s._has_cycles((u,))})

@@ -94,7 +94,7 @@ def _proof_witness(s: AtomStructure, blocks: dict[int, tuple[int, ...]],
         par = 1 << d if d == r else 1 << group[0]
         if d != r and len(group) == 2:
             par = sum(1 << a for a in group
-                      if (conv[p[d]], p[r], a) in s.cycles)
+                      if s._has_cycles(((conv[p[d]], p[r], a),)))
             if par & (par - 1) or not par:
                 raise _unproven(s, target,
                                 f"{names[p[d]]}~;{names[p[r]]} is not one "

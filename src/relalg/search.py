@@ -25,6 +25,17 @@ into b;m(y), and narrows the candidates of the unassigned ones to
 b;m(y).  An empty candidate set backtracks, a single one is assigned at
 once.  Each atom assignment, tried or forced, is one node of the budget;
 past it, SearchBudgetExceeded is raised.
+
+assign refuses a target already taken, or outside the atom's mask, but
+never meets an atom mapped elsewhere: every pair it pops finds its atom
+unmapped or mapped to that very target.  A branch pushes an unmapped
+atom.  A forced push (z, c) leaves masks[z] = {c}, so z can later take
+c alone.  A converse push (a~, b~) finds a~ unmapped or mapped to b~:
+once x and x~ are both mapped, the product check of whichever came
+second, at y = the other, reads x;x~, which holds an identity atom.
+Identity atoms map and narrow only to identity atoms (their colours), so
+the product of the two images meets the identity, which the local laws
+allow only where the images are converses.
 """
 
 from __future__ import annotations
@@ -140,7 +151,7 @@ def _search_isomorphism(source: AtomStructure, target: AtomStructure,
             if nodes > budget:
                 raise SearchBudgetExceeded(
                     f"isomorphism search exceeded its budget of {budget} nodes")
-            if m[a] != -1 or p.taken >> b & 1 or not masks[a] >> b & 1:
+            if p.taken >> b & 1 or not masks[a] >> b & 1:
                 return False
             m[a] = b
             p.taken |= 1 << b

@@ -558,6 +558,21 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
         assert {"argparse", "gettext"} <= loaded_modules(argv, status), argv
 
 
+def test_each_start_loads_at_most_its_ceiling_of_code_lines():
+    # every start compiles the modules it loads, so their code lines, which
+    # only the source decides, are its import work; each STARTS line of
+    # tests/code_lines.py names its ceiling, and a start that loads more
+    # fails here.  Exit 1 would be an error, whose modules count nothing
+    sizes = code_lines.module_sizes()
+    over = {}
+    for argv, ceiling in code_lines.STARTS:
+        status, code, _ = code_lines.start_code(argv, sizes)
+        assert status in (0, 2), argv
+        if code > ceiling:
+            over[" ".join(argv)] = code, ceiling
+    assert over == {}
+
+
 def test_import_loads_no_submodule_and_names_resolve_on_use():
     script = ("import sys, relalg\n"
               "print(sorted(k for k in sys.modules"

@@ -277,6 +277,23 @@ def test_assign_refuses_a_target_already_taken_on_the_nine_gon():
     assert least_budget(x, y) == ((1, 0, 2, 4, 3), 7)
 
 
+def test_a_searched_map_that_fails_its_check_is_an_internal_error(
+        monkeypatch, s23, capsys):
+    # 23.ra is outside the class, so its iso with itself reaches the
+    # search, whose map decision._searched checks as an IsoWitness: a map
+    # that swaps the identity atom with r fails that check, which raises
+    # InternalError, and the CLI prints its message and exits 1
+    monkeypatch.setattr(search, "_search_isomorphism",
+                        lambda *args: (1, 0, 2))
+    message = ("search produced an invalid witness: identity atoms are not "
+               "mapped onto identity atoms")
+    with pytest.raises(InternalError) as e:
+        find_isomorphism(s23, s23)
+    assert str(e.value) == message
+    assert main(["iso", str(DATA / "23.ra"), str(DATA / "23.ra")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_witness_tampering_is_detected(s23):
     w = find_isomorphism(s23, s23)
     # the converse is an automorphism

@@ -97,16 +97,17 @@ def test_every_private_helper_is_named_outside_its_definition():
     assert dead == []
 
 
-# how a checked structure holds its cycles: the parser's lines, the
-# extraction's stream, and whether the table is held and no cycle set
-STORAGE = {"_lines", "_triples", "_table_only"}
+# how a structure holds its cycles: the parser's lines, the extraction's
+# stream, whether the table is held and no cycle set, and the set itself
+STORAGE = {"_lines", "_triples", "_table_only", "cycles"}
 
 
 def test_only_atoms_reads_how_a_structure_holds_its_cycles():
     # atoms chooses which store answers a reader (_cycle_stream, _places,
-    # _maps_onto, _line_columns), so every other module states what must
-    # hold of the cycles, not how they are stored.  An attribute read, or
-    # a name in a string as getattr or __dict__ would take it, counts
+    # _has_cycles, _cycle_count, _maps_onto, _line_columns), so every
+    # other module states what must hold of the cycles, not how they are
+    # stored.  An attribute read, or a name in a string as getattr or
+    # __dict__ would take it, counts
     files = sorted(Path(relalg.__file__).parent.glob("*.py"))
     assert len(files) > 5
     readers = {path.name: {
