@@ -16,25 +16,18 @@ AtomStructure._of_checked_ids its three columns of cycle lines, and
 extraction a call that streams every cycle, never both; _cycle_stream
 closes a parsed structure's lines (_close_columns) or calls the extracted
 one's stream, and `cycles` is that stream's set, built the first time it
-is read.  Two members alone read the set for other modules: _has_cycles,
-whether every triple given is a cycle, tested through the table where it
-is built and the set is not (_table_only), else in the set; and
-_cycle_count, the set's size.  The proof's twin test, the cycle law's
-scan (laws._broken_cycles), the misses that IsoWitness.problems() words
-and verify_decision's body, check.check, ask them.
-_places reads a parsed structure's lines where they break no clause of
-the identity law (laws._line_places), else the stream
-(laws._place_atoms).  _maps_onto, the onto test of
-IsoWitness.problems(), tests that both sides have whole orbits
-(_whole_orbits) and maps the source's cycle lines into the target
-(_maps_lines_into, through _has_cycles).  The search reads nothing but
-the table _comp, and where a side holds that table and no set, as the
-search leaves both sides, _maps_onto maps the target's lines back under
-the inverse map, each image tested through the table of the side it
-lands in where that side holds no set, so a searched `iso` or
-`check-action` builds no set; else it compares the two cycle counts.
-Readers that only iterate take _cycle_stream (a checked structure's
-stream, set built or not); check.check reads _line_columns.
+is read.  Two members alone answer from a store for other modules, each
+from the table where it is built and the set is not (_table_only), else
+from the set: _has_cycles, whether every triple given is a cycle, and
+_cycle_count, the number of cycles, the table's set bits or the set's
+size.  The search reads nothing but the table _comp, so a searched `iso`
+or `check-action` builds no set.  The proof's twin test, the cycle law's
+scan (laws._broken_cycles), IsoWitness.problems() and verify_decision's
+body, check.check, ask them.  _places reads a parsed structure's lines
+where they break no clause of the identity law (laws._line_places), else
+the stream (laws._place_atoms).  Readers that only iterate take
+_cycle_stream (a checked structure's stream, set built or not);
+problems() and check.check read _line_columns.
 
 The local laws and validation live in `laws`, and the three axioms in
 `axioms`.  The members of AtomStructure that compute the laws (_places,
@@ -45,8 +38,8 @@ it is called.  So `rel` and `classify` compile neither module, and
 
 AtomStructure._table builds the dense table _comp and the column
 supports in one O(cycles) pass, over the cycles or a parsed structure's
-lines; the join reads both, and the search, _maps_lines_into and
-compose_mask read _comp.
+lines; the join reads both, and the search, _has_cycles, _cycle_count
+and compose_mask read _comp.
 """
 
 from __future__ import annotations
@@ -287,39 +280,18 @@ class AtomStructure(_Record):
         return self.cycles.issuperset(triples)
 
     def _cycle_count(self) -> int:
-        # the number of cycles, the size of the set
+        # the number of cycles: the set bits of the table's entries where
+        # only the table is held (_table_only), as the search leaves both
+        # sides, else the size of the set, built the first time
+        if self._table_only():
+            return sum(map(int.bit_count, filter(None, chain(*self._comp))))
         return len(self.cycles)
-
-    def _maps_lines_into(self, t: "AtomStructure",
-                         m: Sequence[int]) -> bool:
-        # whether m maps each of the cycle lines (the parser's lines, else
-        # every cycle, streamed where no set is built) to a cycle of t
-        return t._has_cycles(
-            ((m[x], m[y], m[z]) for x, y, z in self._cycle_stream())
-            if self._lines is None
-            else zip(*(map(m.__getitem__, ids) for ids in self._lines)))
-
-    def _maps_onto(self, t: "AtomStructure", m: Sequence[int]) -> bool:
-        # whether both structures have whole orbits (_whole_orbits) and m,
-        # a bijection that keeps converse, maps the cycles onto t's.  m
-        # sends each cycle line to its image's transforms, so lines that
-        # land on t's cycles put their closure, every cycle, inside t's:
-        # onto if t's lines land on ours under the inverse map, the test
-        # where a side holds its table and no set (_table_only), as the
-        # search leaves both, so a searched map builds no set; else if the
-        # two cycle counts agree
-        return (_whole_orbits(self) and _whole_orbits(t)
-                and self._maps_lines_into(t, m) and (
-                    t._maps_lines_into(self, sorted(range(len(m)),
-                                                    key=m.__getitem__))
-                    if self._table_only() or t._table_only()
-                    else self._cycle_count() == t._cycle_count()))
 
     def _line_columns(self) -> tuple[Sequence[int], Sequence[int],
                                      Sequence[int]]:
         # three id columns whose Peircean closure is the cycle set: the
-        # parser's lines, else every cycle
-        return self._lines or tuple(zip(*self.cycles)) or ((), (), ())
+        # parser's lines, else every cycle, streamed where no set is built
+        return self._lines or tuple(zip(*self._cycle_stream())) or ((),) * 3
 
     # -- basic views ------------------------------------------------------
 

@@ -8,9 +8,10 @@ decided structure, and runs none of rel_algebra, extract_atom_structure
 and IsoWitness.problems(): a fault there cannot pass twice.  Of the
 decision procedure it shares only the map rules (_map_problems) and the
 test for a group of order at most two (_involution), with problems() the
-members of `atoms` that read a structure's cycle set (the membership
-test AtomStructure._has_cycles and the count _cycle_count), and with
-rel_algebra the rule that names each orbit atom (actions._orbit_names).
+members of `atoms` that read a structure's cycle lines and store (the
+columns AtomStructure._line_columns, the membership test _has_cycles and
+the count _cycle_count), and with rel_algebra the rule that names each
+orbit atom (actions._orbit_names).
 """
 
 from __future__ import annotations

@@ -283,7 +283,8 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return 1 if exc.code else 0
-    except (RelalgError, OSError, RecursionError, MemoryError) as exc:
+    except (RelalgError, OSError, RecursionError, MemoryError,
+            UnicodeEncodeError) as exc:  # a name stdout cannot encode
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return status

@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 
-from .atoms import AtomStructure, _Record
+from .atoms import AtomStructure, _Record, _whole_orbits
 from .axioms import AxiomFailure, _z2_axioms
 from .errors import DEFAULT_BUDGET, InternalError
 
@@ -82,24 +82,33 @@ class IsoWitness(_Record):
 
     def __init__(self, source: AtomStructure, target: AtomStructure,
                  atom_map: tuple[int, ...]):
+        if not all(isinstance(x, AtomStructure) for x in (source, target)):
+            raise ValueError("source and target must be atom structures")
         self._init(source, target, atom_map)
 
     def problems(self) -> tuple[str, ...]:
         """Why the map is no isomorphism, () if it is one.  The map rules
         come first (_map_problems), a non-bijection alone.  A bijection
         keeps the cycles both ways iff it maps the source cycles onto the
-        target's.  Where m keeps the rules, AtomStructure._maps_onto
-        answers that from each side's cycle lines, and from whichever
-        store it holds: a searched map is checked without building a cycle
-        set.  Otherwise, or when it answers no, every cycle of each side
-        is looked up on the other, misses sorted."""
+        target's.  Where m keeps the rules, one onto rule answers that:
+        both sides have whole orbits (atoms._whole_orbits), the images of
+        the source's cycle lines (_line_columns) are cycles of the target
+        (_has_cycles), and the two cycle counts (_cycle_count) agree.  m
+        commutes with the Peircean transforms, so the lines' closure, every
+        source cycle, lands in the target's cycles, as many: onto.  Each
+        side answers from the store it holds, so a searched map is checked
+        without building a cycle set.  Where the rule fails, every cycle
+        of each side is looked up on the other, misses sorted."""
         s, t, m = self.source, self.target, self.atom_map
         if t.n_atoms != s.n_atoms:
             return ("structures have different atom counts",)
         out = _map_problems(s, m, t.identity_atoms, t.converse_map)
         if out == [_NOT_A_BIJECTION]:
             return tuple(out)
-        if not out and s._maps_onto(t, m):
+        if (not out and _whole_orbits(s) and _whole_orbits(t)
+                and t._has_cycles(zip(*(map(m.__getitem__, ids)
+                                        for ids in s._line_columns())))
+                and s._cycle_count() == t._cycle_count()):
             return ()
 
         def misses(a, b, f):  # a's cycles that f maps to no cycle of b

@@ -63,7 +63,19 @@ def _associativity_witness(s: AtomStructure) -> Triple | None:
     The first pass then takes the i-th member g of G as the middle atom,
     against the rows and columns that the members before g had not
     reached: by induction on i, the atoms they reached are good, which
-    settles the rest of g's block.  Tables that break the cycle law or
+    settles the rest of g's block.  An atom c whose row and column hold no
+    product, a;c = c;a = 0 for every atom a, is good and needs no row or
+    column in any block: every side of a statement with c in any place is
+    0, since (a;b);c and a;(b;c) end in column c, (c;b);d and c;(b;d)
+    start in row c, and (a;c);d and a;(c;d) read both.  The whole orbits
+    keep such atoms out of every product and converse of the others, so G
+    grows over the atoms that hold a product alone.  An atom of a cycle
+    (x, y, z) is first in one of its transforms, (y, z~, x~) or
+    (z, y~, x), so these are the atoms whose rows hold a product: the
+    union of the column supports.  A valid table has no other atom, since
+    a;a~ meets the identity, but a table that breaks the local laws, with
+    few cycles, can have nearly all its atoms hold none, and G would
+    otherwise take each as a member.  Tables that break the cycle law or
     have a non-involutive converse, which only a hand-built table can,
     take the exact scan: every middle atom against every row and column.
 
@@ -102,10 +114,12 @@ def _associativity_witness(s: AtomStructure) -> Triple | None:
         return min(filter(None, _mismatches(comp, col_supp, full)),
                    default=None)
     symmetric = conv == tuple(every)
-    # the diversity atoms that are functions, the identity atoms, the rest
-    not_fn, ident = s._places[2], s.identity_mask
+    # of the atoms that hold a product, those whose rows hold one: the
+    # diversity atoms that are functions, the identity atoms, the rest
+    touched = reduce(or_, col_supp, 0)
+    not_fn, ident = s._places[2] & touched, s.identity_mask & touched
     order = chain.from_iterable(map(iter_bits, (
-        s.full_mask & ~(not_fn | ident), ident, not_fn & ~ident)))
+        touched & ~(not_fn | ident), ident, not_fn & ~ident)))
     gens, rank = _generating_set(comp, conv, order)
     # the i-th member g of G against the atoms not reached before it
     # joined, as rows and as columns

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import random
 import re
 import resource
@@ -255,6 +256,28 @@ def test_unwritable_output_is_an_error(tmp_path, capsys):
         assert str(target) in err
 
 
+def test_a_report_stdout_cannot_encode_is_an_error(tmp_path):
+    # an atom name that the ascii codec cannot write ends in `error: ...`
+    # and exit 1, as an unwritable --output does, and not in a traceback;
+    # the same report written to --output is UTF-8 and succeeds
+    f = tmp_path / "e.ra"  # data/swap.ra with its atom d named é
+    f.write_text("atoms 1' é\nidentity 1'\nconverse 1':1' é:é\n"
+                 "cycle 1' 1' 1'\ncycle 1' é é\n", encoding="utf-8")
+    child = ("import sys\nfrom relalg import cli\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    for argv, status in ((["decide-z2", f], 1),
+                         (["decide-z2", f, "--output", tmp_path / "o"], 0)):
+        proc = subprocess.run([sys.executable, "-c", child, *map(str, argv)],
+                              capture_output=True, text=True,
+                              cwd=DATA.parent / "src",
+                              env={**os.environ, "PYTHONIOENCODING": "ascii"})
+        assert proc.returncode == status, proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert proc.stderr == ""
+    assert (tmp_path / "o").read_text(encoding="utf-8").endswith(
+        "\nmap 1' -> e0\nmap é -> a0\n")
+
+
 def test_parse_error_is_an_error(tmp_path, capsys):
     f = tmp_path / "broken.ra"
     f.write_text("atoms a\nidentity a\ncycle a a zz\n")
@@ -361,7 +384,8 @@ def large_inputs(tmp_path_factory):
     the fixed-point-free involution of 128 points, at the base-size cap;
     and two shuffles of the structure of
     Z3 rotating 20 triangles (1200 atoms, 72000 cycles, outside the class)
-    and that action, which the search answers."""
+    and that action, which the search answers; and 4096 atoms, every second
+    one an identity atom, with no cycle lines."""
     s = involution_structure(0, 40)
     assert (s.n_atoms, len(s.cycles)) == (3200, 256000)
     rng = random.Random(40)
@@ -386,6 +410,9 @@ def large_inputs(tmp_path_factory):
     texts["z3t20.act"] = format_group_action(z3)
     texts["z3t20-a.ra"] = format_atom_structure(shuffled(t, rng))
     texts["z3t20-b.ra"] = format_atom_structure(shuffled(t, rng))
+    names = [f"a{i}" for i in range(4096)]
+    texts["cycle-free4096.ra"] = (f"atoms {' '.join(names)}\n"
+                                  f"identity {' '.join(names[::2])}\n")
     root = tmp_path_factory.mktemp("large")
     for name, text in texts.items():
         (root / name).write_text(text, encoding="utf-8")
@@ -398,7 +425,8 @@ def sha256(text):
 
 # One row per fresh-interpreter run on a large input: its id, its command
 # line by the input names of large_inputs, its peak RSS bound in MB, its
-# seconds bound, and a test of its stdout
+# seconds bound, a test of its stdout and, where it is not 0, its exit
+# status
 SIZE_BOUNDS = [
     # the class path at 3200 atoms, on shuffled ids: neither builds a
     # composition table of 3200 x 3200 masks
@@ -435,6 +463,12 @@ SIZE_BOUNDS = [
     ("check-action-1200-searched", ["check-action", "z3t20-a.ra",
                                     "z3t20.act"], 62, 3.0,
      lambda out: out.count("map ") == 1200),
+    # no atom has a domain or a range atom: two report lines per atom,
+    # and the join grows no generating set over the atoms that hold no
+    # product, where one member per atom took 4.1-6.1 s (2-vCPU VM)
+    ("validate-4096-cycle-free", ["validate", "cycle-free4096.ra"], 170,
+     1.0, lambda out: out.startswith("invalid\n") and out.count("\n") == 8193,
+     2),
     # 16384 atoms and 2,097,152 cycles, written as 357,760 cycle lines
     # chosen from the profile triples as extraction streams them, with no
     # set of the cycles; each Peircean orbit of the pair algebra is a
@@ -449,13 +483,14 @@ SIZE_BOUNDS = [
 ]
 
 
-@pytest.mark.parametrize("argv, mb, seconds, check",
-                         [row[1:] for row in SIZE_BOUNDS],
-                         ids=[row[0] for row in SIZE_BOUNDS])
+@pytest.mark.parametrize(
+    "argv, mb, seconds, check, status",
+    [(*row[1:5], *(row[5:] or [0])) for row in SIZE_BOUNDS],
+    ids=[row[0] for row in SIZE_BOUNDS])
 def test_large_input_stays_under_its_bounds(large_inputs, argv, mb, seconds,
-                                            check):
+                                            check, status):
     proc, elapsed, peak_kb = run_measured(
-        *(large_inputs.get(arg, arg) for arg in argv))
+        *(large_inputs.get(arg, arg) for arg in argv), status=status)
     assert check is None or check(proc.stdout), argv
     assert peak_kb < mb * 1024, argv
     assert elapsed < seconds, argv

@@ -925,11 +925,11 @@ def test_budget_counts_every_tried_or_forced_assignment(case, nodes):
 
 def test_the_map_check_reads_the_table_as_it_reads_the_set():
     # problems() tests the line images through the table _comp where a
-    # structure holds it and no set, as the search leaves them, mapping the
-    # target's lines back in place of counting cycles, and through the set
-    # otherwise: the same tuple either way, for the found map, for two
-    # atoms of one colour swapped with their converses, and for the two
-    # swapped alone, which breaks converse
+    # structure holds it and no set, as the search leaves them, and counts
+    # the table's set bits, and through the set and its size otherwise:
+    # the same tuple either way, for the found map, for two atoms of one
+    # colour swapped with their converses, and for the two swapped alone,
+    # which breaks converse
     for action in (regular_action([48]), triangles_action(5)):
         s = extract_atom_structure(rel_algebra(action))
         rng = random.Random(s.n_atoms)
@@ -960,18 +960,23 @@ def test_the_map_check_reads_the_table_as_it_reads_the_set():
             if k == 0:
                 assert not any("cycles" in x.__dict__ for x in sides[1])
     # and a target with the orbit of (r, r, r) added to 23.ra's: every
-    # line of 23.ra lands in it, so only the target's lines mapped back,
-    # or the two cycle counts, find the cycles that have no source
+    # line of 23.ra lands in it, so only the two cycle counts find the
+    # cycles that have no source, whichever store each side holds: both
+    # their sets, both their tables, or one of each
     text = (DATA / "23.ra").read_text()
-    sides = [[parse_atom_structure(t) for t in (text, text + "cycle r r r\n")]
-             for _ in range(2)]
-    for x in sides[1]:
-        x._table
-    with_set, with_table = (IsoWitness(x, y, (0, 1, 2)).problems()
-                            for x, y in sides)
-    assert with_table == with_set
-    assert len(with_set) == 6 and all(
-        line.startswith("target cycle") for line in with_set), with_set
+    runs = []
+    for stores in (("cycles", "cycles"), ("_table", "_table"),
+                   ("cycles", "_table"), ("_table", "cycles")):
+        sides = [parse_atom_structure(t)
+                 for t in (text, text + "cycle r r r\n")]
+        for x, store in zip(sides, stores):
+            getattr(x, store)
+        runs.append(IsoWitness(*sides, (0, 1, 2)).problems())
+        assert [x._table_only() for x in sides] == [
+            store == "_table" for store in stores], stores
+    assert runs == [runs[0]] * 4, runs
+    assert len(runs[0]) == 6 and all(
+        line.startswith("target cycle") for line in runs[0]), runs[0]
 
 
 # --- verify_decision ------------------------------------------------------
@@ -1221,6 +1226,15 @@ def test_a_map_that_is_no_sequence_is_no_bijection():
     # len(None) raised TypeError
     s = load_structure("swap.ra")
     assert IsoWitness(s, s, None).problems() == ("atom map is not a bijection",)
+
+
+def test_a_witness_refuses_sides_that_are_no_atom_structures():
+    # problems() read None's n_atoms and raised AttributeError
+    s = load_structure("swap.ra")
+    for source, target in ((s, None), (None, s), (s, s.atom_names)):
+        with pytest.raises(ValueError, match="^source and target must be "
+                                             "atom structures$"):
+            IsoWitness(source, target, (0, 1))
 
 
 @pytest.mark.parametrize("problems,truth", [((), True), (("p",), False)])

@@ -104,10 +104,10 @@ STORAGE = {"_lines", "_triples", "_table_only", "cycles"}
 
 def test_only_atoms_reads_how_a_structure_holds_its_cycles():
     # atoms chooses which store answers a reader (_cycle_stream, _places,
-    # _has_cycles, _cycle_count, _maps_onto, _line_columns), so every
-    # other module states what must hold of the cycles, not how they are
-    # stored.  An attribute read, or a name in a string as getattr or
-    # __dict__ would take it, counts
+    # _has_cycles, _cycle_count, _line_columns), so every other module
+    # states what must hold of the cycles, not how they are stored.  An
+    # attribute read, or a name in a string as getattr or __dict__ would
+    # take it, counts
     files = sorted(Path(relalg.__file__).parent.glob("*.py"))
     assert len(files) > 5
     readers = {path.name: {
